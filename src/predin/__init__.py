@@ -41,7 +41,6 @@ from .prototypes import (  # noqa: F401
 from .inconsistency import (  # noqa: F401
     BranchState,
     DivHyperParams,
-    DualModel,
     TrainConfig,
     TrainingError,
     div_loss,

@@ -198,18 +198,25 @@ def init_optimizer(arrays: list[np.ndarray], learning_rate: float, momentum: flo
     )
 
 
+class NonFiniteGradientError(ValueError):
+    """A gradient handed to sgd_step holds a NaN or an infinity."""
+
+
 def sgd_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerState) -> None:
     """In-place update: v <- momentum*v + g; p <- p - lr*v.
 
-    Raises on non-finite gradients so the trainer can surface the batch.
+    Every gradient is validated before any array is written, so a rejected
+    step leaves parameters and velocities unchanged. Non-finite gradients
+    raise NonFiniteGradientError so the trainer can surface the batch.
     """
     if len(arrays) != len(grads) or len(arrays) != len(opt.velocities):
         raise ValueError("arrays, grads, and velocities must align")
-    for a, g, v in zip(arrays, grads, opt.velocities):
+    for i, (a, g) in enumerate(zip(arrays, grads)):
         if a.shape != g.shape:
             raise ValueError(f"gradient shape {g.shape} does not match parameter {a.shape}")
         if not np.isfinite(g).all():
-            raise ValueError("non-finite gradient")
+            raise NonFiniteGradientError(f"non-finite gradient in array {i}")
+    for a, g, v in zip(arrays, grads, opt.velocities):
         v *= opt.momentum
         v += g
         a -= opt.learning_rate * v
@@ -295,41 +302,3 @@ def finite_diff_check(
         n_small_skipped=n_small,
         worst_coord=worst,
     )
-
-
-CHECKPOINT_FORMAT = "predin-encoder-v1"
-
-
-def save_encoder(path, params: EncoderParams) -> None:
-    """Write an exact (bitwise round-trippable) encoder checkpoint."""
-    payload = {
-        "format": np.array(CHECKPOINT_FORMAT),
-        "activation": np.array(params.spec.activation),
-        "layer_dims": np.array(params.spec.layer_dims, dtype=np.int64),
-        "init_seed": np.array(params.init_seed, dtype=np.int64),
-    }
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        payload[f"w{i}"] = w
-        payload[f"b{i}"] = b
-    with open(path, "wb") as f:
-        np.savez(f, **payload)
-
-
-def load_encoder(path) -> EncoderParams:
-    with np.load(path, allow_pickle=False) as data:
-        fmt = str(data["format"])
-        if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {fmt!r}")
-        dims = tuple(int(d) for d in data["layer_dims"])
-        spec = EncoderSpec(
-            input_dim=dims[0],
-            hidden_dims=dims[1:-1],
-            output_dim=dims[-1],
-            activation=str(data["activation"]),
-        )
-        n_layers = len(dims) - 1
-        weights = [data[f"w{i}"] for i in range(n_layers)]
-        biases = [data[f"b{i}"] for i in range(n_layers)]
-        return EncoderParams(
-            spec=spec, weights=weights, biases=biases, init_seed=int(data["init_seed"])
-        )

@@ -5,7 +5,8 @@ batch of 6) and compares the analytic gradients of each loss against
 central finite differences over a sampled subset of encoder parameters and
 prototypes. Loss values for the differencing are recomputed from scratch
 on perturbed parameters, so the numeric side never touches the backward
-code it is checking.
+code it is checking. The combined objective is checked through div_loss
+itself, both jointly ("div") and against a frozen partner ("div_frozen").
 """
 
 from __future__ import annotations
@@ -16,18 +17,22 @@ from .encoder import (
     EncoderParams,
     EncoderSpec,
     FiniteDiffReport,
+    TrainBatch,
     encoder_backward,
     encoder_forward,
     finite_diff_check,
+    init_optimizer,
 )
 from .inconsistency import (
+    BranchState,
     DivHyperParams,
+    div_loss,
     inconsistency_loss,
     own_class_dots,
     proximity_probs,
     triplet_loss,
 )
-from .prototypes import PrototypeSet, compactness_loss, dce_loss, pl_loss
+from .prototypes import compactness_loss, dce_loss, pl_loss
 
 _SPEC = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=8, activation="relu")
 _N_CLASSES = 3
@@ -44,7 +49,7 @@ def _random_branch_arrays(rng: np.random.Generator) -> list[np.ndarray]:
     return arrays
 
 
-def _rebuild(arrays: list[np.ndarray]) -> tuple[EncoderParams, PrototypeSet]:
+def _rebuild(arrays: list[np.ndarray]) -> BranchState:
     n_layers = len(_SPEC.layer_dims) - 1
     enc = EncoderParams(
         spec=_SPEC,
@@ -52,16 +57,17 @@ def _rebuild(arrays: list[np.ndarray]) -> tuple[EncoderParams, PrototypeSet]:
         biases=[arrays[2 * i + 1] for i in range(n_layers)],
         init_seed=0,
     )
-    protos = PrototypeSet(prototypes=arrays[-1], seed=0)
-    return enc, protos
+    # the checker never steps, so the branch carries no velocities
+    return BranchState(enc, [arrays[-1]], head_seed=0, optimizer=init_optimizer([], 0.0))
 
 
 def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
     """(loss_fn over arrays, analytic_grads_fn over arrays) for one branch."""
 
     def compute(arrays):
-        enc, protos = _rebuild(arrays)
-        emb, cache = encoder_forward(enc, x)
+        branch = _rebuild(arrays)
+        protos = branch.prototypes
+        emb, cache = encoder_forward(branch.encoder, x)
         if loss_kind == "dce":
             loss, dz, dp = dce_loss(emb, labels, protos)
         elif loss_kind == "compactness":
@@ -87,9 +93,9 @@ def _frozen_own_dots(base_arrays, x, labels):
     half = len(base_arrays) // 2
     frozen = []
     for side in (base_arrays[:half], base_arrays[half:]):
-        enc, protos = _rebuild(side)
-        emb, _ = encoder_forward(enc, x)
-        frozen.append(own_class_dots(emb, labels, protos))
+        branch = _rebuild(side)
+        emb, _ = encoder_forward(branch.encoder, x)
+        frozen.append(own_class_dots(emb, labels, branch.prototypes))
     return frozen
 
 
@@ -98,12 +104,11 @@ def _incon_case(hp: DivHyperParams, x, labels, base_arrays):
 
     def compute(arrays):
         half = len(arrays) // 2
-        enc_a, protos_a = _rebuild(arrays[:half])
-        enc_b, protos_b = _rebuild(arrays[half:])
-        emb_a, cache_a = encoder_forward(enc_a, x)
-        emb_b, cache_b = encoder_forward(enc_b, x)
-        dist_a = proximity_probs(emb_a, labels, protos_a, hp.m1, own_dots=own_a)
-        dist_b = proximity_probs(emb_b, labels, protos_b, hp.m1, own_dots=own_b)
+        a, b = _rebuild(arrays[:half]), _rebuild(arrays[half:])
+        emb_a, cache_a = encoder_forward(a.encoder, x)
+        emb_b, cache_b = encoder_forward(b.encoder, x)
+        dist_a = proximity_probs(emb_a, labels, a.prototypes, hp.m1, own_dots=own_a)
+        dist_b = proximity_probs(emb_b, labels, b.prototypes, hp.m1, own_dots=own_b)
         inc = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
         grads = (
             encoder_backward(cache_a, inc.d_embeddings_a).arrays()
@@ -116,39 +121,26 @@ def _incon_case(hp: DivHyperParams, x, labels, base_arrays):
     return (lambda arrays: compute(arrays)[0]), (lambda arrays: compute(arrays)[1])
 
 
-def _div_case(hp: DivHyperParams, x, labels, base_arrays):
-    own_a, own_b = _frozen_own_dots(base_arrays, x, labels)
+def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
+    """div_loss over both branches' arrays, or over branch a's alone with
+    branch b held frozen at its base point."""
+    own = _frozen_own_dots(base_arrays, x, labels)
+    half = len(base_arrays) // 2
+    partner = _rebuild(base_arrays[half:])
+    batch = TrainBatch(x, labels)
 
     def compute(arrays):
-        half = len(arrays) // 2
-        enc_a, protos_a = _rebuild(arrays[:half])
-        enc_b, protos_b = _rebuild(arrays[half:])
-        emb_a, cache_a = encoder_forward(enc_a, x)
-        emb_b, cache_b = encoder_forward(enc_b, x)
-        pl_a, dz_a, dp_a = pl_loss(emb_a, labels, protos_a, hp.pl())
-        pl_b, dz_b, dp_b = pl_loss(emb_b, labels, protos_b, hp.pl())
-        dist_a = proximity_probs(emb_a, labels, protos_a, hp.m1, own_dots=own_a)
-        dist_b = proximity_probs(emb_b, labels, protos_b, hp.m1, own_dots=own_b)
-        inc = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
-        trip_a, dz_ta, dp_ta = triplet_loss(emb_a, labels, protos_a, hp.m2)
-        trip_b, dz_tb, dp_tb = triplet_loss(emb_b, labels, protos_b, hp.m2)
-        total = pl_a + pl_b + hp.gamma * inc.loss + hp.alpha * (trip_a + trip_b)
-        dz_a = dz_a + hp.gamma * inc.d_embeddings_a + hp.alpha * dz_ta
-        dz_b = dz_b + hp.gamma * inc.d_embeddings_b + hp.alpha * dz_tb
-        dp_a = dp_a + hp.gamma * inc.d_prototypes_a + hp.alpha * dp_ta
-        dp_b = dp_b + hp.gamma * inc.d_prototypes_b + hp.alpha * dp_tb
-        grads = (
-            encoder_backward(cache_a, dz_a).arrays()
-            + [dp_a]
-            + encoder_backward(cache_b, dz_b).arrays()
-            + [dp_b]
-        )
-        return total, grads
+        if frozen:
+            res = div_loss(batch, [_rebuild(arrays)], hp, frozen=partner, own_dots=own)
+        else:
+            branches = [_rebuild(arrays[:half]), _rebuild(arrays[half:])]
+            res = div_loss(batch, branches, hp, own_dots=own)
+        return res.terms["total"], [g for grads in res.grads for g in grads]
 
     return (lambda arrays: compute(arrays)[0]), (lambda arrays: compute(arrays)[1])
 
 
-LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div")
+LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen")
 
 
 def check_loss_gradients(
@@ -165,9 +157,11 @@ def check_loss_gradients(
     elif loss_name == "incon":
         arrays = _random_branch_arrays(rng) + _random_branch_arrays(rng)
         loss_fn, grads_fn = _incon_case(hp, x, labels, arrays)
-    elif loss_name == "div":
-        arrays = _random_branch_arrays(rng) + _random_branch_arrays(rng)
-        loss_fn, grads_fn = _div_case(hp, x, labels, arrays)
+    elif loss_name in ("div", "div_frozen"):
+        pair = _random_branch_arrays(rng) + _random_branch_arrays(rng)
+        frozen = loss_name == "div_frozen"
+        arrays = pair[: len(pair) // 2] if frozen else pair
+        loss_fn, grads_fn = _div_loss_case(hp, x, labels, pair, frozen)
     else:
         raise ValueError(f"unknown loss {loss_name!r}")
     return finite_diff_check(

@@ -12,34 +12,33 @@ import json
 import os
 import time
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import __version__
 from .encoder import (
-    EncoderParams,
     EncoderSpec,
     TrainBatch,
     encoder_backward,
     encoder_forward,
     init_encoder,
     init_optimizer,
-    lr_schedule,
-    sgd_step,
 )
 from .inconsistency import (
+    BatchLoss,
     BranchState,
     DivHyperParams,
-    DualModel,
     EpochTrace,
     TrainConfig,
     TrainingError,
+    atomic_open,
+    div_loss,
     init_branch,
+    pl_objective,
     save_dual_checkpoint,
     train,
     train_sequential,
-    train_single,
-    training_arrays,
     write_loss_trace,
 )
 from .metrics import (
@@ -194,15 +193,14 @@ def config_from_dict(d: dict) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {sorted(d)}")
     if hp_d:
         kwargs["hyperparams"] = DivHyperParams(**hp_d)
-    if "hidden_dims" in enc_d:
-        kwargs["hidden_dims"] = tuple(enc_d["hidden_dims"])
-    if "feature_dim" in enc_d:
-        kwargs["feature_dim"] = enc_d["feature_dim"]
-    if "activation" in enc_d:
-        kwargs["activation"] = enc_d["activation"]
-    for key in ("epochs", "batch_size", "lr", "momentum"):
-        if key in tr_d:
-            kwargs[key] = tr_d[key]
+    for section, sub, keys in (
+        ("encoder", enc_d, ("hidden_dims", "feature_dim", "activation")),
+        ("training", tr_d, ("epochs", "batch_size", "lr", "momentum")),
+    ):
+        unknown = sorted(set(sub) - set(keys))
+        if unknown:
+            raise ValueError(f"unknown config keys under {section!r}: {unknown}")
+        kwargs.update(sub)
     return ExperimentConfig(**kwargs)
 
 
@@ -272,11 +270,20 @@ def _variant_hp(config: ExperimentConfig) -> DivHyperParams:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class SoftmaxModel:
-    encoder: EncoderParams
-    head_w: np.ndarray  # (N, d)
-    head_b: np.ndarray  # (N,)
+def softmax_objective(batch: TrainBatch, branches: list[BranchState]) -> BatchLoss:
+    """Cross-entropy of one branch's linear head on one batch."""
+    (branch,) = branches
+    head_w, head_b = branch.head
+    emb, cache = encoder_forward(branch.encoder, batch.inputs)
+    logits = emb @ head_w.T + head_b
+    m = batch.size
+    y0 = batch.labels - 1
+    ce = -log_softmax(logits)[np.arange(m), y0].mean()
+    dlogits = softmax(logits)
+    dlogits[np.arange(m), y0] -= 1.0
+    dlogits /= m
+    grads = encoder_backward(cache, dlogits @ head_w).arrays()
+    return BatchLoss({"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]])
 
 
 def baseline_softmax_train(
@@ -291,51 +298,29 @@ def baseline_softmax_train(
 
     The rejection score of a sample is its maximum softmax probability, so
     the scored samples flow through the same evaluation path as prototype
-    models.
+    models. Returns (branch, trace).
     """
-    if partition.stats is None:
-        raise ValueError("partition must be standardized before training")
-    x, y = training_arrays(partition)
     enc = init_encoder(spec, encoder_seed)
     rng = np.random.default_rng(head_seed)
-    head_w = rng.normal(0.0, np.sqrt(2.0 / spec.output_dim), size=(n_classes, spec.output_dim))
-    head_b = np.zeros(n_classes)
-    arrays = enc.arrays() + [head_w, head_b]
-    opt = init_optimizer(arrays, config.base_lr, config.momentum)
-    rng_shuffle = np.random.default_rng(config.shuffle_seed)
-    trace: list[EpochTrace] = []
-    for epoch in range(config.epochs):
-        opt.learning_rate = lr_schedule(epoch, config.base_lr)
-        opt.epoch = epoch
-        loss_sum = 0.0
-        perm = rng_shuffle.permutation(len(y))
-        for bi in range(0, len(y), config.batch_size):
-            idx = perm[bi : bi + config.batch_size]
-            batch = TrainBatch(x[idx], y[idx])
-            emb, cache = encoder_forward(enc, batch.inputs)
-            logits = emb @ head_w.T + head_b
-            m = len(idx)
-            y0 = batch.labels - 1
-            ce = -log_softmax(logits)[np.arange(m), y0].mean()
-            if not np.isfinite(ce):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi}")
-            dlogits = softmax(logits)
-            dlogits[np.arange(m), y0] -= 1.0
-            dlogits /= m
-            enc_grads = encoder_backward(cache, dlogits @ head_w)
-            sgd_step(arrays, enc_grads.arrays() + [dlogits.T @ emb, dlogits.sum(axis=0)], opt)
-            loss_sum += ce * m
-        mean = loss_sum / len(y)
-        trace.append(EpochTrace(epoch, mean, None, None, None, None, mean))
-    return SoftmaxModel(encoder=enc, head_w=head_w, head_b=head_b), trace
+    head = [
+        rng.normal(0.0, np.sqrt(2.0 / spec.output_dim), size=(n_classes, spec.output_dim)),
+        np.zeros(n_classes),
+    ]
+    opt = init_optimizer(enc.arrays() + head, config.base_lr, config.momentum)
+    branch = BranchState(encoder=enc, head=head, head_seed=head_seed, optimizer=opt)
+    return branch, train([branch], softmax_objective, partition, config)
 
 
-def softmax_score_fn(model: SoftmaxModel):
-    """Branch scorer for the softmax baseline: posterior probabilities."""
+def branch_score_fn(branch: BranchState):
+    """Branch scorer: prototype similarities, or for a softmax head its
+    posterior probabilities."""
+    if branch.prototypes is not None:
+        return prototype_score_fn(branch.encoder, branch.prototypes)
+    head_w, head_b = branch.head
 
     def fn(x: np.ndarray) -> np.ndarray:
-        emb, _ = encoder_forward(model.encoder, x)
-        return softmax(emb @ model.head_w.T + model.head_b)
+        emb, _ = encoder_forward(branch.encoder, x)
+        return softmax(emb @ head_w.T + head_b)
 
     return fn
 
@@ -347,17 +332,20 @@ def softmax_score_fn(model: SoftmaxModel):
 
 @dataclass
 class SeedResult:
-    branches: list[BranchState]  # empty for the softmax baseline
+    branches: list[BranchState]
     traces: list[list[EpochTrace]]
-    dual_model: DualModel | None = None
-    softmax_model: SoftmaxModel | None = None
+    hp: DivHyperParams
     report: MetricsReport | None = None
     scored: list[ScoredSample] = field(default_factory=list)
     matrices: dict = field(default_factory=dict)
 
 
-def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: int):
-    """Train the configured variant; returns (score_fns, SeedResult skeleton)."""
+def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: int) -> SeedResult:
+    """Train the configured variant; returns the SeedResult skeleton.
+
+    softmax and pl_baseline train one branch, the joint variants two;
+    sequential_k trains sequential_k branches one after another.
+    """
     input_dim = partition.train_windows[0].x.size
     spec = _encoder_spec(config, input_dim)
     n_classes = partition.label_split.n_known
@@ -366,22 +354,11 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     variant = config.variant
 
     if variant == "softmax":
-        model, trace = baseline_softmax_train(
+        branch, trace = baseline_softmax_train(
             partition, spec, n_classes, tc,
             derive_seed(seed, _ENC_A), derive_seed(seed, _HEAD),
         )
-        return [softmax_score_fn(model)], SeedResult(
-            branches=[], traces=[trace], softmax_model=model
-        )
-
-    if variant == "pl_baseline":
-        branch = init_branch(
-            spec, n_classes, derive_seed(seed, _ENC_A), derive_seed(seed, _PROTO_A),
-            tc.base_lr, tc.momentum,
-        )
-        branch, trace = train_single(branch, partition, tc, hp)
-        fns = [prototype_score_fn(branch.encoder, branch.prototypes)]
-        return fns, SeedResult(branches=[branch], traces=[trace])
+        return SeedResult(branches=[branch], traces=[trace], hp=hp)
 
     if variant == "sequential_k":
         seeds = [
@@ -391,25 +368,22 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
         branches, traces = train_sequential(
             config.sequential_k, partition, tc, hp, spec, n_classes, seeds
         )
-        fns = [prototype_score_fn(b.encoder, b.prototypes) for b in branches]
-        return fns, SeedResult(branches=branches, traces=traces)
+        return SeedResult(branches=branches, traces=traces, hp=hp)
 
-    # joint two-branch variants: dual, dual_trip, predin_wo_trip, predin
-    model = DualModel(
-        branch_a=init_branch(
-            spec, n_classes, derive_seed(seed, _ENC_A), derive_seed(seed, _PROTO_A),
+    streams = [(_ENC_A, _PROTO_A), (_ENC_B, _PROTO_B)]
+    objective = partial(div_loss, hp=hp)
+    if variant == "pl_baseline":
+        streams = streams[:1]
+        objective = partial(pl_objective, hp=hp)
+    branches = [
+        init_branch(
+            spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto),
             tc.base_lr, tc.momentum,
-        ),
-        branch_b=init_branch(
-            spec, n_classes, derive_seed(seed, _ENC_B), derive_seed(seed, _PROTO_B),
-            tc.base_lr, tc.momentum,
-        ),
-        hp=hp,
-    )
-    model, trace = train(model, partition, tc)
-    branches = [model.branch_a, model.branch_b]
-    fns = [prototype_score_fn(b.encoder, b.prototypes) for b in branches]
-    return fns, SeedResult(branches=branches, traces=[trace], dual_model=model)
+        )
+        for enc, proto in streams
+    ]
+    trace = train(branches, objective, partition, tc)
+    return SeedResult(branches=branches, traces=[trace], hp=hp)
 
 
 def evaluate_scored(
@@ -454,7 +428,8 @@ def evaluate_scored(
 
 def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedResult:
     partition = build_partition(config, recordings, classes, seed)
-    score_fns, result = _train_variant(config, partition, seed)
+    result = _train_variant(config, partition, seed)
+    score_fns = [branch_score_fn(b) for b in result.branches]
     scored = score_windows(score_fns, partition.test_windows, partition.label_split)
     report, matrices = evaluate_scored(
         scored, config.retention, partition.label_split.n_known, seed
@@ -471,10 +446,8 @@ def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedRe
 
 
 def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as f:
+    with atomic_open(path) as f:
         f.write(text)
-    os.replace(tmp, path)
 
 
 def _write_seed_artifacts(seed_dir: str, config: ExperimentConfig, result: SeedResult) -> dict:
@@ -492,6 +465,8 @@ def _write_seed_artifacts(seed_dir: str, config: ExperimentConfig, result: SeedR
         write_loss_trace(os.path.join(seed_dir, name), trace)
         rel.setdefault("loss_traces", []).append(name)
     for i, branch in enumerate(result.branches):
+        if branch.prototypes is None:  # softmax head
+            continue
         name = f"proximity_branch{i+1}.csv"
         write_matrix_csv(os.path.join(seed_dir, name), proximity_matrix(branch.prototypes))
         rel.setdefault("proximity_matrices", []).append(name)
@@ -499,9 +474,8 @@ def _write_seed_artifacts(seed_dir: str, config: ExperimentConfig, result: SeedR
         name = f"{key}.csv"
         write_matrix_csv(os.path.join(seed_dir, name), mat)
         rel[key] = name
-    if result.dual_model is not None:
-        save_dual_checkpoint(os.path.join(seed_dir, "checkpoint.npz"), result.dual_model)
-        rel["checkpoint"] = "checkpoint.npz"
+    save_dual_checkpoint(os.path.join(seed_dir, "checkpoint.npz"), result.branches, result.hp)
+    rel["checkpoint"] = "checkpoint.npz"
     return rel
 
 

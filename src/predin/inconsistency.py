@@ -12,18 +12,25 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
   inconsistency     -mean_i log sum_j [pA(1-pB) + pB(1-pA)]   (clamped log)
   triplet           mean_i max(||z-p^y|| - ||z-p^j*|| + m2, 0),
                     j* the nearest other prototype to p^y, refreshed per batch
+
+Every variant trains through the one loop in train(): K branches, each
+with its own optimizer, and a per-batch objective that returns the loss
+terms and one gradient list per branch.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .encoder import (
-    EncoderGrads,
     EncoderParams,
     EncoderSpec,
+    NonFiniteGradientError,
     OptimizerState,
     TrainBatch,
     encoder_backward,
@@ -72,21 +79,26 @@ class DivHyperParams:
 
 @dataclass
 class BranchState:
-    """One perspective: encoder, prototypes, and their shared optimizer."""
+    """One perspective: an encoder, its head arrays and their shared optimizer.
+
+    The head is [prototypes (N, d)] for a prototype branch, or
+    [weight (N, d), bias (N,)] for the softmax baseline's linear head.
+    """
 
     encoder: EncoderParams
-    prototypes: PrototypeSet
+    head: list[np.ndarray]
+    head_seed: int
     optimizer: OptimizerState
 
+    @property
+    def prototypes(self) -> PrototypeSet | None:
+        """The prototype head, or None for a softmax head."""
+        if len(self.head) != 1:
+            return None
+        return PrototypeSet(prototypes=self.head[0], seed=self.head_seed)
+
     def arrays(self) -> list[np.ndarray]:
-        return self.encoder.arrays() + [self.prototypes.prototypes]
-
-
-@dataclass
-class DualModel:
-    branch_a: BranchState
-    branch_b: BranchState
-    hp: DivHyperParams
+        return self.encoder.arrays() + self.head
 
 
 def init_branch(
@@ -98,12 +110,12 @@ def init_branch(
     momentum: float = 0.9,
 ) -> BranchState:
     enc = init_encoder(spec, encoder_seed)
-    protos = init_prototypes(n_classes, spec.output_dim, prototype_seed)
-    arrays = enc.arrays() + [protos.prototypes]
+    head = [init_prototypes(n_classes, spec.output_dim, prototype_seed).prototypes]
     return BranchState(
         encoder=enc,
-        prototypes=protos,
-        optimizer=init_optimizer(arrays, learning_rate, momentum),
+        head=head,
+        head_seed=prototype_seed,
+        optimizer=init_optimizer(enc.arrays() + head, learning_rate, momentum),
     )
 
 
@@ -304,73 +316,82 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: PrototypeSet, m2: f
 
 
 # ---------------------------------------------------------------------------
-# combined objective and training loops
+# per-batch objectives and the training loop
 # ---------------------------------------------------------------------------
 
 
 @dataclass
-class BranchGrads:
-    encoder: EncoderGrads
-    prototypes: np.ndarray
+class BatchLoss:
+    """One objective on one batch.
 
-    def arrays(self) -> list[np.ndarray]:
-        return self.encoder.arrays() + [self.prototypes]
+    terms maps EpochTrace field names to loss values ("total" always
+    present); grads holds one gradient list per trained branch, aligned
+    with BranchState.arrays().
+    """
 
-
-@dataclass
-class DivLossResult:
-    pl_a: float
-    pl_b: float
-    incon: float
-    trip_a: float
-    trip_b: float
-    total: float
-    grads_a: BranchGrads
-    grads_b: BranchGrads
+    terms: dict[str, float]
+    grads: list[list[np.ndarray]]
 
 
-def _branch_pl_terms(batch: TrainBatch, branch: BranchState, hp: DivHyperParams):
+def pl_objective(batch: TrainBatch, branches: list[BranchState], hp: DivHyperParams) -> BatchLoss:
+    """PL loss alone on one prototype branch (the single-branch baseline)."""
+    (branch,) = branches
     emb, cache = encoder_forward(branch.encoder, batch.inputs)
     pl, dz, dp = pl_loss(emb, batch.labels, branch.prototypes, hp.pl())
-    return emb, cache, pl, dz, dp
+    return BatchLoss({"pl_a": pl, "total": pl}, [encoder_backward(cache, dz).arrays() + [dp]])
 
 
 def div_loss(
-    batch: TrainBatch, branch_a: BranchState, branch_b: BranchState, hp: DivHyperParams
-) -> DivLossResult:
-    """Full objective on one batch: PL per branch, shared inconsistency term,
-    triplet per branch. Gradients flow into both branches."""
-    emb_a, cache_a, pl_a, dz_a, dp_a = _branch_pl_terms(batch, branch_a, hp)
-    emb_b, cache_b, pl_b, dz_b, dp_b = _branch_pl_terms(batch, branch_b, hp)
+    batch: TrainBatch,
+    branches: list[BranchState],
+    hp: DivHyperParams,
+    frozen: BranchState | None = None,
+    own_dots: tuple | None = None,
+) -> BatchLoss:
+    """Full objective of one branch pair on one batch.
 
-    dist_a = proximity_probs(emb_a, batch.labels, branch_a.prototypes, hp.m1)
-    dist_b = proximity_probs(emb_b, batch.labels, branch_b.prototypes, hp.m1)
-    inc = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
-    if hp.gamma != 0.0:
-        dz_a += hp.gamma * inc.d_embeddings_a
-        dp_a += hp.gamma * inc.d_prototypes_a
-        dz_b += hp.gamma * inc.d_embeddings_b
-        dp_b += hp.gamma * inc.d_prototypes_b
-
-    trip_a, dz_ta, dp_ta = triplet_loss(emb_a, batch.labels, branch_a.prototypes, hp.m2)
-    trip_b, dz_tb, dp_tb = triplet_loss(emb_b, batch.labels, branch_b.prototypes, hp.m2)
-    if hp.alpha != 0.0:
-        dz_a += hp.alpha * dz_ta
-        dp_a += hp.alpha * dp_ta
-        dz_b += hp.alpha * dz_tb
-        dp_b += hp.alpha * dp_tb
-
-    total = pl_a + pl_b + hp.gamma * inc.loss + hp.alpha * (trip_a + trip_b)
-    return DivLossResult(
-        pl_a=pl_a,
-        pl_b=pl_b,
-        incon=inc.loss,
-        trip_a=trip_a,
-        trip_b=trip_b,
-        total=total,
-        grads_a=BranchGrads(encoder_backward(cache_a, dz_a), dp_a),
-        grads_b=BranchGrads(encoder_backward(cache_b, dz_b), dp_b),
-    )
+    Joint (branches = [a, b]): PL per branch, the shared inconsistency term
+    and triplet per branch, with gradients into both. Against a frozen
+    partner (branches = [a], frozen = b): PL and triplet of a, with the
+    inconsistency term paired against b, which receives no gradient.
+    own_dots (one array per branch of the pair) overrides the stop-gradient
+    z.p^y references, as in proximity_probs.
+    """
+    pair = list(branches) if frozen is None else [*branches, frozen]
+    if len(pair) != 2:
+        raise ValueError(f"div_loss needs a branch pair, got {len(pair)} branches")
+    own_dots = own_dots or (None, None)
+    forward = [encoder_forward(b.encoder, batch.inputs) for b in pair]
+    dists = [
+        proximity_probs(
+            emb, batch.labels, b.prototypes, hp.m1,
+            keep_cache=i < len(branches), own_dots=own_dots[i],
+        )
+        for i, (b, (emb, _)) in enumerate(zip(pair, forward))
+    ]
+    inc = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
+    d_inc = ((inc.d_embeddings_a, inc.d_prototypes_a), (inc.d_embeddings_b, inc.d_prototypes_b))
+    pls, trips, grads = [], [], []
+    for i, branch in enumerate(branches):
+        (emb, cache), protos = forward[i], branch.prototypes
+        pl, dz, dp = pl_loss(emb, batch.labels, protos, hp.pl())
+        if hp.gamma != 0.0:
+            dz += hp.gamma * d_inc[i][0]
+            dp += hp.gamma * d_inc[i][1]
+        trip, dz_t, dp_t = triplet_loss(emb, batch.labels, protos, hp.m2)
+        if hp.alpha != 0.0:
+            dz += hp.alpha * dz_t
+            dp += hp.alpha * dp_t
+        pls.append(pl)
+        trips.append(trip)
+        grads.append(encoder_backward(cache, dz).arrays() + [dp])
+    terms = {
+        **{f"pl_{t}": v for t, v in zip("ab", pls)},
+        "incon": inc.loss,
+        **{f"trip_{t}": v for t, v in zip("ab", trips)},
+        "total": sum(pls) + hp.gamma * inc.loss + hp.alpha * sum(trips),
+    }
+    return BatchLoss(terms, grads)
 
 
 @dataclass(frozen=True)
@@ -391,12 +412,12 @@ class EpochTrace:
     """Per-epoch means of the loss components (None where not applicable)."""
 
     epoch: int
-    pl_a: float
-    pl_b: float | None
-    incon: float | None
-    trip_a: float | None
-    trip_b: float | None
     total: float
+    pl_a: float | None = None
+    pl_b: float | None = None
+    incon: float | None = None
+    trip_a: float | None = None
+    trip_b: float | None = None
 
 
 def training_arrays(partition: DatasetPartition):
@@ -413,132 +434,49 @@ def training_arrays(partition: DatasetPartition):
     return x, y
 
 
-def _check_standardized(partition: DatasetPartition):
+def train(
+    branches: list[BranchState],
+    objective,
+    partition: DatasetPartition,
+    config: TrainConfig,
+) -> list[EpochTrace]:
+    """Train K branches on identical shuffled mini-batches.
+
+    objective(batch, branches) -> BatchLoss gives the loss terms and one
+    gradient list per branch; each branch then takes one SGD step with its
+    own optimizer. Branches are updated in place; the per-epoch means of
+    the loss terms are returned. A non-finite loss or gradient raises
+    TrainingError naming the epoch and batch.
+    """
     if partition.stats is None:
         raise ValueError("partition must be standardized before training")
-
-
-def _epoch_order(rng: np.random.Generator, n: int, batch_size: int):
-    perm = rng.permutation(n)
-    return [perm[i : i + batch_size] for i in range(0, n, batch_size)]
-
-
-def train(model: DualModel, partition: DatasetPartition, config: TrainConfig):
-    """Jointly train both branches on identical shuffled mini-batches.
-
-    Returns (model, trace); the model is updated in place. Non-finite losses
-    abort with epoch/batch diagnostics.
-    """
-    _check_standardized(partition)
     x, y = training_arrays(partition)
     rng = np.random.default_rng(config.shuffle_seed)
-    arrays_a = model.branch_a.arrays()
-    arrays_b = model.branch_b.arrays()
-    opt_a, opt_b = model.branch_a.optimizer, model.branch_b.optimizer
+    arrays = [b.arrays() for b in branches]
     trace: list[EpochTrace] = []
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config.base_lr)
-        opt_a.learning_rate = lr
-        opt_b.learning_rate = lr
-        opt_a.epoch = epoch
-        opt_b.epoch = epoch
-        sums = np.zeros(6)
-        for bi, idx in enumerate(_epoch_order(rng, len(y), config.batch_size)):
-            batch = TrainBatch(x[idx], y[idx])
-            res = div_loss(batch, model.branch_a, model.branch_b, model.hp)
-            if not np.isfinite(res.total):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {bi} "
-                    f"(pl_a={res.pl_a}, pl_b={res.pl_b}, incon={res.incon})"
-                )
-            sgd_step(arrays_a, res.grads_a.arrays(), opt_a)
-            sgd_step(arrays_b, res.grads_b.arrays(), opt_b)
-            w = len(idx)
-            sums += w * np.array(
-                [res.pl_a, res.pl_b, res.incon, res.trip_a, res.trip_b, res.total]
-            )
-        means = sums / len(y)
-        trace.append(EpochTrace(epoch, *means[:5], means[5]))
-    return model, trace
-
-
-def train_single(
-    branch: BranchState,
-    partition: DatasetPartition,
-    config: TrainConfig,
-    hp: DivHyperParams,
-):
-    """Train one branch with the PL loss alone (the single-branch baseline)."""
-    _check_standardized(partition)
-    x, y = training_arrays(partition)
-    rng = np.random.default_rng(config.shuffle_seed)
-    arrays = branch.arrays()
-    opt = branch.optimizer
-    trace: list[EpochTrace] = []
-    for epoch in range(config.epochs):
-        opt.learning_rate = lr_schedule(epoch, config.base_lr)
-        opt.epoch = epoch
-        sums = np.zeros(2)
-        for bi, idx in enumerate(_epoch_order(rng, len(y), config.batch_size)):
-            batch = TrainBatch(x[idx], y[idx])
-            emb, cache, pl, dz, dp = _branch_pl_terms(batch, branch, hp)
-            if not np.isfinite(pl):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, batch {bi} (pl={pl})")
-            grads = BranchGrads(encoder_backward(cache, dz), dp)
-            sgd_step(arrays, grads.arrays(), opt)
-            sums += len(idx) * np.array([pl, pl])
-        means = sums / len(y)
-        trace.append(EpochTrace(epoch, means[0], None, None, None, None, means[1]))
-    return branch, trace
-
-
-def _train_against_frozen(
-    branch: BranchState,
-    frozen: BranchState,
-    partition: DatasetPartition,
-    config: TrainConfig,
-    hp: DivHyperParams,
-):
-    """Train one branch with the full objective, pairing the inconsistency
-    term against a frozen predecessor (no gradient flows into it)."""
-    _check_standardized(partition)
-    x, y = training_arrays(partition)
-    rng = np.random.default_rng(config.shuffle_seed)
-    arrays = branch.arrays()
-    opt = branch.optimizer
-    trace: list[EpochTrace] = []
-    for epoch in range(config.epochs):
-        opt.learning_rate = lr_schedule(epoch, config.base_lr)
-        opt.epoch = epoch
-        sums = np.zeros(4)
-        for bi, idx in enumerate(_epoch_order(rng, len(y), config.batch_size)):
-            batch = TrainBatch(x[idx], y[idx])
-            emb, cache, pl, dz, dp = _branch_pl_terms(batch, branch, hp)
-            dist = proximity_probs(emb, batch.labels, branch.prototypes, hp.m1)
-            emb_f, _ = encoder_forward(frozen.encoder, batch.inputs)
-            dist_f = proximity_probs(
-                emb_f, batch.labels, frozen.prototypes, hp.m1, keep_cache=False
-            )
-            inc = inconsistency_loss(dist, dist_f, hp.epsilon_log)
-            if hp.gamma != 0.0:
-                dz += hp.gamma * inc.d_embeddings_a
-                dp += hp.gamma * inc.d_prototypes_a
-            trip, dz_t, dp_t = triplet_loss(emb, batch.labels, branch.prototypes, hp.m2)
-            if hp.alpha != 0.0:
-                dz += hp.alpha * dz_t
-                dp += hp.alpha * dp_t
-            total = pl + hp.gamma * inc.loss + hp.alpha * trip
-            if not np.isfinite(total):
-                raise TrainingError(
-                    f"non-finite loss at epoch {epoch}, batch {bi} "
-                    f"(pl={pl}, incon={inc.loss}, trip={trip})"
-                )
-            grads = BranchGrads(encoder_backward(cache, dz), dp)
-            sgd_step(arrays, grads.arrays(), opt)
-            sums += len(idx) * np.array([pl, inc.loss, trip, total])
-        means = sums / len(y)
-        trace.append(EpochTrace(epoch, means[0], None, means[1], means[2], None, means[3]))
-    return branch, trace
+        for b in branches:
+            b.optimizer.learning_rate = lr
+            b.optimizer.epoch = epoch
+        sums: dict[str, float] = {}
+        perm = rng.permutation(len(y))
+        for bi, start in enumerate(range(0, len(y), config.batch_size)):
+            idx = perm[start : start + config.batch_size]
+            res = objective(TrainBatch(x[idx], y[idx]), branches)
+            where = f"at epoch {epoch}, batch {bi}"
+            if not np.isfinite(res.terms["total"]):
+                detail = ", ".join(f"{k}={v}" for k, v in res.terms.items())
+                raise TrainingError(f"non-finite loss {where} ({detail})")
+            for k, (b, grads) in enumerate(zip(branches, res.grads)):
+                try:
+                    sgd_step(arrays[k], grads, b.optimizer)
+                except NonFiniteGradientError as e:
+                    raise TrainingError(f"{e} of branch {k + 1} {where}") from e
+            for key, value in res.terms.items():
+                sums[key] = sums.get(key, 0.0) + len(idx) * value
+        trace.append(EpochTrace(epoch, **{k: s / len(y) for k, s in sums.items()}))
+    return trace
 
 
 def train_sequential(
@@ -562,19 +500,16 @@ def train_sequential(
         raise ValueError(f"need {k} (encoder, prototype) seed pairs, got {len(branch_seeds)}")
     branches: list[BranchState] = []
     traces: list[list[EpochTrace]] = []
-    for t in range(k):
-        enc_seed, proto_seed = branch_seeds[t]
+    for enc_seed, proto_seed in branch_seeds[:k]:
         branch = init_branch(
             spec, n_classes, enc_seed, proto_seed, config.base_lr, config.momentum
         )
-        if t == 0:
-            branch, trace = train_single(branch, partition, config, hp)
+        if branches:
+            objective = partial(div_loss, hp=hp, frozen=branches[-1])
         else:
-            branch, trace = _train_against_frozen(
-                branch, branches[t - 1], partition, config, hp
-            )
+            objective = partial(pl_objective, hp=hp)
+        traces.append(train([branch], objective, partition, config))
         branches.append(branch)
-        traces.append(trace)
     return branches, traces
 
 
@@ -582,7 +517,7 @@ def train_sequential(
 # artifacts
 # ---------------------------------------------------------------------------
 
-DUAL_CHECKPOINT_FORMAT = "predin-dual-v1"
+CHECKPOINT_FORMAT = "predin-branches-v1"
 
 
 def write_loss_trace(path, trace: list[EpochTrace]) -> None:
@@ -603,83 +538,90 @@ def write_loss_trace(path, trace: list[EpochTrace]) -> None:
         f.write("\n".join(lines) + "\n")
 
 
-def save_dual_checkpoint(path, model: DualModel) -> None:
-    """Both branches plus hyperparameters, bitwise round-trippable."""
+@contextlib.contextmanager
+def atomic_open(path, mode: str = "w"):
+    """Write to a temporary file next to path, then move it over path.
+
+    If the body raises, the temporary file is removed and path is left as
+    it was.
+    """
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, mode) as f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
+def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) -> None:
+    """K branches plus hyperparameters, bitwise round-trippable.
+
+    Per branch k: layer dims, activation, (encoder, head) seeds, the
+    parameter arrays b{k}_p* in BranchState.arrays() order, how many of
+    them form the head, the optimizer's (lr, momentum, epoch) and its
+    velocities b{k}_v*.
+    """
     payload = {
-        "format": np.array(DUAL_CHECKPOINT_FORMAT),
-        "hp": np.array(
-            [
-                model.hp.beta,
-                model.hp.gamma,
-                model.hp.alpha,
-                model.hp.m1,
-                model.hp.m2,
-                model.hp.epsilon_log,
-            ]
-        ),
-        "compactness_form": np.array(model.hp.compactness_form),
+        "format": np.array(CHECKPOINT_FORMAT),
+        "hp": np.array([hp.beta, hp.gamma, hp.alpha, hp.m1, hp.m2, hp.epsilon_log]),
+        "compactness_form": np.array(hp.compactness_form),
+        "n_branches": np.array(len(branches), dtype=np.int64),
     }
-    for tag, branch in (("a", model.branch_a), ("b", model.branch_b)):
+    for k, branch in enumerate(branches):
         spec = branch.encoder.spec
-        payload[f"{tag}_layer_dims"] = np.array(spec.layer_dims, dtype=np.int64)
-        payload[f"{tag}_activation"] = np.array(spec.activation)
-        payload[f"{tag}_seeds"] = np.array(
-            [branch.encoder.init_seed, branch.prototypes.seed], dtype=np.int64
+        opt = branch.optimizer
+        payload[f"b{k}_layer_dims"] = np.array(spec.layer_dims, dtype=np.int64)
+        payload[f"b{k}_activation"] = np.array(spec.activation)
+        payload[f"b{k}_seeds"] = np.array(
+            [branch.encoder.init_seed, branch.head_seed], dtype=np.int64
         )
-        for i, (w, b) in enumerate(zip(branch.encoder.weights, branch.encoder.biases)):
-            payload[f"{tag}_w{i}"] = w
-            payload[f"{tag}_b{i}"] = b
-        payload[f"{tag}_prototypes"] = branch.prototypes.prototypes
-        payload[f"{tag}_opt"] = np.array(
-            [branch.optimizer.learning_rate, branch.optimizer.momentum, branch.optimizer.epoch]
-        )
-        for i, v in enumerate(branch.optimizer.velocities):
-            payload[f"{tag}_v{i}"] = v
-    with open(path, "wb") as f:
+        payload[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
+        payload[f"b{k}_opt"] = np.array([opt.learning_rate, opt.momentum, opt.epoch])
+        for i, a in enumerate(branch.arrays()):
+            payload[f"b{k}_p{i}"] = a
+        for i, v in enumerate(opt.velocities):
+            payload[f"b{k}_v{i}"] = v
+    with atomic_open(path, "wb") as f:
         np.savez(f, **payload)
 
 
-def load_dual_checkpoint(path) -> DualModel:
+def load_checkpoint(path) -> tuple[list[BranchState], DivHyperParams]:
+    """Inverse of save_dual_checkpoint: (branches, hyperparameters)."""
     with np.load(path, allow_pickle=False) as data:
         fmt = str(data["format"])
-        if fmt != DUAL_CHECKPOINT_FORMAT:
+        if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {fmt!r}")
-        hp_vals = data["hp"]
         hp = DivHyperParams(
-            beta=float(hp_vals[0]),
-            gamma=float(hp_vals[1]),
-            alpha=float(hp_vals[2]),
-            m1=float(hp_vals[3]),
-            m2=float(hp_vals[4]),
-            epsilon_log=float(hp_vals[5]),
-            compactness_form=str(data["compactness_form"]),
+            *(float(v) for v in data["hp"]), compactness_form=str(data["compactness_form"])
         )
-
-        def load_branch(tag: str) -> BranchState:
-            dims = tuple(int(d) for d in data[f"{tag}_layer_dims"])
+        branches = []
+        for k in range(int(data["n_branches"])):
+            dims = tuple(int(d) for d in data[f"b{k}_layer_dims"])
             spec = EncoderSpec(
                 input_dim=dims[0],
                 hidden_dims=dims[1:-1],
                 output_dim=dims[-1],
-                activation=str(data[f"{tag}_activation"]),
+                activation=str(data[f"b{k}_activation"]),
             )
-            enc_seed, proto_seed = (int(s) for s in data[f"{tag}_seeds"])
-            n_layers = len(dims) - 1
+            enc_seed, head_seed = (int(s) for s in data[f"b{k}_seeds"])
+            n_enc = 2 * (len(dims) - 1)
+            n_arrays = n_enc + int(data[f"b{k}_n_head"])
+            arrays = [data[f"b{k}_p{i}"] for i in range(n_arrays)]
+            lr, momentum, epoch = data[f"b{k}_opt"]
             enc = EncoderParams(
                 spec=spec,
-                weights=[data[f"{tag}_w{i}"] for i in range(n_layers)],
-                biases=[data[f"{tag}_b{i}"] for i in range(n_layers)],
+                weights=arrays[0:n_enc:2],
+                biases=arrays[1:n_enc:2],
                 init_seed=enc_seed,
             )
-            protos = PrototypeSet(prototypes=data[f"{tag}_prototypes"], seed=proto_seed)
-            lr, mom, epoch = data[f"{tag}_opt"]
-            n_arrays = 2 * n_layers + 1
             opt = OptimizerState(
                 learning_rate=float(lr),
-                momentum=float(mom),
-                velocities=[data[f"{tag}_v{i}"] for i in range(n_arrays)],
+                momentum=float(momentum),
+                velocities=[data[f"b{k}_v{i}"] for i in range(n_arrays)],
                 epoch=int(epoch),
             )
-            return BranchState(encoder=enc, prototypes=protos, optimizer=opt)
-
-        return DualModel(branch_a=load_branch("a"), branch_b=load_branch("b"), hp=hp)
+            branches.append(BranchState(enc, arrays[n_enc:], head_seed, opt))
+        return branches, hp

@@ -60,7 +60,7 @@ def test_criterion_1_gradient_suite():
     verdict(
         worst < 1e-4 and min_checked >= 200 and elapsed < 30.0,
         "criterion 1 (gradient suite)",
-        f"6 losses x 5 seeds: worst rel err {worst:.2e}, "
+        f"{len(LOSS_NAMES)} losses x 5 seeds: worst rel err {worst:.2e}, "
         f">= {min_checked} coords per instance, {elapsed:.1f}s",
     )
 

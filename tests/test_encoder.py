@@ -10,9 +10,7 @@ from predin.encoder import (
     finite_diff_check,
     init_encoder,
     init_optimizer,
-    load_encoder,
     lr_schedule,
-    save_encoder,
     sgd_step,
 )
 
@@ -172,6 +170,19 @@ class TestSgd:
         with pytest.raises(ValueError, match="non-finite"):
             sgd_step([a], [np.array([np.nan, 0.0])], opt)
 
+    def test_non_finite_last_grad_leaves_every_array_unchanged(self):
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal((3, 2)), rng.standard_normal(4), rng.standard_normal(2)]
+        opt = init_optimizer(arrays, learning_rate=0.01)
+        sgd_step(arrays, [np.ones_like(a) for a in arrays], opt)  # non-zero velocities
+        before = [a.copy() for a in arrays + opt.velocities]
+        grads = [np.ones_like(a) for a in arrays]
+        grads[-1][1] = np.nan
+        with pytest.raises(ValueError, match="non-finite gradient in array 2"):
+            sgd_step(arrays, grads, opt)
+        for x, y in zip(before, arrays + opt.velocities):
+            assert x.tobytes() == y.tobytes()
+
 
 class TestLrSchedule:
     @pytest.mark.parametrize(
@@ -216,17 +227,3 @@ class TestBatch:
             TrainBatch(np.zeros((2, 3)), np.array([1, 0]))
         b = TrainBatch(np.zeros((2, 3)), np.array([1, 2]))
         assert b.size == 2
-
-
-class TestCheckpoint:
-    def test_roundtrip_bitwise(self, tmp_path):
-        params = init_encoder(EncoderSpec(6, (5, 4), 3, activation="tanh"), seed=13)
-        path = tmp_path / "enc.npz"
-        save_encoder(path, params)
-        loaded = load_encoder(path)
-        assert loaded.spec == params.spec
-        assert loaded.init_seed == 13
-        for wa, wb in zip(params.weights, loaded.weights):
-            assert wa.tobytes() == wb.tobytes()
-        for ba, bb in zip(params.biases, loaded.biases):
-            assert ba.tobytes() == bb.tobytes()

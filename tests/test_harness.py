@@ -4,19 +4,21 @@ import json
 import numpy as np
 import pytest
 
+from predin import inconsistency
 from predin.cli import main as cli_main
-from predin.encoder import EncoderSpec
+from predin.encoder import EncoderSpec, init_encoder, init_optimizer
 from predin.harness import (
     ABLATION_VARIANTS,
+    VARIANTS,
     ExperimentConfig,
-    SoftmaxModel,
+    _write_seed_artifacts,
+    branch_score_fn,
     config_from_dict,
     load_config,
     load_dataset,
     run_ablation,
     run_experiment,
     run_seed,
-    softmax_score_fn,
 )
 
 
@@ -64,6 +66,12 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"variant": "predin", "typo_field": 1})
 
+    def test_unknown_section_keys_rejected(self):
+        with pytest.raises(ValueError, match=r"under 'training': \['epoch'\]"):
+            config_from_dict({"training": {"epoch": 3}})
+        with pytest.raises(ValueError, match=r"under 'encoder': \['hidden'\]"):
+            config_from_dict({"encoder": {"hidden": [8]}})
+
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
             tiny_config(variant="quadruple")
@@ -108,11 +116,11 @@ class TestVariantLattice:
 class TestSoftmaxBaseline:
     def test_untrained_zero_head_gives_uniform_smax(self):
         spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3)
-        from predin.encoder import init_encoder
-
         enc = init_encoder(spec, seed=0)
-        model = SoftmaxModel(encoder=enc, head_w=np.zeros((5, 3)), head_b=np.zeros(5))
-        probs = softmax_score_fn(model)(np.ones((2, 4)))
+        head = [np.zeros((5, 3)), np.zeros(5)]
+        opt = init_optimizer(enc.arrays() + head, learning_rate=0.0)
+        branch = inconsistency.BranchState(encoder=enc, head=head, head_seed=0, optimizer=opt)
+        probs = branch_score_fn(branch)(np.ones((2, 4)))
         np.testing.assert_allclose(probs, 0.2)
         np.testing.assert_allclose(probs.max(axis=1), 1 / 5)
 
@@ -157,12 +165,61 @@ class TestRunExperiment:
         assert all("error" in row for row in record.per_seed)
         assert (tmp_path / "out" / "report.json").exists()
 
+    def test_non_finite_gradient_fails_only_its_seed(self, tmp_path, monkeypatch):
+        # the first triplet gradient of the run (seed 1) is NaN; the loss stays finite
+        real = inconsistency.triplet_loss
+        calls = []
+
+        def poisoned(*args):
+            loss, dz, dp = real(*args)
+            calls.append(1)
+            if len(calls) == 1:
+                dp = np.full_like(dp, np.nan)
+            return loss, dz, dp
+
+        monkeypatch.setattr(inconsistency, "triplet_loss", poisoned)
+        cfg = tiny_config(seeds=(1, 2), output_dir=str(tmp_path / "out"))
+        record = run_experiment(cfg)
+        assert record.aggregate["failed_seeds"] == [1]
+        assert "epoch 0, batch 0" in record.per_seed[0]["error"]
+        assert record.per_seed[1]["auc"] is not None
+
     def test_unwritable_output_dir(self, tmp_path):
         target = tmp_path / "blocked"
         target.write_text("a file, not a directory")
         cfg = tiny_config(output_dir=str(target / "sub"))
         with pytest.raises(OSError):
             run_experiment(cfg)
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_roundtrip_bitwise(self, tmp_path, variant):
+        # softmax and pl_baseline are K=1, the joint variants K=2, sequential_k K=3 here
+        cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
+        recordings, classes = load_dataset(cfg)
+        result = run_seed(cfg, recordings, classes, 1)
+        rel = _write_seed_artifacts(str(tmp_path), cfg, result)
+        assert rel["checkpoint"] == "checkpoint.npz"
+        branches, hp = inconsistency.load_checkpoint(tmp_path / "checkpoint.npz")
+        assert hp == result.hp
+        assert len(branches) == len(result.branches) == (
+            1 if variant in ("softmax", "pl_baseline") else 3 if variant == "sequential_k" else 2
+        )
+        for got, want in zip(branches, result.branches):
+            assert got.encoder.spec == want.encoder.spec
+            assert got.encoder.init_seed == want.encoder.init_seed
+            assert got.head_seed == want.head_seed
+            assert len(got.head) == len(want.head) == (2 if variant == "softmax" else 1)
+            assert got.optimizer.epoch == want.optimizer.epoch == 1
+            assert got.optimizer.learning_rate == want.optimizer.learning_rate
+            assert got.optimizer.momentum == want.optimizer.momentum
+            for x, y in zip(
+                got.arrays() + got.optimizer.velocities,
+                want.arrays() + want.optimizer.velocities,
+                strict=True,
+            ):
+                assert x.tobytes() == y.tobytes()
 
 
 class TestAblation:

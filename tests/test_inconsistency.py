@@ -1,24 +1,26 @@
+import os
+from functools import partial
+
 import numpy as np
 import pytest
 
 from predin.encoder import EncoderSpec, TrainBatch, encoder_forward, finite_diff_check
 from predin.inconsistency import (
     DivHyperParams,
-    DualModel,
     ProximityDistribution,
     TrainConfig,
     TrainingError,
     div_loss,
     inconsistency_loss,
     init_branch,
-    load_dual_checkpoint,
+    load_checkpoint,
     margin_distance,
     nearest_other_prototype,
+    pl_objective,
     proximity_probs,
     save_dual_checkpoint,
     train,
     train_sequential,
-    train_single,
     triplet_loss,
     write_loss_trace,
 )
@@ -247,91 +249,115 @@ class TestDivLoss:
     def test_weights_zero_reduces_to_two_baselines(self):
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=0.0, alpha=0.0)
-        res = div_loss(batch, a, b, hp)
+        res = div_loss(batch, [a, b], hp)
         emb_a, _ = encoder_forward(a.encoder, batch.inputs)
         pl_a, dz_a, dp_a = pl_loss(emb_a, batch.labels, a.prototypes, hp.pl())
-        assert res.total == res.pl_a + res.pl_b
-        assert res.pl_a == pl_a
-        np.testing.assert_array_equal(res.grads_a.prototypes, dp_a)
+        t = res.terms
+        assert t["total"] == t["pl_a"] + t["pl_b"]
+        assert t["pl_a"] == pl_a
+        np.testing.assert_array_equal(res.grads[0][-1], dp_a)
 
     def test_full_objective_composition(self):
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=1.0, alpha=1.0)
-        res = div_loss(batch, a, b, hp)
-        assert res.total == pytest.approx(
-            res.pl_a + res.pl_b + res.incon + res.trip_a + res.trip_b, abs=1e-12
+        t = div_loss(batch, [a, b], hp).terms
+        assert t["total"] == pytest.approx(
+            t["pl_a"] + t["pl_b"] + t["incon"] + t["trip_a"] + t["trip_b"], abs=1e-12
         )
+
+    def test_frozen_partner_matches_joint_branch_a(self):
+        # against a frozen b, branch a sees the joint objective's a-side terms
+        batch, a, b = self._batch_and_branches()
+        hp = DivHyperParams()
+        joint = div_loss(batch, [a, b], hp)
+        frozen = div_loss(batch, [a], hp, frozen=b)
+        assert set(frozen.terms) == {"pl_a", "incon", "trip_a", "total"}
+        for key in ("pl_a", "incon", "trip_a"):
+            assert frozen.terms[key] == joint.terms[key]
+        assert frozen.terms["total"] == pytest.approx(
+            joint.terms["pl_a"] + joint.terms["incon"] + joint.terms["trip_a"], abs=1e-12
+        )
+        assert len(frozen.grads) == 1
+        for x, y in zip(frozen.grads[0], joint.grads[0]):
+            np.testing.assert_array_equal(x, y)
+
+    def test_needs_a_branch_pair(self):
+        batch, a, b = self._batch_and_branches()
+        with pytest.raises(ValueError, match="pair"):
+            div_loss(batch, [a], DivHyperParams())
 
     def test_branch_symmetry(self):
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        r1 = div_loss(batch, a, b, hp)
-        r2 = div_loss(batch, b, a, hp)
-        assert r1.incon == r2.incon
-        assert r1.total == pytest.approx(r2.total, abs=1e-12)
-        np.testing.assert_array_equal(r1.grads_a.prototypes, r2.grads_b.prototypes)
+        r1 = div_loss(batch, [a, b], hp)
+        r2 = div_loss(batch, [b, a], hp)
+        assert r1.terms["incon"] == r2.terms["incon"]
+        assert r1.terms["total"] == pytest.approx(r2.terms["total"], abs=1e-12)
+        np.testing.assert_array_equal(r1.grads[0][-1], r2.grads[1][-1])
+
+
+def _joint_branches(part, seeds=((1, 2), (3, 4)), lr=0.01):
+    spec = _spec_for(part)
+    return [init_branch(spec, 3, enc, proto, lr, 0.9) for enc, proto in seeds]
 
 
 class TestTraining:
     def test_zero_epochs_returns_unchanged(self):
         part = tiny_partition()
-        model = DualModel(
-            branch_a=init_branch(_spec_for(part), 3, 1, 2),
-            branch_b=init_branch(_spec_for(part), 3, 3, 4),
-            hp=DivHyperParams(),
-        )
-        before = [a.copy() for a in model.branch_a.arrays()]
-        train(model, part, TrainConfig(epochs=0))
-        for x, y in zip(before, model.branch_a.arrays()):
+        branches = _joint_branches(part)
+        before = [a.copy() for a in branches[0].arrays()]
+        train(branches, partial(div_loss, hp=DivHyperParams()), part, TrainConfig(epochs=0))
+        for x, y in zip(before, branches[0].arrays()):
             assert x.tobytes() == y.tobytes()
 
     def test_identical_seeds_gamma_zero_stay_bitwise_equal(self):
         part = tiny_partition()
-        spec = _spec_for(part)
-        model = DualModel(
-            branch_a=init_branch(spec, 3, 7, 8, 0.002, 0.9),
-            branch_b=init_branch(spec, 3, 7, 8, 0.002, 0.9),
-            hp=DivHyperParams(gamma=0.0, alpha=1.0),
-        )
-        train(model, part, TrainConfig(epochs=4, batch_size=32, base_lr=0.002, shuffle_seed=5))
-        for x, y in zip(model.branch_a.arrays(), model.branch_b.arrays()):
+        branches = _joint_branches(part, seeds=((7, 8), (7, 8)), lr=0.002)
+        objective = partial(div_loss, hp=DivHyperParams(gamma=0.0, alpha=1.0))
+        tc = TrainConfig(epochs=4, batch_size=32, base_lr=0.002, shuffle_seed=5)
+        train(branches, objective, part, tc)
+        for x, y in zip(branches[0].arrays(), branches[1].arrays()):
             assert x.tobytes() == y.tobytes()
 
     def test_training_decreases_pl_loss(self):
         part = tiny_partition()
-        spec = _spec_for(part)
-        model = DualModel(
-            branch_a=init_branch(spec, 3, 1, 2, 0.002, 0.9),
-            branch_b=init_branch(spec, 3, 3, 4, 0.002, 0.9),
-            hp=DivHyperParams(),
+        branches = _joint_branches(part, lr=0.002)
+        trace = train(
+            branches, partial(div_loss, hp=DivHyperParams()), part,
+            TrainConfig(epochs=12, batch_size=64, base_lr=0.002),
         )
-        _, trace = train(model, part, TrainConfig(epochs=12, batch_size=64, base_lr=0.002))
         assert trace[-1].pl_a < trace[0].pl_a
         assert trace[-1].pl_b < trace[0].pl_b
 
     def test_divergence_aborts_with_diagnostics(self):
         part = tiny_partition()
-        spec = _spec_for(part)
-        model = DualModel(
-            branch_a=init_branch(spec, 3, 1, 2),
-            branch_b=init_branch(spec, 3, 3, 4),
-            hp=DivHyperParams(),
-        )
-        model.branch_a.encoder.weights[-1][:] = 1e200  # output layer: tanh cannot absorb it
+        branches = _joint_branches(part)
+        branches[0].encoder.weights[-1][:] = 1e200  # output layer: tanh cannot absorb it
+        objective = partial(div_loss, hp=DivHyperParams())
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch 0"):
-                train(model, part, TrainConfig(epochs=1))
+                train(branches, objective, part, TrainConfig(epochs=1))
+
+    def test_non_finite_gradient_names_epoch_and_batch(self):
+        part = tiny_partition()
+        branches = _joint_branches(part)
+        hp = DivHyperParams()
+
+        def poisoned(batch, branches):
+            res = div_loss(batch, branches, hp)
+            if branches[0].optimizer.epoch == 1:
+                res.grads[1][-1][0, 0] = np.nan
+            return res
+
+        with pytest.raises(TrainingError, match="branch 2 at epoch 1, batch 0"):
+            train(branches, poisoned, part, TrainConfig(epochs=3, batch_size=64))
 
     def test_unstandardized_partition_rejected(self):
         part = tiny_partition()
         raw = DatasetPartition(part.train_windows, part.test_windows, part.label_split)
-        model = DualModel(
-            branch_a=init_branch(_spec_for(part), 3, 1, 2),
-            branch_b=init_branch(_spec_for(part), 3, 3, 4),
-            hp=DivHyperParams(),
-        )
+        branches = _joint_branches(part)
         with pytest.raises(ValueError, match="standardized"):
-            train(model, raw, TrainConfig(epochs=1))
+            train(branches, partial(div_loss, hp=DivHyperParams()), raw, TrainConfig(epochs=1))
 
     def test_sequential_k1_equals_pl_baseline(self):
         part = tiny_partition()
@@ -340,7 +366,7 @@ class TestTraining:
         hp = DivHyperParams()
         branches, traces = train_sequential(1, part, tc, hp, spec, 3, [(21, 22)])
         direct = init_branch(spec, 3, 21, 22, tc.base_lr, tc.momentum)
-        direct, _ = train_single(direct, part, tc, hp)
+        train([direct], partial(pl_objective, hp=hp), part, tc)
         for x, y in zip(branches[0].arrays(), direct.arrays()):
             assert x.tobytes() == y.tobytes()
         assert len(traces) == 1
@@ -359,33 +385,26 @@ class TestTraining:
 
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         part = tiny_partition()
-        spec = _spec_for(part)
-        model = DualModel(
-            branch_a=init_branch(spec, 3, 1, 2, 0.002, 0.9),
-            branch_b=init_branch(spec, 3, 3, 4, 0.002, 0.9),
-            hp=DivHyperParams(beta=0.5, gamma=2.0, m1=0.25),
-        )
-        train(model, part, TrainConfig(epochs=2, batch_size=64, base_lr=0.002))
+        branches = _joint_branches(part, lr=0.002)
+        hp = DivHyperParams(beta=0.5, gamma=2.0, m1=0.25)
+        tc = TrainConfig(epochs=2, batch_size=64, base_lr=0.002)
+        train(branches, partial(div_loss, hp=hp), part, tc)
         path = tmp_path / "dual.npz"
-        save_dual_checkpoint(path, model)
-        loaded = load_dual_checkpoint(path)
-        assert loaded.hp == model.hp
-        for x, y in zip(model.branch_a.arrays(), loaded.branch_a.arrays()):
+        save_dual_checkpoint(path, branches, hp)
+        loaded, loaded_hp = load_checkpoint(path)
+        assert loaded_hp == hp
+        for x, y in zip(branches[0].arrays(), loaded[0].arrays()):
             assert x.tobytes() == y.tobytes()
-        for x, y in zip(
-            model.branch_b.optimizer.velocities, loaded.branch_b.optimizer.velocities
-        ):
+        for x, y in zip(branches[1].optimizer.velocities, loaded[1].optimizer.velocities):
             assert x.tobytes() == y.tobytes()
 
     def test_loss_trace_csv(self, tmp_path):
         part = tiny_partition()
-        spec = _spec_for(part)
-        model = DualModel(
-            branch_a=init_branch(spec, 3, 1, 2, 0.002, 0.9),
-            branch_b=init_branch(spec, 3, 3, 4, 0.002, 0.9),
-            hp=DivHyperParams(),
+        branches = _joint_branches(part, lr=0.002)
+        trace = train(
+            branches, partial(div_loss, hp=DivHyperParams()), part,
+            TrainConfig(epochs=3, batch_size=64, base_lr=0.002),
         )
-        _, trace = train(model, part, TrainConfig(epochs=3, batch_size=64, base_lr=0.002))
         path = tmp_path / "trace.csv"
         write_loss_trace(path, trace)
         lines = path.read_text().strip().splitlines()
@@ -394,6 +413,33 @@ class TestTraining:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[6]) == pytest.approx(trace[0].total)
+
+
+class TestCheckpoint:
+    @pytest.mark.parametrize("fmt", ["predin-dual-v1", "predin-encoder-v1"])
+    def test_old_formats_rejected(self, tmp_path, fmt):
+        path = tmp_path / "old.npz"
+        np.savez(path, format=np.array(fmt), w0=np.zeros((2, 2)))
+        with pytest.raises(ValueError, match=fmt):
+            load_checkpoint(path)
+
+    def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):
+        part = tiny_partition()
+        branches = _joint_branches(part)
+        path = tmp_path / "checkpoint.npz"
+        save_dual_checkpoint(path, branches, DivHyperParams())
+        before = path.read_bytes()
+
+        def fail_midway(f, **arrays):
+            f.write(b"partial")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(np, "savez", fail_midway)
+        branches[0].head[0] += 1.0
+        with pytest.raises(OSError, match="disk full"):
+            save_dual_checkpoint(path, branches, DivHyperParams())
+        assert path.read_bytes() == before
+        assert os.listdir(tmp_path) == ["checkpoint.npz"]
 
 
 def _spec_for(partition):
