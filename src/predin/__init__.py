@@ -9,13 +9,14 @@ from .signals import (  # noqa: F401
     LabelSplit,
     SignalRecording,
     SyntheticConfig,
-    WindowSample,
+    WindowTable,
     generate_synthetic,
     load_csv,
     segment_windows,
     split_known_unknown,
     split_trials,
     standardize,
+    window_recordings,
 )
 from .encoder import (  # noqa: F401
     EncoderParams,
@@ -53,13 +54,11 @@ from .inconsistency import (  # noqa: F401
     triplet_loss,
 )
 from .scoring import (  # noqa: F401
-    ScoredSample,
+    ScoreTable,
     Threshold,
-    branch_similarity,
     calibrate_threshold,
-    classify,
     decide,
-    fuse_scores,
+    score_windows,
 )
 from .metrics import (  # noqa: F401
     MetricsReport,

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
@@ -55,7 +55,7 @@ from .metrics import (
 )
 from .prototypes import log_softmax, softmax
 from .scoring import (
-    ScoredSample,
+    ScoreTable,
     Threshold,
     calibrate_threshold,
     prototype_score_fn,
@@ -63,15 +63,14 @@ from .scoring import (
     write_score_dump,
 )
 from .signals import (
-    UNKNOWN_LABEL,
     DatasetPartition,
     SyntheticConfig,
     generate_synthetic,
     load_csv,
-    segment_windows,
     split_known_unknown,
     split_trials,
     standardize,
+    window_recordings,
 )
 
 VARIANTS = (
@@ -86,6 +85,23 @@ VARIANTS = (
 
 # stream tags for deriving independent sub-seeds from one run seed
 _ENC_A, _PROTO_A, _ENC_B, _PROTO_B, _SHUFFLE, _HEAD = 1, 2, 3, 4, 5, 6
+
+
+# dataset keys accepted per dataset type, and the ones that must be present
+_DATASET_KEYS = {
+    "synthetic": ({"type", "data_seed", *(f.name for f in fields(SyntheticConfig))}, set()),
+    "csv": ({"type", "data_path", "meta_path"}, {"data_path", "meta_path"}),
+}
+
+
+def _check_section(section: str, keys, allowed, required=()) -> None:
+    """Raise ValueError naming the section and any unknown or missing key."""
+    unknown = sorted(set(keys) - set(allowed))
+    if unknown:
+        raise ValueError(f"unknown config keys under {section!r}: {unknown}")
+    missing = sorted(set(required) - set(keys))
+    if missing:
+        raise ValueError(f"missing config keys under {section!r}: {missing}")
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -129,6 +145,19 @@ class ExperimentConfig:
             raise ValueError("need at least one seed")
         if self.variant not in VARIANTS:
             raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        if not 0.0 < self.retention < 1.0:
+            raise ValueError(f"retention must lie in (0, 1), got {self.retention}")
+        if self.n_known < 2:
+            raise ValueError(f"n_known must be >= 2, got {self.n_known}")
+        for name in ("window_ms", "step_ms"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.sequential_k < 1:
+            raise ValueError(f"sequential_k must be >= 1, got {self.sequential_k}")
+        kind = self.dataset.get("type", "synthetic")
+        if kind not in _DATASET_KEYS:
+            raise ValueError(f"unknown dataset type {kind!r}")
+        _check_section("dataset", self.dataset, *_DATASET_KEYS[kind])
 
     def to_dict(self) -> dict:
         hp = self.hyperparams
@@ -191,16 +220,13 @@ def config_from_dict(d: dict) -> ExperimentConfig:
             kwargs[key] = d.pop(key)
     if d:
         raise ValueError(f"unknown config keys: {sorted(d)}")
+    _check_section("hyperparams", hp_d, (f.name for f in fields(DivHyperParams)))
     if hp_d:
         kwargs["hyperparams"] = DivHyperParams(**hp_d)
-    for section, sub, keys in (
-        ("encoder", enc_d, ("hidden_dims", "feature_dim", "activation")),
-        ("training", tr_d, ("epochs", "batch_size", "lr", "momentum")),
-    ):
-        unknown = sorted(set(sub) - set(keys))
-        if unknown:
-            raise ValueError(f"unknown config keys under {section!r}: {unknown}")
-        kwargs.update(sub)
+    _check_section("encoder", enc_d, ("hidden_dims", "feature_dim", "activation"))
+    _check_section("training", tr_d, ("epochs", "batch_size", "lr", "momentum"))
+    kwargs.update(enc_d)
+    kwargs.update(tr_d)
     return ExperimentConfig(**kwargs)
 
 
@@ -217,18 +243,16 @@ def load_dataset(config: ExperimentConfig):
         data_seed = ds.pop("data_seed", 2024)
         syn = SyntheticConfig(**ds)
         return generate_synthetic(syn, data_seed)
-    if kind == "csv":
-        recordings = load_csv(ds["data_path"], ds["meta_path"])
-        return recordings, {r.gesture_label for r in recordings}
-    raise ValueError(f"unknown dataset type {kind!r}")
+    # "csv": ExperimentConfig admits no other dataset type
+    recordings = load_csv(ds["data_path"], ds["meta_path"])
+    return recordings, {r.gesture_label for r in recordings}
 
 
 def build_partition(config: ExperimentConfig, recordings, classes, seed: int) -> DatasetPartition:
     split = split_known_unknown(classes, config.n_known, seed)
-    windows = [
-        w for r in recordings for w in segment_windows(r, config.window_ms, config.step_ms)
-    ]
+    windows = window_recordings(recordings, config.window_ms, config.step_ms)
     part = split_trials(windows, config.train_trials, config.test_trials, split)
+    del windows  # the routed copies replace it; keeps peak memory down
     return standardize(part)
 
 
@@ -336,7 +360,7 @@ class SeedResult:
     traces: list[list[EpochTrace]]
     hp: DivHyperParams
     report: MetricsReport | None = None
-    scored: list[ScoredSample] = field(default_factory=list)
+    scored: ScoreTable | None = None
     matrices: dict = field(default_factory=dict)
 
 
@@ -346,7 +370,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     softmax and pl_baseline train one branch, the joint variants two;
     sequential_k trains sequential_k branches one after another.
     """
-    input_dim = partition.train_windows[0].x.size
+    input_dim = partition.train_windows.flat.shape[1]
     spec = _encoder_spec(config, input_dim)
     n_classes = partition.label_split.n_known
     tc = _train_config(config, seed)
@@ -387,24 +411,22 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
 
 
 def evaluate_scored(
-    scored: list[ScoredSample], retention: float, n_classes: int, seed: int
+    scored: ScoreTable, retention: float, n_classes: int, seed: int
 ) -> tuple[MetricsReport, dict]:
     """Metrics plus analysis matrices from one seed's scored test set."""
-    known = [s for s in scored if s.true_label != UNKNOWN_LABEL]
-    unknown = [s for s in scored if s.true_label == UNKNOWN_LABEL]
-    if not known or not unknown:
+    is_known = scored.known
+    if is_known.all() or not is_known.any():
         raise ValueError("test set must contain both known and unknown samples")
-    ks = np.array([s.s_max for s in known])
-    us = np.array([s.s_max for s in unknown])
-    correct = np.array([s.predicted_class == s.true_label for s in known])
+    ks = scored.s_max[is_known]
+    us = scored.s_max[~is_known]
+    predicted = scored.predicted[is_known]
+    true = scored.true_labels[is_known]
     thr = calibrate_threshold(ks, retention)
     matrices: dict[str, np.ndarray] = {}
-    n_branches = scored[0].sims_per_branch.shape[0]
     incon = None
-    if n_branches >= 2:
+    if scored.sims.shape[1] >= 2:
         # disagreement between the two most recently paired perspectives
-        preds = np.array([s.branch_predictions[-2:] for s in scored])
-        is_known = np.array([s.true_label != UNKNOWN_LABEL for s in scored])
+        preds = scored.branch_predictions[:, -2:]
         incon = incon_metric(preds[:, 0], preds[:, 1], is_known)
         matrices["agreement_known"] = agreement_confusion(
             preds[is_known, 0], preds[is_known, 1], n_classes
@@ -414,13 +436,13 @@ def evaluate_scored(
         )
     report = MetricsReport(
         auc=auc(ks, us),
-        acc=closed_acc([s.predicted_class for s in known], [s.true_label for s in known]),
-        oscr=oscr(ks, correct, us),
+        acc=closed_acc(predicted, true),
+        oscr=oscr(ks, predicted == true, us),
         incon=incon,
         threshold=thr.value,
         retention_achieved=float((ks >= thr.value).mean()),
-        n_known=len(known),
-        n_unknown=len(unknown),
+        n_known=ks.size,
+        n_unknown=us.size,
         seed=seed,
     )
     return report, matrices

@@ -422,16 +422,15 @@ class EpochTrace:
 
 def training_arrays(partition: DatasetPartition):
     """Flattened train inputs and remapped 1..N labels."""
-    if not partition.train_windows:
+    train = partition.train_windows
+    if not len(train):
         raise ValueError("training partition is empty")
-    x = np.stack([w.x.ravel() for w in partition.train_windows])
-    if partition.label_split is not None:
-        y = np.array([partition.label_split.remap(w.label) for w in partition.train_windows])
-        if (y < 1).any():
-            raise ValueError("unknown-class window found in the training partition")
-    else:
-        y = np.array([w.label for w in partition.train_windows], dtype=np.int64)
-    return x, y
+    if partition.label_split is None:
+        return train.flat, train.labels
+    y = partition.label_split.remap(train.labels)
+    if (y < 1).any():
+        raise ValueError("unknown-class window found in the training partition")
+    return train.flat, y
 
 
 def train(
@@ -534,12 +533,12 @@ def write_loss_trace(path, trace: list[EpochTrace]) -> None:
                 + [cell(v) for v in (t.pl_a, t.pl_b, t.incon, t.trip_a, t.trip_b, t.total)]
             )
         )
-    with open(path, "w") as f:
+    with atomic_open(path) as f:
         f.write("\n".join(lines) + "\n")
 
 
 @contextlib.contextmanager
-def atomic_open(path, mode: str = "w"):
+def atomic_open(path, mode: str = "w", newline: str | None = None):
     """Write to a temporary file next to path, then move it over path.
 
     If the body raises, the temporary file is removed and path is left as
@@ -547,7 +546,7 @@ def atomic_open(path, mode: str = "w"):
     """
     tmp = f"{path}.tmp"
     try:
-        with open(tmp, mode) as f:
+        with open(tmp, mode, newline=newline) as f:
             yield f
         os.replace(tmp, path)
     except BaseException:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inconsistency import atomic_open
 from .prototypes import PrototypeSet, softmax
 
 
@@ -24,21 +25,13 @@ def auc(known_scores, unknown_scores) -> float:
     unknown = np.asarray(unknown_scores, dtype=np.float64)
     if known.size == 0 or unknown.size == 0:
         raise ValueError("need at least one known and one unknown score")
-    combined = np.concatenate([known, unknown])
-    order = combined.argsort(kind="mergesort")
-    ranks = np.empty(combined.size, dtype=np.float64)
-    ranks[order] = np.arange(1, combined.size + 1)
-    # average ranks over tied values
-    sorted_vals = combined[order]
-    i = 0
-    while i < sorted_vals.size:
-        j = i
-        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
-    u = ranks[: known.size].sum() - known.size * (known.size + 1) / 2.0
+    _, inverse, counts = np.unique(
+        np.concatenate([known, unknown]), return_inverse=True, return_counts=True
+    )
+    # a group of tied values occupying 1-based ranks a..b gets (a + b) / 2
+    last = np.cumsum(counts)
+    midranks = 0.5 * (2 * last - counts + 1)
+    u = midranks[inverse[: known.size]].sum() - known.size * (known.size + 1) / 2.0
     return float(u / (known.size * unknown.size))
 
 
@@ -53,50 +46,30 @@ def closed_acc(predictions, labels) -> float:
     return float((predictions == labels).mean())
 
 
-def _oscr_points(known_scores, known_correct, unknown_scores):
-    """(FPR, CCR) points in decreasing-threshold order, endpoints included."""
-    ks = np.asarray(known_scores, dtype=np.float64)
-    kc = np.asarray(known_correct, dtype=bool)
-    us = np.asarray(unknown_scores, dtype=np.float64)
-    thresholds = np.unique(np.concatenate([ks, us]))[::-1]
-    points = [(0.0, 0.0)]  # threshold = +inf
-    for t in thresholds:
-        ccr = float((kc & (ks >= t)).mean())
-        fpr = float((us >= t).mean())
-        points.append((fpr, ccr))
-    points.append((1.0, float(kc.mean())))  # threshold = -inf
-    return points
-
-
-def step_area(points) -> float:
-    """Area under a right-continuous step curve given (x, y) points.
-
-    Points must be sorted with x non-decreasing; at a repeated x the last
-    point wins (the value after the vertical jump).
-    """
-    by_x: dict[float, float] = {}
-    for x, y in points:
-        by_x[x] = y
-    xs = sorted(by_x)
-    area = 0.0
-    for x0, x1 in zip(xs[:-1], xs[1:]):
-        area += (x1 - x0) * by_x[x0]
-    return area
-
-
 def oscr(known_scores, known_correct, unknown_scores) -> float:
     """Area under the CCR-vs-FPR curve over all score thresholds.
 
     CCR(t) is the fraction of known samples that are correctly classified
-    and score >= t; FPR(t) is the fraction of unknown samples scoring >= t.
+    and score >= t; FPR(t) is the fraction of unknown samples scoring >= t
+    (Dhamija, Guenther & Boult, NeurIPS 2018). The curve is a
+    right-continuous step function of FPR: it steps up at each distinct
+    unknown score u, where the height of the step to its left is the CCR
+    just above u, i.e. the count of correct known scores > u.
     """
     ks = np.asarray(known_scores, dtype=np.float64)
     us = np.asarray(unknown_scores, dtype=np.float64)
     if ks.size == 0 or us.size == 0:
         raise ValueError("need at least one known and one unknown score")
-    if np.asarray(known_correct).shape != ks.shape:
+    kc = np.asarray(known_correct, dtype=bool)
+    if kc.shape != ks.shape:
         raise ValueError("known_correct must align with known_scores")
-    return step_area(_oscr_points(ks, known_correct, us))
+    hits = np.sort(ks[kc])
+    values, counts = np.unique(us, return_counts=True)
+    values, counts = values[::-1], counts[::-1]  # decreasing thresholds
+    fpr = np.concatenate([[0], np.cumsum(counts)]) / us.size
+    ccr = (hits.size - np.searchsorted(hits, values, side="right")) / ks.size
+    # cumsum adds the steps left to right, so the rounding is that of the step-by-step sum
+    return float(np.cumsum(np.diff(fpr) * ccr)[-1])
 
 
 def incon_metric(preds_a, preds_b, is_known) -> float | None:
@@ -192,7 +165,7 @@ def aggregate_reports(reports: list[MetricsReport]) -> dict:
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
-    with open(path, "w", newline="") as f:
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         for row in np.asarray(matrix):
             writer.writerow([repr(float(v)) for v in row])

@@ -15,24 +15,33 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderParams, encoder_forward
+from .inconsistency import atomic_open
 from .prototypes import PrototypeSet
-from .signals import UNKNOWN_LABEL, LabelSplit, WindowSample
+from .signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 
 
 @dataclass
-class ScoredSample:
-    """Per-branch similarity vectors plus the fused decision inputs."""
+class ScoreTable:
+    """Per-branch similarities of M scored windows plus the fused decision inputs."""
 
-    sims_per_branch: np.ndarray  # (K, N)
-    fused_scores: np.ndarray  # (N,)
-    s_max: float
-    predicted_class: int  # 1..N
-    true_label: int  # 1..N, or UNKNOWN_LABEL
+    sims: np.ndarray  # (M, K, N)
+    fused: np.ndarray  # (M, N), mean over the K branches
+    s_max: np.ndarray  # (M,)
+    predicted: np.ndarray  # (M,) fused argmax class 1..N
+    true_labels: np.ndarray  # (M,) 1..N, or UNKNOWN_LABEL
+
+    def __len__(self) -> int:
+        return self.sims.shape[0]
+
+    @property
+    def known(self) -> np.ndarray:
+        """(M,) mask of windows whose true class is known."""
+        return self.true_labels != UNKNOWN_LABEL
 
     @property
     def branch_predictions(self) -> np.ndarray:
-        """Per-branch argmax classes (1..N), lowest index on ties."""
-        return self.sims_per_branch.argmax(axis=1) + 1
+        """(M, K) per-branch argmax classes (1..N), lowest index on ties."""
+        return self.sims.argmax(axis=2) + 1
 
 
 @dataclass(frozen=True)
@@ -42,31 +51,9 @@ class Threshold:
     calibration_size: int
 
 
-def branch_similarity(z: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
-    """Similarity of one embedding to every prototype: Sim(z, p^k) = z.p^k."""
-    return prototypes.prototypes @ np.asarray(z, dtype=np.float64)
-
-
-def fuse_scores(sims) -> np.ndarray:
-    """Element-wise mean over any number of branch score vectors."""
-    sims = [np.asarray(s, dtype=np.float64) for s in sims]
-    if not sims:
-        raise ValueError("need at least one branch")
-    length = sims[0].shape
-    if any(s.shape != length for s in sims):
-        raise ValueError("branch score vectors differ in length")
-    return np.mean(sims, axis=0)
-
-
-def classify(fused: np.ndarray) -> tuple[float, int]:
-    """(s_max, predicted class 1..N); ties go to the lowest class index."""
-    fused = np.asarray(fused, dtype=np.float64)
-    k0 = int(fused.argmax())
-    return float(fused[k0]), k0 + 1
-
-
 def prototype_score_fn(encoder: EncoderParams, prototypes: PrototypeSet):
-    """Branch scorer: batch of flattened windows -> (M, N) similarities."""
+    """Branch scorer: batch of flattened windows -> (M, N) similarities
+    Sim(z, p^k) = z.p^k."""
 
     def fn(x: np.ndarray) -> np.ndarray:
         emb, _ = encoder_forward(encoder, x)
@@ -76,32 +63,26 @@ def prototype_score_fn(encoder: EncoderParams, prototypes: PrototypeSet):
 
 
 def score_windows(
-    branch_score_fns, windows: list[WindowSample], label_split: LabelSplit | None
-) -> list[ScoredSample]:
-    """Score test windows with every branch and fuse.
+    branch_score_fns, windows: WindowTable, label_split: LabelSplit | None
+) -> ScoreTable:
+    """Score windows with every branch and fuse by the mean over branches.
 
-    True labels are remapped through the label split; windows of classes
+    The prediction is the fused argmax, lowest class index on ties. True
+    labels are remapped through the label split; windows of classes
     outside it carry UNKNOWN_LABEL.
     """
-    if not windows:
-        return []
-    x = np.stack([w.x.ravel() for w in windows])
-    all_sims = np.stack([fn(x) for fn in branch_score_fns], axis=1)  # (M, K, N)
-    out = []
-    for i, w in enumerate(windows):
-        fused = fuse_scores(list(all_sims[i]))
-        s_max, k_star = classify(fused)
-        true = label_split.remap(w.label) if label_split is not None else w.label
-        out.append(
-            ScoredSample(
-                sims_per_branch=all_sims[i],
-                fused_scores=fused,
-                s_max=s_max,
-                predicted_class=k_star,
-                true_label=true,
-            )
-        )
-    return out
+    x = windows.flat
+    sims = np.stack([fn(x) for fn in branch_score_fns], axis=1)
+    fused = sims.mean(axis=1)
+    k0 = fused.argmax(axis=1)
+    true = windows.labels if label_split is None else label_split.remap(windows.labels)
+    return ScoreTable(
+        sims=sims,
+        fused=fused,
+        s_max=fused[np.arange(len(k0)), k0],
+        predicted=k0 + 1,
+        true_labels=true,
+    )
 
 
 def calibrate_threshold(known_smax, retention: float) -> Threshold:
@@ -123,32 +104,33 @@ def calibrate_threshold(known_smax, retention: float) -> Threshold:
     return Threshold(value=value, retention_target=retention, calibration_size=n)
 
 
-def decide(scored: ScoredSample, threshold: Threshold) -> int:
+def decide(scored: ScoreTable, threshold: Threshold) -> np.ndarray:
     """Accept as the predicted class iff s_max >= threshold, else reject.
 
-    Returns the accepted class id, or UNKNOWN_LABEL on rejection. Scores
-    exactly at the threshold are accepted.
+    Returns the accepted class id per window, or UNKNOWN_LABEL on
+    rejection. Scores exactly at the threshold are accepted.
     """
-    if scored.s_max >= threshold.value:
-        return scored.predicted_class
-    return UNKNOWN_LABEL
+    return np.where(scored.s_max >= threshold.value, scored.predicted, UNKNOWN_LABEL)
 
 
-def write_score_dump(path, scored: list[ScoredSample], threshold: Threshold | None) -> None:
+def write_score_dump(path, scored: ScoreTable, threshold: Threshold | None) -> None:
     """Per-sample score CSV consumed by the metrics module and external tools."""
-    n_branches = scored[0].sims_per_branch.shape[0] if scored else 0
+    n_branches = scored.sims.shape[1]
     header = (
         ["sample_id", "true_label"]
         + [f"branch{k+1}_smax" for k in range(n_branches)]
         + ["fused_smax", "k_star", "decision"]
     )
-    with open(path, "w", newline="") as f:
+    decisions = [""] * len(scored) if threshold is None else decide(scored, threshold).tolist()
+    columns = zip(
+        scored.true_labels.tolist(),
+        scored.sims.max(axis=2).tolist(),
+        scored.s_max.tolist(),
+        scored.predicted.tolist(),
+        decisions,
+    )
+    with atomic_open(path, newline="") as f:
         writer = csv.writer(f)
         writer.writerow(header)
-        for i, s in enumerate(scored):
-            decision = decide(s, threshold) if threshold is not None else ""
-            writer.writerow(
-                [i, s.true_label]
-                + [repr(float(v)) for v in s.sims_per_branch.max(axis=1)]
-                + [repr(s.s_max), s.predicted_class, decision]
-            )
+        for i, (true, branch_smax, s_max, k_star, decision) in enumerate(columns):
+            writer.writerow([i, true, *map(repr, branch_smax), repr(s_max), k_star, decision])

@@ -18,6 +18,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 # Label carried by test windows whose class was not selected as known.
 UNKNOWN_LABEL = -1
@@ -62,20 +63,31 @@ class SignalRecording:
 
 
 @dataclass
-class WindowSample:
-    """A fixed-length window cut from a recording."""
+class WindowTable:
+    """M fixed-length windows with one label, trial and subject id each."""
 
-    x: np.ndarray  # (channels, window_len)
-    label: int
-    trial_id: int
-    subject_id: int
+    x: np.ndarray  # (M, channels, window_len)
+    labels: np.ndarray  # (M,) original class ids
+    trials: np.ndarray  # (M,)
+    subjects: np.ndarray  # (M,)
 
     def __post_init__(self):
-        self.x = np.asarray(self.x, dtype=np.float64)
-        if self.x.ndim != 2:
-            raise ValueError(f"window must be 2-d, got shape {self.x.shape}")
-        if not np.isfinite(self.x).all():
-            raise ValueError("window contains non-finite values")
+        if self.x.ndim != 3:
+            raise ValueError(f"windows must be an (M, C, T) array, got shape {self.x.shape}")
+        if not len(self.labels) == len(self.trials) == len(self.subjects) == len(self.x):
+            raise ValueError("window metadata vectors must have one entry per window")
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def flat(self) -> np.ndarray:
+        """(M, C*T) encoder inputs; a view when x is contiguous."""
+        return self.x.reshape(len(self), self.x.shape[1] * self.x.shape[2])
+
+    def take(self, rows) -> WindowTable:
+        """The windows selected by a boolean mask or an index array."""
+        return WindowTable(self.x[rows], self.labels[rows], self.trials[rows], self.subjects[rows])
 
 
 @dataclass(frozen=True)
@@ -100,12 +112,11 @@ class LabelSplit:
     def n_known(self) -> int:
         return len(self.known_classes)
 
-    def remap(self, original_label: int) -> int:
-        """Original class id -> contiguous 1..N, or UNKNOWN_LABEL."""
-        try:
-            return self.known_classes.index(original_label) + 1
-        except ValueError:
-            return UNKNOWN_LABEL
+    def remap(self, original_labels):
+        """Original class id (int) or ids (array) -> contiguous 1..N, or UNKNOWN_LABEL."""
+        hits = np.asarray(original_labels)[..., None] == np.asarray(self.known_classes)
+        out = np.where(hits.any(axis=-1), hits.argmax(axis=-1) + 1, UNKNOWN_LABEL)
+        return int(out) if out.ndim == 0 else out
 
 
 @dataclass
@@ -123,8 +134,8 @@ class DatasetPartition:
     the train side. Windows keep their original class labels; remapping to
     1..N happens when batches are assembled."""
 
-    train_windows: list[WindowSample]
-    test_windows: list[WindowSample]
+    train_windows: WindowTable
+    test_windows: WindowTable
     label_split: LabelSplit | None = None
     stats: StandardizationStats | None = None
 
@@ -145,26 +156,33 @@ def window_geometry(sampling_rate: float, window_ms: float, step_ms: float) -> t
     return window_len, stride
 
 
-def segment_windows(
-    recording: SignalRecording, window_ms: float, step_ms: float
-) -> list[WindowSample]:
+def segment_windows(recording: SignalRecording, window_ms: float, step_ms: float) -> WindowTable:
     """Slide a fixed window over the recording; trailing partials are dropped.
 
-    Yields floor((timesteps - window_len) / stride) + 1 windows, or an empty
-    list when the recording is shorter than one window.
+    Yields floor((timesteps - window_len) / stride) + 1 windows, or none
+    when the recording is shorter than one window. The windows are a
+    read-only view into the recording's samples.
     """
     window_len, stride = window_geometry(recording.sampling_rate, window_ms, step_ms)
-    out: list[WindowSample] = []
-    for start in range(0, recording.n_timesteps - window_len + 1, stride):
-        out.append(
-            WindowSample(
-                x=recording.samples[:, start : start + window_len].copy(),
-                label=recording.gesture_label,
-                trial_id=recording.trial_id,
-                subject_id=recording.subject_id,
-            )
-        )
-    return out
+    if recording.n_timesteps < window_len:
+        x = np.empty((0, recording.n_channels, window_len))
+    else:
+        views = sliding_window_view(recording.samples, window_len, axis=1)[:, ::stride]
+        x = views.transpose(1, 0, 2)
+    m = x.shape[0]
+    return WindowTable(
+        x=x,
+        labels=np.full(m, recording.gesture_label, dtype=np.int64),
+        trials=np.full(m, recording.trial_id, dtype=np.int64),
+        subjects=np.full(m, recording.subject_id, dtype=np.int64),
+    )
+
+
+def window_recordings(recordings, window_ms: float, step_ms: float) -> WindowTable:
+    """Windows of every recording, in recording order, in one table."""
+    tables = [segment_windows(r, window_ms, step_ms) for r in recordings]
+    fields = ("x", "labels", "trials", "subjects")
+    return WindowTable(*(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
 
 
 def split_known_unknown(all_classes, n_known: int, seed: int) -> LabelSplit:
@@ -185,7 +203,7 @@ def split_known_unknown(all_classes, n_known: int, seed: int) -> LabelSplit:
 
 
 def split_trials(
-    windows: list[WindowSample],
+    windows: WindowTable,
     train_trials,
     test_trials,
     label_split: LabelSplit | None = None,
@@ -200,16 +218,15 @@ def split_trials(
     test_trials = set(test_trials)
     if train_trials & test_trials:
         raise ValueError(f"train and test trials overlap: {sorted(train_trials & test_trials)}")
-    train: list[WindowSample] = []
-    test: list[WindowSample] = []
-    known = set(label_split.known_classes) if label_split is not None else None
-    for w in windows:
-        if w.trial_id in train_trials:
-            if known is None or w.label in known:
-                train.append(w)
-        elif w.trial_id in test_trials:
-            test.append(w)
-    return DatasetPartition(train_windows=train, test_windows=test, label_split=label_split)
+    to_train = np.isin(windows.trials, sorted(train_trials))
+    if label_split is not None:
+        to_train &= np.isin(windows.labels, label_split.known_classes)
+    to_test = np.isin(windows.trials, sorted(test_trials))
+    return DatasetPartition(
+        train_windows=windows.take(to_train),
+        test_windows=windows.take(to_test),
+        label_split=label_split,
+    )
 
 
 def standardize(partition: DatasetPartition) -> DatasetPartition:
@@ -220,11 +237,15 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     whose training std falls below STD_FLOOR are scaled by the floor and a
     warning is emitted.
     """
-    if not partition.train_windows:
+    train = partition.train_windows
+    if not len(train):
         raise ValueError("cannot standardize: training partition is empty")
-    stacked = np.concatenate([w.x for w in partition.train_windows], axis=1)
-    mean = stacked.mean(axis=1)
-    std = stacked.std(axis=1)
+    # reduce over one (C, M*T) row per channel: the summation order the
+    # statistics are defined by, so they stay bit-stable
+    per_channel = train.x.transpose(1, 0, 2).reshape(train.x.shape[1], -1)
+    mean = per_channel.mean(axis=1)
+    std = per_channel.std(axis=1)
+    del per_channel
     floored = np.nonzero(std < STD_FLOOR)[0]
     if floored.size:
         warnings.warn(
@@ -235,12 +256,14 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
         std = np.where(std < STD_FLOOR, STD_FLOOR, std)
     stats = StandardizationStats(mean=mean, std=std, floored_channels=tuple(floored.tolist()))
 
-    def apply(w: WindowSample) -> WindowSample:
-        return replace(w, x=(w.x - mean[:, None]) / std[:, None])
+    def apply(w: WindowTable) -> WindowTable:
+        x = w.x - mean[:, None]
+        x /= std[:, None]
+        return replace(w, x=x)
 
     return DatasetPartition(
-        train_windows=[apply(w) for w in partition.train_windows],
-        test_windows=[apply(w) for w in partition.test_windows],
+        train_windows=apply(train),
+        test_windows=apply(partition.test_windows),
         label_split=partition.label_split,
         stats=stats,
     )

@@ -52,6 +52,56 @@ def oscr_sweep(known_scores, known_correct, unknown_scores) -> float:
     return sum((x1 - x0) * heights[x0] for x0, x1 in zip(xs[:-1], xs[1:]))
 
 
+def auc_tie_loop(known_scores, unknown_scores) -> float:
+    """Midrank AUC with a Python loop over runs of tied values.
+
+    The former library implementation; the vectorized auc must equal it
+    bit for bit.
+    """
+    known = np.asarray(known_scores, dtype=np.float64)
+    unknown = np.asarray(unknown_scores, dtype=np.float64)
+    combined = np.concatenate([known, unknown])
+    order = combined.argsort(kind="mergesort")
+    ranks = np.empty(combined.size, dtype=np.float64)
+    ranks[order] = np.arange(1, combined.size + 1)
+    sorted_vals = combined[order]
+    i = 0
+    while i < sorted_vals.size:
+        j = i
+        while j + 1 < sorted_vals.size and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        if j > i:
+            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
+        i = j + 1
+    u = ranks[: known.size].sum() - known.size * (known.size + 1) / 2.0
+    return float(u / (known.size * unknown.size))
+
+
+def oscr_step_loop(known_scores, known_correct, unknown_scores) -> float:
+    """OSCR from one (FPR, CCR) point per distinct threshold, integrated by
+    a Python loop over the step curve.
+
+    The former library implementation; the sort-based oscr must equal it
+    bit for bit.
+    """
+    ks = np.asarray(known_scores, dtype=np.float64)
+    kc = np.asarray(known_correct, dtype=bool)
+    us = np.asarray(unknown_scores, dtype=np.float64)
+    thresholds = np.unique(np.concatenate([ks, us]))[::-1]
+    points = [(0.0, 0.0)]  # threshold = +inf
+    for t in thresholds:
+        points.append((float((us >= t).mean()), float((kc & (ks >= t)).mean())))
+    points.append((1.0, float(kc.mean())))  # threshold = -inf
+    by_x = {}
+    for x, y in points:
+        by_x[x] = y  # at a repeated x the last point wins
+    xs = sorted(by_x)
+    area = 0.0
+    for x0, x1 in zip(xs[:-1], xs[1:]):
+        area += (x1 - x0) * by_x[x0]
+    return area
+
+
 def count_windows_enumeration(length: int, window_len: int, stride: int) -> int:
     """Window count by walking every start position."""
     count = 0

@@ -71,6 +71,32 @@ class TestConfig:
             config_from_dict({"training": {"epoch": 3}})
         with pytest.raises(ValueError, match=r"under 'encoder': \['hidden'\]"):
             config_from_dict({"encoder": {"hidden": [8]}})
+        with pytest.raises(ValueError, match=r"under 'hyperparams': \['gama'\]"):
+            config_from_dict({"hyperparams": {"gama": 1.0}})
+        with pytest.raises(ValueError, match=r"unknown config keys under 'dataset': \['n_clases'\]"):
+            config_from_dict({"dataset": {"type": "synthetic", "n_clases": 4}})
+        csv = {"type": "csv", "data_path": "signal.csv", "meta_path": "meta.csv"}
+        with pytest.raises(ValueError, match=r"missing config keys under 'dataset': \['data_path'\]"):
+            config_from_dict({"dataset": {"type": "csv", "meta_path": "meta.csv"}})
+        with pytest.raises(ValueError, match=r"unknown config keys under 'dataset': \['n_classes'\]"):
+            config_from_dict({"dataset": dict(csv, n_classes=4)})
+        with pytest.raises(ValueError, match="unknown dataset type 'hdf5'"):
+            config_from_dict({"dataset": {"type": "hdf5"}})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("retention", 0.0),
+            ("retention", 1.0),
+            ("n_known", 1),
+            ("window_ms", 0.0),
+            ("step_ms", -50.0),
+            ("sequential_k", 0),
+        ],
+    )
+    def test_invalid_field_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(**{field: value})
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -107,10 +133,8 @@ class TestVariantLattice:
         recordings, classes = load_dataset(cfg_dual)
         dual = run_seed(cfg_dual, recordings, classes, 1)
         pl = run_seed(cfg_pl, recordings, classes, 1)
-        for s_dual, s_pl in zip(dual.scored, pl.scored):
-            np.testing.assert_array_equal(
-                s_dual.sims_per_branch[0], s_pl.sims_per_branch[0]
-            )
+        assert len(dual.scored) == len(pl.scored)
+        np.testing.assert_array_equal(dual.scored.sims[:, 0], pl.scored.sims[:, 0])
 
 
 class TestSoftmaxBaseline:
@@ -130,7 +154,7 @@ class TestSoftmaxBaseline:
         result = run_seed(cfg, recordings, classes, 1)
         assert result.report.acc > 0.5
         # softmax scores are probabilities
-        assert all(0.0 <= s.s_max <= 1.0 for s in result.scored)
+        assert ((0.0 <= result.scored.s_max) & (result.scored.s_max <= 1.0)).all()
         assert result.report.incon is None
 
 
@@ -239,7 +263,7 @@ class TestSequentialVariant:
         cfg = tiny_config(variant="sequential_k", sequential_k=3, epochs=3)
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, recordings, classes, 1)
-        assert result.scored[0].sims_per_branch.shape[0] == 3
+        assert result.scored.sims.shape[1] == 3
         assert len(result.branches) == 3
 
     def test_more_perspectives_help_on_average(self):

@@ -4,9 +4,11 @@ from functools import partial
 import numpy as np
 import pytest
 
+from predin import inconsistency
 from predin.encoder import EncoderSpec, TrainBatch, encoder_forward, finite_diff_check
 from predin.inconsistency import (
     DivHyperParams,
+    EpochTrace,
     ProximityDistribution,
     TrainConfig,
     TrainingError,
@@ -24,15 +26,17 @@ from predin.inconsistency import (
     triplet_loss,
     write_loss_trace,
 )
+from predin.metrics import write_matrix_csv
 from predin.prototypes import PrototypeSet, pl_loss
+from predin.scoring import ScoreTable, write_score_dump
 from predin.signals import (
     DatasetPartition,
     SyntheticConfig,
     generate_synthetic,
-    segment_windows,
     split_known_unknown,
     split_trials,
     standardize,
+    window_recordings,
 )
 
 SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4, activation="tanh")
@@ -54,7 +58,7 @@ def tiny_partition(seed=3, n_classes=5, n_known=3):
         sampling_rate_hz=400.0, separation=1.5, noise_scale=0.4,
     )
     recs, classes = generate_synthetic(cfg, seed=seed)
-    windows = [w for r in recs for w in segment_windows(r, 200.0, 50.0)]
+    windows = window_recordings(recs, 200.0, 50.0)
     split = split_known_unknown(classes, n_known, seed=seed)
     return standardize(split_trials(windows, {1, 2}, {3}, split))
 
@@ -442,6 +446,55 @@ class TestCheckpoint:
         assert os.listdir(tmp_path) == ["checkpoint.npz"]
 
 
+class _FailsMidway:
+    """File whose first write stores half its text and then fails."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, text):
+        self.f.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _score_table():
+    return ScoreTable(
+        sims=np.array([[[0.2, 0.9]], [[0.7, 0.1]]]),
+        fused=np.array([[0.2, 0.9], [0.7, 0.1]]),
+        s_max=np.array([0.9, 0.7]),
+        predicted=np.array([2, 1]),
+        true_labels=np.array([2, -1]),
+    )
+
+
+ARTIFACT_WRITERS = {
+    "scores.csv": lambda path: write_score_dump(path, _score_table(), None),
+    "loss_trace.csv": lambda path: write_loss_trace(path, [EpochTrace(0, total=1.5, pl_a=1.5)]),
+    "proximity.csv": lambda path: write_matrix_csv(path, np.eye(3)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ARTIFACT_WRITERS))
+def test_failed_write_leaves_existing_artifact(tmp_path, monkeypatch, name):
+    path = tmp_path / name
+    path.write_text("previous run\n")
+    real_open = open
+    monkeypatch.setattr(
+        inconsistency, "open",
+        lambda *args, **kwargs: _FailsMidway(real_open(*args, **kwargs)), raising=False,
+    )
+    with pytest.raises(OSError, match="disk full"):
+        ARTIFACT_WRITERS[name](path)
+    assert path.read_text() == "previous run\n"
+    assert os.listdir(tmp_path) == [name]
+
+
 def _spec_for(partition):
-    dim = partition.train_windows[0].x.size
+    dim = partition.train_windows.flat.shape[1]
     return EncoderSpec(input_dim=dim, hidden_dims=(16,), output_dim=8, activation="tanh")

@@ -15,7 +15,37 @@ from predin.metrics import (
 )
 from predin.prototypes import PrototypeSet
 
-from oracles import auc_pairwise, auc_pairwise_scalar, oscr_sweep
+from oracles import auc_pairwise, auc_pairwise_scalar, auc_tie_loop, oscr_step_loop, oscr_sweep
+
+
+def _loop_reference_cases():
+    """Named lists of (known, correct, unknown) inputs on which the
+    vectorized metrics must equal the loop references bit for bit."""
+    rng = np.random.default_rng(11)
+
+    def draws(decimals):
+        out = []
+        for _ in range(10):
+            n_k, n_u = (int(n) for n in rng.integers(1, 400, size=2))
+            ks, us = rng.standard_normal(n_k), rng.standard_normal(n_u)
+            if decimals is not None:  # rounding forces ties
+                ks, us = np.round(ks, decimals), np.round(us, decimals)
+            out.append((ks, rng.random(n_k) < 0.7, us))
+        return out
+
+    # 10^5 scores in total; rounding keeps the loop reference's threshold sweep short
+    large_k = np.round(rng.standard_normal(60_000), 2)
+    large_u = np.round(rng.standard_normal(40_000), 2)
+    return {
+        "rounded": draws(1),
+        "continuous": draws(None),
+        "single_sample": [([0.3], [True], [0.3]), ([0.2], [False], [0.4])],
+        "all_tied": [([0.5] * 7, [True, False] * 3 + [True], [0.5] * 4)],
+        "large_1e5": [(large_k, rng.random(large_k.size) < 0.8, large_u)],
+    }
+
+
+LOOP_CASES = _loop_reference_cases()
 
 
 class TestAuc:
@@ -79,6 +109,12 @@ class TestAuc:
         assert transformed == pytest.approx(base, abs=1e-12)
 
 
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_equals_tie_loop_reference(self, case):
+        for known, _, unknown in LOOP_CASES[case]:
+            assert auc(known, unknown) == auc_tie_loop(known, unknown)
+
+
 class TestClosedAcc:
     def test_all_correct(self):
         assert closed_acc([1, 2, 3], [1, 2, 3]) == 1.0
@@ -136,6 +172,12 @@ class TestOscr:
         us = rng.standard_normal(20)
         base = oscr(ks, kc, us)
         assert oscr(np.exp(ks), kc, np.exp(us)) == pytest.approx(base, abs=1e-12)
+
+
+    @pytest.mark.parametrize("case", sorted(LOOP_CASES))
+    def test_equals_step_loop_reference(self, case):
+        for known, correct, unknown in LOOP_CASES[case]:
+            assert oscr(known, correct, unknown) == oscr_step_loop(known, correct, unknown)
 
 
 class TestInconMetric:

@@ -8,78 +8,102 @@ from hypothesis import strategies as st
 from predin.encoder import EncoderSpec, init_encoder
 from predin.prototypes import PrototypeSet
 from predin.scoring import (
-    ScoredSample,
+    ScoreTable,
     Threshold,
-    branch_similarity,
     calibrate_threshold,
-    classify,
     decide,
-    fuse_scores,
     prototype_score_fn,
     score_windows,
     write_score_dump,
 )
-from predin.signals import UNKNOWN_LABEL, LabelSplit, WindowSample
+from predin.signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 
 from oracles import dot_scalar
+
+
+def make_windows(x, labels=None):
+    """Window table of (M, C, T) inputs; labels default to class 1."""
+    x = np.asarray(x, dtype=np.float64)
+    m = len(x)
+    labels = np.ones(m, dtype=np.int64) if labels is None else np.asarray(labels)
+    return WindowTable(x=x, labels=labels, trials=np.full(m, 3), subjects=np.full(m, 1))
+
+
+def score_fixed(*branch_sims):
+    """Score one window per row of each branch's fixed (M, N) similarities."""
+    sims = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in branch_sims]
+    fns = [lambda x, s=s: s for s in sims]
+    m = len(sims[0]) if sims else 1
+    return score_windows(fns, make_windows(np.zeros((m, 1, 1))), None)
+
+
+def identity_scorer(protos: PrototypeSet):
+    """Prototype scorer whose encoder is the identity, so sims are x . p^k."""
+    dim = protos.dim
+    enc = init_encoder(EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim), seed=0)
+    enc.weights[0][:] = np.eye(dim)
+    return prototype_score_fn(enc, protos)
 
 
 class TestBranchSimilarity:
     def test_orthogonal_gives_zeros(self):
         protos = PrototypeSet(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
-        sims = branch_similarity(np.array([0.0, 0.0]), protos)
-        np.testing.assert_array_equal(sims, [0.0, 0.0])
+        sims = identity_scorer(protos)(np.array([[0.0, 0.0]]))
+        np.testing.assert_array_equal(sims, [[0.0, 0.0]])
 
     def test_self_similarity_is_squared_norm(self):
         rng = np.random.default_rng(0)
         p = rng.standard_normal((4, 6))
-        sims = branch_similarity(p[2], PrototypeSet(p, 0))
-        assert sims[2] == pytest.approx(p[2] @ p[2], abs=1e-12)
+        sims = identity_scorer(PrototypeSet(p, 0))(p[2:3])
+        assert sims[0, 2] == pytest.approx(p[2] @ p[2], abs=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(1)
         p = rng.standard_normal((5, 7))
-        z = rng.standard_normal(7)
-        sims = branch_similarity(z, PrototypeSet(p, 0))
-        for k in range(5):
-            assert sims[k] == pytest.approx(dot_scalar(z, p[k]), abs=1e-12)
+        z = rng.standard_normal((3, 7))
+        sims = identity_scorer(PrototypeSet(p, 0))(z)
+        for i in range(3):
+            for k in range(5):
+                assert sims[i, k] == pytest.approx(dot_scalar(z[i], p[k]), abs=1e-12)
 
 
 class TestFuseScores:
     def test_mean_of_two(self):
-        np.testing.assert_array_equal(fuse_scores([[2.0], [4.0]]), [3.0])
+        np.testing.assert_array_equal(score_fixed([2.0], [4.0]).fused, [[3.0]])
 
     def test_single_branch_identity(self):
-        np.testing.assert_array_equal(fuse_scores([[1.0, 2.0]]), [1.0, 2.0])
+        np.testing.assert_array_equal(score_fixed([1.0, 2.0]).fused, [[1.0, 2.0]])
 
     def test_five_equal_branches(self):
-        v = np.array([0.3, -1.2, 4.0])
-        np.testing.assert_allclose(fuse_scores([v] * 5), v)
+        v = np.array([[0.3, -1.2, 4.0], [1.0, 2.0, -3.0]])
+        table = score_fixed(*[v] * 5)
+        np.testing.assert_allclose(table.fused, v)
+        assert table.sims.shape == (2, 5, 3)
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            fuse_scores([[1.0, 2.0], [1.0]])
+            score_fixed([1.0, 2.0], [1.0])
 
     def test_empty(self):
         with pytest.raises(ValueError):
-            fuse_scores([])
+            score_fixed()
 
 
 class TestClassify:
     def test_argmax(self):
-        s_max, k = classify([0.1, 0.9, 0.3])
-        assert (s_max, k) == (0.9, 2)
+        table = score_fixed([0.1, 0.9, 0.3])
+        assert (table.s_max[0], table.predicted[0]) == (0.9, 2)
 
     def test_tie_breaks_low_index(self):
-        assert classify([0.5, 0.5, 0.5])[1] == 1
+        assert score_fixed([[0.5, 0.5, 0.5], [0.1, 0.7, 0.7]]).predicted.tolist() == [1, 2]
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(2)
-        scores = rng.standard_normal(6)
+        scores = rng.standard_normal((4, 6))
         perm = rng.permutation(6)
-        _, k = classify(scores)
-        _, k_perm = classify(scores[perm])
-        assert perm[k_perm - 1] == k - 1
+        k = score_fixed(scores).predicted
+        k_perm = score_fixed(scores[:, perm]).predicted
+        np.testing.assert_array_equal(perm[k_perm - 1], k - 1)
 
 
 class TestCalibrateThreshold:
@@ -121,73 +145,68 @@ class TestCalibrateThreshold:
 class TestDecide:
     THR = Threshold(value=0.5, retention_target=0.95, calibration_size=10)
 
-    def _sample(self, s_max, k=2):
-        return ScoredSample(
-            sims_per_branch=np.zeros((2, 3)),
-            fused_scores=np.zeros(3),
-            s_max=s_max,
-            predicted_class=k,
-            true_label=1,
-        )
+    def _decide(self, s_max, k=2):
+        sims = np.zeros((1, 3))
+        sims[0, k - 1] = s_max  # two equal branches fuse to s_max at class k
+        return decide(score_fixed(sims, sims), self.THR)
 
     def test_above_accepts(self):
-        assert decide(self._sample(0.7), self.THR) == 2
+        assert self._decide(0.7).tolist() == [2]
 
     def test_below_rejects(self):
-        assert decide(self._sample(0.3), self.THR) == UNKNOWN_LABEL
+        assert self._decide(0.3).tolist() == [UNKNOWN_LABEL]
 
     def test_exactly_at_threshold_accepts(self):
-        assert decide(self._sample(0.5), self.THR) == 2
+        assert self._decide(0.5).tolist() == [2]
 
 
 class TestScoreWindows:
     def _setup(self):
-        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=4)
-        enc = init_encoder(spec, seed=0)
-        enc.weights[0][:] = np.eye(4)  # identity encoder
         protos = PrototypeSet(np.eye(4)[:3], 0)
         split = LabelSplit(known_classes=(10, 20, 30), unknown_classes=frozenset({40}), seed=0)
-        return enc, protos, split
+        return identity_scorer(protos), split
 
     def test_true_labels_remapped(self):
-        enc, protos, split = self._setup()
-        windows = [
-            WindowSample(np.array([[1.0, 0.0, 0.0, 0.0]]).T.reshape(1, 4), 20, 3, 1),
-            WindowSample(np.array([[0.0, 0.0, 1.0, 0.0]]).T.reshape(1, 4), 40, 3, 1),
-        ]
-        scored = score_windows([prototype_score_fn(enc, protos)], windows, split)
-        assert scored[0].true_label == 2
-        assert scored[1].true_label == UNKNOWN_LABEL
-        assert scored[0].predicted_class == 1  # dot with e1 prototype
-        assert scored[1].predicted_class == 3
+        scorer, split = self._setup()
+        x = np.array([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 0.0]]])
+        scored = score_windows([scorer], make_windows(x, labels=[20, 40]), split)
+        assert len(scored) == 2
+        assert scored.true_labels.tolist() == [2, UNKNOWN_LABEL]
+        assert scored.known.tolist() == [True, False]
+        assert scored.predicted.tolist() == [1, 3]  # dot with the e1 / e3 prototype
 
     def test_constant_shift_preserves_argmax(self):
         rng = np.random.default_rng(3)
-        sims = [rng.standard_normal(5), rng.standard_normal(5)]
-        fused = fuse_scores(sims)
-        shifted = fuse_scores([s + 7.5 for s in sims])
-        np.testing.assert_allclose(shifted, fused + 7.5, atol=1e-12)
-        assert classify(shifted)[1] == classify(fused)[1]
+        sims = [rng.standard_normal((4, 5)), rng.standard_normal((4, 5))]
+        fused = score_fixed(*sims)
+        shifted = score_fixed(*[s + 7.5 for s in sims])
+        np.testing.assert_allclose(shifted.fused, fused.fused + 7.5, atol=1e-12)
+        np.testing.assert_array_equal(shifted.predicted, fused.predicted)
 
     def test_branch_predictions_property(self):
-        s = ScoredSample(
-            sims_per_branch=np.array([[0.1, 0.9], [0.8, 0.2]]),
-            fused_scores=np.array([0.45, 0.55]),
-            s_max=0.55,
-            predicted_class=2,
-            true_label=1,
+        s = ScoreTable(
+            sims=np.array([[[0.1, 0.9], [0.8, 0.2]]]),
+            fused=np.array([[0.45, 0.55]]),
+            s_max=np.array([0.55]),
+            predicted=np.array([2]),
+            true_labels=np.array([1]),
         )
-        assert s.branch_predictions.tolist() == [2, 1]
+        assert s.branch_predictions.tolist() == [[2, 1]]
 
     def test_score_dump_roundtrip(self, tmp_path):
-        enc, protos, split = self._setup()
-        windows = [WindowSample(np.ones((1, 4)), 10, 3, 1) for _ in range(3)]
-        scored = score_windows([prototype_score_fn(enc, protos)] * 2, windows, split)
+        scorer, split = self._setup()
+        windows = make_windows(np.ones((3, 1, 4)), labels=[10, 10, 40])
+        scored = score_windows([scorer] * 2, windows, split)
         thr = Threshold(value=-10.0, retention_target=0.95, calibration_size=3)
         path = tmp_path / "scores.csv"
         write_score_dump(path, scored, thr)
         with open(path, newline="") as f:
             rows = list(csv.DictReader(f))
         assert len(rows) == 3
-        assert float(rows[0]["fused_smax"]) == scored[0].s_max
-        assert int(rows[0]["decision"]) == scored[0].predicted_class
+        assert list(rows[0]) == [
+            "sample_id", "true_label", "branch1_smax", "branch2_smax",
+            "fused_smax", "k_star", "decision",
+        ]
+        assert [int(r["true_label"]) for r in rows] == [1, 1, UNKNOWN_LABEL]
+        assert float(rows[0]["fused_smax"]) == scored.s_max[0]
+        assert int(rows[0]["decision"]) == scored.predicted[0]

@@ -8,7 +8,7 @@ from predin.signals import (
     ParseError,
     SignalRecording,
     SyntheticConfig,
-    WindowSample,
+    WindowTable,
     generate_synthetic,
     load_csv,
     segment_windows,
@@ -16,6 +16,7 @@ from predin.signals import (
     split_trials,
     standardize,
     window_geometry,
+    window_recordings,
 )
 
 from oracles import count_windows_enumeration
@@ -32,6 +33,18 @@ def make_recording(n_samples, channels=2, rate=2000.0, label=1, trial=1):
     )
 
 
+def make_table(arrays, labels=1, trials=1):
+    """Window table of equally shaped (C, T) arrays with scalar or per-window metadata."""
+    x = np.stack(arrays) if len(arrays) else np.empty((0, 1, 1))
+    m = len(x)
+    return WindowTable(
+        x=x,
+        labels=np.broadcast_to(labels, m).astype(np.int64),
+        trials=np.broadcast_to(trials, m).astype(np.int64),
+        subjects=np.ones(m, dtype=np.int64),
+    )
+
+
 class TestWindowing:
     def test_paper_geometry(self):
         # 200 ms / 50 ms at 2000 Hz
@@ -40,14 +53,16 @@ class TestWindowing:
     def test_single_window(self):
         windows = segment_windows(make_recording(400), 200.0, 50.0)
         assert len(windows) == 1
-        assert windows[0].x.shape == (2, 400)
+        assert windows.x.shape == (1, 2, 400)
 
     def test_count_formula(self):
         windows = segment_windows(make_recording(1000), 200.0, 50.0)
         assert len(windows) == (1000 - 400) // 100 + 1 == 7
 
     def test_too_short_gives_empty(self):
-        assert segment_windows(make_recording(399), 200.0, 50.0) == []
+        windows = segment_windows(make_recording(399), 200.0, 50.0)
+        assert len(windows) == 0
+        assert windows.x.shape == (0, 2, 400)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
@@ -57,8 +72,10 @@ class TestWindowing:
 
     def test_windows_preserve_metadata(self):
         rec = make_recording(600, label=7, trial=3)
-        for w in segment_windows(rec, 200.0, 50.0):
-            assert (w.label, w.trial_id, w.subject_id) == (7, 3, 1)
+        windows = segment_windows(rec, 200.0, 50.0)
+        assert len(windows) == 3
+        for vector, value in ((windows.labels, 7), (windows.trials, 3), (windows.subjects, 1)):
+            np.testing.assert_array_equal(vector, [value] * 3)
 
     def test_count_matches_enumeration_oracle(self):
         rng = np.random.default_rng(42)
@@ -70,19 +87,27 @@ class TestWindowing:
     def test_window_content_matches_source(self):
         rec = make_recording(700)
         windows = segment_windows(rec, 200.0, 50.0)
-        np.testing.assert_array_equal(windows[2].x, rec.samples[:, 200:600])
+        for i in range(len(windows)):
+            np.testing.assert_array_equal(windows.x[i], rec.samples[:, 100 * i : 100 * i + 400])
+
+    def test_recordings_concatenate_in_order(self):
+        recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
+        windows = window_recordings(recs, 200.0, 50.0)
+        assert len(windows) == 2 + 4
+        np.testing.assert_array_equal(windows.labels, [4, 4, 5, 5, 5, 5])
+        np.testing.assert_array_equal(windows.x[2], recs[1].samples[:, :400])
 
 
 class TestStandardize:
     def _partition(self, train_arrays, test_arrays=()):
-        train = [WindowSample(a, 1, 1, 1) for a in train_arrays]
-        test = [WindowSample(a, 1, 2, 1) for a in test_arrays]
+        train = make_table(train_arrays, trials=1)
+        test = make_table(test_arrays, trials=2)
         return DatasetPartition(train_windows=train, test_windows=test)
 
     def test_two_value_channel(self):
         part = self._partition([np.array([[1.0, 3.0]])])
         out = standardize(part)
-        np.testing.assert_allclose(out.train_windows[0].x, [[-1.0, 1.0]])
+        np.testing.assert_allclose(out.train_windows.x[0], [[-1.0, 1.0]])
         assert out.stats.mean[0] == 2.0
         assert out.stats.std[0] == 1.0
 
@@ -91,13 +116,13 @@ class TestStandardize:
         x = rng.standard_normal((1, 4000))
         x = (x - x.mean()) / x.std()
         out = standardize(self._partition([x]))
-        np.testing.assert_allclose(out.train_windows[0].x, x, atol=1e-6)
+        np.testing.assert_allclose(out.train_windows.x[0], x, atol=1e-6)
 
     def test_constant_channel_floored(self):
         part = self._partition([np.full((1, 3), 5.0)])
         with pytest.warns(UserWarning, match="floored"):
             out = standardize(part)
-        np.testing.assert_array_equal(out.train_windows[0].x, np.zeros((1, 3)))
+        np.testing.assert_array_equal(out.train_windows.x[0], np.zeros((1, 3)))
         assert out.stats.floored_channels == (0,)
         assert out.stats.std[0] == 1e-8
 
@@ -110,7 +135,7 @@ class TestStandardize:
         np.testing.assert_array_equal(out.stats.mean, stacked.mean(axis=1))
         np.testing.assert_array_equal(out.stats.std, stacked.std(axis=1))
         # train side is exactly zero-mean unit-std afterwards, test is not
-        train_stack = np.concatenate([w.x for w in out.train_windows], axis=1)
+        train_stack = np.concatenate(list(out.train_windows.x), axis=1)
         np.testing.assert_allclose(train_stack.mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_allclose(train_stack.std(axis=1), 1.0, atol=1e-6)
 
@@ -118,7 +143,7 @@ class TestStandardize:
         train = [np.array([[0.0, 2.0]])]
         test = [np.array([[4.0, 6.0]])]
         out = standardize(self._partition(train, test))
-        np.testing.assert_allclose(out.test_windows[0].x, [[3.0, 5.0]])
+        np.testing.assert_allclose(out.test_windows.x[0], [[3.0, 5.0]])
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -153,6 +178,10 @@ class TestLabelSplit:
         remapped = sorted(split.remap(c) for c in split.known_classes)
         assert remapped == list(range(1, 11))
         assert split.remap(next(iter(split.unknown_classes))) == UNKNOWN_LABEL
+        labels = np.array([*split.known_classes, *sorted(split.unknown_classes)])
+        np.testing.assert_array_equal(
+            split.remap(labels), [split.remap(int(c)) for c in labels]
+        )
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -161,20 +190,20 @@ class TestLabelSplit:
 
 class TestSplitTrials:
     def _windows(self):
-        out = []
-        for label in (1, 2, 3):
-            for trial in (1, 2, 3, 4):
-                out.append(WindowSample(np.zeros((1, 4)), label, trial, 1))
-        return out
+        labels, trials = np.meshgrid([1, 2, 3], [1, 2, 3, 4], indexing="ij")
+        x = [np.full((1, 4), float(i)) for i in range(12)]
+        return make_table(x, labels=labels.ravel(), trials=trials.ravel())
 
     def test_routing(self):
         part = split_trials(self._windows(), {1, 2}, {3})
-        assert {w.trial_id for w in part.train_windows} == {1, 2}
-        assert {w.trial_id for w in part.test_windows} == {3}
+        assert set(part.train_windows.trials.tolist()) == {1, 2}
+        assert set(part.test_windows.trials.tolist()) == {3}
+        # rows travel with their metadata, in their original order
+        np.testing.assert_array_equal(part.test_windows.x[:, 0, 0], [2.0, 6.0, 10.0])
 
     def test_empty_test_trials(self):
         part = split_trials(self._windows(), {1, 2}, set())
-        assert part.test_windows == []
+        assert len(part.test_windows) == 0
 
     def test_unlisted_trial_dropped(self):
         part = split_trials(self._windows(), {1}, {2})
@@ -188,8 +217,8 @@ class TestSplitTrials:
     def test_known_filter_on_train_side(self):
         split = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
         part = split_trials(self._windows(), {1, 2}, {3}, split)
-        assert all(w.label in (1, 2) for w in part.train_windows)
-        assert {w.label for w in part.test_windows} == {1, 2, 3}
+        assert set(part.train_windows.labels.tolist()) == {1, 2}
+        assert set(part.test_windows.labels.tolist()) == {1, 2, 3}
 
 
 class TestSynthetic:
@@ -301,7 +330,7 @@ class TestPipelineInvariants:
         cfg = SyntheticConfig(n_classes=5, channels=2, trials=3, recording_ms=400.0,
                               sampling_rate_hz=500.0)
         recs, classes = generate_synthetic(cfg, seed=3)
-        windows = [w for r in recs for w in segment_windows(r, 200.0, 50.0)]
+        windows = window_recordings(recs, 200.0, 50.0)
 
         def build():
             split = split_known_unknown(classes, 3, seed=9)
@@ -309,16 +338,15 @@ class TestPipelineInvariants:
 
         a, b = build(), build()
         assert a.label_split == b.label_split
-        for wa, wb in zip(a.train_windows + a.test_windows, b.train_windows + b.test_windows):
-            np.testing.assert_array_equal(wa.x, wb.x)
+        for side in ("train_windows", "test_windows"):
+            np.testing.assert_array_equal(getattr(a, side).x, getattr(b, side).x)
 
     def test_unknown_classes_present_in_test(self):
         cfg = SyntheticConfig(n_classes=6, channels=2, trials=3, recording_ms=400.0,
                               sampling_rate_hz=500.0)
         recs, classes = generate_synthetic(cfg, seed=3)
-        windows = [w for r in recs for w in segment_windows(r, 200.0, 50.0)]
+        windows = window_recordings(recs, 200.0, 50.0)
         split = split_known_unknown(classes, 3, seed=4)
         part = split_trials(windows, {1, 2}, {3}, split)
-        test_labels = {w.label for w in part.test_windows}
-        assert split.unknown_classes <= test_labels
-        assert all(w.label in split.known_classes for w in part.train_windows)
+        assert split.unknown_classes <= set(part.test_windows.labels.tolist())
+        assert set(part.train_windows.labels.tolist()) <= set(split.known_classes)
