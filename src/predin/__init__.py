@@ -31,8 +31,6 @@ from .encoder import (  # noqa: F401
     sgd_step,
 )
 from .prototypes import (  # noqa: F401
-    PLHyperParams,
-    PrototypeSet,
     class_posterior,
     compactness_loss,
     dce_loss,
@@ -55,7 +53,6 @@ from .inconsistency import (  # noqa: F401
 )
 from .scoring import (  # noqa: F401
     ScoreTable,
-    Threshold,
     calibrate_threshold,
     decide,
     score_windows,

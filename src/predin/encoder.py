@@ -140,22 +140,11 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
     return a, ForwardCache(params=params, layer_inputs=layer_inputs, preacts=preacts)
 
 
-@dataclass
-class EncoderGrads:
-    """Gradients mirroring EncoderParams shapes."""
+def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> list[np.ndarray]:
+    """Backpropagate d(loss)/d(embeddings) to parameter gradients.
 
-    dweights: list[np.ndarray]
-    dbiases: list[np.ndarray]
-
-    def arrays(self) -> list[np.ndarray]:
-        out = []
-        for dw, db in zip(self.dweights, self.dbiases):
-            out.extend((dw, db))
-        return out
-
-
-def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> EncoderGrads:
-    """Backpropagate d(loss)/d(embeddings) to parameter gradients."""
+    Returns [dW0, db0, dW1, db1, ...], aligned with EncoderParams.arrays().
+    """
     params = cache.params
     grad = np.asarray(grad_embeddings, dtype=np.float64)
     expected = cache.preacts[-1].shape
@@ -165,15 +154,13 @@ def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> Encode
             f"forward produced {expected}"
         )
     _, deriv = ACTIVATIONS[params.spec.activation]
-    dweights = [np.empty(0)] * len(params.weights)
-    dbiases = [np.empty(0)] * len(params.biases)
+    grads: list[np.ndarray] = []  # built last layer first, bias before weight
     delta = grad
     for i in range(len(params.weights) - 1, -1, -1):
-        dweights[i] = delta.T @ cache.layer_inputs[i]
-        dbiases[i] = delta.sum(axis=0)
+        grads += [delta.sum(axis=0), delta.T @ cache.layer_inputs[i]]
         if i > 0:
             delta = (delta @ params.weights[i]) * deriv(cache.preacts[i - 1])
-    return EncoderGrads(dweights=dweights, dbiases=dbiases)
+    return grads[::-1]
 
 
 @dataclass

@@ -1,12 +1,14 @@
 """Finite-difference verification of every analytic gradient path.
 
-Builds small random two-branch instances (3 classes, 8-dim embeddings,
-batch of 6) and compares the analytic gradients of each loss against
-central finite differences over a sampled subset of encoder parameters and
-prototypes. Loss values for the differencing are recomputed from scratch
-on perturbed parameters, so the numeric side never touches the backward
-code it is checking. The combined objective is checked through div_loss
-itself, both jointly ("div") and against a frozen partner ("div_frozen").
+Builds small random instances (3 classes, 8-dim embeddings, batch of 6)
+and compares the analytic gradients of each loss against central finite
+differences over a sampled subset of encoder parameters and head arrays.
+Loss values for the differencing are recomputed from scratch on perturbed
+parameters, so the numeric side never touches the backward code it is
+checking. The combined objective is checked through div_loss itself, both
+jointly ("div") and against a frozen partner ("div_frozen"), and the
+softmax baseline through harness.softmax_objective on a linear-head branch
+("softmax").
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from .encoder import (
     finite_diff_check,
     init_optimizer,
 )
+from .harness import softmax_objective
 from .inconsistency import (
     BranchState,
     DivHyperParams,
@@ -37,6 +40,7 @@ from .prototypes import compactness_loss, dce_loss, pl_loss
 _SPEC = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=8, activation="relu")
 _N_CLASSES = 3
 _BATCH = 6
+_N_ENC = 2 * (len(_SPEC.layer_dims) - 1)
 
 
 def _random_branch_arrays(rng: np.random.Generator) -> list[np.ndarray]:
@@ -49,20 +53,26 @@ def _random_branch_arrays(rng: np.random.Generator) -> list[np.ndarray]:
     return arrays
 
 
+def _random_softmax_arrays(rng: np.random.Generator) -> list[np.ndarray]:
+    """Encoder arrays plus a linear head: weight ~ N(0, 2/d), bias ~ 0.1 N(0, 1)."""
+    d = _SPEC.output_dim
+    return _random_branch_arrays(rng)[:_N_ENC] + [
+        rng.normal(0.0, np.sqrt(2.0 / d), size=(_N_CLASSES, d)),
+        rng.standard_normal(_N_CLASSES) * 0.1,
+    ]
+
+
 def _rebuild(arrays: list[np.ndarray]) -> BranchState:
-    n_layers = len(_SPEC.layer_dims) - 1
+    """Branch over the encoder arrays followed by its head arrays."""
     enc = EncoderParams(
-        spec=_SPEC,
-        weights=[arrays[2 * i] for i in range(n_layers)],
-        biases=[arrays[2 * i + 1] for i in range(n_layers)],
-        init_seed=0,
+        spec=_SPEC, weights=arrays[0:_N_ENC:2], biases=arrays[1:_N_ENC:2], init_seed=0
     )
     # the checker never steps, so the branch carries no velocities
-    return BranchState(enc, [arrays[-1]], head_seed=0, optimizer=init_optimizer([], 0.0))
+    return BranchState(enc, arrays[_N_ENC:], head_seed=0, optimizer=init_optimizer([], 0.0))
 
 
 def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
-    """(loss_fn over arrays, analytic_grads_fn over arrays) for one branch."""
+    """arrays -> (loss, analytic grads) of one loss on one prototype branch."""
 
     def compute(arrays):
         branch = _rebuild(arrays)
@@ -73,14 +83,14 @@ def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
         elif loss_kind == "compactness":
             loss, dz, dp = compactness_loss(emb, labels, protos)
         elif loss_kind == "pl":
-            loss, dz, dp = pl_loss(emb, labels, protos, hp.pl())
+            loss, dz, dp = pl_loss(emb, labels, protos, hp.beta, hp.compactness_form)
         elif loss_kind == "triplet":
             loss, dz, dp = triplet_loss(emb, labels, protos, hp.m2)
         else:
             raise ValueError(loss_kind)
-        return loss, encoder_backward(cache, dz).arrays() + [dp]
+        return loss, encoder_backward(cache, dz) + [dp]
 
-    return (lambda arrays: compute(arrays)[0]), (lambda arrays: compute(arrays)[1])
+    return compute
 
 
 def _frozen_own_dots(base_arrays, x, labels):
@@ -111,14 +121,14 @@ def _incon_case(hp: DivHyperParams, x, labels, base_arrays):
         dist_b = proximity_probs(emb_b, labels, b.prototypes, hp.m1, own_dots=own_b)
         inc = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
         grads = (
-            encoder_backward(cache_a, inc.d_embeddings_a).arrays()
+            encoder_backward(cache_a, inc.d_embeddings_a)
             + [inc.d_prototypes_a]
-            + encoder_backward(cache_b, inc.d_embeddings_b).arrays()
+            + encoder_backward(cache_b, inc.d_embeddings_b)
             + [inc.d_prototypes_b]
         )
         return inc.loss, grads
 
-    return (lambda arrays: compute(arrays)[0]), (lambda arrays: compute(arrays)[1])
+    return compute
 
 
 def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
@@ -137,10 +147,20 @@ def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
             res = div_loss(batch, branches, hp, own_dots=own)
         return res.terms["total"], [g for grads in res.grads for g in grads]
 
-    return (lambda arrays: compute(arrays)[0]), (lambda arrays: compute(arrays)[1])
+    return compute
 
 
-LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen")
+def _softmax_case(x, labels):
+    batch = TrainBatch(x, labels)
+
+    def compute(arrays):
+        res = softmax_objective(batch, [_rebuild(arrays)])
+        return res.terms["total"], res.grads[0]
+
+    return compute
+
+
+LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen", "softmax")
 
 
 def check_loss_gradients(
@@ -153,19 +173,23 @@ def check_loss_gradients(
     hp = DivHyperParams()
     if loss_name in ("dce", "compactness", "pl", "triplet"):
         arrays = _random_branch_arrays(rng)
-        loss_fn, grads_fn = _single_branch_case(loss_name, hp, x, labels)
+        compute = _single_branch_case(loss_name, hp, x, labels)
     elif loss_name == "incon":
         arrays = _random_branch_arrays(rng) + _random_branch_arrays(rng)
-        loss_fn, grads_fn = _incon_case(hp, x, labels, arrays)
+        compute = _incon_case(hp, x, labels, arrays)
     elif loss_name in ("div", "div_frozen"):
         pair = _random_branch_arrays(rng) + _random_branch_arrays(rng)
         frozen = loss_name == "div_frozen"
         arrays = pair[: len(pair) // 2] if frozen else pair
-        loss_fn, grads_fn = _div_loss_case(hp, x, labels, pair, frozen)
+        compute = _div_loss_case(hp, x, labels, pair, frozen)
+    elif loss_name == "softmax":
+        arrays = _random_softmax_arrays(rng)
+        compute = _softmax_case(x, labels)
     else:
         raise ValueError(f"unknown loss {loss_name!r}")
     return finite_diff_check(
-        arrays, loss_fn, grads_fn(arrays), eps=eps, n_coords=n_coords, seed=instance_seed
+        arrays, lambda a: compute(a)[0], compute(arrays)[1],
+        eps=eps, n_coords=n_coords, seed=instance_seed,
     )
 
 

@@ -56,7 +56,6 @@ from .metrics import (
 from .prototypes import log_softmax, softmax
 from .scoring import (
     ScoreTable,
-    Threshold,
     calibrate_threshold,
     prototype_score_fn,
     score_windows,
@@ -306,7 +305,7 @@ def softmax_objective(batch: TrainBatch, branches: list[BranchState]) -> BatchLo
     dlogits = softmax(logits)
     dlogits[np.arange(m), y0] -= 1.0
     dlogits /= m
-    grads = encoder_backward(cache, dlogits @ head_w).arrays()
+    grads = encoder_backward(cache, dlogits @ head_w)
     return BatchLoss({"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]])
 
 
@@ -439,8 +438,8 @@ def evaluate_scored(
         acc=closed_acc(predicted, true),
         oscr=oscr(ks, predicted == true, us),
         incon=incon,
-        threshold=thr.value,
-        retention_achieved=float((ks >= thr.value).mean()),
+        threshold=thr,
+        retention_achieved=float((ks >= thr).mean()),
         n_known=ks.size,
         n_unknown=us.size,
         seed=seed,
@@ -472,15 +471,10 @@ def _atomic_write_text(path: str, text: str) -> None:
         f.write(text)
 
 
-def _write_seed_artifacts(seed_dir: str, config: ExperimentConfig, result: SeedResult) -> dict:
+def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
     os.makedirs(seed_dir, exist_ok=True)
     rel = {}
-    threshold = Threshold(
-        value=result.report.threshold,
-        retention_target=config.retention,
-        calibration_size=result.report.n_known,
-    )
-    write_score_dump(os.path.join(seed_dir, "scores.csv"), result.scored, threshold)
+    write_score_dump(os.path.join(seed_dir, "scores.csv"), result.scored, result.report.threshold)
     rel["scores"] = "scores.csv"
     for t, trace in enumerate(result.traces):
         name = "loss_trace.csv" if len(result.traces) == 1 else f"loss_trace_branch{t+1}.csv"
@@ -553,7 +547,7 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
         per_seed.append(result.report.to_dict())
         if write_artifacts:
             seed_dir = os.path.join(out_dir, f"seed_{seed}")
-            artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, config, result)
+            artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result)
     aggregate = aggregate_reports(reports)
     aggregate["failed_seeds"] = failed
     record = RunRecord(
@@ -564,55 +558,48 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
         wall_clock_s=time.perf_counter() - started,
     )
     if write_artifacts:
-        emit_report(record, {"json", "csv"}, out_dir)
+        emit_report(record, out_dir)
     return record
 
 
-def emit_report(record: RunRecord, formats: set, out_dir: str) -> list[str]:
-    """Write the run report; every file is written atomically.
+def emit_report(record: RunRecord, out_dir: str) -> None:
+    """Write report.json (deterministic) and metrics_table.csv, each atomically.
 
-    json -> report.json (deterministic), csv -> metrics_table.csv. Timing
-    goes to a separate sidecar so report files re-run bit-identically.
+    Timing goes to a separate sidecar so report files re-run bit-identically.
     """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-    if "json" in formats:
-        path = os.path.join(out_dir, "report.json")
-        _atomic_write_text(path, report_to_json(record.report_dict()) + "\n")
-        written.append(path)
-    if "csv" in formats:
-        lines = ["seed,auc,acc,oscr,incon,threshold,retention_achieved,n_known,n_unknown"]
-        for row in record.per_seed:
-            if "error" in row:
-                msg = row["error"].replace(",", ";")
-                lines.append(f"{row['seed']},error:{msg},,,,,,,")
-                continue
-            lines.append(
-                ",".join(
-                    str(row[k]) if row[k] is not None else ""
-                    for k in (
-                        "seed", "auc", "acc", "oscr", "incon",
-                        "threshold", "retention_achieved", "n_known", "n_unknown",
-                    )
+    _atomic_write_text(
+        os.path.join(out_dir, "report.json"), report_to_json(record.report_dict()) + "\n"
+    )
+    lines = ["seed,auc,acc,oscr,incon,threshold,retention_achieved,n_known,n_unknown"]
+    for row in record.per_seed:
+        if "error" in row:
+            msg = row["error"].replace(",", ";")
+            lines.append(f"{row['seed']},error:{msg},,,,,,,")
+            continue
+        lines.append(
+            ",".join(
+                str(row[k]) if row[k] is not None else ""
+                for k in (
+                    "seed", "auc", "acc", "oscr", "incon",
+                    "threshold", "retention_achieved", "n_known", "n_unknown",
                 )
             )
-        agg = record.aggregate
-        if agg.get("n_seeds"):
-            lines.append(
-                "mean,{auc},{acc},{oscr},{incon},,,,".format(
-                    auc=agg["auc_mean"],
-                    acc=agg["acc_mean"],
-                    oscr=agg["oscr_mean"],
-                    incon=agg["incon_mean"] if agg["incon_mean"] is not None else "",
-                )
+        )
+    agg = record.aggregate
+    if agg.get("n_seeds"):
+        lines.append(
+            "mean,{auc},{acc},{oscr},{incon},,,,".format(
+                auc=agg["auc_mean"],
+                acc=agg["acc_mean"],
+                oscr=agg["oscr_mean"],
+                incon=agg["incon_mean"] if agg["incon_mean"] is not None else "",
             )
-        path = os.path.join(out_dir, "metrics_table.csv")
-        _atomic_write_text(path, "\n".join(lines) + "\n")
-        written.append(path)
+        )
+    _atomic_write_text(os.path.join(out_dir, "metrics_table.csv"), "\n".join(lines) + "\n")
     _atomic_write_text(
         os.path.join(out_dir, "timing.txt"), f"wall_clock_s={record.wall_clock_s:.3f}\n"
     )
-    return written
 
 
 ABLATION_VARIANTS = ("softmax", "pl_baseline", "dual", "dual_trip", "predin_wo_trip", "predin")

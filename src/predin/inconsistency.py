@@ -40,7 +40,7 @@ from .encoder import (
     lr_schedule,
     sgd_step,
 )
-from .prototypes import PLHyperParams, PrototypeSet, init_prototypes, pl_loss, softmax
+from .prototypes import COMPACTNESS_FORMS, init_prototypes, pl_loss, softmax
 from .signals import DatasetPartition
 
 
@@ -66,15 +66,16 @@ class DivHyperParams:
     compactness_form: str = "huber_sq"
 
     def __post_init__(self):
-        if self.gamma < 0 or self.alpha < 0 or self.beta < 0:
-            raise ValueError("loss weights must be >= 0")
-        if self.m1 < 0 or self.m2 < 0:
-            raise ValueError("margins must be >= 0")
+        for name in ("beta", "gamma", "alpha", "m1", "m2"):
+            if not getattr(self, name) >= 0:  # NaN fails too
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.epsilon_log > 0:
-            raise ValueError("epsilon_log must be > 0")
-
-    def pl(self) -> PLHyperParams:
-        return PLHyperParams(beta=self.beta, compactness_form=self.compactness_form)
+            raise ValueError(f"epsilon_log must be > 0, got {self.epsilon_log}")
+        if self.compactness_form not in COMPACTNESS_FORMS:
+            raise ValueError(
+                f"compactness_form must be one of {COMPACTNESS_FORMS}, "
+                f"got {self.compactness_form!r}"
+            )
 
 
 @dataclass
@@ -91,11 +92,9 @@ class BranchState:
     optimizer: OptimizerState
 
     @property
-    def prototypes(self) -> PrototypeSet | None:
-        """The prototype head, or None for a softmax head."""
-        if len(self.head) != 1:
-            return None
-        return PrototypeSet(prototypes=self.head[0], seed=self.head_seed)
+    def prototypes(self) -> np.ndarray | None:
+        """The (N, d) prototype matrix, or None for a softmax head."""
+        return self.head[0] if len(self.head) == 1 else None
 
     def arrays(self) -> list[np.ndarray]:
         return self.encoder.arrays() + self.head
@@ -110,7 +109,7 @@ def init_branch(
     momentum: float = 0.9,
 ) -> BranchState:
     enc = init_encoder(spec, encoder_seed)
-    head = [init_prototypes(n_classes, spec.output_dim, prototype_seed).prototypes]
+    head = [init_prototypes(n_classes, spec.output_dim, prototype_seed)]
     return BranchState(
         encoder=enc,
         head=head,
@@ -143,9 +142,7 @@ class ProximityDistribution:
     cache: ProximityCache | None = None
 
 
-def margin_distance(
-    z: np.ndarray, prototypes: PrototypeSet, label: int, m1: float
-) -> np.ndarray:
+def margin_distance(z: np.ndarray, prototypes: np.ndarray, label: int, m1: float) -> np.ndarray:
     """Margin-clamped relative distances of one embedding to the other classes.
 
     Entry j (in ascending class order, own class skipped) is
@@ -153,26 +150,27 @@ def margin_distance(
     differentiation.
     """
     z = np.asarray(z, dtype=np.float64)
-    n = prototypes.n_classes
+    p = np.asarray(prototypes, dtype=np.float64)
+    n = p.shape[0]
     if not 1 <= label <= n:
         raise ValueError(f"label must lie in 1..{n}")
-    dots = prototypes.prototypes @ z
+    dots = p @ z
     own = dots[label - 1]
     others = np.delete(dots, label - 1)
     return -np.maximum(own - others - m1, 0.0)
 
 
-def own_class_dots(embeddings: np.ndarray, labels, prototypes: PrototypeSet) -> np.ndarray:
+def own_class_dots(embeddings: np.ndarray, labels, prototypes: np.ndarray) -> np.ndarray:
     """Per-sample dot product with the own-class prototype, z_i . p^{y_i}."""
     z = np.asarray(embeddings, dtype=np.float64)
     y0 = np.asarray(labels, dtype=np.int64) - 1
-    return (z * prototypes.prototypes[y0]).sum(axis=1)
+    return (z * np.asarray(prototypes, dtype=np.float64)[y0]).sum(axis=1)
 
 
 def proximity_probs(
     embeddings: np.ndarray,
     labels,
-    prototypes: PrototypeSet,
+    prototypes: np.ndarray,
     m1: float,
     keep_cache: bool = True,
     own_dots: np.ndarray | None = None,
@@ -185,9 +183,9 @@ def proximity_probs(
     unperturbed value.
     """
     z = np.asarray(embeddings, dtype=np.float64)
-    p = prototypes.prototypes
+    p = np.asarray(prototypes, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    n = prototypes.n_classes
+    n = p.shape[0]
     if labels.min() < 1 or labels.max() > n:
         raise ValueError(f"labels must lie in 1..{n}")
     m = z.shape[0]
@@ -274,29 +272,29 @@ def inconsistency_loss(
 # ---------------------------------------------------------------------------
 
 
-def nearest_other_prototype(prototypes: PrototypeSet) -> np.ndarray:
+def nearest_other_prototype(prototypes: np.ndarray) -> np.ndarray:
     """For each class, the 0-based index of the nearest other prototype."""
-    p = prototypes.prototypes
+    p = np.asarray(prototypes, dtype=np.float64)
     diff = p[:, None, :] - p[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
     return dist.argmin(axis=1)
 
 
-def triplet_loss(embeddings: np.ndarray, labels, prototypes: PrototypeSet, m2: float):
+def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: float):
     """Hinge on anchor-positive vs anchor-negative prototype distances.
 
     The negative for class y is the prototype nearest to p^y (recomputed
     here, i.e. every batch). Returns (loss, d_embeddings, d_prototypes).
     """
     z = np.asarray(embeddings, dtype=np.float64)
-    p = prototypes.prototypes
+    p = np.asarray(prototypes, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     y0 = labels - 1
-    if y0.min() < 0 or y0.max() >= prototypes.n_classes:
-        raise ValueError(f"labels must lie in 1..{prototypes.n_classes}")
+    if y0.min() < 0 or y0.max() >= p.shape[0]:
+        raise ValueError(f"labels must lie in 1..{p.shape[0]}")
     m = z.shape[0]
-    neg0 = nearest_other_prototype(prototypes)[y0]
+    neg0 = nearest_other_prototype(p)[y0]
     u_pos = z - p[y0]
     u_neg = z - p[neg0]
     d_pos = np.sqrt((u_pos * u_pos).sum(axis=1))
@@ -337,8 +335,8 @@ def pl_objective(batch: TrainBatch, branches: list[BranchState], hp: DivHyperPar
     """PL loss alone on one prototype branch (the single-branch baseline)."""
     (branch,) = branches
     emb, cache = encoder_forward(branch.encoder, batch.inputs)
-    pl, dz, dp = pl_loss(emb, batch.labels, branch.prototypes, hp.pl())
-    return BatchLoss({"pl_a": pl, "total": pl}, [encoder_backward(cache, dz).arrays() + [dp]])
+    pl, dz, dp = pl_loss(emb, batch.labels, branch.prototypes, hp.beta, hp.compactness_form)
+    return BatchLoss({"pl_a": pl, "total": pl}, [encoder_backward(cache, dz) + [dp]])
 
 
 def div_loss(
@@ -374,7 +372,7 @@ def div_loss(
     pls, trips, grads = [], [], []
     for i, branch in enumerate(branches):
         (emb, cache), protos = forward[i], branch.prototypes
-        pl, dz, dp = pl_loss(emb, batch.labels, protos, hp.pl())
+        pl, dz, dp = pl_loss(emb, batch.labels, protos, hp.beta, hp.compactness_form)
         if hp.gamma != 0.0:
             dz += hp.gamma * d_inc[i][0]
             dp += hp.gamma * d_inc[i][1]
@@ -384,7 +382,7 @@ def div_loss(
             dp += hp.alpha * dp_t
         pls.append(pl)
         trips.append(trip)
-        grads.append(encoder_backward(cache, dz).arrays() + [dp])
+        grads.append(encoder_backward(cache, dz) + [dp])
     terms = {
         **{f"pl_{t}": v for t, v in zip("ab", pls)},
         "incon": inc.loss,
@@ -588,28 +586,48 @@ def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) 
 
 
 def load_checkpoint(path) -> tuple[list[BranchState], DivHyperParams]:
-    """Inverse of save_dual_checkpoint: (branches, hyperparameters)."""
+    """Inverse of save_dual_checkpoint: (branches, hyperparameters).
+
+    Every parameter and velocity must have the shape its branch's layer
+    dims and head imply; a wrong shape or a missing key raises ValueError
+    naming the key.
+    """
     with np.load(path, allow_pickle=False) as data:
-        fmt = str(data["format"])
+
+        def get(key, shape=None):
+            if key not in data.files:
+                raise ValueError(f"checkpoint {path} has no entry {key!r}")
+            a = data[key]
+            if shape is not None and a.shape != shape:
+                raise ValueError(f"checkpoint entry {key!r} has shape {a.shape}, expected {shape}")
+            return a
+
+        fmt = str(get("format"))
         if fmt != CHECKPOINT_FORMAT:
             raise ValueError(f"unsupported checkpoint format {fmt!r}")
         hp = DivHyperParams(
-            *(float(v) for v in data["hp"]), compactness_form=str(data["compactness_form"])
+            *(float(v) for v in get("hp", (6,))), compactness_form=str(get("compactness_form"))
         )
         branches = []
-        for k in range(int(data["n_branches"])):
-            dims = tuple(int(d) for d in data[f"b{k}_layer_dims"])
+        for k in range(int(get("n_branches"))):
+            dims = tuple(int(d) for d in get(f"b{k}_layer_dims"))
             spec = EncoderSpec(
                 input_dim=dims[0],
                 hidden_dims=dims[1:-1],
                 output_dim=dims[-1],
-                activation=str(data[f"b{k}_activation"]),
+                activation=str(get(f"b{k}_activation")),
             )
-            enc_seed, head_seed = (int(s) for s in data[f"b{k}_seeds"])
-            n_enc = 2 * (len(dims) - 1)
-            n_arrays = n_enc + int(data[f"b{k}_n_head"])
-            arrays = [data[f"b{k}_p{i}"] for i in range(n_arrays)]
-            lr, momentum, epoch = data[f"b{k}_opt"]
+            enc_seed, head_seed = (int(s) for s in get(f"b{k}_seeds", (2,)))
+            shapes = [s for fi, fo in zip(dims[:-1], dims[1:]) for s in ((fo, fi), (fo,))]
+            n_enc = len(shapes)
+            n_head = int(get(f"b{k}_n_head"))
+            if n_head not in (1, 2):
+                raise ValueError(f"checkpoint entry 'b{k}_n_head' is {n_head}, expected 1 or 2")
+            # a prototype head is [(N, d)], a softmax head [(N, d), (N,)], N >= 2
+            n_classes = max(2, len(np.atleast_1d(get(f"b{k}_p{n_enc}"))))
+            shapes += [(n_classes, dims[-1]), (n_classes,)][:n_head]
+            arrays = [get(f"b{k}_p{i}", shape) for i, shape in enumerate(shapes)]
+            lr, momentum, epoch = get(f"b{k}_opt", (3,))
             enc = EncoderParams(
                 spec=spec,
                 weights=arrays[0:n_enc:2],
@@ -619,7 +637,7 @@ def load_checkpoint(path) -> tuple[list[BranchState], DivHyperParams]:
             opt = OptimizerState(
                 learning_rate=float(lr),
                 momentum=float(momentum),
-                velocities=[data[f"b{k}_v{i}"] for i in range(n_arrays)],
+                velocities=[get(f"b{k}_v{i}", shape) for i, shape in enumerate(shapes)],
                 epoch=int(epoch),
             )
             branches.append(BranchState(enc, arrays[n_enc:], head_seed, opt))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .inconsistency import atomic_open
-from .prototypes import PrototypeSet, softmax
+from .prototypes import softmax
 
 
 def auc(known_scores, unknown_scores) -> float:
@@ -93,14 +93,14 @@ def incon_metric(preds_a, preds_b, is_known) -> float | None:
     return unknown_frac / known_frac
 
 
-def proximity_matrix(prototypes: PrototypeSet) -> np.ndarray:
+def proximity_matrix(prototypes: np.ndarray) -> np.ndarray:
     """Row-stochastic class-proximity matrix of one branch.
 
     Row k softmaxes the dot products p^k . p^j over j != k; the diagonal is
     zero. Comparing the two branches' matrices visualizes how differently
     they lay out the classes.
     """
-    p = prototypes.prototypes
+    p = np.asarray(prototypes, dtype=np.float64)
     n = p.shape[0]
     dots = p @ p.T
     off = ~np.eye(n, dtype=bool)

@@ -9,58 +9,20 @@ their own prototype.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 COMPACTNESS_FORMS = ("huber_sq", "literal")
 
 
-@dataclass
-class PrototypeSet:
-    """N learnable class prototypes, row k-1 for remapped class k."""
-
-    prototypes: np.ndarray  # (N, d)
-    seed: int
-
-    def __post_init__(self):
-        self.prototypes = np.asarray(self.prototypes, dtype=np.float64)
-        if self.prototypes.ndim != 2 or self.prototypes.shape[0] < 2:
-            raise ValueError(
-                f"prototypes must be (N >= 2, d), got shape {self.prototypes.shape}"
-            )
-
-    @property
-    def n_classes(self) -> int:
-        return self.prototypes.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.prototypes.shape[1]
-
-
-@dataclass(frozen=True)
-class PLHyperParams:
-    """Weight of the compactness term and which small-residual form to use."""
-
-    beta: float = 1.0
-    compactness_form: str = "huber_sq"
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if self.compactness_form not in COMPACTNESS_FORMS:
-            raise ValueError(f"compactness_form must be one of {COMPACTNESS_FORMS}")
-
-
-def init_prototypes(n_classes: int, dim: int, seed: int) -> PrototypeSet:
-    """Standard-normal prototype init, deterministic per seed."""
+def init_prototypes(n_classes: int, dim: int, seed: int) -> np.ndarray:
+    """Standard-normal (n_classes, dim) prototypes, row k-1 for remapped
+    class k, deterministic per seed."""
     if n_classes < 2:
         raise ValueError(f"need at least 2 classes, got {n_classes}")
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
-    return PrototypeSet(prototypes=rng.standard_normal((n_classes, dim)), seed=seed)
+    return rng.standard_normal((n_classes, dim))
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -84,21 +46,21 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return labels
 
 
-def class_posterior(z: np.ndarray, prototypes: PrototypeSet) -> np.ndarray:
+def class_posterior(z: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
     """Posterior over the N known classes for a single embedding."""
     z = np.asarray(z, dtype=np.float64)
-    return softmax(prototypes.prototypes @ z)[0]
+    return softmax(np.asarray(prototypes, dtype=np.float64) @ z)[0]
 
 
-def dce_loss(embeddings: np.ndarray, labels, prototypes: PrototypeSet):
+def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     """Distance cross-entropy: mean negative log posterior of the true class.
 
     Returns (loss, d_embeddings, d_prototypes). Computed through log-softmax,
     so the log argument never underflows.
     """
     z = np.asarray(embeddings, dtype=np.float64)
-    p = prototypes.prototypes
-    y0 = _check_labels(labels, prototypes.n_classes) - 1
+    p = np.asarray(prototypes, dtype=np.float64)
+    y0 = _check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     logits = z @ p.T
     logp = log_softmax(logits)
@@ -110,7 +72,7 @@ def dce_loss(embeddings: np.ndarray, labels, prototypes: PrototypeSet):
 
 
 def compactness_loss(
-    embeddings: np.ndarray, labels, prototypes: PrototypeSet, form: str = "huber_sq"
+    embeddings: np.ndarray, labels, prototypes: np.ndarray, form: str = "huber_sq"
 ):
     """Smooth-L1 pull of each embedding onto its own prototype.
 
@@ -120,8 +82,8 @@ def compactness_loss(
     if form not in COMPACTNESS_FORMS:
         raise ValueError(f"form must be one of {COMPACTNESS_FORMS}")
     z = np.asarray(embeddings, dtype=np.float64)
-    p = prototypes.prototypes
-    y0 = _check_labels(labels, prototypes.n_classes) - 1
+    p = np.asarray(prototypes, dtype=np.float64)
+    y0 = _check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     u = z - p[y0]
     l1 = np.abs(u).sum(axis=1)
@@ -142,16 +104,16 @@ def compactness_loss(
     return loss, du, d_protos
 
 
-def pl_loss(embeddings: np.ndarray, labels, prototypes: PrototypeSet, hp: PLHyperParams):
+def pl_loss(
+    embeddings: np.ndarray,
+    labels,
+    prototypes: np.ndarray,
+    beta: float = 1.0,
+    form: str = "huber_sq",
+):
     """Single-branch objective: DCE plus beta times the compactness term."""
     dce, dz_dce, dp_dce = dce_loss(embeddings, labels, prototypes)
-    if hp.beta == 0.0:
+    if beta == 0.0:
         return dce, dz_dce, dp_dce
-    com, dz_com, dp_com = compactness_loss(
-        embeddings, labels, prototypes, form=hp.compactness_form
-    )
-    return (
-        dce + hp.beta * com,
-        dz_dce + hp.beta * dz_com,
-        dp_dce + hp.beta * dp_com,
-    )
+    com, dz_com, dp_com = compactness_loss(embeddings, labels, prototypes, form=form)
+    return dce + beta * com, dz_dce + beta * dz_com, dp_dce + beta * dp_com

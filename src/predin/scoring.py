@@ -16,7 +16,6 @@ import numpy as np
 
 from .encoder import EncoderParams, encoder_forward
 from .inconsistency import atomic_open
-from .prototypes import PrototypeSet
 from .signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 
 
@@ -44,20 +43,13 @@ class ScoreTable:
         return self.sims.argmax(axis=2) + 1
 
 
-@dataclass(frozen=True)
-class Threshold:
-    value: float
-    retention_target: float
-    calibration_size: int
-
-
-def prototype_score_fn(encoder: EncoderParams, prototypes: PrototypeSet):
+def prototype_score_fn(encoder: EncoderParams, prototypes: np.ndarray):
     """Branch scorer: batch of flattened windows -> (M, N) similarities
     Sim(z, p^k) = z.p^k."""
 
     def fn(x: np.ndarray) -> np.ndarray:
         emb, _ = encoder_forward(encoder, x)
-        return emb @ prototypes.prototypes.T
+        return emb @ prototypes.T
 
     return fn
 
@@ -85,7 +77,7 @@ def score_windows(
     )
 
 
-def calibrate_threshold(known_smax, retention: float) -> Threshold:
+def calibrate_threshold(known_smax, retention: float) -> float:
     """Nearest-rank threshold retaining at least the target fraction.
 
     The threshold is the ceil((1 - retention) * n)-th smallest calibration
@@ -97,23 +89,21 @@ def calibrate_threshold(known_smax, retention: float) -> Threshold:
         raise ValueError("cannot calibrate a threshold from an empty score list")
     if not 0.0 < retention < 1.0:
         raise ValueError(f"retention must lie in (0, 1), got {retention}")
-    n = scores.size
     # 1e-9 guard so float fuzz in (1-retention)*n cannot shift the rank
-    rank = max(1, math.ceil((1.0 - retention) * n - 1e-9))
-    value = float(np.sort(scores)[rank - 1])
-    return Threshold(value=value, retention_target=retention, calibration_size=n)
+    rank = max(1, math.ceil((1.0 - retention) * scores.size - 1e-9))
+    return float(np.sort(scores)[rank - 1])
 
 
-def decide(scored: ScoreTable, threshold: Threshold) -> np.ndarray:
+def decide(scored: ScoreTable, threshold: float) -> np.ndarray:
     """Accept as the predicted class iff s_max >= threshold, else reject.
 
     Returns the accepted class id per window, or UNKNOWN_LABEL on
     rejection. Scores exactly at the threshold are accepted.
     """
-    return np.where(scored.s_max >= threshold.value, scored.predicted, UNKNOWN_LABEL)
+    return np.where(scored.s_max >= threshold, scored.predicted, UNKNOWN_LABEL)
 
 
-def write_score_dump(path, scored: ScoreTable, threshold: Threshold | None) -> None:
+def write_score_dump(path, scored: ScoreTable, threshold: float | None) -> None:
     """Per-sample score CSV consumed by the metrics module and external tools."""
     n_branches = scored.sims.shape[1]
     header = (

@@ -20,7 +20,7 @@ from predin.inconsistency import (
     triplet_loss,
 )
 from predin.metrics import auc, oscr
-from predin.prototypes import PrototypeSet, dce_loss
+from predin.prototypes import dce_loss
 from predin.signals import SignalRecording, segment_windows, window_geometry
 
 from oracles import auc_pairwise, count_windows_enumeration, oscr_sweep
@@ -96,10 +96,10 @@ def test_criterion_3_loss_identities():
     uniform = ProximityDistribution(np.array([[0.5, 0.5]]), np.array([1]))
     incon_uniform = inconsistency_loss(uniform, uniform).loss
 
-    protos = PrototypeSet(np.zeros((5, 3)), 0)
+    protos = np.zeros((5, 3))
     dce_equal, _, _ = dce_loss(np.zeros((2, 3)), [1, 4], protos)
 
-    sep = PrototypeSet(np.array([[0.0, 0.0], [0.0, 5.0]]), 0)
+    sep = np.array([[0.0, 0.0], [0.0, 5.0]])
     trip_easy, _, _ = triplet_loss(np.array([[0.1, 0.0]]), [1], sep, m2=1.0)
 
     ok = (
@@ -118,9 +118,9 @@ def test_criterion_3_loss_identities():
 
 def test_criterion_4_clamp_semantics():
     # every gap below the margin: branch A fully clamped
-    protos_a = PrototypeSet(np.array([[1.0, 0.0], [0.9, 0.0], [0.8, 0.0], [0.7, 0.0]]), 0)
+    protos_a = np.array([[1.0, 0.0], [0.9, 0.0], [0.8, 0.0], [0.7, 0.0]])
     z_a = np.array([[0.1, 0.0]])  # gaps 0.01..0.03 < m1 = 0.5
-    protos_b = PrototypeSet(np.array([[5.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]]), 0)
+    protos_b = np.array([[5.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
     z_b = np.array([[1.0, 0.0]])
     dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5)
     dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)

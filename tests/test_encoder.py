@@ -95,7 +95,7 @@ class TestBackward:
         params = init_encoder(SPEC, seed=0)
         _, cache = encoder_forward(params, np.ones((3, 5)))
         grads = encoder_backward(cache, np.zeros((3, 4)))
-        for g in grads.arrays():
+        for g in grads:
             assert not g.any()
 
     def test_single_layer_sum_loss(self):
@@ -105,8 +105,8 @@ class TestBackward:
         x = np.random.default_rng(5).standard_normal((4, 3))
         _, cache = encoder_forward(params, x)
         grads = encoder_backward(cache, np.ones((4, 2)))
-        np.testing.assert_allclose(grads.dweights[0], np.tile(x.sum(axis=0), (2, 1)))
-        np.testing.assert_allclose(grads.dbiases[0], [4.0, 4.0])
+        np.testing.assert_allclose(grads[0], np.tile(x.sum(axis=0), (2, 1)))
+        np.testing.assert_allclose(grads[1], [4.0, 4.0])
 
     def test_matches_finite_differences(self):
         params = init_encoder(SPEC, seed=7)
@@ -123,7 +123,7 @@ class TestBackward:
 
         emb, cache = encoder_forward(params, x)
         grads = encoder_backward(cache, emb - target)
-        report = finite_diff_check(params.arrays(), loss_fn, grads.arrays(), n_coords=60, seed=1)
+        report = finite_diff_check(params.arrays(), loss_fn, grads, n_coords=60, seed=1)
         assert report.max_rel_error < 1e-4
 
     def test_mismatched_grad_shape(self):

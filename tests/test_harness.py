@@ -7,6 +7,7 @@ import pytest
 from predin import inconsistency
 from predin.cli import main as cli_main
 from predin.encoder import EncoderSpec, init_encoder, init_optimizer
+from predin.inconsistency import DivHyperParams
 from predin.harness import (
     ABLATION_VARIANTS,
     VARIANTS,
@@ -97,6 +98,24 @@ class TestConfig:
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    def test_negative_beta_rejected(self):
+        with pytest.raises(ValueError, match="beta"):
+            DivHyperParams(beta=-0.1)
+        with pytest.raises(ValueError, match="beta"):
+            config_from_dict({"hyperparams": {"beta": -0.1}})
+
+    def test_nan_weight_rejected(self):
+        with pytest.raises(ValueError, match="m1"):
+            config_from_dict(json.loads('{"hyperparams": {"m1": NaN}}'))
+
+    def test_unknown_compactness_form_rejected(self):
+        # rejected when the config is built, whatever the variant
+        for variant in ("softmax", "predin"):
+            with pytest.raises(ValueError, match="compactness_form"):
+                config_from_dict(
+                    {"variant": variant, "hyperparams": {"compactness_form": "bogus"}}
+                )
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -223,7 +242,7 @@ class TestCheckpoint:
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, recordings, classes, 1)
-        rel = _write_seed_artifacts(str(tmp_path), cfg, result)
+        rel = _write_seed_artifacts(str(tmp_path), result)
         assert rel["checkpoint"] == "checkpoint.npz"
         branches, hp = inconsistency.load_checkpoint(tmp_path / "checkpoint.npz")
         assert hp == result.hp

@@ -27,7 +27,7 @@ from predin.inconsistency import (
     write_loss_trace,
 )
 from predin.metrics import write_matrix_csv
-from predin.prototypes import PrototypeSet, pl_loss
+from predin.prototypes import pl_loss
 from predin.scoring import ScoreTable, write_score_dump
 from predin.signals import (
     DatasetPartition,
@@ -43,7 +43,7 @@ SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4, activation="tanh
 
 
 def protos_from(rows):
-    return PrototypeSet(prototypes=np.asarray(rows, dtype=float), seed=0)
+    return np.asarray(rows, dtype=float)
 
 
 def dist_from_probs(probs, labels):
@@ -102,7 +102,7 @@ class TestProximityProbs:
 
     def test_shape_contract(self):
         rng = np.random.default_rng(0)
-        p = PrototypeSet(rng.standard_normal((6, 5)), 0)
+        p = rng.standard_normal((6, 5))
         z = rng.standard_normal((9, 5))
         labels = rng.integers(1, 7, size=9)
         dist = proximity_probs(z, labels, p, m1=0.5)
@@ -234,9 +234,9 @@ class TestTripletLoss:
         labels = rng.integers(1, 4, size=6)
 
         def loss_fn(arrays):
-            return triplet_loss(arrays[0], labels, PrototypeSet(arrays[1], 0), 1.0)[0]
+            return triplet_loss(arrays[0], labels, arrays[1], 1.0)[0]
 
-        loss, dz, dp = triplet_loss(z, labels, PrototypeSet(protos, 0), 1.0)
+        loss, dz, dp = triplet_loss(z, labels, protos, 1.0)
         assert loss > 0
         report = finite_diff_check([z, protos], loss_fn, [dz, dp], n_coords=32, seed=5)
         assert report.max_rel_error < 1e-4
@@ -255,7 +255,7 @@ class TestDivLoss:
         hp = DivHyperParams(gamma=0.0, alpha=0.0)
         res = div_loss(batch, [a, b], hp)
         emb_a, _ = encoder_forward(a.encoder, batch.inputs)
-        pl_a, dz_a, dp_a = pl_loss(emb_a, batch.labels, a.prototypes, hp.pl())
+        pl_a, dz_a, dp_a = pl_loss(emb_a, batch.labels, a.prototypes, hp.beta, hp.compactness_form)
         t = res.terms
         assert t["total"] == t["pl_a"] + t["pl_b"]
         assert t["pl_a"] == pl_a
@@ -425,6 +425,40 @@ class TestCheckpoint:
         path = tmp_path / "old.npz"
         np.savez(path, format=np.array(fmt), w0=np.zeros((2, 2)))
         with pytest.raises(ValueError, match=fmt):
+            load_checkpoint(path)
+
+    @staticmethod
+    def _tampered(tmp_path, **changes):
+        """A saved joint checkpoint with entries replaced, or dropped where None."""
+        path = tmp_path / "checkpoint.npz"
+        save_dual_checkpoint(path, _joint_branches(tiny_partition()), DivHyperParams())
+        with np.load(path) as data:
+            payload = {k: data[k] for k in data.files}
+        for key, value in changes.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        np.savez(path, **payload)
+        return path
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("b0_p0", np.zeros((5, 7))),  # first-layer weight
+            ("b0_p4", np.zeros(4)),  # 1-D prototypes
+            ("b1_v1", np.zeros(9)),  # velocity of a bias
+        ],
+        ids=["weight", "1d_prototypes", "bias_velocity"],
+    )
+    def test_wrong_shape_rejected(self, tmp_path, key, value):
+        path = self._tampered(tmp_path, **{key: value})
+        with pytest.raises(ValueError, match=f"'{key}' has shape"):
+            load_checkpoint(path)
+
+    def test_missing_velocity_rejected(self, tmp_path):
+        path = self._tampered(tmp_path, b0_v2=None)
+        with pytest.raises(ValueError, match="no entry 'b0_v2'"):
             load_checkpoint(path)
 
     def test_failed_save_leaves_existing_checkpoint(self, tmp_path, monkeypatch):

@@ -13,7 +13,6 @@ from predin.metrics import (
     oscr,
     proximity_matrix,
 )
-from predin.prototypes import PrototypeSet
 
 from oracles import auc_pairwise, auc_pairwise_scalar, auc_tie_loop, oscr_step_loop, oscr_sweep
 
@@ -209,21 +208,21 @@ class TestInconMetric:
 
 class TestProximityMatrix:
     def test_orthonormal_prototypes_uniform(self):
-        mat = proximity_matrix(PrototypeSet(np.eye(4), 0))
+        mat = proximity_matrix(np.eye(4))
         off = mat[~np.eye(4, dtype=bool)]
         np.testing.assert_allclose(off, 1 / 3, atol=1e-12)
 
     def test_near_duplicate_pair_dominates(self):
         p = np.eye(4) * 3.0
         p[1] = p[0] + 0.01  # classes 1 and 2 nearly identical
-        mat = proximity_matrix(PrototypeSet(p, 0))
+        mat = proximity_matrix(p)
         assert mat[0].argmax() == 1
         assert mat[1].argmax() == 0
         assert mat[0, 1] > 0.9
 
     def test_shape_and_diagonal(self):
         rng = np.random.default_rng(6)
-        mat = proximity_matrix(PrototypeSet(rng.standard_normal((5, 8)), 0))
+        mat = proximity_matrix(rng.standard_normal((5, 8)))
         assert mat.shape == (5, 5)
         np.testing.assert_array_equal(np.diag(mat), np.zeros(5))
         np.testing.assert_allclose(mat.sum(axis=1), 1.0, atol=1e-12)

@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 
 from predin.prototypes import (
-    PLHyperParams,
-    PrototypeSet,
     class_posterior,
     compactness_loss,
     dce_loss,
@@ -14,22 +12,22 @@ from predin.encoder import finite_diff_check
 
 
 def protos_from(rows):
-    return PrototypeSet(prototypes=np.asarray(rows, dtype=float), seed=0)
+    return np.asarray(rows, dtype=float)
 
 
 class TestInitPrototypes:
     def test_paper_shape(self):
         p = init_prototypes(15, 128, seed=0)
-        assert p.prototypes.shape == (15, 128)
+        assert p.shape == (15, 128)
 
     def test_deterministic(self):
         a = init_prototypes(5, 8, seed=42)
         b = init_prototypes(5, 8, seed=42)
-        np.testing.assert_array_equal(a.prototypes, b.prototypes)
+        np.testing.assert_array_equal(a, b)
 
     def test_standard_normal_mean(self):
         p = init_prototypes(1000, 100, seed=7)  # 1e5 entries
-        assert -0.02 < p.prototypes.mean() < 0.02
+        assert -0.02 < p.mean() < 0.02
 
     def test_invalid_args(self):
         with pytest.raises(ValueError):
@@ -54,18 +52,18 @@ class TestClassPosterior:
         rng = np.random.default_rng(3)
         protos = rng.standard_normal((4, 6))
         z = rng.standard_normal(6)
-        base = class_posterior(z, PrototypeSet(protos, 0))
+        base = class_posterior(z, protos)
         # adding a constant to every dot product = adding c * z_hat to each prototype
         # easiest route: shift logits directly through a prototype translation
         shift = 3.7 * z / (z @ z)
-        shifted = class_posterior(z, PrototypeSet(protos + shift, 0))
+        shifted = class_posterior(z, protos + shift)
         np.testing.assert_allclose(base, shifted, atol=1e-12)
         assert base.argmax() == shifted.argmax()
 
     def test_sums_to_one(self):
         rng = np.random.default_rng(4)
         for _ in range(20):
-            p = PrototypeSet(rng.standard_normal((5, 7)) * 10, 0)
+            p = rng.standard_normal((5, 7)) * 10
             post = class_posterior(rng.standard_normal(7) * 10, p)
             assert abs(post.sum() - 1.0) < 1e-12
 
@@ -85,7 +83,7 @@ class TestDceLoss:
     def test_nonnegative(self):
         rng = np.random.default_rng(5)
         for _ in range(10):
-            p = PrototypeSet(rng.standard_normal((4, 6)), 0)
+            p = rng.standard_normal((4, 6))
             z = rng.standard_normal((7, 6))
             labels = rng.integers(1, 5, size=7)
             loss, _, _ = dce_loss(z, labels, p)
@@ -103,9 +101,9 @@ class TestDceLoss:
         labels = rng.integers(1, 4, size=5)
 
         def loss_fn(arrays):
-            return dce_loss(arrays[0], labels, PrototypeSet(arrays[1], 0))[0]
+            return dce_loss(arrays[0], labels, arrays[1])[0]
 
-        loss, dz, dp = dce_loss(z, labels, PrototypeSet(protos, 0))
+        loss, dz, dp = dce_loss(z, labels, protos)
         report = finite_diff_check([z, protos], loss_fn, [dz, dp], n_coords=32, seed=2)
         assert report.max_rel_error < 1e-4
 
@@ -144,9 +142,9 @@ class TestCompactnessLoss:
         labels = rng.integers(1, 4, size=6)
         for form in ("huber_sq", "literal"):
             def loss_fn(arrays):
-                return compactness_loss(arrays[0], labels, PrototypeSet(arrays[1], 0), form)[0]
+                return compactness_loss(arrays[0], labels, arrays[1], form)[0]
 
-            loss, dz, dp = compactness_loss(z, labels, PrototypeSet(protos, 0), form)
+            loss, dz, dp = compactness_loss(z, labels, protos, form)
             report = finite_diff_check([z, protos], loss_fn, [dz, dp], n_coords=32, seed=3)
             assert report.max_rel_error < 1e-4, form
 
@@ -159,13 +157,13 @@ class TestPlLoss:
     def _instance(self, seed=8):
         rng = np.random.default_rng(seed)
         z = rng.standard_normal((5, 4))
-        protos = PrototypeSet(rng.standard_normal((3, 4)), 0)
+        protos = rng.standard_normal((3, 4))
         labels = rng.integers(1, 4, size=5)
         return z, labels, protos
 
     def test_beta_zero_equals_dce(self):
         z, labels, protos = self._instance()
-        full = pl_loss(z, labels, protos, PLHyperParams(beta=0.0))
+        full = pl_loss(z, labels, protos, beta=0.0)
         dce = dce_loss(z, labels, protos)
         assert full[0] == dce[0]
         np.testing.assert_array_equal(full[1], dce[1])
@@ -173,7 +171,7 @@ class TestPlLoss:
 
     def test_beta_one_is_sum(self):
         z, labels, protos = self._instance()
-        total, _, _ = pl_loss(z, labels, protos, PLHyperParams(beta=1.0))
+        total, _, _ = pl_loss(z, labels, protos, beta=1.0)
         dce, _, _ = dce_loss(z, labels, protos)
         com, _, _ = compactness_loss(z, labels, protos)
         assert total == pytest.approx(dce + com, abs=1e-12)
@@ -181,7 +179,7 @@ class TestPlLoss:
     def test_gradient_is_weighted_sum(self):
         z, labels, protos = self._instance()
         beta = 0.7
-        _, dz, dp = pl_loss(z, labels, protos, PLHyperParams(beta=beta))
+        _, dz, dp = pl_loss(z, labels, protos, beta=beta)
         _, dz_d, dp_d = dce_loss(z, labels, protos)
         _, dz_c, dp_c = compactness_loss(z, labels, protos)
         np.testing.assert_allclose(dz, dz_d + beta * dz_c, atol=1e-14)
@@ -189,26 +187,21 @@ class TestPlLoss:
 
     def test_monotone_in_beta(self):
         z, labels, protos = self._instance()
-        losses = [pl_loss(z, labels, protos, PLHyperParams(beta=b))[0] for b in (0.0, 0.5, 1.0, 2.0)]
+        losses = [pl_loss(z, labels, protos, beta=b)[0] for b in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_single_step_decreases_loss(self):
         rng = np.random.default_rng(10)
-        hp = PLHyperParams(beta=1.0)
         for trial in range(10):
             z = rng.standard_normal((1, 6))
-            protos = PrototypeSet(rng.standard_normal((3, 6)), 0)
+            protos = rng.standard_normal((3, 6))
             labels = np.array([int(rng.integers(1, 4))])
-            u = z[0] - protos.prototypes[labels[0] - 1]
+            u = z[0] - protos[labels[0] - 1]
             if abs(np.abs(u).sum() - 1.0) < 1e-2:
                 continue  # keep clear of the compactness kink
-            loss, dz, dp = pl_loss(z, labels, protos, hp)
+            loss, dz, dp = pl_loss(z, labels, protos, beta=1.0)
             lr = 1e-4
             z2 = z - lr * dz
-            protos2 = PrototypeSet(protos.prototypes - lr * dp, 0)
-            loss2, _, _ = pl_loss(z2, labels, protos2, hp)
+            protos2 = protos - lr * dp
+            loss2, _, _ = pl_loss(z2, labels, protos2, beta=1.0)
             assert loss2 < loss
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            PLHyperParams(beta=-0.1)

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predin.encoder import EncoderSpec, init_encoder
-from predin.prototypes import PrototypeSet
 from predin.scoring import (
     ScoreTable,
-    Threshold,
     calibrate_threshold,
     decide,
     prototype_score_fn,
@@ -37,9 +35,9 @@ def score_fixed(*branch_sims):
     return score_windows(fns, make_windows(np.zeros((m, 1, 1))), None)
 
 
-def identity_scorer(protos: PrototypeSet):
+def identity_scorer(protos: np.ndarray):
     """Prototype scorer whose encoder is the identity, so sims are x . p^k."""
-    dim = protos.dim
+    dim = protos.shape[1]
     enc = init_encoder(EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim), seed=0)
     enc.weights[0][:] = np.eye(dim)
     return prototype_score_fn(enc, protos)
@@ -47,21 +45,21 @@ def identity_scorer(protos: PrototypeSet):
 
 class TestBranchSimilarity:
     def test_orthogonal_gives_zeros(self):
-        protos = PrototypeSet(np.array([[1.0, 0.0], [0.0, 1.0]]), 0)
+        protos = np.array([[1.0, 0.0], [0.0, 1.0]])
         sims = identity_scorer(protos)(np.array([[0.0, 0.0]]))
         np.testing.assert_array_equal(sims, [[0.0, 0.0]])
 
     def test_self_similarity_is_squared_norm(self):
         rng = np.random.default_rng(0)
         p = rng.standard_normal((4, 6))
-        sims = identity_scorer(PrototypeSet(p, 0))(p[2:3])
+        sims = identity_scorer(p)(p[2:3])
         assert sims[0, 2] == pytest.approx(p[2] @ p[2], abs=1e-12)
 
     def test_matches_scalar_loop(self):
         rng = np.random.default_rng(1)
         p = rng.standard_normal((5, 7))
         z = rng.standard_normal((3, 7))
-        sims = identity_scorer(PrototypeSet(p, 0))(z)
+        sims = identity_scorer(p)(z)
         for i in range(3):
             for k in range(5):
                 assert sims[i, k] == pytest.approx(dot_scalar(z[i], p[k]), abs=1e-12)
@@ -110,16 +108,16 @@ class TestCalibrateThreshold:
     def test_nearest_rank_on_1_to_100(self):
         scores = np.arange(1.0, 101.0)
         thr = calibrate_threshold(scores, retention=0.95)
-        assert thr.value == 5.0
-        assert (scores >= thr.value).sum() == 96
+        assert thr == 5.0
+        assert (scores >= thr).sum() == 96
 
     def test_two_scores_half_retention(self):
         thr = calibrate_threshold([1.0, 2.0], retention=0.5)
-        assert thr.value == 1.0
+        assert thr == 1.0
 
     def test_all_equal(self):
         thr = calibrate_threshold([3.0, 3.0, 3.0], retention=0.9)
-        assert thr.value == 3.0
+        assert thr == 3.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -138,12 +136,12 @@ class TestCalibrateThreshold:
     )
     def test_retention_always_met(self, scores, retention):
         thr = calibrate_threshold(scores, retention)
-        retained = np.mean(np.asarray(scores) >= thr.value)
+        retained = np.mean(np.asarray(scores) >= thr)
         assert retained >= retention - 1e-12
 
 
 class TestDecide:
-    THR = Threshold(value=0.5, retention_target=0.95, calibration_size=10)
+    THR = 0.5
 
     def _decide(self, s_max, k=2):
         sims = np.zeros((1, 3))
@@ -162,7 +160,7 @@ class TestDecide:
 
 class TestScoreWindows:
     def _setup(self):
-        protos = PrototypeSet(np.eye(4)[:3], 0)
+        protos = np.eye(4)[:3]
         split = LabelSplit(known_classes=(10, 20, 30), unknown_classes=frozenset({40}), seed=0)
         return identity_scorer(protos), split
 
@@ -197,7 +195,7 @@ class TestScoreWindows:
         scorer, split = self._setup()
         windows = make_windows(np.ones((3, 1, 4)), labels=[10, 10, 40])
         scored = score_windows([scorer] * 2, windows, split)
-        thr = Threshold(value=-10.0, retention_target=0.95, calibration_size=3)
+        thr = -10.0
         path = tmp_path / "scores.csv"
         write_score_dump(path, scored, thr)
         with open(path, newline="") as f:
