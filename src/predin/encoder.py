@@ -16,20 +16,21 @@ def _relu(z):
     return np.maximum(z, 0.0)
 
 
-def _relu_deriv(z):
-    # subgradient 0 at the kink
-    return (z > 0.0).astype(np.float64)
+def _relu_deriv(a):
+    # from the activation a = relu(z): a > 0 exactly when z > 0; subgradient 0 at the kink
+    return (a > 0.0).astype(np.float64)
 
 
 def _tanh(z):
     return np.tanh(z)
 
 
-def _tanh_deriv(z):
-    t = np.tanh(z)
-    return 1.0 - t * t
+def _tanh_deriv(a):
+    # from the activation a = tanh(z)
+    return 1.0 - a * a
 
 
+# name -> (activation, its derivative written in terms of the activation)
 ACTIVATIONS = {"relu": (_relu, _relu_deriv), "tanh": (_tanh, _tanh_deriv)}
 
 
@@ -114,8 +115,7 @@ class ForwardCache:
     """Activations recorded by encoder_forward, consumed by encoder_backward."""
 
     params: EncoderParams
-    layer_inputs: list[np.ndarray]  # input to each layer
-    preacts: list[np.ndarray]  # pre-activation of each layer
+    layer_inputs: list[np.ndarray]  # input to each layer; activations after the first
 
 
 def encoder_forward(params: EncoderParams, inputs: np.ndarray):
@@ -130,14 +130,13 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
         )
     act, _ = ACTIVATIONS[params.spec.activation]
     n_layers = len(params.weights)
-    layer_inputs, preacts = [], []
+    layer_inputs = []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer_inputs.append(a)
         z = a @ w.T + b
-        preacts.append(z)
         a = act(z) if i < n_layers - 1 else z
-    return a, ForwardCache(params=params, layer_inputs=layer_inputs, preacts=preacts)
+    return a, ForwardCache(params=params, layer_inputs=layer_inputs)
 
 
 def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> list[np.ndarray]:
@@ -147,7 +146,7 @@ def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> list[n
     """
     params = cache.params
     grad = np.asarray(grad_embeddings, dtype=np.float64)
-    expected = cache.preacts[-1].shape
+    expected = (cache.layer_inputs[0].shape[0], params.spec.output_dim)
     if grad.shape != expected:
         raise RuntimeError(
             f"stale or mismatched cache: grad_embeddings has shape {grad.shape}, "
@@ -159,7 +158,7 @@ def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> list[n
     for i in range(len(params.weights) - 1, -1, -1):
         grads += [delta.sum(axis=0), delta.T @ cache.layer_inputs[i]]
         if i > 0:
-            delta = (delta @ params.weights[i]) * deriv(cache.preacts[i - 1])
+            delta = (delta @ params.weights[i]) * deriv(cache.layer_inputs[i])
     return grads[::-1]
 
 

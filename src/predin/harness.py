@@ -69,7 +69,6 @@ from .signals import (
     split_known_unknown,
     split_trials,
     standardize,
-    window_recordings,
 )
 
 VARIANTS = (
@@ -248,10 +247,13 @@ def load_dataset(config: ExperimentConfig):
 
 
 def build_partition(config: ExperimentConfig, recordings, classes, seed: int) -> DatasetPartition:
+    """Route, window and standardize one seed's train/test tables; every
+    window is copied out of the recordings once and scaled in place."""
     split = split_known_unknown(classes, config.n_known, seed)
-    windows = window_recordings(recordings, config.window_ms, config.step_ms)
-    part = split_trials(windows, config.train_trials, config.test_trials, split)
-    del windows  # the routed copies replace it; keeps peak memory down
+    part = split_trials(
+        recordings, config.window_ms, config.step_ms,
+        config.train_trials, config.test_trials, split,
+    )
     return standardize(part)
 
 
@@ -513,11 +515,14 @@ class RunRecord:
         }
 
 
-def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> RunRecord:
+def run_experiment(
+    config: ExperimentConfig, write_artifacts: bool = True, dataset=None
+) -> RunRecord:
     """Execute the configured variant across all seeds and aggregate.
 
-    Per-seed training failures are recorded without aborting the run; the
-    aggregate marks the failed seeds.
+    ``dataset`` is the (recordings, classes) pair of ``load_dataset``; it is
+    loaded from the config when not given. Per-seed training failures are
+    recorded without aborting the run; the aggregate marks the failed seeds.
     """
     started = time.perf_counter()
     out_dir = config.output_dir
@@ -531,7 +536,7 @@ def run_experiment(config: ExperimentConfig, write_artifacts: bool = True) -> Ru
         except OSError as e:
             raise OSError(f"output directory {out_dir!r} is not writable: {e}") from e
 
-    recordings, classes = load_dataset(config)
+    recordings, classes = load_dataset(config) if dataset is None else dataset
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
     reports: list[MetricsReport] = []
@@ -609,8 +614,10 @@ def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) ->
     """Run every ablation variant with identical seeds and tabulate.
 
     Returns {variant: RunRecord}; writes ablation_table.csv plus one report
-    directory per variant under the base output dir.
+    directory per variant under the base output dir. The dataset is loaded
+    once and shared: no variant writes into the recordings.
     """
+    dataset = load_dataset(base_config)
     records: dict[str, RunRecord] = {}
     for variant in ABLATION_VARIANTS:
         cfg = replace(
@@ -618,7 +625,7 @@ def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) ->
             variant=variant,
             output_dir=os.path.join(base_config.output_dir, variant),
         )
-        records[variant] = run_experiment(cfg, write_artifacts=write_artifacts)
+        records[variant] = run_experiment(cfg, write_artifacts=write_artifacts, dataset=dataset)
     if write_artifacts:
         lines = ["variant,auc,oscr,acc,incon"]
         for variant, rec in records.items():

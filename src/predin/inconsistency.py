@@ -40,7 +40,7 @@ from .encoder import (
     lr_schedule,
     sgd_step,
 )
-from .prototypes import COMPACTNESS_FORMS, init_prototypes, pl_loss, softmax
+from .prototypes import COMPACTNESS_FORMS, init_prototypes, pl_loss, scatter_add_rows, softmax
 from .signals import DatasetPartition
 
 
@@ -308,8 +308,8 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: flo
     w = active.astype(np.float64)[:, None] / m
     dz = w * (pos_hat - neg_hat)
     dp = np.zeros_like(p)
-    np.add.at(dp, y0, -w * pos_hat)
-    np.add.at(dp, neg0, w * neg_hat)
+    scatter_add_rows(dp, y0, -w * pos_hat)
+    scatter_add_rows(dp, neg0, w * neg_hat)  # accumulates onto the first scatter
     return loss, dz, dp
 
 

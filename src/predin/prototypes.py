@@ -25,6 +25,25 @@ def init_prototypes(n_classes: int, dim: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n_classes, dim))
 
 
+def scatter_add_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
+    """In place out[index[i]] += rows[i], bit for bit as np.add.at does it.
+
+    Per target row, the selected rows are summed after out[k] along axis
+    0, which numpy adds sequentially in row order like np.add.at; starting
+    the sum from -0.0, the additive identity, keeps signed zeros. A single
+    column would be summed pairwise, so it goes through np.add.at. Indices
+    must lie in 0..len(out)-1.
+    """
+    if rows.shape[1] == 1:
+        np.add.at(out, index, rows)
+        return
+    for k in range(out.shape[0]):
+        picked = rows[index == k]
+        if len(picked):
+            picked = np.concatenate((out[k][None], picked))
+            out[k] = np.add.reduce(picked, axis=0, initial=-0.0)
+
+
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax with max subtraction."""
     logits = np.atleast_2d(logits)
@@ -100,7 +119,7 @@ def compactness_loss(
     loss = np.where(small, small_vals, l1 - 0.5).mean()
     du = np.where(small[:, None], du_small, np.sign(u)) / m
     d_protos = np.zeros_like(p)
-    np.add.at(d_protos, y0, -du)
+    scatter_add_rows(d_protos, y0, -du)
     return loss, du, d_protos
 
 

@@ -18,6 +18,13 @@ from .encoder import EncoderParams, encoder_forward
 from .inconsistency import atomic_open
 from .signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 
+# score_windows splits the rows into the fewest equal blocks of at most
+# this many, so the hidden activations of a large test set are never all
+# alive at once. BLAS may round a product of a few rows differently from a
+# long one; blocks of at least half this size score every row exactly as
+# one pass over the whole table would.
+SCORE_BLOCK_ROWS = 2048
+
 
 @dataclass
 class ScoreTable:
@@ -61,10 +68,19 @@ def score_windows(
 
     The prediction is the fused argmax, lowest class index on ties. True
     labels are remapped through the label split; windows of classes
-    outside it carry UNKNOWN_LABEL.
+    outside it carry UNKNOWN_LABEL. Rows are scored in blocks of at most
+    SCORE_BLOCK_ROWS into one preallocated similarity table.
     """
     x = windows.flat
-    sims = np.stack([fn(x) for fn in branch_score_fns], axis=1)
+    m = len(x)
+    n_blocks = max(1, -(-m // SCORE_BLOCK_ROWS))
+    bounds = [m * i // n_blocks for i in range(n_blocks + 1)]
+    sims = None
+    for start, end in zip(bounds[:-1], bounds[1:]):
+        block = np.stack([fn(x[start:end]) for fn in branch_score_fns], axis=1)
+        if sims is None:
+            sims = np.empty((m, *block.shape[1:]), dtype=block.dtype)
+        sims[start:end] = block
     fused = sims.mean(axis=1)
     k0 = fused.argmax(axis=1)
     true = windows.labels if label_split is None else label_split.remap(windows.labels)

@@ -15,7 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -84,10 +84,6 @@ class WindowTable:
     def flat(self) -> np.ndarray:
         """(M, C*T) encoder inputs; a view when x is contiguous."""
         return self.x.reshape(len(self), self.x.shape[1] * self.x.shape[2])
-
-    def take(self, rows) -> WindowTable:
-        """The windows selected by a boolean mask or an index array."""
-        return WindowTable(self.x[rows], self.labels[rows], self.trials[rows], self.subjects[rows])
 
 
 @dataclass(frozen=True)
@@ -179,10 +175,18 @@ def segment_windows(recording: SignalRecording, window_ms: float, step_ms: float
 
 
 def window_recordings(recordings, window_ms: float, step_ms: float) -> WindowTable:
-    """Windows of every recording, in recording order, in one table."""
+    """Windows of every recording, in recording order, in one table.
+
+    Each window is copied once, from the recording's sliding view straight
+    into one C-contiguous (M, C, T) array, so ``flat`` is a view of it.
+    """
     tables = [segment_windows(r, window_ms, step_ms) for r in recordings]
-    fields = ("x", "labels", "trials", "subjects")
-    return WindowTable(*(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
+    if not tables:
+        raise ValueError("no recordings to window")
+    x = np.empty((sum(map(len, tables)), *tables[0].x.shape[1:]))
+    np.concatenate([t.x for t in tables], out=x)
+    fields = ("labels", "trials", "subjects")
+    return WindowTable(x, *(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
 
 
 def split_known_unknown(all_classes, n_known: int, seed: int) -> LabelSplit:
@@ -203,28 +207,45 @@ def split_known_unknown(all_classes, n_known: int, seed: int) -> LabelSplit:
 
 
 def split_trials(
-    windows: WindowTable,
+    recordings,
+    window_ms: float,
+    step_ms: float,
     train_trials,
     test_trials,
     label_split: LabelSplit | None = None,
 ) -> DatasetPartition:
-    """Route windows into train/test by trial id.
+    """Route recordings into train/test by trial id, then window each side.
 
-    Windows whose trial id is in neither set are dropped. When a label split
-    is given, unknown-class windows are removed from the train side (they
-    stay in test).
+    Every recording carries one trial and one label, so routing whole
+    recordings routes their windows exactly; only routed recordings are
+    windowed. Recordings whose trial id is in neither set are dropped. When
+    a label split is given, unknown-class recordings are kept out of the
+    train side (they stay in test).
     """
     train_trials = set(train_trials)
     test_trials = set(test_trials)
     if train_trials & test_trials:
         raise ValueError(f"train and test trials overlap: {sorted(train_trials & test_trials)}")
-    to_train = np.isin(windows.trials, sorted(train_trials))
-    if label_split is not None:
-        to_train &= np.isin(windows.labels, label_split.known_classes)
-    to_test = np.isin(windows.trials, sorted(test_trials))
+    if not recordings:
+        raise ValueError("no recordings to split")
+    known = None if label_split is None else set(label_split.known_classes)
+
+    def side(routed) -> WindowTable:
+        if routed:
+            return window_recordings(routed, window_ms, step_ms)
+        first = recordings[0]
+        window_len, _ = window_geometry(first.sampling_rate, window_ms, step_ms)
+        return WindowTable(
+            np.empty((0, first.n_channels, window_len)),
+            *(np.empty(0, dtype=np.int64) for _ in range(3)),
+        )
+
     return DatasetPartition(
-        train_windows=windows.take(to_train),
-        test_windows=windows.take(to_test),
+        train_windows=side([
+            r for r in recordings
+            if r.trial_id in train_trials and (known is None or r.gesture_label in known)
+        ]),
+        test_windows=side([r for r in recordings if r.trial_id in test_trials]),
         label_split=label_split,
     )
 
@@ -235,17 +256,33 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     The same per-channel mean/std is applied to train and test windows, so
     nothing about the test distribution leaks into the transform. Channels
     whose training std falls below STD_FLOOR are scaled by the floor and a
-    warning is emitted.
+    warning is emitted. The window tables are scaled in place and the
+    partition is returned with its ``stats`` set; a partition that already
+    carries stats, or whose tables are read-only views into recordings, is
+    rejected before anything is written.
     """
+    if partition.stats is not None:
+        raise ValueError("partition is already standardized")
     train = partition.train_windows
     if not len(train):
         raise ValueError("cannot standardize: training partition is empty")
-    # reduce over one (C, M*T) row per channel: the summation order the
-    # statistics are defined by, so they stay bit-stable
-    per_channel = train.x.transpose(1, 0, 2).reshape(train.x.shape[1], -1)
-    mean = per_channel.mean(axis=1)
-    std = per_channel.std(axis=1)
-    del per_channel
+    for name in ("train_windows", "test_windows"):
+        if not getattr(partition, name).x.flags.writeable:
+            raise ValueError(
+                f"cannot standardize in place: {name} is read-only "
+                "(window the recordings with window_recordings or split_trials)"
+            )
+    # reduce each channel as one contiguous (M*T,) row: the summation order
+    # the statistics are defined by, so they stay bit-stable
+    mean = np.empty(train.x.shape[1])
+    std = np.empty(train.x.shape[1])
+    for c in range(train.x.shape[1]):
+        row = train.x[:, c, :].flatten()  # always a copy, never a view
+        mean[c] = row.mean()
+        row -= mean[c]  # np.std's own steps, done in the one copy
+        row *= row
+        std[c] = np.sqrt(row.mean())
+        del row  # freed before the next channel is copied
     floored = np.nonzero(std < STD_FLOOR)[0]
     if floored.size:
         warnings.warn(
@@ -254,19 +291,11 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
             stacklevel=2,
         )
         std = np.where(std < STD_FLOOR, STD_FLOOR, std)
-    stats = StandardizationStats(mean=mean, std=std, floored_channels=tuple(floored.tolist()))
-
-    def apply(w: WindowTable) -> WindowTable:
-        x = w.x - mean[:, None]
-        x /= std[:, None]
-        return replace(w, x=x)
-
-    return DatasetPartition(
-        train_windows=apply(train),
-        test_windows=apply(partition.test_windows),
-        label_split=partition.label_split,
-        stats=stats,
-    )
+    for w in (train, partition.test_windows):
+        w.x -= mean[:, None]
+        w.x /= std[:, None]
+    partition.stats = StandardizationStats(mean, std, floored_channels=tuple(floored.tolist()))
+    return partition
 
 
 @dataclass(frozen=True)

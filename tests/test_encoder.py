@@ -108,22 +108,33 @@ class TestBackward:
         np.testing.assert_allclose(grads[0], np.tile(x.sum(axis=0), (2, 1)))
         np.testing.assert_allclose(grads[1], [4.0, 4.0])
 
-    def test_matches_finite_differences(self):
-        params = init_encoder(SPEC, seed=7)
+    @staticmethod
+    def _squared_error_check(spec):
+        params = init_encoder(spec, seed=7)
         x = np.random.default_rng(6).standard_normal((5, 5))
         target = np.random.default_rng(7).standard_normal((5, 4))
 
         def loss_fn(arrays):
             p = EncoderParams(
-                spec=SPEC, weights=[arrays[0], arrays[2]], biases=[arrays[1], arrays[3]],
-                init_seed=0,
+                spec=spec, weights=arrays[0::2], biases=arrays[1::2], init_seed=0,
             )
             emb, _ = encoder_forward(p, x)
             return 0.5 * ((emb - target) ** 2).sum()
 
         emb, cache = encoder_forward(params, x)
         grads = encoder_backward(cache, emb - target)
-        report = finite_diff_check(params.arrays(), loss_fn, grads, n_coords=60, seed=1)
+        return finite_diff_check(params.arrays(), loss_fn, grads, n_coords=60, seed=1)
+
+    def test_matches_finite_differences(self):
+        report = self._squared_error_check(SPEC)
+        assert report.max_rel_error < 1e-4
+
+    def test_tanh_matches_finite_differences(self):
+        # the harness default: the derivative 1 - a^2 is taken from the
+        # cached activations of both hidden layers
+        spec = EncoderSpec(input_dim=5, hidden_dims=(7, 6), output_dim=4, activation="tanh")
+        report = self._squared_error_check(spec)
+        assert report.n_checked >= 50
         assert report.max_rel_error < 1e-4
 
     def test_mismatched_grad_shape(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from predin.harness import (
     ExperimentConfig,
     _write_seed_artifacts,
     branch_score_fn,
+    build_partition,
     config_from_dict,
     load_config,
     load_dataset,
@@ -275,6 +277,45 @@ class TestAblation:
         assert len(table) == 1 + len(ABLATION_VARIANTS)
         for variant in ABLATION_VARIANTS:
             assert (tmp_path / "abl" / variant / "report.json").exists()
+
+    def test_dataset_loaded_once_and_left_intact(self, monkeypatch):
+        from predin import harness
+
+        calls = []
+        original = harness.generate_synthetic
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(harness, "generate_synthetic", counting)
+        cfg = tiny_config(seeds=(1,), epochs=2)
+        records = run_ablation(cfg, write_artifacts=False)
+        assert len(calls) == 1
+        # the last variant ran on the shared recordings after five others
+        alone = run_experiment(dataclasses.replace(cfg, variant="predin"), write_artifacts=False)
+        assert records["predin"].per_seed == alone.per_seed
+
+
+class TestBuildPartition:
+    def test_peak_memory_is_the_routed_tables(self):
+        cfg = tiny_config(dataset=dict(TINY_DATASET, channels=4, recording_ms=3000.0,
+                                       sampling_rate_hz=2000.0))
+        recordings, classes = load_dataset(cfg)
+        tracemalloc.start()
+        try:
+            part = build_partition(cfg, recordings, classes, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        train, test = part.train_windows, part.test_windows
+        tables = sum(
+            getattr(w, f).nbytes for w in (train, test)
+            for f in ("x", "labels", "trials", "subjects")
+        )
+        channel_row = len(train) * train.x.shape[2] * train.x.dtype.itemsize
+        # windowing every recording before routing would add all windows once more
+        assert peak <= tables + channel_row + 256 * 1024
 
 
 class TestSequentialVariant:

@@ -36,7 +36,6 @@ from predin.signals import (
     split_known_unknown,
     split_trials,
     standardize,
-    window_recordings,
 )
 
 SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4, activation="tanh")
@@ -58,9 +57,8 @@ def tiny_partition(seed=3, n_classes=5, n_known=3):
         sampling_rate_hz=400.0, separation=1.5, noise_scale=0.4,
     )
     recs, classes = generate_synthetic(cfg, seed=seed)
-    windows = window_recordings(recs, 200.0, 50.0)
     split = split_known_unknown(classes, n_known, seed=seed)
-    return standardize(split_trials(windows, {1, 2}, {3}, split))
+    return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
 
 
 class TestMarginDistance:

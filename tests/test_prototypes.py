@@ -7,6 +7,7 @@ from predin.prototypes import (
     dce_loss,
     init_prototypes,
     pl_loss,
+    scatter_add_rows,
 )
 from predin.encoder import finite_diff_check
 
@@ -205,3 +206,24 @@ class TestPlLoss:
             protos2 = protos - lr * dp
             loss2, _, _ = pl_loss(z2, labels, protos2, beta=1.0)
             assert loss2 < loss
+
+
+class TestScatterAddRows:
+    @pytest.mark.parametrize("d", [1, 2, 3, 8, 128])
+    def test_matches_add_at_bitwise(self, d):
+        rng = np.random.default_rng(d)
+        for _ in range(50):
+            n, n_out = int(rng.integers(0, 40)), int(rng.integers(1, 7))
+            rows = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-8, 9, (n, 1))
+            rows[rng.random((n, d)) < 0.3] = -0.0  # signed zeros on both sides
+            rows[rng.random((n, d)) < 0.1] = 0.0
+            base = rng.standard_normal((n_out, d))
+            base[rng.random((n_out, d)) < 0.5] = -0.0
+            index, index2 = rng.integers(0, n_out, n), rng.integers(0, n_out, n)
+            want, got = base.copy(), base.copy()
+            # two scatters onto one array, as triplet_loss does
+            np.add.at(want, index, rows)
+            np.add.at(want, index2, -rows[::-1])
+            scatter_add_rows(got, index, rows)
+            scatter_add_rows(got, index2, -rows[::-1])
+            assert want.tobytes() == got.tobytes()

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from predin.encoder import EncoderSpec, init_encoder
 from predin.scoring import (
+    SCORE_BLOCK_ROWS,
     ScoreTable,
     calibrate_threshold,
     decide,
@@ -208,3 +209,34 @@ class TestScoreWindows:
         assert [int(r["true_label"]) for r in rows] == [1, 1, UNKNOWN_LABEL]
         assert float(rows[0]["fused_smax"]) == scored.s_max[0]
         assert int(rows[0]["decision"]) == scored.predicted[0]
+
+
+class TestScoreBlocks:
+    B = SCORE_BLOCK_ROWS
+
+    @pytest.mark.parametrize("m", [0, B - 1, B, B + 1, 2 * B + 5])
+    def test_blocks_equal_one_pass_bitwise(self, m):
+        rng = np.random.default_rng(m)
+        spec = EncoderSpec(input_dim=24, hidden_dims=(16,), output_dim=8, activation="tanh")
+        fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((6, 8)))
+               for s in (1, 2)]
+        windows = make_windows(rng.standard_normal((m, 2, 12)))
+        rows_seen = []
+
+        def recording(fn):
+            def wrapped(x):
+                rows_seen.append(len(x))
+                return fn(x)
+            return wrapped
+
+        scored = score_windows([recording(fn) for fn in fns], windows, None)
+        one_pass = np.stack([fn(windows.flat) for fn in fns], axis=1)
+        assert scored.sims.shape == (m, 2, 6)
+        assert scored.sims.tobytes() == one_pass.tobytes()
+        fused = one_pass.mean(axis=1)
+        assert scored.fused.tobytes() == fused.tobytes()
+        np.testing.assert_array_equal(scored.predicted, fused.argmax(axis=1) + 1)
+        # blocks hold at most SCORE_BLOCK_ROWS rows and at least half as many
+        assert sum(rows_seen) == 2 * m
+        assert max(rows_seen) <= self.B and min(rows_seen) >= min(m, self.B // 2)
+        assert len(rows_seen) == 2 * max(1, -(-m // self.B))

@@ -90,6 +90,14 @@ class TestWindowing:
         for i in range(len(windows)):
             np.testing.assert_array_equal(windows.x[i], rec.samples[:, 100 * i : 100 * i + 400])
 
+    def test_recordings_table_is_contiguous(self):
+        recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
+        windows = window_recordings(recs, 200.0, 50.0)
+        assert windows.x.flags.c_contiguous
+        # flat is a view of the one copy, not a second copy
+        assert np.shares_memory(windows.flat, windows.x)
+        assert not any(np.shares_memory(windows.x, r.samples) for r in recs)
+
     def test_recordings_concatenate_in_order(self):
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
         windows = window_recordings(recs, 200.0, 50.0)
@@ -149,6 +157,43 @@ class TestStandardize:
         with pytest.raises(ValueError, match="empty"):
             standardize(self._partition([]))
 
+    def test_scales_tables_in_place(self):
+        rng = np.random.default_rng(3)
+        part = self._partition([rng.standard_normal((2, 5)) for _ in range(3)],
+                               [rng.standard_normal((2, 5))])
+        train_x, test_x = part.train_windows.x, part.test_windows.x
+        out = standardize(part)
+        assert out.train_windows.x is train_x and out.test_windows.x is test_x
+        assert out.stats is not None
+
+    def test_single_window_single_channel_stats(self):
+        # one (1, T) channel slice is contiguous: the statistics must still
+        # be taken from a copy, never by scaling the table while reducing it
+        x = np.array([[1.0, 2.0, 4.0, 9.0]])
+        out = standardize(self._partition([x]))
+        assert out.stats.mean[0] == x.mean()
+        assert out.stats.std[0] == x.std()
+        np.testing.assert_array_equal(out.train_windows.x[0], (x - x.mean()) / x.std())
+
+    def test_second_call_rejected(self):
+        rng = np.random.default_rng(4)
+        part = standardize(self._partition([rng.standard_normal((2, 6)) for _ in range(3)],
+                                           [rng.standard_normal((2, 6))]))
+        before = part.train_windows.x.copy()
+        with pytest.raises(ValueError, match="already standardized"):
+            standardize(part)
+        np.testing.assert_array_equal(part.train_windows.x, before)
+
+    def test_recording_views_never_written(self):
+        rec = make_recording(700)
+        samples = rec.samples.copy()
+        train = segment_windows(rec, 200.0, 50.0)
+        test = segment_windows(make_recording(500, trial=2), 200.0, 50.0)
+        with pytest.raises(ValueError, match="read-only"):
+            standardize(DatasetPartition(train_windows=train, test_windows=test))
+        np.testing.assert_array_equal(rec.samples, samples)
+        assert not train.x.flags.writeable and not test.x.flags.writeable
+
 
 class TestLabelSplit:
     def test_biopat_proportions(self):
@@ -189,36 +234,76 @@ class TestLabelSplit:
 
 
 class TestSplitTrials:
-    def _windows(self):
+    # 4-sample recordings at 1000 Hz, cut by 4 ms windows: one window each
+    W = (4.0, 4.0)
+
+    def _recordings(self):
         labels, trials = np.meshgrid([1, 2, 3], [1, 2, 3, 4], indexing="ij")
-        x = [np.full((1, 4), float(i)) for i in range(12)]
-        return make_table(x, labels=labels.ravel(), trials=trials.ravel())
+        return [
+            SignalRecording(np.full((1, 4), float(i)), 1000.0, int(label), int(trial), 1)
+            for i, (label, trial) in enumerate(zip(labels.ravel(), trials.ravel()))
+        ]
 
     def test_routing(self):
-        part = split_trials(self._windows(), {1, 2}, {3})
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3})
         assert set(part.train_windows.trials.tolist()) == {1, 2}
         assert set(part.test_windows.trials.tolist()) == {3}
         # rows travel with their metadata, in their original order
         np.testing.assert_array_equal(part.test_windows.x[:, 0, 0], [2.0, 6.0, 10.0])
 
     def test_empty_test_trials(self):
-        part = split_trials(self._windows(), {1, 2}, set())
+        part = split_trials(self._recordings(), *self.W, {1, 2}, set())
         assert len(part.test_windows) == 0
+        assert part.test_windows.x.shape == (0, 1, 4)
 
     def test_unlisted_trial_dropped(self):
-        part = split_trials(self._windows(), {1}, {2})
+        part = split_trials(self._recordings(), *self.W, {1}, {2})
         routed = len(part.train_windows) + len(part.test_windows)
         assert routed == 6  # trials 3 and 4 dropped
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            split_trials(self._windows(), {1, 2}, {2, 3})
+            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3})
 
     def test_known_filter_on_train_side(self):
         split = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
-        part = split_trials(self._windows(), {1, 2}, {3}, split)
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
         assert set(part.train_windows.labels.tolist()) == {1, 2}
         assert set(part.test_windows.labels.tolist()) == {1, 2, 3}
+
+    def test_equals_routing_every_window(self):
+        # routing recordings equals windowing everything and masking rows
+        cfg = SyntheticConfig(n_classes=5, channels=3, trials=4, recording_ms=700.0,
+                              sampling_rate_hz=500.0)
+        recs, classes = generate_synthetic(cfg, seed=8)
+        split = split_known_unknown(classes, 3, seed=2)
+        part = split_trials(recs, 200.0, 50.0, {1, 3}, {2}, split)
+        every = window_recordings(recs, 200.0, 50.0)
+        to_train = np.isin(every.trials, [1, 3]) & np.isin(every.labels, split.known_classes)
+        for got, rows in ((part.train_windows, to_train), (part.test_windows, every.trials == 2)):
+            for f in ("x", "labels", "trials", "subjects"):
+                np.testing.assert_array_equal(getattr(got, f), getattr(every, f)[rows])
+            assert got.x.flags.c_contiguous
+
+    def test_only_routed_recordings_windowed(self, monkeypatch):
+        from predin import signals
+
+        cut = []
+        original = signals.segment_windows
+
+        def counting(rec, *args):
+            cut.append((rec.gesture_label, rec.trial_id))
+            return original(rec, *args)
+
+        monkeypatch.setattr(signals, "segment_windows", counting)
+        split = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
+        split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
+        # class 3 in train trials and every trial-4 recording are never cut
+        assert sorted(cut) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)]
+
+    def test_no_recordings_rejected(self):
+        with pytest.raises(ValueError, match="no recordings"):
+            split_trials([], *self.W, {1}, {2})
 
 
 class TestSynthetic:
@@ -330,23 +415,25 @@ class TestPipelineInvariants:
         cfg = SyntheticConfig(n_classes=5, channels=2, trials=3, recording_ms=400.0,
                               sampling_rate_hz=500.0)
         recs, classes = generate_synthetic(cfg, seed=3)
-        windows = window_recordings(recs, 200.0, 50.0)
+        samples = [r.samples.copy() for r in recs]
 
         def build():
             split = split_known_unknown(classes, 3, seed=9)
-            return standardize(split_trials(windows, {1, 2}, {3}, split))
+            return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
 
         a, b = build(), build()
         assert a.label_split == b.label_split
         for side in ("train_windows", "test_windows"):
             np.testing.assert_array_equal(getattr(a, side).x, getattr(b, side).x)
+        # the in-place scaling never reaches the recordings
+        for r, before in zip(recs, samples):
+            np.testing.assert_array_equal(r.samples, before)
 
     def test_unknown_classes_present_in_test(self):
         cfg = SyntheticConfig(n_classes=6, channels=2, trials=3, recording_ms=400.0,
                               sampling_rate_hz=500.0)
         recs, classes = generate_synthetic(cfg, seed=3)
-        windows = window_recordings(recs, 200.0, 50.0)
         split = split_known_unknown(classes, 3, seed=4)
-        part = split_trials(windows, {1, 2}, {3}, split)
+        part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split)
         assert split.unknown_classes <= set(part.test_windows.labels.tolist())
         assert set(part.train_windows.labels.tolist()) <= set(split.known_classes)
