@@ -16,7 +16,6 @@ from .signals import (  # noqa: F401
     split_known_unknown,
     split_trials,
     standardize,
-    window_recordings,
 )
 from .encoder import (  # noqa: F401
     EncoderParams,
@@ -31,7 +30,6 @@ from .encoder import (  # noqa: F401
     sgd_step,
 )
 from .prototypes import (  # noqa: F401
-    class_posterior,
     compactness_loss,
     dce_loss,
     init_prototypes,
@@ -45,7 +43,6 @@ from .inconsistency import (  # noqa: F401
     div_loss,
     inconsistency_loss,
     init_branch,
-    margin_distance,
     proximity_probs,
     train,
     train_sequential,

@@ -188,6 +188,11 @@ class NonFiniteGradientError(ValueError):
     """A gradient handed to sgd_step holds a NaN or an infinity."""
 
 
+# sgd_step updates each array in blocks of whole rows of about this many
+# entries (256 KiB of float64)
+SGD_BLOCK = 1 << 15
+
+
 def sgd_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerState) -> None:
     """In-place update: v <- momentum*v + g; p <- p - lr*v.
 
@@ -197,15 +202,29 @@ def sgd_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerSt
     """
     if len(arrays) != len(grads) or len(arrays) != len(opt.velocities):
         raise ValueError("arrays, grads, and velocities must align")
-    for i, (a, g) in enumerate(zip(arrays, grads)):
-        if a.shape != g.shape:
-            raise ValueError(f"gradient shape {g.shape} does not match parameter {a.shape}")
-        if not np.isfinite(g).all():
-            raise NonFiniteGradientError(f"non-finite gradient in array {i}")
-    for a, g, v in zip(arrays, grads, opt.velocities):
-        v *= opt.momentum
-        v += g
-        a -= opt.learning_rate * v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (a, g) in enumerate(zip(arrays, grads)):
+            if a.shape != g.shape:
+                raise ValueError(f"gradient shape {g.shape} does not match parameter {a.shape}")
+            # a finite sum means every entry is finite; only a sum that is
+            # not (a NaN or inf entry, or finite entries that overflow) is
+            # checked entry by entry
+            if not np.isfinite(g.sum()) and not np.isfinite(g).all():
+                raise NonFiniteGradientError(f"non-finite gradient in array {i}")
+    # update in blocks of whole rows, about SGD_BLOCK entries each: lr*v
+    # goes into one small buffer, and a block stays in cache for all four
+    # elementwise passes, which give the same bits as whole-array passes
+    row_size = [a.size // max(len(a), 1) for a in arrays]
+    buf = np.empty(max([SGD_BLOCK, *row_size]))
+    for a, g, v, width in zip(arrays, grads, opt.velocities, row_size):
+        rows = max(1, SGD_BLOCK // max(width, 1))
+        for i in range(0, len(a), rows):
+            vb = v[i : i + rows]
+            vb *= opt.momentum
+            vb += g[i : i + rows]
+            lr_v = buf[: vb.size].reshape(vb.shape)
+            np.multiply(opt.learning_rate, vb, out=lr_v)
+            a[i : i + rows] -= lr_v
 
 
 def lr_schedule(epoch: int, base_lr: float) -> float:

@@ -247,8 +247,9 @@ def load_dataset(config: ExperimentConfig):
 
 
 def build_partition(config: ExperimentConfig, recordings, classes, seed: int) -> DatasetPartition:
-    """Route, window and standardize one seed's train/test tables; every
-    window is copied out of the recordings once and scaled in place."""
+    """Route, window and standardize one seed's train/test tables; each
+    side's routed recordings are copied once and scaled in place, and no
+    window is copied out until it is used."""
     split = split_known_unknown(classes, config.n_known, seed)
     part = split_trials(
         recordings, config.window_ms, config.step_ms,
@@ -371,8 +372,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     softmax and pl_baseline train one branch, the joint variants two;
     sequential_k trains sequential_k branches one after another.
     """
-    input_dim = partition.train_windows.flat.shape[1]
-    spec = _encoder_spec(config, input_dim)
+    spec = _encoder_spec(config, partition.train_windows.input_dim)
     n_classes = partition.label_split.n_known
     tc = _train_config(config, seed)
     hp = _variant_hp(config)

@@ -142,24 +142,6 @@ class ProximityDistribution:
     cache: ProximityCache | None = None
 
 
-def margin_distance(z: np.ndarray, prototypes: np.ndarray, label: int, m1: float) -> np.ndarray:
-    """Margin-clamped relative distances of one embedding to the other classes.
-
-    Entry j (in ascending class order, own class skipped) is
-    -max(z.p^y - z.p^j - m1, 0); the z.p^y term is a constant under
-    differentiation.
-    """
-    z = np.asarray(z, dtype=np.float64)
-    p = np.asarray(prototypes, dtype=np.float64)
-    n = p.shape[0]
-    if not 1 <= label <= n:
-        raise ValueError(f"label must lie in 1..{n}")
-    dots = p @ z
-    own = dots[label - 1]
-    others = np.delete(dots, label - 1)
-    return -np.maximum(own - others - m1, 0.0)
-
-
 def own_class_dots(embeddings: np.ndarray, labels, prototypes: np.ndarray) -> np.ndarray:
     """Per-sample dot product with the own-class prototype, z_i . p^{y_i}."""
     z = np.asarray(embeddings, dtype=np.float64)
@@ -419,16 +401,16 @@ class EpochTrace:
 
 
 def training_arrays(partition: DatasetPartition):
-    """Flattened train inputs and remapped 1..N labels."""
+    """The train window table and its remapped 1..N labels."""
     train = partition.train_windows
     if not len(train):
         raise ValueError("training partition is empty")
     if partition.label_split is None:
-        return train.flat, train.labels
+        return train, train.labels
     y = partition.label_split.remap(train.labels)
     if (y < 1).any():
         raise ValueError("unknown-class window found in the training partition")
-    return train.flat, y
+    return train, y
 
 
 def train(
@@ -447,7 +429,7 @@ def train(
     """
     if partition.stats is None:
         raise ValueError("partition must be standardized before training")
-    x, y = training_arrays(partition)
+    windows, y = training_arrays(partition)
     rng = np.random.default_rng(config.shuffle_seed)
     arrays = [b.arrays() for b in branches]
     trace: list[EpochTrace] = []
@@ -460,7 +442,7 @@ def train(
         perm = rng.permutation(len(y))
         for bi, start in enumerate(range(0, len(y), config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            res = objective(TrainBatch(x[idx], y[idx]), branches)
+            res = objective(TrainBatch(windows.rows(idx), y[idx]), branches)
             where = f"at epoch {epoch}, batch {bi}"
             if not np.isfinite(res.terms["total"]):
                 detail = ", ".join(f"{k}={v}" for k, v in res.terms.items())

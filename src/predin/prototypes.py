@@ -65,12 +65,6 @@ def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return labels
 
 
-def class_posterior(z: np.ndarray, prototypes: np.ndarray) -> np.ndarray:
-    """Posterior over the N known classes for a single embedding."""
-    z = np.asarray(z, dtype=np.float64)
-    return softmax(np.asarray(prototypes, dtype=np.float64) @ z)[0]
-
-
 def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     """Distance cross-entropy: mean negative log posterior of the true class.
 
@@ -97,6 +91,11 @@ def compactness_loss(
 
     With u = z - p^y:  0.5*||u||_2^2 when ||u||_1 < 1, else ||u||_1 - 0.5.
     form="literal" keeps the unsquared small branch 0.5*||u||_2 instead.
+
+    Both forms step in value at ||u||_1 = 1, where the large branch gives
+    exactly 0.5 but the small branch gives 0.5*||u||_2^2 (huber_sq, as low
+    as 0.5/d) or 0.5*||u||_2 (literal). For u = (0.5, 0.5), huber_sq gives
+    0.25 just below the switch and 0.5 at and above it.
     """
     if form not in COMPACTNESS_FORMS:
         raise ValueError(f"form must be one of {COMPACTNESS_FORMS}")

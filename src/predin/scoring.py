@@ -69,15 +69,17 @@ def score_windows(
     The prediction is the fused argmax, lowest class index on ties. True
     labels are remapped through the label split; windows of classes
     outside it carry UNKNOWN_LABEL. Rows are scored in blocks of at most
-    SCORE_BLOCK_ROWS into one preallocated similarity table.
+    SCORE_BLOCK_ROWS into one preallocated similarity table; each block's
+    rows are gathered from the table only while that block is scored.
     """
-    x = windows.flat
-    m = len(x)
+    m = len(windows)
     n_blocks = max(1, -(-m // SCORE_BLOCK_ROWS))
     bounds = [m * i // n_blocks for i in range(n_blocks + 1)]
     sims = None
     for start, end in zip(bounds[:-1], bounds[1:]):
-        block = np.stack([fn(x[start:end]) for fn in branch_score_fns], axis=1)
+        x = windows.rows(slice(start, end))
+        block = np.stack([fn(x) for fn in branch_score_fns], axis=1)
+        del x  # freed before the next block is gathered
         if sims is None:
             sims = np.empty((m, *block.shape[1:]), dtype=block.dtype)
         sims[start:end] = block

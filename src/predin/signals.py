@@ -64,26 +64,50 @@ class SignalRecording:
 
 @dataclass
 class WindowTable:
-    """M fixed-length windows with one label, trial and subject id each."""
+    """M fixed-length windows cut from one (C, L) signal, with one label,
+    trial and subject id each.
 
-    x: np.ndarray  # (M, channels, window_len)
+    Window i is ``signal[:, starts[i] : starts[i] + window_len]``; windows
+    overlap in the signal instead of being stored apart. ``rows`` gathers
+    the encoder inputs of selected windows into one contiguous block.
+    """
+
+    signal: np.ndarray  # (channels, L)
+    window_len: int
+    starts: np.ndarray  # (M,) first sample of each window
     labels: np.ndarray  # (M,) original class ids
     trials: np.ndarray  # (M,)
     subjects: np.ndarray  # (M,)
 
     def __post_init__(self):
-        if self.x.ndim != 3:
-            raise ValueError(f"windows must be an (M, C, T) array, got shape {self.x.shape}")
-        if not len(self.labels) == len(self.trials) == len(self.subjects) == len(self.x):
+        if self.signal.ndim != 2:
+            raise ValueError(f"signal must be a (C, L) array, got shape {self.signal.shape}")
+        if self.window_len < 1:
+            raise ValueError(f"window_len must be >= 1, got {self.window_len}")
+        if not len(self.labels) == len(self.trials) == len(self.subjects) == len(self.starts):
             raise ValueError("window metadata vectors must have one entry per window")
+        if len(self.starts) and not (
+            self.starts.min() >= 0 and self.starts.max() + self.window_len <= self.signal.shape[1]
+        ):
+            raise ValueError("window starts must lie inside the signal")
 
     def __len__(self) -> int:
-        return self.x.shape[0]
+        return len(self.starts)
 
     @property
-    def flat(self) -> np.ndarray:
-        """(M, C*T) encoder inputs; a view when x is contiguous."""
-        return self.x.reshape(len(self), self.x.shape[1] * self.x.shape[2])
+    def input_dim(self) -> int:
+        """Length C*T of one flattened window."""
+        return self.signal.shape[0] * self.window_len
+
+    def rows(self, sel=slice(None)) -> np.ndarray:
+        """(n, C*T) encoder inputs of the windows ``starts[sel]`` selects
+        (an index vector or a slice), gathered into one fresh C-contiguous
+        block."""
+        starts = self.starts[sel]
+        if not len(starts):
+            return np.empty((0, self.input_dim), dtype=self.signal.dtype)
+        view = sliding_window_view(self.signal, self.window_len, axis=1)
+        return view.transpose(1, 0, 2)[starts].reshape(len(starts), self.input_dim)
 
 
 @dataclass(frozen=True)
@@ -156,37 +180,21 @@ def segment_windows(recording: SignalRecording, window_ms: float, step_ms: float
     """Slide a fixed window over the recording; trailing partials are dropped.
 
     Yields floor((timesteps - window_len) / stride) + 1 windows, or none
-    when the recording is shorter than one window. The windows are a
-    read-only view into the recording's samples.
+    when the recording is shorter than one window. The table's signal is a
+    read-only view of the recording's samples.
     """
     window_len, stride = window_geometry(recording.sampling_rate, window_ms, step_ms)
-    if recording.n_timesteps < window_len:
-        x = np.empty((0, recording.n_channels, window_len))
-    else:
-        views = sliding_window_view(recording.samples, window_len, axis=1)[:, ::stride]
-        x = views.transpose(1, 0, 2)
-    m = x.shape[0]
+    m = max(0, (recording.n_timesteps - window_len) // stride + 1)
+    signal = recording.samples.view()
+    signal.flags.writeable = False
     return WindowTable(
-        x=x,
+        signal=signal,
+        window_len=window_len,
+        starts=np.arange(m, dtype=np.int64) * stride,
         labels=np.full(m, recording.gesture_label, dtype=np.int64),
         trials=np.full(m, recording.trial_id, dtype=np.int64),
         subjects=np.full(m, recording.subject_id, dtype=np.int64),
     )
-
-
-def window_recordings(recordings, window_ms: float, step_ms: float) -> WindowTable:
-    """Windows of every recording, in recording order, in one table.
-
-    Each window is copied once, from the recording's sliding view straight
-    into one C-contiguous (M, C, T) array, so ``flat`` is a view of it.
-    """
-    tables = [segment_windows(r, window_ms, step_ms) for r in recordings]
-    if not tables:
-        raise ValueError("no recordings to window")
-    x = np.empty((sum(map(len, tables)), *tables[0].x.shape[1:]))
-    np.concatenate([t.x for t in tables], out=x)
-    fields = ("labels", "trials", "subjects")
-    return WindowTable(x, *(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
 
 
 def split_known_unknown(all_classes, n_known: int, seed: int) -> LabelSplit:
@@ -218,9 +226,11 @@ def split_trials(
 
     Every recording carries one trial and one label, so routing whole
     recordings routes their windows exactly; only routed recordings are
-    windowed. Recordings whose trial id is in neither set are dropped. When
-    a label split is given, unknown-class recordings are kept out of the
-    train side (they stay in test).
+    windowed. Each side's table holds one fresh copy of its routed
+    recordings, concatenated in time, and the start of every window in it.
+    Recordings whose trial id is in neither set are dropped. When a label
+    split is given, unknown-class recordings are kept out of the train side
+    (they stay in test).
     """
     train_trials = set(train_trials)
     test_trials = set(test_trials)
@@ -231,14 +241,22 @@ def split_trials(
     known = None if label_split is None else set(label_split.known_classes)
 
     def side(routed) -> WindowTable:
-        if routed:
-            return window_recordings(routed, window_ms, step_ms)
-        first = recordings[0]
-        window_len, _ = window_geometry(first.sampling_rate, window_ms, step_ms)
-        return WindowTable(
-            np.empty((0, first.n_channels, window_len)),
-            *(np.empty(0, dtype=np.int64) for _ in range(3)),
-        )
+        if not routed:
+            first = recordings[0]
+            window_len, _ = window_geometry(first.sampling_rate, window_ms, step_ms)
+            return WindowTable(np.empty((first.n_channels, 0)), window_len,
+                               *(np.empty(0, dtype=np.int64) for _ in range(4)))
+        tables = [segment_windows(r, window_ms, step_ms) for r in routed]
+        if len({t.window_len for t in tables}) > 1:
+            raise ValueError("routed recordings give windows of different lengths")
+        # one fresh copy of the routed recordings, end to end; each window's
+        # start moves by the samples of the recordings before it
+        signal = np.concatenate([t.signal for t in tables], axis=1)
+        offsets = np.cumsum([0] + [t.signal.shape[1] for t in tables[:-1]])
+        starts = np.concatenate([t.starts + o for t, o in zip(tables, offsets)])
+        fields = ("labels", "trials", "subjects")
+        return WindowTable(signal, tables[0].window_len, starts,
+                           *(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
 
     return DatasetPartition(
         train_windows=side([
@@ -251,15 +269,16 @@ def split_trials(
 
 
 def standardize(partition: DatasetPartition) -> DatasetPartition:
-    """Channel-wise standardization with statistics from the train side only.
+    """Channel-wise standardization with statistics from the train windows only.
 
-    The same per-channel mean/std is applied to train and test windows, so
-    nothing about the test distribution leaks into the transform. Channels
-    whose training std falls below STD_FLOOR are scaled by the floor and a
-    warning is emitted. The window tables are scaled in place and the
-    partition is returned with its ``stats`` set; a partition that already
-    carries stats, or whose tables are read-only views into recordings, is
-    rejected before anything is written.
+    The same per-channel mean/std is applied to train and test, so nothing
+    about the test distribution leaks into the transform. Channels whose
+    training std falls below STD_FLOOR are scaled by the floor and a
+    warning is emitted. Each side's signal is scaled in place, which scales
+    every window cut from it, and the partition is returned with its
+    ``stats`` set; a partition that already carries stats, or whose signals
+    are read-only views of recordings, is rejected before anything is
+    written.
     """
     if partition.stats is not None:
         raise ValueError("partition is already standardized")
@@ -267,22 +286,25 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     if not len(train):
         raise ValueError("cannot standardize: training partition is empty")
     for name in ("train_windows", "test_windows"):
-        if not getattr(partition, name).x.flags.writeable:
+        if not getattr(partition, name).signal.flags.writeable:
             raise ValueError(
                 f"cannot standardize in place: {name} is read-only "
-                "(window the recordings with window_recordings or split_trials)"
+                "(window the recordings with split_trials)"
             )
-    # reduce each channel as one contiguous (M*T,) row: the summation order
-    # the statistics are defined by, so they stay bit-stable
-    mean = np.empty(train.x.shape[1])
-    std = np.empty(train.x.shape[1])
-    for c in range(train.x.shape[1]):
-        row = train.x[:, c, :].flatten()  # always a copy, never a view
+    # reduce each channel as one (M*T,) row of its windows in table order:
+    # the summation order the statistics are defined by, so they stay
+    # bit-stable; a sample in several windows counts once per window
+    n_channels = train.signal.shape[0]
+    view = sliding_window_view(train.signal, train.window_len, axis=1)
+    mean = np.empty(n_channels)
+    std = np.empty(n_channels)
+    for c in range(n_channels):
+        row = view[c][train.starts].reshape(-1)  # the gather is a copy, never a view
         mean[c] = row.mean()
         row -= mean[c]  # np.std's own steps, done in the one copy
         row *= row
         std[c] = np.sqrt(row.mean())
-        del row  # freed before the next channel is copied
+        del row  # freed before the next channel is gathered
     floored = np.nonzero(std < STD_FLOOR)[0]
     if floored.size:
         warnings.warn(
@@ -292,8 +314,8 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
         )
         std = np.where(std < STD_FLOOR, STD_FLOOR, std)
     for w in (train, partition.test_windows):
-        w.x -= mean[:, None]
-        w.x /= std[:, None]
+        w.signal -= mean[:, None]
+        w.signal /= std[:, None]
     partition.stats = StandardizationStats(mean, std, floored_channels=tuple(floored.tolist()))
     return partition
 

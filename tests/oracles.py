@@ -5,7 +5,10 @@ loops, exhaustive sweeps, scalar arithmetic) and never call the code paths
 they are oracles for.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def auc_pairwise(known, unknown) -> float:
@@ -137,3 +140,86 @@ def dot_scalar(a, b) -> float:
     for x, y in zip(a, b):
         s += x * y
     return s
+
+
+def window_recordings(recordings, window_ms: float, step_ms: float) -> SimpleNamespace:
+    """Every window of every recording, each copied out on its own.
+
+    The former library table: one C-contiguous (M, C, T) array ``x`` filled
+    with np.concatenate(..., out=) from each recording's sliding view, in
+    recording order, plus per-window ``labels``, ``trials`` and ``subjects``.
+    """
+    views = []
+    for r in recordings:
+        t = int(round(window_ms * r.sampling_rate / 1000.0))
+        stride = int(round(step_ms * r.sampling_rate / 1000.0))
+        if r.n_timesteps < t:
+            views.append(np.empty((0, r.n_channels, t)))
+        else:
+            views.append(sliding_window_view(r.samples, t, axis=1)[:, ::stride].transpose(1, 0, 2))
+    x = np.empty((sum(map(len, views)), *views[0].shape[1:]))
+    np.concatenate(views, out=x)
+
+    def per_window(attr):
+        return np.concatenate([np.full(len(v), getattr(r, attr), dtype=np.int64)
+                               for r, v in zip(recordings, views)])
+
+    return SimpleNamespace(x=x, labels=per_window("gesture_label"),
+                           trials=per_window("trial_id"), subjects=per_window("subject_id"))
+
+
+def standardize_copies(train_x, test_x, floor: float = 1e-8):
+    """The former in-place standardization of (M, C, T) window copies.
+
+    Each channel's statistics come from ``train_x[:, c, :].flatten()``
+    (mean, then np.std's subtract-square-mean steps in that copy); both
+    arrays are then scaled in place. Returns (mean, std), std floored.
+    """
+    mean = np.empty(train_x.shape[1])
+    std = np.empty(train_x.shape[1])
+    for c in range(train_x.shape[1]):
+        row = train_x[:, c, :].flatten()
+        mean[c] = row.mean()
+        row -= mean[c]
+        row *= row
+        std[c] = np.sqrt(row.mean())
+    std = np.where(std < floor, floor, std)
+    for x in (train_x, test_x):
+        x -= mean[:, None]
+        x /= std[:, None]
+    return mean, std
+
+
+def sgd_step_three_lines(arrays, grads, velocities, lr: float, momentum: float) -> None:
+    """The former momentum update, one temporary per parameter."""
+    for a, g, v in zip(arrays, grads, velocities):
+        v *= momentum
+        v += g
+        a -= lr * v
+
+
+def margin_distance(z, prototypes, label: int, m1: float) -> np.ndarray:
+    """Margin-clamped relative distances of one embedding to the other classes.
+
+    Entry j (in ascending class order, own class skipped) is
+    -max(z.p^y - z.p^j - m1, 0); the z.p^y term is a constant under
+    differentiation. The one-sample form of the clamp inside
+    proximity_probs.
+    """
+    z = np.asarray(z, dtype=np.float64)
+    p = np.asarray(prototypes, dtype=np.float64)
+    n = p.shape[0]
+    if not 1 <= label <= n:
+        raise ValueError(f"label must lie in 1..{n}")
+    dots = p @ z
+    own = dots[label - 1]
+    others = np.delete(dots, label - 1)
+    return -np.maximum(own - others - m1, 0.0)
+
+
+def class_posterior(z, prototypes) -> np.ndarray:
+    """Posterior over the N known classes for a single embedding: the
+    softmax of its prototype dot products, with max subtraction."""
+    dots = np.asarray(prototypes, dtype=np.float64) @ np.asarray(z, dtype=np.float64)
+    e = np.exp(dots - dots.max())
+    return e / e.sum()

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,11 +12,12 @@ from predin.encoder import (
     finite_diff_check,
     init_encoder,
     init_optimizer,
+    SGD_BLOCK,
     lr_schedule,
     sgd_step,
 )
 
-from oracles import mlp_forward_scalar
+from oracles import mlp_forward_scalar, sgd_step_three_lines
 
 SPEC = EncoderSpec(input_dim=5, hidden_dims=(7,), output_dim=4, activation="relu")
 
@@ -193,6 +196,46 @@ class TestSgd:
             sgd_step(arrays, grads, opt)
         for x, y in zip(before, arrays + opt.velocities):
             assert x.tobytes() == y.tobytes()
+
+
+    def test_twenty_steps_match_three_line_update_bitwise(self):
+        rng = np.random.default_rng(10)
+        # single blocks, several blocks of rows or entries, and a row wider than a block
+        shapes = [(7, 5), (7,), (4, 7), (5, 9000), (40000,), (2, SGD_BLOCK + 3)]
+        arrays = [rng.standard_normal(sh) for sh in shapes]
+        ref = [a.copy() for a in arrays]
+        ref_v = [np.zeros_like(a) for a in arrays]
+        opt = init_optimizer(arrays, learning_rate=0.05, momentum=0.9)
+        for step in range(20):
+            grads = [rng.standard_normal(sh) * 10.0 ** (step % 5 - 2) for sh in shapes]
+            sgd_step(arrays, grads, opt)
+            sgd_step_three_lines(ref, grads, ref_v, 0.05, 0.9)
+        for got, want in zip(arrays + opt.velocities, ref + ref_v):
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [[np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf]])
+    def test_inf_last_grad_leaves_every_array_unchanged(self, bad):
+        rng = np.random.default_rng(11)
+        arrays = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
+        opt = init_optimizer(arrays, learning_rate=0.01)
+        sgd_step(arrays, [np.ones_like(a) for a in arrays], opt)
+        before = [a.copy() for a in arrays + opt.velocities]
+        with pytest.raises(ValueError, match="non-finite gradient in array 1"):
+            sgd_step(arrays, [np.ones((3, 2)), np.array(bad)], opt)
+        for x, y in zip(before, arrays + opt.velocities):
+            assert x.tobytes() == y.tobytes()
+
+    def test_finite_grad_whose_sum_overflows_passes(self):
+        a, ref = np.zeros(3), np.zeros(3)
+        g = np.array([1.5e308, 1.5e308, -1.0])
+        with np.errstate(over="ignore"):
+            assert np.isinf(g.sum())  # so the step takes the entry-by-entry path
+        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sgd_step([a], [g], opt)
+        sgd_step_three_lines([ref], [g], [np.zeros(3)], 0.01, 0.9)
+        assert a.tobytes() == ref.tobytes()
 
 
 class TestLrSchedule:

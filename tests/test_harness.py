@@ -311,10 +311,11 @@ class TestBuildPartition:
         train, test = part.train_windows, part.test_windows
         tables = sum(
             getattr(w, f).nbytes for w in (train, test)
-            for f in ("x", "labels", "trials", "subjects")
+            for f in ("signal", "starts", "labels", "trials", "subjects")
         )
-        channel_row = len(train) * train.x.shape[2] * train.x.dtype.itemsize
-        # windowing every recording before routing would add all windows once more
+        channel_row = len(train) * train.window_len * train.signal.dtype.itemsize
+        # copying every window out, or windowing every recording before
+        # routing, would add the windows once more
         assert peak <= tables + channel_row + 256 * 1024
 
 

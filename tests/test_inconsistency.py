@@ -16,7 +16,6 @@ from predin.inconsistency import (
     inconsistency_loss,
     init_branch,
     load_checkpoint,
-    margin_distance,
     nearest_other_prototype,
     pl_objective,
     proximity_probs,
@@ -37,6 +36,8 @@ from predin.signals import (
     split_trials,
     standardize,
 )
+
+from oracles import margin_distance
 
 SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4, activation="tanh")
 
@@ -528,5 +529,5 @@ def test_failed_write_leaves_existing_artifact(tmp_path, monkeypatch, name):
 
 
 def _spec_for(partition):
-    dim = partition.train_windows.flat.shape[1]
+    dim = partition.train_windows.input_dim
     return EncoderSpec(input_dim=dim, hidden_dims=(16,), output_dim=8, activation="tanh")

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from predin.prototypes import (
-    class_posterior,
     compactness_loss,
     dce_loss,
     init_prototypes,
@@ -10,6 +9,8 @@ from predin.prototypes import (
     scatter_add_rows,
 )
 from predin.encoder import finite_diff_check
+
+from oracles import class_posterior
 
 
 def protos_from(rows):

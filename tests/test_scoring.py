@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,11 +22,14 @@ from oracles import dot_scalar
 
 
 def make_windows(x, labels=None):
-    """Window table of (M, C, T) inputs; labels default to class 1."""
+    """Window table of (M, C, T) inputs laid end to end in one signal;
+    labels default to class 1."""
     x = np.asarray(x, dtype=np.float64)
-    m = len(x)
+    m, c, t = x.shape
     labels = np.ones(m, dtype=np.int64) if labels is None else np.asarray(labels)
-    return WindowTable(x=x, labels=labels, trials=np.full(m, 3), subjects=np.full(m, 1))
+    return WindowTable(signal=x.transpose(1, 0, 2).reshape(c, m * t), window_len=t,
+                       starts=np.arange(m) * t, labels=labels, trials=np.full(m, 3),
+                       subjects=np.full(m, 1))
 
 
 def score_fixed(*branch_sims):
@@ -220,7 +224,8 @@ class TestScoreBlocks:
         spec = EncoderSpec(input_dim=24, hidden_dims=(16,), output_dim=8, activation="tanh")
         fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((6, 8)))
                for s in (1, 2)]
-        windows = make_windows(rng.standard_normal((m, 2, 12)))
+        x = rng.standard_normal((m, 2, 12))
+        windows = make_windows(x)
         rows_seen = []
 
         def recording(fn):
@@ -230,7 +235,7 @@ class TestScoreBlocks:
             return wrapped
 
         scored = score_windows([recording(fn) for fn in fns], windows, None)
-        one_pass = np.stack([fn(windows.flat) for fn in fns], axis=1)
+        one_pass = np.stack([fn(x.reshape(m, 24)) for fn in fns], axis=1)
         assert scored.sims.shape == (m, 2, 6)
         assert scored.sims.tobytes() == one_pass.tobytes()
         fused = one_pass.mean(axis=1)
@@ -240,3 +245,28 @@ class TestScoreBlocks:
         assert sum(rows_seen) == 2 * m
         assert max(rows_seen) <= self.B and min(rows_seen) >= min(m, self.B // 2)
         assert len(rows_seen) == 2 * max(1, -(-m // self.B))
+
+    def test_peak_memory_is_one_gathered_block(self):
+        # three blocks of overlapping windows: only one block's gathered rows
+        # and activations may be alive at once, never the whole table
+        m, c, t, step, hidden, out, n = 2 * self.B + 500, 4, 64, 16, 32, 8, 6
+        rng = np.random.default_rng(0)
+        ids = np.ones(m, dtype=np.int64)
+        windows = WindowTable(rng.standard_normal((c, (m - 1) * step + t)), t,
+                              np.arange(m) * step, ids, ids, ids)
+        spec = EncoderSpec(input_dim=c * t, hidden_dims=(hidden,), output_dim=out,
+                           activation="tanh")
+        fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((n, out)))
+               for s in (1, 2)]
+        tracemalloc.start()
+        try:
+            scored = score_windows(fns, windows, None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = -(-m // 3)
+        gathered = block * c * t * 8
+        # a @ w.T, + b and the activation of each layer, then each branch's
+        # (block, N) scores and their stack
+        activations = 3 * block * (hidden + out) * 8 + 2 * block * len(fns) * n * 8
+        assert peak <= scored.sims.nbytes + gathered + activations + 256 * 1024

@@ -16,9 +16,9 @@ from predin.signals import (
     split_trials,
     standardize,
     window_geometry,
-    window_recordings,
 )
 
+import oracles
 from oracles import count_windows_enumeration
 
 
@@ -34,15 +34,24 @@ def make_recording(n_samples, channels=2, rate=2000.0, label=1, trial=1):
 
 
 def make_table(arrays, labels=1, trials=1):
-    """Window table of equally shaped (C, T) arrays with scalar or per-window metadata."""
-    x = np.stack(arrays) if len(arrays) else np.empty((0, 1, 1))
-    m = len(x)
+    """Window table of equally shaped (C, T) arrays, laid end to end in one
+    signal, with scalar or per-window metadata."""
+    m = len(arrays)
+    signal = np.concatenate(arrays, axis=1) if m else np.empty((1, 0))
+    t = arrays[0].shape[1] if m else 1
     return WindowTable(
-        x=x,
+        signal=signal,
+        window_len=t,
+        starts=np.arange(m, dtype=np.int64) * t,
         labels=np.broadcast_to(labels, m).astype(np.int64),
         trials=np.broadcast_to(trials, m).astype(np.int64),
         subjects=np.ones(m, dtype=np.int64),
     )
+
+
+def cube(table, sel=slice(None)):
+    """Gathered rows of the selected windows as an (n, C, T) array."""
+    return table.rows(sel).reshape(-1, table.signal.shape[0], table.window_len)
 
 
 class TestWindowing:
@@ -53,7 +62,7 @@ class TestWindowing:
     def test_single_window(self):
         windows = segment_windows(make_recording(400), 200.0, 50.0)
         assert len(windows) == 1
-        assert windows.x.shape == (1, 2, 400)
+        assert cube(windows).shape == (1, 2, 400)
 
     def test_count_formula(self):
         windows = segment_windows(make_recording(1000), 200.0, 50.0)
@@ -62,7 +71,7 @@ class TestWindowing:
     def test_too_short_gives_empty(self):
         windows = segment_windows(make_recording(399), 200.0, 50.0)
         assert len(windows) == 0
-        assert windows.x.shape == (0, 2, 400)
+        assert cube(windows).shape == (0, 2, 400)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
@@ -88,22 +97,43 @@ class TestWindowing:
         rec = make_recording(700)
         windows = segment_windows(rec, 200.0, 50.0)
         for i in range(len(windows)):
-            np.testing.assert_array_equal(windows.x[i], rec.samples[:, 100 * i : 100 * i + 400])
+            np.testing.assert_array_equal(cube(windows, [i])[0],
+                                          rec.samples[:, 100 * i : 100 * i + 400])
+
+    def test_segment_table_is_read_only_view(self):
+        rec = make_recording(700)
+        windows = segment_windows(rec, 200.0, 50.0)
+        assert np.shares_memory(windows.signal, rec.samples)
+        assert not windows.signal.flags.writeable
+        np.testing.assert_array_equal(windows.starts, [0, 100, 200, 300])
 
     def test_recordings_table_is_contiguous(self):
+        # each side's signal is one fresh C-contiguous copy of its recordings,
+        # and every gather from it is C-contiguous
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        windows = window_recordings(recs, 200.0, 50.0)
-        assert windows.x.flags.c_contiguous
-        # flat is a view of the one copy, not a second copy
-        assert np.shares_memory(windows.flat, windows.x)
-        assert not any(np.shares_memory(windows.x, r.samples) for r in recs)
+        two = split_trials(recs, 200.0, 50.0, {1, 2}, set())
+        one_each = split_trials(recs, 200.0, 50.0, {1}, {2})
+        assert two.train_windows.signal.shape == (2, 500 + 700)
+        for windows in (two.train_windows, one_each.train_windows, one_each.test_windows):
+            assert windows.signal.flags.c_contiguous and windows.signal.flags.owndata
+            assert not any(np.shares_memory(windows.signal, r.samples) for r in recs)
+            for sel in (slice(None), np.array([1, 0, 1]), slice(1, 2)):
+                got = windows.rows(sel)
+                assert got.flags.c_contiguous
+                assert not np.shares_memory(got, windows.signal)
 
     def test_recordings_concatenate_in_order(self):
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        windows = window_recordings(recs, 200.0, 50.0)
+        windows = split_trials(recs, 200.0, 50.0, {1, 2}, set()).train_windows
         assert len(windows) == 2 + 4
         np.testing.assert_array_equal(windows.labels, [4, 4, 5, 5, 5, 5])
-        np.testing.assert_array_equal(windows.x[2], recs[1].samples[:, :400])
+        np.testing.assert_array_equal(cube(windows)[2], recs[1].samples[:, :400])
+
+    def test_starts_outside_signal_rejected(self):
+        ids = np.ones(1, dtype=np.int64)
+        for start in (-1, 97):
+            with pytest.raises(ValueError, match="inside the signal"):
+                WindowTable(np.zeros((2, 100)), 4, np.array([start]), ids, ids, ids)
 
 
 class TestStandardize:
@@ -115,7 +145,7 @@ class TestStandardize:
     def test_two_value_channel(self):
         part = self._partition([np.array([[1.0, 3.0]])])
         out = standardize(part)
-        np.testing.assert_allclose(out.train_windows.x[0], [[-1.0, 1.0]])
+        np.testing.assert_allclose(cube(out.train_windows)[0], [[-1.0, 1.0]])
         assert out.stats.mean[0] == 2.0
         assert out.stats.std[0] == 1.0
 
@@ -124,13 +154,13 @@ class TestStandardize:
         x = rng.standard_normal((1, 4000))
         x = (x - x.mean()) / x.std()
         out = standardize(self._partition([x]))
-        np.testing.assert_allclose(out.train_windows.x[0], x, atol=1e-6)
+        np.testing.assert_allclose(cube(out.train_windows)[0], x, atol=1e-6)
 
     def test_constant_channel_floored(self):
         part = self._partition([np.full((1, 3), 5.0)])
         with pytest.warns(UserWarning, match="floored"):
             out = standardize(part)
-        np.testing.assert_array_equal(out.train_windows.x[0], np.zeros((1, 3)))
+        np.testing.assert_array_equal(cube(out.train_windows)[0], np.zeros((1, 3)))
         assert out.stats.floored_channels == (0,)
         assert out.stats.std[0] == 1e-8
 
@@ -143,7 +173,7 @@ class TestStandardize:
         np.testing.assert_array_equal(out.stats.mean, stacked.mean(axis=1))
         np.testing.assert_array_equal(out.stats.std, stacked.std(axis=1))
         # train side is exactly zero-mean unit-std afterwards, test is not
-        train_stack = np.concatenate(list(out.train_windows.x), axis=1)
+        train_stack = np.concatenate(list(cube(out.train_windows)), axis=1)
         np.testing.assert_allclose(train_stack.mean(axis=1), 0.0, atol=1e-6)
         np.testing.assert_allclose(train_stack.std(axis=1), 1.0, atol=1e-6)
 
@@ -151,7 +181,7 @@ class TestStandardize:
         train = [np.array([[0.0, 2.0]])]
         test = [np.array([[4.0, 6.0]])]
         out = standardize(self._partition(train, test))
-        np.testing.assert_allclose(out.test_windows.x[0], [[3.0, 5.0]])
+        np.testing.assert_allclose(cube(out.test_windows)[0], [[3.0, 5.0]])
 
     def test_empty_train_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -161,9 +191,9 @@ class TestStandardize:
         rng = np.random.default_rng(3)
         part = self._partition([rng.standard_normal((2, 5)) for _ in range(3)],
                                [rng.standard_normal((2, 5))])
-        train_x, test_x = part.train_windows.x, part.test_windows.x
+        train_x, test_x = part.train_windows.signal, part.test_windows.signal
         out = standardize(part)
-        assert out.train_windows.x is train_x and out.test_windows.x is test_x
+        assert out.train_windows.signal is train_x and out.test_windows.signal is test_x
         assert out.stats is not None
 
     def test_single_window_single_channel_stats(self):
@@ -173,16 +203,16 @@ class TestStandardize:
         out = standardize(self._partition([x]))
         assert out.stats.mean[0] == x.mean()
         assert out.stats.std[0] == x.std()
-        np.testing.assert_array_equal(out.train_windows.x[0], (x - x.mean()) / x.std())
+        np.testing.assert_array_equal(cube(out.train_windows)[0], (x - x.mean()) / x.std())
 
     def test_second_call_rejected(self):
         rng = np.random.default_rng(4)
         part = standardize(self._partition([rng.standard_normal((2, 6)) for _ in range(3)],
                                            [rng.standard_normal((2, 6))]))
-        before = part.train_windows.x.copy()
+        before = cube(part.train_windows)
         with pytest.raises(ValueError, match="already standardized"):
             standardize(part)
-        np.testing.assert_array_equal(part.train_windows.x, before)
+        np.testing.assert_array_equal(cube(part.train_windows), before)
 
     def test_recording_views_never_written(self):
         rec = make_recording(700)
@@ -192,7 +222,73 @@ class TestStandardize:
         with pytest.raises(ValueError, match="read-only"):
             standardize(DatasetPartition(train_windows=train, test_windows=test))
         np.testing.assert_array_equal(rec.samples, samples)
-        assert not train.x.flags.writeable and not test.x.flags.writeable
+        assert not train.signal.flags.writeable and not test.signal.flags.writeable
+
+
+class TestGatherOracle:
+    """Gathered rows and standardization against the former table that
+    copied every window out on its own, bit for bit."""
+
+    SPLIT = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
+
+    def _recordings(self):
+        rng = np.random.default_rng(11)
+        lengths = [900, 399, 1234, 400, 2000, 1500]  # 399: too short for one window
+        return [
+            SignalRecording(rng.standard_normal((3, n)) * (1 + i) + i, 2000.0, i % 3 + 1,
+                            1 + i % 2, 1)
+            for i, n in enumerate(lengths)
+        ]
+
+    def _sides(self, recs):
+        train = [r for r in recs if r.trial_id == 1 and r.gesture_label in (1, 2)]
+        test = [r for r in recs if r.trial_id == 2]
+        return train, test
+
+    def _flat(self, copies):
+        m, c, t = copies.x.shape
+        return copies.x.reshape(m, c * t)
+
+    def test_rows_match_oracle_bitwise(self):
+        recs = self._recordings()
+        part = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT)
+        rng = np.random.default_rng(5)
+        for got, routed in zip((part.train_windows, part.test_windows), self._sides(recs)):
+            assert len({r.gesture_label for r in routed}) > 1  # a multi-recording side
+            flat = self._flat(oracles.window_recordings(routed, 200.0, 50.0))
+            m = len(got)
+            assert m == len(flat) > 4
+            sels = [slice(None), slice(2, m - 1), slice(3, 3), slice(None, None, -2),
+                    rng.integers(0, m, 40), rng.permutation(m), np.array([m - 1, 0, m - 1]),
+                    np.array([], dtype=np.int64)]
+            for sel in sels:
+                rows = got.rows(sel)
+                assert rows.shape == flat[sel].shape
+                assert rows.tobytes() == flat[sel].tobytes()
+
+    def test_empty_side_matches_oracle(self):
+        recs = self._recordings()
+        # the test side routes nothing; a side of one too-short recording has no windows
+        for got, routed in (
+            (split_trials(recs, 200.0, 50.0, {1}, set()).test_windows, []),
+            (split_trials(recs[1:2], 200.0, 50.0, {2}, set()).train_windows, recs[1:2]),
+        ):
+            expected = (np.empty((0, 3 * 400)) if not routed
+                        else self._flat(oracles.window_recordings(routed, 200.0, 50.0)))
+            assert len(got) == 0
+            for sel in (slice(None), np.array([], dtype=np.int64)):
+                rows = got.rows(sel)
+                assert rows.shape == expected.shape and rows.dtype == expected.dtype
+
+    def test_standardize_matches_oracle_bitwise(self):
+        recs = self._recordings()
+        part = standardize(split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT))
+        train, test = (oracles.window_recordings(r, 200.0, 50.0) for r in self._sides(recs))
+        mean, std = oracles.standardize_copies(train.x, test.x)
+        assert part.stats.mean.tobytes() == mean.tobytes()
+        assert part.stats.std.tobytes() == std.tobytes()
+        for got, copies in ((part.train_windows, train), (part.test_windows, test)):
+            assert got.rows().tobytes() == self._flat(copies).tobytes()
 
 
 class TestLabelSplit:
@@ -249,12 +345,12 @@ class TestSplitTrials:
         assert set(part.train_windows.trials.tolist()) == {1, 2}
         assert set(part.test_windows.trials.tolist()) == {3}
         # rows travel with their metadata, in their original order
-        np.testing.assert_array_equal(part.test_windows.x[:, 0, 0], [2.0, 6.0, 10.0])
+        np.testing.assert_array_equal(cube(part.test_windows)[:, 0, 0], [2.0, 6.0, 10.0])
 
     def test_empty_test_trials(self):
         part = split_trials(self._recordings(), *self.W, {1, 2}, set())
         assert len(part.test_windows) == 0
-        assert part.test_windows.x.shape == (0, 1, 4)
+        assert cube(part.test_windows).shape == (0, 1, 4)
 
     def test_unlisted_trial_dropped(self):
         part = split_trials(self._recordings(), *self.W, {1}, {2})
@@ -278,12 +374,13 @@ class TestSplitTrials:
         recs, classes = generate_synthetic(cfg, seed=8)
         split = split_known_unknown(classes, 3, seed=2)
         part = split_trials(recs, 200.0, 50.0, {1, 3}, {2}, split)
-        every = window_recordings(recs, 200.0, 50.0)
+        every = oracles.window_recordings(recs, 200.0, 50.0)
         to_train = np.isin(every.trials, [1, 3]) & np.isin(every.labels, split.known_classes)
         for got, rows in ((part.train_windows, to_train), (part.test_windows, every.trials == 2)):
-            for f in ("x", "labels", "trials", "subjects"):
+            np.testing.assert_array_equal(cube(got), every.x[rows])
+            for f in ("labels", "trials", "subjects"):
                 np.testing.assert_array_equal(getattr(got, f), getattr(every, f)[rows])
-            assert got.x.flags.c_contiguous
+            assert got.rows().flags.c_contiguous
 
     def test_only_routed_recordings_windowed(self, monkeypatch):
         from predin import signals
@@ -300,6 +397,12 @@ class TestSplitTrials:
         split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
         # class 3 in train trials and every trial-4 recording are never cut
         assert sorted(cut) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)]
+
+    def test_mixed_window_lengths_rejected(self):
+        # 4 ms is 4 samples at 1000 Hz but 8 at 2000 Hz: one side cannot hold both
+        recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
+        with pytest.raises(ValueError, match="different lengths"):
+            split_trials(recs, *self.W, {1}, set())
 
     def test_no_recordings_rejected(self):
         with pytest.raises(ValueError, match="no recordings"):
@@ -424,7 +527,7 @@ class TestPipelineInvariants:
         a, b = build(), build()
         assert a.label_split == b.label_split
         for side in ("train_windows", "test_windows"):
-            np.testing.assert_array_equal(getattr(a, side).x, getattr(b, side).x)
+            np.testing.assert_array_equal(cube(getattr(a, side)), cube(getattr(b, side)))
         # the in-place scaling never reaches the recordings
         for r, before in zip(recs, samples):
             np.testing.assert_array_equal(r.samples, before)
