@@ -7,7 +7,7 @@ Loss values for the differencing are recomputed from scratch on perturbed
 parameters, so the numeric side never touches the backward code it is
 checking. The combined objective is checked through div_loss itself, both
 jointly ("div") and against a frozen partner ("div_frozen"), and the
-softmax baseline through harness.softmax_objective on a linear-head branch
+softmax baseline through softmax_objective on a linear-head branch
 ("softmax").
 """
 
@@ -25,7 +25,6 @@ from .encoder import (
     finite_diff_check,
     init_optimizer,
 )
-from .harness import softmax_objective
 from .inconsistency import (
     BranchState,
     DivHyperParams,
@@ -33,6 +32,7 @@ from .inconsistency import (
     inconsistency_loss,
     own_class_dots,
     proximity_probs,
+    softmax_objective,
     triplet_loss,
 )
 from .prototypes import compactness_loss, dce_loss, pl_loss

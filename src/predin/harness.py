@@ -11,36 +11,29 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
 
 import numpy as np
 
 from . import __version__
-from .encoder import (
-    EncoderSpec,
-    TrainBatch,
-    encoder_backward,
-    encoder_forward,
-    init_encoder,
-    init_optimizer,
-)
+from .encoder import ACTIVATIONS, EncoderSpec, encoder_forward, init_encoder, init_optimizer
 from .inconsistency import (
-    BatchLoss,
     BranchState,
     DivHyperParams,
     EpochTrace,
     TrainConfig,
     TrainingError,
-    atomic_open,
     div_loss,
     init_branch,
     pl_objective,
     save_dual_checkpoint,
+    softmax_objective,
     train,
     train_sequential,
     write_loss_trace,
 )
+from .io import atomic_write_text
 from .metrics import (
     MetricsReport,
     agreement_confusion,
@@ -53,7 +46,7 @@ from .metrics import (
     report_to_json,
     write_matrix_csv,
 )
-from .prototypes import log_softmax, softmax
+from .prototypes import softmax
 from .scoring import (
     ScoreTable,
     calibrate_threshold,
@@ -71,19 +64,30 @@ from .signals import (
     standardize,
 )
 
-VARIANTS = (
-    "softmax",
-    "pl_baseline",
-    "dual",
-    "dual_trip",
-    "predin_wo_trip",
-    "predin",
-    "sequential_k",
-)
+# each variant -> the DivHyperParams weights it zeroes: the ablation rows
+# are a lattice over gamma (inconsistency) and alpha (triplet)
+VARIANTS = {
+    "softmax": (),
+    "pl_baseline": (),
+    "dual": ("gamma", "alpha"),
+    "dual_trip": ("gamma",),
+    "predin_wo_trip": ("alpha",),
+    "predin": (),
+    "sequential_k": (),
+}
 
 # stream tags for deriving independent sub-seeds from one run seed
 _ENC_A, _PROTO_A, _ENC_B, _PROTO_B, _SHUFFLE, _HEAD = 1, 2, 3, 4, 5, 6
 
+
+# nested JSON sections -> the flat ExperimentConfig fields each holds;
+# "hyperparams" is the DivHyperParams field as a dict, every other field a
+# top-level key
+_SECTIONS = {
+    "encoder": ("hidden_dims", "feature_dim", "activation"),
+    "training": ("epochs", "batch_size", "lr", "momentum"),
+}
+_SECTION_OF = {name: section for section, names in _SECTIONS.items() for name in names}
 
 # dataset keys accepted per dataset type, and the ones that must be present
 _DATASET_KEYS = {
@@ -141,90 +145,71 @@ class ExperimentConfig:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+            raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
         if not 0.0 < self.retention < 1.0:
             raise ValueError(f"retention must lie in (0, 1), got {self.retention}")
-        if self.n_known < 2:
-            raise ValueError(f"n_known must be >= 2, got {self.n_known}")
+        if not 0.0 <= self.momentum < 1.0:  # NaN fails too
+            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("window_ms", "step_ms"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if self.sequential_k < 1:
-            raise ValueError(f"sequential_k must be >= 1, got {self.sequential_k}")
+        for name, low in (
+            ("n_known", 2), ("sequential_k", 1), ("feature_dim", 1),
+            ("epochs", 0), ("batch_size", 1), ("lr", 0),
+        ):
+            if not getattr(self, name) >= low:  # NaN fails too
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not all(h >= 1 for h in self.hidden_dims):
+            raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(
+                f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
+            )
+        for name in ("train_trials", "test_trials"):
+            if not getattr(self, name):
+                raise ValueError(f"{name} must name at least one trial")
+        shared = sorted(set(self.train_trials) & set(self.test_trials))
+        if shared:
+            raise ValueError(f"train_trials and test_trials share trials {shared}")
         kind = self.dataset.get("type", "synthetic")
         if kind not in _DATASET_KEYS:
             raise ValueError(f"unknown dataset type {kind!r}")
         _check_section("dataset", self.dataset, *_DATASET_KEYS[kind])
 
     def to_dict(self) -> dict:
-        hp = self.hyperparams
-        return {
-            "dataset": dict(self.dataset),
-            "window_ms": self.window_ms,
-            "step_ms": self.step_ms,
-            "n_known": self.n_known,
-            "seeds": list(self.seeds),
-            "variant": self.variant,
-            "train_trials": list(self.train_trials),
-            "test_trials": list(self.test_trials),
-            "hyperparams": {
-                "beta": hp.beta,
-                "gamma": hp.gamma,
-                "alpha": hp.alpha,
-                "m1": hp.m1,
-                "m2": hp.m2,
-                "epsilon_log": hp.epsilon_log,
-                "compactness_form": hp.compactness_form,
-            },
-            "encoder": {
-                "hidden_dims": list(self.hidden_dims),
-                "feature_dim": self.feature_dim,
-                "activation": self.activation,
-            },
-            "training": {
-                "epochs": self.epochs,
-                "batch_size": self.batch_size,
-                "lr": self.lr,
-                "momentum": self.momentum,
-            },
-            "retention": self.retention,
-            "sequential_k": self.sequential_k,
-            "output_dir": self.output_dir,
-        }
+        """The documented JSON schema: section members nested, tuples as lists."""
+        out: dict = {}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if is_dataclass(value):
+                value = asdict(value)
+            elif isinstance(value, tuple):
+                value = list(value)
+            elif isinstance(value, dict):
+                value = dict(value)
+            if f.name in _SECTION_OF:
+                out.setdefault(_SECTION_OF[f.name], {})[f.name] = value
+            else:
+                out[f.name] = value
+        return out
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from the documented JSON schema, filling defaults."""
-    d = dict(d)
-    hp_d = d.pop("hyperparams", {})
-    enc_d = d.pop("encoder", {})
-    tr_d = d.pop("training", {})
-    kwargs = {}
-    for key in (
-        "dataset",
-        "window_ms",
-        "step_ms",
-        "n_known",
-        "seeds",
-        "variant",
-        "train_trials",
-        "test_trials",
-        "retention",
-        "sequential_k",
-        "output_dir",
-    ):
-        if key in d:
-            kwargs[key] = d.pop(key)
-    if d:
-        raise ValueError(f"unknown config keys: {sorted(d)}")
-    _check_section("hyperparams", hp_d, (f.name for f in fields(DivHyperParams)))
-    if hp_d:
-        kwargs["hyperparams"] = DivHyperParams(**hp_d)
-    _check_section("encoder", enc_d, ("hidden_dims", "feature_dim", "activation"))
-    _check_section("training", tr_d, ("epochs", "batch_size", "lr", "momentum"))
-    kwargs.update(enc_d)
-    kwargs.update(tr_d)
+    top = {f.name for f in fields(ExperimentConfig)} - _SECTION_OF.keys()
+    unknown = sorted(d.keys() - top - _SECTIONS.keys())
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
+    kwargs = {k: v for k, v in d.items() if k in top}
+    hp = kwargs.get("hyperparams", {})
+    _check_section("hyperparams", hp, (f.name for f in fields(DivHyperParams)))
+    kwargs["hyperparams"] = DivHyperParams(**hp)
+    for section, names in _SECTIONS.items():
+        _check_section(section, d.get(section, {}), names)
+        kwargs.update(d.get(section, {}))
     return ExperimentConfig(**kwargs)
 
 
@@ -278,38 +263,12 @@ def _train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
 
 
 def _variant_hp(config: ExperimentConfig) -> DivHyperParams:
-    hp = config.hyperparams
-    v = config.variant
-    if v in ("pl_baseline", "softmax"):
-        return hp
-    if v == "dual":
-        return replace(hp, gamma=0.0, alpha=0.0)
-    if v == "dual_trip":
-        return replace(hp, gamma=0.0)
-    if v == "predin_wo_trip":
-        return replace(hp, alpha=0.0)
-    return hp  # predin, sequential_k
+    return replace(config.hyperparams, **dict.fromkeys(VARIANTS[config.variant], 0.0))
 
 
 # ---------------------------------------------------------------------------
 # softmax baseline (linear head instead of prototypes)
 # ---------------------------------------------------------------------------
-
-
-def softmax_objective(batch: TrainBatch, branches: list[BranchState]) -> BatchLoss:
-    """Cross-entropy of one branch's linear head on one batch."""
-    (branch,) = branches
-    head_w, head_b = branch.head
-    emb, cache = encoder_forward(branch.encoder, batch.inputs)
-    logits = emb @ head_w.T + head_b
-    m = batch.size
-    y0 = batch.labels - 1
-    ce = -log_softmax(logits)[np.arange(m), y0].mean()
-    dlogits = softmax(logits)
-    dlogits[np.arange(m), y0] -= 1.0
-    dlogits /= m
-    grads = encoder_backward(cache, dlogits @ head_w)
-    return BatchLoss({"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]])
 
 
 def baseline_softmax_train(
@@ -452,11 +411,12 @@ def evaluate_scored(
 def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedResult:
     partition = build_partition(config, recordings, classes, seed)
     result = _train_variant(config, partition, seed)
+    # nothing reads the train side after training: free it before scoring
+    test_windows, split = partition.test_windows, partition.label_split
+    del partition
     score_fns = [branch_score_fn(b) for b in result.branches]
-    scored = score_windows(score_fns, partition.test_windows, partition.label_split)
-    report, matrices = evaluate_scored(
-        scored, config.retention, partition.label_split.n_known, seed
-    )
+    scored = score_windows(score_fns, test_windows, split)
+    report, matrices = evaluate_scored(scored, config.retention, split.n_known, seed)
     result.report = report
     result.scored = scored
     result.matrices = matrices
@@ -466,11 +426,6 @@ def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedRe
 # ---------------------------------------------------------------------------
 # artifacts and the full run
 # ---------------------------------------------------------------------------
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    with atomic_open(path) as f:
-        f.write(text)
 
 
 def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
@@ -573,7 +528,7 @@ def emit_report(record: RunRecord, out_dir: str) -> None:
     Timing goes to a separate sidecar so report files re-run bit-identically.
     """
     os.makedirs(out_dir, exist_ok=True)
-    _atomic_write_text(
+    atomic_write_text(
         os.path.join(out_dir, "report.json"), report_to_json(record.report_dict()) + "\n"
     )
     lines = ["seed,auc,acc,oscr,incon,threshold,retention_achieved,n_known,n_unknown"]
@@ -601,8 +556,8 @@ def emit_report(record: RunRecord, out_dir: str) -> None:
                 incon=agg["incon_mean"] if agg["incon_mean"] is not None else "",
             )
         )
-    _atomic_write_text(os.path.join(out_dir, "metrics_table.csv"), "\n".join(lines) + "\n")
-    _atomic_write_text(
+    atomic_write_text(os.path.join(out_dir, "metrics_table.csv"), "\n".join(lines) + "\n")
+    atomic_write_text(
         os.path.join(out_dir, "timing.txt"), f"wall_clock_s={record.wall_clock_s:.3f}\n"
     )
 
@@ -638,7 +593,7 @@ def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) ->
                 f"{variant},{agg['auc_mean']},{agg['oscr_mean']},{agg['acc_mean']},{incon}"
             )
         os.makedirs(base_config.output_dir, exist_ok=True)
-        _atomic_write_text(
+        atomic_write_text(
             os.path.join(base_config.output_dir, "ablation_table.csv"),
             "\n".join(lines) + "\n",
         )

@@ -20,8 +20,6 @@ terms and one gradient list per branch.
 
 from __future__ import annotations
 
-import contextlib
-import os
 from dataclasses import dataclass
 from functools import partial
 
@@ -40,7 +38,15 @@ from .encoder import (
     lr_schedule,
     sgd_step,
 )
-from .prototypes import COMPACTNESS_FORMS, init_prototypes, pl_loss, scatter_add_rows, softmax
+from .io import atomic_open, atomic_write_text
+from .prototypes import (
+    COMPACTNESS_FORMS,
+    init_prototypes,
+    log_softmax,
+    pl_loss,
+    scatter_add_rows,
+    softmax,
+)
 from .signals import DatasetPartition
 
 
@@ -321,6 +327,23 @@ def pl_objective(batch: TrainBatch, branches: list[BranchState], hp: DivHyperPar
     return BatchLoss({"pl_a": pl, "total": pl}, [encoder_backward(cache, dz) + [dp]])
 
 
+def softmax_objective(batch: TrainBatch, branches: list[BranchState]) -> BatchLoss:
+    """Cross-entropy of one branch's linear head on one batch (the softmax
+    baseline)."""
+    (branch,) = branches
+    head_w, head_b = branch.head
+    emb, cache = encoder_forward(branch.encoder, batch.inputs)
+    logits = emb @ head_w.T + head_b
+    m = batch.size
+    y0 = batch.labels - 1
+    ce = -log_softmax(logits)[np.arange(m), y0].mean()
+    dlogits = softmax(logits)
+    dlogits[np.arange(m), y0] -= 1.0
+    dlogits /= m
+    grads = encoder_backward(cache, dlogits @ head_w)
+    return BatchLoss({"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]])
+
+
 def div_loss(
     batch: TrainBatch,
     branches: list[BranchState],
@@ -513,26 +536,7 @@ def write_loss_trace(path, trace: list[EpochTrace]) -> None:
                 + [cell(v) for v in (t.pl_a, t.pl_b, t.incon, t.trip_a, t.trip_b, t.total)]
             )
         )
-    with atomic_open(path) as f:
-        f.write("\n".join(lines) + "\n")
-
-
-@contextlib.contextmanager
-def atomic_open(path, mode: str = "w", newline: str | None = None):
-    """Write to a temporary file next to path, then move it over path.
-
-    If the body raises, the temporary file is removed and path is left as
-    it was.
-    """
-    tmp = f"{path}.tmp"
-    try:
-        with open(tmp, mode, newline=newline) as f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
-        raise
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) -> None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .inconsistency import atomic_open
+from .io import atomic_open
 from .prototypes import softmax
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoder import EncoderParams, encoder_forward
-from .inconsistency import atomic_open
+from .io import atomic_open
 from .signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 
 # score_windows splits the rows into the fewest equal blocks of at most

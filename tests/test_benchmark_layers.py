@@ -2,22 +2,32 @@
 
 perfbench/spans.py lists, per predin module, the public functions its
 tracer wraps, and the tracer raises AttributeError on a name that no
-longer exists. Two of its counters, ``signals.windows`` and
-``scoring.score_windows.windows``, read ``len()`` of what
-``segment_windows`` and ``score_windows`` return. Its own tests are not
-collected with this suite, so these tests load it by path, resolve every
-entry and run those counters on real results.
+longer exists. Its counters read attributes of the arguments and results
+of real calls (``spec``, ``cache.params.spec``, ``cache.active``, ``len()``
+of a returned table). Its own tests are not collected with this suite, so
+these tests load it by path, resolve every entry and run every counter on
+real results, checking each total against the shapes.
 """
 
 import importlib
 import importlib.util
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from predin import signals
-from predin.encoder import EncoderSpec, init_encoder
+from predin.encoder import (
+    EncoderSpec,
+    encoder_backward,
+    encoder_forward,
+    init_encoder,
+    init_optimizer,
+    sgd_step,
+)
+from predin.inconsistency import nearest_other_prototype, proximity_probs, triplet_loss
+from predin.metrics import oscr
 from predin.scoring import prototype_score_fn, score_windows
 from predin.signals import (
     SignalRecording,
@@ -103,3 +113,96 @@ def test_score_counter_counts_every_test_window():
     counted = _count("scoring.score_windows", "scoring.score_windows.windows", args,
                      score_windows(*args))
     assert counted == len(part.test_windows) > 0
+
+
+# every counter below runs on one real call; each case returns the call's
+# (args, result) and the totals the shapes imply
+_SPEC = EncoderSpec(input_dim=12, hidden_dims=(16, 8), output_dim=4, activation="tanh")
+_ROWS = 10
+_FORWARD_FLOP = 2 * _ROWS * (12 * 16 + 16 * 8 + 8 * 4)
+
+
+def _forward_case():
+    x = np.random.default_rng(0).normal(size=(_ROWS, 12))
+    args = (init_encoder(_SPEC, seed=1), x)
+    return args, encoder_forward(*args), {"encoder.encoder_forward.flop": _FORWARD_FLOP}
+
+
+def _backward_case():
+    _, (emb, cache), _ = _forward_case()
+    args = (cache, np.ones_like(emb))
+    return args, encoder_backward(*args), {"encoder.encoder_backward.flop": 2 * _FORWARD_FLOP}
+
+
+def _sgd_case():
+    arrays = init_encoder(_SPEC, seed=1).arrays()
+    args = (arrays, [np.ones_like(a) for a in arrays], init_optimizer(arrays, 0.1))
+    n_params = 12 * 16 + 16 + 16 * 8 + 8 + 8 * 4 + 4
+    # read param, grad, velocity; write velocity, param: 8-byte floats
+    return args, sgd_step(*args), {"encoder.sgd_step.bytes": 5 * 8 * n_params}
+
+
+def _triplet_case():
+    # rows 0-3 sit on their own prototype (hinge off), rows 4-9 on the
+    # nearest other one (hinge on)
+    protos = 3.0 * np.eye(3, 4)
+    labels = np.array([1, 2, 3, 1, 1, 2, 3, 1, 2, 3])
+    y0 = labels - 1
+    on = np.arange(_ROWS) >= 4
+    z = protos[np.where(on, nearest_other_prototype(protos)[y0], y0)]
+    args = (z, labels, protos, 1.0)
+    totals = {"inconsistency.triplet_loss.active": 6, "inconsistency.triplet_loss.rows": _ROWS}
+    return args, triplet_loss(*args), totals
+
+
+def _proximity_case():
+    # z = c e_y against unit prototypes gives every gap c: with m1 = 0.5
+    # rows with c = 1 clear the margin on all N-1 = 3 entries, c = 0.1 on none
+    protos = np.eye(4)
+    labels = np.array([1, 2, 3, 4, 1, 2, 3])
+    scale = np.array([1.0, 1.0, 0.1, 1.0, 0.1, 0.1, 1.0])
+    z = scale[:, None] * protos[labels - 1]
+    args = (z, labels, protos, 0.5)
+    totals = {"inconsistency.proximity_probs.active": 4 * 3,
+              "inconsistency.proximity_probs.entries": 7 * 3}
+    return args, proximity_probs(*args), totals
+
+
+def _proximity_no_cache_case():
+    (z, labels, protos, m1), _, _ = _proximity_case()
+    args = (z, labels, protos, m1, False)
+    return args, proximity_probs(*args), {}
+
+
+def _oscr_case():
+    rng = np.random.default_rng(3)
+    args = (rng.random(7), rng.random(7) < 0.5, rng.random(5))
+    return args, oscr(*args), {"metrics.oscr.n": 12}
+
+
+COUNTER_CASES = {
+    "encoder.encoder_forward": [_forward_case],
+    "encoder.encoder_backward": [_backward_case],
+    "encoder.sgd_step": [_sgd_case],
+    "inconsistency.triplet_loss": [_triplet_case],
+    "inconsistency.proximity_probs": [_proximity_case, _proximity_no_cache_case],
+    "metrics.oscr": [_oscr_case],
+}
+
+
+@pytest.mark.parametrize(
+    "name, case", [(n, c) for n, cases in COUNTER_CASES.items() for c in cases],
+    ids=lambda v: v if isinstance(v, str) else v.__name__.strip("_"),
+)
+def test_counter_totals_match_shapes(name, case):
+    args, result, expected = case()
+    totals = defaultdict(int)
+    SPANS.COUNTERS[name](totals, args, {}, result)
+    assert dict(totals) == expected
+    assert set(expected) <= set(SPANS.TOTALS)
+
+
+def test_every_counter_is_tested():
+    # segment_windows and score_windows are run by the two tests above
+    tested = set(COUNTER_CASES) | {"signals.segment_windows", "scoring.score_windows"}
+    assert tested == set(SPANS.COUNTERS)

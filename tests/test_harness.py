@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from predin.harness import (
     ABLATION_VARIANTS,
     VARIANTS,
     ExperimentConfig,
+    _variant_hp,
     _write_seed_artifacts,
     branch_score_fn,
     build_partition,
@@ -65,6 +67,24 @@ class TestConfig:
         loaded = load_config(path)
         assert loaded == dataclasses.replace(cfg)
 
+    def test_every_field_off_default_round_trips(self):
+        cfg = tiny_config(
+            dataset={"type": "csv", "data_path": "a.csv", "meta_path": "b.csv"},
+            window_ms=150.0, step_ms=25.0, seeds=(9, 8), variant="dual_trip",
+            train_trials=(2,), test_trials=(1, 3),
+            hyperparams=DivHyperParams(0.5, 2.0, 0.25, 0.1, 2.0, 1e-9, "literal"),
+            hidden_dims=(8, 4), activation="relu", batch_size=32, lr=0.01, momentum=0.5,
+            retention=0.9, sequential_k=3,
+        )
+        default = ExperimentConfig()
+        for f in dataclasses.fields(cfg):
+            assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        echo = json.loads(json.dumps(cfg.to_dict()))
+        assert echo["encoder"] == {"hidden_dims": [8, 4], "feature_dim": 8, "activation": "relu"}
+        assert echo["training"] == {"epochs": 4, "batch_size": 32, "lr": 0.01, "momentum": 0.5}
+        assert echo["hyperparams"] == dataclasses.asdict(cfg.hyperparams)
+        assert config_from_dict(echo) == cfg
+
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
             config_from_dict({"variant": "predin", "typo_field": 1})
@@ -95,11 +115,31 @@ class TestConfig:
             ("window_ms", 0.0),
             ("step_ms", -50.0),
             ("sequential_k", 0),
+            ("epochs", -1),
+            ("batch_size", 0),
+            ("lr", -1.0),
+            ("lr", float("nan")),
+            ("momentum", 1.0),
+            ("momentum", -0.1),
+            ("momentum", float("nan")),
+            ("feature_dim", 0),
+            ("hidden_dims", (16, 0)),
+            ("activation", "sigmoid"),
+            ("seeds", (1, 1)),
+            ("train_trials", ()),
+            ("test_trials", ()),
+            ("test_trials", (2, 3)),  # trial 2 is also a train trial
         ],
     )
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    def test_invalid_section_value_rejected_when_loaded(self):
+        with pytest.raises(ValueError, match="momentum"):
+            config_from_dict(json.loads('{"training": {"momentum": NaN}}'))
+        with pytest.raises(ValueError, match="activation"):
+            config_from_dict({"encoder": {"activation": "sigmoid"}})
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -136,6 +176,23 @@ class TestConfig:
 
 
 class TestVariantLattice:
+    @pytest.mark.parametrize(
+        "variant, gamma, alpha",
+        [
+            ("softmax", 2.0, 3.0),
+            ("pl_baseline", 2.0, 3.0),
+            ("dual", 0.0, 0.0),
+            ("dual_trip", 0.0, 3.0),
+            ("predin_wo_trip", 2.0, 0.0),
+            ("predin", 2.0, 3.0),
+            ("sequential_k", 2.0, 3.0),
+        ],
+    )
+    def test_variant_zeroes_its_weights(self, variant, gamma, alpha):
+        hp = DivHyperParams(beta=0.5, gamma=2.0, alpha=3.0, m1=0.2)
+        got = _variant_hp(tiny_config(variant=variant, hyperparams=hp))
+        assert got == dataclasses.replace(hp, gamma=gamma, alpha=alpha)
+
     def test_predin_with_zero_weights_equals_dual(self):
         hp = dict(gamma=0.0, alpha=0.0)
         cfg_predin = tiny_config(variant="predin")
@@ -317,6 +374,32 @@ class TestBuildPartition:
         # copying every window out, or windowing every recording before
         # routing, would add the windows once more
         assert peak <= tables + channel_row + 256 * 1024
+
+
+class TestRunSeed:
+    def test_train_table_released_before_scoring(self, monkeypatch):
+        from predin import harness
+
+        refs = []
+        alive_at_scoring = []
+        build, score = harness.build_partition, harness.score_windows
+
+        def capturing_build(*args):
+            part = build(*args)
+            refs.append(weakref.ref(part.train_windows.signal))
+            return part
+
+        def checking_score(*args):
+            alive_at_scoring.append(refs[0]() is not None)
+            return score(*args)
+
+        monkeypatch.setattr(harness, "build_partition", capturing_build)
+        monkeypatch.setattr(harness, "score_windows", checking_score)
+        cfg = tiny_config(epochs=1)
+        recordings, classes = load_dataset(cfg)
+        result = run_seed(cfg, recordings, classes, 1)
+        assert alive_at_scoring == [False]
+        assert result.report is not None
 
 
 class TestSequentialVariant:

@@ -4,6 +4,7 @@ from functools import partial
 import numpy as np
 import pytest
 
+import predin.io
 from predin import inconsistency
 from predin.encoder import EncoderSpec, TrainBatch, encoder_forward, finite_diff_check
 from predin.inconsistency import (
@@ -519,7 +520,7 @@ def test_failed_write_leaves_existing_artifact(tmp_path, monkeypatch, name):
     path.write_text("previous run\n")
     real_open = open
     monkeypatch.setattr(
-        inconsistency, "open",
+        predin.io, "open",
         lambda *args, **kwargs: _FailsMidway(real_open(*args, **kwargs)), raising=False,
     )
     with pytest.raises(OSError, match="disk full"):
