@@ -43,6 +43,7 @@ from .inconsistency import (  # noqa: F401
     div_loss,
     inconsistency_loss,
     init_branch,
+    proximity_backward,
     proximity_probs,
     train,
     train_sequential,
@@ -55,7 +56,6 @@ from .scoring import (  # noqa: F401
     score_windows,
 )
 from .metrics import (  # noqa: F401
-    MetricsReport,
     agreement_confusion,
     auc,
     closed_acc,
@@ -65,7 +65,6 @@ from .metrics import (  # noqa: F401
 )
 from .harness import (  # noqa: F401
     ExperimentConfig,
-    RunRecord,
     baseline_softmax_train,
     config_from_dict,
     load_config,

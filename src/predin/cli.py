@@ -4,7 +4,8 @@
   predin ablation --config cfg.json [--seeds ...] [--out DIR]
   predin check-gradients [--seeds 5] [--coords 200]
 
-Failures exit nonzero and print a machine-readable error JSON to stderr.
+Failures exit nonzero and print a machine-readable error JSON to stderr; a
+run or ablation in which every seed of a variant failed counts as one.
 """
 
 from __future__ import annotations
@@ -31,9 +32,9 @@ def _apply_overrides(config, args):
 
 def _cmd_run(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    record = run_experiment(config)
-    agg = record.aggregate
-    for row in record.per_seed:
+    report = run_experiment(config)
+    agg = report["aggregate"]
+    for row in report["per_seed"]:
         if "error" in row:
             print(f"seed {row['seed']}: FAILED ({row['error']})")
         else:
@@ -47,17 +48,21 @@ def _cmd_run(args) -> int:
             f"acc={agg['acc_mean']:.4f} oscr={agg['oscr_mean']:.4f}"
         )
     print(f"report written to {config.output_dir}/report.json")
+    if not agg.get("n_seeds"):
+        raise RuntimeError(f"every seed failed: {agg['failed_seeds']}")
     return 0
 
 
 def _cmd_ablation(args) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    records = run_ablation(config)
+    reports = run_ablation(config)
     print("variant            auc     oscr    acc     incon")
-    for variant, rec in records.items():
-        agg = rec.aggregate
+    failed = []
+    for variant, report in reports.items():
+        agg = report["aggregate"]
         if not agg.get("n_seeds"):
             print(f"{variant:<18} (all seeds failed)")
+            failed.append(variant)
             continue
         incon = f"{agg['incon_mean']:.3f}" if agg["incon_mean"] is not None else "-"
         print(
@@ -65,6 +70,8 @@ def _cmd_ablation(args) -> int:
             f"{agg['acc_mean']:.4f}  {incon}"
         )
     print(f"table written to {config.output_dir}/ablation_table.csv")
+    if failed:
+        raise RuntimeError(f"every seed failed for variants {failed}")
     return 0
 
 

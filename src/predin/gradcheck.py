@@ -31,6 +31,7 @@ from .inconsistency import (
     div_loss,
     inconsistency_loss,
     own_class_dots,
+    proximity_backward,
     proximity_probs,
     softmax_objective,
     triplet_loss,
@@ -119,14 +120,11 @@ def _incon_case(hp: DivHyperParams, x, labels, base_arrays):
         emb_b, cache_b = encoder_forward(b.encoder, x)
         dist_a = proximity_probs(emb_a, labels, a.prototypes, hp.m1, own_dots=own_a)
         dist_b = proximity_probs(emb_b, labels, b.prototypes, hp.m1, own_dots=own_b)
-        inc = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
-        grads = (
-            encoder_backward(cache_a, inc.d_embeddings_a)
-            + [inc.d_prototypes_a]
-            + encoder_backward(cache_b, inc.d_embeddings_b)
-            + [inc.d_prototypes_b]
-        )
-        return inc.loss, grads
+        loss, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
+        dz_a, dp_a = proximity_backward(dist_a, dprobs_a)
+        dz_b, dp_b = proximity_backward(dist_b, dprobs_b)
+        grads_a = encoder_backward(cache_a, dz_a) + [dp_a]
+        return loss, grads_a + encoder_backward(cache_b, dz_b) + [dp_b]
 
     return compute
 
@@ -141,11 +139,13 @@ def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
 
     def compute(arrays):
         if frozen:
-            res = div_loss(batch, [_rebuild(arrays)], hp, frozen=partner, own_dots=own)
+            terms, branch_grads = div_loss(
+                batch, [_rebuild(arrays)], hp, frozen=partner, own_dots=own
+            )
         else:
             branches = [_rebuild(arrays[:half]), _rebuild(arrays[half:])]
-            res = div_loss(batch, branches, hp, own_dots=own)
-        return res.terms["total"], [g for grads in res.grads for g in grads]
+            terms, branch_grads = div_loss(batch, branches, hp, own_dots=own)
+        return terms["total"], [g for grads in branch_grads for g in grads]
 
     return compute
 
@@ -154,8 +154,8 @@ def _softmax_case(x, labels):
     batch = TrainBatch(x, labels)
 
     def compute(arrays):
-        res = softmax_objective(batch, [_rebuild(arrays)])
-        return res.terms["total"], res.grads[0]
+        terms, (grads,) = softmax_objective(batch, [_rebuild(arrays)])
+        return terms["total"], grads
 
     return compute
 

@@ -21,7 +21,6 @@ from .encoder import ACTIVATIONS, EncoderSpec, encoder_forward, init_encoder, in
 from .inconsistency import (
     BranchState,
     DivHyperParams,
-    EpochTrace,
     TrainConfig,
     TrainingError,
     div_loss,
@@ -35,7 +34,6 @@ from .inconsistency import (
 )
 from .io import atomic_write_text
 from .metrics import (
-    MetricsReport,
     agreement_confusion,
     aggregate_reports,
     auc,
@@ -58,6 +56,7 @@ from .signals import (
     DatasetPartition,
     SyntheticConfig,
     generate_synthetic,
+    is_int,
     load_csv,
     split_known_unknown,
     split_trials,
@@ -96,6 +95,14 @@ _DATASET_KEYS = {
 }
 
 
+def _as_object(value, section: str | None = None) -> dict:
+    """value itself; ValueError naming the section when it is not an object."""
+    if not isinstance(value, dict):
+        where = "the config" if section is None else f"config section {section!r}"
+        raise ValueError(f"{where} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
 def _check_section(section: str, keys, allowed, required=()) -> None:
     """Raise ValueError naming the section and any unknown or missing key."""
     unknown = sorted(set(keys) - set(allowed))
@@ -104,6 +111,11 @@ def _check_section(section: str, keys, allowed, required=()) -> None:
     missing = sorted(set(required) - set(keys))
     if missing:
         raise ValueError(f"missing config keys under {section!r}: {missing}")
+
+
+def _synthetic_config(dataset: dict) -> SyntheticConfig:
+    """The generator settings of a synthetic dataset section."""
+    return SyntheticConfig(**{k: v for k, v in dataset.items() if k not in ("type", "data_seed")})
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -139,10 +151,14 @@ class ExperimentConfig:
     output_dir: str = "runs/out"
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "train_trials", tuple(self.train_trials))
-        object.__setattr__(self, "test_trials", tuple(self.test_trials))
-        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for name in ("seeds", "train_trials", "test_trials", "hidden_dims"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or not all(map(is_int, value)):
+                raise ValueError(f"{name} must be a list of integers, got {value!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in value))
+        for name in ("n_known", "feature_dim", "epochs", "batch_size", "sequential_k"):
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if len(set(self.seeds)) < len(self.seeds):
@@ -174,10 +190,12 @@ class ExperimentConfig:
         shared = sorted(set(self.train_trials) & set(self.test_trials))
         if shared:
             raise ValueError(f"train_trials and test_trials share trials {shared}")
-        kind = self.dataset.get("type", "synthetic")
+        kind = _as_object(self.dataset, "dataset").get("type", "synthetic")
         if kind not in _DATASET_KEYS:
             raise ValueError(f"unknown dataset type {kind!r}")
         _check_section("dataset", self.dataset, *_DATASET_KEYS[kind])
+        if kind == "synthetic":
+            _synthetic_config(self.dataset)  # generator settings fail here, not mid-run
 
     def to_dict(self) -> dict:
         """The documented JSON schema: section members nested, tuples as lists."""
@@ -200,16 +218,17 @@ class ExperimentConfig:
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from the documented JSON schema, filling defaults."""
     top = {f.name for f in fields(ExperimentConfig)} - _SECTION_OF.keys()
-    unknown = sorted(d.keys() - top - _SECTIONS.keys())
+    unknown = sorted(_as_object(d).keys() - top - _SECTIONS.keys())
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     kwargs = {k: v for k, v in d.items() if k in top}
-    hp = kwargs.get("hyperparams", {})
+    hp = _as_object(kwargs.get("hyperparams", {}), "hyperparams")
     _check_section("hyperparams", hp, (f.name for f in fields(DivHyperParams)))
     kwargs["hyperparams"] = DivHyperParams(**hp)
     for section, names in _SECTIONS.items():
-        _check_section(section, d.get(section, {}), names)
-        kwargs.update(d.get(section, {}))
+        values = _as_object(d.get(section, {}), section)
+        _check_section(section, values, names)
+        kwargs.update(values)
     return ExperimentConfig(**kwargs)
 
 
@@ -220,12 +239,9 @@ def load_config(path) -> ExperimentConfig:
 
 def load_dataset(config: ExperimentConfig):
     """Materialize recordings and the full class-id set from the config."""
-    ds = dict(config.dataset)
-    kind = ds.pop("type", "synthetic")
-    if kind == "synthetic":
-        data_seed = ds.pop("data_seed", 2024)
-        syn = SyntheticConfig(**ds)
-        return generate_synthetic(syn, data_seed)
+    ds = config.dataset
+    if ds.get("type", "synthetic") == "synthetic":
+        return generate_synthetic(_synthetic_config(ds), ds.get("data_seed", 2024))
     # "csv": ExperimentConfig admits no other dataset type
     recordings = load_csv(ds["data_path"], ds["meta_path"])
     return recordings, {r.gesture_label for r in recordings}
@@ -318,9 +334,9 @@ def branch_score_fn(branch: BranchState):
 @dataclass
 class SeedResult:
     branches: list[BranchState]
-    traces: list[list[EpochTrace]]
+    traces: list[list[dict[str, float]]]  # per trained run: one {term: mean} per epoch
     hp: DivHyperParams
-    report: MetricsReport | None = None
+    report: dict | None = None  # the seed's report.json row
     scored: ScoreTable | None = None
     matrices: dict = field(default_factory=dict)
 
@@ -372,8 +388,9 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
 
 def evaluate_scored(
     scored: ScoreTable, retention: float, n_classes: int, seed: int
-) -> tuple[MetricsReport, dict]:
-    """Metrics plus analysis matrices from one seed's scored test set."""
+) -> tuple[dict, dict]:
+    """The seed's report.json row plus analysis matrices from its scored
+    test set."""
     is_known = scored.known
     if is_known.all() or not is_known.any():
         raise ValueError("test set must contain both known and unknown samples")
@@ -394,18 +411,18 @@ def evaluate_scored(
         matrices["agreement_unknown"] = agreement_confusion(
             preds[~is_known, 0], preds[~is_known, 1], n_classes
         )
-    report = MetricsReport(
-        auc=auc(ks, us),
-        acc=closed_acc(predicted, true),
-        oscr=oscr(ks, predicted == true, us),
-        incon=incon,
-        threshold=thr,
-        retention_achieved=float((ks >= thr).mean()),
-        n_known=ks.size,
-        n_unknown=us.size,
-        seed=seed,
-    )
-    return report, matrices
+    row = {
+        "seed": seed,
+        "auc": auc(ks, us),
+        "acc": closed_acc(predicted, true),
+        "oscr": oscr(ks, predicted == true, us),
+        "incon": incon,
+        "threshold": thr,
+        "retention_achieved": float((ks >= thr).mean()),
+        "n_known": ks.size,
+        "n_unknown": us.size,
+    }
+    return row, matrices
 
 
 def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedResult:
@@ -431,7 +448,9 @@ def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedRe
 def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
     os.makedirs(seed_dir, exist_ok=True)
     rel = {}
-    write_score_dump(os.path.join(seed_dir, "scores.csv"), result.scored, result.report.threshold)
+    write_score_dump(
+        os.path.join(seed_dir, "scores.csv"), result.scored, result.report["threshold"]
+    )
     rel["scores"] = "scores.csv"
     for t, trace in enumerate(result.traces):
         name = "loss_trace.csv" if len(result.traces) == 1 else f"loss_trace_branch{t+1}.csv"
@@ -452,32 +471,15 @@ def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
     return rel
 
 
-@dataclass
-class RunRecord:
-    config_echo: dict
-    per_seed: list[dict]
-    aggregate: dict
-    artifacts: dict
-    wall_clock_s: float  # kept out of report.json so reports stay bit-stable
-
-    def report_dict(self) -> dict:
-        return {
-            "version": f"predin {__version__}",
-            "config": self.config_echo,
-            "per_seed": self.per_seed,
-            "aggregate": self.aggregate,
-            "artifacts": self.artifacts,
-        }
-
-
 def run_experiment(
     config: ExperimentConfig, write_artifacts: bool = True, dataset=None
-) -> RunRecord:
+) -> dict:
     """Execute the configured variant across all seeds and aggregate.
 
-    ``dataset`` is the (recordings, classes) pair of ``load_dataset``; it is
-    loaded from the config when not given. Per-seed training failures are
-    recorded without aborting the run; the aggregate marks the failed seeds.
+    Returns the report: exactly what report.json holds. ``dataset`` is the
+    (recordings, classes) pair of ``load_dataset``; it is loaded from the
+    config when not given. Per-seed training failures are recorded without
+    aborting the run; the aggregate marks the failed seeds.
     """
     started = time.perf_counter()
     out_dir = config.output_dir
@@ -494,45 +496,40 @@ def run_experiment(
     recordings, classes = load_dataset(config) if dataset is None else dataset
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
-    reports: list[MetricsReport] = []
-    failed: list[int] = []
     for seed in config.seeds:
         try:
             result = run_seed(config, recordings, classes, seed)
         except TrainingError as e:
-            failed.append(seed)
             per_seed.append({"seed": seed, "error": str(e)})
             continue
-        reports.append(result.report)
-        per_seed.append(result.report.to_dict())
+        per_seed.append(result.report)
         if write_artifacts:
             seed_dir = os.path.join(out_dir, f"seed_{seed}")
             artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result)
-    aggregate = aggregate_reports(reports)
-    aggregate["failed_seeds"] = failed
-    record = RunRecord(
-        config_echo=config.to_dict(),
-        per_seed=per_seed,
-        aggregate=aggregate,
-        artifacts=artifacts,
-        wall_clock_s=time.perf_counter() - started,
-    )
+    aggregate = aggregate_reports([row for row in per_seed if "error" not in row])
+    aggregate["failed_seeds"] = [row["seed"] for row in per_seed if "error" in row]
+    report = {
+        "version": f"predin {__version__}",
+        "config": config.to_dict(),
+        "per_seed": per_seed,
+        "aggregate": aggregate,
+        "artifacts": artifacts,
+    }
     if write_artifacts:
-        emit_report(record, out_dir)
-    return record
+        emit_report(report, time.perf_counter() - started, out_dir)
+    return report
 
 
-def emit_report(record: RunRecord, out_dir: str) -> None:
+def emit_report(report: dict, wall_clock_s: float, out_dir: str) -> None:
     """Write report.json (deterministic) and metrics_table.csv, each atomically.
 
-    Timing goes to a separate sidecar so report files re-run bit-identically.
+    The wall-clock time goes to a separate timing.txt sidecar so report
+    files re-run bit-identically.
     """
     os.makedirs(out_dir, exist_ok=True)
-    atomic_write_text(
-        os.path.join(out_dir, "report.json"), report_to_json(record.report_dict()) + "\n"
-    )
+    atomic_write_text(os.path.join(out_dir, "report.json"), report_to_json(report) + "\n")
     lines = ["seed,auc,acc,oscr,incon,threshold,retention_achieved,n_known,n_unknown"]
-    for row in record.per_seed:
+    for row in report["per_seed"]:
         if "error" in row:
             msg = row["error"].replace(",", ";")
             lines.append(f"{row['seed']},error:{msg},,,,,,,")
@@ -546,7 +543,7 @@ def emit_report(record: RunRecord, out_dir: str) -> None:
                 )
             )
         )
-    agg = record.aggregate
+    agg = report["aggregate"]
     if agg.get("n_seeds"):
         lines.append(
             "mean,{auc},{acc},{oscr},{incon},,,,".format(
@@ -558,7 +555,7 @@ def emit_report(record: RunRecord, out_dir: str) -> None:
         )
     atomic_write_text(os.path.join(out_dir, "metrics_table.csv"), "\n".join(lines) + "\n")
     atomic_write_text(
-        os.path.join(out_dir, "timing.txt"), f"wall_clock_s={record.wall_clock_s:.3f}\n"
+        os.path.join(out_dir, "timing.txt"), f"wall_clock_s={wall_clock_s:.3f}\n"
     )
 
 
@@ -568,23 +565,23 @@ ABLATION_VARIANTS = ("softmax", "pl_baseline", "dual", "dual_trip", "predin_wo_t
 def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) -> dict:
     """Run every ablation variant with identical seeds and tabulate.
 
-    Returns {variant: RunRecord}; writes ablation_table.csv plus one report
+    Returns {variant: report}; writes ablation_table.csv plus one report
     directory per variant under the base output dir. The dataset is loaded
     once and shared: no variant writes into the recordings.
     """
     dataset = load_dataset(base_config)
-    records: dict[str, RunRecord] = {}
+    reports: dict[str, dict] = {}
     for variant in ABLATION_VARIANTS:
         cfg = replace(
             base_config,
             variant=variant,
             output_dir=os.path.join(base_config.output_dir, variant),
         )
-        records[variant] = run_experiment(cfg, write_artifacts=write_artifacts, dataset=dataset)
+        reports[variant] = run_experiment(cfg, write_artifacts=write_artifacts, dataset=dataset)
     if write_artifacts:
         lines = ["variant,auc,oscr,acc,incon"]
-        for variant, rec in records.items():
-            agg = rec.aggregate
+        for variant, report in reports.items():
+            agg = report["aggregate"]
             if not agg.get("n_seeds"):
                 lines.append(f"{variant},,,,")
                 continue
@@ -597,4 +594,4 @@ def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) ->
             os.path.join(base_config.output_dir, "ablation_table.csv"),
             "\n".join(lines) + "\n",
         )
-    return records
+    return reports

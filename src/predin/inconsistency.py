@@ -15,7 +15,7 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
 
 Every variant trains through the one loop in train(): K branches, each
 with its own optimizer, and a per-batch objective that returns the loss
-terms and one gradient list per branch.
+terms and one gradient list per branch, as a (terms, grads) pair.
 """
 
 from __future__ import annotations
@@ -194,26 +194,12 @@ def proximity_probs(
     return ProximityDistribution(probs=probs, labels=labels, cache=cache)
 
 
-@dataclass
-class InconResult:
-    """Inconsistency loss with gradients at two depths.
+def proximity_backward(dist: ProximityDistribution, dprobs: np.ndarray):
+    """Backprop row-softmax and margin clamp of a cached distribution.
 
-    dprobs_* are gradients w.r.t. the raw distributions (always present);
-    d_embeddings_*/d_prototypes_* are the fully backpropagated gradients,
-    present for each side that carried a cache.
+    Returns (d_embeddings, d_prototypes) for the gradient dprobs w.r.t.
+    dist.probs; the own-class dot is a stop-gradient.
     """
-
-    loss: float
-    dprobs_a: np.ndarray
-    dprobs_b: np.ndarray
-    d_embeddings_a: np.ndarray | None = None
-    d_prototypes_a: np.ndarray | None = None
-    d_embeddings_b: np.ndarray | None = None
-    d_prototypes_b: np.ndarray | None = None
-
-
-def _prox_backward(dist: ProximityDistribution, dprobs: np.ndarray):
-    """Backprop row-softmax and margin clamp to embeddings/prototypes."""
     cache = dist.cache
     probs = dist.probs
     dlogits = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
@@ -228,12 +214,13 @@ def inconsistency_loss(
     dist_a: ProximityDistribution,
     dist_b: ProximityDistribution,
     epsilon_log: float = 1e-12,
-) -> InconResult:
+):
     """Cross-branch inconsistency over aligned proximity rows.
 
     Minimized (-ln 2) when the two rows are one-hot at different classes;
     the log argument is clamped below at epsilon_log, where the gradient
-    vanishes.
+    vanishes. Returns (loss, dprobs_a, dprobs_b), the gradients w.r.t. the
+    two distributions; proximity_backward carries each further.
     """
     pa, pb = dist_a.probs, dist_b.probs
     if pa.shape != pb.shape:
@@ -245,14 +232,7 @@ def inconsistency_loss(
     arg = np.maximum(inner, epsilon_log)
     loss = -np.log(arg).mean()
     dinner = np.where(inner > epsilon_log, -1.0 / (m * arg), 0.0)
-    dprobs_a = dinner[:, None] * (1.0 - 2.0 * pb)
-    dprobs_b = dinner[:, None] * (1.0 - 2.0 * pa)
-    result = InconResult(loss=loss, dprobs_a=dprobs_a, dprobs_b=dprobs_b)
-    if dist_a.cache is not None:
-        result.d_embeddings_a, result.d_prototypes_a = _prox_backward(dist_a, dprobs_a)
-    if dist_b.cache is not None:
-        result.d_embeddings_b, result.d_prototypes_b = _prox_backward(dist_b, dprobs_b)
-    return result
+    return loss, dinner[:, None] * (1.0 - 2.0 * pb), dinner[:, None] * (1.0 - 2.0 * pa)
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +286,15 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: flo
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BatchLoss:
-    """One objective on one batch.
-
-    terms maps EpochTrace field names to loss values ("total" always
-    present); grads holds one gradient list per trained branch, aligned
-    with BranchState.arrays().
-    """
-
-    terms: dict[str, float]
-    grads: list[list[np.ndarray]]
-
-
-def pl_objective(batch: TrainBatch, branches: list[BranchState], hp: DivHyperParams) -> BatchLoss:
+def pl_objective(batch: TrainBatch, branches: list[BranchState], hp: DivHyperParams):
     """PL loss alone on one prototype branch (the single-branch baseline)."""
     (branch,) = branches
     emb, cache = encoder_forward(branch.encoder, batch.inputs)
     pl, dz, dp = pl_loss(emb, batch.labels, branch.prototypes, hp.beta, hp.compactness_form)
-    return BatchLoss({"pl_a": pl, "total": pl}, [encoder_backward(cache, dz) + [dp]])
+    return {"pl_a": pl, "total": pl}, [encoder_backward(cache, dz) + [dp]]
 
 
-def softmax_objective(batch: TrainBatch, branches: list[BranchState]) -> BatchLoss:
+def softmax_objective(batch: TrainBatch, branches: list[BranchState]):
     """Cross-entropy of one branch's linear head on one batch (the softmax
     baseline)."""
     (branch,) = branches
@@ -341,7 +308,7 @@ def softmax_objective(batch: TrainBatch, branches: list[BranchState]) -> BatchLo
     dlogits[np.arange(m), y0] -= 1.0
     dlogits /= m
     grads = encoder_backward(cache, dlogits @ head_w)
-    return BatchLoss({"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]])
+    return {"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]]
 
 
 def div_loss(
@@ -350,7 +317,7 @@ def div_loss(
     hp: DivHyperParams,
     frozen: BranchState | None = None,
     own_dots: tuple | None = None,
-) -> BatchLoss:
+):
     """Full objective of one branch pair on one batch.
 
     Joint (branches = [a, b]): PL per branch, the shared inconsistency term
@@ -358,7 +325,8 @@ def div_loss(
     partner (branches = [a], frozen = b): PL and triplet of a, with the
     inconsistency term paired against b, which receives no gradient.
     own_dots (one array per branch of the pair) overrides the stop-gradient
-    z.p^y references, as in proximity_probs.
+    z.p^y references, as in proximity_probs. Returns (terms, grads) with
+    one gradient list per trained branch, aligned with BranchState.arrays().
     """
     pair = list(branches) if frozen is None else [*branches, frozen]
     if len(pair) != 2:
@@ -372,15 +340,15 @@ def div_loss(
         )
         for i, (b, (emb, _)) in enumerate(zip(pair, forward))
     ]
-    inc = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
-    d_inc = ((inc.d_embeddings_a, inc.d_prototypes_a), (inc.d_embeddings_b, inc.d_prototypes_b))
+    incon, *dprobs = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
     pls, trips, grads = [], [], []
     for i, branch in enumerate(branches):
         (emb, cache), protos = forward[i], branch.prototypes
         pl, dz, dp = pl_loss(emb, batch.labels, protos, hp.beta, hp.compactness_form)
         if hp.gamma != 0.0:
-            dz += hp.gamma * d_inc[i][0]
-            dp += hp.gamma * d_inc[i][1]
+            dz_inc, dp_inc = proximity_backward(dists[i], dprobs[i])
+            dz += hp.gamma * dz_inc
+            dp += hp.gamma * dp_inc
         trip, dz_t, dp_t = triplet_loss(emb, batch.labels, protos, hp.m2)
         if hp.alpha != 0.0:
             dz += hp.alpha * dz_t
@@ -390,11 +358,11 @@ def div_loss(
         grads.append(encoder_backward(cache, dz) + [dp])
     terms = {
         **{f"pl_{t}": v for t, v in zip("ab", pls)},
-        "incon": inc.loss,
+        "incon": incon,
         **{f"trip_{t}": v for t, v in zip("ab", trips)},
-        "total": sum(pls) + hp.gamma * inc.loss + hp.alpha * sum(trips),
+        "total": sum(pls) + hp.gamma * incon + hp.alpha * sum(trips),
     }
-    return BatchLoss(terms, grads)
+    return terms, grads
 
 
 @dataclass(frozen=True)
@@ -408,19 +376,6 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
-
-
-@dataclass
-class EpochTrace:
-    """Per-epoch means of the loss components (None where not applicable)."""
-
-    epoch: int
-    total: float
-    pl_a: float | None = None
-    pl_b: float | None = None
-    incon: float | None = None
-    trip_a: float | None = None
-    trip_b: float | None = None
 
 
 def training_arrays(partition: DatasetPartition):
@@ -441,21 +396,21 @@ def train(
     objective,
     partition: DatasetPartition,
     config: TrainConfig,
-) -> list[EpochTrace]:
+) -> list[dict[str, float]]:
     """Train K branches on identical shuffled mini-batches.
 
-    objective(batch, branches) -> BatchLoss gives the loss terms and one
-    gradient list per branch; each branch then takes one SGD step with its
-    own optimizer. Branches are updated in place; the per-epoch means of
-    the loss terms are returned. A non-finite loss or gradient raises
-    TrainingError naming the epoch and batch.
+    objective(batch, branches) -> (terms, grads) gives the loss terms
+    ("total" always present) and one gradient list per branch; each branch
+    then takes one SGD step with its own optimizer. Branches are updated in
+    place; one {term: epoch mean} dict per epoch is returned. A non-finite
+    loss or gradient raises TrainingError naming the epoch and batch.
     """
     if partition.stats is None:
         raise ValueError("partition must be standardized before training")
     windows, y = training_arrays(partition)
     rng = np.random.default_rng(config.shuffle_seed)
     arrays = [b.arrays() for b in branches]
-    trace: list[EpochTrace] = []
+    trace: list[dict[str, float]] = []
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config.base_lr)
         for b in branches:
@@ -465,19 +420,19 @@ def train(
         perm = rng.permutation(len(y))
         for bi, start in enumerate(range(0, len(y), config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            res = objective(TrainBatch(windows.rows(idx), y[idx]), branches)
+            terms, branch_grads = objective(TrainBatch(windows.rows(idx), y[idx]), branches)
             where = f"at epoch {epoch}, batch {bi}"
-            if not np.isfinite(res.terms["total"]):
-                detail = ", ".join(f"{k}={v}" for k, v in res.terms.items())
+            if not np.isfinite(terms["total"]):
+                detail = ", ".join(f"{k}={v}" for k, v in terms.items())
                 raise TrainingError(f"non-finite loss {where} ({detail})")
-            for k, (b, grads) in enumerate(zip(branches, res.grads)):
+            for k, (b, grads) in enumerate(zip(branches, branch_grads)):
                 try:
                     sgd_step(arrays[k], grads, b.optimizer)
                 except NonFiniteGradientError as e:
                     raise TrainingError(f"{e} of branch {k + 1} {where}") from e
-            for key, value in res.terms.items():
+            for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + len(idx) * value
-        trace.append(EpochTrace(epoch, **{k: s / len(y) for k, s in sums.items()}))
+        trace.append({k: s / len(y) for k, s in sums.items()})
     return trace
 
 
@@ -501,7 +456,7 @@ def train_sequential(
     if len(branch_seeds) < k:
         raise ValueError(f"need {k} (encoder, prototype) seed pairs, got {len(branch_seeds)}")
     branches: list[BranchState] = []
-    traces: list[list[EpochTrace]] = []
+    traces: list[list[dict[str, float]]] = []
     for enc_seed, proto_seed in branch_seeds[:k]:
         branch = init_branch(
             spec, n_classes, enc_seed, proto_seed, config.base_lr, config.momentum
@@ -521,21 +476,21 @@ def train_sequential(
 
 CHECKPOINT_FORMAT = "predin-branches-v1"
 
+# every term an objective reports, in loss_trace.csv column order
+LOSS_TRACE_COLUMNS = ("pl_a", "pl_b", "incon", "trip_a", "trip_b", "total")
 
-def write_loss_trace(path, trace: list[EpochTrace]) -> None:
-    """CSV loss trace: epoch,pl_a,pl_b,incon,trip_a,trip_b,total."""
 
-    def cell(v):
-        return "" if v is None else repr(float(v))
-
-    lines = ["epoch,pl_a,pl_b,incon,trip_a,trip_b,total"]
-    for t in trace:
-        lines.append(
-            ",".join(
-                [str(t.epoch)]
-                + [cell(v) for v in (t.pl_a, t.pl_b, t.incon, t.trip_a, t.trip_b, t.total)]
-            )
-        )
+def write_loss_trace(path, trace: list[dict[str, float]]) -> None:
+    """CSV loss trace, one row per epoch of train()'s term means; a term the
+    objective does not report is left empty, and one without a column
+    raises ValueError."""
+    lines = [",".join(("epoch",) + LOSS_TRACE_COLUMNS)]
+    for epoch, terms in enumerate(trace):
+        extra = sorted(terms.keys() - set(LOSS_TRACE_COLUMNS))
+        if extra:
+            raise ValueError(f"loss trace has no column for terms {extra}")
+        cells = [repr(float(terms[c])) if c in terms else "" for c in LOSS_TRACE_COLUMNS]
+        lines.append(",".join([str(epoch)] + cells))
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,44 +120,17 @@ def agreement_confusion(preds_a, preds_b, n_classes: int) -> np.ndarray:
     return out
 
 
-@dataclass
-class MetricsReport:
-    """One seed's evaluation summary."""
-
-    auc: float
-    acc: float
-    oscr: float
-    incon: float | None
-    threshold: float
-    retention_achieved: float
-    n_known: int
-    n_unknown: int
-    seed: int | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "auc": self.auc,
-            "acc": self.acc,
-            "oscr": self.oscr,
-            "incon": self.incon,
-            "threshold": self.threshold,
-            "retention_achieved": self.retention_achieved,
-            "n_known": self.n_known,
-            "n_unknown": self.n_unknown,
-        }
-
-
-def aggregate_reports(reports: list[MetricsReport]) -> dict:
-    """Arithmetic means across seeds; undefined Incon values are excluded."""
-    if not reports:
+def aggregate_reports(rows: list[dict]) -> dict:
+    """Arithmetic means of per-seed report rows; undefined Incon values are
+    excluded."""
+    if not rows:
         return {"n_seeds": 0}
-    incons = [r.incon for r in reports if r.incon is not None]
+    incons = [r["incon"] for r in rows if r["incon"] is not None]
     return {
-        "n_seeds": len(reports),
-        "auc_mean": float(np.mean([r.auc for r in reports])),
-        "acc_mean": float(np.mean([r.acc for r in reports])),
-        "oscr_mean": float(np.mean([r.oscr for r in reports])),
+        "n_seeds": len(rows),
+        "auc_mean": float(np.mean([r["auc"] for r in rows])),
+        "acc_mean": float(np.mean([r["acc"] for r in rows])),
+        "oscr_mean": float(np.mean([r["oscr"] for r in rows])),
         "incon_mean": float(np.mean(incons)) if incons else None,
         "incon_defined": len(incons),
     }

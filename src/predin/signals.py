@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -346,6 +347,32 @@ class SyntheticConfig:
     noise_scale: float = 0.5
     smooth_samples: int = 51
 
+    def __post_init__(self):
+        if not is_int(self.n_classes) or self.n_classes < 3:
+            raise ValueError(
+                f"n_classes: need at least 3 classes (known plus unknown), got {self.n_classes!r}"
+            )
+        for name, low in (("channels", 1), ("trials", 1), ("smooth_samples", 0)):
+            value = getattr(self, name)
+            if not is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("recording_ms", "sampling_rate_hz"):
+            value = getattr(self, name)
+            if not (_is_finite(value) and value > 0):
+                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
+        for name in ("separation", "osc_scale", "noise_scale"):
+            if not _is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
+
+
+def is_int(value) -> bool:
+    """An integer of any width, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_finite(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
 
 def _smooth_rows(noise: np.ndarray, width: int) -> np.ndarray:
     """Moving-average each row, rescaled to keep unit per-sample variance."""
@@ -377,8 +404,6 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     Returns (recordings, class_ids) with classes labeled 1..n_classes and
     trials labeled 1..trials.
     """
-    if config.n_classes < 3:
-        raise ValueError("need at least 3 classes (known plus unknown)")
     rng = np.random.default_rng(seed)
     n = int(round(config.recording_ms * config.sampling_rate_hz / 1000.0))
     offsets = _class_offsets(config, rng)

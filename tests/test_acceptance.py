@@ -16,6 +16,7 @@ from predin.harness import ExperimentConfig, config_from_dict, load_dataset, run
 from predin.inconsistency import (
     ProximityDistribution,
     inconsistency_loss,
+    proximity_backward,
     proximity_probs,
     triplet_loss,
 )
@@ -91,10 +92,10 @@ def test_criterion_2_metric_oracles():
 def test_criterion_3_loss_identities():
     one_hot_a = ProximityDistribution(np.array([[1.0, 0.0, 0.0]]), np.array([1]))
     one_hot_b = ProximityDistribution(np.array([[0.0, 1.0, 0.0]]), np.array([1]))
-    incon_extreme = inconsistency_loss(one_hot_a, one_hot_b).loss
+    incon_extreme, _, _ = inconsistency_loss(one_hot_a, one_hot_b)
 
     uniform = ProximityDistribution(np.array([[0.5, 0.5]]), np.array([1]))
-    incon_uniform = inconsistency_loss(uniform, uniform).loss
+    incon_uniform, _, _ = inconsistency_loss(uniform, uniform)
 
     protos = np.zeros((5, 3))
     dce_equal, _, _ = dce_loss(np.zeros((2, 3)), [1, 4], protos)
@@ -124,12 +125,13 @@ def test_criterion_4_clamp_semantics():
     z_b = np.array([[1.0, 0.0]])
     dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5)
     dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)
-    res = inconsistency_loss(dist_a, dist_b)
+    _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b)
+    d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
     ok = (
         not dist_a.cache.active.any()
-        and res.dprobs_a.any()  # the loss does pull on the distribution
-        and not res.d_embeddings_a.any()  # but the clamp blocks every distance
-        and not res.d_prototypes_a.any()
+        and dprobs_a.any()  # the loss does pull on the distribution
+        and not d_embeddings_a.any()  # but the clamp blocks every distance
+        and not d_prototypes_a.any()
     )
     verdict(
         ok,
@@ -140,12 +142,12 @@ def test_criterion_4_clamp_semantics():
 
 def test_criterion_5_directional_table4(table4_runs):
     records, elapsed = table4_runs
-    means = {v: r.aggregate["auc_mean"] for v, r in records.items()}
+    means = {v: r["aggregate"]["auc_mean"] for v, r in records.items()}
     ok = (
         means["predin"] >= means["dual"] >= means["pl_baseline"]
         and means["predin"] - means["pl_baseline"] > 0.0
         and elapsed < 600.0
-        and all(not r.aggregate["failed_seeds"] for r in records.values())
+        and all(not r["aggregate"]["failed_seeds"] for r in records.values())
     )
     verdict(
         ok,
@@ -157,8 +159,8 @@ def test_criterion_5_directional_table4(table4_runs):
 
 def test_criterion_6_incon_trend(table4_runs):
     records, _ = table4_runs
-    incon_predin = records["predin"].aggregate["incon_mean"]
-    incon_dual = records["dual"].aggregate["incon_mean"]
+    incon_predin = records["predin"]["aggregate"]["incon_mean"]
+    incon_dual = records["dual"]["aggregate"]["incon_mean"]
     ok = (
         incon_predin is not None
         and incon_dual is not None
@@ -174,8 +176,8 @@ def test_criterion_6_incon_trend(table4_runs):
 def test_criterion_7_closed_set_sanity(table4_runs):
     records, _ = table4_runs
     predin = records["predin"]
-    acc = predin.aggregate["acc_mean"]
-    retentions = [row["retention_achieved"] for row in predin.per_seed]
+    acc = predin["aggregate"]["acc_mean"]
+    retentions = [row["retention_achieved"] for row in predin["per_seed"]]
     ok = acc >= 0.95 and all(r >= 0.95 for r in retentions)
     verdict(
         ok,

@@ -129,11 +129,54 @@ class TestConfig:
             ("train_trials", ()),
             ("test_trials", ()),
             ("test_trials", (2, 3)),  # trial 2 is also a train trial
+            ("seeds", (1.5, 2.7)),
+            ("seeds", (True, 2)),
+            ("seeds", 5),
+            ("train_trials", (1.0,)),
+            ("test_trials", ("3",)),
+            ("hidden_dims", (8.5,)),
+            ("feature_dim", 8.0),
+            ("epochs", 2.5),
+            ("batch_size", True),
+            ("n_known", 3.7),
+            ("sequential_k", 2.5),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             tiny_config(**{field: value})
+
+    @pytest.mark.parametrize("section", ["dataset", "hyperparams", "encoder", "training"])
+    @pytest.mark.parametrize("value", [None, [], 3])
+    def test_non_object_section_rejected(self, section, value):
+        with pytest.raises(ValueError, match=f"section '{section}' must be a JSON object"):
+            config_from_dict({section: value})
+
+    def test_non_object_config_rejected(self):
+        with pytest.raises(ValueError, match="the config must be a JSON object, got list"):
+            config_from_dict([])
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("n_classes", 2),
+            ("n_classes", 5.0),
+            ("channels", 0),
+            ("channels", 2.5),
+            ("trials", 0),
+            ("trials", False),
+            ("recording_ms", -5.0),
+            ("recording_ms", float("inf")),
+            ("sampling_rate_hz", 0),
+            ("separation", float("nan")),
+            ("osc_scale", float("inf")),
+            ("noise_scale", "0.4"),
+            ("smooth_samples", -1),
+        ],
+    )
+    def test_invalid_synthetic_setting_rejected_when_built(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({"dataset": dict(TINY_DATASET, **{key: value})})
 
     def test_invalid_section_value_rejected_when_loaded(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -203,7 +246,7 @@ class TestVariantLattice:
         recordings, classes = load_dataset(cfg_predin)
         r_predin = run_seed(cfg_predin, recordings, classes, 1).report
         r_dual = run_seed(cfg_dual, recordings, classes, 1).report
-        assert r_predin.to_dict() == r_dual.to_dict()
+        assert r_predin == r_dual
 
     def test_dual_branch_a_equals_pl_baseline(self):
         cfg_dual = tiny_config(variant="dual")
@@ -230,26 +273,32 @@ class TestSoftmaxBaseline:
         cfg = tiny_config(variant="softmax", epochs=10)
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, recordings, classes, 1)
-        assert result.report.acc > 0.5
+        assert result.report["acc"] > 0.5
         # softmax scores are probabilities
         assert ((0.0 <= result.scored.s_max) & (result.scored.s_max <= 1.0)).all()
-        assert result.report.incon is None
+        assert result.report["incon"] is None
 
 
 class TestRunExperiment:
     def test_report_and_artifacts(self, tmp_path):
         cfg = tiny_config(seeds=(1, 2), output_dir=str(tmp_path / "out"))
         record = run_experiment(cfg)
-        assert record.aggregate["n_seeds"] == 2
+        assert record["aggregate"]["n_seeds"] == 2
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert report["config"]["seeds"] == [1, 2]
         # numeric fields survive the round trip exactly
-        assert report["per_seed"][0]["auc"] == record.per_seed[0]["auc"]
+        assert report["per_seed"][0]["auc"] == record["per_seed"][0]["auc"]
         for seed in (1, 2):
             seed_dir = tmp_path / "out" / f"seed_{seed}"
             for name in ("scores.csv", "loss_trace.csv", "checkpoint.npz",
                          "proximity_branch1.csv", "agreement_known.csv"):
                 assert (seed_dir / name).exists(), name
+
+    @pytest.mark.parametrize("variant", ["softmax", "pl_baseline", "predin", "sequential_k"])
+    def test_returns_its_report_json(self, tmp_path, variant):
+        cfg = tiny_config(variant=variant, seeds=(1, 2), epochs=2, output_dir=str(tmp_path))
+        report = run_experiment(cfg)
+        assert report == json.loads((tmp_path / "report.json").read_text())
 
     def test_rerun_is_bitwise_identical(self, tmp_path):
         cfg = tiny_config(seeds=(1,), output_dir=str(tmp_path / "out"))
@@ -263,8 +312,8 @@ class TestRunExperiment:
         cfg = tiny_config(seeds=(1, 2), lr=1e6, epochs=40, output_dir=str(tmp_path / "out"))
         with np.errstate(over="ignore", invalid="ignore"):
             record = run_experiment(cfg)
-        assert record.aggregate["failed_seeds"] == [1, 2]
-        assert all("error" in row for row in record.per_seed)
+        assert record["aggregate"]["failed_seeds"] == [1, 2]
+        assert all("error" in row for row in record["per_seed"])
         assert (tmp_path / "out" / "report.json").exists()
 
     def test_non_finite_gradient_fails_only_its_seed(self, tmp_path, monkeypatch):
@@ -282,9 +331,9 @@ class TestRunExperiment:
         monkeypatch.setattr(inconsistency, "triplet_loss", poisoned)
         cfg = tiny_config(seeds=(1, 2), output_dir=str(tmp_path / "out"))
         record = run_experiment(cfg)
-        assert record.aggregate["failed_seeds"] == [1]
-        assert "epoch 0, batch 0" in record.per_seed[0]["error"]
-        assert record.per_seed[1]["auc"] is not None
+        assert record["aggregate"]["failed_seeds"] == [1]
+        assert "epoch 0, batch 0" in record["per_seed"][0]["error"]
+        assert record["per_seed"][1]["auc"] is not None
 
     def test_unwritable_output_dir(self, tmp_path):
         target = tmp_path / "blocked"
@@ -351,7 +400,7 @@ class TestAblation:
         assert len(calls) == 1
         # the last variant ran on the shared recordings after five others
         alone = run_experiment(dataclasses.replace(cfg, variant="predin"), write_artifacts=False)
-        assert records["predin"].per_seed == alone.per_seed
+        assert records["predin"]["per_seed"] == alone["per_seed"]
 
 
 class TestBuildPartition:
@@ -420,7 +469,7 @@ class TestSequentialVariant:
                     variant="sequential_k", sequential_k=k, output_dir="unused"
                 )
                 recordings, classes = load_dataset(cfg)
-                aucs.append(run_seed(cfg, recordings, classes, seed).report.auc)
+                aucs.append(run_seed(cfg, recordings, classes, seed).report["auc"])
             means[k] = np.mean(aucs)
         assert means[5] >= means[2]
 
@@ -430,7 +479,7 @@ class TestSoftmaxOnDefaultDataset:
         cfg = ExperimentConfig(variant="softmax", output_dir="unused")
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, recordings, classes, 1)
-        assert result.report.acc >= 0.95
+        assert result.report["acc"] >= 0.95
 
 
 class TestZeroSeparation:
@@ -440,7 +489,7 @@ class TestZeroSeparation:
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, recordings, classes, 1)
         # 3 known classes: chance is 1/3
-        assert result.report.acc < 0.55
+        assert result.report["acc"] < 0.55
 
 
 class TestCli:
@@ -467,6 +516,37 @@ class TestCli:
     def test_check_gradients_command(self, capsys):
         assert cli_main(["check-gradients", "--seeds", "1", "--coords", "60"]) == 0
         assert "max_rel_error" in capsys.readouterr().out
+
+    def _diverging_config(self, tmp_path):
+        # magnitudes grow by ~1e6 per step, so 40 epochs guarantees overflow
+        cfg = tiny_config(seeds=(1,), lr=1e6, epochs=40, output_dir=str(tmp_path / "out"))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg.to_dict()))
+        return path
+
+    def test_run_fails_when_every_seed_fails(self, tmp_path, capsys):
+        path = self._diverging_config(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["run", "--config", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "seed 1: FAILED" in captured.out
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "RuntimeError"
+        assert "every seed failed" in err["message"]
+        assert (tmp_path / "out" / "report.json").exists()
+
+    def test_ablation_fails_when_a_variant_has_no_seed(self, tmp_path, capsys):
+        path = self._diverging_config(tmp_path)
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = cli_main(["ablation", "--config", str(path)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "(all seeds failed)" in captured.out
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "RuntimeError"
+        assert "every seed failed for variants" in err["message"]
+        assert (tmp_path / "out" / "ablation_table.csv").exists()
 
     def test_failure_emits_error_json(self, tmp_path, capsys):
         code = cli_main(["run", "--config", str(tmp_path / "missing.json")])

@@ -6,10 +6,18 @@ import pytest
 
 import predin.io
 from predin import inconsistency
-from predin.encoder import EncoderSpec, TrainBatch, encoder_forward, finite_diff_check
+from predin.encoder import (
+    EncoderSpec,
+    TrainBatch,
+    encoder_forward,
+    finite_diff_check,
+    init_encoder,
+    init_optimizer,
+)
 from predin.inconsistency import (
+    LOSS_TRACE_COLUMNS,
+    BranchState,
     DivHyperParams,
-    EpochTrace,
     ProximityDistribution,
     TrainConfig,
     TrainingError,
@@ -19,8 +27,10 @@ from predin.inconsistency import (
     load_checkpoint,
     nearest_other_prototype,
     pl_objective,
+    proximity_backward,
     proximity_probs,
     save_dual_checkpoint,
+    softmax_objective,
     train,
     train_sequential,
     triplet_loss,
@@ -121,40 +131,46 @@ class TestInconsistencyLoss:
     def test_disjoint_one_hots_reach_lower_bound(self):
         a = dist_from_probs([[1.0, 0.0, 0.0]], [1])
         b = dist_from_probs([[0.0, 1.0, 0.0]], [1])
-        res = inconsistency_loss(a, b)
-        assert res.loss == pytest.approx(-np.log(2.0), abs=1e-12)
+        loss, _, _ = inconsistency_loss(a, b)
+        assert loss == pytest.approx(-np.log(2.0), abs=1e-12)
 
     def test_uniform_rows_over_two_classes(self):
         a = dist_from_probs([[0.5, 0.5]], [1])
         b = dist_from_probs([[0.5, 0.5]], [1])
-        assert inconsistency_loss(a, b).loss == pytest.approx(0.0, abs=1e-12)
+        assert inconsistency_loss(a, b)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_one_hots_clamp(self):
         a = dist_from_probs([[1.0, 0.0]], [1])
         b = dist_from_probs([[1.0, 0.0]], [1])
-        res = inconsistency_loss(a, b, epsilon_log=1e-12)
-        assert res.loss == pytest.approx(-np.log(1e-12), abs=1e-9)
+        loss, dprobs_a, dprobs_b = inconsistency_loss(a, b, epsilon_log=1e-12)
+        assert loss == pytest.approx(-np.log(1e-12), abs=1e-9)
         # clamped region carries no gradient
-        assert not res.dprobs_a.any() and not res.dprobs_b.any()
+        assert not dprobs_a.any() and not dprobs_b.any()
 
     def test_lower_bound_over_random_rows(self):
         rng = np.random.default_rng(1)
         for _ in range(50):
             pa = rng.dirichlet(np.ones(4), size=3)
             pb = rng.dirichlet(np.ones(4), size=3)
-            res = inconsistency_loss(dist_from_probs(pa, [1, 1, 1]), dist_from_probs(pb, [1, 1, 1]))
-            assert res.loss >= -np.log(2.0) - 1e-12
+            loss, _, _ = inconsistency_loss(
+                dist_from_probs(pa, [1, 1, 1]), dist_from_probs(pb, [1, 1, 1])
+            )
+            assert loss >= -np.log(2.0) - 1e-12
 
     def test_swap_symmetry(self):
         rng = np.random.default_rng(2)
         pa = rng.dirichlet(np.ones(3), size=4)
         pb = rng.dirichlet(np.ones(3), size=4)
         labels = [1, 2, 1, 2]
-        r1 = inconsistency_loss(dist_from_probs(pa, labels), dist_from_probs(pb, labels))
-        r2 = inconsistency_loss(dist_from_probs(pb, labels), dist_from_probs(pa, labels))
-        assert r1.loss == r2.loss
-        np.testing.assert_array_equal(r1.dprobs_a, r2.dprobs_b)
-        np.testing.assert_array_equal(r1.dprobs_b, r2.dprobs_a)
+        loss_1, dprobs_a_1, dprobs_b_1 = inconsistency_loss(
+            dist_from_probs(pa, labels), dist_from_probs(pb, labels)
+        )
+        loss_2, dprobs_a_2, dprobs_b_2 = inconsistency_loss(
+            dist_from_probs(pb, labels), dist_from_probs(pa, labels)
+        )
+        assert loss_1 == loss_2
+        np.testing.assert_array_equal(dprobs_a_1, dprobs_b_2)
+        np.testing.assert_array_equal(dprobs_b_1, dprobs_a_2)
 
     def test_misaligned_batches_rejected(self):
         a = dist_from_probs([[0.5, 0.5]], [1])
@@ -175,11 +191,12 @@ class TestInconsistencyLoss:
         dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)
         assert not dist_a.cache.active.any()
         assert dist_b.cache.active.all()
-        res = inconsistency_loss(dist_a, dist_b)
+        _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b)
+        d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
         # the loss still pulls on A's distribution, but the clamp blocks it
-        assert res.dprobs_a.any()
-        assert not res.d_embeddings_a.any()
-        assert not res.d_prototypes_a.any()
+        assert dprobs_a.any()
+        assert not d_embeddings_a.any()
+        assert not d_prototypes_a.any()
 
     def test_partially_clamped_branch_still_learns(self):
         # one active column in A, all active in B: gradients flow into both
@@ -190,12 +207,14 @@ class TestInconsistencyLoss:
         dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5)
         dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)
         assert dist_a.cache.active.sum() == 1
-        res = inconsistency_loss(dist_a, dist_b)
-        assert res.d_embeddings_a.any()
-        assert res.d_embeddings_b.any()
+        _, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b)
+        d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
+        d_embeddings_b, _ = proximity_backward(dist_b, dprobs_b)
+        assert d_embeddings_a.any()
+        assert d_embeddings_b.any()
         # the clamped columns of A contribute nothing to its prototype grads
-        assert not res.d_prototypes_a[1].any()  # gap 0.1 < m1
-        assert res.d_prototypes_a[2].any()  # gap 3.0 > m1
+        assert not d_prototypes_a[1].any()  # gap 0.1 < m1
+        assert d_prototypes_a[2].any()  # gap 3.0 > m1
 
 
 class TestTripletLoss:
@@ -253,18 +272,17 @@ class TestDivLoss:
     def test_weights_zero_reduces_to_two_baselines(self):
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=0.0, alpha=0.0)
-        res = div_loss(batch, [a, b], hp)
+        t, grads = div_loss(batch, [a, b], hp)
         emb_a, _ = encoder_forward(a.encoder, batch.inputs)
         pl_a, dz_a, dp_a = pl_loss(emb_a, batch.labels, a.prototypes, hp.beta, hp.compactness_form)
-        t = res.terms
         assert t["total"] == t["pl_a"] + t["pl_b"]
         assert t["pl_a"] == pl_a
-        np.testing.assert_array_equal(res.grads[0][-1], dp_a)
+        np.testing.assert_array_equal(grads[0][-1], dp_a)
 
     def test_full_objective_composition(self):
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=1.0, alpha=1.0)
-        t = div_loss(batch, [a, b], hp).terms
+        t, _ = div_loss(batch, [a, b], hp)
         assert t["total"] == pytest.approx(
             t["pl_a"] + t["pl_b"] + t["incon"] + t["trip_a"] + t["trip_b"], abs=1e-12
         )
@@ -273,17 +291,36 @@ class TestDivLoss:
         # against a frozen b, branch a sees the joint objective's a-side terms
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        joint = div_loss(batch, [a, b], hp)
-        frozen = div_loss(batch, [a], hp, frozen=b)
-        assert set(frozen.terms) == {"pl_a", "incon", "trip_a", "total"}
+        joint, joint_grads = div_loss(batch, [a, b], hp)
+        frozen, frozen_grads = div_loss(batch, [a], hp, frozen=b)
+        assert set(frozen) == {"pl_a", "incon", "trip_a", "total"}
         for key in ("pl_a", "incon", "trip_a"):
-            assert frozen.terms[key] == joint.terms[key]
-        assert frozen.terms["total"] == pytest.approx(
-            joint.terms["pl_a"] + joint.terms["incon"] + joint.terms["trip_a"], abs=1e-12
+            assert frozen[key] == joint[key]
+        assert frozen["total"] == pytest.approx(
+            joint["pl_a"] + joint["incon"] + joint["trip_a"], abs=1e-12
         )
-        assert len(frozen.grads) == 1
-        for x, y in zip(frozen.grads[0], joint.grads[0]):
+        assert len(frozen_grads) == 1
+        for x, y in zip(frozen_grads[0], joint_grads[0]):
             np.testing.assert_array_equal(x, y)
+
+    @pytest.mark.parametrize("kind", ["pl", "softmax", "div_joint", "div_frozen"])
+    def test_terms_have_a_total_and_a_trace_column(self, kind):
+        batch, a, b = self._batch_and_branches()
+        hp = DivHyperParams()
+        if kind == "pl":
+            terms, grads = pl_objective(batch, [a], hp)
+        elif kind == "softmax":
+            enc = init_encoder(SPEC, seed=1)
+            head = [np.zeros((3, 4)), np.zeros(3)]
+            linear = BranchState(enc, head, 0, init_optimizer(enc.arrays() + head, 0.01))
+            terms, grads = softmax_objective(batch, [linear])
+        elif kind == "div_joint":
+            terms, grads = div_loss(batch, [a, b], hp)
+        else:
+            terms, grads = div_loss(batch, [a], hp, frozen=b)
+        assert "total" in terms
+        assert set(terms) <= set(LOSS_TRACE_COLUMNS)
+        assert len(grads) == (2 if kind == "div_joint" else 1)
 
     def test_needs_a_branch_pair(self):
         batch, a, b = self._batch_and_branches()
@@ -293,11 +330,11 @@ class TestDivLoss:
     def test_branch_symmetry(self):
         batch, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        r1 = div_loss(batch, [a, b], hp)
-        r2 = div_loss(batch, [b, a], hp)
-        assert r1.terms["incon"] == r2.terms["incon"]
-        assert r1.terms["total"] == pytest.approx(r2.terms["total"], abs=1e-12)
-        np.testing.assert_array_equal(r1.grads[0][-1], r2.grads[1][-1])
+        t1, grads_1 = div_loss(batch, [a, b], hp)
+        t2, grads_2 = div_loss(batch, [b, a], hp)
+        assert t1["incon"] == t2["incon"]
+        assert t1["total"] == pytest.approx(t2["total"], abs=1e-12)
+        np.testing.assert_array_equal(grads_1[0][-1], grads_2[1][-1])
 
 
 def _joint_branches(part, seeds=((1, 2), (3, 4)), lr=0.01):
@@ -330,8 +367,8 @@ class TestTraining:
             branches, partial(div_loss, hp=DivHyperParams()), part,
             TrainConfig(epochs=12, batch_size=64, base_lr=0.002),
         )
-        assert trace[-1].pl_a < trace[0].pl_a
-        assert trace[-1].pl_b < trace[0].pl_b
+        assert trace[-1]["pl_a"] < trace[0]["pl_a"]
+        assert trace[-1]["pl_b"] < trace[0]["pl_b"]
 
     def test_divergence_aborts_with_diagnostics(self):
         part = tiny_partition()
@@ -348,10 +385,10 @@ class TestTraining:
         hp = DivHyperParams()
 
         def poisoned(batch, branches):
-            res = div_loss(batch, branches, hp)
+            terms, grads = div_loss(batch, branches, hp)
             if branches[0].optimizer.epoch == 1:
-                res.grads[1][-1][0, 0] = np.nan
-            return res
+                grads[1][-1][0, 0] = np.nan
+            return terms, grads
 
         with pytest.raises(TrainingError, match="branch 2 at epoch 1, batch 0"):
             train(branches, poisoned, part, TrainConfig(epochs=3, batch_size=64))
@@ -384,8 +421,8 @@ class TestTraining:
         )
         assert len(branches) == 3
         # later traces carry the inconsistency component, the first does not
-        assert traces[0][0].incon is None
-        assert traces[1][0].incon is not None
+        assert "incon" not in traces[0][0]
+        assert "incon" in traces[1][0]
 
     def test_checkpoint_roundtrip_bitwise(self, tmp_path):
         part = tiny_partition()
@@ -402,6 +439,12 @@ class TestTraining:
         for x, y in zip(branches[1].optimizer.velocities, loaded[1].optimizer.velocities):
             assert x.tobytes() == y.tobytes()
 
+    def test_loss_trace_rejects_a_term_without_column(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        with pytest.raises(ValueError, match="'clamp_frac'"):
+            write_loss_trace(path, [{"pl_a": 1.0, "total": 1.0}, {"clamp_frac": 0.5, "total": 1.0}])
+        assert not path.exists()
+
     def test_loss_trace_csv(self, tmp_path):
         part = tiny_partition()
         branches = _joint_branches(part, lr=0.002)
@@ -416,7 +459,7 @@ class TestTraining:
         assert len(lines) == 4
         first = lines[1].split(",")
         assert first[0] == "0"
-        assert float(first[6]) == pytest.approx(trace[0].total)
+        assert float(first[6]) == pytest.approx(trace[0]["total"])
 
 
 class TestCheckpoint:
@@ -509,7 +552,7 @@ def _score_table():
 
 ARTIFACT_WRITERS = {
     "scores.csv": lambda path: write_score_dump(path, _score_table(), None),
-    "loss_trace.csv": lambda path: write_loss_trace(path, [EpochTrace(0, total=1.5, pl_a=1.5)]),
+    "loss_trace.csv": lambda path: write_loss_trace(path, [{"total": 1.5, "pl_a": 1.5}]),
     "proximity.csv": lambda path: write_matrix_csv(path, np.eye(3)),
 }
 

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from predin.metrics import (
-    MetricsReport,
     agreement_confusion,
     aggregate_reports,
     auc,
@@ -252,10 +251,10 @@ class TestAgreementConfusion:
 class TestAggregate:
     def test_means_exclude_undefined_incon(self):
         reports = [
-            MetricsReport(auc=0.8, acc=0.9, oscr=0.7, incon=2.0, threshold=0.1,
-                          retention_achieved=0.95, n_known=10, n_unknown=5, seed=1),
-            MetricsReport(auc=0.6, acc=0.8, oscr=0.5, incon=None, threshold=0.2,
-                          retention_achieved=0.96, n_known=10, n_unknown=5, seed=2),
+            dict(auc=0.8, acc=0.9, oscr=0.7, incon=2.0, threshold=0.1,
+                 retention_achieved=0.95, n_known=10, n_unknown=5, seed=1),
+            dict(auc=0.6, acc=0.8, oscr=0.5, incon=None, threshold=0.2,
+                 retention_achieved=0.96, n_known=10, n_unknown=5, seed=2),
         ]
         agg = aggregate_reports(reports)
         assert agg["auc_mean"] == pytest.approx(0.7)
