@@ -21,7 +21,6 @@ from .encoder import (  # noqa: F401
     EncoderParams,
     EncoderSpec,
     OptimizerState,
-    TrainBatch,
     encoder_backward,
     encoder_forward,
     finite_diff_check,

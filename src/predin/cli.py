@@ -19,15 +19,25 @@ from .gradcheck import run_gradient_suite
 from .harness import load_config, run_ablation, run_experiment
 
 
+def _parse_seeds(text: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(
+            f"--seeds must be a comma-separated list of integers, got {text!r}"
+        ) from None
+
+
 def _apply_overrides(config, args):
+    """config with every given flag applied; the config re-checks each value."""
     updates = {}
-    if getattr(args, "variant", None):
+    if getattr(args, "variant", None) is not None:
         updates["variant"] = args.variant
-    if getattr(args, "seeds", None):
-        updates["seeds"] = tuple(int(s) for s in args.seeds.split(","))
-    if getattr(args, "out", None):
+    if args.seeds is not None:
+        updates["seeds"] = _parse_seeds(args.seeds)
+    if args.out is not None:
         updates["output_dir"] = args.out
-    return replace(config, **updates) if updates else config
+    return replace(config, **updates)
 
 
 def _cmd_run(args) -> int:

@@ -77,28 +77,6 @@ class EncoderParams:
         return out
 
 
-@dataclass
-class TrainBatch:
-    """Flattened window inputs (M, input_dim) with class labels 1..N."""
-
-    inputs: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        self.inputs = np.asarray(self.inputs, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
-            raise ValueError(f"inputs must be (M, D) with M >= 1, got {self.inputs.shape}")
-        if self.labels.shape != (self.inputs.shape[0],):
-            raise ValueError("labels must be one per input row")
-        if (self.labels < 1).any():
-            raise ValueError("labels must be >= 1 (contiguous class ids)")
-
-    @property
-    def size(self) -> int:
-        return self.inputs.shape[0]
-
-
 def init_encoder(spec: EncoderSpec, seed: int) -> EncoderParams:
     """He-style init: W ~ N(0, 2/fan_in), biases zero, deterministic per seed."""
     rng = np.random.default_rng(seed)

@@ -19,7 +19,6 @@ from .encoder import (
     EncoderParams,
     EncoderSpec,
     FiniteDiffReport,
-    TrainBatch,
     encoder_backward,
     encoder_forward,
     finite_diff_check,
@@ -135,26 +134,23 @@ def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
     own = _frozen_own_dots(base_arrays, x, labels)
     half = len(base_arrays) // 2
     partner = _rebuild(base_arrays[half:])
-    batch = TrainBatch(x, labels)
 
     def compute(arrays):
         if frozen:
             terms, branch_grads = div_loss(
-                batch, [_rebuild(arrays)], hp, frozen=partner, own_dots=own
+                x, labels, [_rebuild(arrays)], hp, frozen=partner, own_dots=own
             )
         else:
             branches = [_rebuild(arrays[:half]), _rebuild(arrays[half:])]
-            terms, branch_grads = div_loss(batch, branches, hp, own_dots=own)
+            terms, branch_grads = div_loss(x, labels, branches, hp, own_dots=own)
         return terms["total"], [g for grads in branch_grads for g in grads]
 
     return compute
 
 
 def _softmax_case(x, labels):
-    batch = TrainBatch(x, labels)
-
     def compute(arrays):
-        terms, (grads,) = softmax_objective(batch, [_rebuild(arrays)])
+        terms, (grads,) = softmax_objective(x, labels, [_rebuild(arrays)])
         return terms["total"], grads
 
     return compute

@@ -17,12 +17,13 @@ from functools import partial
 import numpy as np
 
 from . import __version__
-from .encoder import ACTIVATIONS, EncoderSpec, encoder_forward, init_encoder, init_optimizer
+from .encoder import ACTIVATIONS, EncoderSpec
 from .inconsistency import (
     BranchState,
     DivHyperParams,
     TrainConfig,
     TrainingError,
+    branch_score_fn,
     div_loss,
     init_branch,
     pl_objective,
@@ -44,18 +45,12 @@ from .metrics import (
     report_to_json,
     write_matrix_csv,
 )
-from .prototypes import softmax
-from .scoring import (
-    ScoreTable,
-    calibrate_threshold,
-    prototype_score_fn,
-    score_windows,
-    write_score_dump,
-)
+from .scoring import ScoreTable, calibrate_threshold, score_windows, write_score_dump
 from .signals import (
     DatasetPartition,
     SyntheticConfig,
     generate_synthetic,
+    is_finite,
     is_int,
     load_csv,
     split_known_unknown,
@@ -161,13 +156,18 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if not self.seeds:
             raise ValueError("need at least one seed")
-        if len(set(self.seeds)) < len(self.seeds):
-            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {tuple(VARIANTS)}, got {self.variant!r}")
+        if len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
+            raise ValueError(f"seeds must be distinct and >= 0, got {list(self.seeds)}")
+        for name, choices in (("variant", VARIANTS), ("activation", ACTIVATIONS)):
+            value = getattr(self, name)
+            if not (isinstance(value, str) and value in choices):
+                raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
+        for name in ("window_ms", "step_ms", "lr", "momentum", "retention"):
+            if not is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         if not 0.0 < self.retention < 1.0:
             raise ValueError(f"retention must lie in (0, 1), got {self.retention}")
-        if not 0.0 <= self.momentum < 1.0:  # NaN fails too
+        if not 0.0 <= self.momentum < 1.0:
             raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
         for name in ("window_ms", "step_ms"):
             if not getattr(self, name) > 0:
@@ -176,25 +176,30 @@ class ExperimentConfig:
             ("n_known", 2), ("sequential_k", 1), ("feature_dim", 1),
             ("epochs", 0), ("batch_size", 1), ("lr", 0),
         ):
-            if not getattr(self, name) >= low:  # NaN fails too
+            if not getattr(self, name) >= low:
                 raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not all(h >= 1 for h in self.hidden_dims):
             raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(
-                f"activation must be one of {sorted(ACTIVATIONS)}, got {self.activation!r}"
-            )
         for name in ("train_trials", "test_trials"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must name at least one trial")
         shared = sorted(set(self.train_trials) & set(self.test_trials))
         if shared:
             raise ValueError(f"train_trials and test_trials share trials {shared}")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         kind = _as_object(self.dataset, "dataset").get("type", "synthetic")
-        if kind not in _DATASET_KEYS:
+        if not (isinstance(kind, str) and kind in _DATASET_KEYS):
             raise ValueError(f"unknown dataset type {kind!r}")
         _check_section("dataset", self.dataset, *_DATASET_KEYS[kind])
-        if kind == "synthetic":
+        if kind == "csv":
+            for key in ("data_path", "meta_path"):
+                if not isinstance(self.dataset[key], str):
+                    raise ValueError(f"{key} must be a string, got {self.dataset[key]!r}")
+        else:
+            seed = self.dataset.get("data_seed", 0)  # absent: load_dataset's default
+            if not (is_int(seed) and seed >= 0):
+                raise ValueError(f"data_seed must be an integer >= 0, got {seed!r}")
             _synthetic_config(self.dataset)  # generator settings fail here, not mid-run
 
     def to_dict(self) -> dict:
@@ -282,11 +287,6 @@ def _variant_hp(config: ExperimentConfig) -> DivHyperParams:
     return replace(config.hyperparams, **dict.fromkeys(VARIANTS[config.variant], 0.0))
 
 
-# ---------------------------------------------------------------------------
-# softmax baseline (linear head instead of prototypes)
-# ---------------------------------------------------------------------------
-
-
 def baseline_softmax_train(
     partition: DatasetPartition,
     spec: EncoderSpec,
@@ -295,35 +295,12 @@ def baseline_softmax_train(
     encoder_seed: int,
     head_seed: int,
 ):
-    """Cross-entropy training of the same encoder with a linear head.
-
-    The rejection score of a sample is its maximum softmax probability, so
-    the scored samples flow through the same evaluation path as prototype
-    models. Returns (branch, trace).
-    """
-    enc = init_encoder(spec, encoder_seed)
-    rng = np.random.default_rng(head_seed)
-    head = [
-        rng.normal(0.0, np.sqrt(2.0 / spec.output_dim), size=(n_classes, spec.output_dim)),
-        np.zeros(n_classes),
-    ]
-    opt = init_optimizer(enc.arrays() + head, config.base_lr, config.momentum)
-    branch = BranchState(encoder=enc, head=head, head_seed=head_seed, optimizer=opt)
+    """Cross-entropy training of one softmax-head branch; its rejection
+    score is the maximum softmax probability. Returns (branch, trace)."""
+    branch = init_branch(
+        spec, n_classes, encoder_seed, head_seed, config.base_lr, config.momentum, head="softmax"
+    )
     return branch, train([branch], softmax_objective, partition, config)
-
-
-def branch_score_fn(branch: BranchState):
-    """Branch scorer: prototype similarities, or for a softmax head its
-    posterior probabilities."""
-    if branch.prototypes is not None:
-        return prototype_score_fn(branch.encoder, branch.prototypes)
-    head_w, head_b = branch.head
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        emb, _ = encoder_forward(branch.encoder, x)
-        return softmax(emb @ head_w.T + head_b)
-
-    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -365,9 +342,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
             (derive_seed(seed, 101 + 2 * t), derive_seed(seed, 102 + 2 * t))
             for t in range(config.sequential_k)
         ]
-        branches, traces = train_sequential(
-            config.sequential_k, partition, tc, hp, spec, n_classes, seeds
-        )
+        branches, traces = train_sequential(partition, tc, hp, spec, n_classes, seeds)
         return SeedResult(branches=branches, traces=traces, hp=hp)
 
     streams = [(_ENC_A, _PROTO_A), (_ENC_B, _PROTO_B)]

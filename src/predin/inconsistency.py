@@ -13,8 +13,9 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
   triplet           mean_i max(||z-p^y|| - ||z-p^j*|| + m2, 0),
                     j* the nearest other prototype to p^y, refreshed per batch
 
-Every variant trains through the one loop in train(): K branches, each
-with its own optimizer, and a per-batch objective that returns the loss
+Every variant is init_branch() followed by the one loop in train(): K
+branches, each with its own optimizer and a prototype or linear softmax
+head, and a per-batch objective(x, y, branches) that returns the loss
 terms and one gradient list per branch, as a (terms, grads) pair.
 """
 
@@ -30,7 +31,6 @@ from .encoder import (
     EncoderSpec,
     NonFiniteGradientError,
     OptimizerState,
-    TrainBatch,
     encoder_backward,
     encoder_forward,
     init_encoder,
@@ -41,13 +41,15 @@ from .encoder import (
 from .io import atomic_open, atomic_write_text
 from .prototypes import (
     COMPACTNESS_FORMS,
+    check_labels,
     init_prototypes,
     log_softmax,
     pl_loss,
     scatter_add_rows,
     softmax,
 )
-from .signals import DatasetPartition
+from .scoring import prototype_score_fn
+from .signals import DatasetPartition, is_finite
 
 
 class TrainingError(RuntimeError):
@@ -72,8 +74,11 @@ class DivHyperParams:
     compactness_form: str = "huber_sq"
 
     def __post_init__(self):
+        for name in ("beta", "gamma", "alpha", "m1", "m2", "epsilon_log"):
+            if not is_finite(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
         for name in ("beta", "gamma", "alpha", "m1", "m2"):
-            if not getattr(self, name) >= 0:  # NaN fails too
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not self.epsilon_log > 0:
             raise ValueError(f"epsilon_log must be > 0, got {self.epsilon_log}")
@@ -110,18 +115,42 @@ def init_branch(
     spec: EncoderSpec,
     n_classes: int,
     encoder_seed: int,
-    prototype_seed: int,
+    head_seed: int,
     learning_rate: float = 0.01,
     momentum: float = 0.9,
+    head: str = "prototypes",
 ) -> BranchState:
+    """A fresh branch with a "prototypes" head, or a "softmax" linear head
+    (weight ~ N(0, 2/d), zero bias), drawn from head_seed."""
     enc = init_encoder(spec, encoder_seed)
-    head = [init_prototypes(n_classes, spec.output_dim, prototype_seed)]
+    d = spec.output_dim
+    if head == "prototypes":
+        arrays = [init_prototypes(n_classes, d, head_seed)]
+    elif head == "softmax":
+        rng = np.random.default_rng(head_seed)
+        arrays = [rng.normal(0.0, np.sqrt(2.0 / d), size=(n_classes, d)), np.zeros(n_classes)]
+    else:
+        raise ValueError(f"head must be 'prototypes' or 'softmax', got {head!r}")
     return BranchState(
         encoder=enc,
-        head=head,
-        head_seed=prototype_seed,
-        optimizer=init_optimizer(enc.arrays() + head, learning_rate, momentum),
+        head=arrays,
+        head_seed=head_seed,
+        optimizer=init_optimizer(enc.arrays() + arrays, learning_rate, momentum),
     )
+
+
+def branch_score_fn(branch: BranchState):
+    """Branch scorer: prototype similarities, or for a softmax head its
+    posterior probabilities."""
+    if branch.prototypes is not None:
+        return prototype_score_fn(branch.encoder, branch.prototypes)
+    head_w, head_b = branch.head
+
+    def fn(x: np.ndarray) -> np.ndarray:
+        emb, _ = encoder_forward(branch.encoder, x)
+        return softmax(emb @ head_w.T + head_b)
+
+    return fn
 
 
 # ---------------------------------------------------------------------------
@@ -172,10 +201,8 @@ def proximity_probs(
     """
     z = np.asarray(embeddings, dtype=np.float64)
     p = np.asarray(prototypes, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
     n = p.shape[0]
-    if labels.min() < 1 or labels.max() > n:
-        raise ValueError(f"labels must lie in 1..{n}")
+    labels = check_labels(labels, n)
     m = z.shape[0]
     y0 = labels - 1
     dots = z @ p.T
@@ -257,10 +284,7 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: flo
     """
     z = np.asarray(embeddings, dtype=np.float64)
     p = np.asarray(prototypes, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
-    y0 = labels - 1
-    if y0.min() < 0 or y0.max() >= p.shape[0]:
-        raise ValueError(f"labels must lie in 1..{p.shape[0]}")
+    y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     neg0 = nearest_other_prototype(p)[y0]
     u_pos = z - p[y0]
@@ -286,23 +310,23 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: flo
 # ---------------------------------------------------------------------------
 
 
-def pl_objective(batch: TrainBatch, branches: list[BranchState], hp: DivHyperParams):
+def pl_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState], hp: DivHyperParams):
     """PL loss alone on one prototype branch (the single-branch baseline)."""
     (branch,) = branches
-    emb, cache = encoder_forward(branch.encoder, batch.inputs)
-    pl, dz, dp = pl_loss(emb, batch.labels, branch.prototypes, hp.beta, hp.compactness_form)
+    emb, cache = encoder_forward(branch.encoder, x)
+    pl, dz, dp = pl_loss(emb, y, branch.prototypes, hp.beta, hp.compactness_form)
     return {"pl_a": pl, "total": pl}, [encoder_backward(cache, dz) + [dp]]
 
 
-def softmax_objective(batch: TrainBatch, branches: list[BranchState]):
+def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState]):
     """Cross-entropy of one branch's linear head on one batch (the softmax
     baseline)."""
     (branch,) = branches
     head_w, head_b = branch.head
-    emb, cache = encoder_forward(branch.encoder, batch.inputs)
+    emb, cache = encoder_forward(branch.encoder, x)
     logits = emb @ head_w.T + head_b
-    m = batch.size
-    y0 = batch.labels - 1
+    m = len(y)
+    y0 = y - 1
     ce = -log_softmax(logits)[np.arange(m), y0].mean()
     dlogits = softmax(logits)
     dlogits[np.arange(m), y0] -= 1.0
@@ -312,7 +336,8 @@ def softmax_objective(batch: TrainBatch, branches: list[BranchState]):
 
 
 def div_loss(
-    batch: TrainBatch,
+    x: np.ndarray,
+    y: np.ndarray,
     branches: list[BranchState],
     hp: DivHyperParams,
     frozen: BranchState | None = None,
@@ -332,10 +357,10 @@ def div_loss(
     if len(pair) != 2:
         raise ValueError(f"div_loss needs a branch pair, got {len(pair)} branches")
     own_dots = own_dots or (None, None)
-    forward = [encoder_forward(b.encoder, batch.inputs) for b in pair]
+    forward = [encoder_forward(b.encoder, x) for b in pair]
     dists = [
         proximity_probs(
-            emb, batch.labels, b.prototypes, hp.m1,
+            emb, y, b.prototypes, hp.m1,
             keep_cache=i < len(branches), own_dots=own_dots[i],
         )
         for i, (b, (emb, _)) in enumerate(zip(pair, forward))
@@ -344,12 +369,12 @@ def div_loss(
     pls, trips, grads = [], [], []
     for i, branch in enumerate(branches):
         (emb, cache), protos = forward[i], branch.prototypes
-        pl, dz, dp = pl_loss(emb, batch.labels, protos, hp.beta, hp.compactness_form)
+        pl, dz, dp = pl_loss(emb, y, protos, hp.beta, hp.compactness_form)
         if hp.gamma != 0.0:
             dz_inc, dp_inc = proximity_backward(dists[i], dprobs[i])
             dz += hp.gamma * dz_inc
             dp += hp.gamma * dp_inc
-        trip, dz_t, dp_t = triplet_loss(emb, batch.labels, protos, hp.m2)
+        trip, dz_t, dp_t = triplet_loss(emb, y, protos, hp.m2)
         if hp.alpha != 0.0:
             dz += hp.alpha * dz_t
             dp += hp.alpha * dp_t
@@ -399,7 +424,7 @@ def train(
 ) -> list[dict[str, float]]:
     """Train K branches on identical shuffled mini-batches.
 
-    objective(batch, branches) -> (terms, grads) gives the loss terms
+    objective(x, y, branches) -> (terms, grads) gives the loss terms
     ("total" always present) and one gradient list per branch; each branch
     then takes one SGD step with its own optimizer. Branches are updated in
     place; one {term: epoch mean} dict per epoch is returned. A non-finite
@@ -420,7 +445,7 @@ def train(
         perm = rng.permutation(len(y))
         for bi, start in enumerate(range(0, len(y), config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            terms, branch_grads = objective(TrainBatch(windows.rows(idx), y[idx]), branches)
+            terms, branch_grads = objective(windows.rows(idx), y[idx], branches)
             where = f"at epoch {epoch}, batch {bi}"
             if not np.isfinite(terms["total"]):
                 detail = ", ".join(f"{k}={v}" for k, v in terms.items())
@@ -437,7 +462,6 @@ def train(
 
 
 def train_sequential(
-    k: int,
     partition: DatasetPartition,
     config: TrainConfig,
     hp: DivHyperParams,
@@ -445,19 +469,17 @@ def train_sequential(
     n_classes: int,
     branch_seeds: list[tuple[int, int]],
 ):
-    """Train K branches one after another.
+    """Train one branch per (encoder, prototype) seed pair, one after another.
 
     The first branch is a plain PL baseline; each later branch trains with
     the full objective, its inconsistency term paired against the previous
     (frozen) branch. Returns (branches, traces).
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if len(branch_seeds) < k:
-        raise ValueError(f"need {k} (encoder, prototype) seed pairs, got {len(branch_seeds)}")
+    if not branch_seeds:
+        raise ValueError("need at least one (encoder, prototype) seed pair")
     branches: list[BranchState] = []
     traces: list[list[dict[str, float]]] = []
-    for enc_seed, proto_seed in branch_seeds[:k]:
+    for enc_seed, proto_seed in branch_seeds:
         branch = init_branch(
             spec, n_classes, enc_seed, proto_seed, config.base_lr, config.momentum
         )

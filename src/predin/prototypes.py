@@ -58,7 +58,8 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def _check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
+    """labels as int64; ValueError unless every one lies in 1..n_classes."""
     labels = np.asarray(labels, dtype=np.int64)
     if labels.min() < 1 or labels.max() > n_classes:
         raise ValueError(f"labels must lie in 1..{n_classes}")
@@ -73,7 +74,7 @@ def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     """
     z = np.asarray(embeddings, dtype=np.float64)
     p = np.asarray(prototypes, dtype=np.float64)
-    y0 = _check_labels(labels, p.shape[0]) - 1
+    y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     logits = z @ p.T
     logp = log_softmax(logits)
@@ -101,7 +102,7 @@ def compactness_loss(
         raise ValueError(f"form must be one of {COMPACTNESS_FORMS}")
     z = np.asarray(embeddings, dtype=np.float64)
     p = np.asarray(prototypes, dtype=np.float64)
-    y0 = _check_labels(labels, p.shape[0]) - 1
+    y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     u = z - p[y0]
     l1 = np.abs(u).sum(axis=1)

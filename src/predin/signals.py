@@ -358,10 +358,10 @@ class SyntheticConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         for name in ("recording_ms", "sampling_rate_hz"):
             value = getattr(self, name)
-            if not (_is_finite(value) and value > 0):
+            if not (is_finite(value) and value > 0):
                 raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
         for name in ("separation", "osc_scale", "noise_scale"):
-            if not _is_finite(getattr(self, name)):
+            if not is_finite(getattr(self, name)):
                 raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
 
 
@@ -370,7 +370,8 @@ def is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
-def _is_finite(value) -> bool:
+def is_finite(value) -> bool:
+    """A finite real number, but not a bool."""
     return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 

@@ -11,6 +11,8 @@ real results, checking each total against the shapes.
 
 import importlib
 import importlib.util
+import json
+import sys
 from collections import defaultdict
 from pathlib import Path
 
@@ -206,3 +208,45 @@ def test_every_counter_is_tested():
     # segment_windows and score_windows are run by the two tests above
     tested = set(COUNTER_CASES) | {"signals.segment_windows", "scoring.score_windows"}
     assert tested == set(SPANS.COUNTERS)
+
+
+# functions only the gradient suite calls; the run workloads never reach them
+_GRADCHECK_ONLY = {"encoder.finite_diff_check", "gradcheck.check_loss_gradients"}
+
+
+def test_run_workloads_reach_every_traced_function(tmp_path, monkeypatch):
+    # a function the benchmark wraps but the CLI stops calling (say the
+    # softmax variant bypassing baseline_softmax_train) reads 0 in every
+    # per-layer metric instead of failing; count calls the way the tracer
+    # wraps them, in every predin module that binds the name
+    import predin.cli
+
+    calls = dict.fromkeys((f"{m}.{f}" for m, fns in SPANS.LAYERS.items() for f in fns), 0)
+    modules = [m for n, m in sys.modules.items() if n == "predin" or n.startswith("predin.")]
+    for layer, functions in SPANS.LAYERS.items():
+        home = importlib.import_module(f"predin.{layer}")
+        for fname in functions:
+            original = getattr(home, fname)
+
+            def counted(*args, _key=f"{layer}.{fname}", _fn=original, **kwargs):
+                calls[_key] += 1
+                return _fn(*args, **kwargs)
+
+            for mod in modules:
+                if getattr(mod, fname, None) is original:
+                    monkeypatch.setattr(mod, fname, counted)
+
+    config = {
+        "dataset": {"type": "synthetic", "n_classes": 5, "channels": 2, "trials": 3,
+                    "recording_ms": 450.0, "sampling_rate_hz": 400.0, "data_seed": 99},
+        "n_known": 3, "seeds": [1],
+        "encoder": {"hidden_dims": [8], "feature_dim": 4},
+        "training": {"epochs": 1, "batch_size": 64},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    assert predin.cli.main(["ablation", "--config", str(path)]) == 0
+    assert predin.cli.main(["run", "--config", str(path), "--variant", "sequential_k"]) == 0
+    missed = sorted(k for k, n in calls.items() if n == 0 and k not in _GRADCHECK_ONLY)
+    assert missed == []

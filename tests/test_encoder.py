@@ -6,7 +6,6 @@ import pytest
 from predin.encoder import (
     EncoderParams,
     EncoderSpec,
-    TrainBatch,
     encoder_backward,
     encoder_forward,
     finite_diff_check,
@@ -271,13 +270,3 @@ class TestFiniteDiff:
 
         report = finite_diff_check([a], loss_fn, [3.0 * a], n_coords=6, seed=0)
         assert report.max_rel_error > 0.1
-
-
-class TestBatch:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            TrainBatch(np.zeros((0, 3)), np.zeros(0, dtype=int))
-        with pytest.raises(ValueError):
-            TrainBatch(np.zeros((2, 3)), np.array([1, 0]))
-        b = TrainBatch(np.zeros((2, 3)), np.array([1, 2]))
-        assert b.size == 2

@@ -9,14 +9,13 @@ import pytest
 from predin import inconsistency
 from predin.cli import main as cli_main
 from predin.encoder import EncoderSpec, init_encoder, init_optimizer
-from predin.inconsistency import DivHyperParams
+from predin.inconsistency import DivHyperParams, branch_score_fn
 from predin.harness import (
     ABLATION_VARIANTS,
     VARIANTS,
     ExperimentConfig,
     _variant_hp,
     _write_seed_artifacts,
-    branch_score_fn,
     build_partition,
     config_from_dict,
     load_config,
@@ -140,6 +139,20 @@ class TestConfig:
             ("batch_size", True),
             ("n_known", 3.7),
             ("sequential_k", 2.5),
+            ("seeds", (3, -1)),
+            ("window_ms", "200"),
+            ("window_ms", float("inf")),
+            ("step_ms", True),
+            ("lr", "0.1"),
+            ("lr", float("inf")),
+            ("momentum", "0.5"),
+            ("retention", "0.9"),
+            ("variant", ["predin"]),
+            ("variant", ""),
+            ("activation", ["tanh"]),
+            ("output_dir", None),
+            ("output_dir", ""),
+            ("output_dir", 3),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -172,11 +185,46 @@ class TestConfig:
             ("osc_scale", float("inf")),
             ("noise_scale", "0.4"),
             ("smooth_samples", -1),
+            ("type", ["x"]),
+            ("data_seed", 1.5),
+            ("data_seed", -3),
+            ("data_seed", "7"),
+            ("data_seed", True),
         ],
     )
     def test_invalid_synthetic_setting_rejected_when_built(self, key, value):
         with pytest.raises(ValueError, match=key):
             config_from_dict({"dataset": dict(TINY_DATASET, **{key: value})})
+
+    @pytest.mark.parametrize("key", ["data_path", "meta_path"])
+    def test_non_string_csv_path_rejected(self, key):
+        dataset = {"type": "csv", "data_path": "a.csv", "meta_path": "b.csv", key: 5}
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({"dataset": dataset})
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("beta", "1"),
+            ("beta", True),
+            ("gamma", [1.0]),
+            ("m1", float("inf")),
+            ("epsilon_log", float("inf")),
+            ("m2", None),
+        ],
+    )
+    def test_invalid_hyperparam_rejected(self, key, value):
+        with pytest.raises(ValueError, match=key):
+            config_from_dict({"hyperparams": {key: value}})
+
+    def test_integer_values_echo_as_integers(self):
+        cfg = config_from_dict(
+            {"window_ms": 200, "training": {"lr": 1}, "hyperparams": {"beta": 2}}
+        )
+        echo = json.dumps(cfg.to_dict())
+        assert '"window_ms": 200,' in echo
+        assert '"lr": 1,' in echo
+        assert '"beta": 2,' in echo
 
     def test_invalid_section_value_rejected_when_loaded(self):
         with pytest.raises(ValueError, match="momentum"):
@@ -512,6 +560,28 @@ class TestCli:
         assert cli_main(["run", "--config", str(path), "--seeds", "2", "--out", str(out2)]) == 0
         report = json.loads((out2 / "report.json").read_text())
         assert report["config"]["seeds"] == [2]
+
+    @pytest.mark.parametrize(
+        "command, flag, value, match",
+        [
+            ("run", "--seeds", "", "--seeds"),
+            ("run", "--seeds", "1.5", "--seeds"),
+            ("run", "--seeds", "1,,2", "--seeds"),
+            ("run", "--seeds", "1,1", "seeds must be distinct"),
+            ("run", "--variant", "", "variant"),
+            ("run", "--variant", "quadruple", "variant"),
+            ("run", "--out", "", "output_dir"),
+            ("ablation", "--seeds", "", "--seeds"),
+            ("ablation", "--out", "", "output_dir"),
+        ],
+    )
+    def test_bad_override_rejected(self, tmp_path, capsys, command, flag, value, match):
+        path = self._write_config(tmp_path)
+        assert cli_main([command, "--config", str(path), flag, value]) == 1
+        err = json.loads(capsys.readouterr().err.strip())
+        assert err["error"] == "ValueError"
+        assert match in err["message"]
+        assert not (tmp_path / "out").exists()
 
     def test_check_gradients_command(self, capsys):
         assert cli_main(["check-gradients", "--seeds", "1", "--coords", "60"]) == 0

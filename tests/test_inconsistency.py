@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from functools import partial
 
@@ -8,7 +9,6 @@ import predin.io
 from predin import inconsistency
 from predin.encoder import (
     EncoderSpec,
-    TrainBatch,
     encoder_forward,
     finite_diff_check,
     init_encoder,
@@ -37,7 +37,7 @@ from predin.inconsistency import (
     write_loss_trace,
 )
 from predin.metrics import write_matrix_csv
-from predin.prototypes import pl_loss
+from predin.prototypes import init_prototypes, pl_loss
 from predin.scoring import ScoreTable, write_score_dump
 from predin.signals import (
     DatasetPartition,
@@ -261,38 +261,63 @@ class TestTripletLoss:
         assert report.max_rel_error < 1e-4
 
 
+class TestInitBranch:
+    def test_prototype_head_is_init_prototypes(self):
+        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
+        assert branch.prototypes.tobytes() == init_prototypes(3, 4, 2).tobytes()
+        assert branch.head_seed == 2
+
+    def test_softmax_head_draw(self):
+        branch = init_branch(SPEC, 3, 1, 7, learning_rate=0.05, momentum=0.5, head="softmax")
+        weight, bias = branch.head
+        expected = np.random.default_rng(7).normal(0.0, np.sqrt(2.0 / 4), size=(3, 4))
+        assert weight.tobytes() == expected.tobytes()
+        assert bias.tobytes() == np.zeros(3).tobytes()
+        assert branch.prototypes is None
+        for x, y in zip(branch.encoder.arrays(), init_encoder(SPEC, 1).arrays()):
+            assert x.tobytes() == y.tobytes()
+        opt = branch.optimizer
+        assert (opt.learning_rate, opt.momentum) == (0.05, 0.5)
+        assert [v.shape for v in opt.velocities] == [a.shape for a in branch.arrays()]
+        assert not any(v.any() for v in opt.velocities)
+
+    def test_unknown_head_rejected(self):
+        with pytest.raises(ValueError, match="'linear'"):
+            init_branch(SPEC, 3, 1, 2, head="linear")
+
+
 class TestDivLoss:
     def _batch_and_branches(self, seed=6):
         rng = np.random.default_rng(seed)
-        batch = TrainBatch(rng.standard_normal((8, 6)), rng.integers(1, 4, size=8))
-        a = init_branch(SPEC, 3, encoder_seed=1, prototype_seed=2)
-        b = init_branch(SPEC, 3, encoder_seed=3, prototype_seed=4)
-        return batch, a, b
+        x, y = rng.standard_normal((8, 6)), rng.integers(1, 4, size=8)
+        a = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
+        b = init_branch(SPEC, 3, encoder_seed=3, head_seed=4)
+        return x, y, a, b
 
     def test_weights_zero_reduces_to_two_baselines(self):
-        batch, a, b = self._batch_and_branches()
+        x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=0.0, alpha=0.0)
-        t, grads = div_loss(batch, [a, b], hp)
-        emb_a, _ = encoder_forward(a.encoder, batch.inputs)
-        pl_a, dz_a, dp_a = pl_loss(emb_a, batch.labels, a.prototypes, hp.beta, hp.compactness_form)
+        t, grads = div_loss(x, y, [a, b], hp)
+        emb_a, _ = encoder_forward(a.encoder, x)
+        pl_a, dz_a, dp_a = pl_loss(emb_a, y, a.prototypes, hp.beta, hp.compactness_form)
         assert t["total"] == t["pl_a"] + t["pl_b"]
         assert t["pl_a"] == pl_a
         np.testing.assert_array_equal(grads[0][-1], dp_a)
 
     def test_full_objective_composition(self):
-        batch, a, b = self._batch_and_branches()
+        x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=1.0, alpha=1.0)
-        t, _ = div_loss(batch, [a, b], hp)
+        t, _ = div_loss(x, y, [a, b], hp)
         assert t["total"] == pytest.approx(
             t["pl_a"] + t["pl_b"] + t["incon"] + t["trip_a"] + t["trip_b"], abs=1e-12
         )
 
     def test_frozen_partner_matches_joint_branch_a(self):
         # against a frozen b, branch a sees the joint objective's a-side terms
-        batch, a, b = self._batch_and_branches()
+        x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        joint, joint_grads = div_loss(batch, [a, b], hp)
-        frozen, frozen_grads = div_loss(batch, [a], hp, frozen=b)
+        joint, joint_grads = div_loss(x, y, [a, b], hp)
+        frozen, frozen_grads = div_loss(x, y, [a], hp, frozen=b)
         assert set(frozen) == {"pl_a", "incon", "trip_a", "total"}
         for key in ("pl_a", "incon", "trip_a"):
             assert frozen[key] == joint[key]
@@ -300,38 +325,38 @@ class TestDivLoss:
             joint["pl_a"] + joint["incon"] + joint["trip_a"], abs=1e-12
         )
         assert len(frozen_grads) == 1
-        for x, y in zip(frozen_grads[0], joint_grads[0]):
-            np.testing.assert_array_equal(x, y)
+        for g_frozen, g_joint in zip(frozen_grads[0], joint_grads[0]):
+            np.testing.assert_array_equal(g_frozen, g_joint)
 
     @pytest.mark.parametrize("kind", ["pl", "softmax", "div_joint", "div_frozen"])
     def test_terms_have_a_total_and_a_trace_column(self, kind):
-        batch, a, b = self._batch_and_branches()
+        x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
         if kind == "pl":
-            terms, grads = pl_objective(batch, [a], hp)
+            terms, grads = pl_objective(x, y, [a], hp)
         elif kind == "softmax":
             enc = init_encoder(SPEC, seed=1)
             head = [np.zeros((3, 4)), np.zeros(3)]
             linear = BranchState(enc, head, 0, init_optimizer(enc.arrays() + head, 0.01))
-            terms, grads = softmax_objective(batch, [linear])
+            terms, grads = softmax_objective(x, y, [linear])
         elif kind == "div_joint":
-            terms, grads = div_loss(batch, [a, b], hp)
+            terms, grads = div_loss(x, y, [a, b], hp)
         else:
-            terms, grads = div_loss(batch, [a], hp, frozen=b)
+            terms, grads = div_loss(x, y, [a], hp, frozen=b)
         assert "total" in terms
         assert set(terms) <= set(LOSS_TRACE_COLUMNS)
         assert len(grads) == (2 if kind == "div_joint" else 1)
 
     def test_needs_a_branch_pair(self):
-        batch, a, b = self._batch_and_branches()
+        x, y, a, b = self._batch_and_branches()
         with pytest.raises(ValueError, match="pair"):
-            div_loss(batch, [a], DivHyperParams())
+            div_loss(x, y, [a], DivHyperParams())
 
     def test_branch_symmetry(self):
-        batch, a, b = self._batch_and_branches()
+        x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        t1, grads_1 = div_loss(batch, [a, b], hp)
-        t2, grads_2 = div_loss(batch, [b, a], hp)
+        t1, grads_1 = div_loss(x, y, [a, b], hp)
+        t2, grads_2 = div_loss(x, y, [b, a], hp)
         assert t1["incon"] == t2["incon"]
         assert t1["total"] == pytest.approx(t2["total"], abs=1e-12)
         np.testing.assert_array_equal(grads_1[0][-1], grads_2[1][-1])
@@ -384,8 +409,8 @@ class TestTraining:
         branches = _joint_branches(part)
         hp = DivHyperParams()
 
-        def poisoned(batch, branches):
-            terms, grads = div_loss(batch, branches, hp)
+        def poisoned(x, y, branches):
+            terms, grads = div_loss(x, y, branches, hp)
             if branches[0].optimizer.epoch == 1:
                 grads[1][-1][0, 0] = np.nan
             return terms, grads
@@ -400,12 +425,35 @@ class TestTraining:
         with pytest.raises(ValueError, match="standardized"):
             train(branches, partial(div_loss, hp=DivHyperParams()), raw, TrainConfig(epochs=1))
 
+    def test_empty_partition_rejected(self):
+        part = tiny_partition()
+        empty = dataclasses.replace(
+            part.train_windows, **{k: getattr(part.train_windows, k)[:0]
+                                   for k in ("starts", "labels", "trials", "subjects")}
+        )
+        branches = _joint_branches(part)
+        with pytest.raises(ValueError, match="training partition is empty"):
+            train(branches, partial(div_loss, hp=DivHyperParams()),
+                  dataclasses.replace(part, train_windows=empty), TrainConfig(epochs=1))
+
+    def test_unknown_class_window_rejected_before_any_step(self):
+        part = tiny_partition()
+        labels = part.train_windows.labels.copy()
+        labels[-1] = min(part.label_split.unknown_classes)  # remaps below 1
+        part.train_windows = dataclasses.replace(part.train_windows, labels=labels)
+        branches = _joint_branches(part)
+        before = [a.copy() for a in branches[0].arrays()]
+        with pytest.raises(ValueError, match="unknown-class window"):
+            train(branches, partial(div_loss, hp=DivHyperParams()), part, TrainConfig(epochs=1))
+        for x, y in zip(before, branches[0].arrays()):
+            assert x.tobytes() == y.tobytes()
+
     def test_sequential_k1_equals_pl_baseline(self):
         part = tiny_partition()
         spec = _spec_for(part)
         tc = TrainConfig(epochs=5, batch_size=64, base_lr=0.002, shuffle_seed=11)
         hp = DivHyperParams()
-        branches, traces = train_sequential(1, part, tc, hp, spec, 3, [(21, 22)])
+        branches, traces = train_sequential(part, tc, hp, spec, 3, [(21, 22)])
         direct = init_branch(spec, 3, 21, 22, tc.base_lr, tc.momentum)
         train([direct], partial(pl_objective, hp=hp), part, tc)
         for x, y in zip(branches[0].arrays(), direct.arrays()):
@@ -417,7 +465,7 @@ class TestTraining:
         spec = _spec_for(part)
         tc = TrainConfig(epochs=3, batch_size=64, base_lr=0.002, shuffle_seed=12)
         branches, traces = train_sequential(
-            3, part, tc, DivHyperParams(), spec, 3, [(31, 32), (33, 34), (35, 36)]
+            part, tc, DivHyperParams(), spec, 3, [(31, 32), (33, 34), (35, 36)]
         )
         assert len(branches) == 3
         # later traces carry the inconsistency component, the first does not
