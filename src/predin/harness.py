@@ -56,6 +56,7 @@ from .signals import (
     split_known_unknown,
     split_trials,
     standardize,
+    window_geometry,
 )
 
 # each variant -> the DivHyperParams weights it zeroes: the ablation rows
@@ -200,7 +201,24 @@ class ExperimentConfig:
             seed = self.dataset.get("data_seed", 0)  # absent: load_dataset's default
             if not (is_int(seed) and seed >= 0):
                 raise ValueError(f"data_seed must be an integer >= 0, got {seed!r}")
-            _synthetic_config(self.dataset)  # generator settings fail here, not mid-run
+            # generator settings, and a run the generated set cannot satisfy,
+            # fail here naming the key, not mid-run
+            gen = _synthetic_config(self.dataset)
+            for name in ("train_trials", "test_trials"):
+                outside = sorted(t for t in getattr(self, name) if not 1 <= t <= gen.trials)
+                if outside:
+                    raise ValueError(
+                        f"{name} {outside} lie outside the dataset's trials 1..{gen.trials}"
+                    )
+            window_geometry(gen.sampling_rate_hz, self.window_ms, self.step_ms)
+            if self.window_ms > gen.recording_ms:
+                raise ValueError(
+                    f"window_ms={self.window_ms} is longer than recording_ms={gen.recording_ms}"
+                )
+            if self.n_known >= gen.n_classes:
+                raise ValueError(
+                    f"n_known={self.n_known} must be smaller than n_classes={gen.n_classes}"
+                )
 
     def to_dict(self) -> dict:
         """The documented JSON schema: section members nested, tuples as lists."""
@@ -400,14 +418,17 @@ def evaluate_scored(
     return row, matrices
 
 
-def run_seed(config: ExperimentConfig, recordings, classes, seed: int) -> SeedResult:
-    partition = build_partition(config, recordings, classes, seed)
+def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -> SeedResult:
+    """Train, score and evaluate one seed on its built partition.
+
+    The partition's train side is cleared once training is done, so it is
+    freed before scoring even while the caller still holds the partition.
+    """
     result = _train_variant(config, partition, seed)
-    # nothing reads the train side after training: free it before scoring
-    test_windows, split = partition.test_windows, partition.label_split
-    del partition
+    partition.train_windows = None
+    split = partition.label_split
     score_fns = [branch_score_fn(b) for b in result.branches]
-    scored = score_windows(score_fns, test_windows, split)
+    scored = score_windows(score_fns, partition.test_windows, split)
     report, matrices = evaluate_scored(scored, config.retention, split.n_known, seed)
     result.report = report
     result.scored = scored
@@ -472,11 +493,18 @@ def run_experiment(
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
     for seed in config.seeds:
+        partition = build_partition(config, recordings, classes, seed)
+        if seed == config.seeds[-1]:
+            # no seed reads the recordings again: the last seed trains and
+            # scores without them unless the caller passed them in and holds them
+            del recordings
         try:
-            result = run_seed(config, recordings, classes, seed)
+            result = run_seed(config, partition, seed)
         except TrainingError as e:
             per_seed.append({"seed": seed, "error": str(e)})
             continue
+        finally:
+            del partition  # the next seed's tables are built without this one's
         per_seed.append(result.report)
         if write_artifacts:
             seed_dir = os.path.join(out_dir, f"seed_{seed}")

@@ -49,8 +49,10 @@ class SignalRecording:
                 f"samples must be a (channels, timesteps) matrix, got shape "
                 f"{self.samples.shape}"
             )
-        if not self.sampling_rate > 0:
-            raise ValueError(f"sampling_rate must be > 0, got {self.sampling_rate}")
+        if not (is_finite(self.sampling_rate) and self.sampling_rate > 0):
+            raise ValueError(
+                f"sampling_rate must be a finite number > 0, got {self.sampling_rate!r}"
+            )
         if not np.isfinite(self.samples).all():
             raise ValueError("recording contains non-finite samples")
 
@@ -155,7 +157,7 @@ class DatasetPartition:
     the train side. Windows keep their original class labels; remapping to
     1..N happens when batches are assembled."""
 
-    train_windows: WindowTable
+    train_windows: WindowTable | None  # None once trained on (harness.run_seed)
     test_windows: WindowTable
     label_split: LabelSplit | None = None
     stats: StandardizationStats | None = None
@@ -171,9 +173,9 @@ def window_geometry(sampling_rate: float, window_ms: float, step_ms: float) -> t
     window_len = int(round(window_ms * sampling_rate / 1000.0))
     stride = int(round(step_ms * sampling_rate / 1000.0))
     if window_len < 1:
-        raise ValueError(f"window of {window_ms} ms is shorter than one sample")
+        raise ValueError(f"window_ms={window_ms} is shorter than one sample at {sampling_rate} Hz")
     if stride < 1:
-        raise ValueError(f"step of {step_ms} ms is shorter than one sample")
+        raise ValueError(f"step_ms={step_ms} is shorter than one sample at {sampling_rate} Hz")
     return window_len, stride
 
 
@@ -454,7 +456,8 @@ def load_csv(data_path, meta_path) -> list[SignalRecording]:
 
     The metadata file assigns each 0-based, end-exclusive row range of the
     signal file to one recording. Malformed rows raise ParseError naming the
-    file, line, and column.
+    file, line, and column; a recording SignalRecording rejects (a
+    non-finite sample or sampling rate) names its metadata line.
     """
     rows: list[list[float]] = []
     n_channels: int | None = None
@@ -505,13 +508,15 @@ def load_csv(data_path, meta_path) -> list[SignalRecording]:
                     f"{meta_path}: metadata line {lineno}: non-numeric "
                     f"sampling_rate_hz={row['sampling_rate_hz']!r}"
                 ) from None
-            recordings.append(
-                SignalRecording(
-                    samples=data[start:end].T.copy(),
-                    sampling_rate=rate,
-                    gesture_label=_parse_int(row, "label", lineno, meta_path),
-                    trial_id=_parse_int(row, "trial", lineno, meta_path),
-                    subject_id=_parse_int(row, "subject", lineno, meta_path),
-                )
+            label, trial, subject = (
+                _parse_int(row, key, lineno, meta_path) for key in ("label", "trial", "subject")
             )
+            try:
+                recording = SignalRecording(
+                    samples=data[start:end].T.copy(), sampling_rate=rate,
+                    gesture_label=label, trial_id=trial, subject_id=subject,
+                )
+            except ValueError as e:  # a non-finite sample or rate
+                raise ParseError(f"{meta_path}: metadata line {lineno}: {e}") from None
+            recordings.append(recording)
     return recordings

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from predin.gradcheck import LOSS_NAMES, check_loss_gradients
-from predin.harness import ExperimentConfig, config_from_dict, load_dataset, run_experiment, run_seed
+from predin.harness import (
+    ExperimentConfig,
+    build_partition,
+    config_from_dict,
+    load_dataset,
+    run_experiment,
+    run_seed,
+)
 from predin.inconsistency import (
     ProximityDistribution,
     inconsistency_loss,
@@ -236,7 +243,7 @@ def test_known_smax_exceeds_unknown_on_acceptance_runs(table4_runs):
     recordings, classes = load_dataset(cfg)
     gaps = []
     for seed in cfg.seeds:
-        result = run_seed(cfg, recordings, classes, seed)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, seed), seed)
         scored = result.scored
         gaps.append(np.mean(scored.s_max[scored.known]) - np.mean(scored.s_max[~scored.known]))
     assert np.mean(gaps) > 0.0

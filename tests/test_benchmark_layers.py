@@ -13,6 +13,7 @@ import importlib
 import importlib.util
 import json
 import sys
+import weakref
 from collections import defaultdict
 from pathlib import Path
 
@@ -214,6 +215,21 @@ def test_every_counter_is_tested():
 _GRADCHECK_ONLY = {"encoder.finite_diff_check", "gradcheck.check_loss_gradients"}
 
 
+def _tiny_run_config(tmp_path):
+    """A one-seed, one-epoch config file on a 15-recording synthetic set."""
+    config = {
+        "dataset": {"type": "synthetic", "n_classes": 5, "channels": 2, "trials": 3,
+                    "recording_ms": 450.0, "sampling_rate_hz": 400.0, "data_seed": 99},
+        "n_known": 3, "seeds": [1],
+        "encoder": {"hidden_dims": [8], "feature_dim": 4},
+        "training": {"epochs": 1, "batch_size": 64},
+        "output_dir": str(tmp_path / "out"),
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(config))
+    return path
+
+
 def test_run_workloads_reach_every_traced_function(tmp_path, monkeypatch):
     # a function the benchmark wraps but the CLI stops calling (say the
     # softmax variant bypassing baseline_softmax_train) reads 0 in every
@@ -236,17 +252,56 @@ def test_run_workloads_reach_every_traced_function(tmp_path, monkeypatch):
                 if getattr(mod, fname, None) is original:
                     monkeypatch.setattr(mod, fname, counted)
 
-    config = {
-        "dataset": {"type": "synthetic", "n_classes": 5, "channels": 2, "trials": 3,
-                    "recording_ms": 450.0, "sampling_rate_hz": 400.0, "data_seed": 99},
-        "n_known": 3, "seeds": [1],
-        "encoder": {"hidden_dims": [8], "feature_dim": 4},
-        "training": {"epochs": 1, "batch_size": 64},
-        "output_dir": str(tmp_path / "out"),
-    }
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(config))
+    path = _tiny_run_config(tmp_path)
     assert predin.cli.main(["ablation", "--config", str(path)]) == 0
     assert predin.cli.main(["run", "--config", str(path), "--variant", "sequential_k"]) == 0
     missed = sorted(k for k, n in calls.items() if n == 0 and k not in _GRADCHECK_ONLY)
     assert missed == []
+
+
+def test_release_holds_under_the_tracer(tmp_path):
+    # the tracer's wrapper holds each call's arguments until it returns
+    # (build_partition's recordings, run_seed's partition), so a release that
+    # counts on the callee holding the last reference fails only when traced
+    import predin.cli
+    from predin import harness
+
+    modules = [m for n, m in sys.modules.items() if n == "predin" or n.startswith("predin.")]
+    bound = {
+        (mod, fname): getattr(mod, fname)
+        for mod in modules for fns in SPANS.LAYERS.values() for fname in fns
+        if hasattr(mod, fname)
+    }
+    tracer = SPANS.Tracer()
+    tracer.install()
+    try:
+        recording_refs, train_refs, alive_at_scoring = [], [], []
+        load, build, score = harness.load_dataset, harness.build_partition, harness.score_windows
+
+        def capturing_load(*args):
+            recordings, classes = load(*args)
+            recording_refs.extend(weakref.ref(r.samples) for r in recordings)
+            return recordings, classes
+
+        def capturing_build(*args):
+            partition = build(*args)
+            train_refs.append(weakref.ref(partition.train_windows.signal))
+            return partition
+
+        def checking_score(*args):
+            alive_at_scoring.append(
+                (sum(r() is not None for r in recording_refs), train_refs[-1]() is not None)
+            )
+            return score(*args)
+
+        harness.load_dataset = capturing_load
+        harness.build_partition = capturing_build
+        harness.score_windows = checking_score
+        path = _tiny_run_config(tmp_path)
+        assert predin.cli.main(["run", "--config", str(path)]) == 0
+    finally:
+        for (mod, fname), fn in bound.items():
+            setattr(mod, fname, fn)
+    assert "harness.run_seed" in tracer.names
+    assert len(recording_refs) == 15
+    assert alive_at_scoring == [(0, False)]

@@ -153,6 +153,14 @@ class TestConfig:
             ("output_dir", None),
             ("output_dir", ""),
             ("output_dir", 3),
+            # unsatisfiable on the 3-trial, 450 ms, 400 Hz, 5-class tiny set
+            ("train_trials", (7,)),
+            ("train_trials", (0, 1)),
+            ("test_trials", (9,)),
+            ("window_ms", 5000.0),
+            ("window_ms", 1.0),
+            ("step_ms", 1.0),
+            ("n_known", 5),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -195,6 +203,12 @@ class TestConfig:
     def test_invalid_synthetic_setting_rejected_when_built(self, key, value):
         with pytest.raises(ValueError, match=key):
             config_from_dict({"dataset": dict(TINY_DATASET, **{key: value})})
+
+    def test_csv_dataset_checked_when_loaded(self):
+        # trials and recording lengths of a CSV set are known only once it is read
+        csv = {"type": "csv", "data_path": "signal.csv", "meta_path": "meta.csv"}
+        cfg = config_from_dict({"dataset": csv, "train_trials": [7], "window_ms": 5000.0})
+        assert cfg.train_trials == (7,)
 
     @pytest.mark.parametrize("key", ["data_path", "meta_path"])
     def test_non_string_csv_path_rejected(self, key):
@@ -292,16 +306,16 @@ class TestVariantLattice:
         )
         cfg_dual = dataclasses.replace(cfg_predin, variant="dual")
         recordings, classes = load_dataset(cfg_predin)
-        r_predin = run_seed(cfg_predin, recordings, classes, 1).report
-        r_dual = run_seed(cfg_dual, recordings, classes, 1).report
-        assert r_predin == r_dual
+        r_predin = run_seed(cfg_predin, build_partition(cfg_predin, recordings, classes, 1), 1)
+        r_dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1), 1)
+        assert r_predin.report == r_dual.report
 
     def test_dual_branch_a_equals_pl_baseline(self):
         cfg_dual = tiny_config(variant="dual")
         cfg_pl = dataclasses.replace(cfg_dual, variant="pl_baseline")
         recordings, classes = load_dataset(cfg_dual)
-        dual = run_seed(cfg_dual, recordings, classes, 1)
-        pl = run_seed(cfg_pl, recordings, classes, 1)
+        dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1), 1)
+        pl = run_seed(cfg_pl, build_partition(cfg_pl, recordings, classes, 1), 1)
         assert len(dual.scored) == len(pl.scored)
         np.testing.assert_array_equal(dual.scored.sims[:, 0], pl.scored.sims[:, 0])
 
@@ -320,7 +334,7 @@ class TestSoftmaxBaseline:
     def test_trains_and_scores(self):
         cfg = tiny_config(variant="softmax", epochs=10)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, recordings, classes, 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
         assert result.report["acc"] > 0.5
         # softmax scores are probabilities
         assert ((0.0 <= result.scored.s_max) & (result.scored.s_max <= 1.0)).all()
@@ -397,7 +411,7 @@ class TestCheckpoint:
         # softmax and pl_baseline are K=1, the joint variants K=2, sequential_k K=3 here
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, recordings, classes, 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
         rel = _write_seed_artifacts(str(tmp_path), result)
         assert rel["checkpoint"] == "checkpoint.npz"
         branches, hp = inconsistency.load_checkpoint(tmp_path / "checkpoint.npz")
@@ -475,35 +489,75 @@ class TestBuildPartition:
 
 class TestRunSeed:
     def test_train_table_released_before_scoring(self, monkeypatch):
+        # the caller's local keeps the partition alive through the call, so
+        # run_seed has to let go of the train side itself
         from predin import harness
 
-        refs = []
         alive_at_scoring = []
-        build, score = harness.build_partition, harness.score_windows
-
-        def capturing_build(*args):
-            part = build(*args)
-            refs.append(weakref.ref(part.train_windows.signal))
-            return part
+        score = harness.score_windows
 
         def checking_score(*args):
-            alive_at_scoring.append(refs[0]() is not None)
+            alive_at_scoring.append(train_signal() is not None)
             return score(*args)
 
-        monkeypatch.setattr(harness, "build_partition", capturing_build)
         monkeypatch.setattr(harness, "score_windows", checking_score)
         cfg = tiny_config(epochs=1)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, recordings, classes, 1)
+        partition = build_partition(cfg, recordings, classes, 1)
+        train_signal = weakref.ref(partition.train_windows.signal)
+        result = run_seed(cfg, partition, 1)
         assert alive_at_scoring == [False]
         assert result.report is not None
+
+
+class TestRecordingsReleased:
+    """run_experiment drops the recordings it loaded itself once the last
+    seed's partition is built; a caller that passes them in keeps them."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """Weak refs to every loaded recording's samples, and how many of
+        them are alive at each call to train."""
+        from predin import harness
+
+        refs, alive_at_train = [], []
+        load, train = harness.load_dataset, harness.train
+
+        def capturing_load(config):
+            recordings, classes = load(config)
+            refs.extend(weakref.ref(r.samples) for r in recordings)
+            return recordings, classes
+
+        def checking_train(*args):
+            alive_at_train.append(sum(ref() is not None for ref in refs))
+            return train(*args)
+
+        monkeypatch.setattr(harness, "load_dataset", capturing_load)
+        monkeypatch.setattr(harness, "train", checking_train)
+        return refs, alive_at_train
+
+    def test_single_seed_trains_without_recordings(self, monkeypatch):
+        refs, alive_at_train = self._watch(monkeypatch)
+        run_experiment(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        assert len(refs) == 15
+        assert alive_at_train == [0]
+
+    def test_only_the_last_seed_trains_without_recordings(self, monkeypatch):
+        refs, alive_at_train = self._watch(monkeypatch)
+        run_experiment(tiny_config(seeds=(1, 2), epochs=1), write_artifacts=False)
+        assert alive_at_train == [len(refs), 0]
+
+    def test_ablation_keeps_the_shared_recordings(self, monkeypatch):
+        refs, alive_at_train = self._watch(monkeypatch)
+        run_ablation(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        assert alive_at_train == [len(refs)] * len(ABLATION_VARIANTS)
 
 
 class TestSequentialVariant:
     def test_k_branches_scored(self):
         cfg = tiny_config(variant="sequential_k", sequential_k=3, epochs=3)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, recordings, classes, 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
         assert result.scored.sims.shape[1] == 3
         assert len(result.branches) == 3
 
@@ -517,7 +571,8 @@ class TestSequentialVariant:
                     variant="sequential_k", sequential_k=k, output_dir="unused"
                 )
                 recordings, classes = load_dataset(cfg)
-                aucs.append(run_seed(cfg, recordings, classes, seed).report["auc"])
+                result = run_seed(cfg, build_partition(cfg, recordings, classes, seed), seed)
+                aucs.append(result.report["auc"])
             means[k] = np.mean(aucs)
         assert means[5] >= means[2]
 
@@ -526,7 +581,7 @@ class TestSoftmaxOnDefaultDataset:
     def test_separable_data_reaches_high_acc(self):
         cfg = ExperimentConfig(variant="softmax", output_dir="unused")
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, recordings, classes, 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
         assert result.report["acc"] >= 0.95
 
 
@@ -535,7 +590,7 @@ class TestZeroSeparation:
         ds = dict(TINY_DATASET, separation=0.0)
         cfg = tiny_config(dataset=ds, variant="pl_baseline", epochs=10)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, recordings, classes, 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
         # 3 known classes: chance is 1/3
         assert result.report["acc"] < 0.55
 

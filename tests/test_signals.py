@@ -54,6 +54,13 @@ def cube(table, sel=slice(None)):
     return table.rows(sel).reshape(-1, table.signal.shape[0], table.window_len)
 
 
+class TestSignalRecording:
+    @pytest.mark.parametrize("rate", [float("inf"), float("nan"), 0.0, -100.0, True, "2000"])
+    def test_bad_sampling_rate_rejected(self, rate):
+        with pytest.raises(ValueError, match="sampling_rate must be a finite number > 0"):
+            make_recording(8, rate=rate)
+
+
 class TestWindowing:
     def test_paper_geometry(self):
         # 200 ms / 50 ms at 2000 Hz
@@ -500,6 +507,22 @@ class TestLoadCsv:
         data.write_text("1,2\n3,4\n")
         meta.write_text("start_row,end_row\n0,2\n")
         with pytest.raises(ParseError, match="missing column"):
+            load_csv(data, meta)
+
+    @pytest.mark.parametrize("rate", ["inf", "nan", "0", "-100"])
+    def test_bad_sampling_rate_names_line(self, tmp_path, rate):
+        data, meta = self._write(tmp_path, ["1,2", "3,4"], ["0,1,1,1,1,100", f"1,2,1,2,1,{rate}"])
+        with pytest.raises(
+            ParseError, match=r"meta\.csv: metadata line 3: sampling_rate must be a finite number > 0"
+        ):
+            load_csv(data, meta)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_sample_names_line(self, tmp_path, cell):
+        data, meta = self._write(tmp_path, ["1,2", f"3,{cell}"], ["0,1,1,1,1,100", "1,2,1,2,1,100"])
+        with pytest.raises(
+            ParseError, match=r"meta\.csv: metadata line 3: recording contains non-finite samples"
+        ):
             load_csv(data, meta)
 
     def test_checked_in_fixture(self):
