@@ -49,10 +49,11 @@ from .scoring import ScoreTable, calibrate_threshold, score_windows, write_score
 from .signals import (
     DatasetPartition,
     SyntheticConfig,
+    check_fields,
     generate_synthetic,
-    is_finite,
     is_int,
     load_csv,
+    ruled,
     split_known_unknown,
     split_trials,
     standardize,
@@ -121,74 +122,39 @@ def derive_seed(base_seed: int, stream: int) -> int:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict = field(
-        default_factory=lambda: {"type": "synthetic", "data_seed": 2024}
-    )
-    window_ms: float = 200.0
-    step_ms: float = 50.0
-    n_known: int = 6
-    seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
-    variant: str = "predin"
-    train_trials: tuple[int, ...] = (1, 2)
-    test_trials: tuple[int, ...] = (3,)
+    dataset: dict = field(default_factory=lambda: {"type": "synthetic", "data_seed": 2024})
+    window_ms: float = ruled(200.0, "(0, inf)")
+    step_ms: float = ruled(50.0, "(0, inf)")
+    n_known: int = ruled(6, "[2, inf)")
+    seeds: tuple[int, ...] = ruled((1, 2, 3, 4, 5), "[0, inf)")
+    variant: str = ruled("predin", tuple(VARIANTS))
+    train_trials: tuple[int, ...] = ruled((1, 2), "(-inf, inf)")
+    test_trials: tuple[int, ...] = ruled((3,), "(-inf, inf)")
     hyperparams: DivHyperParams = field(default_factory=DivHyperParams)
-    hidden_dims: tuple[int, ...] = (256,)
-    feature_dim: int = 128
+    hidden_dims: tuple[int, ...] = ruled((256,), "[1, inf)")
+    feature_dim: int = ruled(128, "[1, inf)")
     # harness defaults are the tuned desk-scale protocol: the bounded tanh
     # keeps unknown-input feature norms comparable to known ones, and the
     # plain-MLP setup needs a smaller step than deep-backbone training
-    activation: str = "tanh"
-    epochs: int = 100
-    batch_size: int = 256
-    lr: float = 0.002
-    momentum: float = 0.9
-    retention: float = 0.95
-    sequential_k: int = 2
-    output_dir: str = "runs/out"
+    activation: str = ruled("tanh", tuple(ACTIVATIONS))
+    epochs: int = ruled(100, "[0, inf)")
+    batch_size: int = ruled(256, "[1, inf)")
+    lr: float = ruled(0.002, "[0, inf)")
+    momentum: float = ruled(0.9, "[0, 1)")
+    retention: float = ruled(0.95, "(0, 1)")
+    sequential_k: int = ruled(2, "[1, inf)")
+    output_dir: str = ruled("runs/out", "non-empty")
 
     def __post_init__(self):
-        for name in ("seeds", "train_trials", "test_trials", "hidden_dims"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)) or not all(map(is_int, value)):
-                raise ValueError(f"{name} must be a list of integers, got {value!r}")
-            object.__setattr__(self, name, tuple(int(v) for v in value))
-        for name in ("n_known", "feature_dim", "epochs", "batch_size", "sequential_k"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if not self.seeds:
-            raise ValueError("need at least one seed")
-        if len(set(self.seeds)) < len(self.seeds) or min(self.seeds) < 0:
-            raise ValueError(f"seeds must be distinct and >= 0, got {list(self.seeds)}")
-        for name, choices in (("variant", VARIANTS), ("activation", ACTIVATIONS)):
-            value = getattr(self, name)
-            if not (isinstance(value, str) and value in choices):
-                raise ValueError(f"{name} must be one of {tuple(choices)}, got {value!r}")
-        for name in ("window_ms", "step_ms", "lr", "momentum", "retention"):
-            if not is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        if not 0.0 < self.retention < 1.0:
-            raise ValueError(f"retention must lie in (0, 1), got {self.retention}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must lie in [0, 1), got {self.momentum}")
-        for name in ("window_ms", "step_ms"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        for name, low in (
-            ("n_known", 2), ("sequential_k", 1), ("feature_dim", 1),
-            ("epochs", 0), ("batch_size", 1), ("lr", 0),
-        ):
-            if not getattr(self, name) >= low:
-                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
-        if not all(h >= 1 for h in self.hidden_dims):
-            raise ValueError(f"hidden_dims must all be >= 1, got {list(self.hidden_dims)}")
-        for name in ("train_trials", "test_trials"):
+        check_fields(self)
+        for name in ("seeds", "train_trials", "test_trials"):
             if not getattr(self, name):
-                raise ValueError(f"{name} must name at least one trial")
+                raise ValueError(f"{name} must not be empty")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         shared = sorted(set(self.train_trials) & set(self.test_trials))
         if shared:
             raise ValueError(f"train_trials and test_trials share trials {shared}")
-        if not (isinstance(self.output_dir, str) and self.output_dir):
-            raise ValueError(f"output_dir must be a non-empty string, got {self.output_dir!r}")
         kind = _as_object(self.dataset, "dataset").get("type", "synthetic")
         if not (isinstance(kind, str) and kind in _DATASET_KEYS):
             raise ValueError(f"unknown dataset type {kind!r}")
@@ -490,6 +456,12 @@ def run_experiment(
             raise OSError(f"output directory {out_dir!r} is not writable: {e}") from e
 
     recordings, classes = load_dataset(config) if dataset is None else dataset
+    # a CSV set's trials are known only once it is read
+    carried = sorted({r.trial_id for r in recordings})
+    for name in ("train_trials", "test_trials"):
+        missing = sorted(set(getattr(config, name)) - set(carried))
+        if missing:
+            raise ValueError(f"{name} {missing} are in no recording; they carry trials {carried}")
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
     for seed in config.seeds:

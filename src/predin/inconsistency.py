@@ -49,7 +49,7 @@ from .prototypes import (
     softmax,
 )
 from .scoring import prototype_score_fn
-from .signals import DatasetPartition, is_finite
+from .signals import DatasetPartition, check_fields, ruled
 
 
 class TrainingError(RuntimeError):
@@ -65,28 +65,16 @@ class DivHyperParams:
     inconsistency margin, m2 the triplet margin.
     """
 
-    beta: float = 1.0
-    gamma: float = 1.0
-    alpha: float = 1.0
-    m1: float = 0.5
-    m2: float = 1.0
-    epsilon_log: float = 1e-12
-    compactness_form: str = "huber_sq"
+    beta: float = ruled(1.0, "[0, inf)")
+    gamma: float = ruled(1.0, "[0, inf)")
+    alpha: float = ruled(1.0, "[0, inf)")
+    m1: float = ruled(0.5, "[0, inf)")
+    m2: float = ruled(1.0, "[0, inf)")
+    epsilon_log: float = ruled(1e-12, "(0, inf)")
+    compactness_form: str = ruled("huber_sq", COMPACTNESS_FORMS)
 
     def __post_init__(self):
-        for name in ("beta", "gamma", "alpha", "m1", "m2", "epsilon_log"):
-            if not is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-        for name in ("beta", "gamma", "alpha", "m1", "m2"):
-            if not getattr(self, name) >= 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        if not self.epsilon_log > 0:
-            raise ValueError(f"epsilon_log must be > 0, got {self.epsilon_log}")
-        if self.compactness_form not in COMPACTNESS_FORMS:
-            raise ValueError(
-                f"compactness_form must be one of {COMPACTNESS_FORMS}, "
-                f"got {self.compactness_form!r}"
-            )
+        check_fields(self)
 
 
 @dataclass
@@ -392,15 +380,14 @@ def div_loss(
 
 @dataclass(frozen=True)
 class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 256
-    base_lr: float = 0.01
-    momentum: float = 0.9
-    shuffle_seed: int = 0
+    epochs: int = ruled(100, "[0, inf)")
+    batch_size: int = ruled(256, "[1, inf)")
+    base_lr: float = ruled(0.01, "[0, inf)")
+    momentum: float = ruled(0.9, "[0, 1)")
+    shuffle_seed: int = ruled(0, "[0, inf)")
 
     def __post_init__(self):
-        if self.epochs < 0 or self.batch_size < 1:
-            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        check_fields(self)
 
 
 def training_arrays(partition: DatasetPartition):

@@ -16,7 +16,7 @@ import csv
 import math
 import numbers
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -323,6 +323,69 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     return partition
 
 
+def is_int(value) -> bool:
+    """An integer of any width, but not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_finite(value) -> bool:
+    """A finite real number, but not a bool; an integer too large for a
+    float counts as infinite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+_KINDS = {"int": "an integer", "float": "a finite number", "tuple[int, ...]": "a list of integers"}
+
+
+def ruled(default, admits):
+    """A dataclass field that check_fields checks against ``admits``.
+
+    The field's annotation gives its kind. An int, float or tuple[int, ...]
+    field (each entry of the tuple) admits the finite numbers of an
+    interval such as "[0, 1)" or "(0, inf)", closed at a square bracket and
+    open at a round one; a bool is no number, and an integer given for a
+    float is kept as given. A str field admits a tuple of strings, or any
+    string but "" when admits is "non-empty".
+    """
+    return field(default=default, metadata={"admits": admits})
+
+
+def _within(value, interval: str) -> bool:
+    low, high = (float(end) for end in interval[1:-1].split(","))
+    above = low <= value if interval[0] == "[" else low < value
+    return above and (value <= high if interval[-1] == "]" else value < high)
+
+
+def check_fields(obj) -> None:
+    """Check every ruled field of the dataclass obj and store its list
+    fields as tuples; ValueError "<field> must be <kind> in <interval>,
+    got <value>" names the first field that fails."""
+    for f in fields(obj):
+        if "admits" not in f.metadata:
+            continue
+        admits, value = f.metadata["admits"], getattr(obj, f.name)
+        if f.type == "str":
+            choices = isinstance(admits, tuple)
+            ok = isinstance(value, str) and (value in admits if choices else value != "")
+            want = f"one of {admits}" if choices else "a non-empty string"
+        else:
+            is_list = f.type == "tuple[int, ...]"
+            ok = is_list == isinstance(value, (list, tuple)) and all(
+                is_finite(v) and (f.type == "float" or is_int(v)) and _within(v, admits)
+                for v in (value if is_list else [value])
+            )
+            want = f"{_KINDS[f.type]} in {admits}"
+        if not ok:
+            raise ValueError(f"{f.name} must be {want}, got {value!r}")
+        if f.type == "tuple[int, ...]":
+            object.__setattr__(obj, f.name, tuple(int(v) for v in value))
+
+
 @dataclass(frozen=True)
 class SyntheticConfig:
     """Generator settings for the synthetic multichannel dataset.
@@ -339,42 +402,18 @@ class SyntheticConfig:
     ``separation``; separation=0 collapses every class into pure noise.
     """
 
-    n_classes: int = 10
-    channels: int = 4
-    trials: int = 3
-    recording_ms: float = 1200.0
-    sampling_rate_hz: float = 2000.0
-    separation: float = 1.0
-    osc_scale: float = 0.5
-    noise_scale: float = 0.5
-    smooth_samples: int = 51
+    n_classes: int = ruled(10, "[3, inf)")  # known plus unknown
+    channels: int = ruled(4, "[1, inf)")
+    trials: int = ruled(3, "[1, inf)")
+    recording_ms: float = ruled(1200.0, "(0, inf)")
+    sampling_rate_hz: float = ruled(2000.0, "(0, inf)")
+    separation: float = ruled(1.0, "(-inf, inf)")
+    osc_scale: float = ruled(0.5, "(-inf, inf)")
+    noise_scale: float = ruled(0.5, "(-inf, inf)")
+    smooth_samples: int = ruled(51, "[0, inf)")
 
     def __post_init__(self):
-        if not is_int(self.n_classes) or self.n_classes < 3:
-            raise ValueError(
-                f"n_classes: need at least 3 classes (known plus unknown), got {self.n_classes!r}"
-            )
-        for name, low in (("channels", 1), ("trials", 1), ("smooth_samples", 0)):
-            value = getattr(self, name)
-            if not is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
-        for name in ("recording_ms", "sampling_rate_hz"):
-            value = getattr(self, name)
-            if not (is_finite(value) and value > 0):
-                raise ValueError(f"{name} must be a finite number > 0, got {value!r}")
-        for name in ("separation", "osc_scale", "noise_scale"):
-            if not is_finite(getattr(self, name)):
-                raise ValueError(f"{name} must be a finite number, got {getattr(self, name)!r}")
-
-
-def is_int(value) -> bool:
-    """An integer of any width, but not a bool."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def is_finite(value) -> bool:
-    """A finite real number, but not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+        check_fields(self)
 
 
 def _smooth_rows(noise: np.ndarray, width: int) -> np.ndarray:

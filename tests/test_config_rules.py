@@ -1,0 +1,287 @@
+"""Config rules stated on the fields: every field has one, the README table
+documents them, and property tests built from them check what they admit
+and reject."""
+
+import copy
+import dataclasses
+import json
+import math
+import os
+import pathlib
+import re
+import tempfile
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from predin.harness import _SECTION_OF, ExperimentConfig, config_from_dict, run_experiment
+from predin.inconsistency import DivHyperParams, TrainConfig
+from predin.signals import ParseError, SyntheticConfig, load_csv
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+# the fields no rule covers: both are checked in code (the dataset section's
+# type, keys, paths and data_seed; hyperparams through DivHyperParams' rules)
+CHECKED_BY_CODE = {"dataset", "hyperparams"}
+
+# each config type -> the JSON path of one of its fields
+PATHS = {
+    ExperimentConfig: lambda n: f"{_SECTION_OF[n]}.{n}" if n in _SECTION_OF else n,
+    DivHyperParams: lambda n: f"hyperparams.{n}",
+    SyntheticConfig: lambda n: f"dataset.{n}",
+}
+
+KIND_WORDS = {"int": "integer", "float": "real", "tuple[int, ...]": "integer list", "str": "string"}
+
+def ruled_fields(cls):
+    return [f for f in dataclasses.fields(cls) if "admits" in f.metadata]
+
+
+def interval(text):
+    """(low, high, closed_low, closed_high) of a rule such as "[0, 1)"."""
+    low, high = text[1:-1].split(", ")
+    return float(low), float(high), text[0] == "[", text[-1] == "]"
+
+
+def test_every_config_field_has_a_rule_or_is_checked_by_code():
+    for cls in (ExperimentConfig, SyntheticConfig, DivHyperParams, TrainConfig):
+        for f in dataclasses.fields(cls):
+            name = f"{cls.__name__}.{f.name}"
+            assert ("admits" in f.metadata) != (f.name in CHECKED_BY_CODE), name
+            if "admits" not in f.metadata:
+                continue
+            admits = f.metadata["admits"]
+            assert f.type in KIND_WORDS, name
+            if f.type == "str":
+                assert admits == "non-empty" or isinstance(admits, tuple), name
+            else:
+                low, high, _, _ = interval(admits)
+                assert low < high and admits[0] in "[(" and admits[-1] in "])", name
+
+
+def test_train_config_shares_the_experiment_rules():
+    # TrainConfig is built from ExperimentConfig; each value it takes over
+    # must be admitted by both
+    experiment = {f.name: f.metadata["admits"] for f in ruled_fields(ExperimentConfig)}
+    train = {f.name: f.metadata["admits"] for f in ruled_fields(TrainConfig)}
+    for ours, theirs in (("epochs", "epochs"), ("batch_size", "batch_size"),
+                         ("lr", "base_lr"), ("momentum", "momentum")):
+        assert experiment[ours] == train[theirs], theirs
+
+
+def _admits_cell(admits) -> str:
+    if isinstance(admits, tuple):
+        return ", ".join(f"`{choice}`" for choice in admits)
+    return admits if admits == "non-empty" else f"`{admits}`"
+
+
+def test_readme_table_matches_the_field_rules():
+    lines = README.read_text().splitlines()
+    start = lines.index("| field | kind | admits |") + 2  # past the separator row
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        path, kind, admits = (cell.strip() for cell in line.strip("|").split(" | "))
+        documented[path.strip("`")] = (kind, admits)
+    expected = {
+        path(f.name): (KIND_WORDS[f.type], _admits_cell(f.metadata["admits"]))
+        for cls, path in PATHS.items()
+        for f in ruled_fields(cls)
+    }
+    assert documented == expected
+
+
+# ---------------------------------------------------------------------------
+# property tests: valid values drawn from the rules, invalid ones built from
+# them
+# ---------------------------------------------------------------------------
+
+
+def valid_values(f, entry=False):
+    """Values f's rule admits (one entry of it when entry is set)."""
+    admits = f.metadata["admits"]
+    if f.type == "str":
+        return st.sampled_from(admits) if isinstance(admits, tuple) else st.text(min_size=1)
+    low, high, closed_low, closed_high = interval(admits)
+    if f.type == "float":
+        return st.floats(
+            min_value=low if math.isfinite(low) else None,
+            max_value=high if math.isfinite(high) else None,
+            exclude_min=math.isfinite(low) and not closed_low,
+            exclude_max=math.isfinite(high) and not closed_high,
+            allow_nan=False,
+            allow_infinity=False,
+        )
+    ints = st.integers(
+        min_value=int(low) + (not closed_low) if math.isfinite(low) else None,
+        max_value=int(high) - (not closed_high) if math.isfinite(high) else None,
+    )
+    return ints if entry or f.type == "int" else st.lists(ints, max_size=4)
+
+
+@st.composite
+def valid_configs(draw):
+    """An ExperimentConfig with a csv dataset, drawn from the field rules
+    plus the cross-field ones (non-empty distinct seeds, disjoint trials)."""
+    rules = {f.name: f for f in ruled_fields(ExperimentConfig)}
+    kwargs = {name: draw(valid_values(f)) for name, f in rules.items()}
+    kwargs["seeds"] = draw(st.lists(valid_values(rules["seeds"], entry=True),
+                                    min_size=1, max_size=4, unique=True))
+    trials = draw(st.lists(valid_values(rules["train_trials"], entry=True),
+                           min_size=2, max_size=6, unique=True))
+    cut = draw(st.integers(1, len(trials) - 1))
+    kwargs["train_trials"], kwargs["test_trials"] = trials[:cut], trials[cut:]
+    kwargs["hyperparams"] = DivHyperParams(
+        **{f.name: draw(valid_values(f)) for f in ruled_fields(DivHyperParams)}
+    )
+    kwargs["dataset"] = {"type": "csv", "data_path": draw(st.text()), "meta_path": draw(st.text())}
+    return ExperimentConfig(**kwargs)
+
+
+@settings(derandomize=True, database=None, max_examples=50, deadline=None)
+@given(valid_configs())
+def test_valid_config_round_trips(cfg):
+    echo = json.loads(json.dumps(cfg.to_dict()))
+    assert config_from_dict(echo) == cfg
+
+
+def outside(f):
+    """The values nearest to f's interval that it excludes."""
+    low, high, closed_low, closed_high = interval(f.metadata["admits"])
+    out = []
+    for bound, closed, toward in ((low, closed_low, -math.inf), (high, closed_high, math.inf)):
+        if not math.isfinite(bound):
+            continue
+        if f.type == "float":
+            out.append(math.nextafter(bound, toward) if closed else bound)
+        else:
+            out.append(int(bound) + (int(math.copysign(1, toward)) if closed else 0))
+    return out
+
+
+HUGE = 10**400  # 401 digits: too large for a float
+
+
+def invalid_values(f):
+    """Values f's rule rejects: wrong types, non-finite and huge numbers,
+    and the nearest values outside its interval or choices."""
+    if f.type == "str":
+        admits = f.metadata["admits"]
+        return [None, 1, True, ["x"], {}, ""] + (["bogus"] if isinstance(admits, tuple) else [])
+    bad = [None, "1", True, False, {}, float("nan"), float("inf"), -float("inf"), HUGE, -HUGE]
+    bad += outside(f)
+    if f.type == "int":
+        return bad + [1.0, 2.5, [1]]
+    if f.type == "float":
+        return bad + [[1.0]]
+    return [5, "1", None, {}, HUGE] + [[v] for v in bad] + [[1.0], [2.5]]
+
+
+def _with(d: dict, section: str, key: str, value) -> dict:
+    """A copy of the config dict d with d[section][key] (d[key] when
+    section is "") set to value."""
+    d = copy.deepcopy(d)
+    (d.setdefault(section, {}) if section else d)[key] = value
+    return d
+
+
+SYNTHETIC = {"type": "synthetic"}
+
+
+@settings(derandomize=True, database=None, max_examples=10, deadline=None)
+@given(valid_configs(), st.text(min_size=1))
+def test_one_bad_field_rejected_naming_it(cfg, unknown_key):
+    base = cfg.to_dict()
+    for cls, path in PATHS.items():
+        for f in ruled_fields(cls):
+            for value in invalid_values(f):
+                d = base if cls is not SyntheticConfig else dict(base, dataset=SYNTHETIC)
+                with pytest.raises(ValueError) as info:
+                    config_from_dict(_with(d, *path(f.name).rpartition(".")[::2], value))
+                assert f"{f.name} must be" in str(info.value), (path(f.name), value)
+    for f in ruled_fields(TrainConfig):
+        for value in invalid_values(f):
+            with pytest.raises(ValueError, match=f"{f.name} must be"):
+                TrainConfig(**{f.name: value})
+    for section in ("", "dataset", "encoder", "training", "hyperparams"):
+        if unknown_key in (base[section] if section else base):
+            continue
+        with pytest.raises(ValueError, match="unknown config keys") as info:
+            config_from_dict(_with(base, section, unknown_key, 1))
+        assert repr(unknown_key) in str(info.value)
+
+
+# ---------------------------------------------------------------------------
+# CSV input
+# ---------------------------------------------------------------------------
+
+META_HEADER = "start_row,end_row,label,trial,subject,sampling_rate_hz"
+
+
+def write_csv_pair(directory, data_rows, meta_rows):
+    """Write signal.csv and meta.csv into directory; returns their paths."""
+    data = os.path.join(directory, "signal.csv")
+    meta = os.path.join(directory, "meta.csv")
+    with open(data, "w") as f:
+        f.write("".join(",".join(row) + "\n" for row in data_rows))
+    with open(meta, "w") as f:
+        f.write("".join(",".join(row) + "\n" for row in [META_HEADER.split(",")] + meta_rows))
+    return data, meta
+
+
+# cells no column parses: the integer columns and the sampling rate
+NOT_INTEGERS = ["", "x", "1.5", "1e3", "0x1"]
+BAD_RATES = ["", "x", "nan", "inf", "-inf", "0", "-1"]
+NOT_NUMBERS = ["", "x", "1.2.3", "--1", "0x10", "1e"]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(st.data())
+def test_corrupt_csv_cell_names_file_and_line(data):
+    channels = data.draw(st.integers(1, 3))
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    cell = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+    data_rows = [data.draw(st.lists(cell, min_size=channels, max_size=channels))
+                 for _ in range(sum(lengths))]
+    ends = [sum(lengths[: i + 1]) for i in range(len(lengths))]
+    meta_rows = [[str(end - n), str(end), str(i + 1), "1", "1", "2000"]
+                 for i, (n, end) in enumerate(zip(lengths, ends))]
+    if data.draw(st.booleans()):
+        row = data.draw(st.integers(0, len(data_rows) - 1))
+        col = data.draw(st.integers(0, channels - 1))
+        data_rows[row][col] = data.draw(st.sampled_from(NOT_NUMBERS))
+        where = ("signal.csv", f"row {row + 1}, column {col + 1}")
+    else:
+        row = data.draw(st.integers(0, len(meta_rows) - 1))
+        col = data.draw(st.integers(0, 5))
+        meta_rows[row][col] = data.draw(st.sampled_from(BAD_RATES if col == 5 else NOT_INTEGERS))
+        where = ("meta.csv", f"metadata line {row + 2}")
+    with tempfile.TemporaryDirectory() as directory:
+        paths = write_csv_pair(directory, data_rows, meta_rows)
+        with pytest.raises(ParseError) as info:
+            load_csv(*paths)
+        assert f"{os.path.join(directory, where[0])}: {where[1]}" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "key, trials, missing",
+    [("test_trials", {"train_trials": [1], "test_trials": [3]}, [3]),
+     ("train_trials", {"train_trials": [3], "test_trials": [2]}, [3]),
+     ("train_trials", {"train_trials": [1, 4, 5], "test_trials": [2]}, [4, 5])],
+)
+def test_csv_trial_in_no_recording_rejected_naming_key(tmp_path, key, trials, missing):
+    # 4 classes x 2 trials, one 20-row recording each, 2 channels at 100 Hz
+    data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(160)]
+    meta_rows = [[str(20 * r), str(20 * r + 20), str(r // 2 + 1), str(r % 2 + 1), "1", "100"]
+                 for r in range(8)]
+    data, meta = write_csv_pair(tmp_path, data_rows, meta_rows)
+    cfg = config_from_dict({
+        "dataset": {"type": "csv", "data_path": data, "meta_path": meta},
+        "window_ms": 50.0, "step_ms": 50.0, "n_known": 2, "seeds": [1],
+        "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
+        "output_dir": str(tmp_path / "out"), **trials,
+    })
+    with pytest.raises(ValueError, match=re.escape(f"{key} {missing}") + r".*trials \[1, 2\]"):
+        run_experiment(cfg, write_artifacts=False)

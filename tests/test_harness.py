@@ -161,6 +161,10 @@ class TestConfig:
             ("window_ms", 1.0),
             ("step_ms", 1.0),
             ("n_known", 5),
+            # a 401-digit integer overflows a float
+            pytest.param("window_ms", 10**400, id="window_ms-401_digits"),
+            pytest.param("lr", 10**400, id="lr-401_digits"),
+            ("seeds", ()),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -198,6 +202,7 @@ class TestConfig:
             ("data_seed", -3),
             ("data_seed", "7"),
             ("data_seed", True),
+            pytest.param("recording_ms", 10**400, id="recording_ms-401_digits"),
         ],
     )
     def test_invalid_synthetic_setting_rejected_when_built(self, key, value):
