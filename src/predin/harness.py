@@ -236,14 +236,17 @@ def load_dataset(config: ExperimentConfig):
     return recordings, {r.gesture_label for r in recordings}
 
 
-def build_partition(config: ExperimentConfig, recordings, classes, seed: int) -> DatasetPartition:
+def build_partition(
+    config: ExperimentConfig, recordings, classes, seed: int, release: bool = False
+) -> DatasetPartition:
     """Route, window and standardize one seed's train/test tables; each
     side's routed recordings are copied once and scaled in place, and no
-    window is copied out until it is used."""
+    window is copied out until it is used. With ``release`` the list
+    ``recordings`` is emptied while it is copied (see ``split_trials``)."""
     split = split_known_unknown(classes, config.n_known, seed)
     part = split_trials(
         recordings, config.window_ms, config.step_ms,
-        config.train_trials, config.test_trials, split,
+        config.train_trials, config.test_trials, split, release=release,
     )
     return standardize(part)
 
@@ -465,11 +468,10 @@ def run_experiment(
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
     for seed in config.seeds:
-        partition = build_partition(config, recordings, classes, seed)
-        if seed == config.seeds[-1]:
-            # no seed reads the recordings again: the last seed trains and
-            # scores without them unless the caller passed them in and holds them
-            del recordings
+        # no seed reads the recordings after the last: unless the caller
+        # passed them in, its build frees each one as soon as it is copied
+        release = dataset is None and seed == config.seeds[-1]
+        partition = build_partition(config, recordings, classes, seed, release=release)
         try:
             result = run_seed(config, partition, seed)
         except TrainingError as e:

@@ -22,8 +22,11 @@ from .signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 # this many, so the hidden activations of a large test set are never all
 # alive at once. BLAS may round a product of a few rows differently from a
 # long one; blocks of at least half this size score every row exactly as
-# one pass over the whole table would.
-SCORE_BLOCK_ROWS = 2048
+# one pass over the whole table would (at the default run's 1600 -> 256 ->
+# 128 shapes on OpenBLAS 0.3.31, 250-row blocks still do, 125-row ones do
+# not). At 1024 a block's gathered rows are 13 MB of a 1600-wide table, so
+# scoring peaks below training.
+SCORE_BLOCK_ROWS = 1024
 
 
 @dataclass

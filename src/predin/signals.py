@@ -163,6 +163,18 @@ class DatasetPartition:
     stats: StandardizationStats | None = None
 
 
+def _samples_in(key: str, ms: float, sampling_rate: float) -> int:
+    """The whole number of samples nearest to ``ms`` milliseconds at the
+    rate; ValueError naming ``key`` and the rate when a huge but finite
+    setting gives no finite count."""
+    n = ms * sampling_rate / 1000.0
+    if not math.isfinite(n):
+        raise ValueError(
+            f"{key}={ms!r} at sampling_rate_hz={sampling_rate!r} is no finite number of samples"
+        )
+    return int(round(n))
+
+
 def window_geometry(sampling_rate: float, window_ms: float, step_ms: float) -> tuple[int, int]:
     """Window length and stride in samples for the given timing.
 
@@ -170,8 +182,8 @@ def window_geometry(sampling_rate: float, window_ms: float, step_ms: float) -> t
     """
     if step_ms <= 0:
         raise ValueError(f"step_ms must be positive, got {step_ms}")
-    window_len = int(round(window_ms * sampling_rate / 1000.0))
-    stride = int(round(step_ms * sampling_rate / 1000.0))
+    window_len = _samples_in("window_ms", window_ms, sampling_rate)
+    stride = _samples_in("step_ms", step_ms, sampling_rate)
     if window_len < 1:
         raise ValueError(f"window_ms={window_ms} is shorter than one sample at {sampling_rate} Hz")
     if stride < 1:
@@ -224,6 +236,7 @@ def split_trials(
     train_trials,
     test_trials,
     label_split: LabelSplit | None = None,
+    release: bool = False,
 ) -> DatasetPartition:
     """Route recordings into train/test by trial id, then window each side.
 
@@ -234,6 +247,13 @@ def split_trials(
     Recordings whose trial id is in neither set are dropped. When a label
     split is given, unknown-class recordings are kept out of the train side
     (they stay in test).
+
+    The sides are filled from the last recording back. With ``release``,
+    the list ``recordings`` is emptied in place as they are copied: each
+    recording is popped once its samples are in its side (an unrouted one
+    at once), so it is freed then unless the caller holds it elsewhere.
+    Newest first, each freed recording lies at the top of the heap, the
+    only place the allocator hands memory back from.
     """
     train_trials = set(train_trials)
     test_trials = set(test_trials)
@@ -242,33 +262,49 @@ def split_trials(
     if not recordings:
         raise ValueError("no recordings to split")
     known = None if label_split is None else set(label_split.known_classes)
-
-    def side(routed) -> WindowTable:
-        if not routed:
-            first = recordings[0]
-            window_len, _ = window_geometry(first.sampling_rate, window_ms, step_ms)
-            return WindowTable(np.empty((first.n_channels, 0)), window_len,
-                               *(np.empty(0, dtype=np.int64) for _ in range(4)))
-        tables = [segment_windows(r, window_ms, step_ms) for r in routed]
-        if len({t.window_len for t in tables}) > 1:
+    # the side each recording goes to: 0 train, 1 test, None neither
+    route = [
+        0 if r.trial_id in train_trials and (known is None or r.gesture_label in known)
+        else 1 if r.trial_id in test_trials else None
+        for r in recordings
+    ]
+    # every check comes before the first copy, so a rejected split releases nothing
+    shapes = []  # per side: (channels, window length, samples)
+    for side in (0, 1):
+        routed = [r for r, s in zip(recordings, route) if s == side]
+        probe = routed or recordings[:1]  # an empty side takes the first recording's shape
+        lengths = {window_geometry(r.sampling_rate, window_ms, step_ms)[0] for r in probe}
+        if len(lengths) > 1:
             raise ValueError("routed recordings give windows of different lengths")
-        # one fresh copy of the routed recordings, end to end; each window's
-        # start moves by the samples of the recordings before it
-        signal = np.concatenate([t.signal for t in tables], axis=1)
-        offsets = np.cumsum([0] + [t.signal.shape[1] for t in tables[:-1]])
-        starts = np.concatenate([t.starts + o for t, o in zip(tables, offsets)])
-        fields = ("labels", "trials", "subjects")
-        return WindowTable(signal, tables[0].window_len, starts,
-                           *(np.concatenate([getattr(t, f) for t in tables]) for f in fields))
+        channels = {r.n_channels for r in probe}
+        if len(channels) > 1:
+            raise ValueError("routed recordings have different channel counts")
+        shapes.append((channels.pop(), lengths.pop(), sum(r.n_timesteps for r in routed)))
+    del routed, probe  # a recording they held would outlive its copy
+    signals = [np.empty((c, n)) for c, _, n in shapes]
+    ends = [n for _, _, n in shapes]  # each side is filled leftwards from here
+    pieces = ([], [])  # per side, newest first: (starts, labels, trials, subjects)
+    for i in reversed(range(len(recordings))):
+        rec = recordings.pop() if release else recordings[i]
+        side = route[i]
+        if side is None:
+            continue
+        table = segment_windows(rec, window_ms, step_ms)
+        ends[side] -= rec.n_timesteps
+        start = ends[side]
+        pieces[side].append((table.starts + start, table.labels, table.trials, table.subjects))
+        del table  # its signal is a view that would keep rec's samples alive
+        signals[side][:, start : start + rec.n_timesteps] = rec.samples
+    del rec  # with release, the first recording is freed here
 
-    return DatasetPartition(
-        train_windows=side([
-            r for r in recordings
-            if r.trial_id in train_trials and (known is None or r.gesture_label in known)
-        ]),
-        test_windows=side([r for r in recordings if r.trial_id in test_trials]),
-        label_split=label_split,
-    )
+    def build(side) -> WindowTable:
+        vectors = (
+            [np.concatenate(v[::-1]) for v in zip(*pieces[side])] if pieces[side]
+            else [np.empty(0, dtype=np.int64) for _ in range(4)]
+        )
+        return WindowTable(signals[side], shapes[side][1], *vectors)
+
+    return DatasetPartition(train_windows=build(0), test_windows=build(1), label_split=label_split)
 
 
 def standardize(partition: DatasetPartition) -> DatasetPartition:
@@ -414,6 +450,7 @@ class SyntheticConfig:
 
     def __post_init__(self):
         check_fields(self)
+        _samples_in("recording_ms", self.recording_ms, self.sampling_rate_hz)
 
 
 def _smooth_rows(noise: np.ndarray, width: int) -> np.ndarray:
@@ -447,7 +484,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     trials labeled 1..trials.
     """
     rng = np.random.default_rng(seed)
-    n = int(round(config.recording_ms * config.sampling_rate_hz / 1000.0))
+    n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
     offsets = _class_offsets(config, rng)
     freqs = rng.uniform(5.0, 45.0, size=config.channels)
     phases = rng.uniform(0.0, 2 * np.pi, size=config.channels)

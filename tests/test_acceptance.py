@@ -1,8 +1,8 @@
 """Acceptance suite: one test per criterion, one printed verdict line each.
 
-Criteria 5-7 share a single set of multi-seed training runs on the default
-synthetic dataset (10 classes, 6 known, 4 channels, 2000 Hz, 3 trials,
-200/50 ms windows) executed once per session.
+Criteria 5-7 and the s_max gap test share a single set of multi-seed
+training runs on the default synthetic dataset (10 classes, 6 known, 4
+channels, 2000 Hz, 3 trials, 200/50 ms windows) executed once per session.
 """
 
 import json
@@ -11,15 +11,9 @@ import time
 import numpy as np
 import pytest
 
+from predin import harness
 from predin.gradcheck import LOSS_NAMES, check_loss_gradients
-from predin.harness import (
-    ExperimentConfig,
-    build_partition,
-    config_from_dict,
-    load_dataset,
-    run_experiment,
-    run_seed,
-)
+from predin.harness import ExperimentConfig, config_from_dict, run_experiment, run_seed
 from predin.inconsistency import (
     ProximityDistribution,
     inconsistency_loss,
@@ -45,12 +39,27 @@ def verdict(ok: bool, criterion: str, detail: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def table4_runs():
+def table4_scores():
+    """variant -> the ScoreTable of each seed table4_runs trained, in seed order."""
+    return {}
+
+
+@pytest.fixture(scope="module")
+def table4_runs(table4_scores):
     started = time.perf_counter()
     records = {}
-    for variant in ("pl_baseline", "dual", "predin"):
-        cfg = ExperimentConfig(variant=variant, output_dir="unused")
-        records[variant] = run_experiment(cfg, write_artifacts=False)
+    with pytest.MonkeyPatch.context() as mp:
+        for variant in ("pl_baseline", "dual", "predin"):
+            scored = table4_scores[variant] = []
+
+            def keeping_scores(*args, _scored=scored):
+                result = run_seed(*args)
+                _scored.append(result.scored)
+                return result
+
+            mp.setattr(harness, "run_seed", keeping_scores)
+            cfg = ExperimentConfig(variant=variant, output_dir="unused")
+            records[variant] = run_experiment(cfg, write_artifacts=False)
     return records, time.perf_counter() - started
 
 
@@ -236,15 +245,12 @@ def test_criterion_9_windowing_arithmetic():
     )
 
 
-def test_known_smax_exceeds_unknown_on_acceptance_runs(table4_runs):
-    # the fused-score geometry the rejection rule relies on
-    records, _ = table4_runs
-    cfg = ExperimentConfig(variant="predin", output_dir="unused")
-    recordings, classes = load_dataset(cfg)
+def test_known_smax_exceeds_unknown_on_acceptance_runs(table4_runs, table4_scores):
+    # the fused-score geometry the rejection rule relies on, read from the
+    # predin seeds table4_runs has trained rather than trained again
     gaps = []
-    for seed in cfg.seeds:
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, seed), seed)
-        scored = result.scored
+    for scored in table4_scores["predin"]:
         gaps.append(np.mean(scored.s_max[scored.known]) - np.mean(scored.s_max[~scored.known]))
+    assert len(gaps) == len(ExperimentConfig().seeds)
     assert np.mean(gaps) > 0.0
     print(f"mean known-unknown s_max gap across seeds: {np.mean(gaps):.3f}")

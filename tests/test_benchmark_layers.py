@@ -261,8 +261,9 @@ def test_run_workloads_reach_every_traced_function(tmp_path, monkeypatch):
 
 def test_release_holds_under_the_tracer(tmp_path):
     # the tracer's wrapper holds each call's arguments until it returns
-    # (build_partition's recordings, run_seed's partition), so a release that
-    # counts on the callee holding the last reference fails only when traced
+    # (build_partition's and split_trials' recordings list, run_seed's
+    # partition), so a release that counts on the callee holding the last
+    # reference fails only when traced
     import predin.cli
     from predin import harness
 
@@ -275,18 +276,25 @@ def test_release_holds_under_the_tracer(tmp_path):
     tracer = SPANS.Tracer()
     tracer.install()
     try:
-        recording_refs, train_refs, alive_at_scoring = [], [], []
+        recording_refs, lists, train_refs = [], [], []
+        alive_at_standardize, alive_at_scoring = [], []
         load, build, score = harness.load_dataset, harness.build_partition, harness.score_windows
+        standardize = harness.standardize
 
         def capturing_load(*args):
             recordings, classes = load(*args)
             recording_refs.extend(weakref.ref(r.samples) for r in recordings)
             return recordings, classes
 
-        def capturing_build(*args):
-            partition = build(*args)
+        def capturing_build(*args, **kwargs):
+            lists.append(args[1])
+            partition = build(*args, **kwargs)
             train_refs.append(weakref.ref(partition.train_windows.signal))
             return partition
+
+        def checking_standardize(*args):
+            alive_at_standardize.append(sum(r() is not None for r in recording_refs))
+            return standardize(*args)
 
         def checking_score(*args):
             alive_at_scoring.append(
@@ -296,6 +304,7 @@ def test_release_holds_under_the_tracer(tmp_path):
 
         harness.load_dataset = capturing_load
         harness.build_partition = capturing_build
+        harness.standardize = checking_standardize
         harness.score_windows = checking_score
         path = _tiny_run_config(tmp_path)
         assert predin.cli.main(["run", "--config", str(path)]) == 0
@@ -303,5 +312,8 @@ def test_release_holds_under_the_tracer(tmp_path):
         for (mod, fname), fn in bound.items():
             setattr(mod, fname, fn)
     assert "harness.run_seed" in tracer.names
+    assert tracer.totals["signals.windows"] > 0  # split_trials still cuts through segment_windows
     assert len(recording_refs) == 15
+    assert lists == [[]]  # the list the wrappers hold was emptied in place
+    assert alive_at_standardize == [0]
     assert alive_at_scoring == [(0, False)]

@@ -165,6 +165,9 @@ class TestConfig:
             pytest.param("window_ms", 10**400, id="window_ms-401_digits"),
             pytest.param("lr", 10**400, id="lr-401_digits"),
             ("seeds", ()),
+            # finite, but no finite number of samples at the set's rate
+            ("window_ms", 1e308),
+            ("step_ms", 1e308),
         ],
     )
     def test_invalid_field_rejected(self, field, value):
@@ -203,6 +206,8 @@ class TestConfig:
             ("data_seed", "7"),
             ("data_seed", True),
             pytest.param("recording_ms", 10**400, id="recording_ms-401_digits"),
+            ("recording_ms", 1e308),
+            ("sampling_rate_hz", 1e308),
         ],
     )
     def test_invalid_synthetic_setting_rejected_when_built(self, key, value):
@@ -516,46 +521,67 @@ class TestRunSeed:
 
 
 class TestRecordingsReleased:
-    """run_experiment drops the recordings it loaded itself once the last
-    seed's partition is built; a caller that passes them in keeps them."""
+    """run_experiment frees the recordings it loaded itself while the last
+    seed's partition is built; earlier seeds, and a caller that passes the
+    recordings in, keep them."""
 
     @staticmethod
     def _watch(monkeypatch):
         """Weak refs to every loaded recording's samples, and how many of
-        them are alive at each call to train."""
+        them are alive at each call to standardize and to train."""
         from predin import harness
 
-        refs, alive_at_train = [], []
-        load, train = harness.load_dataset, harness.train
+        refs, alive_at_standardize, alive_at_train = [], [], []
+        load, standardize, train = harness.load_dataset, harness.standardize, harness.train
 
         def capturing_load(config):
             recordings, classes = load(config)
             refs.extend(weakref.ref(r.samples) for r in recordings)
             return recordings, classes
 
+        def checking_standardize(*args):
+            alive_at_standardize.append(sum(ref() is not None for ref in refs))
+            return standardize(*args)
+
         def checking_train(*args):
             alive_at_train.append(sum(ref() is not None for ref in refs))
             return train(*args)
 
         monkeypatch.setattr(harness, "load_dataset", capturing_load)
+        monkeypatch.setattr(harness, "standardize", checking_standardize)
         monkeypatch.setattr(harness, "train", checking_train)
-        return refs, alive_at_train
+        return refs, alive_at_standardize, alive_at_train
 
     def test_single_seed_trains_without_recordings(self, monkeypatch):
-        refs, alive_at_train = self._watch(monkeypatch)
+        refs, _, alive_at_train = self._watch(monkeypatch)
         run_experiment(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
         assert len(refs) == 15
         assert alive_at_train == [0]
 
+    def test_single_seed_frees_recordings_before_standardize(self, monkeypatch):
+        refs, alive_at_standardize, _ = self._watch(monkeypatch)
+        run_experiment(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        assert len(refs) == 15
+        assert alive_at_standardize == [0]
+
     def test_only_the_last_seed_trains_without_recordings(self, monkeypatch):
-        refs, alive_at_train = self._watch(monkeypatch)
+        refs, alive_at_standardize, alive_at_train = self._watch(monkeypatch)
         run_experiment(tiny_config(seeds=(1, 2), epochs=1), write_artifacts=False)
+        assert alive_at_standardize == [len(refs), 0]
         assert alive_at_train == [len(refs), 0]
 
     def test_ablation_keeps_the_shared_recordings(self, monkeypatch):
-        refs, alive_at_train = self._watch(monkeypatch)
+        refs, alive_at_standardize, alive_at_train = self._watch(monkeypatch)
         run_ablation(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        assert alive_at_standardize == [len(refs)] * len(ABLATION_VARIANTS)
         assert alive_at_train == [len(refs)] * len(ABLATION_VARIANTS)
+
+    def test_caller_dataset_left_intact(self):
+        cfg = tiny_config(seeds=(1, 2), epochs=1)
+        recordings, classes = load_dataset(cfg)
+        before = [(id(r), r.samples.tobytes()) for r in recordings]
+        run_experiment(cfg, write_artifacts=False, dataset=(recordings, classes))
+        assert [(id(r), r.samples.tobytes()) for r in recordings] == before
 
 
 class TestSequentialVariant:

@@ -246,6 +246,24 @@ class TestScoreBlocks:
         assert max(rows_seen) <= self.B and min(rows_seen) >= min(m, self.B // 2)
         assert len(rows_seen) == 2 * max(1, -(-m // self.B))
 
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B + 1])
+    def test_blocks_equal_one_pass_bitwise_at_harness_shapes(self, m):
+        # the default run's shapes (4 channels x 400 samples -> 256 -> 128,
+        # tanh, two branches, overlapping 100-sample strides) reach the BLAS
+        # kernels a real run uses, which 24 -> 16 -> 8 never does
+        rng = np.random.default_rng(m)
+        spec = EncoderSpec(input_dim=1600, hidden_dims=(256,), output_dim=128, activation="tanh")
+        fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((6, 128)))
+               for s in (1, 2)]
+        ids = np.ones(m, dtype=np.int64)
+        windows = WindowTable(rng.standard_normal((4, (m - 1) * 100 + 400)), 400,
+                              np.arange(m) * 100, ids, ids, ids)
+        scored = score_windows(fns, windows, None)
+        x = windows.rows()
+        one_pass = np.stack([fn(x) for fn in fns], axis=1)
+        assert scored.sims.tobytes() == one_pass.tobytes()
+        assert scored.fused.tobytes() == one_pass.mean(axis=1).tobytes()
+
     def test_peak_memory_is_one_gathered_block(self):
         # three blocks of overlapping windows: only one block's gathered rows
         # and activations may be alive at once, never the whole table

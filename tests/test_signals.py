@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -79,6 +81,15 @@ class TestWindowing:
         windows = segment_windows(make_recording(399), 200.0, 50.0)
         assert len(windows) == 0
         assert cube(windows).shape == (0, 2, 400)
+
+    @pytest.mark.parametrize(
+        "rate, window_ms, step_ms, key",
+        [(1e308, 200.0, 50.0, "window_ms"), (2000.0, 1e308, 50.0, "window_ms"),
+         (2000.0, 200.0, 1e308, "step_ms")],
+    )
+    def test_huge_finite_timing_rejected_naming_the_key(self, rate, window_ms, step_ms, key):
+        with pytest.raises(ValueError, match=f"{key}=.* at sampling_rate_hz=.* no finite"):
+            window_geometry(rate, window_ms, step_ms)
 
     def test_nonpositive_step_rejected(self):
         with pytest.raises(ValueError):
@@ -414,6 +425,65 @@ class TestSplitTrials:
     def test_no_recordings_rejected(self):
         with pytest.raises(ValueError, match="no recordings"):
             split_trials([], *self.W, {1}, {2})
+
+    def test_mixed_channel_counts_rejected(self):
+        # a one-channel recording would broadcast into a wider side unnoticed
+        recs = [SignalRecording(np.zeros((c, 16)), 1000.0, 1, 1, 1) for c in (2, 1)]
+        with pytest.raises(ValueError, match="different channel counts"):
+            split_trials(recs, *self.W, {1}, set())
+
+
+class TestSplitTrialsRelease:
+    """release=True empties the caller's list while the sides are copied,
+    newest recording first, and builds the same tables as release=False."""
+
+    SPLIT = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
+
+    def _recordings(self):
+        cfg = SyntheticConfig(n_classes=3, channels=2, trials=4, recording_ms=700.0,
+                              sampling_rate_hz=500.0)
+        return generate_synthetic(cfg, seed=4)[0]
+
+    def test_same_tables_as_without_release(self):
+        kept = self._recordings()
+        released = self._recordings()
+        a = split_trials(kept, 200.0, 50.0, {1, 3}, {2}, self.SPLIT)
+        b = split_trials(released, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, release=True)
+        assert len(kept) == 12 and released == []
+        for x, y in ((a.train_windows, b.train_windows), (a.test_windows, b.test_windows)):
+            assert x.signal.tobytes() == y.signal.tobytes()
+            assert x.signal.flags.c_contiguous and y.signal.flags.c_contiguous
+            for f in ("starts", "labels", "trials", "subjects"):
+                assert getattr(x, f).tobytes() == getattr(y, f).tobytes()
+                assert getattr(x, f).dtype == getattr(y, f).dtype
+
+    def test_each_recording_freed_once_copied_newest_first(self, monkeypatch):
+        from predin import signals
+
+        recs = self._recordings()
+        refs = [weakref.ref(r.samples) for r in recs]
+        index = {id(r): i for i, r in enumerate(recs)}
+        cut = []  # (index of the recording cut, recordings still alive)
+        original = signals.segment_windows
+
+        def watching(rec, *args):
+            cut.append((index[id(rec)], sum(ref() is not None for ref in refs)))
+            return original(rec, *args)
+
+        monkeypatch.setattr(signals, "segment_windows", watching)
+        # trial 4 is routed nowhere and class 3 of trials 1 and 3 stays out of train
+        split_trials(recs, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, release=True)
+        routed = [i for i in range(12) if i % 4 in (0, 2) and i < 8 or i % 4 == 1]
+        assert [i for i, _ in cut] == sorted(routed, reverse=True)
+        # when recording i is cut, every later one is already gone
+        assert all(alive == i + 1 for i, alive in cut)
+        assert all(ref() is None for ref in refs)
+
+    def test_rejected_split_releases_nothing(self):
+        recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
+        with pytest.raises(ValueError, match="different lengths"):
+            split_trials(recs, 4.0, 4.0, {1}, set(), release=True)
+        assert len(recs) == 2
 
 
 class TestSynthetic:
