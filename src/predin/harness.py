@@ -465,6 +465,15 @@ def run_experiment(
         missing = sorted(set(getattr(config, name)) - set(carried))
         if missing:
             raise ValueError(f"{name} {missing} are in no recording; they carry trials {carried}")
+    if config.dataset.get("type", "synthetic") == "csv":
+        # recording i came from metadata line i + 2, as load_csv numbers them
+        for line, r in enumerate(recordings, start=2):
+            try:
+                window_geometry(r.sampling_rate, config.window_ms, config.step_ms)
+            except ValueError as e:
+                raise ValueError(
+                    f"{config.dataset['meta_path']}: metadata line {line}: {e}"
+                ) from None
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
     for seed in config.seeds:

@@ -8,7 +8,6 @@ known samples, and everything below is rejected as unknown.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -125,23 +124,28 @@ def decide(scored: ScoreTable, threshold: float) -> np.ndarray:
 
 
 def write_score_dump(path, scored: ScoreTable, threshold: float | None) -> None:
-    """Per-sample score CSV consumed by the metrics module and external tools."""
+    """Per-sample score CSV consumed by the metrics module and external tools.
+
+    The bytes are those of csv.writer's default dialect: no field needs
+    quoting, and every line ends in \\r\\n. Each column is converted to text
+    once, floats by repr, and the file is written in one call.
+    """
     n_branches = scored.sims.shape[1]
     header = (
         ["sample_id", "true_label"]
         + [f"branch{k+1}_smax" for k in range(n_branches)]
         + ["fused_smax", "k_star", "decision"]
     )
-    decisions = [""] * len(scored) if threshold is None else decide(scored, threshold).tolist()
-    columns = zip(
-        scored.true_labels.tolist(),
-        scored.sims.max(axis=2).tolist(),
-        scored.s_max.tolist(),
-        scored.predicted.tolist(),
+    m = len(scored)
+    decisions = [""] * m if threshold is None else map(str, decide(scored, threshold).tolist())
+    columns = (
+        map(str, range(m)),
+        map(str, scored.true_labels.tolist()),
+        *(map(repr, branch) for branch in scored.sims.max(axis=2).T.tolist()),
+        map(repr, scored.s_max.tolist()),
+        map(str, scored.predicted.tolist()),
         decisions,
     )
+    lines = [",".join(header), *map(",".join, zip(*columns)), ""]
     with atomic_open(path, newline="") as f:
-        writer = csv.writer(f)
-        writer.writerow(header)
-        for i, (true, branch_smax, s_max, k_star, decision) in enumerate(columns):
-            writer.writerow([i, true, *map(repr, branch_smax), repr(s_max), k_star, decision])
+        f.write("\r\n".join(lines))

@@ -12,9 +12,12 @@ CSV formats (fixtures in docs/fixtures/):
 
 from __future__ import annotations
 
+import contextvars
 import csv
 import math
 import numbers
+import queue
+import threading
 import warnings
 from dataclasses import dataclass, field, fields
 
@@ -477,11 +480,40 @@ def _class_offsets(config: SyntheticConfig, rng: np.random.Generator) -> np.ndar
     return np.concatenate([pool_a[pairs // pool], pool_b[pairs % pool]], axis=1)
 
 
+def _oscillation_worker(jobs, done, two_pi_freqs, t, phases, scale) -> None:
+    """The helper thread of generate_synthetic. For each (out, trial_phase,
+    offsets) job until None, write offsets + scale * sin(two_pi_freqs * t +
+    phases + trial_phase) into out in place, allocating nothing, with every
+    product and sum the one the plain expression evaluates (so the same
+    bits); then put None, or the exception for the calling thread to raise,
+    on done."""
+    for out, trial_phase, offsets in iter(jobs.get, None):
+        try:
+            np.multiply(two_pi_freqs[:, None], t[None, :], out=out)
+            out += phases[:, None]
+            out += trial_phase
+            np.sin(out, out=out)
+            out *= scale
+            out += offsets[:, None]
+        except BaseException as e:  # anything uncaught would leave the main thread waiting
+            done.put(e)
+        else:
+            done.put(None)
+
+
 def generate_synthetic(config: SyntheticConfig, seed: int):
     """Build one recording per (class, trial), deterministic per seed.
 
     Returns (recordings, class_ids) with classes labeled 1..n_classes and
     trials labeled 1..trials.
+
+    Each recording is made on two threads. The calling thread draws every
+    random number in a fixed order, smooths the noise and allocates every
+    large array, the recordings in list order. Meanwhile one helper thread
+    writes the recording's offsets and oscillation into its array; the
+    calling thread then adds the noise. The helper runs in a copy of the
+    caller's context (numpy's error state) and is joined before this
+    returns or raises.
     """
     rng = np.random.default_rng(seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
@@ -489,30 +521,44 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     freqs = rng.uniform(5.0, 45.0, size=config.channels)
     phases = rng.uniform(0.0, 2 * np.pi, size=config.channels)
     t = np.arange(n) / config.sampling_rate_hz
+    two_pi_freqs = 2 * np.pi * freqs
+    scale = config.separation * config.osc_scale
+    jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
+    helper = threading.Thread(
+        target=contextvars.copy_context().run,
+        args=(_oscillation_worker, jobs, done, two_pi_freqs, t, phases, scale),
+    )
+    helper.start()
     recordings: list[SignalRecording] = []
-    for c in range(config.n_classes):
-        for trial in range(1, config.trials + 1):
-            trial_phase = rng.uniform(0.0, 2 * np.pi)
-            osc = np.sin(
-                2 * np.pi * freqs[:, None] * t[None, :] + phases[:, None] + trial_phase
-            )
-            noise = _smooth_rows(
-                rng.standard_normal((config.channels, n)), config.smooth_samples
-            )
-            samples = (
-                offsets[c][:, None]
-                + config.separation * config.osc_scale * osc
-                + config.noise_scale * noise
-            )
-            recordings.append(
-                SignalRecording(
-                    samples=samples,
-                    sampling_rate=config.sampling_rate_hz,
-                    gesture_label=c + 1,
-                    trial_id=trial,
-                    subject_id=1,
+    try:
+        for c in range(config.n_classes):
+            for trial in range(1, config.trials + 1):
+                trial_phase = rng.uniform(0.0, 2 * np.pi)
+                samples = np.empty((config.channels, n))
+                jobs.put((samples, trial_phase, offsets[c]))
+                noise = _smooth_rows(
+                    rng.standard_normal((config.channels, n)), config.smooth_samples
                 )
-            )
+                noise *= config.noise_scale
+                error = done.get()
+                if error is not None:
+                    raise error
+                samples += noise
+                # noise stays bound until the next draw replaces it: freed
+                # here, it would leave the heap top free for glibc to trim
+                # and fault back in for every recording
+                recordings.append(
+                    SignalRecording(
+                        samples=samples,
+                        sampling_rate=config.sampling_rate_hz,
+                        gesture_label=c + 1,
+                        trial_id=trial,
+                        subject_id=1,
+                    )
+                )
+    finally:
+        jobs.put(None)
+        helper.join()
     return recordings, set(range(1, config.n_classes + 1))
 
 

@@ -5,10 +5,20 @@ loops, exhaustive sweeps, scalar arithmetic) and never call the code paths
 they are oracles for.
 """
 
+import csv
 from types import SimpleNamespace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+from predin.scoring import decide
+from predin.signals import (
+    SignalRecording,
+    SyntheticConfig,
+    _class_offsets,
+    _samples_in,
+    _smooth_rows,
+)
 
 
 def auc_pairwise(known, unknown) -> float:
@@ -223,3 +233,64 @@ def class_posterior(z, prototypes) -> np.ndarray:
     dots = np.asarray(prototypes, dtype=np.float64) @ np.asarray(z, dtype=np.float64)
     e = np.exp(dots - dots.max())
     return e / e.sum()
+
+
+def generate_synthetic_serial(config: SyntheticConfig, seed: int):
+    """The former one-thread generator: every recording's oscillation,
+    noise and sum evaluated as one expression, in list order. The
+    two-thread generate_synthetic must equal it byte for byte."""
+    rng = np.random.default_rng(seed)
+    n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
+    offsets = _class_offsets(config, rng)
+    freqs = rng.uniform(5.0, 45.0, size=config.channels)
+    phases = rng.uniform(0.0, 2 * np.pi, size=config.channels)
+    t = np.arange(n) / config.sampling_rate_hz
+    recordings: list[SignalRecording] = []
+    for c in range(config.n_classes):
+        for trial in range(1, config.trials + 1):
+            trial_phase = rng.uniform(0.0, 2 * np.pi)
+            osc = np.sin(
+                2 * np.pi * freqs[:, None] * t[None, :] + phases[:, None] + trial_phase
+            )
+            noise = _smooth_rows(
+                rng.standard_normal((config.channels, n)), config.smooth_samples
+            )
+            samples = (
+                offsets[c][:, None]
+                + config.separation * config.osc_scale * osc
+                + config.noise_scale * noise
+            )
+            recordings.append(
+                SignalRecording(
+                    samples=samples,
+                    sampling_rate=config.sampling_rate_hz,
+                    gesture_label=c + 1,
+                    trial_id=trial,
+                    subject_id=1,
+                )
+            )
+    return recordings, set(range(1, config.n_classes + 1))
+
+
+def write_score_dump_csv(path, scored, threshold) -> None:
+    """The former score dump: one csv.writer row per scored window. The
+    joined-column write_score_dump must write the same bytes."""
+    n_branches = scored.sims.shape[1]
+    header = (
+        ["sample_id", "true_label"]
+        + [f"branch{k+1}_smax" for k in range(n_branches)]
+        + ["fused_smax", "k_star", "decision"]
+    )
+    decisions = [""] * len(scored) if threshold is None else decide(scored, threshold).tolist()
+    columns = zip(
+        scored.true_labels.tolist(),
+        scored.sims.max(axis=2).tolist(),
+        scored.s_max.tolist(),
+        scored.predicted.tolist(),
+        decisions,
+    )
+    with open(path, "w", newline="") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        for i, (true, branch_smax, s_max, k_star, decision) in enumerate(columns):
+            writer.writerow([i, true, *map(repr, branch_smax), repr(s_max), k_star, decision])

@@ -9,6 +9,7 @@ these tests load it by path, resolve every entry and run every counter on
 real results, checking each total against the shapes.
 """
 
+import contextlib
 import importlib
 import importlib.util
 import json
@@ -259,14 +260,9 @@ def test_run_workloads_reach_every_traced_function(tmp_path, monkeypatch):
     assert missed == []
 
 
-def test_release_holds_under_the_tracer(tmp_path):
-    # the tracer's wrapper holds each call's arguments until it returns
-    # (build_partition's and split_trials' recordings list, run_seed's
-    # partition), so a release that counts on the callee holding the last
-    # reference fails only when traced
-    import predin.cli
-    from predin import harness
-
+@contextlib.contextmanager
+def _installed_tracer():
+    """The benchmark's tracer, installed for the body and removed after."""
     modules = [m for n, m in sys.modules.items() if n == "predin" or n.startswith("predin.")]
     bound = {
         (mod, fname): getattr(mod, fname)
@@ -276,6 +272,21 @@ def test_release_holds_under_the_tracer(tmp_path):
     tracer = SPANS.Tracer()
     tracer.install()
     try:
+        yield tracer
+    finally:
+        for (mod, fname), fn in bound.items():
+            setattr(mod, fname, fn)
+
+
+def test_release_holds_under_the_tracer(tmp_path):
+    # the tracer's wrapper holds each call's arguments until it returns
+    # (build_partition's and split_trials' recordings list, run_seed's
+    # partition), so a release that counts on the callee holding the last
+    # reference fails only when traced
+    import predin.cli
+    from predin import harness
+
+    with _installed_tracer() as tracer:
         recording_refs, lists, train_refs = [], [], []
         alive_at_standardize, alive_at_scoring = [], []
         load, build, score = harness.load_dataset, harness.build_partition, harness.score_windows
@@ -308,12 +319,32 @@ def test_release_holds_under_the_tracer(tmp_path):
         harness.score_windows = checking_score
         path = _tiny_run_config(tmp_path)
         assert predin.cli.main(["run", "--config", str(path)]) == 0
-    finally:
-        for (mod, fname), fn in bound.items():
-            setattr(mod, fname, fn)
     assert "harness.run_seed" in tracer.names
     assert tracer.totals["signals.windows"] > 0  # split_trials still cuts through segment_windows
     assert len(recording_refs) == 15
     assert lists == [[]]  # the list the wrappers hold was emptied in place
     assert alive_at_standardize == [0]
     assert alive_at_scoring == [(0, False)]
+
+
+def test_generator_traced_on_the_eval_large_plan(tmp_path):
+    # the generator's helper thread must call no wrapped function: the
+    # tracer's span stack belongs to the main thread
+    from predin import harness
+
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", SPANS_PATH.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    base = json.loads((SPANS_PATH.parents[1] / workloads.EXAMPLE_CONFIG).read_text())
+    plan = workloads.make_plan("eval_large", 5, str(tmp_path / "out"), base, tiny=True)
+    config = harness.config_from_dict(plan["config"])
+    with _installed_tracer() as tracer:
+        traced, classes = harness.load_dataset(config)
+    assert tracer.names == ["harness.load_dataset", "signals.generate_synthetic"]
+    assert tracer.parents == [-1, 0]
+    ds = plan["config"]["dataset"]
+    untraced, _ = generate_synthetic(harness._synthetic_config(ds), ds["data_seed"])
+    assert len(traced) == len(untraced) == 30 and traced[0].n_timesteps == 6000
+    for a, b in zip(traced, untraced):
+        assert a.samples.tobytes() == b.samples.tobytes()

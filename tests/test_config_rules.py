@@ -285,3 +285,27 @@ def test_csv_trial_in_no_recording_rejected_naming_key(tmp_path, key, trials, mi
     })
     with pytest.raises(ValueError, match=re.escape(f"{key} {missing}") + r".*trials \[1, 2\]"):
         run_experiment(cfg, write_artifacts=False)
+
+
+@pytest.mark.parametrize(
+    "bad, rate, reason",
+    [(0, "1e308", "is no finite number of samples"),
+     (4, "1e308", "is no finite number of samples"),
+     (5, "1", "is shorter than one sample")],
+)
+def test_csv_recording_without_window_geometry_names_its_line(tmp_path, bad, rate, reason):
+    # 3 classes x 2 trials, one 20-row recording each, 2 channels at 100 Hz but one
+    data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(120)]
+    meta_rows = [[str(20 * r), str(20 * r + 20), str(r // 2 + 1), str(r % 2 + 1), "1",
+                  rate if r == bad else "100"] for r in range(6)]
+    data, meta = write_csv_pair(tmp_path, data_rows, meta_rows)
+    cfg = config_from_dict({
+        "dataset": {"type": "csv", "data_path": data, "meta_path": meta},
+        "window_ms": 100.0, "step_ms": 50.0, "n_known": 2, "seeds": [1],
+        "train_trials": [1], "test_trials": [2],
+        "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
+        "output_dir": str(tmp_path / "out"),
+    })
+    with pytest.raises(ValueError, match=re.escape(f"{meta}: metadata line {bad + 2}: ") + ".*"
+                       + re.escape(reason)):
+        run_experiment(cfg, write_artifacts=False)

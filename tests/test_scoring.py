@@ -18,7 +18,7 @@ from predin.scoring import (
 )
 from predin.signals import UNKNOWN_LABEL, LabelSplit, WindowTable
 
-from oracles import dot_scalar
+from oracles import dot_scalar, write_score_dump_csv
 
 
 def make_windows(x, labels=None):
@@ -213,6 +213,28 @@ class TestScoreWindows:
         assert [int(r["true_label"]) for r in rows] == [1, 1, UNKNOWN_LABEL]
         assert float(rows[0]["fused_smax"]) == scored.s_max[0]
         assert int(rows[0]["decision"]) == scored.predicted[0]
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    @pytest.mark.parametrize("threshold", [None, 0.5, -0.0, float("inf"), float("-inf")])
+    def test_score_dump_bytes_equal_csv_writer(self, tmp_path, k, threshold):
+        rng = np.random.default_rng(k)
+        sims = rng.standard_normal((40, k, 3))
+        sims[:4, 0, :] = [[-0.0, -1.0, -2.0], [np.inf, 0.0, 1.0], [-np.inf, -np.inf, -np.inf],
+                          [1e-300, -1.5e308, 0.1]]
+        fused = sims.mean(axis=1)
+        k0 = fused.argmax(axis=1)
+        s_max = fused[np.arange(40), k0]
+        s_max[:4] = [-0.0, np.inf, -np.inf, 0.0]
+        labels = rng.integers(1, 4, size=40)
+        labels[::7] = UNKNOWN_LABEL
+        new, old = tmp_path / "new.csv", tmp_path / "old.csv"
+        for m in (40, 1, 0):
+            table = ScoreTable(sims[:m], fused[:m], s_max[:m], k0[:m] + 1, labels[:m])
+            write_score_dump(new, table, threshold)
+            write_score_dump_csv(old, table, threshold)
+            assert new.read_bytes() == old.read_bytes()
+            if m == 40:
+                assert all(v in new.read_bytes() for v in (b",-0.0,", b",inf,", b",-inf,"))
 
 
 class TestScoreBlocks:

@@ -1,3 +1,5 @@
+import threading
+import warnings
 import weakref
 
 import numpy as np
@@ -518,6 +520,66 @@ class TestSynthetic:
         recs, _ = generate_synthetic(cfg, seed=0)
         seen = {(r.gesture_label, r.trial_id) for r in recs}
         assert seen == {(c, t) for c in range(1, 5) for t in range(1, 4)}
+
+
+class TestSyntheticPipeline:
+    """generate_synthetic makes each recording on two threads and must give
+    the bytes of the serial generator kept in oracles, with no thread left."""
+
+    @pytest.mark.parametrize("seed", [1, 2024])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{}, {"recording_ms": 3000.0}, {"channels": 1}, {"smooth_samples": 0},
+         {"smooth_samples": 1}, {"smooth_samples": 51, "channels": 3}, {"trials": 1},
+         {"n_classes": 3}, {"separation": 2, "osc_scale": 3, "noise_scale": 1}],
+        ids=["default", "eval_large_3s", "channels1", "smooth0", "smooth1", "smooth51",
+             "trials1", "classes3", "int_scales"],
+    )
+    def test_bytes_equal_serial_generator(self, overrides, seed):
+        cfg = SyntheticConfig(**overrides)
+        got, classes = generate_synthetic(cfg, seed)
+        want, want_classes = oracles.generate_synthetic_serial(cfg, seed)
+        assert classes == want_classes and len(got) == len(want) == cfg.n_classes * cfg.trials
+        for a, b in zip(got, want):
+            assert a.samples.shape == b.samples.shape and a.samples.dtype == b.samples.dtype
+            assert a.samples.tobytes() == b.samples.tobytes()
+            assert (a.gesture_label, a.trial_id, a.subject_id, a.sampling_rate) == (
+                b.gesture_label, b.trial_id, b.subject_id, b.sampling_rate)
+
+    def _run(self, generate, cfg, seed):
+        """(exception type and text or None, warning texts) of one call."""
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                generate(cfg, seed)
+                error = None
+            except Exception as e:
+                error = (type(e), str(e))
+        return error, [str(w.message) for w in caught]
+
+    def test_overflow_rejected_as_before_and_no_thread_left(self):
+        cfg = SyntheticConfig(separation=1e308, recording_ms=300.0)
+        before = threading.active_count()
+        got = self._run(generate_synthetic, cfg, 0)
+        assert threading.active_count() == before
+        assert got[0] == (ValueError, "recording contains non-finite samples")
+        assert got == self._run(oracles.generate_synthetic_serial, cfg, 0)
+        generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
+        assert threading.active_count() == before
+
+    def test_helper_runs_in_the_callers_error_state(self):
+        # seed 1 overflows first where the helper adds the offsets, not in
+        # the offsets the main thread draws; the caller's errstate must
+        # hold there too
+        cfg = SyntheticConfig(n_classes=3, channels=1, trials=1, recording_ms=300.0,
+                              separation=1e308, osc_scale=1.0)
+        before = threading.active_count()
+        for generate in (oracles.generate_synthetic_serial, generate_synthetic):
+            with np.errstate(over="raise"), pytest.raises(
+                FloatingPointError, match="overflow encountered in add"
+            ):
+                generate(cfg, 1)
+        assert threading.active_count() == before
 
 
 class TestLoadCsv:
