@@ -395,10 +395,10 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
     """
     result = _train_variant(config, partition, seed)
     partition.train_windows = None
-    split = partition.label_split
     score_fns = [branch_score_fn(b) for b in result.branches]
-    scored = score_windows(score_fns, partition.test_windows, split)
-    report, matrices = evaluate_scored(scored, config.retention, split.n_known, seed)
+    scored = score_windows(score_fns, partition.test_windows)
+    n_known = partition.label_split.n_known
+    report, matrices = evaluate_scored(scored, config.retention, n_known, seed)
     result.report = report
     result.scored = scored
     result.matrices = matrices
@@ -466,14 +466,24 @@ def run_experiment(
         if missing:
             raise ValueError(f"{name} {missing} are in no recording; they carry trials {carried}")
     if config.dataset.get("type", "synthetic") == "csv":
-        # recording i came from metadata line i + 2, as load_csv numbers them
+        # recording i came from metadata line i + 2, as load_csv numbers them;
+        # every recording a seed may route must give the first one's window
+        listed = {*config.train_trials, *config.test_trials}
+        first = None  # (line, window length) of the first recording in a listed trial
         for line, r in enumerate(recordings, start=2):
+            where = f"{config.dataset['meta_path']}: metadata line {line}"
             try:
-                window_geometry(r.sampling_rate, config.window_ms, config.step_ms)
+                window_len, _ = window_geometry(r.sampling_rate, config.window_ms, config.step_ms)
             except ValueError as e:
-                raise ValueError(
-                    f"{config.dataset['meta_path']}: metadata line {line}: {e}"
-                ) from None
+                raise ValueError(f"{where}: {e}") from None
+            if r.trial_id in listed:
+                first = first or (line, window_len)
+                if window_len != first[1]:
+                    raise ValueError(
+                        f"{where}: window_ms={config.window_ms} is {window_len} samples at "
+                        f"sampling_rate_hz={r.sampling_rate!r}, but {first[1]} on "
+                        f"metadata line {first[0]}"
+                    )
     per_seed: list[dict] = []
     artifacts: dict[str, dict] = {}
     for seed in config.seeds:

@@ -48,7 +48,6 @@ from .prototypes import (
     scatter_add_rows,
     softmax,
 )
-from .scoring import prototype_score_fn
 from .signals import DatasetPartition, check_fields, ruled
 
 
@@ -128,14 +127,16 @@ def init_branch(
 
 
 def branch_score_fn(branch: BranchState):
-    """Branch scorer: prototype similarities, or for a softmax head its
-    posterior probabilities."""
-    if branch.prototypes is not None:
-        return prototype_score_fn(branch.encoder, branch.prototypes)
-    head_w, head_b = branch.head
+    """Branch scorer: batch of flattened windows -> (M, N) prototype
+    similarities Sim(z, p^k) = z.p^k, or for a softmax head its posterior
+    probabilities."""
+    protos = branch.prototypes
 
     def fn(x: np.ndarray) -> np.ndarray:
         emb, _ = encoder_forward(branch.encoder, x)
+        if protos is not None:
+            return emb @ protos.T
+        head_w, head_b = branch.head
         return softmax(emb @ head_w.T + head_b)
 
     return fn
@@ -311,10 +312,10 @@ def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState])
     baseline)."""
     (branch,) = branches
     head_w, head_b = branch.head
+    y0 = check_labels(y, head_w.shape[0]) - 1
     emb, cache = encoder_forward(branch.encoder, x)
     logits = emb @ head_w.T + head_b
     m = len(y)
-    y0 = y - 1
     ce = -log_softmax(logits)[np.arange(m), y0].mean()
     dlogits = softmax(logits)
     dlogits[np.arange(m), y0] -= 1.0
@@ -390,19 +391,6 @@ class TrainConfig:
         check_fields(self)
 
 
-def training_arrays(partition: DatasetPartition):
-    """The train window table and its remapped 1..N labels."""
-    train = partition.train_windows
-    if not len(train):
-        raise ValueError("training partition is empty")
-    if partition.label_split is None:
-        return train, train.labels
-    y = partition.label_split.remap(train.labels)
-    if (y < 1).any():
-        raise ValueError("unknown-class window found in the training partition")
-    return train, y
-
-
 def train(
     branches: list[BranchState],
     objective,
@@ -415,11 +403,16 @@ def train(
     ("total" always present) and one gradient list per branch; each branch
     then takes one SGD step with its own optimizer. Branches are updated in
     place; one {term: epoch mean} dict per epoch is returned. A non-finite
-    loss or gradient raises TrainingError naming the epoch and batch.
+    loss or gradient raises TrainingError naming the epoch and batch. The
+    labels are the train table's own, 1..N; each objective rejects any
+    other before its batch's step.
     """
     if partition.stats is None:
         raise ValueError("partition must be standardized before training")
-    windows, y = training_arrays(partition)
+    windows = partition.train_windows
+    y = windows.labels
+    if not len(y):
+        raise ValueError("training partition is empty")
     rng = np.random.default_rng(config.shuffle_seed)
     arrays = [b.arrays() for b in branches]
     trace: list[dict[str, float]] = []

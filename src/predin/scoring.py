@@ -13,9 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, encoder_forward
 from .io import atomic_open
-from .signals import UNKNOWN_LABEL, LabelSplit, WindowTable
+from .signals import UNKNOWN_LABEL, WindowTable
 
 # score_windows splits the rows into the fewest equal blocks of at most
 # this many, so the hidden activations of a large test set are never all
@@ -52,25 +51,12 @@ class ScoreTable:
         return self.sims.argmax(axis=2) + 1
 
 
-def prototype_score_fn(encoder: EncoderParams, prototypes: np.ndarray):
-    """Branch scorer: batch of flattened windows -> (M, N) similarities
-    Sim(z, p^k) = z.p^k."""
-
-    def fn(x: np.ndarray) -> np.ndarray:
-        emb, _ = encoder_forward(encoder, x)
-        return emb @ prototypes.T
-
-    return fn
-
-
-def score_windows(
-    branch_score_fns, windows: WindowTable, label_split: LabelSplit | None
-) -> ScoreTable:
+def score_windows(branch_score_fns, windows: WindowTable) -> ScoreTable:
     """Score windows with every branch and fuse by the mean over branches.
 
-    The prediction is the fused argmax, lowest class index on ties. True
-    labels are remapped through the label split; windows of classes
-    outside it carry UNKNOWN_LABEL. Rows are scored in blocks of at most
+    The prediction is the fused argmax, lowest class index on ties; the
+    true labels are the table's own (split_trials remaps them to 1..N or
+    UNKNOWN_LABEL). Rows are scored in blocks of at most
     SCORE_BLOCK_ROWS into one preallocated similarity table; each block's
     rows are gathered from the table only while that block is scored.
     """
@@ -87,13 +73,12 @@ def score_windows(
         sims[start:end] = block
     fused = sims.mean(axis=1)
     k0 = fused.argmax(axis=1)
-    true = windows.labels if label_split is None else label_split.remap(windows.labels)
     return ScoreTable(
         sims=sims,
         fused=fused,
         s_max=fused[np.arange(len(k0)), k0],
         predicted=k0 + 1,
-        true_labels=true,
+        true_labels=windows.labels,
     )
 
 

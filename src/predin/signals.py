@@ -70,8 +70,7 @@ class SignalRecording:
 
 @dataclass
 class WindowTable:
-    """M fixed-length windows cut from one (C, L) signal, with one label,
-    trial and subject id each.
+    """M fixed-length windows cut from one (C, L) signal, with one label each.
 
     Window i is ``signal[:, starts[i] : starts[i] + window_len]``; windows
     overlap in the signal instead of being stored apart. ``rows`` gathers
@@ -81,17 +80,15 @@ class WindowTable:
     signal: np.ndarray  # (channels, L)
     window_len: int
     starts: np.ndarray  # (M,) first sample of each window
-    labels: np.ndarray  # (M,) original class ids
-    trials: np.ndarray  # (M,)
-    subjects: np.ndarray  # (M,)
+    labels: np.ndarray  # (M,) class ids: 1..N or UNKNOWN_LABEL once routed with a split
 
     def __post_init__(self):
         if self.signal.ndim != 2:
             raise ValueError(f"signal must be a (C, L) array, got shape {self.signal.shape}")
         if self.window_len < 1:
             raise ValueError(f"window_len must be >= 1, got {self.window_len}")
-        if not len(self.labels) == len(self.trials) == len(self.subjects) == len(self.starts):
-            raise ValueError("window metadata vectors must have one entry per window")
+        if len(self.labels) != len(self.starts):
+            raise ValueError("labels must have one entry per window")
         if len(self.starts) and not (
             self.starts.min() >= 0 and self.starts.max() + self.window_len <= self.signal.shape[1]
         ):
@@ -157,8 +154,7 @@ class StandardizationStats:
 @dataclass
 class DatasetPartition:
     """Train/test windows split by trial, plus the label split that filtered
-    the train side. Windows keep their original class labels; remapping to
-    1..N happens when batches are assembled."""
+    the train side and remapped every window's label."""
 
     train_windows: WindowTable | None  # None once trained on (harness.run_seed)
     test_windows: WindowTable
@@ -210,8 +206,6 @@ def segment_windows(recording: SignalRecording, window_ms: float, step_ms: float
         window_len=window_len,
         starts=np.arange(m, dtype=np.int64) * stride,
         labels=np.full(m, recording.gesture_label, dtype=np.int64),
-        trials=np.full(m, recording.trial_id, dtype=np.int64),
-        subjects=np.full(m, recording.subject_id, dtype=np.int64),
     )
 
 
@@ -249,7 +243,8 @@ def split_trials(
     recordings, concatenated in time, and the start of every window in it.
     Recordings whose trial id is in neither set are dropped. When a label
     split is given, unknown-class recordings are kept out of the train side
-    (they stay in test).
+    (they stay in test), and every window's label is remapped through it:
+    1..N on the train side, 1..N or UNKNOWN_LABEL on the test side.
 
     The sides are filled from the last recording back. With ``release``,
     the list ``recordings`` is emptied in place as they are copied: each
@@ -286,7 +281,7 @@ def split_trials(
     del routed, probe  # a recording they held would outlive its copy
     signals = [np.empty((c, n)) for c, _, n in shapes]
     ends = [n for _, _, n in shapes]  # each side is filled leftwards from here
-    pieces = ([], [])  # per side, newest first: (starts, labels, trials, subjects)
+    pieces = ([], [])  # per side, newest first: (starts, labels)
     for i in reversed(range(len(recordings))):
         rec = recordings.pop() if release else recordings[i]
         side = route[i]
@@ -295,17 +290,19 @@ def split_trials(
         table = segment_windows(rec, window_ms, step_ms)
         ends[side] -= rec.n_timesteps
         start = ends[side]
-        pieces[side].append((table.starts + start, table.labels, table.trials, table.subjects))
+        pieces[side].append((table.starts + start, table.labels))
         del table  # its signal is a view that would keep rec's samples alive
         signals[side][:, start : start + rec.n_timesteps] = rec.samples
     del rec  # with release, the first recording is freed here
 
     def build(side) -> WindowTable:
-        vectors = (
+        starts, labels = (
             [np.concatenate(v[::-1]) for v in zip(*pieces[side])] if pieces[side]
-            else [np.empty(0, dtype=np.int64) for _ in range(4)]
+            else [np.empty(0, dtype=np.int64) for _ in range(2)]
         )
-        return WindowTable(signals[side], shapes[side][1], *vectors)
+        if label_split is not None:
+            labels = label_split.remap(labels)
+        return WindowTable(signals[side], shapes[side][1], starts, labels)
 
     return DatasetPartition(train_windows=build(0), test_windows=build(1), label_split=label_split)
 
@@ -562,15 +559,16 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     return recordings, set(range(1, config.n_classes + 1))
 
 
-def _parse_int(row: dict, key: str, lineno: int, path) -> int:
+def _parse_field(row: dict, key: str, lineno: int, path, parse=int):
+    """parse(row[key]); ParseError naming the file, line and column when the
+    column is missing or its cell does not parse."""
     try:
-        return int(row[key])
+        return parse(row[key])
     except (KeyError, TypeError):
         raise ParseError(f"{path}: metadata line {lineno}: missing column {key!r}") from None
     except ValueError:
-        raise ParseError(
-            f"{path}: metadata line {lineno}: non-integer {key}={row[key]!r}"
-        ) from None
+        kind = "non-integer" if parse is int else "non-numeric"
+        raise ParseError(f"{path}: metadata line {lineno}: {kind} {key}={row[key]!r}") from None
 
 
 def load_csv(data_path, meta_path) -> list[SignalRecording]:
@@ -612,26 +610,16 @@ def load_csv(data_path, meta_path) -> list[SignalRecording]:
     with open(meta_path, newline="") as f:
         reader = csv.DictReader(f)
         for lineno, row in enumerate(reader, start=2):  # line 1 is the header
-            start = _parse_int(row, "start_row", lineno, meta_path)
-            end = _parse_int(row, "end_row", lineno, meta_path)
+            start = _parse_field(row, "start_row", lineno, meta_path)
+            end = _parse_field(row, "end_row", lineno, meta_path)
             if not (0 <= start < end <= len(data)):
                 raise ParseError(
                     f"{meta_path}: metadata line {lineno}: range [{start}, {end}) "
                     f"outside the {len(data)} data rows"
                 )
-            try:
-                rate = float(row["sampling_rate_hz"])
-            except (KeyError, TypeError):
-                raise ParseError(
-                    f"{meta_path}: metadata line {lineno}: missing column 'sampling_rate_hz'"
-                ) from None
-            except ValueError:
-                raise ParseError(
-                    f"{meta_path}: metadata line {lineno}: non-numeric "
-                    f"sampling_rate_hz={row['sampling_rate_hz']!r}"
-                ) from None
+            rate = _parse_field(row, "sampling_rate_hz", lineno, meta_path, parse=float)
             label, trial, subject = (
-                _parse_int(row, key, lineno, meta_path) for key in ("label", "trial", "subject")
+                _parse_field(row, key, lineno, meta_path) for key in ("label", "trial", "subject")
             )
             try:
                 recording = SignalRecording(

@@ -30,9 +30,15 @@ from predin.encoder import (
     init_optimizer,
     sgd_step,
 )
-from predin.inconsistency import nearest_other_prototype, proximity_probs, triplet_loss
+from predin.inconsistency import (
+    branch_score_fn,
+    init_branch,
+    nearest_other_prototype,
+    proximity_probs,
+    triplet_loss,
+)
 from predin.metrics import oscr
-from predin.scoring import prototype_score_fn, score_windows
+from predin.scoring import score_windows
 from predin.signals import (
     SignalRecording,
     SyntheticConfig,
@@ -112,8 +118,8 @@ def test_score_counter_counts_every_test_window():
     part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
     spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4,
                        activation="tanh")
-    fns = [prototype_score_fn(init_encoder(spec, seed=1), np.eye(3, 4))]
-    args = (fns, part.test_windows, split)
+    fns = [branch_score_fn(init_branch(spec, 3, 1, 2))]
+    args = (fns, part.test_windows)
     counted = _count("scoring.score_windows", "scoring.score_windows.windows", args,
                      score_windows(*args))
     assert counted == len(part.test_windows) > 0

@@ -309,3 +309,31 @@ def test_csv_recording_without_window_geometry_names_its_line(tmp_path, bad, rat
     with pytest.raises(ValueError, match=re.escape(f"{meta}: metadata line {bad + 2}: ") + ".*"
                        + re.escape(reason)):
         run_experiment(cfg, write_artifacts=False)
+
+
+
+@pytest.mark.parametrize(
+    "fast",
+    [{1, 3, 5, 7},  # trial 2 at 200 Hz: the train and test sides differ
+     {4},  # one trial-1 recording at 200 Hz: the train side mixes lengths
+     {7}],  # one trial-2 recording at 200 Hz: the test side mixes lengths
+)
+def test_csv_window_lengths_differ_names_the_line(tmp_path, fast):
+    # 4 classes x 2 trials, one 40-row recording each, 2 channels at 100 Hz
+    # (10 samples per 100 ms window), the recordings in `fast` at 200 Hz (20)
+    data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(320)]
+    meta_rows = [[str(40 * r), str(40 * r + 40), str(r // 2 + 1), str(r % 2 + 1), "1",
+                  "200" if r in fast else "100"] for r in range(8)]
+    data, meta = write_csv_pair(tmp_path, data_rows, meta_rows)
+    cfg = config_from_dict({
+        "dataset": {"type": "csv", "data_path": data, "meta_path": meta},
+        "window_ms": 100.0, "step_ms": 50.0, "n_known": 2, "seeds": [1],
+        "train_trials": [1], "test_trials": [2],
+        "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
+        "output_dir": str(tmp_path / "out"),
+    })
+    # recording r is on metadata line r + 2; the first one, at 100 Hz, sets the length
+    want = (f"{meta}: metadata line {min(fast) + 2}: window_ms=100.0 is 20 samples at "
+            "sampling_rate_hz=200.0, but 10 on metadata line 2")
+    with pytest.raises(ValueError, match=re.escape(want)):
+        run_experiment(cfg, write_artifacts=False)

@@ -18,12 +18,14 @@ from predin.harness import (
     _write_seed_artifacts,
     build_partition,
     config_from_dict,
+    evaluate_scored,
     load_config,
     load_dataset,
     run_ablation,
     run_experiment,
     run_seed,
 )
+from predin.scoring import score_windows
 
 
 TINY_DATASET = {
@@ -489,7 +491,7 @@ class TestBuildPartition:
         train, test = part.train_windows, part.test_windows
         tables = sum(
             getattr(w, f).nbytes for w in (train, test)
-            for f in ("signal", "starts", "labels", "trials", "subjects")
+            for f in ("signal", "starts", "labels")
         )
         channel_row = len(train) * train.window_len * train.signal.dtype.itemsize
         # copying every window out, or windowing every recording before
@@ -592,20 +594,45 @@ class TestSequentialVariant:
         assert result.scored.sims.shape[1] == 3
         assert len(result.branches) == 3
 
+    @staticmethod
+    def _first_two_scored(cfg, partition, result, seed):
+        """The first two branches of a sequential run, scored and evaluated alone."""
+        fns = [branch_score_fn(b) for b in result.branches[:2]]
+        scored = score_windows(fns, partition.test_windows)
+        n_known = partition.label_split.n_known
+        return scored, evaluate_scored(scored, cfg.retention, n_known, seed)[0]
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_first_two_branches_are_the_k2_run(self, seed):
+        # each branch trains against its frozen predecessor only, so a K=5
+        # run's first two branches, and their scores, are the K=2 run's
+        five = tiny_config(variant="sequential_k", sequential_k=5, epochs=2, seeds=(seed,))
+        two = dataclasses.replace(five, sequential_k=2)
+        recordings, classes = load_dataset(five)
+        partition = build_partition(five, recordings, classes, seed)
+        result = run_seed(five, partition, seed)
+        alone = run_seed(two, build_partition(two, recordings, classes, seed), seed)
+        for a, b in zip(result.branches[:2], alone.branches, strict=True):
+            for x, y in zip(a.arrays(), b.arrays(), strict=True):
+                assert x.tobytes() == y.tobytes()
+        scored, report = self._first_two_scored(five, partition, result, seed)
+        for name in ("sims", "fused", "s_max", "predicted", "true_labels"):
+            assert getattr(scored, name).tobytes() == getattr(alone.scored, name).tobytes()
+        assert report == alone.report
+
     def test_more_perspectives_help_on_average(self):
-        # directional trend on the default dataset: K=5 vs K=2 mean AUC
-        means = {}
-        for k in (2, 5):
-            aucs = []
-            for seed in (1, 2, 3):
-                cfg = ExperimentConfig(
-                    variant="sequential_k", sequential_k=k, output_dir="unused"
-                )
-                recordings, classes = load_dataset(cfg)
-                result = run_seed(cfg, build_partition(cfg, recordings, classes, seed), seed)
-                aucs.append(result.report["auc"])
-            means[k] = np.mean(aucs)
-        assert means[5] >= means[2]
+        # directional trend on the default dataset: K=5 vs K=2 mean AUC; the
+        # K=2 AUC is that of the K=5 run's first two branches, which are the
+        # K=2 run's (test_first_two_branches_are_the_k2_run)
+        aucs = {2: [], 5: []}
+        for seed in (1, 2, 3):
+            cfg = ExperimentConfig(variant="sequential_k", sequential_k=5, output_dir="unused")
+            recordings, classes = load_dataset(cfg)
+            partition = build_partition(cfg, recordings, classes, seed)
+            result = run_seed(cfg, partition, seed)
+            aucs[5].append(result.report["auc"])
+            aucs[2].append(self._first_two_scored(cfg, partition, result, seed)[1]["auc"])
+        assert np.mean(aucs[5]) >= np.mean(aucs[2])
 
 
 class TestSoftmaxOnDefaultDataset:

@@ -40,6 +40,7 @@ from predin.metrics import write_matrix_csv
 from predin.prototypes import init_prototypes, pl_loss
 from predin.scoring import ScoreTable, write_score_dump
 from predin.signals import (
+    UNKNOWN_LABEL,
     DatasetPartition,
     SyntheticConfig,
     generate_synthetic,
@@ -429,23 +430,34 @@ class TestTraining:
         part = tiny_partition()
         empty = dataclasses.replace(
             part.train_windows, **{k: getattr(part.train_windows, k)[:0]
-                                   for k in ("starts", "labels", "trials", "subjects")}
+                                   for k in ("starts", "labels")}
         )
         branches = _joint_branches(part)
         with pytest.raises(ValueError, match="training partition is empty"):
             train(branches, partial(div_loss, hp=DivHyperParams()),
                   dataclasses.replace(part, train_windows=empty), TrainConfig(epochs=1))
 
-    def test_unknown_class_window_rejected_before_any_step(self):
+    @pytest.mark.parametrize(
+        "objective, head, n_branches",
+        [(partial(pl_objective, hp=DivHyperParams()), "prototypes", 1),
+         (partial(div_loss, hp=DivHyperParams()), "prototypes", 2),
+         (softmax_objective, "softmax", 1)],
+        ids=["pl_objective", "div_loss", "softmax_objective"],
+    )
+    def test_unknown_class_window_rejected_before_any_step(self, objective, head, n_branches):
+        # every objective checks its batch's labels before train() steps on it
         part = tiny_partition()
         labels = part.train_windows.labels.copy()
-        labels[-1] = min(part.label_split.unknown_classes)  # remaps below 1
+        labels[-1] = UNKNOWN_LABEL
         part.train_windows = dataclasses.replace(part.train_windows, labels=labels)
-        branches = _joint_branches(part)
-        before = [a.copy() for a in branches[0].arrays()]
-        with pytest.raises(ValueError, match="unknown-class window"):
-            train(branches, partial(div_loss, hp=DivHyperParams()), part, TrainConfig(epochs=1))
-        for x, y in zip(before, branches[0].arrays()):
+        spec = _spec_for(part)
+        branches = [init_branch(spec, 3, 2 * k + 1, 2 * k + 2, 0.01, 0.9, head=head)
+                    for k in range(n_branches)]
+        before = [a.copy() for b in branches for a in b.arrays()]
+        with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
+            train(branches, objective, part, TrainConfig(epochs=1))
+        after = [a for b in branches for a in b.arrays()]
+        for x, y in zip(before, after):
             assert x.tobytes() == y.tobytes()
 
     def test_sequential_k1_equals_pl_baseline(self):

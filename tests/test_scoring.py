@@ -6,17 +6,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predin.encoder import EncoderSpec, init_encoder
+from predin.encoder import EncoderSpec, init_encoder, init_optimizer
+from predin.inconsistency import BranchState, branch_score_fn
 from predin.scoring import (
     SCORE_BLOCK_ROWS,
     ScoreTable,
     calibrate_threshold,
     decide,
-    prototype_score_fn,
     score_windows,
     write_score_dump,
 )
-from predin.signals import UNKNOWN_LABEL, LabelSplit, WindowTable
+from predin.signals import UNKNOWN_LABEL, LabelSplit, SignalRecording, WindowTable, split_trials
 
 from oracles import dot_scalar, write_score_dump_csv
 
@@ -28,8 +28,7 @@ def make_windows(x, labels=None):
     m, c, t = x.shape
     labels = np.ones(m, dtype=np.int64) if labels is None else np.asarray(labels)
     return WindowTable(signal=x.transpose(1, 0, 2).reshape(c, m * t), window_len=t,
-                       starts=np.arange(m) * t, labels=labels, trials=np.full(m, 3),
-                       subjects=np.full(m, 1))
+                       starts=np.arange(m) * t, labels=labels)
 
 
 def score_fixed(*branch_sims):
@@ -37,7 +36,13 @@ def score_fixed(*branch_sims):
     sims = [np.atleast_2d(np.asarray(s, dtype=np.float64)) for s in branch_sims]
     fns = [lambda x, s=s: s for s in sims]
     m = len(sims[0]) if sims else 1
-    return score_windows(fns, make_windows(np.zeros((m, 1, 1))), None)
+    return score_windows(fns, make_windows(np.zeros((m, 1, 1))))
+
+
+def prototype_scorer(encoder, protos: np.ndarray):
+    """The scorer of a prototype branch with this encoder and these prototypes."""
+    opt = init_optimizer(encoder.arrays() + [protos], 0.0, 0.0)
+    return branch_score_fn(BranchState(encoder, [protos], 0, opt))
 
 
 def identity_scorer(protos: np.ndarray):
@@ -45,7 +50,7 @@ def identity_scorer(protos: np.ndarray):
     dim = protos.shape[1]
     enc = init_encoder(EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim), seed=0)
     enc.weights[0][:] = np.eye(dim)
-    return prototype_score_fn(enc, protos)
+    return prototype_scorer(enc, protos)
 
 
 class TestBranchSimilarity:
@@ -170,9 +175,12 @@ class TestScoreWindows:
         return identity_scorer(protos), split
 
     def test_true_labels_remapped(self):
+        # split_trials remaps the labels once; the score table carries them
         scorer, split = self._setup()
         x = np.array([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 0.0]]])
-        scored = score_windows([scorer], make_windows(x, labels=[20, 40]), split)
+        recs = [SignalRecording(w, 1000.0, label, 3, 1) for w, label in zip(x, (20, 40))]
+        windows = split_trials(recs, 4.0, 4.0, {1}, {3}, split).test_windows
+        scored = score_windows([scorer], windows)
         assert len(scored) == 2
         assert scored.true_labels.tolist() == [2, UNKNOWN_LABEL]
         assert scored.known.tolist() == [True, False]
@@ -197,9 +205,9 @@ class TestScoreWindows:
         assert s.branch_predictions.tolist() == [[2, 1]]
 
     def test_score_dump_roundtrip(self, tmp_path):
-        scorer, split = self._setup()
-        windows = make_windows(np.ones((3, 1, 4)), labels=[10, 10, 40])
-        scored = score_windows([scorer] * 2, windows, split)
+        scorer, _ = self._setup()
+        windows = make_windows(np.ones((3, 1, 4)), labels=[1, 1, UNKNOWN_LABEL])
+        scored = score_windows([scorer] * 2, windows)
         thr = -10.0
         path = tmp_path / "scores.csv"
         write_score_dump(path, scored, thr)
@@ -244,7 +252,7 @@ class TestScoreBlocks:
     def test_blocks_equal_one_pass_bitwise(self, m):
         rng = np.random.default_rng(m)
         spec = EncoderSpec(input_dim=24, hidden_dims=(16,), output_dim=8, activation="tanh")
-        fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((6, 8)))
+        fns = [prototype_scorer(init_encoder(spec, seed=s), rng.standard_normal((6, 8)))
                for s in (1, 2)]
         x = rng.standard_normal((m, 2, 12))
         windows = make_windows(x)
@@ -256,7 +264,7 @@ class TestScoreBlocks:
                 return fn(x)
             return wrapped
 
-        scored = score_windows([recording(fn) for fn in fns], windows, None)
+        scored = score_windows([recording(fn) for fn in fns], windows)
         one_pass = np.stack([fn(x.reshape(m, 24)) for fn in fns], axis=1)
         assert scored.sims.shape == (m, 2, 6)
         assert scored.sims.tobytes() == one_pass.tobytes()
@@ -275,12 +283,12 @@ class TestScoreBlocks:
         # kernels a real run uses, which 24 -> 16 -> 8 never does
         rng = np.random.default_rng(m)
         spec = EncoderSpec(input_dim=1600, hidden_dims=(256,), output_dim=128, activation="tanh")
-        fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((6, 128)))
+        fns = [prototype_scorer(init_encoder(spec, seed=s), rng.standard_normal((6, 128)))
                for s in (1, 2)]
         ids = np.ones(m, dtype=np.int64)
         windows = WindowTable(rng.standard_normal((4, (m - 1) * 100 + 400)), 400,
-                              np.arange(m) * 100, ids, ids, ids)
-        scored = score_windows(fns, windows, None)
+                              np.arange(m) * 100, ids)
+        scored = score_windows(fns, windows)
         x = windows.rows()
         one_pass = np.stack([fn(x) for fn in fns], axis=1)
         assert scored.sims.tobytes() == one_pass.tobytes()
@@ -293,14 +301,14 @@ class TestScoreBlocks:
         rng = np.random.default_rng(0)
         ids = np.ones(m, dtype=np.int64)
         windows = WindowTable(rng.standard_normal((c, (m - 1) * step + t)), t,
-                              np.arange(m) * step, ids, ids, ids)
+                              np.arange(m) * step, ids)
         spec = EncoderSpec(input_dim=c * t, hidden_dims=(hidden,), output_dim=out,
                            activation="tanh")
-        fns = [prototype_score_fn(init_encoder(spec, seed=s), rng.standard_normal((n, out)))
+        fns = [prototype_scorer(init_encoder(spec, seed=s), rng.standard_normal((n, out)))
                for s in (1, 2)]
         tracemalloc.start()
         try:
-            scored = score_windows(fns, windows, None)
+            scored = score_windows(fns, windows)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

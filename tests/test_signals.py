@@ -1,3 +1,4 @@
+import re
 import threading
 import warnings
 import weakref
@@ -37,9 +38,9 @@ def make_recording(n_samples, channels=2, rate=2000.0, label=1, trial=1):
     )
 
 
-def make_table(arrays, labels=1, trials=1):
+def make_table(arrays, labels=1):
     """Window table of equally shaped (C, T) arrays, laid end to end in one
-    signal, with scalar or per-window metadata."""
+    signal, with scalar or per-window labels."""
     m = len(arrays)
     signal = np.concatenate(arrays, axis=1) if m else np.empty((1, 0))
     t = arrays[0].shape[1] if m else 1
@@ -48,8 +49,6 @@ def make_table(arrays, labels=1, trials=1):
         window_len=t,
         starts=np.arange(m, dtype=np.int64) * t,
         labels=np.broadcast_to(labels, m).astype(np.int64),
-        trials=np.broadcast_to(trials, m).astype(np.int64),
-        subjects=np.ones(m, dtype=np.int64),
     )
 
 
@@ -103,8 +102,7 @@ class TestWindowing:
         rec = make_recording(600, label=7, trial=3)
         windows = segment_windows(rec, 200.0, 50.0)
         assert len(windows) == 3
-        for vector, value in ((windows.labels, 7), (windows.trials, 3), (windows.subjects, 1)):
-            np.testing.assert_array_equal(vector, [value] * 3)
+        np.testing.assert_array_equal(windows.labels, [7] * 3)
 
     def test_count_matches_enumeration_oracle(self):
         rng = np.random.default_rng(42)
@@ -153,13 +151,13 @@ class TestWindowing:
         ids = np.ones(1, dtype=np.int64)
         for start in (-1, 97):
             with pytest.raises(ValueError, match="inside the signal"):
-                WindowTable(np.zeros((2, 100)), 4, np.array([start]), ids, ids, ids)
+                WindowTable(np.zeros((2, 100)), 4, np.array([start]), ids)
 
 
 class TestStandardize:
     def _partition(self, train_arrays, test_arrays=()):
-        train = make_table(train_arrays, trials=1)
-        test = make_table(test_arrays, trials=2)
+        train = make_table(train_arrays)
+        test = make_table(test_arrays)
         return DatasetPartition(train_windows=train, test_windows=test)
 
     def test_two_value_channel(self):
@@ -361,11 +359,12 @@ class TestSplitTrials:
         ]
 
     def test_routing(self):
+        # recording i holds the value i and carries trial i % 4 + 1
         part = split_trials(self._recordings(), *self.W, {1, 2}, {3})
-        assert set(part.train_windows.trials.tolist()) == {1, 2}
-        assert set(part.test_windows.trials.tolist()) == {3}
-        # rows travel with their metadata, in their original order
+        np.testing.assert_array_equal(cube(part.train_windows)[:, 0, 0], [0, 1, 4, 5, 8, 9])
+        # rows travel with their labels, in their original order
         np.testing.assert_array_equal(cube(part.test_windows)[:, 0, 0], [2.0, 6.0, 10.0])
+        np.testing.assert_array_equal(part.test_windows.labels, [1, 2, 3])
 
     def test_empty_test_trials(self):
         part = split_trials(self._recordings(), *self.W, {1, 2}, set())
@@ -382,10 +381,11 @@ class TestSplitTrials:
             split_trials(self._recordings(), *self.W, {1, 2}, {2, 3})
 
     def test_known_filter_on_train_side(self):
+        # class 3 is unknown: kept out of train, and remapped in test
         split = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
         part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
         assert set(part.train_windows.labels.tolist()) == {1, 2}
-        assert set(part.test_windows.labels.tolist()) == {1, 2, 3}
+        assert part.test_windows.labels.tolist() == [1, 2, UNKNOWN_LABEL]
 
     def test_equals_routing_every_window(self):
         # routing recordings equals windowing everything and masking rows
@@ -398,9 +398,11 @@ class TestSplitTrials:
         to_train = np.isin(every.trials, [1, 3]) & np.isin(every.labels, split.known_classes)
         for got, rows in ((part.train_windows, to_train), (part.test_windows, every.trials == 2)):
             np.testing.assert_array_equal(cube(got), every.x[rows])
-            for f in ("labels", "trials", "subjects"):
-                np.testing.assert_array_equal(getattr(got, f), getattr(every, f)[rows])
+            # each window's label is remapped once, where it is routed
+            np.testing.assert_array_equal(got.labels, split.remap(every.labels[rows]))
             assert got.rows().flags.c_contiguous
+        assert part.train_windows.labels.min() >= 1
+        assert (part.test_windows.labels == UNKNOWN_LABEL).any()
 
     def test_only_routed_recordings_windowed(self, monkeypatch):
         from predin import signals
@@ -455,7 +457,7 @@ class TestSplitTrialsRelease:
         for x, y in ((a.train_windows, b.train_windows), (a.test_windows, b.test_windows)):
             assert x.signal.tobytes() == y.signal.tobytes()
             assert x.signal.flags.c_contiguous and y.signal.flags.c_contiguous
-            for f in ("starts", "labels", "trials", "subjects"):
+            for f in ("starts", "labels"):
                 assert getattr(x, f).tobytes() == getattr(y, f).tobytes()
                 assert getattr(x, f).dtype == getattr(y, f).dtype
 
@@ -641,6 +643,24 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match="missing column"):
             load_csv(data, meta)
 
+    @pytest.mark.parametrize(
+        "header, row, message",
+        [("start_row,end_row,label,trial,subject,sampling_rate_hz", "x,2,1,1,1,100",
+          "non-integer start_row='x'"),
+         ("start_row,end_row,label,trial,subject,sampling_rate_hz", "0,2,1,1,1,x",
+          "non-numeric sampling_rate_hz='x'"),
+         ("start_row,end_row,label,trial,subject", "0,2,1,1,1",
+          "missing column 'sampling_rate_hz'")],
+    )
+    def test_unparsed_metadata_cell_message(self, tmp_path, header, row, message):
+        # the integer columns and the rate share one field parser and its messages
+        data = tmp_path / "signal.csv"
+        meta = tmp_path / "meta.csv"
+        data.write_text("1,2\n3,4\n")
+        meta.write_text(f"{header}\n{row}\n")
+        with pytest.raises(ParseError, match=re.escape(f"{meta}: metadata line 2: {message}")):
+            load_csv(data, meta)
+
     @pytest.mark.parametrize("rate", ["inf", "nan", "0", "-100"])
     def test_bad_sampling_rate_names_line(self, tmp_path, rate):
         data, meta = self._write(tmp_path, ["1,2", "3,4"], ["0,1,1,1,1,100", f"1,2,1,2,1,{rate}"])
@@ -693,5 +713,9 @@ class TestPipelineInvariants:
         recs, classes = generate_synthetic(cfg, seed=3)
         split = split_known_unknown(classes, 3, seed=4)
         part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split)
-        assert split.unknown_classes <= set(part.test_windows.labels.tolist())
-        assert set(part.train_windows.labels.tolist()) <= set(split.known_classes)
+        # labels arrive remapped: every unknown class's trial-3 windows carry
+        # UNKNOWN_LABEL in test, and train holds only the known 1..N
+        per_recording = len(segment_windows(recs[0], 200.0, 50.0))
+        unknown = part.test_windows.labels == UNKNOWN_LABEL
+        assert unknown.sum() == len(split.unknown_classes) * per_recording
+        assert set(part.train_windows.labels.tolist()) == set(range(1, split.n_known + 1))
