@@ -117,10 +117,15 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
     return a, ForwardCache(params=params, layer_inputs=layer_inputs)
 
 
-def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> list[np.ndarray]:
+def encoder_backward(
+    cache: ForwardCache, grad_embeddings: np.ndarray, out: list[np.ndarray] | None = None
+) -> list[np.ndarray]:
     """Backpropagate d(loss)/d(embeddings) to parameter gradients.
 
     Returns [dW0, db0, dW1, db1, ...], aligned with EncoderParams.arrays().
+    With ``out`` (arrays shaped like EncoderParams.arrays()) the gradients
+    are written into those arrays, which are returned; without it they are
+    freshly allocated. Both give the same bits.
     """
     params = cache.params
     grad = np.asarray(grad_embeddings, dtype=np.float64)
@@ -131,13 +136,14 @@ def encoder_backward(cache: ForwardCache, grad_embeddings: np.ndarray) -> list[n
             f"forward produced {expected}"
         )
     _, deriv = ACTIVATIONS[params.spec.activation]
-    grads: list[np.ndarray] = []  # built last layer first, bias before weight
+    grads = [None] * (2 * len(params.weights)) if out is None else out
     delta = grad
     for i in range(len(params.weights) - 1, -1, -1):
-        grads += [delta.sum(axis=0), delta.T @ cache.layer_inputs[i]]
+        grads[2 * i] = np.matmul(delta.T, cache.layer_inputs[i], out=grads[2 * i])
+        grads[2 * i + 1] = np.sum(delta, axis=0, out=grads[2 * i + 1])
         if i > 0:
             delta = (delta @ params.weights[i]) * deriv(cache.layer_inputs[i])
-    return grads[::-1]
+    return grads
 
 
 @dataclass

@@ -47,6 +47,7 @@ from .metrics import (
 )
 from .scoring import ScoreTable, calibrate_threshold, score_windows, write_score_dump
 from .signals import (
+    UNKNOWN_LABEL,
     DatasetPartition,
     SyntheticConfig,
     check_fields,
@@ -352,10 +353,9 @@ def evaluate_scored(
     scored: ScoreTable, retention: float, n_classes: int, seed: int
 ) -> tuple[dict, dict]:
     """The seed's report.json row plus analysis matrices from its scored
-    test set."""
+    test set, which must hold both known and unknown windows (run_seed
+    checks this before training)."""
     is_known = scored.known
-    if is_known.all() or not is_known.any():
-        raise ValueError("test set must contain both known and unknown samples")
     ks = scored.s_max[is_known]
     us = scored.s_max[~is_known]
     predicted = scored.predicted[is_known]
@@ -392,7 +392,17 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
 
     The partition's train side is cleared once training is done, so it is
     freed before scoring even while the caller still holds the partition.
+    A test side without both known and unknown windows fails the seed with
+    TrainingError before it trains.
     """
+    unknown = partition.test_windows.labels == UNKNOWN_LABEL
+    if unknown.all() or not unknown.any():
+        missing = "" if not len(unknown) else "known-class " if unknown.any() else "unknown-class "
+        raise TrainingError(
+            f"seed {seed}: test trials {list(config.test_trials)} give no {missing}window "
+            f"for known classes {list(partition.label_split.known_classes)}; "
+            "open-set evaluation needs both known and unknown ones"
+        )
     result = _train_variant(config, partition, seed)
     partition.train_windows = None
     score_fns = [branch_score_fn(b) for b in result.branches]

@@ -16,12 +16,15 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
 Every variant is init_branch() followed by the one loop in train(): K
 branches, each with its own optimizer and a prototype or linear softmax
 head, and a per-batch objective(x, y, branches) that returns the loss
-terms and one gradient list per branch, as a (terms, grads) pair.
+terms and one gradient list per branch, as a (terms, grads) pair. The
+encoder gradients an objective returns are the branch's own buffers
+(BranchState.grads), valid until that branch's next objective call; the
+head gradients are fresh arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -52,7 +55,8 @@ from .signals import DatasetPartition, check_fields, ruled
 
 
 class TrainingError(RuntimeError):
-    """Training diverged; the message carries epoch/batch diagnostics."""
+    """A seed cannot be trained: training diverged (the message carries
+    epoch/batch diagnostics), or its test side has nothing to evaluate."""
 
 
 @dataclass(frozen=True)
@@ -82,12 +86,19 @@ class BranchState:
 
     The head is [prototypes (N, d)] for a prototype branch, or
     [weight (N, d), bias (N,)] for the softmax baseline's linear head.
+    ``grads`` holds the branch's encoder-gradient buffers, shaped like
+    ``encoder.arrays()``, which every objective writes (see the module
+    docstring); they are never checkpointed.
     """
 
     encoder: EncoderParams
     head: list[np.ndarray]
     head_seed: int
     optimizer: OptimizerState
+    grads: list[np.ndarray] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.grads = [np.zeros_like(a) for a in self.encoder.arrays()]
 
     @property
     def prototypes(self) -> np.ndarray | None:
@@ -304,7 +315,7 @@ def pl_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState], hp: 
     (branch,) = branches
     emb, cache = encoder_forward(branch.encoder, x)
     pl, dz, dp = pl_loss(emb, y, branch.prototypes, hp.beta, hp.compactness_form)
-    return {"pl_a": pl, "total": pl}, [encoder_backward(cache, dz) + [dp]]
+    return {"pl_a": pl, "total": pl}, [encoder_backward(cache, dz, out=branch.grads) + [dp]]
 
 
 def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState]):
@@ -320,7 +331,7 @@ def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState])
     dlogits = softmax(logits)
     dlogits[np.arange(m), y0] -= 1.0
     dlogits /= m
-    grads = encoder_backward(cache, dlogits @ head_w)
+    grads = encoder_backward(cache, dlogits @ head_w, out=branch.grads)
     return {"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]]
 
 
@@ -369,7 +380,7 @@ def div_loss(
             dp += hp.alpha * dp_t
         pls.append(pl)
         trips.append(trip)
-        grads.append(encoder_backward(cache, dz) + [dp])
+        grads.append(encoder_backward(cache, dz, out=branch.grads) + [dp])
     terms = {
         **{f"pl_{t}": v for t, v in zip("ab", pls)},
         "incon": incon,
@@ -405,7 +416,8 @@ def train(
     place; one {term: epoch mean} dict per epoch is returned. A non-finite
     loss or gradient raises TrainingError naming the epoch and batch. The
     labels are the train table's own, 1..N; each objective rejects any
-    other before its batch's step.
+    other before its batch's step. Every batch x is gathered into one
+    buffer, so x is valid only during its objective call.
     """
     if partition.stats is None:
         raise ValueError("partition must be standardized before training")
@@ -416,6 +428,7 @@ def train(
     rng = np.random.default_rng(config.shuffle_seed)
     arrays = [b.arrays() for b in branches]
     trace: list[dict[str, float]] = []
+    batch = np.empty((min(config.batch_size, len(y)), windows.input_dim), windows.signal.dtype)
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config.base_lr)
         for b in branches:
@@ -425,7 +438,8 @@ def train(
         perm = rng.permutation(len(y))
         for bi, start in enumerate(range(0, len(y), config.batch_size)):
             idx = perm[start : start + config.batch_size]
-            terms, branch_grads = objective(windows.rows(idx), y[idx], branches)
+            x = windows.rows(idx, out=batch[: len(idx)])
+            terms, branch_grads = objective(x, y[idx], branches)
             where = f"at epoch {epoch}, batch {bi}"
             if not np.isfinite(terms["total"]):
                 detail = ", ".join(f"{k}={v}" for k, v in terms.items())

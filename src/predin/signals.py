@@ -102,15 +102,24 @@ class WindowTable:
         """Length C*T of one flattened window."""
         return self.signal.shape[0] * self.window_len
 
-    def rows(self, sel=slice(None)) -> np.ndarray:
+    def rows(self, sel=slice(None), out: np.ndarray | None = None) -> np.ndarray:
         """(n, C*T) encoder inputs of the windows ``starts[sel]`` selects
-        (an index vector or a slice), gathered into one fresh C-contiguous
-        block."""
+        (an index vector or a slice), copied window by window into ``out``,
+        a C-contiguous (n, C*T) array, or into a fresh one; it is returned."""
         starts = self.starts[sel]
-        if not len(starts):
-            return np.empty((0, self.input_dim), dtype=self.signal.dtype)
-        view = sliding_window_view(self.signal, self.window_len, axis=1)
-        return view.transpose(1, 0, 2)[starts].reshape(len(starts), self.input_dim)
+        if out is None:
+            out = np.empty((len(starts), self.input_dim), dtype=self.signal.dtype)
+        elif out.shape != (len(starts), self.input_dim) or not out.flags.c_contiguous:
+            raise ValueError(
+                f"out must be a C-contiguous {(len(starts), self.input_dim)} array, "
+                f"got shape {out.shape}"
+            )
+        # window by window: np.take(view, starts, out=out) would first copy
+        # the whole overlapping window view into a temporary
+        blocks = out.reshape(len(starts), self.signal.shape[0], self.window_len)
+        for j, start in enumerate(starts.tolist()):
+            blocks[j] = self.signal[:, start : start + self.window_len]
+        return out
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,13 @@ they are oracles for.
 
 import csv
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from predin import inconsistency
+from predin.encoder import ACTIVATIONS, lr_schedule
 from predin.scoring import decide
 from predin.signals import (
     SignalRecording,
@@ -206,6 +209,53 @@ def sgd_step_three_lines(arrays, grads, velocities, lr: float, momentum: float) 
         v *= momentum
         v += g
         a -= lr * v
+
+
+def encoder_backward_allocating(cache, grad_embeddings, out=None):
+    """The former backward: every call allocates fresh gradient arrays, and
+    ``out`` is ignored."""
+    params = cache.params
+    _, deriv = ACTIVATIONS[params.spec.activation]
+    grads = []  # built last layer first, bias before weight
+    delta = np.asarray(grad_embeddings, dtype=np.float64)
+    for i in range(len(params.weights) - 1, -1, -1):
+        grads += [delta.sum(axis=0), delta.T @ cache.layer_inputs[i]]
+        if i > 0:
+            delta = (delta @ params.weights[i]) * deriv(cache.layer_inputs[i])
+    return grads[::-1]
+
+
+def train_allocating(branches, objective, partition, config):
+    """The former training loop, on freshly allocated gradients.
+
+    The objectives run with encoder_backward_allocating in place of the
+    library's backward, each step's gradients stay bound until the next
+    step's are made, and every update is sgd_step_three_lines. Sets each
+    optimizer's learning rate and epoch as train() does and returns the
+    same {term: epoch mean} trace.
+    """
+    windows = partition.train_windows
+    y = windows.labels
+    rng = np.random.default_rng(config.shuffle_seed)
+    trace = []
+    with mock.patch.object(inconsistency, "encoder_backward", encoder_backward_allocating):
+        for epoch in range(config.epochs):
+            lr = lr_schedule(epoch, config.base_lr)
+            for b in branches:
+                b.optimizer.learning_rate, b.optimizer.epoch = lr, epoch
+            sums = {}
+            perm = rng.permutation(len(y))
+            for start in range(0, len(y), config.batch_size):
+                idx = perm[start : start + config.batch_size]
+                terms, branch_grads = objective(windows.rows(idx), y[idx], branches)
+                for b, grads in zip(branches, branch_grads):
+                    sgd_step_three_lines(
+                        b.arrays(), grads, b.optimizer.velocities, lr, b.optimizer.momentum
+                    )
+                for key, value in terms.items():
+                    sums[key] = sums.get(key, 0.0) + len(idx) * value
+            trace.append({k: s / len(y) for k, s in sums.items()})
+    return trace
 
 
 def margin_distance(z, prototypes, label: int, m1: float) -> np.ndarray:

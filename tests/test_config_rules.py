@@ -337,3 +337,37 @@ def test_csv_window_lengths_differ_names_the_line(tmp_path, fast):
             "sampling_rate_hz=200.0, but 10 on metadata line 2")
     with pytest.raises(ValueError, match=re.escape(want)):
         run_experiment(cfg, write_artifacts=False)
+
+
+def test_seed_without_known_and_unknown_test_windows_fails_alone(tmp_path):
+    # trial 1 holds classes 1-4, test trial 2 only classes 1 and 2; with 2
+    # known classes, seed 1 draws {1, 2} (no unknown test window) and seeds
+    # 2 and 3 draw {3, 4} (no known one), the other seeds one of each.
+    # Trial 3's one recording is shorter than a window.
+    data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(245)]
+    meta_rows = [[str(40 * r), str(40 * r + 40), str(label), str(trial), "1", "100"]
+                 for r, (label, trial) in enumerate([(1, 1), (2, 1), (3, 1), (4, 1),
+                                                     (1, 2), (2, 2)])]
+    meta_rows.append(["240", "245", "3", "3", "1", "100"])
+    data, meta = write_csv_pair(tmp_path, data_rows, meta_rows)
+    raw = {
+        "dataset": {"type": "csv", "data_path": data, "meta_path": meta},
+        "window_ms": 100.0, "step_ms": 50.0, "n_known": 2, "seeds": list(range(1, 9)),
+        "train_trials": [1], "test_trials": [2],
+        "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
+        "output_dir": str(tmp_path / "out"),
+    }
+    report = run_experiment(config_from_dict(raw), write_artifacts=False)
+    assert report["aggregate"]["failed_seeds"] == [1, 2, 3]
+    errors = {row["seed"]: row["error"] for row in report["per_seed"] if "error" in row}
+    assert errors[1] == ("seed 1: test trials [2] give no unknown-class window for known "
+                         "classes [1, 2]; open-set evaluation needs both known and unknown ones")
+    assert errors[2] == ("seed 2: test trials [2] give no known-class window for known "
+                         "classes [3, 4]; open-set evaluation needs both known and unknown ones")
+    assert all(row["auc"] is not None for row in report["per_seed"][3:])
+    assert report["aggregate"]["n_seeds"] == 5
+    report = run_experiment(config_from_dict({**raw, "seeds": [2], "test_trials": [3]}),
+                            write_artifacts=False)
+    assert report["per_seed"][0]["error"] == (
+        "seed 2: test trials [3] give no window for known classes [3, 4]; "
+        "open-set evaluation needs both known and unknown ones")

@@ -139,6 +139,25 @@ class TestBackward:
         assert report.n_checked >= 50
         assert report.max_rel_error < 1e-4
 
+    @pytest.mark.parametrize("rows", [1, 7, 252])
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    def test_out_buffers_get_the_allocated_bits(self, activation, rows):
+        spec = EncoderSpec(input_dim=200, hidden_dims=(64, 32), output_dim=16,
+                           activation=activation)
+        params = init_encoder(spec, seed=4)
+        rng = np.random.default_rng(rows)
+        emb, cache = encoder_forward(params, rng.standard_normal((rows, 200)))
+        grad = rng.standard_normal(emb.shape)
+        fresh = encoder_backward(cache, grad)
+        # NaN-filled buffers that an earlier call has written over: every
+        # entry must be overwritten again, not accumulated into
+        out = [np.full_like(a, np.nan) for a in params.arrays()]
+        encoder_backward(cache, -grad, out=out)
+        got = encoder_backward(cache, grad, out=out)
+        assert len(got) == len(out) and all(g is o for g, o in zip(got, out))
+        for g, f in zip(got, fresh):
+            assert g.tobytes() == f.tobytes()
+
     def test_mismatched_grad_shape(self):
         params = init_encoder(SPEC, seed=0)
         _, cache = encoder_forward(params, np.ones((3, 5)))

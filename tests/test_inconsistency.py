@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -49,7 +50,7 @@ from predin.signals import (
     standardize,
 )
 
-from oracles import margin_distance
+from oracles import margin_distance, train_allocating
 
 SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4, activation="tanh")
 
@@ -64,10 +65,10 @@ def dist_from_probs(probs, labels):
     )
 
 
-def tiny_partition(seed=3, n_classes=5, n_known=3):
+def tiny_partition(seed=3, n_classes=5, n_known=3, sampling_rate_hz=400.0):
     cfg = SyntheticConfig(
         n_classes=n_classes, channels=2, trials=3, recording_ms=450.0,
-        sampling_rate_hz=400.0, separation=1.5, noise_scale=0.4,
+        sampling_rate_hz=sampling_rate_hz, separation=1.5, noise_scale=0.4,
     )
     recs, classes = generate_synthetic(cfg, seed=seed)
     split = split_known_unknown(classes, n_known, seed=seed)
@@ -318,6 +319,8 @@ class TestDivLoss:
         x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
         joint, joint_grads = div_loss(x, y, [a, b], hp)
+        # both calls write branch a's encoder gradients into a.grads
+        joint_grads = [[g.copy() for g in grads] for grads in joint_grads]
         frozen, frozen_grads = div_loss(x, y, [a], hp, frozen=b)
         assert set(frozen) == {"pl_a", "incon", "trip_a", "total"}
         for key in ("pl_a", "incon", "trip_a"):
@@ -520,6 +523,84 @@ class TestTraining:
         first = lines[1].split(",")
         assert first[0] == "0"
         assert float(first[6]) == pytest.approx(trace[0]["total"])
+
+
+class TestGradientBuffers:
+    """Each branch's objectives write its encoder gradients into the
+    branch's own buffers (BranchState.grads)."""
+
+    def test_second_call_overwrites_the_first_calls_encoder_gradients(self):
+        rng = np.random.default_rng(8)
+        hp = DivHyperParams()
+        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
+        n_enc = len(branch.grads)
+        batches = [(rng.standard_normal((8, 6)), rng.integers(1, 4, size=8)) for _ in range(2)]
+        _, (first,) = pl_objective(*batches[0], [branch], hp)
+        kept = [g.copy() for g in first]
+        _, (second,) = pl_objective(*batches[1], [branch], hp)
+        for g_first, g_second, buf in zip(first[:n_enc], second[:n_enc], branch.grads):
+            assert g_first is buf and g_second is buf
+        assert any(not np.array_equal(k, g) for k, g in zip(kept[:n_enc], first[:n_enc]))
+        # the head gradient is a fresh array: the first call's stays as it was
+        assert first[-1] is not second[-1]
+        np.testing.assert_array_equal(first[-1], kept[-1])
+
+    @pytest.mark.parametrize("kind", ["pl", "softmax", "div_joint", "div_frozen"])
+    def test_train_equals_the_allocating_loop(self, kind):
+        # 36 train windows in batches of 16: the last batch holds 4
+        part = tiny_partition()
+        spec = _spec_for(part)
+        tc = TrainConfig(epochs=3, batch_size=16, base_lr=0.002, shuffle_seed=9)
+        hp = DivHyperParams()
+
+        def setup():
+            if kind == "softmax":
+                return [init_branch(spec, 3, 1, 2, head="softmax")], softmax_objective
+            if kind == "pl":
+                return [init_branch(spec, 3, 1, 2)], partial(pl_objective, hp=hp)
+            if kind == "div_joint":
+                return _joint_branches(part), partial(div_loss, hp=hp)
+            partner = init_branch(spec, 3, 3, 4)
+            return [init_branch(spec, 3, 1, 2)], partial(div_loss, hp=hp, frozen=partner)
+
+        runs = []
+        for loop in (train, train_allocating):
+            branches, objective = setup()
+            runs.append((branches, loop(branches, objective, part, tc)))
+        (got, got_trace), (want, want_trace) = runs
+        assert got_trace == want_trace
+        for g, w in zip(got, want):
+            assert (g.optimizer.learning_rate, g.optimizer.epoch) == (
+                w.optimizer.learning_rate, w.optimizer.epoch)
+            for x, y in zip(g.arrays() + g.optimizer.velocities,
+                            w.arrays() + w.optimizer.velocities):
+                assert x.tobytes() == y.tobytes()
+
+    def test_training_allocates_no_encoder_gradient(self):
+        # 1600-wide windows and 256 hidden units: W0 is 256 x 1600 float64
+        # (3.3 MB), as in the harness default
+        part = tiny_partition(sampling_rate_hz=4000.0)
+        spec = EncoderSpec(input_dim=part.train_windows.input_dim, hidden_dims=(256,),
+                           output_dim=8, activation="tanh")
+        branches = [init_branch(spec, 3, enc, proto, 0.002, 0.9)
+                    for enc, proto in ((1, 2), (3, 4))]
+        objective = partial(div_loss, hp=DivHyperParams())
+        tc = TrainConfig(epochs=1, batch_size=16, base_lr=0.002)
+        train(branches, objective, part, tc)  # the first epoch
+        tracemalloc.start()
+        try:
+            train(branches, objective, part, dataclasses.replace(tc, shuffle_seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        w0 = branches[0].encoder.weights[0].nbytes
+        assert w0 >= 1 << 20
+        batch = tc.batch_size * spec.input_dim * 8
+        activations = len(branches) * tc.batch_size * sum(spec.layer_dims[1:]) * 8
+        # measured: 0.48 MB with the branches' own buffers; 13.5 MB (4 W0)
+        # when each step allocates both branches' gradients while the
+        # previous step's are still bound
+        assert peak < batch + activations + w0
 
 
 class TestCheckpoint:

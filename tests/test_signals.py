@@ -284,6 +284,25 @@ class TestGatherOracle:
                 assert rows.shape == flat[sel].shape
                 assert rows.tobytes() == flat[sel].tobytes()
 
+    def test_rows_into_out_match_oracle_bitwise(self):
+        # as train() gathers each batch: into the leading rows of one buffer
+        # that earlier, longer gathers have already written
+        recs = self._recordings()
+        got = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT).train_windows
+        flat = self._flat(oracles.window_recordings(self._sides(recs)[0], 200.0, 50.0))
+        m = len(got)
+        buf = np.full((m + 3, got.input_dim), np.nan)
+        rng = np.random.default_rng(6)
+        for sel in [rng.permutation(m), slice(None, None, -2), np.array([m - 1, 0, m - 1]),
+                    rng.integers(0, m, 3), np.array([], dtype=np.int64)]:
+            n = len(flat[sel])
+            rows = got.rows(sel, out=buf[:n])
+            assert rows.base is buf and rows.shape == flat[sel].shape
+            assert rows.tobytes() == flat[sel].tobytes()
+        for bad in [buf[:2, ::2], buf[:2].T.copy().T, buf[:3]]:
+            with pytest.raises(ValueError, match="out must be a C-contiguous"):
+                got.rows(np.array([0, 1]), out=bad)
+
     def test_empty_side_matches_oracle(self):
         recs = self._recordings()
         # the test side routes nothing; a side of one too-short recording has no windows
