@@ -13,6 +13,7 @@ import os
 import time
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
+from typing import get_type_hints
 
 import numpy as np
 
@@ -76,19 +77,12 @@ VARIANTS = {
 # stream tags for deriving independent sub-seeds from one run seed
 _ENC_A, _PROTO_A, _ENC_B, _PROTO_B, _SHUFFLE, _HEAD = 1, 2, 3, 4, 5, 6
 
-
-# nested JSON sections -> the flat ExperimentConfig fields each holds;
-# "hyperparams" is the DivHyperParams field as a dict, every other field a
-# top-level key
-_SECTIONS = {
-    "encoder": ("hidden_dims", "feature_dim", "activation"),
-    "training": ("epochs", "batch_size", "lr", "momentum"),
-}
-_SECTION_OF = {name: section for section, names in _SECTIONS.items() for name in names}
+# the dataset section by default, and the value of each key a section leaves out
+_DATASET_DEFAULTS = {"type": "synthetic", "data_seed": 2024}
 
 # dataset keys accepted per dataset type, and the ones that must be present
 _DATASET_KEYS = {
-    "synthetic": ({"type", "data_seed", *(f.name for f in fields(SyntheticConfig))}, set()),
+    "synthetic": ({*_DATASET_DEFAULTS, *(f.name for f in fields(SyntheticConfig))}, set()),
     "csv": ({"type", "data_path", "meta_path"}, {"data_path", "meta_path"}),
 }
 
@@ -111,9 +105,14 @@ def _check_section(section: str, keys, allowed, required=()) -> None:
         raise ValueError(f"missing config keys under {section!r}: {missing}")
 
 
+def _dataset_value(dataset: dict, key: str):
+    """dataset[key], or its default when the section leaves it out."""
+    return dataset.get(key, _DATASET_DEFAULTS[key])
+
+
 def _synthetic_config(dataset: dict) -> SyntheticConfig:
     """The generator settings of a synthetic dataset section."""
-    return SyntheticConfig(**{k: v for k, v in dataset.items() if k not in ("type", "data_seed")})
+    return SyntheticConfig(**{k: v for k, v in dataset.items() if k not in _DATASET_DEFAULTS})
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -122,8 +121,24 @@ def derive_seed(base_seed: int, stream: int) -> int:
 
 
 @dataclass(frozen=True)
+class EncoderConfig:
+    """The config's "encoder" section; the data gives the input width."""
+
+    hidden_dims: tuple[int, ...] = ruled((256,), "[1, inf)")
+    feature_dim: int = ruled(128, "[1, inf)")
+    # the bounded tanh keeps unknown-input feature norms comparable to known ones
+    activation: str = ruled("tanh", tuple(ACTIVATIONS))
+
+    def __post_init__(self):
+        check_fields(self)
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict = field(default_factory=lambda: {"type": "synthetic", "data_seed": 2024})
+    """A run's settings, by default the tuned desk-scale protocol; a field
+    typed by a dataclass is a nested JSON section of that type's fields."""
+
+    dataset: dict = field(default_factory=lambda: dict(_DATASET_DEFAULTS))
     window_ms: float = ruled(200.0, "(0, inf)")
     step_ms: float = ruled(50.0, "(0, inf)")
     n_known: int = ruled(6, "[2, inf)")
@@ -132,16 +147,8 @@ class ExperimentConfig:
     train_trials: tuple[int, ...] = ruled((1, 2), "(-inf, inf)")
     test_trials: tuple[int, ...] = ruled((3,), "(-inf, inf)")
     hyperparams: DivHyperParams = field(default_factory=DivHyperParams)
-    hidden_dims: tuple[int, ...] = ruled((256,), "[1, inf)")
-    feature_dim: int = ruled(128, "[1, inf)")
-    # harness defaults are the tuned desk-scale protocol: the bounded tanh
-    # keeps unknown-input feature norms comparable to known ones, and the
-    # plain-MLP setup needs a smaller step than deep-backbone training
-    activation: str = ruled("tanh", tuple(ACTIVATIONS))
-    epochs: int = ruled(100, "[0, inf)")
-    batch_size: int = ruled(256, "[1, inf)")
-    lr: float = ruled(0.002, "[0, inf)")
-    momentum: float = ruled(0.9, "[0, 1)")
+    encoder: EncoderConfig = field(default_factory=EncoderConfig)
+    training: TrainConfig = field(default_factory=TrainConfig)
     retention: float = ruled(0.95, "(0, 1)")
     sequential_k: int = ruled(2, "[1, inf)")
     output_dir: str = ruled("runs/out", "non-empty")
@@ -156,7 +163,7 @@ class ExperimentConfig:
         shared = sorted(set(self.train_trials) & set(self.test_trials))
         if shared:
             raise ValueError(f"train_trials and test_trials share trials {shared}")
-        kind = _as_object(self.dataset, "dataset").get("type", "synthetic")
+        kind = _dataset_value(_as_object(self.dataset, "dataset"), "type")
         if not (isinstance(kind, str) and kind in _DATASET_KEYS):
             raise ValueError(f"unknown dataset type {kind!r}")
         _check_section("dataset", self.dataset, *_DATASET_KEYS[kind])
@@ -165,7 +172,7 @@ class ExperimentConfig:
                 if not isinstance(self.dataset[key], str):
                     raise ValueError(f"{key} must be a string, got {self.dataset[key]!r}")
         else:
-            seed = self.dataset.get("data_seed", 0)  # absent: load_dataset's default
+            seed = _dataset_value(self.dataset, "data_seed")
             if not (is_int(seed) and seed >= 0):
                 raise ValueError(f"data_seed must be an integer >= 0, got {seed!r}")
             # generator settings, and a run the generated set cannot satisfy,
@@ -188,37 +195,28 @@ class ExperimentConfig:
                 )
 
     def to_dict(self) -> dict:
-        """The documented JSON schema: section members nested, tuples as lists."""
-        out: dict = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if is_dataclass(value):
-                value = asdict(value)
-            elif isinstance(value, tuple):
-                value = list(value)
-            elif isinstance(value, dict):
-                value = dict(value)
-            if f.name in _SECTION_OF:
-                out.setdefault(_SECTION_OF[f.name], {})[f.name] = value
-            else:
-                out[f.name] = value
-        return out
+        """The documented JSON schema: each section a nested object, tuples as lists."""
+        return asdict(self, dict_factory=lambda items: {
+            k: list(v) if isinstance(v, tuple) else v for k, v in items
+        })
+
+
+# nested JSON section -> the dataclass it is built into
+_SECTIONS = {
+    name: kind for name, kind in get_type_hints(ExperimentConfig).items() if is_dataclass(kind)
+}
 
 
 def config_from_dict(d: dict) -> ExperimentConfig:
     """Build a config from the documented JSON schema, filling defaults."""
-    top = {f.name for f in fields(ExperimentConfig)} - _SECTION_OF.keys()
-    unknown = sorted(_as_object(d).keys() - top - _SECTIONS.keys())
+    unknown = sorted(_as_object(d).keys() - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
-    kwargs = {k: v for k, v in d.items() if k in top}
-    hp = _as_object(kwargs.get("hyperparams", {}), "hyperparams")
-    _check_section("hyperparams", hp, (f.name for f in fields(DivHyperParams)))
-    kwargs["hyperparams"] = DivHyperParams(**hp)
-    for section, names in _SECTIONS.items():
+    kwargs = dict(d)
+    for section, kind in _SECTIONS.items():
         values = _as_object(d.get(section, {}), section)
-        _check_section(section, values, names)
-        kwargs.update(values)
+        _check_section(section, values, (f.name for f in fields(kind)))
+        kwargs[section] = kind(**values)
     return ExperimentConfig(**kwargs)
 
 
@@ -230,8 +228,8 @@ def load_config(path) -> ExperimentConfig:
 def load_dataset(config: ExperimentConfig):
     """Materialize recordings and the full class-id set from the config."""
     ds = config.dataset
-    if ds.get("type", "synthetic") == "synthetic":
-        return generate_synthetic(_synthetic_config(ds), ds.get("data_seed", 2024))
+    if _dataset_value(ds, "type") == "synthetic":
+        return generate_synthetic(_synthetic_config(ds), _dataset_value(ds, "data_seed"))
     # "csv": ExperimentConfig admits no other dataset type
     recordings = load_csv(ds["data_path"], ds["meta_path"])
     return recordings, {r.gesture_label for r in recordings}
@@ -243,32 +241,19 @@ def build_partition(
     """Route, window and standardize one seed's train/test tables; each
     side's routed recordings are copied once and scaled in place, and no
     window is copied out until it is used. With ``release`` the list
-    ``recordings`` is emptied while it is copied (see ``split_trials``)."""
+    ``recordings`` is emptied while it is copied (see ``split_trials``).
+    A train side without a window fails the seed with TrainingError."""
     split = split_known_unknown(classes, config.n_known, seed)
     part = split_trials(
         recordings, config.window_ms, config.step_ms,
         config.train_trials, config.test_trials, split, release=release,
     )
+    if not len(part.train_windows):
+        raise TrainingError(
+            f"seed {seed}: train trials {list(config.train_trials)} give no window "
+            f"for known classes {list(split.known_classes)}; training needs at least one"
+        )
     return standardize(part)
-
-
-def _encoder_spec(config: ExperimentConfig, input_dim: int) -> EncoderSpec:
-    return EncoderSpec(
-        input_dim=input_dim,
-        hidden_dims=config.hidden_dims,
-        output_dim=config.feature_dim,
-        activation=config.activation,
-    )
-
-
-def _train_config(config: ExperimentConfig, seed: int) -> TrainConfig:
-    return TrainConfig(
-        epochs=config.epochs,
-        batch_size=config.batch_size,
-        base_lr=config.lr,
-        momentum=config.momentum,
-        shuffle_seed=derive_seed(seed, _SHUFFLE),
-    )
 
 
 def _variant_hp(config: ExperimentConfig) -> DivHyperParams:
@@ -282,13 +267,14 @@ def baseline_softmax_train(
     config: TrainConfig,
     encoder_seed: int,
     head_seed: int,
+    shuffle_seed: int,
 ):
     """Cross-entropy training of one softmax-head branch; its rejection
     score is the maximum softmax probability. Returns (branch, trace)."""
     branch = init_branch(
-        spec, n_classes, encoder_seed, head_seed, config.base_lr, config.momentum, head="softmax"
+        spec, n_classes, encoder_seed, head_seed, config.lr, config.momentum, head="softmax"
     )
-    return branch, train([branch], softmax_objective, partition, config)
+    return branch, train([branch], softmax_objective, partition, config, shuffle_seed)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +298,18 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     softmax and pl_baseline train one branch, the joint variants two;
     sequential_k trains sequential_k branches one after another.
     """
-    spec = _encoder_spec(config, partition.train_windows.input_dim)
+    encoder, input_dim = config.encoder, partition.train_windows.input_dim
+    spec = EncoderSpec(input_dim, encoder.hidden_dims, encoder.feature_dim, encoder.activation)
     n_classes = partition.label_split.n_known
-    tc = _train_config(config, seed)
+    tc = config.training
+    shuffle_seed = derive_seed(seed, _SHUFFLE)
     hp = _variant_hp(config)
     variant = config.variant
 
     if variant == "softmax":
         branch, trace = baseline_softmax_train(
             partition, spec, n_classes, tc,
-            derive_seed(seed, _ENC_A), derive_seed(seed, _HEAD),
+            derive_seed(seed, _ENC_A), derive_seed(seed, _HEAD), shuffle_seed,
         )
         return SeedResult(branches=[branch], traces=[trace], hp=hp)
 
@@ -330,7 +318,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
             (derive_seed(seed, 101 + 2 * t), derive_seed(seed, 102 + 2 * t))
             for t in range(config.sequential_k)
         ]
-        branches, traces = train_sequential(partition, tc, hp, spec, n_classes, seeds)
+        branches, traces = train_sequential(partition, tc, hp, spec, n_classes, seeds, shuffle_seed)
         return SeedResult(branches=branches, traces=traces, hp=hp)
 
     streams = [(_ENC_A, _PROTO_A), (_ENC_B, _PROTO_B)]
@@ -341,11 +329,11 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     branches = [
         init_branch(
             spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto),
-            tc.base_lr, tc.momentum,
+            tc.lr, tc.momentum,
         )
         for enc, proto in streams
     ]
-    trace = train(branches, objective, partition, tc)
+    trace = train(branches, objective, partition, tc, shuffle_seed)
     return SeedResult(branches=branches, traces=[trace], hp=hp)
 
 
@@ -475,7 +463,7 @@ def run_experiment(
         missing = sorted(set(getattr(config, name)) - set(carried))
         if missing:
             raise ValueError(f"{name} {missing} are in no recording; they carry trials {carried}")
-    if config.dataset.get("type", "synthetic") == "csv":
+    if _dataset_value(config.dataset, "type") == "csv":
         # recording i came from metadata line i + 2, as load_csv numbers them;
         # every recording a seed may route must give the first one's window
         listed = {*config.train_trials, *config.test_trials}
@@ -500,14 +488,13 @@ def run_experiment(
         # no seed reads the recordings after the last: unless the caller
         # passed them in, its build frees each one as soon as it is copied
         release = dataset is None and seed == config.seeds[-1]
-        partition = build_partition(config, recordings, classes, seed, release=release)
-        try:
-            result = run_seed(config, partition, seed)
+        try:  # no name here holds the partition: it is freed before the next seed's build
+            result = run_seed(
+                config, build_partition(config, recordings, classes, seed, release=release), seed
+            )
         except TrainingError as e:
             per_seed.append({"seed": seed, "error": str(e)})
             continue
-        finally:
-            del partition  # the next seed's tables are built without this one's
         per_seed.append(result.report)
         if write_artifacts:
             seed_dir = os.path.join(out_dir, f"seed_{seed}")

@@ -392,11 +392,13 @@ def div_loss(
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """The config's "training" section: the SGD schedule of every branch."""
+
     epochs: int = ruled(100, "[0, inf)")
     batch_size: int = ruled(256, "[1, inf)")
-    base_lr: float = ruled(0.01, "[0, inf)")
+    # the plain-MLP setup needs a smaller step than deep-backbone training
+    lr: float = ruled(0.002, "[0, inf)")
     momentum: float = ruled(0.9, "[0, 1)")
-    shuffle_seed: int = ruled(0, "[0, inf)")
 
     def __post_init__(self):
         check_fields(self)
@@ -407,8 +409,9 @@ def train(
     objective,
     partition: DatasetPartition,
     config: TrainConfig,
+    shuffle_seed: int,
 ) -> list[dict[str, float]]:
-    """Train K branches on identical shuffled mini-batches.
+    """Train K branches on identical mini-batches, shuffled by shuffle_seed.
 
     objective(x, y, branches) -> (terms, grads) gives the loss terms
     ("total" always present) and one gradient list per branch; each branch
@@ -425,12 +428,12 @@ def train(
     y = windows.labels
     if not len(y):
         raise ValueError("training partition is empty")
-    rng = np.random.default_rng(config.shuffle_seed)
+    rng = np.random.default_rng(shuffle_seed)
     arrays = [b.arrays() for b in branches]
     trace: list[dict[str, float]] = []
     batch = np.empty((min(config.batch_size, len(y)), windows.input_dim), windows.signal.dtype)
     for epoch in range(config.epochs):
-        lr = lr_schedule(epoch, config.base_lr)
+        lr = lr_schedule(epoch, config.lr)
         for b in branches:
             b.optimizer.learning_rate = lr
             b.optimizer.epoch = epoch
@@ -462,8 +465,10 @@ def train_sequential(
     spec: EncoderSpec,
     n_classes: int,
     branch_seeds: list[tuple[int, int]],
+    shuffle_seed: int,
 ):
-    """Train one branch per (encoder, prototype) seed pair, one after another.
+    """Train one branch per (encoder, prototype) seed pair, one after another,
+    each on the batches that shuffle_seed draws.
 
     The first branch is a plain PL baseline; each later branch trains with
     the full objective, its inconsistency term paired against the previous
@@ -474,14 +479,12 @@ def train_sequential(
     branches: list[BranchState] = []
     traces: list[list[dict[str, float]]] = []
     for enc_seed, proto_seed in branch_seeds:
-        branch = init_branch(
-            spec, n_classes, enc_seed, proto_seed, config.base_lr, config.momentum
-        )
+        branch = init_branch(spec, n_classes, enc_seed, proto_seed, config.lr, config.momentum)
         if branches:
             objective = partial(div_loss, hp=hp, frozen=branches[-1])
         else:
             objective = partial(pl_objective, hp=hp)
-        traces.append(train([branch], objective, partition, config))
+        traces.append(train([branch], objective, partition, config, shuffle_seed))
         branches.append(branch)
     return branches, traces
 

@@ -225,7 +225,7 @@ def encoder_backward_allocating(cache, grad_embeddings, out=None):
     return grads[::-1]
 
 
-def train_allocating(branches, objective, partition, config):
+def train_allocating(branches, objective, partition, config, shuffle_seed):
     """The former training loop, on freshly allocated gradients.
 
     The objectives run with encoder_backward_allocating in place of the
@@ -236,11 +236,11 @@ def train_allocating(branches, objective, partition, config):
     """
     windows = partition.train_windows
     y = windows.labels
-    rng = np.random.default_rng(config.shuffle_seed)
+    rng = np.random.default_rng(shuffle_seed)
     trace = []
     with mock.patch.object(inconsistency, "encoder_backward", encoder_backward_allocating):
         for epoch in range(config.epochs):
-            lr = lr_schedule(epoch, config.base_lr)
+            lr = lr_schedule(epoch, config.lr)
             for b in branches:
                 b.optimizer.learning_rate, b.optimizer.epoch = lr, epoch
             sums = {}

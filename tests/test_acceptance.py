@@ -16,6 +16,7 @@ from predin.gradcheck import LOSS_NAMES, check_loss_gradients
 from predin.harness import ExperimentConfig, config_from_dict, run_experiment, run_seed
 from predin.inconsistency import (
     ProximityDistribution,
+    TrainConfig,
     inconsistency_loss,
     proximity_backward,
     proximity_probs,
@@ -205,7 +206,7 @@ def test_criterion_7_closed_set_sanity(table4_runs):
 
 def test_criterion_8_determinism(tmp_path):
     out = tmp_path / "det"
-    cfg = ExperimentConfig(seeds=(1,), epochs=8, output_dir=str(out))
+    cfg = ExperimentConfig(seeds=(1,), training=TrainConfig(epochs=8), output_dir=str(out))
     run_experiment(cfg)
     first = (out / "report.json").read_bytes()
     echo = json.loads(first)["config"]

@@ -4,6 +4,7 @@ and reject."""
 
 import copy
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -15,19 +16,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predin.harness import _SECTION_OF, ExperimentConfig, config_from_dict, run_experiment
+from predin.harness import EncoderConfig, ExperimentConfig, config_from_dict, run_experiment
 from predin.inconsistency import DivHyperParams, TrainConfig
 from predin.signals import ParseError, SyntheticConfig, load_csv
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
-# the fields no rule covers: both are checked in code (the dataset section's
-# type, keys, paths and data_seed; hyperparams through DivHyperParams' rules)
-CHECKED_BY_CODE = {"dataset", "hyperparams"}
+# the fields no rule covers: each is checked in code (the dataset section's
+# type, keys, paths and data_seed; every other section through its type's rules)
+CHECKED_BY_CODE = {"dataset", "hyperparams", "encoder", "training"}
 
 # each config type -> the JSON path of one of its fields
 PATHS = {
-    ExperimentConfig: lambda n: f"{_SECTION_OF[n]}.{n}" if n in _SECTION_OF else n,
+    ExperimentConfig: lambda n: n,
+    EncoderConfig: lambda n: f"encoder.{n}",
+    TrainConfig: lambda n: f"training.{n}",
     DivHyperParams: lambda n: f"hyperparams.{n}",
     SyntheticConfig: lambda n: f"dataset.{n}",
 }
@@ -45,7 +49,7 @@ def interval(text):
 
 
 def test_every_config_field_has_a_rule_or_is_checked_by_code():
-    for cls in (ExperimentConfig, SyntheticConfig, DivHyperParams, TrainConfig):
+    for cls in PATHS:
         for f in dataclasses.fields(cls):
             name = f"{cls.__name__}.{f.name}"
             assert ("admits" in f.metadata) != (f.name in CHECKED_BY_CODE), name
@@ -58,16 +62,6 @@ def test_every_config_field_has_a_rule_or_is_checked_by_code():
             else:
                 low, high, _, _ = interval(admits)
                 assert low < high and admits[0] in "[(" and admits[-1] in "])", name
-
-
-def test_train_config_shares_the_experiment_rules():
-    # TrainConfig is built from ExperimentConfig; each value it takes over
-    # must be admitted by both
-    experiment = {f.name: f.metadata["admits"] for f in ruled_fields(ExperimentConfig)}
-    train = {f.name: f.metadata["admits"] for f in ruled_fields(TrainConfig)}
-    for ours, theirs in (("epochs", "epochs"), ("batch_size", "batch_size"),
-                         ("lr", "base_lr"), ("momentum", "momentum")):
-        assert experiment[ours] == train[theirs], theirs
 
 
 def _admits_cell(admits) -> str:
@@ -133,9 +127,9 @@ def valid_configs(draw):
                            min_size=2, max_size=6, unique=True))
     cut = draw(st.integers(1, len(trials) - 1))
     kwargs["train_trials"], kwargs["test_trials"] = trials[:cut], trials[cut:]
-    kwargs["hyperparams"] = DivHyperParams(
-        **{f.name: draw(valid_values(f)) for f in ruled_fields(DivHyperParams)}
-    )
+    for section, cls in (("hyperparams", DivHyperParams), ("encoder", EncoderConfig),
+                         ("training", TrainConfig)):
+        kwargs[section] = cls(**{f.name: draw(valid_values(f)) for f in ruled_fields(cls)})
     kwargs["dataset"] = {"type": "csv", "data_path": draw(st.text()), "meta_path": draw(st.text())}
     return ExperimentConfig(**kwargs)
 
@@ -145,6 +139,30 @@ def valid_configs(draw):
 def test_valid_config_round_trips(cfg):
     echo = json.loads(json.dumps(cfg.to_dict()))
     assert config_from_dict(echo) == cfg
+
+
+def _shipped_configs():
+    """The example config, and every run workload's config as the benchmark
+    plans it at both sizes (perfbench/workloads.py is loaded by path)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    example = json.loads((ROOT / workloads.EXAMPLE_CONFIG).read_text())
+    yield pytest.param(example, id="example_config")
+    for name in workloads.RUN_WORKLOADS:
+        for tiny in (True, False):
+            plan = workloads.make_plan(name, 1701, "runs/bench", example, tiny=tiny)
+            yield pytest.param(plan["config"], id=f"{name}-tiny={tiny}")
+
+
+@pytest.mark.parametrize("raw", _shipped_configs())
+def test_echo_is_the_config_it_was_built_from(raw):
+    # report.json echoes to_dict(); a config that spells out every key must
+    # come back as written, or a report stops saying what ran
+    echo = config_from_dict(copy.deepcopy(raw)).to_dict()
+    assert json.dumps(echo, sort_keys=True) == json.dumps(raw, sort_keys=True)
 
 
 def outside(f):
@@ -337,6 +355,34 @@ def test_csv_window_lengths_differ_names_the_line(tmp_path, fast):
             "sampling_rate_hz=200.0, but 10 on metadata line 2")
     with pytest.raises(ValueError, match=re.escape(want)):
         run_experiment(cfg, write_artifacts=False)
+
+
+def test_seed_without_a_train_window_fails_alone(tmp_path):
+    # trial 1 holds classes 1 and 2 only, test trial 2 classes 1-4; with 2
+    # known classes, seeds 2 and 3 draw {3, 4}, which trial 1 does not carry
+    data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(240)]
+    meta_rows = [[str(40 * r), str(40 * r + 40), str(label), str(trial), "1", "100"]
+                 for r, (label, trial) in enumerate([(1, 1), (2, 1), (1, 2), (2, 2),
+                                                     (3, 2), (4, 2)])]
+    data, meta = write_csv_pair(tmp_path, data_rows, meta_rows)
+    out = tmp_path / "out"
+    cfg = config_from_dict({
+        "dataset": {"type": "csv", "data_path": data, "meta_path": meta},
+        "window_ms": 100.0, "step_ms": 50.0, "n_known": 2, "seeds": list(range(1, 9)),
+        "train_trials": [1], "test_trials": [2],
+        "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
+        "output_dir": str(out),
+    })
+    report = run_experiment(cfg)
+    assert report["aggregate"]["failed_seeds"] == [2, 3]
+    errors = {row["seed"]: row["error"] for row in report["per_seed"] if "error" in row}
+    assert errors == {seed: f"seed {seed}: train trials [1] give no window for known classes "
+                            "[3, 4]; training needs at least one" for seed in (2, 3)}
+    assert report["aggregate"]["n_seeds"] == 6
+    assert json.loads((out / "report.json").read_text()) == report
+    assert sorted(p.name for p in out.glob("seed_*")) == [
+        f"seed_{seed}" for seed in (1, 4, 5, 6, 7, 8)
+    ]
 
 
 def test_seed_without_known_and_unknown_test_windows_fails_alone(tmp_path):

@@ -9,10 +9,11 @@ import pytest
 from predin import inconsistency
 from predin.cli import main as cli_main
 from predin.encoder import EncoderSpec, init_encoder, init_optimizer
-from predin.inconsistency import DivHyperParams, branch_score_fn
+from predin.inconsistency import DivHyperParams, TrainConfig, branch_score_fn
 from predin.harness import (
     ABLATION_VARIANTS,
     VARIANTS,
+    EncoderConfig,
     ExperimentConfig,
     _variant_hp,
     _write_seed_artifacts,
@@ -41,7 +42,12 @@ TINY_DATASET = {
 }
 
 
+SECTIONS = {"encoder": EncoderConfig, "training": TrainConfig}
+
+
 def tiny_config(**overrides):
+    """The tiny set's config; a keyword that names a field of a SECTIONS
+    type goes into that section."""
     base = dict(
         dataset=TINY_DATASET,
         window_ms=200.0,
@@ -57,6 +63,9 @@ def tiny_config(**overrides):
         output_dir="unused",
     )
     base.update(overrides)
+    for section, kind in SECTIONS.items():
+        names = {f.name for f in dataclasses.fields(kind)} & base.keys()
+        base[section] = kind(**{name: base.pop(name) for name in names})
     return ExperimentConfig(**base)
 
 
@@ -80,6 +89,10 @@ class TestConfig:
         default = ExperimentConfig()
         for f in dataclasses.fields(cfg):
             assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+        for section in SECTIONS:
+            for f in dataclasses.fields(getattr(cfg, section)):
+                got, want = (getattr(getattr(c, section), f.name) for c in (cfg, default))
+                assert got != want, f"{section}.{f.name}"
         echo = json.loads(json.dumps(cfg.to_dict()))
         assert echo["encoder"] == {"hidden_dims": [8, 4], "feature_dim": 8, "activation": "relu"}
         assert echo["training"] == {"epochs": 4, "batch_size": 32, "lr": 0.01, "momentum": 0.5}
@@ -699,6 +712,18 @@ class TestCli:
     def test_check_gradients_command(self, capsys):
         assert cli_main(["check-gradients", "--seeds", "1", "--coords", "60"]) == 0
         assert "max_rel_error" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args", [["--seeds", "0"], ["--seeds", "1", "--coords", "0"]])
+    def test_check_gradients_fails_when_it_checks_nothing(self, capsys, args):
+        assert cli_main(["check-gradients", *args]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()[:-1]  # one line per loss, then the worst error
+        assert len(lines) == 8
+        assert all("checked=0 " in line and line.endswith("[FAIL]") for line in lines)
+        err = json.loads(captured.err.strip())
+        assert err["error"] == "RuntimeError"
+        assert err["message"].startswith("gradient check failed for ['dce', 'compactness',")
+        assert "a loss with no checked coordinate fails" in err["message"]
 
     def _diverging_config(self, tmp_path):
         # magnitudes grow by ~1e6 per step, so 40 epochs guarantees overflow

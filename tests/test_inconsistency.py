@@ -376,7 +376,7 @@ class TestTraining:
         part = tiny_partition()
         branches = _joint_branches(part)
         before = [a.copy() for a in branches[0].arrays()]
-        train(branches, partial(div_loss, hp=DivHyperParams()), part, TrainConfig(epochs=0))
+        train(branches, partial(div_loss, hp=DivHyperParams()), part, TrainConfig(epochs=0), 0)
         for x, y in zip(before, branches[0].arrays()):
             assert x.tobytes() == y.tobytes()
 
@@ -384,8 +384,8 @@ class TestTraining:
         part = tiny_partition()
         branches = _joint_branches(part, seeds=((7, 8), (7, 8)), lr=0.002)
         objective = partial(div_loss, hp=DivHyperParams(gamma=0.0, alpha=1.0))
-        tc = TrainConfig(epochs=4, batch_size=32, base_lr=0.002, shuffle_seed=5)
-        train(branches, objective, part, tc)
+        tc = TrainConfig(epochs=4, batch_size=32, lr=0.002)
+        train(branches, objective, part, tc, 5)
         for x, y in zip(branches[0].arrays(), branches[1].arrays()):
             assert x.tobytes() == y.tobytes()
 
@@ -394,7 +394,7 @@ class TestTraining:
         branches = _joint_branches(part, lr=0.002)
         trace = train(
             branches, partial(div_loss, hp=DivHyperParams()), part,
-            TrainConfig(epochs=12, batch_size=64, base_lr=0.002),
+            TrainConfig(epochs=12, batch_size=64, lr=0.002), 0,
         )
         assert trace[-1]["pl_a"] < trace[0]["pl_a"]
         assert trace[-1]["pl_b"] < trace[0]["pl_b"]
@@ -406,7 +406,7 @@ class TestTraining:
         objective = partial(div_loss, hp=DivHyperParams())
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(TrainingError, match="epoch 0"):
-                train(branches, objective, part, TrainConfig(epochs=1))
+                train(branches, objective, part, TrainConfig(epochs=1), 0)
 
     def test_non_finite_gradient_names_epoch_and_batch(self):
         part = tiny_partition()
@@ -420,14 +420,14 @@ class TestTraining:
             return terms, grads
 
         with pytest.raises(TrainingError, match="branch 2 at epoch 1, batch 0"):
-            train(branches, poisoned, part, TrainConfig(epochs=3, batch_size=64))
+            train(branches, poisoned, part, TrainConfig(epochs=3, batch_size=64), 0)
 
     def test_unstandardized_partition_rejected(self):
         part = tiny_partition()
         raw = DatasetPartition(part.train_windows, part.test_windows, part.label_split)
         branches = _joint_branches(part)
         with pytest.raises(ValueError, match="standardized"):
-            train(branches, partial(div_loss, hp=DivHyperParams()), raw, TrainConfig(epochs=1))
+            train(branches, partial(div_loss, hp=DivHyperParams()), raw, TrainConfig(epochs=1), 0)
 
     def test_empty_partition_rejected(self):
         part = tiny_partition()
@@ -438,7 +438,7 @@ class TestTraining:
         branches = _joint_branches(part)
         with pytest.raises(ValueError, match="training partition is empty"):
             train(branches, partial(div_loss, hp=DivHyperParams()),
-                  dataclasses.replace(part, train_windows=empty), TrainConfig(epochs=1))
+                  dataclasses.replace(part, train_windows=empty), TrainConfig(epochs=1), 0)
 
     @pytest.mark.parametrize(
         "objective, head, n_branches",
@@ -458,7 +458,7 @@ class TestTraining:
                     for k in range(n_branches)]
         before = [a.copy() for b in branches for a in b.arrays()]
         with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
-            train(branches, objective, part, TrainConfig(epochs=1))
+            train(branches, objective, part, TrainConfig(epochs=1), 0)
         after = [a for b in branches for a in b.arrays()]
         for x, y in zip(before, after):
             assert x.tobytes() == y.tobytes()
@@ -466,11 +466,11 @@ class TestTraining:
     def test_sequential_k1_equals_pl_baseline(self):
         part = tiny_partition()
         spec = _spec_for(part)
-        tc = TrainConfig(epochs=5, batch_size=64, base_lr=0.002, shuffle_seed=11)
+        tc = TrainConfig(epochs=5, batch_size=64, lr=0.002)
         hp = DivHyperParams()
-        branches, traces = train_sequential(part, tc, hp, spec, 3, [(21, 22)])
-        direct = init_branch(spec, 3, 21, 22, tc.base_lr, tc.momentum)
-        train([direct], partial(pl_objective, hp=hp), part, tc)
+        branches, traces = train_sequential(part, tc, hp, spec, 3, [(21, 22)], 11)
+        direct = init_branch(spec, 3, 21, 22, tc.lr, tc.momentum)
+        train([direct], partial(pl_objective, hp=hp), part, tc, 11)
         for x, y in zip(branches[0].arrays(), direct.arrays()):
             assert x.tobytes() == y.tobytes()
         assert len(traces) == 1
@@ -478,9 +478,9 @@ class TestTraining:
     def test_sequential_chain_trains_each_against_previous(self):
         part = tiny_partition()
         spec = _spec_for(part)
-        tc = TrainConfig(epochs=3, batch_size=64, base_lr=0.002, shuffle_seed=12)
+        tc = TrainConfig(epochs=3, batch_size=64, lr=0.002)
         branches, traces = train_sequential(
-            part, tc, DivHyperParams(), spec, 3, [(31, 32), (33, 34), (35, 36)]
+            part, tc, DivHyperParams(), spec, 3, [(31, 32), (33, 34), (35, 36)], 12
         )
         assert len(branches) == 3
         # later traces carry the inconsistency component, the first does not
@@ -491,8 +491,8 @@ class TestTraining:
         part = tiny_partition()
         branches = _joint_branches(part, lr=0.002)
         hp = DivHyperParams(beta=0.5, gamma=2.0, m1=0.25)
-        tc = TrainConfig(epochs=2, batch_size=64, base_lr=0.002)
-        train(branches, partial(div_loss, hp=hp), part, tc)
+        tc = TrainConfig(epochs=2, batch_size=64, lr=0.002)
+        train(branches, partial(div_loss, hp=hp), part, tc, 0)
         path = tmp_path / "dual.npz"
         save_dual_checkpoint(path, branches, hp)
         loaded, loaded_hp = load_checkpoint(path)
@@ -513,7 +513,7 @@ class TestTraining:
         branches = _joint_branches(part, lr=0.002)
         trace = train(
             branches, partial(div_loss, hp=DivHyperParams()), part,
-            TrainConfig(epochs=3, batch_size=64, base_lr=0.002),
+            TrainConfig(epochs=3, batch_size=64, lr=0.002), 0,
         )
         path = tmp_path / "trace.csv"
         write_loss_trace(path, trace)
@@ -550,7 +550,7 @@ class TestGradientBuffers:
         # 36 train windows in batches of 16: the last batch holds 4
         part = tiny_partition()
         spec = _spec_for(part)
-        tc = TrainConfig(epochs=3, batch_size=16, base_lr=0.002, shuffle_seed=9)
+        tc = TrainConfig(epochs=3, batch_size=16, lr=0.002)
         hp = DivHyperParams()
 
         def setup():
@@ -566,7 +566,7 @@ class TestGradientBuffers:
         runs = []
         for loop in (train, train_allocating):
             branches, objective = setup()
-            runs.append((branches, loop(branches, objective, part, tc)))
+            runs.append((branches, loop(branches, objective, part, tc, 9)))
         (got, got_trace), (want, want_trace) = runs
         assert got_trace == want_trace
         for g, w in zip(got, want):
@@ -585,11 +585,11 @@ class TestGradientBuffers:
         branches = [init_branch(spec, 3, enc, proto, 0.002, 0.9)
                     for enc, proto in ((1, 2), (3, 4))]
         objective = partial(div_loss, hp=DivHyperParams())
-        tc = TrainConfig(epochs=1, batch_size=16, base_lr=0.002)
-        train(branches, objective, part, tc)  # the first epoch
+        tc = TrainConfig(epochs=1, batch_size=16, lr=0.002)
+        train(branches, objective, part, tc, 0)  # the first epoch
         tracemalloc.start()
         try:
-            train(branches, objective, part, dataclasses.replace(tc, shuffle_seed=1))
+            train(branches, objective, part, tc, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
