@@ -8,7 +8,8 @@ parameters, so the numeric side never touches the backward code it is
 checking. The combined objective is checked through div_loss itself, both
 jointly ("div") and against a frozen partner ("div_frozen"), and the
 softmax baseline through softmax_objective on a linear-head branch
-("softmax").
+("softmax"). Every case turns embedding gradients into parameter
+gradients with branch_gradients, as train() does.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .encoder import (
     EncoderParams,
     EncoderSpec,
     FiniteDiffReport,
-    encoder_backward,
     encoder_forward,
     finite_diff_check,
     init_optimizer,
@@ -27,6 +27,7 @@ from .encoder import (
 from .inconsistency import (
     BranchState,
     DivHyperParams,
+    branch_gradients,
     div_loss,
     inconsistency_loss,
     own_class_dots,
@@ -88,7 +89,7 @@ def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
             loss, dz, dp = triplet_loss(emb, labels, protos, hp.m2)
         else:
             raise ValueError(loss_kind)
-        return loss, encoder_backward(cache, dz) + [dp]
+        return loss, branch_gradients(cache, dz, [dp])
 
     return compute
 
@@ -122,8 +123,8 @@ def _incon_case(hp: DivHyperParams, x, labels, base_arrays):
         loss, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
         dz_a, dp_a = proximity_backward(dist_a, dprobs_a)
         dz_b, dp_b = proximity_backward(dist_b, dprobs_b)
-        grads_a = encoder_backward(cache_a, dz_a) + [dp_a]
-        return loss, grads_a + encoder_backward(cache_b, dz_b) + [dp_b]
+        grads_a = branch_gradients(cache_a, dz_a, [dp_a])
+        return loss, grads_a + branch_gradients(cache_b, dz_b, [dp_b])
 
     return compute
 
@@ -137,21 +138,19 @@ def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
 
     def compute(arrays):
         if frozen:
-            terms, branch_grads = div_loss(
-                x, labels, [_rebuild(arrays)], hp, frozen=partner, own_dots=own
-            )
+            terms, parts = div_loss(x, labels, [_rebuild(arrays)], hp, frozen=partner, own_dots=own)
         else:
             branches = [_rebuild(arrays[:half]), _rebuild(arrays[half:])]
-            terms, branch_grads = div_loss(x, labels, branches, hp, own_dots=own)
-        return terms["total"], [g for grads in branch_grads for g in grads]
+            terms, parts = div_loss(x, labels, branches, hp, own_dots=own)
+        return terms["total"], [g for part in parts for g in branch_gradients(*part)]
 
     return compute
 
 
 def _softmax_case(x, labels):
     def compute(arrays):
-        terms, (grads,) = softmax_objective(x, labels, [_rebuild(arrays)])
-        return terms["total"], grads
+        terms, (part,) = softmax_objective(x, labels, [_rebuild(arrays)])
+        return terms["total"], branch_gradients(*part)
 
     return compute
 

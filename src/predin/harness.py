@@ -271,9 +271,7 @@ def baseline_softmax_train(
 ):
     """Cross-entropy training of one softmax-head branch; its rejection
     score is the maximum softmax probability. Returns (branch, trace)."""
-    branch = init_branch(
-        spec, n_classes, encoder_seed, head_seed, config.lr, config.momentum, head="softmax"
-    )
+    branch = init_branch(spec, n_classes, encoder_seed, head_seed, config, head="softmax")
     return branch, train([branch], softmax_objective, partition, config, shuffle_seed)
 
 
@@ -327,10 +325,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
         streams = streams[:1]
         objective = partial(pl_objective, hp=hp)
     branches = [
-        init_branch(
-            spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto),
-            tc.lr, tc.momentum,
-        )
+        init_branch(spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto), tc)
         for enc, proto in streams
     ]
     trace = train(branches, objective, partition, tc, shuffle_seed)

@@ -15,16 +15,17 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
 
 Every variant is init_branch() followed by the one loop in train(): K
 branches, each with its own optimizer and a prototype or linear softmax
-head, and a per-batch objective(x, y, branches) that returns the loss
-terms and one gradient list per branch, as a (terms, grads) pair. The
-encoder gradients an objective returns are the branch's own buffers
-(BranchState.grads), valid until that branch's next objective call; the
-head gradients are fresh arrays.
+head, and a per-batch objective(x, y, branches) -> (terms, parts) that
+gives the loss terms and, per trained branch, a (forward cache, d loss /
+d embeddings, head gradients) part. The branches are coupled only through
+their embedding gradients, fixed before any parameter moves, so train()
+runs each branch's encoder backward (branch_gradients) into one gradient
+set and steps that branch before the next branch's backward.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -32,6 +33,7 @@ import numpy as np
 from .encoder import (
     EncoderParams,
     EncoderSpec,
+    ForwardCache,
     NonFiniteGradientError,
     OptimizerState,
     encoder_backward,
@@ -86,19 +88,12 @@ class BranchState:
 
     The head is [prototypes (N, d)] for a prototype branch, or
     [weight (N, d), bias (N,)] for the softmax baseline's linear head.
-    ``grads`` holds the branch's encoder-gradient buffers, shaped like
-    ``encoder.arrays()``, which every objective writes (see the module
-    docstring); they are never checkpointed.
     """
 
     encoder: EncoderParams
     head: list[np.ndarray]
     head_seed: int
     optimizer: OptimizerState
-    grads: list[np.ndarray] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.grads = [np.zeros_like(a) for a in self.encoder.arrays()]
 
     @property
     def prototypes(self) -> np.ndarray | None:
@@ -114,12 +109,12 @@ def init_branch(
     n_classes: int,
     encoder_seed: int,
     head_seed: int,
-    learning_rate: float = 0.01,
-    momentum: float = 0.9,
+    config: TrainConfig,
     head: str = "prototypes",
 ) -> BranchState:
     """A fresh branch with a "prototypes" head, or a "softmax" linear head
-    (weight ~ N(0, 2/d), zero bias), drawn from head_seed."""
+    (weight ~ N(0, 2/d), zero bias), drawn from head_seed; its optimizer
+    takes config's lr and momentum."""
     enc = init_encoder(spec, encoder_seed)
     d = spec.output_dim
     if head == "prototypes":
@@ -133,8 +128,17 @@ def init_branch(
         encoder=enc,
         head=arrays,
         head_seed=head_seed,
-        optimizer=init_optimizer(enc.arrays() + arrays, learning_rate, momentum),
+        optimizer=init_optimizer(enc.arrays() + arrays, config.lr, config.momentum),
     )
+
+
+def branch_gradients(
+    cache: ForwardCache, grad_embeddings: np.ndarray, head_grads: list[np.ndarray], out=None
+) -> list[np.ndarray]:
+    """One branch's parameter gradients, aligned with BranchState.arrays():
+    the encoder backward of grad_embeddings (written into ``out`` when
+    given, see encoder_backward) followed by the head gradients."""
+    return encoder_backward(cache, grad_embeddings, out=out) + head_grads
 
 
 def branch_score_fn(branch: BranchState):
@@ -315,7 +319,7 @@ def pl_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState], hp: 
     (branch,) = branches
     emb, cache = encoder_forward(branch.encoder, x)
     pl, dz, dp = pl_loss(emb, y, branch.prototypes, hp.beta, hp.compactness_form)
-    return {"pl_a": pl, "total": pl}, [encoder_backward(cache, dz, out=branch.grads) + [dp]]
+    return {"pl_a": pl, "total": pl}, [(cache, dz, [dp])]
 
 
 def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState]):
@@ -331,8 +335,8 @@ def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState])
     dlogits = softmax(logits)
     dlogits[np.arange(m), y0] -= 1.0
     dlogits /= m
-    grads = encoder_backward(cache, dlogits @ head_w, out=branch.grads)
-    return {"pl_a": ce, "total": ce}, [grads + [dlogits.T @ emb, dlogits.sum(axis=0)]]
+    head_grads = [dlogits.T @ emb, dlogits.sum(axis=0)]
+    return {"pl_a": ce, "total": ce}, [(cache, dlogits @ head_w, head_grads)]
 
 
 def div_loss(
@@ -350,8 +354,8 @@ def div_loss(
     partner (branches = [a], frozen = b): PL and triplet of a, with the
     inconsistency term paired against b, which receives no gradient.
     own_dots (one array per branch of the pair) overrides the stop-gradient
-    z.p^y references, as in proximity_probs. Returns (terms, grads) with
-    one gradient list per trained branch, aligned with BranchState.arrays().
+    z.p^y references, as in proximity_probs. Returns (terms, parts) with
+    one (cache, d_embeddings, [d_prototypes]) part per trained branch.
     """
     pair = list(branches) if frozen is None else [*branches, frozen]
     if len(pair) != 2:
@@ -366,7 +370,7 @@ def div_loss(
         for i, (b, (emb, _)) in enumerate(zip(pair, forward))
     ]
     incon, *dprobs = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
-    pls, trips, grads = [], [], []
+    pls, trips, parts = [], [], []
     for i, branch in enumerate(branches):
         (emb, cache), protos = forward[i], branch.prototypes
         pl, dz, dp = pl_loss(emb, y, protos, hp.beta, hp.compactness_form)
@@ -380,14 +384,14 @@ def div_loss(
             dp += hp.alpha * dp_t
         pls.append(pl)
         trips.append(trip)
-        grads.append(encoder_backward(cache, dz, out=branch.grads) + [dp])
+        parts.append((cache, dz, [dp]))
     terms = {
         **{f"pl_{t}": v for t, v in zip("ab", pls)},
         "incon": incon,
         **{f"trip_{t}": v for t, v in zip("ab", trips)},
         "total": sum(pls) + hp.gamma * incon + hp.alpha * sum(trips),
     }
-    return terms, grads
+    return terms, parts
 
 
 @dataclass(frozen=True)
@@ -413,14 +417,14 @@ def train(
 ) -> list[dict[str, float]]:
     """Train K branches on identical mini-batches, shuffled by shuffle_seed.
 
-    objective(x, y, branches) -> (terms, grads) gives the loss terms
-    ("total" always present) and one gradient list per branch; each branch
-    then takes one SGD step with its own optimizer. Branches are updated in
-    place; one {term: epoch mean} dict per epoch is returned. A non-finite
-    loss or gradient raises TrainingError naming the epoch and batch. The
-    labels are the train table's own, 1..N; each objective rejects any
-    other before its batch's step. Every batch x is gathered into one
-    buffer, so x is valid only during its objective call.
+    objective gives the loss terms ("total" always present) and one part
+    per branch (module docstring). In turn, each branch's encoder gradients
+    go into the one set this call owns (the encoders share a shape) and the
+    branch takes an SGD step with its own optimizer. One {term: epoch mean}
+    dict per epoch is returned; a non-finite loss or gradient raises
+    TrainingError naming the epoch and batch. Labels are the train table's
+    own, 1..N (objectives reject any other before the step). Every batch x
+    is gathered into one buffer, valid only during its objective call.
     """
     if partition.stats is None:
         raise ValueError("partition must be standardized before training")
@@ -430,6 +434,7 @@ def train(
         raise ValueError("training partition is empty")
     rng = np.random.default_rng(shuffle_seed)
     arrays = [b.arrays() for b in branches]
+    enc_grads = [np.empty_like(a) for a in branches[0].encoder.arrays()]
     trace: list[dict[str, float]] = []
     batch = np.empty((min(config.batch_size, len(y)), windows.input_dim), windows.signal.dtype)
     for epoch in range(config.epochs):
@@ -442,16 +447,17 @@ def train(
         for bi, start in enumerate(range(0, len(y), config.batch_size)):
             idx = perm[start : start + config.batch_size]
             x = windows.rows(idx, out=batch[: len(idx)])
-            terms, branch_grads = objective(x, y[idx], branches)
+            terms, parts = objective(x, y[idx], branches)
             where = f"at epoch {epoch}, batch {bi}"
             if not np.isfinite(terms["total"]):
                 detail = ", ".join(f"{k}={v}" for k, v in terms.items())
                 raise TrainingError(f"non-finite loss {where} ({detail})")
-            for k, (b, grads) in enumerate(zip(branches, branch_grads)):
+            for k, (b, part) in enumerate(zip(branches, parts)):
                 try:
-                    sgd_step(arrays[k], grads, b.optimizer)
+                    sgd_step(arrays[k], branch_gradients(*part, out=enc_grads), b.optimizer)
                 except NonFiniteGradientError as e:
                     raise TrainingError(f"{e} of branch {k + 1} {where}") from e
+            del parts, part  # the caches go before the next batch's forward pass
             for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + len(idx) * value
         trace.append({k: s / len(y) for k, s in sums.items()})
@@ -479,7 +485,7 @@ def train_sequential(
     branches: list[BranchState] = []
     traces: list[list[dict[str, float]]] = []
     for enc_seed, proto_seed in branch_seeds:
-        branch = init_branch(spec, n_classes, enc_seed, proto_seed, config.lr, config.momentum)
+        branch = init_branch(spec, n_classes, enc_seed, proto_seed, config)
         if branches:
             objective = partial(div_loss, hp=hp, frozen=branches[-1])
         else:

@@ -22,9 +22,9 @@ from .signals import UNKNOWN_LABEL, WindowTable
 # long one; blocks of at least half this size score every row exactly as
 # one pass over the whole table would (at the default run's 1600 -> 256 ->
 # 128 shapes on OpenBLAS 0.3.31, 250-row blocks still do, 125-row ones do
-# not). At 1024 a block's gathered rows are 13 MB of a 1600-wide table, so
-# scoring peaks below training.
-SCORE_BLOCK_ROWS = 1024
+# not). At 512 a block's gathered rows are 6.6 MB of a 1600-wide table, so
+# training, not scoring, sets a run's peak memory.
+SCORE_BLOCK_ROWS = 512
 
 
 @dataclass

@@ -7,12 +7,10 @@ they are oracles for.
 
 import csv
 from types import SimpleNamespace
-from unittest import mock
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from predin import inconsistency
 from predin.encoder import ACTIVATIONS, lr_schedule
 from predin.scoring import decide
 from predin.signals import (
@@ -228,33 +226,35 @@ def encoder_backward_allocating(cache, grad_embeddings, out=None):
 def train_allocating(branches, objective, partition, config, shuffle_seed):
     """The former training loop, on freshly allocated gradients.
 
-    The objectives run with encoder_backward_allocating in place of the
-    library's backward, each step's gradients stay bound until the next
-    step's are made, and every update is sgd_step_three_lines. Sets each
-    optimizer's learning rate and epoch as train() does and returns the
-    same {term: epoch mean} trace.
+    All branches' gradients are made first, each by
+    encoder_backward_allocating plus the part's head gradients, and stay
+    bound until the next step's are made; then every branch takes its
+    sgd_step_three_lines update. Sets each optimizer's learning rate and
+    epoch as train() does and returns the same {term: epoch mean} trace.
     """
     windows = partition.train_windows
     y = windows.labels
     rng = np.random.default_rng(shuffle_seed)
     trace = []
-    with mock.patch.object(inconsistency, "encoder_backward", encoder_backward_allocating):
-        for epoch in range(config.epochs):
-            lr = lr_schedule(epoch, config.lr)
-            for b in branches:
-                b.optimizer.learning_rate, b.optimizer.epoch = lr, epoch
-            sums = {}
-            perm = rng.permutation(len(y))
-            for start in range(0, len(y), config.batch_size):
-                idx = perm[start : start + config.batch_size]
-                terms, branch_grads = objective(windows.rows(idx), y[idx], branches)
-                for b, grads in zip(branches, branch_grads):
-                    sgd_step_three_lines(
-                        b.arrays(), grads, b.optimizer.velocities, lr, b.optimizer.momentum
-                    )
-                for key, value in terms.items():
-                    sums[key] = sums.get(key, 0.0) + len(idx) * value
-            trace.append({k: s / len(y) for k, s in sums.items()})
+    for epoch in range(config.epochs):
+        lr = lr_schedule(epoch, config.lr)
+        for b in branches:
+            b.optimizer.learning_rate, b.optimizer.epoch = lr, epoch
+        sums = {}
+        perm = rng.permutation(len(y))
+        for start in range(0, len(y), config.batch_size):
+            idx = perm[start : start + config.batch_size]
+            terms, parts = objective(windows.rows(idx), y[idx], branches)
+            branch_grads = [
+                encoder_backward_allocating(cache, dz) + head for cache, dz, head in parts
+            ]
+            for b, grads in zip(branches, branch_grads):
+                sgd_step_three_lines(
+                    b.arrays(), grads, b.optimizer.velocities, lr, b.optimizer.momentum
+                )
+            for key, value in terms.items():
+                sums[key] = sums.get(key, 0.0) + len(idx) * value
+        trace.append({k: s / len(y) for k, s in sums.items()})
     return trace
 
 

@@ -31,6 +31,7 @@ from predin.encoder import (
     sgd_step,
 )
 from predin.inconsistency import (
+    TrainConfig,
     branch_score_fn,
     init_branch,
     nearest_other_prototype,
@@ -118,7 +119,7 @@ def test_score_counter_counts_every_test_window():
     part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
     spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4,
                        activation="tanh")
-    fns = [branch_score_fn(init_branch(spec, 3, 1, 2))]
+    fns = [branch_score_fn(init_branch(spec, 3, 1, 2, TrainConfig()))]
     args = (fns, part.test_windows)
     counted = _count("scoring.score_windows", "scoring.score_windows.windows", args,
                      score_windows(*args))

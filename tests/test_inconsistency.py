@@ -15,6 +15,7 @@ from predin.encoder import (
     init_encoder,
     init_optimizer,
 )
+from predin.harness import EncoderConfig
 from predin.inconsistency import (
     LOSS_TRACE_COLUMNS,
     BranchState,
@@ -22,6 +23,7 @@ from predin.inconsistency import (
     ProximityDistribution,
     TrainConfig,
     TrainingError,
+    branch_gradients,
     div_loss,
     inconsistency_loss,
     init_branch,
@@ -265,12 +267,12 @@ class TestTripletLoss:
 
 class TestInitBranch:
     def test_prototype_head_is_init_prototypes(self):
-        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
+        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2, config=TrainConfig())
         assert branch.prototypes.tobytes() == init_prototypes(3, 4, 2).tobytes()
         assert branch.head_seed == 2
 
     def test_softmax_head_draw(self):
-        branch = init_branch(SPEC, 3, 1, 7, learning_rate=0.05, momentum=0.5, head="softmax")
+        branch = init_branch(SPEC, 3, 1, 7, TrainConfig(lr=0.05, momentum=0.5), head="softmax")
         weight, bias = branch.head
         expected = np.random.default_rng(7).normal(0.0, np.sqrt(2.0 / 4), size=(3, 4))
         assert weight.tobytes() == expected.tobytes()
@@ -285,21 +287,22 @@ class TestInitBranch:
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="'linear'"):
-            init_branch(SPEC, 3, 1, 2, head="linear")
+            init_branch(SPEC, 3, 1, 2, TrainConfig(), head="linear")
 
 
 class TestDivLoss:
     def _batch_and_branches(self, seed=6):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((8, 6)), rng.integers(1, 4, size=8)
-        a = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
-        b = init_branch(SPEC, 3, encoder_seed=3, head_seed=4)
+        a = init_branch(SPEC, 3, encoder_seed=1, head_seed=2, config=TrainConfig())
+        b = init_branch(SPEC, 3, encoder_seed=3, head_seed=4, config=TrainConfig())
         return x, y, a, b
 
     def test_weights_zero_reduces_to_two_baselines(self):
         x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams(gamma=0.0, alpha=0.0)
-        t, grads = div_loss(x, y, [a, b], hp)
+        t, parts = div_loss(x, y, [a, b], hp)
+        grads = [branch_gradients(*part) for part in parts]
         emb_a, _ = encoder_forward(a.encoder, x)
         pl_a, dz_a, dp_a = pl_loss(emb_a, y, a.prototypes, hp.beta, hp.compactness_form)
         assert t["total"] == t["pl_a"] + t["pl_b"]
@@ -318,10 +321,10 @@ class TestDivLoss:
         # against a frozen b, branch a sees the joint objective's a-side terms
         x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        joint, joint_grads = div_loss(x, y, [a, b], hp)
-        # both calls write branch a's encoder gradients into a.grads
-        joint_grads = [[g.copy() for g in grads] for grads in joint_grads]
-        frozen, frozen_grads = div_loss(x, y, [a], hp, frozen=b)
+        joint, joint_parts = div_loss(x, y, [a, b], hp)
+        joint_grads = [branch_gradients(*part) for part in joint_parts]
+        frozen, frozen_parts = div_loss(x, y, [a], hp, frozen=b)
+        frozen_grads = [branch_gradients(*part) for part in frozen_parts]
         assert set(frozen) == {"pl_a", "incon", "trip_a", "total"}
         for key in ("pl_a", "incon", "trip_a"):
             assert frozen[key] == joint[key]
@@ -337,19 +340,19 @@ class TestDivLoss:
         x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
         if kind == "pl":
-            terms, grads = pl_objective(x, y, [a], hp)
+            terms, parts = pl_objective(x, y, [a], hp)
         elif kind == "softmax":
             enc = init_encoder(SPEC, seed=1)
             head = [np.zeros((3, 4)), np.zeros(3)]
             linear = BranchState(enc, head, 0, init_optimizer(enc.arrays() + head, 0.01))
-            terms, grads = softmax_objective(x, y, [linear])
+            terms, parts = softmax_objective(x, y, [linear])
         elif kind == "div_joint":
-            terms, grads = div_loss(x, y, [a, b], hp)
+            terms, parts = div_loss(x, y, [a, b], hp)
         else:
-            terms, grads = div_loss(x, y, [a], hp, frozen=b)
+            terms, parts = div_loss(x, y, [a], hp, frozen=b)
         assert "total" in terms
         assert set(terms) <= set(LOSS_TRACE_COLUMNS)
-        assert len(grads) == (2 if kind == "div_joint" else 1)
+        assert len(parts) == (2 if kind == "div_joint" else 1)
 
     def test_needs_a_branch_pair(self):
         x, y, a, b = self._batch_and_branches()
@@ -359,16 +362,18 @@ class TestDivLoss:
     def test_branch_symmetry(self):
         x, y, a, b = self._batch_and_branches()
         hp = DivHyperParams()
-        t1, grads_1 = div_loss(x, y, [a, b], hp)
-        t2, grads_2 = div_loss(x, y, [b, a], hp)
+        t1, parts_1 = div_loss(x, y, [a, b], hp)
+        t2, parts_2 = div_loss(x, y, [b, a], hp)
         assert t1["incon"] == t2["incon"]
         assert t1["total"] == pytest.approx(t2["total"], abs=1e-12)
-        np.testing.assert_array_equal(grads_1[0][-1], grads_2[1][-1])
+        np.testing.assert_array_equal(
+            branch_gradients(*parts_1[0])[-1], branch_gradients(*parts_2[1])[-1]
+        )
 
 
 def _joint_branches(part, seeds=((1, 2), (3, 4)), lr=0.01):
     spec = _spec_for(part)
-    return [init_branch(spec, 3, enc, proto, lr, 0.9) for enc, proto in seeds]
+    return [init_branch(spec, 3, enc, proto, TrainConfig(lr=lr)) for enc, proto in seeds]
 
 
 class TestTraining:
@@ -414,10 +419,11 @@ class TestTraining:
         hp = DivHyperParams()
 
         def poisoned(x, y, branches):
-            terms, grads = div_loss(x, y, branches, hp)
+            terms, parts = div_loss(x, y, branches, hp)
             if branches[0].optimizer.epoch == 1:
-                grads[1][-1][0, 0] = np.nan
-            return terms, grads
+                _, _, (dp,) = parts[1]
+                dp[0, 0] = np.nan
+            return terms, parts
 
         with pytest.raises(TrainingError, match="branch 2 at epoch 1, batch 0"):
             train(branches, poisoned, part, TrainConfig(epochs=3, batch_size=64), 0)
@@ -454,7 +460,7 @@ class TestTraining:
         labels[-1] = UNKNOWN_LABEL
         part.train_windows = dataclasses.replace(part.train_windows, labels=labels)
         spec = _spec_for(part)
-        branches = [init_branch(spec, 3, 2 * k + 1, 2 * k + 2, 0.01, 0.9, head=head)
+        branches = [init_branch(spec, 3, 2 * k + 1, 2 * k + 2, TrainConfig(lr=0.01), head=head)
                     for k in range(n_branches)]
         before = [a.copy() for b in branches for a in b.arrays()]
         with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
@@ -469,7 +475,7 @@ class TestTraining:
         tc = TrainConfig(epochs=5, batch_size=64, lr=0.002)
         hp = DivHyperParams()
         branches, traces = train_sequential(part, tc, hp, spec, 3, [(21, 22)], 11)
-        direct = init_branch(spec, 3, 21, 22, tc.lr, tc.momentum)
+        direct = init_branch(spec, 3, 21, 22, tc)
         train([direct], partial(pl_objective, hp=hp), part, tc, 11)
         for x, y in zip(branches[0].arrays(), direct.arrays()):
             assert x.tobytes() == y.tobytes()
@@ -526,24 +532,8 @@ class TestTraining:
 
 
 class TestGradientBuffers:
-    """Each branch's objectives write its encoder gradients into the
-    branch's own buffers (BranchState.grads)."""
-
-    def test_second_call_overwrites_the_first_calls_encoder_gradients(self):
-        rng = np.random.default_rng(8)
-        hp = DivHyperParams()
-        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
-        n_enc = len(branch.grads)
-        batches = [(rng.standard_normal((8, 6)), rng.integers(1, 4, size=8)) for _ in range(2)]
-        _, (first,) = pl_objective(*batches[0], [branch], hp)
-        kept = [g.copy() for g in first]
-        _, (second,) = pl_objective(*batches[1], [branch], hp)
-        for g_first, g_second, buf in zip(first[:n_enc], second[:n_enc], branch.grads):
-            assert g_first is buf and g_second is buf
-        assert any(not np.array_equal(k, g) for k, g in zip(kept[:n_enc], first[:n_enc]))
-        # the head gradient is a fresh array: the first call's stays as it was
-        assert first[-1] is not second[-1]
-        np.testing.assert_array_equal(first[-1], kept[-1])
+    """train() owns one encoder-gradient set: each branch's backward writes
+    it, and the branch steps before the next branch's backward."""
 
     @pytest.mark.parametrize("kind", ["pl", "softmax", "div_joint", "div_frozen"])
     def test_train_equals_the_allocating_loop(self, kind):
@@ -555,13 +545,13 @@ class TestGradientBuffers:
 
         def setup():
             if kind == "softmax":
-                return [init_branch(spec, 3, 1, 2, head="softmax")], softmax_objective
+                return [init_branch(spec, 3, 1, 2, tc, head="softmax")], softmax_objective
             if kind == "pl":
-                return [init_branch(spec, 3, 1, 2)], partial(pl_objective, hp=hp)
+                return [init_branch(spec, 3, 1, 2, tc)], partial(pl_objective, hp=hp)
             if kind == "div_joint":
                 return _joint_branches(part), partial(div_loss, hp=hp)
-            partner = init_branch(spec, 3, 3, 4)
-            return [init_branch(spec, 3, 1, 2)], partial(div_loss, hp=hp, frozen=partner)
+            partner = init_branch(spec, 3, 3, 4, tc)
+            return [init_branch(spec, 3, 1, 2, tc)], partial(div_loss, hp=hp, frozen=partner)
 
         runs = []
         for loop in (train, train_allocating):
@@ -576,31 +566,35 @@ class TestGradientBuffers:
                             w.arrays() + w.optimizer.velocities):
                 assert x.tobytes() == y.tobytes()
 
-    def test_training_allocates_no_encoder_gradient(self):
-        # 1600-wide windows and 256 hidden units: W0 is 256 x 1600 float64
-        # (3.3 MB), as in the harness default
+    def test_train_holds_one_encoder_gradient_set(self):
+        # the harness's default widths on 1600-wide windows: W0 is 256 x 1600
+        # float64 (3.3 MB). The branches are built while traced, so a
+        # gradient set that a branch kept would count too
         part = tiny_partition(sampling_rate_hz=4000.0)
-        spec = EncoderSpec(input_dim=part.train_windows.input_dim, hidden_dims=(256,),
-                           output_dim=8, activation="tanh")
-        branches = [init_branch(spec, 3, enc, proto, 0.002, 0.9)
-                    for enc, proto in ((1, 2), (3, 4))]
+        enc = EncoderConfig()
+        spec = EncoderSpec(part.train_windows.input_dim, enc.hidden_dims, enc.feature_dim,
+                           enc.activation)
+        tc = TrainConfig(epochs=1, batch_size=16)
         objective = partial(div_loss, hp=DivHyperParams())
-        tc = TrainConfig(epochs=1, batch_size=16, lr=0.002)
-        train(branches, objective, part, tc, 0)  # the first epoch
+
+        def joint():
+            return [init_branch(spec, 3, e, p, tc) for e, p in ((1, 2), (3, 4))]
+
+        train(joint(), objective, part, tc, 0)  # a first run, untraced
         tracemalloc.start()
         try:
+            branches = joint()
             train(branches, objective, part, tc, 1)
-            peak = tracemalloc.get_traced_memory()[1]
+            current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        w0 = branches[0].encoder.weights[0].nbytes
-        assert w0 >= 1 << 20
-        batch = tc.batch_size * spec.input_dim * 8
-        activations = len(branches) * tc.batch_size * sum(spec.layer_dims[1:]) * 8
-        # measured: 0.48 MB with the branches' own buffers; 13.5 MB (4 W0)
-        # when each step allocates both branches' gradients while the
-        # previous step's are still bound
-        assert peak < batch + activations + w0
+        held = sum(a.nbytes for b in branches for a in b.arrays() + b.optimizer.velocities)
+        grad_set = sum(a.nbytes for a in branches[0].encoder.arrays())
+        assert grad_set >= 1 << 20
+        # measured: one set plus 0.6 MB while training, 7 KB after it; with
+        # a set kept per branch, two sets plus 0.5 MB, both still held after
+        assert peak - held < grad_set + grad_set // 2
+        assert current - held < grad_set // 4
 
 
 class TestCheckpoint:

@@ -248,7 +248,8 @@ class TestScoreWindows:
 class TestScoreBlocks:
     B = SCORE_BLOCK_ROWS
 
-    @pytest.mark.parametrize("m", [0, B - 1, B, B + 1, 2 * B + 5])
+    @pytest.mark.parametrize("m", [0, B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 2 * B + 5,
+                                   4 * B + 5])
     def test_blocks_equal_one_pass_bitwise(self, m):
         rng = np.random.default_rng(m)
         spec = EncoderSpec(input_dim=24, hidden_dims=(16,), output_dim=8, activation="tanh")
@@ -276,7 +277,7 @@ class TestScoreBlocks:
         assert max(rows_seen) <= self.B and min(rows_seen) >= min(m, self.B // 2)
         assert len(rows_seen) == 2 * max(1, -(-m // self.B))
 
-    @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B + 1])
+    @pytest.mark.parametrize("m", [B - 1, B, B + 1, 2 * B - 1, 2 * B, 2 * B + 1, 4 * B + 1])
     def test_blocks_equal_one_pass_bitwise_at_harness_shapes(self, m):
         # the default run's shapes (4 channels x 400 samples -> 256 -> 128,
         # tanh, two branches, overlapping 100-sample strides) reach the BLAS
