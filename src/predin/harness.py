@@ -50,6 +50,7 @@ from .scoring import ScoreTable, calibrate_threshold, score_windows, write_score
 from .signals import (
     UNKNOWN_LABEL,
     DatasetPartition,
+    NonFiniteStatistics,
     SyntheticConfig,
     check_fields,
     generate_synthetic,
@@ -242,7 +243,8 @@ def build_partition(
     side's routed recordings are copied once and scaled in place, and no
     window is copied out until it is used. With ``release`` the list
     ``recordings`` is emptied while it is copied (see ``split_trials``).
-    A train side without a window fails the seed with TrainingError."""
+    A train side without a window, or whose standardization statistics
+    are not finite, fails the seed with TrainingError."""
     split = split_known_unknown(classes, config.n_known, seed)
     part = split_trials(
         recordings, config.window_ms, config.step_ms,
@@ -253,7 +255,10 @@ def build_partition(
             f"seed {seed}: train trials {list(config.train_trials)} give no window "
             f"for known classes {list(split.known_classes)}; training needs at least one"
         )
-    return standardize(part)
+    try:
+        return standardize(part)
+    except NonFiniteStatistics as e:
+        raise TrainingError(f"seed {seed}: {e}") from e
 
 
 def _variant_hp(config: ExperimentConfig) -> DivHyperParams:

@@ -35,6 +35,11 @@ class ParseError(ValueError):
     """Malformed CSV input; the message names the offending location."""
 
 
+class NonFiniteStatistics(ValueError):
+    """Training samples whose channel mean or std overflows; the message
+    names the channels."""
+
+
 @dataclass
 class SignalRecording:
     """One continuous multichannel recording of a single labeled trial."""
@@ -324,9 +329,10 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     training std falls below STD_FLOOR are scaled by the floor and a
     warning is emitted. Each side's signal is scaled in place, which scales
     every window cut from it, and the partition is returned with its
-    ``stats`` set; a partition that already carries stats, or whose signals
+    ``stats`` set. A partition that already carries stats, or whose signals
     are read-only views of recordings, is rejected before anything is
-    written.
+    written, and so are training samples whose mean or std is not finite
+    (NonFiniteStatistics, naming the channels).
     """
     if partition.stats is not None:
         raise ValueError("partition is already standardized")
@@ -353,6 +359,12 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
         row *= row
         std[c] = np.sqrt(row.mean())
         del row  # freed before the next channel is gathered
+    overflowed = np.nonzero(~(np.isfinite(mean) & np.isfinite(std)))[0]
+    if overflowed.size:
+        raise NonFiniteStatistics(
+            f"cannot standardize: the training mean or std of channels "
+            f"{overflowed.tolist()} is not finite (their samples overflow float64)"
+        )
     floored = np.nonzero(std < STD_FLOOR)[0]
     if floored.size:
         warnings.warn(
@@ -459,18 +471,24 @@ class SyntheticConfig:
 
     def __post_init__(self):
         check_fields(self)
-        _samples_in("recording_ms", self.recording_ms, self.sampling_rate_hz)
+        n = _samples_in("recording_ms", self.recording_ms, self.sampling_rate_hz)
+        if n < max(1, self.smooth_samples):
+            raise ValueError(
+                f"recording_ms={self.recording_ms!r} at sampling_rate_hz="
+                f"{self.sampling_rate_hz!r} is {n} samples, fewer than "
+                f"max(1, smooth_samples={self.smooth_samples})"
+            )
 
 
-def _smooth_rows(noise: np.ndarray, width: int) -> np.ndarray:
-    """Moving-average each row, rescaled to keep unit per-sample variance."""
+def _smooth_rows(noise: np.ndarray, width: int) -> None:
+    """Moving-average each row of noise in place, rescaled to keep unit
+    per-sample variance; a width of 0 or 1 leaves noise as it is."""
     if width <= 1:
-        return noise
+        return
     kernel = np.ones(width) / width
-    out = np.empty_like(noise)
-    for i in range(noise.shape[0]):
-        out[i] = np.convolve(noise[i], kernel, mode="same")
-    return out * math.sqrt(width)
+    for row in noise:
+        row[:] = np.convolve(row, kernel, mode="same")  # a new array: row is read first
+    noise *= math.sqrt(width)
 
 
 def _class_offsets(config: SyntheticConfig, rng: np.random.Generator) -> np.ndarray:
@@ -486,25 +504,31 @@ def _class_offsets(config: SyntheticConfig, rng: np.random.Generator) -> np.ndar
     return np.concatenate([pool_a[pairs // pool], pool_b[pairs % pool]], axis=1)
 
 
-def _oscillation_worker(jobs, done, two_pi_freqs, t, phases, scale) -> None:
-    """The helper thread of generate_synthetic. For each (out, trial_phase,
-    offsets) job until None, write offsets + scale * sin(two_pi_freqs * t +
-    phases + trial_phase) into out in place, allocating nothing, with every
-    product and sum the one the plain expression evaluates (so the same
-    bits); then put None, or the exception for the calling thread to raise,
-    on done."""
-    for out, trial_phase, offsets in iter(jobs.get, None):
+def _oscillate(out, two_pi_freqs, t, phases, trial_phase) -> None:
+    """Write sin(two_pi_freqs * t + phases + trial_phase) into out, one row
+    per channel, allocating nothing; each product and sum is the one the
+    plain expression evaluates, so the bits are the same."""
+    np.multiply(two_pi_freqs[:, None], t[None, :], out=out)
+    out += phases[:, None]
+    out += trial_phase
+    np.sin(out, out=out)
+
+
+def _draw_worker(jobs, done, rng, two_pi_freqs, t, phases) -> None:
+    """The helper thread of generate_synthetic. For each (noise, rows) job
+    until None, draw one recording's trial phase and then its noise into
+    noise, and write the oscillation of its first len(rows) channels into
+    rows; then put the trial phase, or the exception for the calling
+    thread to raise, on done. Allocates nothing large."""
+    for noise, rows in iter(jobs.get, None):
         try:
-            np.multiply(two_pi_freqs[:, None], t[None, :], out=out)
-            out += phases[:, None]
-            out += trial_phase
-            np.sin(out, out=out)
-            out *= scale
-            out += offsets[:, None]
+            trial_phase = rng.uniform(0.0, 2 * np.pi)
+            rng.standard_normal(out=noise)
+            _oscillate(rows, two_pi_freqs, t, phases, trial_phase)
         except BaseException as e:  # anything uncaught would leave the main thread waiting
             done.put(e)
         else:
-            done.put(None)
+            done.put(trial_phase)
 
 
 def generate_synthetic(config: SyntheticConfig, seed: int):
@@ -513,13 +537,21 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     Returns (recordings, class_ids) with classes labeled 1..n_classes and
     trials labeled 1..trials.
 
-    Each recording is made on two threads. The calling thread draws every
-    random number in a fixed order, smooths the noise and allocates every
-    large array, the recordings in list order. Meanwhile one helper thread
-    writes the recording's offsets and oscillation into its array; the
-    calling thread then adds the noise. The helper runs in a copy of the
-    caller's context (numpy's error state) and is joined before this
-    returns or raises.
+    The recordings are made in a two-stage pipeline on two threads. Once
+    the calling thread has drawn the offsets, frequencies and phases, one
+    helper thread makes every later random draw, in the serial order: per
+    recording its trial phase, then its noise into an array the calling
+    thread allocated. It then writes the oscillation of the recording's
+    first C - C // 4 of its C channels. While the helper does so for
+    recording r + 1, the calling thread writes the oscillation of
+    recording r's other channels, scales it, adds the offsets, smooths the
+    noise in place and adds it. The calling thread allocates every large
+    array, all the recordings first, in list order. It also takes every
+    step that can overflow, in the serial order, so the warnings and errors
+    are those of one thread; the helper's steps stay finite for any config
+    SyntheticConfig admits. The helper runs in a copy of the caller's
+    context (numpy's error state) and is joined before this returns or
+    raises.
     """
     rng = np.random.default_rng(seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
@@ -529,39 +561,53 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     t = np.arange(n) / config.sampling_rate_hz
     two_pi_freqs = 2 * np.pi * freqs
     scale = config.separation * config.osc_scale
+    # the helper writes the oscillation of the first `split` channels: three
+    # in four, as smoothing a row costs the caller more than drawing it
+    # costs the helper (at 4 x 60,000 samples, 2 vCPU: 5.3 ms against 3.8 ms
+    # per recording, and 1.2 ms per oscillation row)
+    split = config.channels - config.channels // 4
+    labels = [(c, trial) for c in range(config.n_classes) for trial in range(1, config.trials + 1)]
+    shape = (config.channels, n)
     jobs, done = queue.SimpleQueue(), queue.SimpleQueue()
     helper = threading.Thread(
         target=contextvars.copy_context().run,
-        args=(_oscillation_worker, jobs, done, two_pi_freqs, t, phases, scale),
+        args=(_draw_worker, jobs, done, rng, two_pi_freqs[:split], t, phases[:split]),
     )
     helper.start()
     recordings: list[SignalRecording] = []
     try:
-        for c in range(config.n_classes):
-            for trial in range(1, config.trials + 1):
-                trial_phase = rng.uniform(0.0, 2 * np.pi)
-                samples = np.empty((config.channels, n))
-                jobs.put((samples, trial_phase, offsets[c]))
-                noise = _smooth_rows(
-                    rng.standard_normal((config.channels, n)), config.smooth_samples
+        # every recording's array first, in list order, then one noise array
+        # per recording above them: each new noise array fills the hole of
+        # the one freed a step before, and the last two leave the heap top
+        # free to trim. Allocated one step ahead instead, next to its noise,
+        # a recording could stay resident once freed (eval_large's peak RSS
+        # read 140-143 MB instead of 111 MB under some environment sizes)
+        arrays = [np.empty(shape) for _ in labels]
+        drawn = np.empty(shape)
+        jobs.put((drawn, arrays[0][:split]))
+        for r, (c, trial) in enumerate(labels):
+            samples, noise = arrays[r], drawn
+            trial_phase = done.get()
+            if isinstance(trial_phase, BaseException):
+                raise trial_phase
+            if r + 1 < len(labels):  # the helper starts on the next recording
+                drawn = np.empty(shape)
+                jobs.put((drawn, arrays[r + 1][:split]))
+            _oscillate(samples[split:], two_pi_freqs[split:], t, phases[split:], trial_phase)
+            samples *= scale
+            samples += offsets[c][:, None]
+            _smooth_rows(noise, config.smooth_samples)
+            noise *= config.noise_scale
+            samples += noise
+            recordings.append(
+                SignalRecording(
+                    samples=samples,
+                    sampling_rate=config.sampling_rate_hz,
+                    gesture_label=c + 1,
+                    trial_id=trial,
+                    subject_id=1,
                 )
-                noise *= config.noise_scale
-                error = done.get()
-                if error is not None:
-                    raise error
-                samples += noise
-                # noise stays bound until the next draw replaces it: freed
-                # here, it would leave the heap top free for glibc to trim
-                # and fault back in for every recording
-                recordings.append(
-                    SignalRecording(
-                        samples=samples,
-                        sampling_rate=config.sampling_rate_hz,
-                        gesture_label=c + 1,
-                        trial_id=trial,
-                        subject_id=1,
-                    )
-                )
+            )
     finally:
         jobs.put(None)
         helper.join()

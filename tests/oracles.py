@@ -6,6 +6,7 @@ they are oracles for.
 """
 
 import csv
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -18,7 +19,6 @@ from predin.signals import (
     SyntheticConfig,
     _class_offsets,
     _samples_in,
-    _smooth_rows,
 )
 
 
@@ -287,8 +287,9 @@ def class_posterior(z, prototypes) -> np.ndarray:
 
 def generate_synthetic_serial(config: SyntheticConfig, seed: int):
     """The former one-thread generator: every recording's oscillation,
-    noise and sum evaluated as one expression, in list order. The
-    two-thread generate_synthetic must equal it byte for byte."""
+    noise and sum evaluated as one expression, in list order, its noise
+    smoothed row by row into a fresh array. The two-thread
+    generate_synthetic must equal it byte for byte."""
     rng = np.random.default_rng(seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
     offsets = _class_offsets(config, rng)
@@ -302,9 +303,13 @@ def generate_synthetic_serial(config: SyntheticConfig, seed: int):
             osc = np.sin(
                 2 * np.pi * freqs[:, None] * t[None, :] + phases[:, None] + trial_phase
             )
-            noise = _smooth_rows(
-                rng.standard_normal((config.channels, n)), config.smooth_samples
-            )
+            noise = rng.standard_normal((config.channels, n))
+            if config.smooth_samples > 1:  # moving average, rescaled to unit variance
+                width = config.smooth_samples
+                smoothed = np.empty_like(noise)
+                for i in range(config.channels):
+                    smoothed[i] = np.convolve(noise[i], np.ones(width) / width, mode="same")
+                noise = smoothed * math.sqrt(width)
             samples = (
                 offsets[c][:, None]
                 + config.separation * config.osc_scale * osc

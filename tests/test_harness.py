@@ -27,6 +27,7 @@ from predin.harness import (
     run_seed,
 )
 from predin.scoring import score_windows
+from predin.signals import split_known_unknown
 
 
 TINY_DATASET = {
@@ -421,6 +422,28 @@ class TestRunExperiment:
         assert record["aggregate"]["failed_seeds"] == [1]
         assert "epoch 0, batch 0" in record["per_seed"][0]["error"]
         assert record["per_seed"][1]["auc"] is not None
+
+    def test_overflowing_recording_fails_only_the_seeds_that_train_on_it(self):
+        # a finite trial-1 recording scaled by 1e154 overflows its channels'
+        # variance; each seed that trains on its class must fail naming
+        # itself, not report chance-level metrics
+        cfg = tiny_config(seeds=(1, 2, 3, 4), epochs=1)
+        recordings, classes = load_dataset(cfg)
+        scaled = next(r for r in recordings if r.trial_id == 1)
+        scaled.samples *= 1e154
+        with np.errstate(over="ignore", invalid="ignore"):
+            report = run_experiment(cfg, write_artifacts=False, dataset=(recordings, classes))
+        known = {s: split_known_unknown(classes, cfg.n_known, s).known_classes for s in cfg.seeds}
+        failing = [s for s in cfg.seeds if scaled.gesture_label in known[s]]
+        assert 0 < len(failing) < len(cfg.seeds)
+        assert report["aggregate"]["failed_seeds"] == failing
+        for row in report["per_seed"]:
+            if row["seed"] in failing:
+                assert row["error"] == (
+                    f"seed {row['seed']}: cannot standardize: the training mean or std of "
+                    "channels [0, 1] is not finite (their samples overflow float64)")
+            else:
+                assert all(np.isfinite(row[k]) for k in ("auc", "acc", "oscr"))
 
     def test_unwritable_output_dir(self, tmp_path):
         target = tmp_path / "blocked"

@@ -1,15 +1,18 @@
 import re
 import threading
+import tracemalloc
 import warnings
 import weakref
 
 import numpy as np
 import pytest
 
+from predin import signals
 from predin.signals import (
     UNKNOWN_LABEL,
     DatasetPartition,
     LabelSplit,
+    NonFiniteStatistics,
     ParseError,
     SignalRecording,
     SyntheticConfig,
@@ -231,6 +234,21 @@ class TestStandardize:
         with pytest.raises(ValueError, match="already standardized"):
             standardize(part)
         np.testing.assert_array_equal(cube(part.train_windows), before)
+
+    def test_non_finite_statistics_rejected_before_writing(self):
+        # finite samples whose sum (channel 2) or sum of squares (channel 0)
+        # overflows; channel 1 is fine
+        train = [np.array([[1e200, 1.0], [1.0, 2.0], [1e308, 1e308]]),
+                 np.array([[-1e200, 2.0], [3.0, 4.0], [1e308, 1e308]])]
+        part = self._partition(train, [np.ones((3, 2))])
+        signals_before = [part.train_windows.signal.copy(), part.test_windows.signal.copy()]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+            NonFiniteStatistics, match=re.escape("channels [0, 2] is not finite")
+        ):
+            standardize(part)
+        assert part.stats is None
+        np.testing.assert_array_equal(part.train_windows.signal, signals_before[0])
+        np.testing.assert_array_equal(part.test_windows.signal, signals_before[1])
 
     def test_recording_views_never_written(self):
         rec = make_recording(700)
@@ -542,6 +560,20 @@ class TestSynthetic:
         seen = {(r.gesture_label, r.trial_id) for r in recs}
         assert seen == {(c, t) for c in range(1, 5) for t in range(1, 4)}
 
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"recording_ms": 20.0}, {"recording_ms": 25.0}, {"recording_ms": 0.1},
+         {"recording_ms": 0.1, "smooth_samples": 0}, {"recording_ms": 0.2, "smooth_samples": 1},
+         {"sampling_rate_hz": 10.0, "smooth_samples": 13}],
+        ids=["40_of_51", "50_of_51", "0_of_51", "0_of_0", "0_of_1", "12_of_13"],
+    )
+    def test_recording_shorter_than_its_kernel_rejected_naming_the_keys(self, overrides):
+        # smoothing needs smooth_samples samples, and a recording at least one
+        with pytest.raises(ValueError) as info:
+            SyntheticConfig(**overrides)
+        for key in ("recording_ms", "sampling_rate_hz", "smooth_samples"):
+            assert key in str(info.value)
+
 
 class TestSyntheticPipeline:
     """generate_synthetic makes each recording on two threads and must give
@@ -552,9 +584,12 @@ class TestSyntheticPipeline:
         "overrides",
         [{}, {"recording_ms": 3000.0}, {"channels": 1}, {"smooth_samples": 0},
          {"smooth_samples": 1}, {"smooth_samples": 51, "channels": 3}, {"trials": 1},
-         {"n_classes": 3}, {"separation": 2, "osc_scale": 3, "noise_scale": 1}],
+         {"n_classes": 3}, {"separation": 2, "osc_scale": 3, "noise_scale": 1},
+         {"channels": 2}, {"channels": 5}, {"smooth_samples": 2},
+         {"recording_ms": 25.5}],
         ids=["default", "eval_large_3s", "channels1", "smooth0", "smooth1", "smooth51",
-             "trials1", "classes3", "int_scales"],
+             "trials1", "classes3", "int_scales", "channels2", "channels5", "smooth2",
+             "kernel_long"],
     )
     def test_bytes_equal_serial_generator(self, overrides, seed):
         cfg = SyntheticConfig(**overrides)
@@ -587,6 +622,39 @@ class TestSyntheticPipeline:
         assert got == self._run(oracles.generate_synthetic_serial, cfg, 0)
         generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
         assert threading.active_count() == before
+
+    def test_helper_error_partway_reaches_the_caller(self, monkeypatch):
+        caller, real, helper_calls = threading.current_thread(), signals._oscillate, []
+
+        def failing_on_the_third_recording(*args):
+            if threading.current_thread() is not caller:
+                helper_calls.append(1)
+                if len(helper_calls) == 3:
+                    raise RuntimeError("helper failed")
+            real(*args)
+
+        monkeypatch.setattr(signals, "_oscillate", failing_on_the_third_recording)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="helper failed"):
+            generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
+        assert len(helper_calls) == 3  # the helper took no job after the failing one
+        assert threading.active_count() == before
+
+    def test_peak_memory_at_the_eval_large_shape(self):
+        # the recordings, plus two recordings' noise and a smoothed row: the
+        # pipeline peaks 2.51 recording sizes above the recordings, the
+        # former layout (the calling thread drew, smoothed into a fresh
+        # array and scaled into another) 4.26
+        cfg = SyntheticConfig(recording_ms=30000.0)
+        tracemalloc.start()
+        try:
+            recordings, _ = generate_synthetic(cfg, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        one = recordings[0].samples.nbytes
+        assert len(recordings) == 30 and one == 4 * 60_000 * 8
+        assert peak <= 30 * one + 3 * one
 
     def test_helper_runs_in_the_callers_error_state(self):
         # seed 1 overflows first where the helper adds the offsets, not in
