@@ -2,7 +2,7 @@
 
   predin run --config cfg.json [--variant predin] [--seeds 1,2,3] [--out DIR]
   predin ablation --config cfg.json [--seeds ...] [--out DIR]
-  predin check-gradients [--seeds 5] [--coords 200]
+  predin check-gradients [--seeds 5] [--coords 420]
 
 Failures exit nonzero and print a machine-readable error JSON to stderr; a
 run or ablation in which every seed of a variant failed counts as one.
@@ -86,6 +86,9 @@ def _cmd_ablation(args) -> int:
 
 
 def _cmd_check_gradients(args) -> int:
+    for flag, value in (("--seeds", args.seeds), ("--coords", args.coords)):
+        if value < 0:
+            raise ValueError(f"{flag} must be an integer >= 0, got {value}")
     results = run_gradient_suite(n_seeds=args.seeds, n_coords=args.coords)
     worst = 0.0
     failed = []

@@ -228,7 +228,6 @@ class FiniteDiffReport:
     n_checked: int
     n_kink_skipped: int
     n_small_skipped: int
-    worst_coord: tuple[int, int] | None = None  # (array index, flat offset)
 
 
 def finite_diff_check(
@@ -257,7 +256,6 @@ def finite_diff_check(
     bounds = np.cumsum(sizes)
 
     max_rel = 0.0
-    worst = None
     n_checked = n_kink = n_small = 0
     for flat in picked:
         ai = int(np.searchsorted(bounds, flat, side="right"))
@@ -283,11 +281,9 @@ def finite_diff_check(
         n_checked += 1
         if rel > max_rel:
             max_rel = rel
-            worst = (ai, off)
     return FiniteDiffReport(
         max_rel_error=max_rel,
         n_checked=n_checked,
         n_kink_skipped=n_kink,
         n_small_skipped=n_small,
-        worst_coord=worst,
     )

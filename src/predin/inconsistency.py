@@ -520,7 +520,7 @@ def write_loss_trace(path, trace: list[dict[str, float]]) -> None:
 
 
 def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) -> None:
-    """K branches plus hyperparameters, bitwise round-trippable.
+    """K branches plus hyperparameters; np.load gives every array back bitwise.
 
     Per branch k: layer dims, activation, (encoder, head) seeds, the
     parameter arrays b{k}_p* in BranchState.arrays() order, how many of
@@ -550,61 +550,3 @@ def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) 
     with atomic_open(path, "wb") as f:
         np.savez(f, **payload)
 
-
-def load_checkpoint(path) -> tuple[list[BranchState], DivHyperParams]:
-    """Inverse of save_dual_checkpoint: (branches, hyperparameters).
-
-    Every parameter and velocity must have the shape its branch's layer
-    dims and head imply; a wrong shape or a missing key raises ValueError
-    naming the key.
-    """
-    with np.load(path, allow_pickle=False) as data:
-
-        def get(key, shape=None):
-            if key not in data.files:
-                raise ValueError(f"checkpoint {path} has no entry {key!r}")
-            a = data[key]
-            if shape is not None and a.shape != shape:
-                raise ValueError(f"checkpoint entry {key!r} has shape {a.shape}, expected {shape}")
-            return a
-
-        fmt = str(get("format"))
-        if fmt != CHECKPOINT_FORMAT:
-            raise ValueError(f"unsupported checkpoint format {fmt!r}")
-        hp = DivHyperParams(
-            *(float(v) for v in get("hp", (6,))), compactness_form=str(get("compactness_form"))
-        )
-        branches = []
-        for k in range(int(get("n_branches"))):
-            dims = tuple(int(d) for d in get(f"b{k}_layer_dims"))
-            spec = EncoderSpec(
-                input_dim=dims[0],
-                hidden_dims=dims[1:-1],
-                output_dim=dims[-1],
-                activation=str(get(f"b{k}_activation")),
-            )
-            enc_seed, head_seed = (int(s) for s in get(f"b{k}_seeds", (2,)))
-            shapes = [s for fi, fo in zip(dims[:-1], dims[1:]) for s in ((fo, fi), (fo,))]
-            n_enc = len(shapes)
-            n_head = int(get(f"b{k}_n_head"))
-            if n_head not in (1, 2):
-                raise ValueError(f"checkpoint entry 'b{k}_n_head' is {n_head}, expected 1 or 2")
-            # a prototype head is [(N, d)], a softmax head [(N, d), (N,)], N >= 2
-            n_classes = max(2, len(np.atleast_1d(get(f"b{k}_p{n_enc}"))))
-            shapes += [(n_classes, dims[-1]), (n_classes,)][:n_head]
-            arrays = [get(f"b{k}_p{i}", shape) for i, shape in enumerate(shapes)]
-            lr, momentum, epoch = get(f"b{k}_opt", (3,))
-            enc = EncoderParams(
-                spec=spec,
-                weights=arrays[0:n_enc:2],
-                biases=arrays[1:n_enc:2],
-                init_seed=enc_seed,
-            )
-            opt = OptimizerState(
-                learning_rate=float(lr),
-                momentum=float(momentum),
-                velocities=[get(f"b{k}_v{i}", shape) for i, shape in enumerate(shapes)],
-                epoch=int(epoch),
-            )
-            branches.append(BranchState(enc, arrays[n_enc:], head_seed, opt))
-        return branches, hp

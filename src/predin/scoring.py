@@ -29,11 +29,10 @@ SCORE_BLOCK_ROWS = 512
 
 @dataclass
 class ScoreTable:
-    """Per-branch similarities of M scored windows plus the fused decision inputs."""
+    """Per-branch similarities of M scored windows plus the fused decision."""
 
     sims: np.ndarray  # (M, K, N)
-    fused: np.ndarray  # (M, N), mean over the K branches
-    s_max: np.ndarray  # (M,)
+    s_max: np.ndarray  # (M,) maximum over classes of the mean over the K branches
     predicted: np.ndarray  # (M,) fused argmax class 1..N
     true_labels: np.ndarray  # (M,) 1..N, or UNKNOWN_LABEL
 
@@ -75,7 +74,6 @@ def score_windows(branch_score_fns, windows: WindowTable) -> ScoreTable:
     k0 = fused.argmax(axis=1)
     return ScoreTable(
         sims=sims,
-        fused=fused,
         s_max=fused[np.arange(len(k0)), k0],
         predicted=k0 + 1,
         true_labels=windows.labels,

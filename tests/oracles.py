@@ -349,3 +349,30 @@ def write_score_dump_csv(path, scored, threshold) -> None:
         writer.writerow(header)
         for i, (true, branch_smax, s_max, k_star, decision) in enumerate(columns):
             writer.writerow([i, true, *map(repr, branch_smax), repr(s_max), k_star, decision])
+
+
+def assert_checkpoint_holds(path, branches, hp) -> None:
+    """The checkpoint at path, read with np.load, holds exactly the
+    predin-branches-v1 entries of these branches and hyperparameters, each
+    with the dtype, shape and bytes of the array it stores."""
+    want = {
+        "format": np.array("predin-branches-v1"),
+        "hp": np.array([hp.beta, hp.gamma, hp.alpha, hp.m1, hp.m2, hp.epsilon_log]),
+        "compactness_form": np.array(hp.compactness_form),
+        "n_branches": np.array(len(branches), dtype=np.int64),
+    }
+    for k, branch in enumerate(branches):
+        spec, opt = branch.encoder.spec, branch.optimizer
+        dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
+        want[f"b{k}_layer_dims"] = np.array(dims, dtype=np.int64)
+        want[f"b{k}_activation"] = np.array(spec.activation)
+        want[f"b{k}_seeds"] = np.array([branch.encoder.init_seed, branch.head_seed], dtype=np.int64)
+        want[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
+        want[f"b{k}_opt"] = np.array([opt.learning_rate, opt.momentum, float(opt.epoch)])
+        want.update((f"b{k}_p{i}", a) for i, a in enumerate(branch.arrays()))
+        want.update((f"b{k}_v{i}", v) for i, v in enumerate(opt.velocities))
+    with np.load(path, allow_pickle=False) as data:
+        assert sorted(data.files) == sorted(want)
+        for key, w in want.items():
+            got = data[key]
+            assert (got.dtype, got.shape, got.tobytes()) == (w.dtype, w.shape, w.tobytes()), key

@@ -29,6 +29,8 @@ from predin.harness import (
 from predin.scoring import score_windows
 from predin.signals import split_known_unknown
 
+from oracles import assert_checkpoint_holds
+
 
 TINY_DATASET = {
     "type": "synthetic",
@@ -456,31 +458,32 @@ class TestRunExperiment:
 class TestCheckpoint:
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_roundtrip_bitwise(self, tmp_path, variant):
-        # softmax and pl_baseline are K=1, the joint variants K=2, sequential_k K=3 here
+        # np.load gives back every trained array bitwise. softmax and
+        # pl_baseline are K=1, the joint variants K=2, sequential_k K=3 here;
+        # each branch stores two layers' weights and biases, then a one-array
+        # prototype head or a two-array softmax head
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
         rel = _write_seed_artifacts(str(tmp_path), result)
         assert rel["checkpoint"] == "checkpoint.npz"
-        branches, hp = inconsistency.load_checkpoint(tmp_path / "checkpoint.npz")
-        assert hp == result.hp
-        assert len(branches) == len(result.branches) == (
+        n_branches = (
             1 if variant in ("softmax", "pl_baseline") else 3 if variant == "sequential_k" else 2
         )
-        for got, want in zip(branches, result.branches):
-            assert got.encoder.spec == want.encoder.spec
-            assert got.encoder.init_seed == want.encoder.init_seed
-            assert got.head_seed == want.head_seed
-            assert len(got.head) == len(want.head) == (2 if variant == "softmax" else 1)
-            assert got.optimizer.epoch == want.optimizer.epoch == 1
-            assert got.optimizer.learning_rate == want.optimizer.learning_rate
-            assert got.optimizer.momentum == want.optimizer.momentum
-            for x, y in zip(
-                got.arrays() + got.optimizer.velocities,
-                want.arrays() + want.optimizer.velocities,
-                strict=True,
-            ):
-                assert x.tobytes() == y.tobytes()
+        n_head = 2 if variant == "softmax" else 1
+        path = tmp_path / "checkpoint.npz"
+        with np.load(path, allow_pickle=False) as data:
+            assert set(data.files) == {"format", "hp", "compactness_form", "n_branches"} | {
+                f"b{k}_{name}"
+                for k in range(n_branches)
+                for name in ("layer_dims", "activation", "seeds", "n_head", "opt", *(
+                    f"{c}{i}" for c in "pv" for i in range(4 + n_head)))
+            }
+            for k in range(n_branches):
+                assert int(data[f"b{k}_n_head"]) == n_head
+                assert data[f"b{k}_opt"][2] == 1.0  # the last epoch trained
+        assert len(result.branches) == n_branches
+        assert_checkpoint_holds(path, result.branches, result.hp)
 
 
 class TestAblation:
@@ -652,7 +655,7 @@ class TestSequentialVariant:
             for x, y in zip(a.arrays(), b.arrays(), strict=True):
                 assert x.tobytes() == y.tobytes()
         scored, report = self._first_two_scored(five, partition, result, seed)
-        for name in ("sims", "fused", "s_max", "predicted", "true_labels"):
+        for name in ("sims", "s_max", "predicted", "true_labels"):
             assert getattr(scored, name).tobytes() == getattr(alone.scored, name).tobytes()
         assert report == alone.report
 
@@ -747,6 +750,18 @@ class TestCli:
         assert err["error"] == "RuntimeError"
         assert err["message"].startswith("gradient check failed for ['dce', 'compactness',")
         assert "a loss with no checked coordinate fails" in err["message"]
+
+    @pytest.mark.parametrize("flag", ["--seeds", "--coords"])
+    def test_check_gradients_rejects_a_negative_flag(self, capsys, monkeypatch, flag):
+        def never(**kwargs):
+            raise AssertionError("a check ran")
+
+        monkeypatch.setattr("predin.cli.run_gradient_suite", never)
+        assert cli_main(["check-gradients", flag, "-1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {
+            "error": "ValueError", "message": f"{flag} must be an integer >= 0, got -1"}
 
     def _diverging_config(self, tmp_path):
         # magnitudes grow by ~1e6 per step, so 40 epochs guarantees overflow

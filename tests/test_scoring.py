@@ -77,15 +77,21 @@ class TestBranchSimilarity:
 
 class TestFuseScores:
     def test_mean_of_two(self):
-        np.testing.assert_array_equal(score_fixed([2.0], [4.0]).fused, [[3.0]])
+        table = score_fixed([2.0], [4.0])
+        np.testing.assert_array_equal(table.sims.mean(axis=1), [[3.0]])
+        assert table.s_max.tolist() == [3.0]
 
     def test_single_branch_identity(self):
-        np.testing.assert_array_equal(score_fixed([1.0, 2.0]).fused, [[1.0, 2.0]])
+        table = score_fixed([1.0, 2.0])
+        np.testing.assert_array_equal(table.sims.mean(axis=1), [[1.0, 2.0]])
+        assert (table.s_max.tolist(), table.predicted.tolist()) == ([2.0], [2])
 
     def test_five_equal_branches(self):
         v = np.array([[0.3, -1.2, 4.0], [1.0, 2.0, -3.0]])
         table = score_fixed(*[v] * 5)
-        np.testing.assert_allclose(table.fused, v)
+        np.testing.assert_allclose(table.sims.mean(axis=1), v)
+        np.testing.assert_allclose(table.s_max, [4.0, 2.0])
+        assert table.predicted.tolist() == [3, 2]
         assert table.sims.shape == (2, 5, 3)
 
     def test_length_mismatch(self):
@@ -189,15 +195,16 @@ class TestScoreWindows:
     def test_constant_shift_preserves_argmax(self):
         rng = np.random.default_rng(3)
         sims = [rng.standard_normal((4, 5)), rng.standard_normal((4, 5))]
-        fused = score_fixed(*sims)
+        table = score_fixed(*sims)
         shifted = score_fixed(*[s + 7.5 for s in sims])
-        np.testing.assert_allclose(shifted.fused, fused.fused + 7.5, atol=1e-12)
-        np.testing.assert_array_equal(shifted.predicted, fused.predicted)
+        np.testing.assert_allclose(
+            shifted.sims.mean(axis=1), table.sims.mean(axis=1) + 7.5, atol=1e-12)
+        np.testing.assert_allclose(shifted.s_max, table.s_max + 7.5, atol=1e-12)
+        np.testing.assert_array_equal(shifted.predicted, table.predicted)
 
     def test_branch_predictions_property(self):
         s = ScoreTable(
             sims=np.array([[[0.1, 0.9], [0.8, 0.2]]]),
-            fused=np.array([[0.45, 0.55]]),
             s_max=np.array([0.55]),
             predicted=np.array([2]),
             true_labels=np.array([1]),
@@ -237,7 +244,7 @@ class TestScoreWindows:
         labels[::7] = UNKNOWN_LABEL
         new, old = tmp_path / "new.csv", tmp_path / "old.csv"
         for m in (40, 1, 0):
-            table = ScoreTable(sims[:m], fused[:m], s_max[:m], k0[:m] + 1, labels[:m])
+            table = ScoreTable(sims[:m], s_max[:m], k0[:m] + 1, labels[:m])
             write_score_dump(new, table, threshold)
             write_score_dump_csv(old, table, threshold)
             assert new.read_bytes() == old.read_bytes()
@@ -270,7 +277,7 @@ class TestScoreBlocks:
         assert scored.sims.shape == (m, 2, 6)
         assert scored.sims.tobytes() == one_pass.tobytes()
         fused = one_pass.mean(axis=1)
-        assert scored.fused.tobytes() == fused.tobytes()
+        assert scored.s_max.tobytes() == fused.max(axis=1).tobytes()
         np.testing.assert_array_equal(scored.predicted, fused.argmax(axis=1) + 1)
         # blocks hold at most SCORE_BLOCK_ROWS rows and at least half as many
         assert sum(rows_seen) == 2 * m
@@ -293,7 +300,9 @@ class TestScoreBlocks:
         x = windows.rows()
         one_pass = np.stack([fn(x) for fn in fns], axis=1)
         assert scored.sims.tobytes() == one_pass.tobytes()
-        assert scored.fused.tobytes() == one_pass.mean(axis=1).tobytes()
+        fused = one_pass.mean(axis=1)
+        assert scored.s_max.tobytes() == fused.max(axis=1).tobytes()
+        np.testing.assert_array_equal(scored.predicted, fused.argmax(axis=1) + 1)
 
     def test_peak_memory_is_one_gathered_block(self):
         # three blocks of overlapping windows: only one block's gathered rows
