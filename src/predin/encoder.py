@@ -2,7 +2,9 @@
 
 Everything is float64 and deterministic. The backward pass is written for
 exactness, not speed: every gradient produced on top of this encoder is
-validated against central finite differences (finite_diff_check).
+validated against central finite differences (finite_diff_check). Each
+layer's bias sum and activation go into its product in place, and each
+derivative product into delta @ W, with the same bits as fresh arrays.
 """
 
 from __future__ import annotations
@@ -13,25 +15,29 @@ import numpy as np
 
 
 def _relu(z):
-    return np.maximum(z, 0.0)
+    return np.maximum(z, 0.0, out=z)
 
 
-def _relu_deriv(a):
-    # from the activation a = relu(z): a > 0 exactly when z > 0; subgradient 0 at the kink
-    return (a > 0.0).astype(np.float64)
+def _relu_deriv_mul(a, delta):
+    # from the activation a = relu(z): a > 0 exactly when z > 0; subgradient 0
+    # at the kink. The mask multiplies as 1.0 or 0.0
+    return np.multiply(delta, a > 0.0, out=delta)
 
 
 def _tanh(z):
-    return np.tanh(z)
+    return np.tanh(z, out=z)
 
 
-def _tanh_deriv(a):
-    # from the activation a = tanh(z)
-    return 1.0 - a * a
+def _tanh_deriv_mul(a, delta):
+    # from the activation a = tanh(z): delta * (1 - a*a)
+    deriv = np.multiply(a, a)
+    np.subtract(1.0, deriv, out=deriv)
+    return np.multiply(delta, deriv, out=delta)
 
 
-# name -> (activation, its derivative written in terms of the activation)
-ACTIVATIONS = {"relu": (_relu, _relu_deriv), "tanh": (_tanh, _tanh_deriv)}
+# name -> (activation applied in place to z, and the product of delta with
+# the derivative, written in terms of the activation a, into delta)
+ACTIVATIONS = {"relu": (_relu, _relu_deriv_mul), "tanh": (_tanh, _tanh_deriv_mul)}
 
 
 @dataclass(frozen=True)
@@ -112,8 +118,10 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer_inputs.append(a)
-        z = a @ w.T + b
-        a = act(z) if i < n_layers - 1 else z
+        a = a @ w.T
+        a += b
+        if i < n_layers - 1:
+            act(a)
     return a, ForwardCache(params=params, layer_inputs=layer_inputs)
 
 
@@ -135,14 +143,14 @@ def encoder_backward(
             f"stale or mismatched cache: grad_embeddings has shape {grad.shape}, "
             f"forward produced {expected}"
         )
-    _, deriv = ACTIVATIONS[params.spec.activation]
+    _, deriv_mul = ACTIVATIONS[params.spec.activation]
     grads = [None] * (2 * len(params.weights)) if out is None else out
     delta = grad
     for i in range(len(params.weights) - 1, -1, -1):
         grads[2 * i] = np.matmul(delta.T, cache.layer_inputs[i], out=grads[2 * i])
         grads[2 * i + 1] = np.sum(delta, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            delta = (delta @ params.weights[i]) * deriv(cache.layer_inputs[i])
+            delta = deriv_mul(cache.layer_inputs[i], delta @ params.weights[i])
     return grads
 
 

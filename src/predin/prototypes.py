@@ -5,6 +5,12 @@ negated dot product d(z, p) = -z.p, so the class posterior is a softmax over
 dot products. The training objective of a single branch combines the
 distance cross-entropy with a compactness term pulling embeddings onto
 their own prototype.
+
+Every loss returns (loss, d_embeddings, d_prototypes) with freshly
+allocated gradients that the caller may overwrite. Each loss works in a
+few (M, d) arrays it allocates once and writes in place (compactness_loss
+in two, pl_loss adds its terms into DCE's gradients), with the same bits
+as one fresh array per expression.
 """
 
 from __future__ import annotations
@@ -25,23 +31,29 @@ def init_prototypes(n_classes: int, dim: int, seed: int) -> np.ndarray:
     return rng.standard_normal((n_classes, dim))
 
 
+# scatter_add_rows gathers at most this many rows of one target at a time
+SCATTER_ROWS = 32
+
+
 def scatter_add_rows(out: np.ndarray, index: np.ndarray, rows: np.ndarray) -> None:
     """In place out[index[i]] += rows[i], bit for bit as np.add.at does it.
 
     Per target row, the selected rows are summed after out[k] along axis
     0, which numpy adds sequentially in row order like np.add.at; starting
-    the sum from -0.0, the additive identity, keeps signed zeros. A single
-    column would be summed pairwise, so it goes through np.add.at. Indices
-    must lie in 0..len(out)-1.
+    the sum from -0.0, the additive identity, keeps signed zeros. They go
+    in blocks of SCATTER_ROWS, each summed after the running total, which
+    is the same sequence of additions. A single column would be summed
+    pairwise, so it goes through np.add.at. Indices must lie in
+    0..len(out)-1.
     """
     if rows.shape[1] == 1:
         np.add.at(out, index, rows)
         return
     for k in range(out.shape[0]):
-        picked = rows[index == k]
-        if len(picked):
-            picked = np.concatenate((out[k][None], picked))
-            out[k] = np.add.reduce(picked, axis=0, initial=-0.0)
+        picked = np.flatnonzero(index == k)
+        for i in range(0, len(picked), SCATTER_ROWS):
+            block = np.concatenate((out[k][None], rows[picked[i : i + SCATTER_ROWS]]))
+            out[k] = np.add.reduce(block, axis=0, initial=-0.0)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
@@ -104,22 +116,28 @@ def compactness_loss(
     p = np.asarray(prototypes, dtype=np.float64)
     y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
-    u = z - p[y0]
-    l1 = np.abs(u).sum(axis=1)
+    u = p[y0]
+    np.subtract(z, u, out=u)
+    work = np.abs(u)  # the one (M, d) buffer besides u
+    l1 = work.sum(axis=1)
     small = l1 < 1.0
+    sq_norm = np.multiply(u, u, out=work).sum(axis=1)
     if form == "huber_sq":
-        small_vals = 0.5 * (u * u).sum(axis=1)
-        du_small = u
+        small_vals = 0.5 * sq_norm
+        du = np.sign(u, out=work)
+        np.copyto(du, u, where=small[:, None])
     else:
-        l2 = np.sqrt((u * u).sum(axis=1))
+        l2 = np.sqrt(sq_norm)
         small_vals = 0.5 * l2
         denom = np.where(l2 > 0, l2, 1.0)
-        du_small = 0.5 * u / denom[:, None]  # subgradient 0 at u = 0
-        du_small[l2 == 0] = 0.0
+        du = np.multiply(0.5, u, out=work)
+        du /= denom[:, None]
+        du[l2 == 0] = 0.0  # subgradient 0 at u = 0
+        np.copyto(du, np.sign(u, out=u), where=~small[:, None])
     loss = np.where(small, small_vals, l1 - 0.5).mean()
-    du = np.where(small[:, None], du_small, np.sign(u)) / m
+    du /= m
     d_protos = np.zeros_like(p)
-    scatter_add_rows(d_protos, y0, -du)
+    scatter_add_rows(d_protos, y0, np.negative(du, out=u))
     return loss, du, d_protos
 
 
@@ -131,8 +149,10 @@ def pl_loss(
     form: str = "huber_sq",
 ):
     """Single-branch objective: DCE plus beta times the compactness term."""
-    dce, dz_dce, dp_dce = dce_loss(embeddings, labels, prototypes)
+    dce, dz, dp = dce_loss(embeddings, labels, prototypes)
     if beta == 0.0:
-        return dce, dz_dce, dp_dce
+        return dce, dz, dp
     com, dz_com, dp_com = compactness_loss(embeddings, labels, prototypes, form=form)
-    return dce + beta * com, dz_dce + beta * dz_com, dp_dce + beta * dp_com
+    dz += np.multiply(beta, dz_com, out=dz_com)
+    dp += np.multiply(beta, dp_com, out=dp_com)
+    return dce + beta * com, dz, dp

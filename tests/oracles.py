@@ -12,7 +12,14 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from predin.encoder import ACTIVATIONS, lr_schedule
+from predin.encoder import ForwardCache, lr_schedule
+from predin.inconsistency import (
+    inconsistency_loss,
+    nearest_other_prototype,
+    proximity_backward,
+    proximity_probs,
+)
+from predin.prototypes import check_labels, dce_loss
 from predin.scoring import decide
 from predin.signals import (
     SignalRecording,
@@ -209,11 +216,49 @@ def sgd_step_three_lines(arrays, grads, velocities, lr: float, momentum: float) 
         a -= lr * v
 
 
+def _relu(z):
+    return np.maximum(z, 0.0)
+
+
+def _relu_deriv(a):
+    # from the activation a = relu(z): a > 0 exactly when z > 0; subgradient 0 at the kink
+    return (a > 0.0).astype(np.float64)
+
+
+def _tanh(z):
+    return np.tanh(z)
+
+
+def _tanh_deriv(a):
+    # from the activation a = tanh(z)
+    return 1.0 - a * a
+
+
+# The former activations, each returning a fresh array: name -> (activation,
+# its derivative written in terms of the activation)
+ACTIVATIONS_ALLOCATING = {"relu": (_relu, _relu_deriv), "tanh": (_tanh, _tanh_deriv)}
+
+
+def encoder_forward_allocating(params, inputs):
+    """The former forward: each layer's pre-activation, bias sum and
+    activation is a fresh array. Returns (embeddings, ForwardCache)."""
+    x = np.asarray(inputs, dtype=np.float64)
+    act, _ = ACTIVATIONS_ALLOCATING[params.spec.activation]
+    n_layers = len(params.weights)
+    layer_inputs = []
+    a = x
+    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
+        layer_inputs.append(a)
+        z = a @ w.T + b
+        a = act(z) if i < n_layers - 1 else z
+    return a, ForwardCache(params=params, layer_inputs=layer_inputs)
+
+
 def encoder_backward_allocating(cache, grad_embeddings, out=None):
     """The former backward: every call allocates fresh gradient arrays, and
     ``out`` is ignored."""
     params = cache.params
-    _, deriv = ACTIVATIONS[params.spec.activation]
+    _, deriv = ACTIVATIONS_ALLOCATING[params.spec.activation]
     grads = []  # built last layer first, bias before weight
     delta = np.asarray(grad_embeddings, dtype=np.float64)
     for i in range(len(params.weights) - 1, -1, -1):
@@ -221,6 +266,103 @@ def encoder_backward_allocating(cache, grad_embeddings, out=None):
         if i > 0:
             delta = (delta @ params.weights[i]) * deriv(cache.layer_inputs[i])
     return grads[::-1]
+
+
+def compactness_loss_allocating(embeddings, labels, prototypes, form="huber_sq"):
+    """The former compactness term, one fresh (M, d) array per step.
+    np.add.at stands in for scatter_add_rows, which equals it bit for bit."""
+    z = np.asarray(embeddings, dtype=np.float64)
+    p = np.asarray(prototypes, dtype=np.float64)
+    y0 = check_labels(labels, p.shape[0]) - 1
+    m = z.shape[0]
+    u = z - p[y0]
+    l1 = np.abs(u).sum(axis=1)
+    small = l1 < 1.0
+    if form == "huber_sq":
+        small_vals = 0.5 * (u * u).sum(axis=1)
+        du_small = u
+    else:
+        l2 = np.sqrt((u * u).sum(axis=1))
+        small_vals = 0.5 * l2
+        denom = np.where(l2 > 0, l2, 1.0)
+        du_small = 0.5 * u / denom[:, None]  # subgradient 0 at u = 0
+        du_small[l2 == 0] = 0.0
+    loss = np.where(small, small_vals, l1 - 0.5).mean()
+    du = np.where(small[:, None], du_small, np.sign(u)) / m
+    d_protos = np.zeros_like(p)
+    np.add.at(d_protos, y0, -du)
+    return loss, du, d_protos
+
+
+def pl_loss_allocating(embeddings, labels, prototypes, beta=1.0, form="huber_sq"):
+    """The former PL loss: DCE plus beta times compactness, summed into fresh
+    arrays."""
+    dce, dz_dce, dp_dce = dce_loss(embeddings, labels, prototypes)
+    if beta == 0.0:
+        return dce, dz_dce, dp_dce
+    com, dz_com, dp_com = compactness_loss_allocating(embeddings, labels, prototypes, form=form)
+    return dce + beta * com, dz_dce + beta * dz_com, dp_dce + beta * dp_com
+
+
+def triplet_loss_allocating(embeddings, labels, prototypes, m2):
+    """The former triplet term, one fresh (M, d) array per step. np.add.at
+    stands in for scatter_add_rows, which equals it bit for bit."""
+    z = np.asarray(embeddings, dtype=np.float64)
+    p = np.asarray(prototypes, dtype=np.float64)
+    y0 = check_labels(labels, p.shape[0]) - 1
+    m = z.shape[0]
+    neg0 = nearest_other_prototype(p)[y0]
+    u_pos = z - p[y0]
+    u_neg = z - p[neg0]
+    d_pos = np.sqrt((u_pos * u_pos).sum(axis=1))
+    d_neg = np.sqrt((u_neg * u_neg).sum(axis=1))
+    viol = d_pos - d_neg + m2
+    active = viol > 0
+    loss = np.maximum(viol, 0.0).mean()
+    # unit vectors with subgradient 0 at zero distance
+    pos_hat = u_pos / np.where(d_pos > 0, d_pos, 1.0)[:, None]
+    neg_hat = u_neg / np.where(d_neg > 0, d_neg, 1.0)[:, None]
+    w = active.astype(np.float64)[:, None] / m
+    dz = w * (pos_hat - neg_hat)
+    dp = np.zeros_like(p)
+    np.add.at(dp, y0, -w * pos_hat)
+    np.add.at(dp, neg0, w * neg_hat)  # accumulates onto the first scatter
+    return loss, dz, dp
+
+
+def div_loss_allocating(x, y, branches, hp, frozen=None):
+    """The former div_loss on the allocating forward and losses: both
+    forwards first, then the proximity rows, and each weighted term added
+    as a fresh product. Returns (terms, parts) as div_loss does."""
+    pair = list(branches) if frozen is None else [*branches, frozen]
+    forward = [encoder_forward_allocating(b.encoder, x) for b in pair]
+    dists = [
+        proximity_probs(emb, y, b.prototypes, hp.m1, keep_cache=i < len(branches))
+        for i, (b, (emb, _)) in enumerate(zip(pair, forward))
+    ]
+    incon, *dprobs = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
+    pls, trips, parts = [], [], []
+    for i, branch in enumerate(branches):
+        (emb, cache), protos = forward[i], branch.prototypes
+        pl, dz, dp = pl_loss_allocating(emb, y, protos, hp.beta, hp.compactness_form)
+        if hp.gamma != 0.0:
+            dz_inc, dp_inc = proximity_backward(dists[i], dprobs[i])
+            dz += hp.gamma * dz_inc
+            dp += hp.gamma * dp_inc
+        trip, dz_t, dp_t = triplet_loss_allocating(emb, y, protos, hp.m2)
+        if hp.alpha != 0.0:
+            dz += hp.alpha * dz_t
+            dp += hp.alpha * dp_t
+        pls.append(pl)
+        trips.append(trip)
+        parts.append((cache, dz, [dp]))
+    terms = {
+        **{f"pl_{t}": v for t, v in zip("ab", pls)},
+        "incon": incon,
+        **{f"trip_{t}": v for t, v in zip("ab", trips)},
+        "total": sum(pls) + hp.gamma * incon + hp.alpha * sum(trips),
+    }
+    return terms, parts
 
 
 def train_allocating(branches, objective, partition, config, shuffle_seed):

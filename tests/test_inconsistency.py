@@ -14,6 +14,7 @@ from predin.encoder import (
     finite_diff_check,
     init_encoder,
     init_optimizer,
+    sgd_step,
 )
 from predin.harness import EncoderConfig
 from predin.inconsistency import (
@@ -589,6 +590,34 @@ class TestGradientBuffers:
         # a set kept per branch, two sets plus 0.5 MB, both still held after
         assert peak - held < grad_set + grad_set // 2
         assert current - held < grad_set // 4
+
+    def test_joint_step_scratch_under_3_mb(self):
+        # one joint predin step at the harness's default widths (252 rows,
+        # 1600 -> 256 -> 128, six classes): div_loss, then each branch's
+        # backward into one gradient set and its sgd_step. Measured: 2.77 MB
+        # above the start; 4.57 MB when every loss term, activation and
+        # derivative product was a fresh (M, d) array
+        enc = EncoderConfig()
+        spec = EncoderSpec(1600, enc.hidden_dims, enc.feature_dim, enc.activation)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((252, 1600))
+        y = rng.permutation(np.arange(252) % 6 + 1)
+        branches = [init_branch(spec, 6, e, p, TrainConfig()) for e, p in ((1, 2), (3, 4))]
+        grads = [np.empty_like(a) for a in branches[0].encoder.arrays()]
+
+        def step():
+            _, parts = div_loss(x, y, branches, DivHyperParams())
+            for b, part in zip(branches, parts):
+                sgd_step(b.arrays(), branch_gradients(*part, out=grads), b.optimizer)
+
+        step()  # a first step, untraced
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3_000_000
 
 
 class TestCheckpoint:
