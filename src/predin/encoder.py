@@ -1,10 +1,12 @@
 """Flatten-then-MLP encoder with analytic forward/backward and SGD updates.
 
-Everything is float64 and deterministic. The backward pass is written for
-exactness, not speed: every gradient produced on top of this encoder is
-validated against central finite differences (finite_diff_check). Each
-layer's bias sum and activation go into its product in place, and each
-derivative product into delta @ W, with the same bits as fresh arrays.
+Everything is deterministic and computes in the dtype of its inputs (numpy
+promotes a mix); every run path feeds it float64 windows and parameters.
+The backward pass is written for exactness, not speed: every gradient
+produced on top of this encoder is validated against central finite
+differences (finite_diff_check, which works in float64). Each layer's bias
+sum and activation go into its product in place, and each derivative
+product into delta @ W, with the same bits as fresh arrays.
 """
 
 from __future__ import annotations
@@ -107,15 +109,14 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
 
     Returns (embeddings, cache); the cache holds everything backward needs.
     """
-    x = np.asarray(inputs, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != params.spec.input_dim:
+    if inputs.ndim != 2 or inputs.shape[1] != params.spec.input_dim:
         raise ValueError(
-            f"inputs must be (M, {params.spec.input_dim}), got {x.shape}"
+            f"inputs must be (M, {params.spec.input_dim}), got {inputs.shape}"
         )
     act, _ = ACTIVATIONS[params.spec.activation]
     n_layers = len(params.weights)
     layer_inputs = []
-    a = x
+    a = inputs
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer_inputs.append(a)
         a = a @ w.T
@@ -136,16 +137,15 @@ def encoder_backward(
     freshly allocated. Both give the same bits.
     """
     params = cache.params
-    grad = np.asarray(grad_embeddings, dtype=np.float64)
+    delta = grad_embeddings
     expected = (cache.layer_inputs[0].shape[0], params.spec.output_dim)
-    if grad.shape != expected:
+    if delta.shape != expected:
         raise RuntimeError(
-            f"stale or mismatched cache: grad_embeddings has shape {grad.shape}, "
+            f"stale or mismatched cache: grad_embeddings has shape {delta.shape}, "
             f"forward produced {expected}"
         )
     _, deriv_mul = ACTIVATIONS[params.spec.activation]
     grads = [None] * (2 * len(params.weights)) if out is None else out
-    delta = grad
     for i in range(len(params.weights) - 1, -1, -1):
         grads[2 * i] = np.matmul(delta.T, cache.layer_inputs[i], out=grads[2 * i])
         grads[2 * i + 1] = np.sum(delta, axis=0, out=grads[2 * i + 1])
@@ -181,7 +181,7 @@ class NonFiniteGradientError(ValueError):
 
 
 # sgd_step updates each array in blocks of whole rows of about this many
-# entries (256 KiB of float64)
+# entries (256 KiB in float64, 128 KiB in float32)
 SGD_BLOCK = 1 << 15
 
 
@@ -207,7 +207,7 @@ def sgd_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerSt
     # goes into one small buffer, and a block stays in cache for all four
     # elementwise passes, which give the same bits as whole-array passes
     row_size = [a.size // max(len(a), 1) for a in arrays]
-    buf = np.empty(max([SGD_BLOCK, *row_size]))
+    buf = np.empty(max([SGD_BLOCK, *row_size]), np.result_type(*opt.velocities))
     for a, g, v, width in zip(arrays, grads, opt.velocities, row_size):
         rows = max(1, SGD_BLOCK // max(width, 1))
         for i in range(0, len(a), rows):

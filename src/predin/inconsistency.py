@@ -194,9 +194,8 @@ class ProximityDistribution:
 
 def own_class_dots(embeddings: np.ndarray, labels, prototypes: np.ndarray) -> np.ndarray:
     """Per-sample dot product with the own-class prototype, z_i . p^{y_i}."""
-    z = np.asarray(embeddings, dtype=np.float64)
     y0 = np.asarray(labels, dtype=np.int64) - 1
-    return (z * np.asarray(prototypes, dtype=np.float64)[y0]).sum(axis=1)
+    return (embeddings * prototypes[y0]).sum(axis=1)
 
 
 def proximity_probs(
@@ -214,8 +213,7 @@ def proximity_probs(
     finite-difference oracle uses it to hold that stop-gradient term at its
     unperturbed value.
     """
-    z = np.asarray(embeddings, dtype=np.float64)
-    p = np.asarray(prototypes, dtype=np.float64)
+    z, p = embeddings, prototypes
     n = p.shape[0]
     labels = check_labels(labels, n)
     m = z.shape[0]
@@ -226,7 +224,7 @@ def proximity_probs(
     if own_dots is None:
         own = dots[np.arange(m), y0][:, None]
     else:
-        own = np.asarray(own_dots, dtype=np.float64)[:, None]
+        own = own_dots[:, None]
     gaps = own - np.take_along_axis(dots, cols, axis=1)
     logits = np.maximum(gaps - m1, 0.0)
     probs = softmax(logits)
@@ -246,7 +244,7 @@ def proximity_backward(dist: ProximityDistribution, dprobs: np.ndarray):
     probs = dist.probs
     dlogits = probs * (dprobs - (dprobs * probs).sum(axis=1, keepdims=True))
     m, n = cache.embeddings.shape[0], cache.prototypes.shape[0]
-    ddots = np.zeros((m, n))
+    ddots = np.zeros((m, n), dlogits.dtype)
     # d logit / d (z.p^j) = -1 where unclamped; own-class dot is stop-gradient
     np.put_along_axis(ddots, cache.cols, -dlogits * cache.active, axis=1)
     return ddots @ cache.prototypes, ddots.T @ cache.embeddings
@@ -284,8 +282,7 @@ def inconsistency_loss(
 
 def nearest_other_prototype(prototypes: np.ndarray) -> np.ndarray:
     """For each class, the 0-based index of the nearest other prototype."""
-    p = np.asarray(prototypes, dtype=np.float64)
-    diff = p[:, None, :] - p[None, :, :]
+    diff = prototypes[:, None, :] - prototypes[None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=2))
     np.fill_diagonal(dist, np.inf)
     return dist.argmin(axis=1)
@@ -297,14 +294,11 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: flo
     The negative for class y is the prototype nearest to p^y (recomputed
     here, i.e. every batch). Returns (loss, d_embeddings, d_prototypes).
     """
-    z = np.asarray(embeddings, dtype=np.float64)
-    p = np.asarray(prototypes, dtype=np.float64)
+    z, p = embeddings, prototypes
     y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     neg0 = nearest_other_prototype(p)[y0]
-    u_pos, u_neg = p[y0], p[neg0]
-    np.subtract(z, u_pos, out=u_pos)
-    np.subtract(z, u_neg, out=u_neg)
+    u_pos, u_neg = z - p[y0], z - p[neg0]
     sq = np.multiply(u_pos, u_pos)  # reused for u_neg's squares, then for dz
     d_pos = np.sqrt(sq.sum(axis=1))
     d_neg = np.sqrt(np.multiply(u_neg, u_neg, out=sq).sum(axis=1))
@@ -314,9 +308,9 @@ def triplet_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, m2: flo
     # unit vectors with subgradient 0 at zero distance
     pos_hat = np.divide(u_pos, np.where(d_pos > 0, d_pos, 1.0)[:, None], out=u_pos)
     neg_hat = np.divide(u_neg, np.where(d_neg > 0, d_neg, 1.0)[:, None], out=u_neg)
-    w = active.astype(np.float64)[:, None] / m
+    w = active.astype(sq.dtype)[:, None] / m
     dz = np.multiply(w, np.subtract(pos_hat, neg_hat, out=sq), out=sq)
-    dp = np.zeros_like(p)
+    dp = np.zeros(p.shape, dz.dtype)
     scatter_add_rows(dp, y0, np.multiply(-w, pos_hat, out=pos_hat))
     # accumulates onto the first scatter
     scatter_add_rows(dp, neg0, np.multiply(w, neg_hat, out=neg_hat))

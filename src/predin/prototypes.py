@@ -84,8 +84,7 @@ def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     Returns (loss, d_embeddings, d_prototypes). Computed through log-softmax,
     so the log argument never underflows.
     """
-    z = np.asarray(embeddings, dtype=np.float64)
-    p = np.asarray(prototypes, dtype=np.float64)
+    z, p = embeddings, prototypes
     y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
     logits = z @ p.T
@@ -112,12 +111,10 @@ def compactness_loss(
     """
     if form not in COMPACTNESS_FORMS:
         raise ValueError(f"form must be one of {COMPACTNESS_FORMS}")
-    z = np.asarray(embeddings, dtype=np.float64)
-    p = np.asarray(prototypes, dtype=np.float64)
+    z, p = embeddings, prototypes
     y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
-    u = p[y0]
-    np.subtract(z, u, out=u)
+    u = z - p[y0]
     work = np.abs(u)  # the one (M, d) buffer besides u
     l1 = work.sum(axis=1)
     small = l1 < 1.0
@@ -136,7 +133,7 @@ def compactness_loss(
         np.copyto(du, np.sign(u, out=u), where=~small[:, None])
     loss = np.where(small, small_vals, l1 - 0.5).mean()
     du /= m
-    d_protos = np.zeros_like(p)
+    d_protos = np.zeros(p.shape, du.dtype)
     scatter_add_rows(d_protos, y0, np.negative(du, out=u))
     return loss, du, d_protos
 

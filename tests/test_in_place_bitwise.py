@@ -1,16 +1,32 @@
 """The per-batch code writes into arrays it owns; each result must equal
-the former allocating expression, kept in oracles, bit for bit."""
+the former allocating expression, kept in oracles, bit for bit. It also
+computes in the dtype of its inputs: a float32 step stays float32, and a
+float32 batch against float64 branches gives the float64 bits."""
+
+from functools import partial
 
 import numpy as np
 import pytest
 
-from predin.encoder import EncoderSpec, encoder_backward, encoder_forward, init_encoder
+from predin.encoder import (
+    EncoderSpec,
+    encoder_backward,
+    encoder_forward,
+    init_encoder,
+    sgd_step,
+)
 from predin.inconsistency import (
     DivHyperParams,
     TrainConfig,
+    branch_gradients,
     div_loss,
     init_branch,
+    inconsistency_loss,
     nearest_other_prototype,
+    pl_objective,
+    proximity_backward,
+    proximity_probs,
+    softmax_objective,
     triplet_loss,
 )
 from predin.prototypes import compactness_loss, init_prototypes, pl_loss
@@ -156,3 +172,105 @@ def test_div_loss(m, d, frozen, gamma, alpha):
         assert same_bits(head[0], want_head[0])
         for g, w in zip(cache.layer_inputs, want_cache.layer_inputs):
             assert same_bits(g, w)
+
+
+OBJECTIVES = ["pl", "softmax", "div_joint", "div_frozen"]
+
+
+def one_step(kind, dtype, x, y):
+    """One training step of an objective on branches whose parameters and
+    velocities are in dtype. Returns (terms, per-branch gradients, branches
+    after their sgd_step)."""
+    spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=4, activation="tanh")
+    tc = TrainConfig(lr=0.01)
+    head = "softmax" if kind == "softmax" else "prototypes"
+    pair = [init_branch(spec, N_CLASSES, e, p, tc, head=head) for e, p in ((1, 2), (3, 4))]
+    for b in pair:
+        for arrays in (b.encoder.weights, b.encoder.biases, b.head):
+            arrays[:] = [a.astype(dtype) for a in arrays]
+        b.optimizer.velocities[:] = [np.zeros_like(a) for a in b.arrays()]
+    hp = DivHyperParams()
+    branches, objective = {
+        "pl": ([pair[0]], partial(pl_objective, hp=hp)),
+        "softmax": ([pair[0]], softmax_objective),
+        "div_joint": (pair, partial(div_loss, hp=hp)),
+        "div_frozen": ([pair[0]], partial(div_loss, hp=hp, frozen=pair[1])),
+    }[kind]
+    terms, parts = objective(x, y, branches)
+    grads = [branch_gradients(*part) for part in parts]
+    for b, g in zip(branches, grads):
+        sgd_step(b.arrays(), g, b.optimizer)
+    return terms, grads, branches
+
+
+def step_batch(m=32):
+    rng = np.random.default_rng(m)
+    return rng.standard_normal((m, 12)), rng.permutation(np.arange(m) % N_CLASSES + 1)
+
+
+@pytest.mark.parametrize("kind", OBJECTIVES)
+def test_float32_step_computes_in_float32(kind):
+    x, y = step_batch()
+    terms, grads, branches = one_step(kind, np.float32, x.astype(np.float32), y)
+    for key, value in terms.items():
+        assert np.isfinite(value) and np.asarray(value).dtype == np.float32, key
+    trained = [a for b in branches for a in b.arrays() + b.optimizer.velocities]
+    for a in [g for branch_grads in grads for g in branch_grads] + trained:
+        assert a.dtype == np.float32
+        assert np.isfinite(a).all()
+
+
+@pytest.mark.parametrize("kind", OBJECTIVES)
+def test_float32_batch_promotes_to_the_float64_bits(kind):
+    x, y = step_batch()
+    x32 = x.astype(np.float32)
+    got_terms, got_grads, got = one_step(kind, np.float64, x32, y)
+    want_terms, want_grads, want = one_step(kind, np.float64, x32.astype(np.float64), y)
+    assert list(got_terms) == list(want_terms)
+    for key in want_terms:
+        assert same_bits(got_terms[key], want_terms[key]), key
+    for g, w in zip(got_grads, want_grads, strict=True):
+        assert all(same_bits(a, b) for a, b in zip(g, w, strict=True))
+    for g, w in zip(got, want, strict=True):
+        for a, b in zip(g.arrays() + g.optimizer.velocities,
+                        w.arrays() + w.optimizer.velocities, strict=True):
+            assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("narrow", ["embeddings", "prototypes", "both"])
+@pytest.mark.parametrize("m", ROWS)
+def test_losses_compute_in_the_dtype_of_their_inputs(m, narrow):
+    # float32 operands give float32 results. A float32 operand against a
+    # float64 one computes in float64: with float32 embeddings bit for bit
+    # as the cast; the cast copy of a transposed float32 prototype matrix
+    # can take another BLAS kernel, so with float32 prototypes each result
+    # agrees to 1e-12 of its largest entry (differences to a prototype
+    # taken in float32 miss that by 1e-8)
+    z, y, p = batch(m, 128, exact=True)
+    if narrow in ("embeddings", "both"):
+        z = z.astype(np.float32)
+    if narrow in ("prototypes", "both"):
+        p = p.astype(np.float32)
+    z64, p64 = z.astype(np.float64), p.astype(np.float64)
+
+    def check(got, want):
+        for g, w in zip(got, want, strict=True):
+            g = np.asarray(g)
+            if narrow == "both":
+                assert g.dtype == np.float32 and np.isfinite(g).all()
+            elif narrow == "embeddings":
+                assert same_bits(g, w)
+            else:
+                assert g.dtype == np.float64
+                np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
+
+    check(pl_loss(z, y, p, form="literal"), pl_loss(z64, y, p64, form="literal"))
+    check(pl_loss(z, y, p), pl_loss(z64, y, p64))
+    check(triplet_loss(z, y, p, 1.0), triplet_loss(z64, y, p64, 1.0))
+    dists = [proximity_probs(z, y, p, 0.5), proximity_probs(z64, y, p64, 0.5)]
+    check([dists[0].probs], [dists[1].probs])
+    (got_incon, got_dprobs, _), (want_incon, want_dprobs, _) = (
+        inconsistency_loss(d, d) for d in dists
+    )
+    check([got_incon, got_dprobs], [want_incon, want_dprobs])
+    check(proximity_backward(dists[0], got_dprobs), proximity_backward(dists[1], want_dprobs))
