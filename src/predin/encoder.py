@@ -230,6 +230,11 @@ def lr_schedule(epoch: int, base_lr: float) -> float:
     return base_lr * 0.01
 
 
+# finite_diff_check skips a coordinate as kink-adjacent when its two
+# one-sided slopes differ by more than this, relative to the larger (or 1)
+KINK_TOL = 1e-3
+
+
 @dataclass
 class FiniteDiffReport:
     max_rel_error: float
@@ -245,15 +250,14 @@ def finite_diff_check(
     eps: float = 1e-4,
     n_coords: int = 200,
     seed: int = 0,
-    kink_tol: float = 1e-3,
 ) -> FiniteDiffReport:
     """Compare analytic gradients against central finite differences.
 
     Samples up to n_coords coordinates across the given arrays. Coordinates
-    where the two one-sided slopes disagree are skipped as kink-adjacent
-    (the test never consults the analytic value, so it cannot mask a wrong
-    gradient); coordinates where both analytic and numeric are below 1e-8
-    are exempt from the relative comparison.
+    where the two one-sided slopes disagree beyond KINK_TOL are skipped as
+    kink-adjacent (the test never consults the analytic value, so it cannot
+    mask a wrong gradient); coordinates where both analytic and numeric are
+    below 1e-8 are exempt from the relative comparison.
     """
     work = [np.array(a, dtype=np.float64) for a in arrays]
     base = float(loss_fn(work))
@@ -277,7 +281,7 @@ def finite_diff_check(
 
         s_plus = (f_plus - base) / eps
         s_minus = (base - f_minus) / eps
-        if abs(s_plus - s_minus) > kink_tol * max(1.0, abs(s_plus), abs(s_minus)):
+        if abs(s_plus - s_minus) > KINK_TOL * max(1.0, abs(s_plus), abs(s_minus)):
             n_kink += 1
             continue
         numeric = (f_plus - f_minus) / (2 * eps)

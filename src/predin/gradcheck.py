@@ -159,7 +159,7 @@ LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen
 
 
 def check_loss_gradients(
-    loss_name: str, instance_seed: int, n_coords: int = 420, eps: float = 1e-4
+    loss_name: str, instance_seed: int, n_coords: int = 420
 ) -> FiniteDiffReport:
     """Finite-difference check of one loss on one random instance."""
     rng = np.random.default_rng(instance_seed)
@@ -184,11 +184,11 @@ def check_loss_gradients(
         raise ValueError(f"unknown loss {loss_name!r}")
     return finite_diff_check(
         arrays, lambda a: compute(a)[0], compute(arrays)[1],
-        eps=eps, n_coords=n_coords, seed=instance_seed,
+        eps=1e-4, n_coords=n_coords, seed=instance_seed,
     )
 
 
-def run_gradient_suite(n_seeds: int = 5, n_coords: int = 420, eps: float = 1e-4):
+def run_gradient_suite(n_seeds: int = 5, n_coords: int = 420):
     """All losses x seeds, aggregated per loss.
 
     Returns [(loss_name, FiniteDiffReport)] where each report carries the
@@ -198,7 +198,7 @@ def run_gradient_suite(n_seeds: int = 5, n_coords: int = 420, eps: float = 1e-4)
     for name in LOSS_NAMES:
         worst = FiniteDiffReport(0.0, 0, 0, 0)
         for t in range(n_seeds):
-            rep = check_loss_gradients(name, instance_seed=1000 + t, n_coords=n_coords, eps=eps)
+            rep = check_loss_gradients(name, instance_seed=1000 + t, n_coords=n_coords)
             worst = FiniteDiffReport(
                 max_rel_error=max(worst.max_rel_error, rep.max_rel_error),
                 n_checked=worst.n_checked + rep.n_checked,

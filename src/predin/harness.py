@@ -434,10 +434,9 @@ def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
     return rel
 
 
-def run_experiment(
-    config: ExperimentConfig, write_artifacts: bool = True, dataset=None
-) -> dict:
-    """Execute the configured variant across all seeds and aggregate.
+def run_experiment(config: ExperimentConfig, dataset=None) -> dict:
+    """Execute the configured variant across all seeds, aggregate, and
+    write every artifact under the config's output_dir.
 
     Returns the report: exactly what report.json holds. ``dataset`` is the
     (recordings, classes) pair of ``load_dataset``; it is loaded from the
@@ -446,15 +445,14 @@ def run_experiment(
     """
     started = time.perf_counter()
     out_dir = config.output_dir
-    if write_artifacts:
-        try:
-            os.makedirs(out_dir, exist_ok=True)
-            probe = os.path.join(out_dir, ".write_probe")
-            with open(probe, "w") as f:
-                f.write("ok")
-            os.remove(probe)
-        except OSError as e:
-            raise OSError(f"output directory {out_dir!r} is not writable: {e}") from e
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        probe = os.path.join(out_dir, ".write_probe")
+        with open(probe, "w") as f:
+            f.write("ok")
+        os.remove(probe)
+    except OSError as e:
+        raise OSError(f"output directory {out_dir!r} is not writable: {e}") from e
 
     recordings, classes = load_dataset(config) if dataset is None else dataset
     # a CSV set's trials are known only once it is read
@@ -496,9 +494,9 @@ def run_experiment(
             per_seed.append({"seed": seed, "error": str(e)})
             continue
         per_seed.append(result.report)
-        if write_artifacts:
-            seed_dir = os.path.join(out_dir, f"seed_{seed}")
-            artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result)
+        seed_dir = os.path.join(out_dir, f"seed_{seed}")
+        artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result)
+        del result  # the seed's model is freed before the next seed trains
     aggregate = aggregate_reports([row for row in per_seed if "error" not in row])
     aggregate["failed_seeds"] = [row["seed"] for row in per_seed if "error" in row]
     report = {
@@ -508,8 +506,7 @@ def run_experiment(
         "aggregate": aggregate,
         "artifacts": artifacts,
     }
-    if write_artifacts:
-        emit_report(report, time.perf_counter() - started, out_dir)
+    emit_report(report, time.perf_counter() - started, out_dir)
     return report
 
 
@@ -519,7 +516,6 @@ def emit_report(report: dict, wall_clock_s: float, out_dir: str) -> None:
     The wall-clock time goes to a separate timing.txt sidecar so report
     files re-run bit-identically.
     """
-    os.makedirs(out_dir, exist_ok=True)
     atomic_write_text(os.path.join(out_dir, "report.json"), report_to_json(report) + "\n")
     lines = ["seed,auc,acc,oscr,incon,threshold,retention_achieved,n_known,n_unknown"]
     for row in report["per_seed"]:
@@ -552,10 +548,11 @@ def emit_report(report: dict, wall_clock_s: float, out_dir: str) -> None:
     )
 
 
-ABLATION_VARIANTS = ("softmax", "pl_baseline", "dual", "dual_trip", "predin_wo_trip", "predin")
+# every variant but sequential_k, which trains a chain rather than a lattice row
+ABLATION_VARIANTS = tuple(v for v in VARIANTS if v != "sequential_k")
 
 
-def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) -> dict:
+def run_ablation(base_config: ExperimentConfig) -> dict:
     """Run every ablation variant with identical seeds and tabulate.
 
     Returns {variant: report}; writes ablation_table.csv plus one report
@@ -570,21 +567,16 @@ def run_ablation(base_config: ExperimentConfig, write_artifacts: bool = True) ->
             variant=variant,
             output_dir=os.path.join(base_config.output_dir, variant),
         )
-        reports[variant] = run_experiment(cfg, write_artifacts=write_artifacts, dataset=dataset)
-    if write_artifacts:
-        lines = ["variant,auc,oscr,acc,incon"]
-        for variant, report in reports.items():
-            agg = report["aggregate"]
-            if not agg.get("n_seeds"):
-                lines.append(f"{variant},,,,")
-                continue
-            incon = agg["incon_mean"] if agg["incon_mean"] is not None else ""
-            lines.append(
-                f"{variant},{agg['auc_mean']},{agg['oscr_mean']},{agg['acc_mean']},{incon}"
-            )
-        os.makedirs(base_config.output_dir, exist_ok=True)
-        atomic_write_text(
-            os.path.join(base_config.output_dir, "ablation_table.csv"),
-            "\n".join(lines) + "\n",
-        )
+        reports[variant] = run_experiment(cfg, dataset=dataset)
+    lines = ["variant,auc,oscr,acc,incon"]
+    for variant, report in reports.items():
+        agg = report["aggregate"]
+        if not agg.get("n_seeds"):
+            lines.append(f"{variant},,,,")
+            continue
+        incon = agg["incon_mean"] if agg["incon_mean"] is not None else ""
+        lines.append(f"{variant},{agg['auc_mean']},{agg['oscr_mean']},{agg['acc_mean']},{incon}")
+    atomic_write_text(
+        os.path.join(base_config.output_dir, "ablation_table.csv"), "\n".join(lines) + "\n"
+    )
     return reports

@@ -106,7 +106,7 @@ def decide(scored: ScoreTable, threshold: float) -> np.ndarray:
     return np.where(scored.s_max >= threshold, scored.predicted, UNKNOWN_LABEL)
 
 
-def write_score_dump(path, scored: ScoreTable, threshold: float | None) -> None:
+def write_score_dump(path, scored: ScoreTable, threshold: float) -> None:
     """Per-sample score CSV consumed by the metrics module and external tools.
 
     The bytes are those of csv.writer's default dialect: no field needs
@@ -120,14 +120,13 @@ def write_score_dump(path, scored: ScoreTable, threshold: float | None) -> None:
         + ["fused_smax", "k_star", "decision"]
     )
     m = len(scored)
-    decisions = [""] * m if threshold is None else map(str, decide(scored, threshold).tolist())
     columns = (
         map(str, range(m)),
         map(str, scored.true_labels.tolist()),
         *(map(repr, branch) for branch in scored.sims.max(axis=2).T.tolist()),
         map(repr, scored.s_max.tolist()),
         map(str, scored.predicted.tolist()),
-        decisions,
+        map(str, decide(scored, threshold).tolist()),
     )
     lines = [",".join(header), *map(",".join, zip(*columns)), ""]
     with atomic_open(path, newline="") as f:

@@ -85,7 +85,7 @@ class WindowTable:
     signal: np.ndarray  # (channels, L)
     window_len: int
     starts: np.ndarray  # (M,) first sample of each window
-    labels: np.ndarray  # (M,) class ids: 1..N or UNKNOWN_LABEL once routed with a split
+    labels: np.ndarray  # (M,) class ids: 1..N or UNKNOWN_LABEL once routed by split_trials
 
     def __post_init__(self):
         if self.signal.ndim != 2:
@@ -107,7 +107,7 @@ class WindowTable:
         """Length C*T of one flattened window."""
         return self.signal.shape[0] * self.window_len
 
-    def rows(self, sel=slice(None), out: np.ndarray | None = None) -> np.ndarray:
+    def rows(self, sel, out: np.ndarray | None = None) -> np.ndarray:
         """(n, C*T) encoder inputs of the windows ``starts[sel]`` selects
         (an index vector or a slice), copied window by window into ``out``,
         a C-contiguous (n, C*T) array, or into a fresh one; it is returned."""
@@ -149,11 +149,10 @@ class LabelSplit:
     def n_known(self) -> int:
         return len(self.known_classes)
 
-    def remap(self, original_labels):
-        """Original class id (int) or ids (array) -> contiguous 1..N, or UNKNOWN_LABEL."""
-        hits = np.asarray(original_labels)[..., None] == np.asarray(self.known_classes)
-        out = np.where(hits.any(axis=-1), hits.argmax(axis=-1) + 1, UNKNOWN_LABEL)
-        return int(out) if out.ndim == 0 else out
+    def remap(self, original_labels: np.ndarray) -> np.ndarray:
+        """(M,) original class ids -> contiguous 1..N, or UNKNOWN_LABEL."""
+        hits = original_labels[:, None] == np.asarray(self.known_classes)
+        return np.where(hits.any(axis=1), hits.argmax(axis=1) + 1, UNKNOWN_LABEL)
 
 
 @dataclass
@@ -172,7 +171,7 @@ class DatasetPartition:
 
     train_windows: WindowTable | None  # None once trained on (harness.run_seed)
     test_windows: WindowTable
-    label_split: LabelSplit | None = None
+    label_split: LabelSplit
     stats: StandardizationStats | None = None
 
 
@@ -246,7 +245,7 @@ def split_trials(
     step_ms: float,
     train_trials,
     test_trials,
-    label_split: LabelSplit | None = None,
+    label_split: LabelSplit,
     release: bool = False,
 ) -> DatasetPartition:
     """Route recordings into train/test by trial id, then window each side.
@@ -255,9 +254,9 @@ def split_trials(
     recordings routes their windows exactly; only routed recordings are
     windowed. Each side's table holds one fresh copy of its routed
     recordings, concatenated in time, and the start of every window in it.
-    Recordings whose trial id is in neither set are dropped. When a label
-    split is given, unknown-class recordings are kept out of the train side
-    (they stay in test), and every window's label is remapped through it:
+    Recordings whose trial id is in neither set are dropped, and so are
+    unknown-class recordings of a train trial (those of a test trial stay
+    in test). Every window's label is remapped through the label split:
     1..N on the train side, 1..N or UNKNOWN_LABEL on the test side.
 
     The sides are filled from the last recording back. With ``release``,
@@ -273,10 +272,10 @@ def split_trials(
         raise ValueError(f"train and test trials overlap: {sorted(train_trials & test_trials)}")
     if not recordings:
         raise ValueError("no recordings to split")
-    known = None if label_split is None else set(label_split.known_classes)
+    known = set(label_split.known_classes)
     # the side each recording goes to: 0 train, 1 test, None neither
     route = [
-        0 if r.trial_id in train_trials and (known is None or r.gesture_label in known)
+        0 if r.trial_id in train_trials and r.gesture_label in known
         else 1 if r.trial_id in test_trials else None
         for r in recordings
     ]
@@ -314,9 +313,7 @@ def split_trials(
             [np.concatenate(v[::-1]) for v in zip(*pieces[side])] if pieces[side]
             else [np.empty(0, dtype=np.int64) for _ in range(2)]
         )
-        if label_split is not None:
-            labels = label_split.remap(labels)
-        return WindowTable(signals[side], shapes[side][1], starts, labels)
+        return WindowTable(signals[side], shapes[side][1], starts, label_split.remap(labels))
 
     return DatasetPartition(train_windows=build(0), test_windows=build(1), label_split=label_split)
 

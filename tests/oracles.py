@@ -478,13 +478,12 @@ def write_score_dump_csv(path, scored, threshold) -> None:
         + [f"branch{k+1}_smax" for k in range(n_branches)]
         + ["fused_smax", "k_star", "decision"]
     )
-    decisions = [""] * len(scored) if threshold is None else decide(scored, threshold).tolist()
     columns = zip(
         scored.true_labels.tolist(),
         scored.sims.max(axis=2).tolist(),
         scored.s_max.tolist(),
         scored.predicted.tolist(),
-        decisions,
+        decide(scored, threshold).tolist(),
     )
     with open(path, "w", newline="") as f:
         writer = csv.writer(f)

@@ -46,7 +46,7 @@ def table4_scores():
 
 
 @pytest.fixture(scope="module")
-def table4_runs(table4_scores):
+def table4_runs(table4_scores, tmp_path_factory):
     started = time.perf_counter()
     records = {}
     with pytest.MonkeyPatch.context() as mp:
@@ -59,8 +59,8 @@ def table4_runs(table4_scores):
                 return result
 
             mp.setattr(harness, "run_seed", keeping_scores)
-            cfg = ExperimentConfig(variant=variant, output_dir="unused")
-            records[variant] = run_experiment(cfg, write_artifacts=False)
+            out = tmp_path_factory.mktemp(variant)
+            records[variant] = run_experiment(ExperimentConfig(variant=variant, output_dir=str(out)))
     return records, time.perf_counter() - started
 
 
@@ -70,7 +70,7 @@ def test_criterion_1_gradient_suite():
     min_checked = 10**9
     for name in LOSS_NAMES:
         for t in range(5):
-            rep = check_loss_gradients(name, instance_seed=1000 + t, n_coords=420, eps=1e-4)
+            rep = check_loss_gradients(name, instance_seed=1000 + t, n_coords=420)
             worst = max(worst, rep.max_rel_error)
             min_checked = min(min_checked, rep.n_checked)
             assert rep.max_rel_error < 1e-4, (name, t, rep.max_rel_error)

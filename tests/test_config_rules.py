@@ -302,7 +302,7 @@ def test_csv_trial_in_no_recording_rejected_naming_key(tmp_path, key, trials, mi
         "output_dir": str(tmp_path / "out"), **trials,
     })
     with pytest.raises(ValueError, match=re.escape(f"{key} {missing}") + r".*trials \[1, 2\]"):
-        run_experiment(cfg, write_artifacts=False)
+        run_experiment(cfg)
 
 
 @pytest.mark.parametrize(
@@ -326,7 +326,7 @@ def test_csv_recording_without_window_geometry_names_its_line(tmp_path, bad, rat
     })
     with pytest.raises(ValueError, match=re.escape(f"{meta}: metadata line {bad + 2}: ") + ".*"
                        + re.escape(reason)):
-        run_experiment(cfg, write_artifacts=False)
+        run_experiment(cfg)
 
 
 
@@ -354,7 +354,7 @@ def test_csv_window_lengths_differ_names_the_line(tmp_path, fast):
     want = (f"{meta}: metadata line {min(fast) + 2}: window_ms=100.0 is 20 samples at "
             "sampling_rate_hz=200.0, but 10 on metadata line 2")
     with pytest.raises(ValueError, match=re.escape(want)):
-        run_experiment(cfg, write_artifacts=False)
+        run_experiment(cfg)
 
 
 def test_seed_without_a_train_window_fails_alone(tmp_path):
@@ -403,7 +403,7 @@ def test_seed_without_known_and_unknown_test_windows_fails_alone(tmp_path):
         "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
         "output_dir": str(tmp_path / "out"),
     }
-    report = run_experiment(config_from_dict(raw), write_artifacts=False)
+    report = run_experiment(config_from_dict(raw))
     assert report["aggregate"]["failed_seeds"] == [1, 2, 3]
     errors = {row["seed"]: row["error"] for row in report["per_seed"] if "error" in row}
     assert errors[1] == ("seed 1: test trials [2] give no unknown-class window for known "
@@ -412,8 +412,7 @@ def test_seed_without_known_and_unknown_test_windows_fails_alone(tmp_path):
                          "classes [3, 4]; open-set evaluation needs both known and unknown ones")
     assert all(row["auc"] is not None for row in report["per_seed"][3:])
     assert report["aggregate"]["n_seeds"] == 5
-    report = run_experiment(config_from_dict({**raw, "seeds": [2], "test_trials": [3]}),
-                            write_artifacts=False)
+    report = run_experiment(config_from_dict({**raw, "seeds": [2], "test_trials": [3]}))
     assert report["per_seed"][0]["error"] == (
         "seed 2: test trials [3] give no window for known classes [3, 4]; "
         "open-set evaluation needs both known and unknown ones")

@@ -1,6 +1,7 @@
 """Every module-level function and class in the package is named somewhere
-else in the package: a definition that nothing in src/predin/ names is dead,
-whatever tests still call it."""
+else in the package, and every defaulted parameter of a package function is
+passed by some call in the package: a definition or a parameter that
+nothing in src/predin/ uses is dead, whatever tests still use it."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,16 @@ from pathlib import Path
 import predin
 
 PACKAGE = Path(predin.__file__).parent
+
+# the console script calls main() with no argument; tests pass argv
+ENTRY_POINT_PARAMETERS = {"cli.main(argv)"}
+
+
+def _modules() -> list[tuple[str, ast.Module]]:
+    return [
+        (path.stem, ast.parse(path.read_text(), filename=str(path)))
+        for path in sorted(PACKAGE.glob("*.py"))
+    ]
 
 
 def _names(node) -> set[str]:
@@ -26,11 +37,11 @@ def _names(node) -> set[str]:
 def test_every_definition_is_named_elsewhere_in_the_package():
     definitions = []  # (module, name, the definition's own statement)
     statements = []
-    for path in sorted(PACKAGE.glob("*.py")):
-        for stmt in ast.parse(path.read_text(), filename=str(path)).body:
+    for module, tree in _modules():
+        for stmt in tree.body:
             statements.append(stmt)
             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                definitions.append((path.stem, stmt.name, stmt))
+                definitions.append((module, stmt.name, stmt))
     assert len(definitions) > 100
     named = {id(stmt): _names(stmt) for stmt in statements}
     unnamed = [
@@ -39,3 +50,60 @@ def test_every_definition_is_named_elsewhere_in_the_package():
         if not any(name in named[id(stmt)] for stmt in statements if stmt is not own)
     ]
     assert unnamed == []
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple[list[str], list[str]]:
+    """(the parameters a call fills by position, the defaulted ones); a
+    method's self or cls is filled by the attribute access, not the call."""
+    args = fn.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _passed(call: ast.Call, name: str, positional: list[str]) -> set[str] | None:
+    """The parameters of the function ``name`` that call passes, all of
+    them (None) when it unpacks *args or **kwargs, or the empty set when
+    it calls another function. functools.partial(f, ...) counts as a call
+    of f."""
+    func, args = call.func, call.args
+    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+    if called == "partial" and args and isinstance(args[0], ast.Name):
+        called, args = args[0].id, args[1:]
+    if called != name:
+        return set()
+    if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in call.keywords):
+        return None
+    return set(positional[: len(args)]) | {k.arg for k in call.keywords}
+
+
+def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
+    functions = []  # (module, function, whether it is a method)
+    calls = []
+    for module, tree in _modules():
+        methods = {
+            id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                functions.append((module, node, id(node) in methods))
+            elif isinstance(node, ast.Call):
+                calls.append(node)
+    unpassed = []
+    n_defaulted = 0
+    for module, fn, method in functions:
+        positional, defaulted = _defaulted(fn, method)
+        n_defaulted += len(defaulted)
+        passed = [_passed(call, fn.name, positional) for call in calls]
+        if None in passed:
+            continue
+        unpassed += [
+            f"{module}.{fn.name}({p})" for p in defaulted if not any(p in s for s in passed)
+        ]
+    assert n_defaulted > 10
+    assert sorted(unpassed) == sorted(ENTRY_POINT_PARAMETERS)

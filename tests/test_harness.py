@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import json
 import tracemalloc
 import weakref
@@ -425,16 +426,16 @@ class TestRunExperiment:
         assert "epoch 0, batch 0" in record["per_seed"][0]["error"]
         assert record["per_seed"][1]["auc"] is not None
 
-    def test_overflowing_recording_fails_only_the_seeds_that_train_on_it(self):
+    def test_overflowing_recording_fails_only_the_seeds_that_train_on_it(self, tmp_path):
         # a finite trial-1 recording scaled by 1e154 overflows its channels'
         # variance; each seed that trains on its class must fail naming
         # itself, not report chance-level metrics
-        cfg = tiny_config(seeds=(1, 2, 3, 4), epochs=1)
+        cfg = tiny_config(seeds=(1, 2, 3, 4), epochs=1, output_dir=str(tmp_path))
         recordings, classes = load_dataset(cfg)
         scaled = next(r for r in recordings if r.trial_id == 1)
         scaled.samples *= 1e154
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_experiment(cfg, write_artifacts=False, dataset=(recordings, classes))
+            report = run_experiment(cfg, dataset=(recordings, classes))
         known = {s: split_known_unknown(classes, cfg.n_known, s).known_classes for s in cfg.seeds}
         failing = [s for s in cfg.seeds if scaled.gesture_label in known[s]]
         assert 0 < len(failing) < len(cfg.seeds)
@@ -497,7 +498,7 @@ class TestAblation:
         for variant in ABLATION_VARIANTS:
             assert (tmp_path / "abl" / variant / "report.json").exists()
 
-    def test_dataset_loaded_once_and_left_intact(self, monkeypatch):
+    def test_dataset_loaded_once_and_left_intact(self, monkeypatch, tmp_path):
         from predin import harness
 
         calls = []
@@ -508,11 +509,13 @@ class TestAblation:
             return original(*args)
 
         monkeypatch.setattr(harness, "generate_synthetic", counting)
-        cfg = tiny_config(seeds=(1,), epochs=2)
-        records = run_ablation(cfg, write_artifacts=False)
+        cfg = tiny_config(seeds=(1,), epochs=2, output_dir=str(tmp_path / "abl"))
+        records = run_ablation(cfg)
         assert len(calls) == 1
         # the last variant ran on the shared recordings after five others
-        alone = run_experiment(dataclasses.replace(cfg, variant="predin"), write_artifacts=False)
+        alone = run_experiment(
+            dataclasses.replace(cfg, variant="predin", output_dir=str(tmp_path / "alone"))
+        )
         assert records["predin"]["per_seed"] == alone["per_seed"]
 
 
@@ -593,36 +596,58 @@ class TestRecordingsReleased:
         monkeypatch.setattr(harness, "train", checking_train)
         return refs, alive_at_standardize, alive_at_train
 
-    def test_single_seed_trains_without_recordings(self, monkeypatch):
+    def test_single_seed_trains_without_recordings(self, monkeypatch, tmp_path):
         refs, _, alive_at_train = self._watch(monkeypatch)
-        run_experiment(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        run_experiment(tiny_config(seeds=(1,), epochs=1, output_dir=str(tmp_path)))
         assert len(refs) == 15
         assert alive_at_train == [0]
 
-    def test_single_seed_frees_recordings_before_standardize(self, monkeypatch):
+    def test_single_seed_frees_recordings_before_standardize(self, monkeypatch, tmp_path):
         refs, alive_at_standardize, _ = self._watch(monkeypatch)
-        run_experiment(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        run_experiment(tiny_config(seeds=(1,), epochs=1, output_dir=str(tmp_path)))
         assert len(refs) == 15
         assert alive_at_standardize == [0]
 
-    def test_only_the_last_seed_trains_without_recordings(self, monkeypatch):
+    def test_only_the_last_seed_trains_without_recordings(self, monkeypatch, tmp_path):
         refs, alive_at_standardize, alive_at_train = self._watch(monkeypatch)
-        run_experiment(tiny_config(seeds=(1, 2), epochs=1), write_artifacts=False)
+        run_experiment(tiny_config(seeds=(1, 2), epochs=1, output_dir=str(tmp_path)))
         assert alive_at_standardize == [len(refs), 0]
         assert alive_at_train == [len(refs), 0]
 
-    def test_ablation_keeps_the_shared_recordings(self, monkeypatch):
+    def test_ablation_keeps_the_shared_recordings(self, monkeypatch, tmp_path):
         refs, alive_at_standardize, alive_at_train = self._watch(monkeypatch)
-        run_ablation(tiny_config(seeds=(1,), epochs=1), write_artifacts=False)
+        run_ablation(tiny_config(seeds=(1,), epochs=1, output_dir=str(tmp_path)))
         assert alive_at_standardize == [len(refs)] * len(ABLATION_VARIANTS)
         assert alive_at_train == [len(refs)] * len(ABLATION_VARIANTS)
 
-    def test_caller_dataset_left_intact(self):
-        cfg = tiny_config(seeds=(1, 2), epochs=1)
+    def test_caller_dataset_left_intact(self, tmp_path):
+        cfg = tiny_config(seeds=(1, 2), epochs=1, output_dir=str(tmp_path))
         recordings, classes = load_dataset(cfg)
         before = [(id(r), r.samples.tobytes()) for r in recordings]
-        run_experiment(cfg, write_artifacts=False, dataset=(recordings, classes))
+        run_experiment(cfg, dataset=(recordings, classes))
         assert [(id(r), r.samples.tobytes()) for r in recordings] == before
+
+
+class TestSeedModelReleased:
+    def test_no_branch_of_an_earlier_seed_alive_when_the_next_trains(self, monkeypatch, tmp_path):
+        # run_experiment lets go of a seed's SeedResult (every branch's
+        # weights and velocities) once its artifacts are written, so a
+        # multi-seed run's peak holds one seed's model, not two
+        from predin import harness
+
+        refs, alive_at_train = [], []
+        train = harness.train
+
+        def checking_train(branches, *args):
+            gc.collect()  # only a live reference may keep a branch
+            alive_at_train.append(sum(ref() is not None for ref in refs))
+            refs.extend(weakref.ref(b) for b in branches)
+            return train(branches, *args)
+
+        monkeypatch.setattr(harness, "train", checking_train)
+        run_experiment(tiny_config(seeds=(1, 2, 3), epochs=1, output_dir=str(tmp_path)))
+        assert len(refs) == 6
+        assert alive_at_train == [0, 0, 0]
 
 
 class TestSequentialVariant:

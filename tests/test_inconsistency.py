@@ -667,7 +667,7 @@ def _score_table():
 
 
 ARTIFACT_WRITERS = {
-    "scores.csv": lambda path: write_score_dump(path, _score_table(), None),
+    "scores.csv": lambda path: write_score_dump(path, _score_table(), 0.5),
     "loss_trace.csv": lambda path: write_loss_trace(path, [{"total": 1.5, "pl_a": 1.5}]),
     "proximity.csv": lambda path: write_matrix_csv(path, np.eye(3)),
 }

@@ -30,6 +30,11 @@ import oracles
 from oracles import count_windows_enumeration
 
 
+# every class 1..9 is known and keeps its id: a split for tests that route
+# without an unknown class
+ALL_KNOWN = LabelSplit(known_classes=tuple(range(1, 10)), unknown_classes=frozenset(), seed=0)
+
+
 def make_recording(n_samples, channels=2, rate=2000.0, label=1, trial=1):
     rng = np.random.default_rng(0)
     return SignalRecording(
@@ -132,8 +137,8 @@ class TestWindowing:
         # each side's signal is one fresh C-contiguous copy of its recordings,
         # and every gather from it is C-contiguous
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        two = split_trials(recs, 200.0, 50.0, {1, 2}, set())
-        one_each = split_trials(recs, 200.0, 50.0, {1}, {2})
+        two = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN)
+        one_each = split_trials(recs, 200.0, 50.0, {1}, {2}, ALL_KNOWN)
         assert two.train_windows.signal.shape == (2, 500 + 700)
         for windows in (two.train_windows, one_each.train_windows, one_each.test_windows):
             assert windows.signal.flags.c_contiguous and windows.signal.flags.owndata
@@ -145,7 +150,7 @@ class TestWindowing:
 
     def test_recordings_concatenate_in_order(self):
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        windows = split_trials(recs, 200.0, 50.0, {1, 2}, set()).train_windows
+        windows = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN).train_windows
         assert len(windows) == 2 + 4
         np.testing.assert_array_equal(windows.labels, [4, 4, 5, 5, 5, 5])
         np.testing.assert_array_equal(cube(windows)[2], recs[1].samples[:, :400])
@@ -161,7 +166,7 @@ class TestStandardize:
     def _partition(self, train_arrays, test_arrays=()):
         train = make_table(train_arrays)
         test = make_table(test_arrays)
-        return DatasetPartition(train_windows=train, test_windows=test)
+        return DatasetPartition(train_windows=train, test_windows=test, label_split=ALL_KNOWN)
 
     def test_two_value_channel(self):
         part = self._partition([np.array([[1.0, 3.0]])])
@@ -256,7 +261,7 @@ class TestStandardize:
         train = segment_windows(rec, 200.0, 50.0)
         test = segment_windows(make_recording(500, trial=2), 200.0, 50.0)
         with pytest.raises(ValueError, match="read-only"):
-            standardize(DatasetPartition(train_windows=train, test_windows=test))
+            standardize(DatasetPartition(train, test, ALL_KNOWN))
         np.testing.assert_array_equal(rec.samples, samples)
         assert not train.signal.flags.writeable and not test.signal.flags.writeable
 
@@ -325,8 +330,9 @@ class TestGatherOracle:
         recs = self._recordings()
         # the test side routes nothing; a side of one too-short recording has no windows
         for got, routed in (
-            (split_trials(recs, 200.0, 50.0, {1}, set()).test_windows, []),
-            (split_trials(recs[1:2], 200.0, 50.0, {2}, set()).train_windows, recs[1:2]),
+            (split_trials(recs, 200.0, 50.0, {1}, set(), ALL_KNOWN).test_windows, []),
+            (split_trials(recs[1:2], 200.0, 50.0, {2}, set(), ALL_KNOWN).train_windows,
+             recs[1:2]),
         ):
             expected = (np.empty((0, 3 * 400)) if not routed
                         else self._flat(oracles.window_recordings(routed, 200.0, 50.0)))
@@ -343,7 +349,7 @@ class TestGatherOracle:
         assert part.stats.mean.tobytes() == mean.tobytes()
         assert part.stats.std.tobytes() == std.tobytes()
         for got, copies in ((part.train_windows, train), (part.test_windows, test)):
-            assert got.rows().tobytes() == self._flat(copies).tobytes()
+            assert got.rows(slice(None)).tobytes() == self._flat(copies).tobytes()
 
 
 class TestLabelSplit:
@@ -371,13 +377,11 @@ class TestLabelSplit:
 
     def test_remap_contiguous(self):
         split = split_known_unknown(range(100, 127), 10, seed=1)
-        remapped = sorted(split.remap(c) for c in split.known_classes)
-        assert remapped == list(range(1, 11))
-        assert split.remap(next(iter(split.unknown_classes))) == UNKNOWN_LABEL
-        labels = np.array([*split.known_classes, *sorted(split.unknown_classes)])
-        np.testing.assert_array_equal(
-            split.remap(labels), [split.remap(int(c)) for c in labels]
-        )
+        known = split.known_classes
+        np.testing.assert_array_equal(split.remap(np.array(known)), range(1, 11))
+        labels = np.array([*sorted(split.unknown_classes), *known[::-1]])
+        want = [known.index(c) + 1 if c in known else UNKNOWN_LABEL for c in labels.tolist()]
+        np.testing.assert_array_equal(split.remap(labels), want)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -397,25 +401,25 @@ class TestSplitTrials:
 
     def test_routing(self):
         # recording i holds the value i and carries trial i % 4 + 1
-        part = split_trials(self._recordings(), *self.W, {1, 2}, {3})
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, ALL_KNOWN)
         np.testing.assert_array_equal(cube(part.train_windows)[:, 0, 0], [0, 1, 4, 5, 8, 9])
         # rows travel with their labels, in their original order
         np.testing.assert_array_equal(cube(part.test_windows)[:, 0, 0], [2.0, 6.0, 10.0])
         np.testing.assert_array_equal(part.test_windows.labels, [1, 2, 3])
 
     def test_empty_test_trials(self):
-        part = split_trials(self._recordings(), *self.W, {1, 2}, set())
+        part = split_trials(self._recordings(), *self.W, {1, 2}, set(), ALL_KNOWN)
         assert len(part.test_windows) == 0
         assert cube(part.test_windows).shape == (0, 1, 4)
 
     def test_unlisted_trial_dropped(self):
-        part = split_trials(self._recordings(), *self.W, {1}, {2})
+        part = split_trials(self._recordings(), *self.W, {1}, {2}, ALL_KNOWN)
         routed = len(part.train_windows) + len(part.test_windows)
         assert routed == 6  # trials 3 and 4 dropped
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3})
+            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3}, ALL_KNOWN)
 
     def test_known_filter_on_train_side(self):
         # class 3 is unknown: kept out of train, and remapped in test
@@ -437,7 +441,7 @@ class TestSplitTrials:
             np.testing.assert_array_equal(cube(got), every.x[rows])
             # each window's label is remapped once, where it is routed
             np.testing.assert_array_equal(got.labels, split.remap(every.labels[rows]))
-            assert got.rows().flags.c_contiguous
+            assert got.rows(slice(None)).flags.c_contiguous
         assert part.train_windows.labels.min() >= 1
         assert (part.test_windows.labels == UNKNOWN_LABEL).any()
 
@@ -461,17 +465,17 @@ class TestSplitTrials:
         # 4 ms is 4 samples at 1000 Hz but 8 at 2000 Hz: one side cannot hold both
         recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
         with pytest.raises(ValueError, match="different lengths"):
-            split_trials(recs, *self.W, {1}, set())
+            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN)
 
     def test_no_recordings_rejected(self):
         with pytest.raises(ValueError, match="no recordings"):
-            split_trials([], *self.W, {1}, {2})
+            split_trials([], *self.W, {1}, {2}, ALL_KNOWN)
 
     def test_mixed_channel_counts_rejected(self):
         # a one-channel recording would broadcast into a wider side unnoticed
         recs = [SignalRecording(np.zeros((c, 16)), 1000.0, 1, 1, 1) for c in (2, 1)]
         with pytest.raises(ValueError, match="different channel counts"):
-            split_trials(recs, *self.W, {1}, set())
+            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN)
 
 
 class TestSplitTrialsRelease:
@@ -523,7 +527,7 @@ class TestSplitTrialsRelease:
     def test_rejected_split_releases_nothing(self):
         recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
         with pytest.raises(ValueError, match="different lengths"):
-            split_trials(recs, 4.0, 4.0, {1}, set(), release=True)
+            split_trials(recs, 4.0, 4.0, {1}, set(), ALL_KNOWN, release=True)
         assert len(recs) == 2
 
 
