@@ -53,7 +53,7 @@ class EncoderSpec:
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    activation: str = "relu"
+    activation: str
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -247,9 +247,9 @@ def finite_diff_check(
     arrays: list[np.ndarray],
     loss_fn,
     analytic_grads: list[np.ndarray],
+    n_coords: int,
+    seed: int,
     eps: float = 1e-4,
-    n_coords: int = 200,
-    seed: int = 0,
 ) -> FiniteDiffReport:
     """Compare analytic gradients against central finite differences.
 

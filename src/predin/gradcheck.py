@@ -159,7 +159,7 @@ LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen
 
 
 def check_loss_gradients(
-    loss_name: str, instance_seed: int, n_coords: int = 420
+    loss_name: str, instance_seed: int, n_coords: int
 ) -> FiniteDiffReport:
     """Finite-difference check of one loss on one random instance."""
     rng = np.random.default_rng(instance_seed)
@@ -188,7 +188,7 @@ def check_loss_gradients(
     )
 
 
-def run_gradient_suite(n_seeds: int = 5, n_coords: int = 420):
+def run_gradient_suite(n_seeds: int, n_coords: int):
     """All losses x seeds, aggregated per loss.
 
     Returns [(loss_name, FiniteDiffReport)] where each report carries the

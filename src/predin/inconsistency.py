@@ -58,8 +58,8 @@ from .io import atomic_open, atomic_write_text
 from .prototypes import (
     COMPACTNESS_FORMS,
     check_labels,
+    cross_entropy,
     init_prototypes,
-    log_softmax,
     pl_loss,
     scatter_add_rows,
     softmax,
@@ -335,14 +335,8 @@ def softmax_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState])
     baseline)."""
     (branch,) = branches
     head_w, head_b = branch.head
-    y0 = check_labels(y, head_w.shape[0]) - 1
     emb, cache = encoder_forward(branch.encoder, x)
-    logits = emb @ head_w.T + head_b
-    m = len(y)
-    ce = -log_softmax(logits)[np.arange(m), y0].mean()
-    dlogits = softmax(logits)
-    dlogits[np.arange(m), y0] -= 1.0
-    dlogits /= m
+    ce, dlogits = cross_entropy(emb @ head_w.T + head_b, y)
     head_grads = [dlogits.T @ emb, dlogits.sum(axis=0)]
     return {"pl_a": ce, "total": ce}, [(cache, dlogits @ head_w, head_grads)]
 

@@ -104,8 +104,7 @@ def proximity_matrix(prototypes: np.ndarray) -> np.ndarray:
     dots = p @ p.T
     off = ~np.eye(n, dtype=bool)
     out = np.zeros((n, n))
-    for k in range(n):
-        out[k, off[k]] = softmax(dots[k, off[k]])[0]
+    out[off] = softmax(dots[off].reshape(n, n - 1)).ravel()
     return out
 
 

@@ -3,8 +3,9 @@
 The generalized distance between an embedding z and a prototype p is the
 negated dot product d(z, p) = -z.p, so the class posterior is a softmax over
 dot products. The training objective of a single branch combines the
-distance cross-entropy with a compactness term pulling embeddings onto
-their own prototype.
+distance cross-entropy (DCE, cross_entropy over the dot products; the
+softmax baseline's linear head uses the same cross_entropy) with a
+compactness term pulling embeddings onto their own prototype.
 
 Every loss returns (loss, d_embeddings, d_prototypes) with freshly
 allocated gradients that the caller may overwrite. Each loss works in a
@@ -64,12 +65,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    logits = np.atleast_2d(logits)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     """labels as int64; ValueError unless every one lies in 1..n_classes."""
     labels = np.asarray(labels, dtype=np.int64)
@@ -78,21 +73,30 @@ def check_labels(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return labels
 
 
-def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
-    """Distance cross-entropy: mean negative log posterior of the true class.
+def cross_entropy(logits: np.ndarray, labels):
+    """Mean negative log-softmax of each row's true class, labels 1..N over
+    the N columns of the (M, N) logits, and its gradient in the logits.
 
-    Returns (loss, d_embeddings, d_prototypes). Computed through log-softmax,
-    so the log argument never underflows.
+    Returns (loss, d_logits). Computed through log-softmax, so the log
+    argument never underflows.
     """
+    y0 = check_labels(labels, logits.shape[1]) - 1
+    rows = np.arange(logits.shape[0])
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    loss = -(shifted - np.log(total))[rows, y0].mean()
+    dlogits = np.divide(e, total, out=e)  # the softmax
+    dlogits[rows, y0] -= 1.0
+    dlogits /= len(rows)
+    return loss, dlogits
+
+
+def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
+    """Distance cross-entropy: the cross-entropy of the dot products z.p^k,
+    the negated distances. Returns (loss, d_embeddings, d_prototypes)."""
     z, p = embeddings, prototypes
-    y0 = check_labels(labels, p.shape[0]) - 1
-    m = z.shape[0]
-    logits = z @ p.T
-    logp = log_softmax(logits)
-    loss = -logp[np.arange(m), y0].mean()
-    dlogits = softmax(logits)
-    dlogits[np.arange(m), y0] -= 1.0
-    dlogits /= m
+    loss, dlogits = cross_entropy(z @ p.T, labels)
     return loss, dlogits @ p, dlogits.T @ z
 
 

@@ -1,7 +1,9 @@
 """Every module-level function and class in the package is named somewhere
 else in the package, and every defaulted parameter of a package function is
 passed by some call in the package: a definition or a parameter that
-nothing in src/predin/ uses is dead, whatever tests still use it."""
+nothing in src/predin/ uses is dead, whatever tests still use it. And some
+call in the package, the tests or the benchmark leaves each such parameter
+at its default: a default that every call overrides is dead too."""
 
 import ast
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import predin
 
 PACKAGE = Path(predin.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 # the console script calls main() with no argument; tests pass argv
 ENTRY_POINT_PARAMETERS = {"cli.main(argv)"}
@@ -19,6 +22,25 @@ def _modules() -> list[tuple[str, ast.Module]]:
         (path.stem, ast.parse(path.read_text(), filename=str(path)))
         for path in sorted(PACKAGE.glob("*.py"))
     ]
+
+
+def _functions() -> list[tuple[str, ast.FunctionDef, bool]]:
+    """(module, function, whether it is a method) of every package function."""
+    functions = []
+    for module, tree in _modules():
+        methods = {
+            id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for stmt in cls.body
+        }
+        functions += [
+            (module, node, id(node) in methods)
+            for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        ]
+    return functions
+
+
+def _calls(trees) -> list[ast.Call]:
+    return [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
 
 def _names(node) -> set[str]:
@@ -65,15 +87,21 @@ def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple[list[str], list[str]]
     return positional, defaulted
 
 
-def _passed(call: ast.Call, name: str, positional: list[str]) -> set[str] | None:
-    """The parameters of the function ``name`` that call passes, all of
-    them (None) when it unpacks *args or **kwargs, or the empty set when
-    it calls another function. functools.partial(f, ...) counts as a call
-    of f."""
+def _callee(call: ast.Call) -> tuple[str | None, list[ast.expr]]:
+    """(the name of the function call calls, its positional arguments);
+    functools.partial(f, ...) counts as a call of f."""
     func, args = call.func, call.args
     called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
     if called == "partial" and args and isinstance(args[0], ast.Name):
-        called, args = args[0].id, args[1:]
+        return args[0].id, args[1:]
+    return called, args
+
+
+def _passed(call: ast.Call, name: str, positional: list[str]) -> set[str] | None:
+    """The parameters of the function ``name`` that call passes, all of
+    them (None) when it unpacks *args or **kwargs, or the empty set when
+    it calls another function."""
+    called, args = _callee(call)
     if called != name:
         return set()
     if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in call.keywords):
@@ -82,21 +110,10 @@ def _passed(call: ast.Call, name: str, positional: list[str]) -> set[str] | None
 
 
 def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
-    functions = []  # (module, function, whether it is a method)
-    calls = []
-    for module, tree in _modules():
-        methods = {
-            id(stmt) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
-            for stmt in cls.body
-        }
-        for node in ast.walk(tree):
-            if isinstance(node, ast.FunctionDef):
-                functions.append((module, node, id(node) in methods))
-            elif isinstance(node, ast.Call):
-                calls.append(node)
+    calls = _calls(tree for _, tree in _modules())
     unpassed = []
     n_defaulted = 0
-    for module, fn, method in functions:
+    for module, fn, method in _functions():
         positional, defaulted = _defaulted(fn, method)
         n_defaulted += len(defaulted)
         passed = [_passed(call, fn.name, positional) for call in calls]
@@ -107,3 +124,22 @@ def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
         ]
     assert n_defaulted > 10
     assert sorted(unpassed) == sorted(ENTRY_POINT_PARAMETERS)
+
+
+def test_every_default_is_left_at_its_default_by_some_call():
+    trees = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+    paths = [path for tree in trees for path in sorted(tree.rglob("*.py"))]
+    assert len(paths) > 20
+    calls = _calls(ast.parse(path.read_text(), filename=str(path)) for path in paths)
+    overridden = []
+    for module, fn, method in _functions():
+        positional, defaulted = _defaulted(fn, method)
+        passed = [
+            _passed(call, fn.name, positional) for call in calls if _callee(call)[0] == fn.name
+        ]
+        if not passed or None in passed:  # no call to judge, or one that may pass anything
+            continue
+        overridden += [
+            f"{module}.{fn.name}({p})" for p in defaulted if all(p in s for s in passed)
+        ]
+    assert overridden == []

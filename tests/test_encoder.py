@@ -34,20 +34,20 @@ class TestInit:
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
     def test_shapes(self):
-        spec = EncoderSpec(input_dim=64, hidden_dims=(), output_dim=128)
+        spec = EncoderSpec(input_dim=64, hidden_dims=(), output_dim=128, activation="relu")
         params = init_encoder(spec, seed=0)
         assert params.weights[0].shape == (128, 64)
         assert params.biases[0].shape == (128,)
 
     def test_biases_zero_weights_scaled(self):
-        params = init_encoder(EncoderSpec(1000, (), 1000), seed=0)
+        params = init_encoder(EncoderSpec(1000, (), 1000, "relu"), seed=0)
         assert not params.biases[0].any()
         # He scale sqrt(2/1000)
         assert params.weights[0].std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.05)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            EncoderSpec(input_dim=0, hidden_dims=(4,), output_dim=2)
+            EncoderSpec(input_dim=0, hidden_dims=(4,), output_dim=2, activation="relu")
         with pytest.raises(ValueError):
             EncoderSpec(input_dim=4, hidden_dims=(4,), output_dim=2, activation="swish")
 
@@ -61,7 +61,7 @@ class TestForward:
         np.testing.assert_array_equal(emb, np.zeros((3, 4)))
 
     def test_single_linear_layer_identity(self):
-        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=4)
+        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=4, activation="relu")
         params = init_encoder(spec, seed=0)
         params.weights[0][:] = np.eye(4)
         x = np.random.default_rng(0).standard_normal((6, 4))
@@ -102,7 +102,7 @@ class TestBackward:
 
     def test_single_layer_sum_loss(self):
         # loss = sum of outputs of a single linear layer: dW[j,i] = sum_m x[m,i]
-        spec = EncoderSpec(input_dim=3, hidden_dims=(), output_dim=2)
+        spec = EncoderSpec(input_dim=3, hidden_dims=(), output_dim=2, activation="relu")
         params = init_encoder(spec, seed=0)
         x = np.random.default_rng(5).standard_normal((4, 3))
         _, cache = encoder_forward(params, x)

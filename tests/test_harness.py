@@ -351,7 +351,7 @@ class TestVariantLattice:
 
 class TestSoftmaxBaseline:
     def test_untrained_zero_head_gives_uniform_smax(self):
-        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3)
+        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3, activation="relu")
         enc = init_encoder(spec, seed=0)
         head = [np.zeros((5, 3)), np.zeros(5)]
         opt = init_optimizer(enc.arrays() + head, learning_rate=0.0)

@@ -48,7 +48,8 @@ def prototype_scorer(encoder, protos: np.ndarray):
 def identity_scorer(protos: np.ndarray):
     """Prototype scorer whose encoder is the identity, so sims are x . p^k."""
     dim = protos.shape[1]
-    enc = init_encoder(EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim), seed=0)
+    spec = EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim, activation="relu")
+    enc = init_encoder(spec, seed=0)
     enc.weights[0][:] = np.eye(dim)
     return prototype_scorer(enc, protos)
 

@@ -627,20 +627,36 @@ class TestSyntheticPipeline:
         generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
         assert threading.active_count() == before
 
-    def test_helper_error_partway_reaches_the_caller(self, monkeypatch):
-        caller, real, helper_calls = threading.current_thread(), signals._oscillate, []
+    class HelperInterrupt(BaseException):
+        """Not an Exception, as KeyboardInterrupt and SystemExit are not."""
+
+    @pytest.mark.parametrize("error", [RuntimeError, HelperInterrupt],
+                             ids=["Exception", "BaseException"])
+    def test_helper_error_partway_reaches_the_caller(self, monkeypatch, error):
+        real, helper_calls, raised = signals._oscillate, [], []
 
         def failing_on_the_third_recording(*args):
             if threading.current_thread() is not caller:
                 helper_calls.append(1)
                 if len(helper_calls) == 3:
-                    raise RuntimeError("helper failed")
+                    raise error("helper failed")
             real(*args)
 
+        def call():
+            try:
+                generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
+            except BaseException as e:
+                raised.append(e)
+
         monkeypatch.setattr(signals, "_oscillate", failing_on_the_third_recording)
+        # the call runs on a thread of its own, so that a helper which
+        # swallowed the error, leaving the caller waiting, fails the test
+        caller = threading.Thread(target=call, daemon=True)
         before = threading.active_count()
-        with pytest.raises(RuntimeError, match="helper failed"):
-            generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert [(type(e), str(e)) for e in raised] == [(error, "helper failed")]
         assert len(helper_calls) == 3  # the helper took no job after the failing one
         assert threading.active_count() == before
 
