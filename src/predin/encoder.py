@@ -168,7 +168,9 @@ class OptimizerState:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
 
 
-def init_optimizer(arrays: list[np.ndarray], learning_rate: float, momentum: float = 0.9) -> OptimizerState:
+def init_optimizer(
+    arrays: list[np.ndarray], learning_rate: float, momentum: float
+) -> OptimizerState:
     return OptimizerState(
         learning_rate=learning_rate,
         momentum=momentum,

@@ -69,7 +69,7 @@ def _rebuild(arrays: list[np.ndarray]) -> BranchState:
         spec=_SPEC, weights=arrays[0:_N_ENC:2], biases=arrays[1:_N_ENC:2], init_seed=0
     )
     # the checker never steps, so the branch carries no velocities
-    return BranchState(enc, arrays[_N_ENC:], head_seed=0, optimizer=init_optimizer([], 0.0))
+    return BranchState(enc, arrays[_N_ENC:], head_seed=0, optimizer=init_optimizer([], 0.0, 0.0))
 
 
 def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
@@ -82,7 +82,7 @@ def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
         if loss_kind == "dce":
             loss, dz, dp = dce_loss(emb, labels, protos)
         elif loss_kind == "compactness":
-            loss, dz, dp = compactness_loss(emb, labels, protos)
+            loss, dz, dp = compactness_loss(emb, labels, protos, hp.compactness_form)
         elif loss_kind == "pl":
             loss, dz, dp = pl_loss(emb, labels, protos, hp.beta, hp.compactness_form)
         elif loss_kind == "triplet":

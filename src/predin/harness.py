@@ -11,9 +11,9 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from functools import partial
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -49,12 +49,12 @@ from .metrics import (
 from .scoring import ScoreTable, calibrate_threshold, score_windows, write_score_dump
 from .signals import (
     UNKNOWN_LABEL,
+    CsvDataset,
     DatasetPartition,
     NonFiniteStatistics,
     SyntheticConfig,
     check_fields,
     generate_synthetic,
-    is_int,
     load_csv,
     ruled,
     split_known_unknown,
@@ -78,15 +78,6 @@ VARIANTS = {
 # stream tags for deriving independent sub-seeds from one run seed
 _ENC_A, _PROTO_A, _ENC_B, _PROTO_B, _SHUFFLE, _HEAD = 1, 2, 3, 4, 5, 6
 
-# the dataset section by default, and the value of each key a section leaves out
-_DATASET_DEFAULTS = {"type": "synthetic", "data_seed": 2024}
-
-# dataset keys accepted per dataset type, and the ones that must be present
-_DATASET_KEYS = {
-    "synthetic": ({*_DATASET_DEFAULTS, *(f.name for f in fields(SyntheticConfig))}, set()),
-    "csv": ({"type", "data_path", "meta_path"}, {"data_path", "meta_path"}),
-}
-
 
 def _as_object(value, section: str | None = None) -> dict:
     """value itself; ValueError naming the section when it is not an object."""
@@ -96,24 +87,25 @@ def _as_object(value, section: str | None = None) -> dict:
     return value
 
 
-def _check_section(section: str, keys, allowed, required=()) -> None:
-    """Raise ValueError naming the section and any unknown or missing key."""
-    unknown = sorted(set(keys) - set(allowed))
+def _section_type(section: str, kinds: tuple, values: dict):
+    """The dataclass the section's values build: its one type, or the one
+    of a union whose ``type`` its "type" key names (by default the first's).
+    ValueError naming the section on an unknown or missing key."""
+    kind = kinds[0]
+    if len(kinds) > 1:
+        tag = values.get("type", kind.type)
+        kind = next((k for k in kinds if k.type == tag), None)
+        if kind is None:
+            tags = tuple(k.type for k in kinds)
+            raise ValueError(f"unknown {section} type {tag!r}; type must be one of {tags}")
+    unknown = sorted(values.keys() - {f.name for f in fields(kind)})
     if unknown:
         raise ValueError(f"unknown config keys under {section!r}: {unknown}")
-    missing = sorted(set(required) - set(keys))
+    missing = sorted(f.name for f in fields(kind) if f.name not in values
+                     and f.default is MISSING and f.default_factory is MISSING)
     if missing:
         raise ValueError(f"missing config keys under {section!r}: {missing}")
-
-
-def _dataset_value(dataset: dict, key: str):
-    """dataset[key], or its default when the section leaves it out."""
-    return dataset.get(key, _DATASET_DEFAULTS[key])
-
-
-def _synthetic_config(dataset: dict) -> SyntheticConfig:
-    """The generator settings of a synthetic dataset section."""
-    return SyntheticConfig(**{k: v for k, v in dataset.items() if k not in _DATASET_DEFAULTS})
+    return kind
 
 
 def derive_seed(base_seed: int, stream: int) -> int:
@@ -137,9 +129,10 @@ class EncoderConfig:
 @dataclass(frozen=True)
 class ExperimentConfig:
     """A run's settings, by default the tuned desk-scale protocol; a field
-    typed by a dataclass is a nested JSON section of that type's fields."""
+    typed by a dataclass, or a union of them, is a nested JSON section of
+    that type's fields (a union's "type" key names the member)."""
 
-    dataset: dict = field(default_factory=lambda: dict(_DATASET_DEFAULTS))
+    dataset: SyntheticConfig | CsvDataset = field(default_factory=SyntheticConfig)
     window_ms: float = ruled(200.0, "(0, inf)")
     step_ms: float = ruled(50.0, "(0, inf)")
     n_known: int = ruled(6, "[2, inf)")
@@ -156,6 +149,10 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
+        for name, kinds in _SECTIONS.items():  # a section passed in, not parsed
+            if not isinstance(value := getattr(self, name), kinds):
+                want = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"{name} must be a {want}, got {type(value).__name__}")
         for name in ("seeds", "train_trials", "test_trials"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -164,21 +161,9 @@ class ExperimentConfig:
         shared = sorted(set(self.train_trials) & set(self.test_trials))
         if shared:
             raise ValueError(f"train_trials and test_trials share trials {shared}")
-        kind = _dataset_value(_as_object(self.dataset, "dataset"), "type")
-        if not (isinstance(kind, str) and kind in _DATASET_KEYS):
-            raise ValueError(f"unknown dataset type {kind!r}")
-        _check_section("dataset", self.dataset, *_DATASET_KEYS[kind])
-        if kind == "csv":
-            for key in ("data_path", "meta_path"):
-                if not isinstance(self.dataset[key], str):
-                    raise ValueError(f"{key} must be a string, got {self.dataset[key]!r}")
-        else:
-            seed = _dataset_value(self.dataset, "data_seed")
-            if not (is_int(seed) and seed >= 0):
-                raise ValueError(f"data_seed must be an integer >= 0, got {seed!r}")
-            # generator settings, and a run the generated set cannot satisfy,
-            # fail here naming the key, not mid-run
-            gen = _synthetic_config(self.dataset)
+        gen = self.dataset
+        if isinstance(gen, SyntheticConfig):
+            # a run the generated set cannot satisfy fails here naming the key, not mid-run
             for name in ("train_trials", "test_trials"):
                 outside = sorted(t for t in getattr(self, name) if not 1 <= t <= gen.trials)
                 if outside:
@@ -202,9 +187,13 @@ class ExperimentConfig:
         })
 
 
-# nested JSON section -> the dataclass it is built into
+# nested JSON section -> the dataclasses it may be built into: a field's
+# type, or each member of a union of them
 _SECTIONS = {
-    name: kind for name, kind in get_type_hints(ExperimentConfig).items() if is_dataclass(kind)
+    name: kinds
+    for name, hint in get_type_hints(ExperimentConfig).items()
+    for kinds in [get_args(hint) or (hint,)]
+    if all(map(is_dataclass, kinds))
 }
 
 
@@ -214,10 +203,9 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
     kwargs = dict(d)
-    for section, kind in _SECTIONS.items():
+    for section, kinds in _SECTIONS.items():
         values = _as_object(d.get(section, {}), section)
-        _check_section(section, values, (f.name for f in fields(kind)))
-        kwargs[section] = kind(**values)
+        kwargs[section] = _section_type(section, kinds, values)(**values)
     return ExperimentConfig(**kwargs)
 
 
@@ -229,11 +217,10 @@ def load_config(path) -> ExperimentConfig:
 def load_dataset(config: ExperimentConfig):
     """Materialize recordings and the full class-id set from the config."""
     ds = config.dataset
-    if _dataset_value(ds, "type") == "synthetic":
-        return generate_synthetic(_synthetic_config(ds), _dataset_value(ds, "data_seed"))
-    # "csv": ExperimentConfig admits no other dataset type
-    recordings = load_csv(ds["data_path"], ds["meta_path"])
-    return recordings, {r.gesture_label for r in recordings}
+    if isinstance(ds, CsvDataset):
+        recordings = load_csv(ds.data_path, ds.meta_path)
+        return recordings, {r.gesture_label for r in recordings}
+    return generate_synthetic(ds, ds.data_seed)
 
 
 def build_partition(
@@ -461,13 +448,13 @@ def run_experiment(config: ExperimentConfig, dataset=None) -> dict:
         missing = sorted(set(getattr(config, name)) - set(carried))
         if missing:
             raise ValueError(f"{name} {missing} are in no recording; they carry trials {carried}")
-    if _dataset_value(config.dataset, "type") == "csv":
+    if isinstance(config.dataset, CsvDataset):
         # recording i came from metadata line i + 2, as load_csv numbers them;
         # every recording a seed may route must give the first one's window
         listed = {*config.train_trials, *config.test_trials}
         first = None  # (line, window length) of the first recording in a listed trial
         for line, r in enumerate(recordings, start=2):
-            where = f"{config.dataset['meta_path']}: metadata line {line}"
+            where = f"{config.dataset.meta_path}: metadata line {line}"
             try:
                 window_len, _ = window_geometry(r.sampling_rate, config.window_ms, config.step_ms)
             except ValueError as e:

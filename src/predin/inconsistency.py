@@ -253,7 +253,7 @@ def proximity_backward(dist: ProximityDistribution, dprobs: np.ndarray):
 def inconsistency_loss(
     dist_a: ProximityDistribution,
     dist_b: ProximityDistribution,
-    epsilon_log: float = 1e-12,
+    epsilon_log: float,
 ):
     """Cross-branch inconsistency over aligned proximity rows.
 

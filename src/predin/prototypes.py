@@ -100,9 +100,7 @@ def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     return loss, dlogits @ p, dlogits.T @ z
 
 
-def compactness_loss(
-    embeddings: np.ndarray, labels, prototypes: np.ndarray, form: str = "huber_sq"
-):
+def compactness_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, form: str):
     """Smooth-L1 pull of each embedding onto its own prototype.
 
     With u = z - p^y:  0.5*||u||_2^2 when ||u||_1 < 1, else ||u||_1 - 0.5.
@@ -142,13 +140,7 @@ def compactness_loss(
     return loss, du, d_protos
 
 
-def pl_loss(
-    embeddings: np.ndarray,
-    labels,
-    prototypes: np.ndarray,
-    beta: float = 1.0,
-    form: str = "huber_sq",
-):
+def pl_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, beta: float, form: str):
     """Single-branch objective: DCE plus beta times the compactness term."""
     dce, dz, dp = dce_loss(embeddings, labels, prototypes)
     if beta == 0.0:

@@ -19,7 +19,7 @@ import numbers
 import queue
 import threading
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -404,7 +404,8 @@ def ruled(default, admits):
     interval such as "[0, 1)" or "(0, inf)", closed at a square bracket and
     open at a round one; a bool is no number, and an integer given for a
     float is kept as given. A str field admits a tuple of strings, or any
-    string but "" when admits is "non-empty".
+    string but "" when admits is "non-empty". A default of MISSING makes
+    the field required.
     """
     return field(default=default, metadata={"admits": admits})
 
@@ -454,8 +455,11 @@ class SyntheticConfig:
     class-independent per-channel oscillation (random phase per trial) and
     band-limited noise. Signature scales are proportional to
     ``separation``; separation=0 collapses every class into pure noise.
+    It is the config's synthetic ``dataset`` section, so it also carries
+    the section's ``type`` and the generator's seed, ``data_seed``.
     """
 
+    type: str = ruled("synthetic", ("synthetic",))
     n_classes: int = ruled(10, "[3, inf)")  # known plus unknown
     channels: int = ruled(4, "[1, inf)")
     trials: int = ruled(3, "[1, inf)")
@@ -465,6 +469,7 @@ class SyntheticConfig:
     osc_scale: float = ruled(0.5, "(-inf, inf)")
     noise_scale: float = ruled(0.5, "(-inf, inf)")
     smooth_samples: int = ruled(51, "[0, inf)")
+    data_seed: int = ruled(2024, "[0, inf)")
 
     def __post_init__(self):
         check_fields(self)
@@ -621,6 +626,18 @@ def _parse_field(row: dict, key: str, lineno: int, path, parse=int):
     except ValueError:
         kind = "non-integer" if parse is int else "non-numeric"
         raise ParseError(f"{path}: metadata line {lineno}: {kind} {key}={row[key]!r}") from None
+
+
+@dataclass(frozen=True, kw_only=True)
+class CsvDataset:
+    """The config's csv ``dataset`` section: the two files load_csv reads."""
+
+    type: str = ruled("csv", ("csv",))
+    data_path: str = ruled(MISSING, "non-empty")
+    meta_path: str = ruled(MISSING, "non-empty")
+
+    def __post_init__(self):
+        check_fields(self)
 
 
 def load_csv(data_path, meta_path) -> list[SignalRecording]:

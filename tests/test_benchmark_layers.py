@@ -147,7 +147,7 @@ def _backward_case():
 
 def _sgd_case():
     arrays = init_encoder(_SPEC, seed=1).arrays()
-    args = (arrays, [np.ones_like(a) for a in arrays], init_optimizer(arrays, 0.1))
+    args = (arrays, [np.ones_like(a) for a in arrays], init_optimizer(arrays, 0.1, 0.9))
     n_params = 12 * 16 + 16 + 16 * 8 + 8 + 8 * 4 + 4
     # read param, grad, velocity; write velocity, param: 8-byte floats
     return args, sgd_step(*args), {"encoder.sgd_step.bytes": 5 * 8 * n_params}
@@ -351,7 +351,7 @@ def test_generator_traced_on_the_eval_large_plan(tmp_path):
     assert tracer.names == ["harness.load_dataset", "signals.generate_synthetic"]
     assert tracer.parents == [-1, 0]
     ds = plan["config"]["dataset"]
-    untraced, _ = generate_synthetic(harness._synthetic_config(ds), ds["data_seed"])
+    untraced, _ = generate_synthetic(SyntheticConfig(**ds), ds["data_seed"])
     assert len(traced) == len(untraced) == 30 and traced[0].n_timesteps == 6000
     for a, b in zip(traced, untraced):
         assert a.samples.tobytes() == b.samples.tobytes()

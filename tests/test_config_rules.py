@@ -13,18 +13,18 @@ import re
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from predin.harness import EncoderConfig, ExperimentConfig, config_from_dict, run_experiment
 from predin.inconsistency import DivHyperParams, TrainConfig
-from predin.signals import ParseError, SyntheticConfig, load_csv
+from predin.signals import CsvDataset, ParseError, SyntheticConfig, load_csv
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 
-# the fields no rule covers: each is checked in code (the dataset section's
-# type, keys, paths and data_seed; every other section through its type's rules)
+# the fields no rule covers: the nested sections, each checked through the
+# rules of its type (the dataset section's "type" picks one of two)
 CHECKED_BY_CODE = {"dataset", "hyperparams", "encoder", "training"}
 
 # each config type -> the JSON path of one of its fields
@@ -34,6 +34,7 @@ PATHS = {
     TrainConfig: lambda n: f"training.{n}",
     DivHyperParams: lambda n: f"hyperparams.{n}",
     SyntheticConfig: lambda n: f"dataset.{n}",
+    CsvDataset: lambda n: f"dataset.{n}",
 }
 
 KIND_WORDS = {"int": "integer", "float": "real", "tuple[int, ...]": "integer list", "str": "string"}
@@ -79,11 +80,14 @@ def test_readme_table_matches_the_field_rules():
             break
         path, kind, admits = (cell.strip() for cell in line.strip("|").split(" | "))
         documented[path.strip("`")] = (kind, admits)
-    expected = {
-        path(f.name): (KIND_WORDS[f.type], _admits_cell(f.metadata["admits"]))
-        for cls, path in PATHS.items()
-        for f in ruled_fields(cls)
-    }
+    rules = {}  # JSON path -> (kind, admits)
+    for cls, path in PATHS.items():
+        for f in ruled_fields(cls):
+            admits = f.metadata["admits"]
+            if path(f.name) in rules:  # each dataset type's own "type": one row lists them all
+                admits = rules[path(f.name)][1] + admits
+            rules[path(f.name)] = (f.type, admits)
+    expected = {p: (KIND_WORDS[kind], _admits_cell(admits)) for p, (kind, admits) in rules.items()}
     assert documented == expected
 
 
@@ -115,29 +119,67 @@ def valid_values(f, entry=False):
     return ints if entry or f.type == "int" else st.lists(ints, max_size=4)
 
 
+def drawn(draw, cls, **fixed):
+    """A cls whose ruled fields are drawn from their rules, but those in
+    fixed; rejected when a rule tying its fields together fails."""
+    kwargs = {f.name: draw(valid_values(f)) for f in ruled_fields(cls)}
+    try:
+        return cls(**{**kwargs, **fixed})
+    except ValueError:
+        reject()
+
+
+def samples_ms(n, rate):
+    """The milliseconds that n samples span at the rate."""
+    return n * 1000.0 / rate
+
+
 @st.composite
 def valid_configs(draw):
-    """An ExperimentConfig with a csv dataset, drawn from the field rules
-    plus the cross-field ones (non-empty distinct seeds, disjoint trials)."""
+    """An ExperimentConfig drawn from the field rules, with either dataset
+    type, plus the cross-field ones: non-empty distinct seeds, disjoint
+    trials and, for a synthetic dataset, a recording of at least
+    max(1, smooth_samples) samples and a run the generated set can
+    satisfy (each length a whole number of samples)."""
     rules = {f.name: f for f in ruled_fields(ExperimentConfig)}
-    kwargs = {name: draw(valid_values(f)) for name, f in rules.items()}
+    kwargs = {section: drawn(draw, cls) for section, cls in
+              (("hyperparams", DivHyperParams), ("encoder", EncoderConfig), ("training", TrainConfig))}
+    trial = valid_values(rules["train_trials"], entry=True)
+    fixed = {}  # the top-level fields a synthetic dataset bounds
+    if draw(st.booleans()):
+        generator = {f.name: f for f in ruled_fields(SyntheticConfig)}
+        rate, smooth = (draw(valid_values(generator[name]))
+                        for name in ("sampling_rate_hz", "smooth_samples"))
+        n = draw(st.integers(max(1, smooth), 4 * max(1, smooth)))
+        ds = drawn(draw, SyntheticConfig, sampling_rate_hz=rate, smooth_samples=smooth,
+                   recording_ms=samples_ms(n, rate), trials=draw(st.integers(2, 10**6)))
+        trial = st.integers(1, ds.trials)
+        fixed["n_known"] = draw(st.integers(2, ds.n_classes - 1))
+        fixed["window_ms"] = samples_ms(draw(st.integers(1, n)), rate)
+        fixed["step_ms"] = samples_ms(draw(st.integers(1, 2 * n)), rate)
+    else:
+        ds = drawn(draw, CsvDataset)
     kwargs["seeds"] = draw(st.lists(valid_values(rules["seeds"], entry=True),
                                     min_size=1, max_size=4, unique=True))
-    trials = draw(st.lists(valid_values(rules["train_trials"], entry=True),
-                           min_size=2, max_size=6, unique=True))
+    trials = draw(st.lists(trial, min_size=2, max_size=6, unique=True))
     cut = draw(st.integers(1, len(trials) - 1))
     kwargs["train_trials"], kwargs["test_trials"] = trials[:cut], trials[cut:]
-    for section, cls in (("hyperparams", DivHyperParams), ("encoder", EncoderConfig),
-                         ("training", TrainConfig)):
-        kwargs[section] = cls(**{f.name: draw(valid_values(f)) for f in ruled_fields(cls)})
-    kwargs["dataset"] = {"type": "csv", "data_path": draw(st.text()), "meta_path": draw(st.text())}
-    return ExperimentConfig(**kwargs)
+    return drawn(draw, ExperimentConfig, dataset=ds, **kwargs, **fixed)
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)
 @given(valid_configs())
 def test_valid_config_round_trips(cfg):
     echo = json.loads(json.dumps(cfg.to_dict()))
+    assert config_from_dict(echo) == cfg
+
+
+def test_partial_dataset_section_echoes_every_default():
+    cfg = config_from_dict({"dataset": {"n_classes": 8, "data_seed": 7}})
+    echo = json.loads(json.dumps(cfg.to_dict()))
+    defaults = {f.name: f.default for f in dataclasses.fields(SyntheticConfig)}
+    assert echo["dataset"] == dict(defaults, n_classes=8, data_seed=7)
+    assert echo["dataset"]["type"] == "synthetic"
     assert config_from_dict(echo) == cfg
 
 
@@ -205,7 +247,11 @@ def _with(d: dict, section: str, key: str, value) -> dict:
     return d
 
 
-SYNTHETIC = {"type": "synthetic"}
+# a dataset section of each type, for a config whose dataset is of the other
+DATASETS = {
+    SyntheticConfig: {"type": "synthetic"},
+    CsvDataset: {"type": "csv", "data_path": "signal.csv", "meta_path": "meta.csv"},
+}
 
 
 @settings(derandomize=True, database=None, max_examples=10, deadline=None)
@@ -215,7 +261,9 @@ def test_one_bad_field_rejected_naming_it(cfg, unknown_key):
     for cls, path in PATHS.items():
         for f in ruled_fields(cls):
             for value in invalid_values(f):
-                d = base if cls is not SyntheticConfig else dict(base, dataset=SYNTHETIC)
+                d = base
+                if cls in DATASETS and not isinstance(cfg.dataset, cls):
+                    d = dict(base, dataset=DATASETS[cls])
                 with pytest.raises(ValueError) as info:
                     config_from_dict(_with(d, *path(f.name).rpartition(".")[::2], value))
                 assert f"{f.name} must be" in str(info.value), (path(f.name), value)

@@ -3,7 +3,10 @@ else in the package, and every defaulted parameter of a package function is
 passed by some call in the package: a definition or a parameter that
 nothing in src/predin/ uses is dead, whatever tests still use it. And some
 call in the package, the tests or the benchmark leaves each such parameter
-at its default: a default that every call overrides is dead too."""
+at its default: a default that every call overrides is dead too. A call
+counts for the function its file binds the called name to, by an import,
+a module attribute or a definition of its own; an attribute call on any
+other object counts for every method of that name."""
 
 import ast
 from pathlib import Path
@@ -11,9 +14,10 @@ from pathlib import Path
 import predin
 
 PACKAGE = Path(predin.__file__).parent
+MODULES = {path.stem for path in PACKAGE.glob("*.py")}
 ROOT = Path(__file__).resolve().parents[1]
 
-# the console script calls main() with no argument; tests pass argv
+# the console script calls main() with no argument; tests and the benchmark pass argv
 ENTRY_POINT_PARAMETERS = {"cli.main(argv)"}
 
 
@@ -39,8 +43,57 @@ def _functions() -> list[tuple[str, ast.FunctionDef, bool]]:
     return functions
 
 
-def _calls(trees) -> list[ast.Call]:
-    return [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.Call)]
+def _bindings(tree: ast.Module) -> dict[str, str]:
+    """Each name the file's imports bind -> the dotted name it stands for;
+    only the package imports relatively."""
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.partition(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module
+            if node.level:
+                base = f"predin.{base}" if base else "predin"
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{base}.{alias.name}"
+    return bound
+
+
+def _target(expr, bound: dict[str, str], own: str) -> tuple[str | None, str] | None:
+    """(module, name) of the function expr names, through the names its
+    file binds (a name the file does not import is its own module's);
+    (None, name) for a method, an attribute of anything but a module."""
+    attrs = []
+    while isinstance(expr, ast.Attribute):
+        attrs.insert(0, expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name):
+        return (None, attrs[-1]) if attrs else None
+    module, _, name = ".".join([bound.get(expr.id, f"{own}.{expr.id}"), *attrs]).rpartition(".")
+    in_package = module.startswith("predin.")
+    if in_package and module.removeprefix("predin.") in MODULES:
+        return module.removeprefix("predin."), name
+    if attrs and (in_package or expr.id not in bound):
+        return None, name
+    return module, name
+
+
+def _calls(paths) -> list[tuple[tuple[str | None, str] | None, ast.Call, list[ast.expr]]]:
+    """(callee, call, its positional arguments) of every call in the files
+    at paths; functools.partial(f, ...) counts as a call of f."""
+    calls = []
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = _bindings(tree)
+        own = f"predin.{path.stem}" if path.parent == PACKAGE else f"{path.parent.name}/{path.stem}"
+        for call in (node for node in ast.walk(tree) if isinstance(node, ast.Call)):
+            callee, args = _target(call.func, bound, own), call.args
+            if callee == ("functools", "partial") and args:
+                callee, args = _target(args[0], bound, own), args[1:]
+            calls.append((callee, call, args))
+    return calls
 
 
 def _names(node) -> set[str]:
@@ -87,36 +140,28 @@ def _defaulted(fn: ast.FunctionDef, method: bool) -> tuple[list[str], list[str]]
     return positional, defaulted
 
 
-def _callee(call: ast.Call) -> tuple[str | None, list[ast.expr]]:
-    """(the name of the function call calls, its positional arguments);
-    functools.partial(f, ...) counts as a call of f."""
-    func, args = call.func, call.args
-    called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-    if called == "partial" and args and isinstance(args[0], ast.Name):
-        return args[0].id, args[1:]
-    return called, args
+def _key(module: str, fn: ast.FunctionDef, method: bool) -> tuple[str | None, str]:
+    """What _target gives for a call of fn."""
+    return (None, fn.name) if method else (module, fn.name)
 
 
-def _passed(call: ast.Call, name: str, positional: list[str]) -> set[str] | None:
-    """The parameters of the function ``name`` that call passes, all of
-    them (None) when it unpacks *args or **kwargs, or the empty set when
-    it calls another function."""
-    called, args = _callee(call)
-    if called != name:
-        return set()
+def _passed(call: ast.Call, args: list[ast.expr], positional: list[str]) -> set[str] | None:
+    """The parameters call passes, with args its positional arguments, or
+    all of them (None) when it unpacks *args or **kwargs."""
     if any(isinstance(a, ast.Starred) for a in args) or any(k.arg is None for k in call.keywords):
         return None
     return set(positional[: len(args)]) | {k.arg for k in call.keywords}
 
 
 def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
-    calls = _calls(tree for _, tree in _modules())
+    calls = _calls(sorted(PACKAGE.glob("*.py")))
     unpassed = []
     n_defaulted = 0
     for module, fn, method in _functions():
         positional, defaulted = _defaulted(fn, method)
         n_defaulted += len(defaulted)
-        passed = [_passed(call, fn.name, positional) for call in calls]
+        key = _key(module, fn, method)
+        passed = [_passed(call, args, positional) for callee, call, args in calls if callee == key]
         if None in passed:
             continue
         unpassed += [
@@ -130,16 +175,16 @@ def test_every_default_is_left_at_its_default_by_some_call():
     trees = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
     paths = [path for tree in trees for path in sorted(tree.rglob("*.py"))]
     assert len(paths) > 20
-    calls = _calls(ast.parse(path.read_text(), filename=str(path)) for path in paths)
+    calls = _calls(paths)
     overridden = []
     for module, fn, method in _functions():
         positional, defaulted = _defaulted(fn, method)
-        passed = [
-            _passed(call, fn.name, positional) for call in calls if _callee(call)[0] == fn.name
-        ]
+        key = _key(module, fn, method)
+        passed = [_passed(call, args, positional) for callee, call, args in calls if callee == key]
         if not passed or None in passed:  # no call to judge, or one that may pass anything
             continue
         overridden += [
             f"{module}.{fn.name}({p})" for p in defaulted if all(p in s for s in passed)
         ]
-    assert overridden == []
+    # cli.py's own __main__ block leaves argv at its default today
+    assert sorted(set(overridden) - ENTRY_POINT_PARAMETERS) == []

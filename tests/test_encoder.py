@@ -168,7 +168,7 @@ class TestBackward:
 class TestSgd:
     def test_zero_grad_zero_velocity_unchanged(self):
         a = np.ones((2, 2))
-        opt = init_optimizer([a], learning_rate=0.01)
+        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
         sgd_step([a], [np.zeros((2, 2))], opt)
         np.testing.assert_array_equal(a, np.ones((2, 2)))
 
@@ -192,20 +192,20 @@ class TestSgd:
         rng = np.random.default_rng(8)
         a = rng.standard_normal((3, 3))
         before = a.copy()
-        opt = init_optimizer([a], learning_rate=0.0)
+        opt = init_optimizer([a], learning_rate=0.0, momentum=0.9)
         sgd_step([a], [rng.standard_normal((3, 3))], opt)
         assert a.tobytes() == before.tobytes()
 
     def test_non_finite_grad_rejected(self):
         a = np.ones(2)
-        opt = init_optimizer([a], learning_rate=0.01)
+        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
         with pytest.raises(ValueError, match="non-finite"):
             sgd_step([a], [np.array([np.nan, 0.0])], opt)
 
     def test_non_finite_last_grad_leaves_every_array_unchanged(self):
         rng = np.random.default_rng(9)
         arrays = [rng.standard_normal((3, 2)), rng.standard_normal(4), rng.standard_normal(2)]
-        opt = init_optimizer(arrays, learning_rate=0.01)
+        opt = init_optimizer(arrays, learning_rate=0.01, momentum=0.9)
         sgd_step(arrays, [np.ones_like(a) for a in arrays], opt)  # non-zero velocities
         before = [a.copy() for a in arrays + opt.velocities]
         grads = [np.ones_like(a) for a in arrays]
@@ -235,7 +235,7 @@ class TestSgd:
     def test_inf_last_grad_leaves_every_array_unchanged(self, bad):
         rng = np.random.default_rng(11)
         arrays = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        opt = init_optimizer(arrays, learning_rate=0.01)
+        opt = init_optimizer(arrays, learning_rate=0.01, momentum=0.9)
         sgd_step(arrays, [np.ones_like(a) for a in arrays], opt)
         before = [a.copy() for a in arrays + opt.velocities]
         with pytest.raises(ValueError, match="non-finite gradient in array 1"):

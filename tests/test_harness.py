@@ -28,22 +28,21 @@ from predin.harness import (
     run_seed,
 )
 from predin.scoring import score_windows
-from predin.signals import split_known_unknown
+from predin.signals import CsvDataset, SyntheticConfig, split_known_unknown
 
 from oracles import assert_checkpoint_holds
 
 
-TINY_DATASET = {
-    "type": "synthetic",
-    "n_classes": 5,
-    "channels": 2,
-    "trials": 3,
-    "recording_ms": 450.0,
-    "sampling_rate_hz": 400.0,
-    "separation": 1.5,
-    "noise_scale": 0.4,
-    "data_seed": 99,
-}
+TINY_DATASET = SyntheticConfig(
+    n_classes=5,
+    channels=2,
+    trials=3,
+    recording_ms=450.0,
+    sampling_rate_hz=400.0,
+    separation=1.5,
+    noise_scale=0.4,
+    data_seed=99,
+)
 
 
 SECTIONS = {"encoder": EncoderConfig, "training": TrainConfig}
@@ -83,7 +82,7 @@ class TestConfig:
 
     def test_every_field_off_default_round_trips(self):
         cfg = tiny_config(
-            dataset={"type": "csv", "data_path": "a.csv", "meta_path": "b.csv"},
+            dataset=CsvDataset(data_path="a.csv", meta_path="b.csv"),
             window_ms=150.0, step_ms=25.0, seeds=(9, 8), variant="dual_trip",
             train_trials=(2,), test_trials=(1, 3),
             hyperparams=DivHyperParams(0.5, 2.0, 0.25, 0.1, 2.0, 1e-9, "literal"),
@@ -199,6 +198,11 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"section '{section}' must be a JSON object"):
             config_from_dict({section: value})
 
+    @pytest.mark.parametrize("section", ["dataset", "hyperparams", "encoder", "training"])
+    def test_section_built_from_python_must_be_its_dataclass(self, section):
+        with pytest.raises(ValueError, match=f"^{section} must be a .*, got dict$"):
+            ExperimentConfig(**{section: {}})
+
     def test_non_object_config_rejected(self):
         with pytest.raises(ValueError, match="the config must be a JSON object, got list"):
             config_from_dict([])
@@ -231,7 +235,7 @@ class TestConfig:
     )
     def test_invalid_synthetic_setting_rejected_when_built(self, key, value):
         with pytest.raises(ValueError, match=key):
-            config_from_dict({"dataset": dict(TINY_DATASET, **{key: value})})
+            config_from_dict({"dataset": dict(dataclasses.asdict(TINY_DATASET), **{key: value})})
 
     def test_csv_dataset_checked_when_loaded(self):
         # trials and recording lengths of a CSV set are known only once it is read
@@ -354,7 +358,7 @@ class TestSoftmaxBaseline:
         spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3, activation="relu")
         enc = init_encoder(spec, seed=0)
         head = [np.zeros((5, 3)), np.zeros(5)]
-        opt = init_optimizer(enc.arrays() + head, learning_rate=0.0)
+        opt = init_optimizer(enc.arrays() + head, learning_rate=0.0, momentum=0.9)
         branch = inconsistency.BranchState(encoder=enc, head=head, head_seed=0, optimizer=opt)
         probs = branch_score_fn(branch)(np.ones((2, 4)))
         np.testing.assert_allclose(probs, 0.2)
@@ -521,8 +525,8 @@ class TestAblation:
 
 class TestBuildPartition:
     def test_peak_memory_is_the_routed_tables(self):
-        cfg = tiny_config(dataset=dict(TINY_DATASET, channels=4, recording_ms=3000.0,
-                                       sampling_rate_hz=2000.0))
+        cfg = tiny_config(dataset=dataclasses.replace(TINY_DATASET, channels=4, recording_ms=3000.0,
+                                                      sampling_rate_hz=2000.0))
         recordings, classes = load_dataset(cfg)
         tracemalloc.start()
         try:
@@ -709,7 +713,7 @@ class TestSoftmaxOnDefaultDataset:
 
 class TestZeroSeparation:
     def test_downstream_accuracy_near_chance(self):
-        ds = dict(TINY_DATASET, separation=0.0)
+        ds = dataclasses.replace(TINY_DATASET, separation=0.0)
         cfg = tiny_config(dataset=ds, variant="pl_baseline", epochs=10)
         recordings, classes = load_dataset(cfg)
         result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)

@@ -108,7 +108,7 @@ class TestLosses:
         z, y, p = batch(m, d, exact)
         before = [a.copy() for a in (z, y, p)]
         compactness_loss(z, y, p, form="literal")
-        pl_loss(z, y, p, 0.5)
+        pl_loss(z, y, p, 0.5, "huber_sq")
         triplet_loss(z, y, p, 1.0)
         for a, b in zip((z, y, p), before):
             assert same_bits(a, b)
@@ -264,13 +264,13 @@ def test_losses_compute_in_the_dtype_of_their_inputs(m, narrow):
                 assert g.dtype == np.float64
                 np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
 
-    check(pl_loss(z, y, p, form="literal"), pl_loss(z64, y, p64, form="literal"))
-    check(pl_loss(z, y, p), pl_loss(z64, y, p64))
+    check(pl_loss(z, y, p, 1.0, "literal"), pl_loss(z64, y, p64, 1.0, "literal"))
+    check(pl_loss(z, y, p, 1.0, "huber_sq"), pl_loss(z64, y, p64, 1.0, "huber_sq"))
     check(triplet_loss(z, y, p, 1.0), triplet_loss(z64, y, p64, 1.0))
     dists = [proximity_probs(z, y, p, 0.5), proximity_probs(z64, y, p64, 0.5)]
     check([dists[0].probs], [dists[1].probs])
     (got_incon, got_dprobs, _), (want_incon, want_dprobs, _) = (
-        inconsistency_loss(d, d) for d in dists
+        inconsistency_loss(d, d, 1e-12) for d in dists
     )
     check([got_incon, got_dprobs], [want_incon, want_dprobs])
     check(proximity_backward(dists[0], got_dprobs), proximity_backward(dists[1], want_dprobs))

@@ -118,18 +118,18 @@ class TestDceLoss:
 class TestCompactnessLoss:
     def test_zero_at_prototype(self):
         p = protos_from([[1.0, 2.0], [0.0, 0.0]])
-        loss, dz, dp = compactness_loss(np.array([[1.0, 2.0]]), [1], p)
+        loss, dz, dp = compactness_loss(np.array([[1.0, 2.0]]), [1], p, "huber_sq")
         assert loss == 0.0
         assert not dz.any() and not dp.any()
 
     def test_large_branch(self):
         p = protos_from([[0.0, 0.0], [9.9, 9.9]])
-        loss, _, _ = compactness_loss(np.array([[2.0, 0.0]]), [1], p)
+        loss, _, _ = compactness_loss(np.array([[2.0, 0.0]]), [1], p, "huber_sq")
         assert loss == pytest.approx(1.5)
 
     def test_small_branch_squared(self):
         p = protos_from([[0.0, 0.0], [9.9, 9.9]])
-        loss, _, _ = compactness_loss(np.array([[0.3, 0.4]]), [1], p)
+        loss, _, _ = compactness_loss(np.array([[0.3, 0.4]]), [1], p, "huber_sq")
         assert loss == pytest.approx(0.125)
 
     def test_small_branch_literal(self):
@@ -165,7 +165,7 @@ class TestPlLoss:
 
     def test_beta_zero_equals_dce(self):
         z, labels, protos = self._instance()
-        full = pl_loss(z, labels, protos, beta=0.0)
+        full = pl_loss(z, labels, protos, 0.0, "huber_sq")
         dce = dce_loss(z, labels, protos)
         assert full[0] == dce[0]
         np.testing.assert_array_equal(full[1], dce[1])
@@ -173,23 +173,23 @@ class TestPlLoss:
 
     def test_beta_one_is_sum(self):
         z, labels, protos = self._instance()
-        total, _, _ = pl_loss(z, labels, protos, beta=1.0)
+        total, _, _ = pl_loss(z, labels, protos, 1.0, "huber_sq")
         dce, _, _ = dce_loss(z, labels, protos)
-        com, _, _ = compactness_loss(z, labels, protos)
+        com, _, _ = compactness_loss(z, labels, protos, "huber_sq")
         assert total == pytest.approx(dce + com, abs=1e-12)
 
     def test_gradient_is_weighted_sum(self):
         z, labels, protos = self._instance()
         beta = 0.7
-        _, dz, dp = pl_loss(z, labels, protos, beta=beta)
+        _, dz, dp = pl_loss(z, labels, protos, beta, "huber_sq")
         _, dz_d, dp_d = dce_loss(z, labels, protos)
-        _, dz_c, dp_c = compactness_loss(z, labels, protos)
+        _, dz_c, dp_c = compactness_loss(z, labels, protos, "huber_sq")
         np.testing.assert_allclose(dz, dz_d + beta * dz_c, atol=1e-14)
         np.testing.assert_allclose(dp, dp_d + beta * dp_c, atol=1e-14)
 
     def test_monotone_in_beta(self):
         z, labels, protos = self._instance()
-        losses = [pl_loss(z, labels, protos, beta=b)[0] for b in (0.0, 0.5, 1.0, 2.0)]
+        losses = [pl_loss(z, labels, protos, b, "huber_sq")[0] for b in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_single_step_decreases_loss(self):
@@ -201,11 +201,11 @@ class TestPlLoss:
             u = z[0] - protos[labels[0] - 1]
             if abs(np.abs(u).sum() - 1.0) < 1e-2:
                 continue  # keep clear of the compactness kink
-            loss, dz, dp = pl_loss(z, labels, protos, beta=1.0)
+            loss, dz, dp = pl_loss(z, labels, protos, 1.0, "huber_sq")
             lr = 1e-4
             z2 = z - lr * dz
             protos2 = protos - lr * dp
-            loss2, _, _ = pl_loss(z2, labels, protos2, beta=1.0)
+            loss2, _, _ = pl_loss(z2, labels, protos2, 1.0, "huber_sq")
             assert loss2 < loss
 
 
