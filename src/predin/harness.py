@@ -149,10 +149,9 @@ class ExperimentConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for name, kinds in _SECTIONS.items():  # a section passed in, not parsed
-            if not isinstance(value := getattr(self, name), kinds):
-                want = " or ".join(k.__name__ for k in kinds)
-                raise ValueError(f"{name} must be a {want}, got {type(value).__name__}")
+        if not isinstance(self.dataset, (SyntheticConfig, CsvDataset)):  # passed in, not parsed
+            got = type(self.dataset).__name__
+            raise ValueError(f"dataset must be a SyntheticConfig or CsvDataset, got {got}")
         for name in ("seeds", "train_trials", "test_trials"):
             if not getattr(self, name):
                 raise ValueError(f"{name} must not be empty")
@@ -220,7 +219,7 @@ def load_dataset(config: ExperimentConfig):
     if isinstance(ds, CsvDataset):
         recordings = load_csv(ds.data_path, ds.meta_path)
         return recordings, {r.gesture_label for r in recordings}
-    return generate_synthetic(ds, ds.data_seed)
+    return generate_synthetic(ds)
 
 
 def build_partition(

@@ -533,8 +533,8 @@ def _draw_worker(jobs, done, rng, two_pi_freqs, t, phases) -> None:
             done.put(trial_phase)
 
 
-def generate_synthetic(config: SyntheticConfig, seed: int):
-    """Build one recording per (class, trial), deterministic per seed.
+def generate_synthetic(config: SyntheticConfig):
+    """Build one recording per (class, trial), deterministic per data_seed.
 
     Returns (recordings, class_ids) with classes labeled 1..n_classes and
     trials labeled 1..trials.
@@ -555,7 +555,7 @@ def generate_synthetic(config: SyntheticConfig, seed: int):
     context (numpy's error state) and is joined before this returns or
     raises.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.data_seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
     offsets = _class_offsets(config, rng)
     freqs = rng.uniform(5.0, 45.0, size=config.channels)

@@ -427,12 +427,12 @@ def class_posterior(z, prototypes) -> np.ndarray:
     return e / e.sum()
 
 
-def generate_synthetic_serial(config: SyntheticConfig, seed: int):
+def generate_synthetic_serial(config: SyntheticConfig):
     """The former one-thread generator: every recording's oscillation,
     noise and sum evaluated as one expression, in list order, its noise
     smoothed row by row into a fresh array. The two-thread
     generate_synthetic must equal it byte for byte."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(config.data_seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
     offsets = _class_offsets(config, rng)
     freqs = rng.uniform(5.0, 45.0, size=config.channels)

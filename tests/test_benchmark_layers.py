@@ -74,8 +74,8 @@ def _count(name, total, args, result):
 
 def _recordings():
     cfg = SyntheticConfig(n_classes=5, channels=2, trials=3, recording_ms=700.0,
-                          sampling_rate_hz=500.0)
-    recs, classes = generate_synthetic(cfg, seed=1)
+                          sampling_rate_hz=500.0, data_seed=1)
+    recs, classes = generate_synthetic(cfg)
     split = split_known_unknown(classes, 3, seed=2)
     return recs, split
 
@@ -350,8 +350,7 @@ def test_generator_traced_on_the_eval_large_plan(tmp_path):
         traced, classes = harness.load_dataset(config)
     assert tracer.names == ["harness.load_dataset", "signals.generate_synthetic"]
     assert tracer.parents == [-1, 0]
-    ds = plan["config"]["dataset"]
-    untraced, _ = generate_synthetic(SyntheticConfig(**ds), ds["data_seed"])
+    untraced, _ = generate_synthetic(SyntheticConfig(**plan["config"]["dataset"]))
     assert len(traced) == len(untraced) == 30 and traced[0].n_timesteps == 6000
     for a, b in zip(traced, untraced):
         assert a.samples.tobytes() == b.samples.tobytes()

@@ -120,13 +120,9 @@ def valid_values(f, entry=False):
 
 
 def drawn(draw, cls, **fixed):
-    """A cls whose ruled fields are drawn from their rules, but those in
-    fixed; rejected when a rule tying its fields together fails."""
+    """A cls whose ruled fields are drawn from their rules, but those in fixed."""
     kwargs = {f.name: draw(valid_values(f)) for f in ruled_fields(cls)}
-    try:
-        return cls(**{**kwargs, **fixed})
-    except ValueError:
-        reject()
+    return cls(**{**kwargs, **fixed})
 
 
 def samples_ms(n, rate):
@@ -146,13 +142,17 @@ def valid_configs(draw):
               (("hyperparams", DivHyperParams), ("encoder", EncoderConfig), ("training", TrainConfig))}
     trial = valid_values(rules["train_trials"], entry=True)
     fixed = {}  # the top-level fields a synthetic dataset bounds
-    if draw(st.booleans()):
+    synthetic = draw(st.booleans())
+    if synthetic:
         generator = {f.name: f for f in ruled_fields(SyntheticConfig)}
         rate, smooth = (draw(valid_values(generator[name]))
                         for name in ("sampling_rate_hz", "smooth_samples"))
         n = draw(st.integers(max(1, smooth), 4 * max(1, smooth)))
-        ds = drawn(draw, SyntheticConfig, sampling_rate_hz=rate, smooth_samples=smooth,
-                   recording_ms=samples_ms(n, rate), trials=draw(st.integers(2, 10**6)))
+        try:  # at a tiny rate, recording_ms can overflow to inf
+            ds = drawn(draw, SyntheticConfig, sampling_rate_hz=rate, smooth_samples=smooth,
+                       recording_ms=samples_ms(n, rate), trials=draw(st.integers(2, 10**6)))
+        except ValueError:
+            reject()
         trial = st.integers(1, ds.trials)
         fixed["n_known"] = draw(st.integers(2, ds.n_classes - 1))
         fixed["window_ms"] = samples_ms(draw(st.integers(1, n)), rate)
@@ -164,7 +164,12 @@ def valid_configs(draw):
     trials = draw(st.lists(trial, min_size=2, max_size=6, unique=True))
     cut = draw(st.integers(1, len(trials) - 1))
     kwargs["train_trials"], kwargs["test_trials"] = trials[:cut], trials[cut:]
-    return drawn(draw, ExperimentConfig, dataset=ds, **kwargs, **fixed)
+    if not synthetic:
+        return drawn(draw, ExperimentConfig, dataset=ds, **kwargs)
+    try:  # and so can step_ms, which spans up to twice the recording
+        return drawn(draw, ExperimentConfig, dataset=ds, **kwargs, **fixed)
+    except ValueError:
+        reject()
 
 
 @settings(derandomize=True, database=None, max_examples=50, deadline=None)

@@ -70,9 +70,9 @@ def dist_from_probs(probs, labels):
 def tiny_partition(seed=3, n_classes=5, n_known=3, sampling_rate_hz=400.0):
     cfg = SyntheticConfig(
         n_classes=n_classes, channels=2, trials=3, recording_ms=450.0,
-        sampling_rate_hz=sampling_rate_hz, separation=1.5, noise_scale=0.4,
+        sampling_rate_hz=sampling_rate_hz, separation=1.5, noise_scale=0.4, data_seed=seed,
     )
-    recs, classes = generate_synthetic(cfg, seed=seed)
+    recs, classes = generate_synthetic(cfg)
     split = split_known_unknown(classes, n_known, seed=seed)
     return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
 

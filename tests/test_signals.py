@@ -431,8 +431,8 @@ class TestSplitTrials:
     def test_equals_routing_every_window(self):
         # routing recordings equals windowing everything and masking rows
         cfg = SyntheticConfig(n_classes=5, channels=3, trials=4, recording_ms=700.0,
-                              sampling_rate_hz=500.0)
-        recs, classes = generate_synthetic(cfg, seed=8)
+                              sampling_rate_hz=500.0, data_seed=8)
+        recs, classes = generate_synthetic(cfg)
         split = split_known_unknown(classes, 3, seed=2)
         part = split_trials(recs, 200.0, 50.0, {1, 3}, {2}, split)
         every = oracles.window_recordings(recs, 200.0, 50.0)
@@ -486,8 +486,8 @@ class TestSplitTrialsRelease:
 
     def _recordings(self):
         cfg = SyntheticConfig(n_classes=3, channels=2, trials=4, recording_ms=700.0,
-                              sampling_rate_hz=500.0)
-        return generate_synthetic(cfg, seed=4)[0]
+                              sampling_rate_hz=500.0, data_seed=4)
+        return generate_synthetic(cfg)[0]
 
     def test_same_tables_as_without_release(self):
         kept = self._recordings()
@@ -533,34 +533,33 @@ class TestSplitTrialsRelease:
 
 class TestSynthetic:
     def test_recording_count_and_determinism(self):
-        cfg = SyntheticConfig(n_classes=10, channels=4, trials=3, recording_ms=300.0)
-        recs_a, classes = generate_synthetic(cfg, seed=7)
-        recs_b, _ = generate_synthetic(cfg, seed=7)
+        cfg = SyntheticConfig(n_classes=10, channels=4, trials=3, recording_ms=300.0, data_seed=7)
+        recs_a, classes = generate_synthetic(cfg)
+        recs_b, _ = generate_synthetic(cfg)
         assert len(recs_a) == 30
         assert classes == set(range(1, 11))
         for a, b in zip(recs_a, recs_b):
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_distinct_seed_changes_data(self):
-        cfg = SyntheticConfig(recording_ms=300.0)
-        a, _ = generate_synthetic(cfg, seed=1)
-        b, _ = generate_synthetic(cfg, seed=2)
+        a, _ = generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=1))
+        b, _ = generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=2))
         assert not np.array_equal(a[0].samples, b[0].samples)
 
     def test_too_few_classes(self):
         with pytest.raises(ValueError):
-            generate_synthetic(SyntheticConfig(n_classes=2), seed=0)
+            generate_synthetic(SyntheticConfig(n_classes=2))
 
     def test_zero_separation_collapses_signatures(self):
-        cfg = SyntheticConfig(separation=0.0, recording_ms=300.0)
-        recs, _ = generate_synthetic(cfg, seed=5)
+        cfg = SyntheticConfig(separation=0.0, recording_ms=300.0, data_seed=5)
+        recs, _ = generate_synthetic(cfg)
         # with no signature, per-class means are indistinguishable from noise
         means = np.array([r.samples.mean(axis=1) for r in recs])
         assert np.abs(means).max() < 0.5
 
     def test_every_class_has_every_trial(self):
-        cfg = SyntheticConfig(n_classes=4, trials=3, recording_ms=300.0)
-        recs, _ = generate_synthetic(cfg, seed=0)
+        cfg = SyntheticConfig(n_classes=4, trials=3, recording_ms=300.0, data_seed=0)
+        recs, _ = generate_synthetic(cfg)
         seen = {(r.gesture_label, r.trial_id) for r in recs}
         assert seen == {(c, t) for c in range(1, 5) for t in range(1, 4)}
 
@@ -596,9 +595,9 @@ class TestSyntheticPipeline:
              "kernel_long"],
     )
     def test_bytes_equal_serial_generator(self, overrides, seed):
-        cfg = SyntheticConfig(**overrides)
-        got, classes = generate_synthetic(cfg, seed)
-        want, want_classes = oracles.generate_synthetic_serial(cfg, seed)
+        cfg = SyntheticConfig(**overrides, data_seed=seed)
+        got, classes = generate_synthetic(cfg)
+        want, want_classes = oracles.generate_synthetic_serial(cfg)
         assert classes == want_classes and len(got) == len(want) == cfg.n_classes * cfg.trials
         for a, b in zip(got, want):
             assert a.samples.shape == b.samples.shape and a.samples.dtype == b.samples.dtype
@@ -606,25 +605,25 @@ class TestSyntheticPipeline:
             assert (a.gesture_label, a.trial_id, a.subject_id, a.sampling_rate) == (
                 b.gesture_label, b.trial_id, b.subject_id, b.sampling_rate)
 
-    def _run(self, generate, cfg, seed):
+    def _run(self, generate, cfg):
         """(exception type and text or None, warning texts) of one call."""
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             try:
-                generate(cfg, seed)
+                generate(cfg)
                 error = None
             except Exception as e:
                 error = (type(e), str(e))
         return error, [str(w.message) for w in caught]
 
     def test_overflow_rejected_as_before_and_no_thread_left(self):
-        cfg = SyntheticConfig(separation=1e308, recording_ms=300.0)
+        cfg = SyntheticConfig(separation=1e308, recording_ms=300.0, data_seed=0)
         before = threading.active_count()
-        got = self._run(generate_synthetic, cfg, 0)
+        got = self._run(generate_synthetic, cfg)
         assert threading.active_count() == before
         assert got[0] == (ValueError, "recording contains non-finite samples")
-        assert got == self._run(oracles.generate_synthetic_serial, cfg, 0)
-        generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
+        assert got == self._run(oracles.generate_synthetic_serial, cfg)
+        generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=0))
         assert threading.active_count() == before
 
     class HelperInterrupt(BaseException):
@@ -644,7 +643,7 @@ class TestSyntheticPipeline:
 
         def call():
             try:
-                generate_synthetic(SyntheticConfig(recording_ms=300.0), 0)
+                generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=0))
             except BaseException as e:
                 raised.append(e)
 
@@ -665,10 +664,10 @@ class TestSyntheticPipeline:
         # pipeline peaks 2.51 recording sizes above the recordings, the
         # former layout (the calling thread drew, smoothed into a fresh
         # array and scaled into another) 4.26
-        cfg = SyntheticConfig(recording_ms=30000.0)
+        cfg = SyntheticConfig(recording_ms=30000.0, data_seed=7)
         tracemalloc.start()
         try:
-            recordings, _ = generate_synthetic(cfg, 7)
+            recordings, _ = generate_synthetic(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -681,13 +680,13 @@ class TestSyntheticPipeline:
         # the offsets the main thread draws; the caller's errstate must
         # hold there too
         cfg = SyntheticConfig(n_classes=3, channels=1, trials=1, recording_ms=300.0,
-                              separation=1e308, osc_scale=1.0)
+                              separation=1e308, osc_scale=1.0, data_seed=1)
         before = threading.active_count()
         for generate in (oracles.generate_synthetic_serial, generate_synthetic):
             with np.errstate(over="raise"), pytest.raises(
                 FloatingPointError, match="overflow encountered in add"
             ):
-                generate(cfg, 1)
+                generate(cfg)
         assert threading.active_count() == before
 
 
@@ -798,8 +797,8 @@ class TestLoadCsv:
 class TestPipelineInvariants:
     def test_split_pipeline_is_pure(self):
         cfg = SyntheticConfig(n_classes=5, channels=2, trials=3, recording_ms=400.0,
-                              sampling_rate_hz=500.0)
-        recs, classes = generate_synthetic(cfg, seed=3)
+                              sampling_rate_hz=500.0, data_seed=3)
+        recs, classes = generate_synthetic(cfg)
         samples = [r.samples.copy() for r in recs]
 
         def build():
@@ -816,8 +815,8 @@ class TestPipelineInvariants:
 
     def test_unknown_classes_present_in_test(self):
         cfg = SyntheticConfig(n_classes=6, channels=2, trials=3, recording_ms=400.0,
-                              sampling_rate_hz=500.0)
-        recs, classes = generate_synthetic(cfg, seed=3)
+                              sampling_rate_hz=500.0, data_seed=3)
+        recs, classes = generate_synthetic(cfg)
         split = split_known_unknown(classes, 3, seed=4)
         part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split)
         # labels arrive remapped: every unknown class's trial-3 windows carry
