@@ -127,13 +127,13 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
 
 
 def encoder_backward(
-    cache: ForwardCache, grad_embeddings: np.ndarray, out: list[np.ndarray] | None = None
+    cache: ForwardCache, grad_embeddings: np.ndarray, out: list[np.ndarray] | None
 ) -> list[np.ndarray]:
     """Backpropagate d(loss)/d(embeddings) to parameter gradients.
 
     Returns [dW0, db0, dW1, db1, ...], aligned with EncoderParams.arrays().
     With ``out`` (arrays shaped like EncoderParams.arrays()) the gradients
-    are written into those arrays, which are returned; without it they are
+    are written into those arrays, which are returned; with None they are
     freshly allocated. Both give the same bits.
     """
     params = cache.params
@@ -235,6 +235,8 @@ def lr_schedule(epoch: int, base_lr: float) -> float:
 # finite_diff_check skips a coordinate as kink-adjacent when its two
 # one-sided slopes differ by more than this, relative to the larger (or 1)
 KINK_TOL = 1e-3
+# finite_diff_check's step on each coordinate
+FD_EPS = 1e-4
 
 
 @dataclass
@@ -251,11 +253,10 @@ def finite_diff_check(
     analytic_grads: list[np.ndarray],
     n_coords: int,
     seed: int,
-    eps: float = 1e-4,
 ) -> FiniteDiffReport:
     """Compare analytic gradients against central finite differences.
 
-    Samples up to n_coords coordinates across the given arrays. Coordinates
+    Samples up to n_coords coordinates and steps each by FD_EPS. Coordinates
     where the two one-sided slopes disagree beyond KINK_TOL are skipped as
     kink-adjacent (the test never consults the analytic value, so it cannot
     mask a wrong gradient); coordinates where both analytic and numeric are
@@ -275,18 +276,18 @@ def finite_diff_check(
         ai = int(np.searchsorted(bounds, flat, side="right"))
         off = int(flat - (bounds[ai - 1] if ai > 0 else 0))
         orig = work[ai].flat[off]
-        work[ai].flat[off] = orig + eps
+        work[ai].flat[off] = orig + FD_EPS
         f_plus = float(loss_fn(work))
-        work[ai].flat[off] = orig - eps
+        work[ai].flat[off] = orig - FD_EPS
         f_minus = float(loss_fn(work))
         work[ai].flat[off] = orig
 
-        s_plus = (f_plus - base) / eps
-        s_minus = (base - f_minus) / eps
+        s_plus = (f_plus - base) / FD_EPS
+        s_minus = (base - f_minus) / FD_EPS
         if abs(s_plus - s_minus) > KINK_TOL * max(1.0, abs(s_plus), abs(s_minus)):
             n_kink += 1
             continue
-        numeric = (f_plus - f_minus) / (2 * eps)
+        numeric = (f_plus - f_minus) / (2 * FD_EPS)
         analytic = float(analytic_grads[ai].flat[off])
         if abs(analytic) < 1e-8 and abs(numeric) < 1e-8:
             n_small += 1

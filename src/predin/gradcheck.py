@@ -183,8 +183,7 @@ def check_loss_gradients(
     else:
         raise ValueError(f"unknown loss {loss_name!r}")
     return finite_diff_check(
-        arrays, lambda a: compute(a)[0], compute(arrays)[1],
-        eps=1e-4, n_coords=n_coords, seed=instance_seed,
+        arrays, lambda a: compute(a)[0], compute(arrays)[1], n_coords=n_coords, seed=instance_seed
     )
 
 

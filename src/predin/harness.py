@@ -223,7 +223,7 @@ def load_dataset(config: ExperimentConfig):
 
 
 def build_partition(
-    config: ExperimentConfig, recordings, classes, seed: int, release: bool = False
+    config: ExperimentConfig, recordings, classes, seed: int, release: bool
 ) -> DatasetPartition:
     """Route, window and standardize one seed's train/test tables; each
     side's routed recordings are copied once and scaled in place, and no

@@ -204,14 +204,15 @@ def proximity_probs(
     prototypes: np.ndarray,
     m1: float,
     keep_cache: bool = True,
-    own_dots: np.ndarray | None = None,
+    *,
+    own_dots: np.ndarray | None,
 ) -> ProximityDistribution:
     """Per-sample softmax over margin-clamped relative distances.
 
     When every distance of a row clamps to zero the row is uniform.
-    own_dots overrides the computed z.p^y reference per row; the
-    finite-difference oracle uses it to hold that stop-gradient term at its
-    unperturbed value.
+    own_dots, unless None, overrides the computed z.p^y reference per row;
+    the finite-difference oracle uses it to hold that stop-gradient term at
+    its unperturbed value.
     """
     z, p = embeddings, prototypes
     n = p.shape[0]

@@ -129,21 +129,17 @@ class WindowTable:
 
 @dataclass(frozen=True)
 class LabelSplit:
-    """Seeded partition of class ids into known and unknown sets.
+    """The known class ids of a known/unknown split.
 
     Known classes are remapped to contiguous ids 1..N in the order of
-    ``known_classes``; everything else maps to UNKNOWN_LABEL.
+    ``known_classes``; every other class is unknown and maps to UNKNOWN_LABEL.
     """
 
     known_classes: tuple[int, ...]
-    unknown_classes: frozenset[int]
-    seed: int
 
     def __post_init__(self):
         if len(self.known_classes) < 2:
             raise ValueError("need at least 2 known classes")
-        if set(self.known_classes) & self.unknown_classes:
-            raise ValueError("known and unknown classes overlap")
 
     @property
     def n_known(self) -> int:
@@ -157,11 +153,10 @@ class LabelSplit:
 
 @dataclass
 class StandardizationStats:
-    """Per-channel training mean/std; floored channels are recorded."""
+    """Per-channel training mean/std."""
 
     mean: np.ndarray  # (channels,)
     std: np.ndarray  # (channels,), floored at STD_FLOOR
-    floored_channels: tuple[int, ...] = ()
 
 
 @dataclass
@@ -230,13 +225,10 @@ def split_known_unknown(all_classes, n_known: int, seed: int) -> LabelSplit:
             f"n_known={n_known} must be smaller than the number of classes "
             f"({len(classes)})"
         )
-    if n_known < 2:
-        raise ValueError("need at least 2 known classes")
     rng = np.random.default_rng(seed)
-    picked = rng.permutation(len(classes))[:n_known]
-    known = tuple(sorted(classes[i] for i in picked))
-    unknown = frozenset(classes) - set(known)
-    return LabelSplit(known_classes=known, unknown_classes=unknown, seed=seed)
+    # a negative count picks none, so LabelSplit rejects it like any count below 2
+    picked = rng.permutation(len(classes))[: max(n_known, 0)]
+    return LabelSplit(known_classes=tuple(sorted(classes[i] for i in picked)))
 
 
 def split_trials(
@@ -246,7 +238,7 @@ def split_trials(
     train_trials,
     test_trials,
     label_split: LabelSplit,
-    release: bool = False,
+    release: bool,
 ) -> DatasetPartition:
     """Route recordings into train/test by trial id, then window each side.
 
@@ -373,7 +365,7 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     for w in (train, partition.test_windows):
         w.signal -= mean[:, None]
         w.signal /= std[:, None]
-    partition.stats = StandardizationStats(mean, std, floored_channels=tuple(floored.tolist()))
+    partition.stats = StandardizationStats(mean, std)
     return partition
 
 

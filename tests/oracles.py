@@ -337,7 +337,7 @@ def div_loss_allocating(x, y, branches, hp, frozen=None):
     pair = list(branches) if frozen is None else [*branches, frozen]
     forward = [encoder_forward_allocating(b.encoder, x) for b in pair]
     dists = [
-        proximity_probs(emb, y, b.prototypes, hp.m1, keep_cache=i < len(branches))
+        proximity_probs(emb, y, b.prototypes, hp.m1, keep_cache=i < len(branches), own_dots=None)
         for i, (b, (emb, _)) in enumerate(zip(pair, forward))
     ]
     incon, *dprobs = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)

@@ -140,8 +140,8 @@ def test_criterion_4_clamp_semantics():
     z_a = np.array([[0.1, 0.0]])  # gaps 0.01..0.03 < m1 = 0.5
     protos_b = np.array([[5.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
     z_b = np.array([[1.0, 0.0]])
-    dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5)
-    dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)
+    dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5, own_dots=None)
+    dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5, own_dots=None)
     _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b, 1e-12)
     d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
     ok = (

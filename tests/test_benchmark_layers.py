@@ -107,7 +107,7 @@ def test_segment_windows_called_once_per_routed_recording(monkeypatch):
         return result
 
     monkeypatch.setattr(signals, "segment_windows", counting)
-    part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split)
+    part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False)
     routed = [r for r in recs if r.trial_id == 3
               or (r.trial_id in (1, 2) and r.gesture_label in split.known_classes)]
     assert sorted(i for i, _ in cut) == sorted(id(r) for r in routed)
@@ -116,7 +116,7 @@ def test_segment_windows_called_once_per_routed_recording(monkeypatch):
 
 def test_score_counter_counts_every_test_window():
     recs, split = _recordings()
-    part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
+    part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False))
     spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4,
                        activation="tanh")
     fns = [branch_score_fn(init_branch(spec, 3, 1, 2, TrainConfig()))]
@@ -141,7 +141,7 @@ def _forward_case():
 
 def _backward_case():
     _, (emb, cache), _ = _forward_case()
-    args = (cache, np.ones_like(emb))
+    args = (cache, np.ones_like(emb), None)
     return args, encoder_backward(*args), {"encoder.encoder_backward.flop": 2 * _FORWARD_FLOP}
 
 
@@ -176,13 +176,13 @@ def _proximity_case():
     args = (z, labels, protos, 0.5)
     totals = {"inconsistency.proximity_probs.active": 4 * 3,
               "inconsistency.proximity_probs.entries": 7 * 3}
-    return args, proximity_probs(*args), totals
+    return args, proximity_probs(*args, own_dots=None), totals
 
 
 def _proximity_no_cache_case():
     (z, labels, protos, m1), _, _ = _proximity_case()
     args = (z, labels, protos, m1, False)
-    return args, proximity_probs(*args), {}
+    return args, proximity_probs(*args, own_dots=None), {}
 
 
 def _oscr_case():

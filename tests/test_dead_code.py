@@ -2,11 +2,11 @@
 else in the package, and every defaulted parameter of a package function is
 passed by some call in the package: a definition or a parameter that
 nothing in src/predin/ uses is dead, whatever tests still use it. And some
-call in the package, the tests or the benchmark leaves each such parameter
-at its default: a default that every call overrides is dead too. A call
-counts for the function its file binds the called name to, by an import,
-a module attribute or a definition of its own; an attribute call on any
-other object counts for every method of that name."""
+call in the package or the benchmark leaves each such parameter at its
+default: a default that every such call overrides is dead too, however many
+tests leave it. A call counts for the function its file binds the called
+name to, by an import, a module attribute or a definition of its own; an
+attribute call on any other object counts for every method of that name."""
 
 import ast
 from pathlib import Path
@@ -172,9 +172,9 @@ def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
 
 
 def test_every_default_is_left_at_its_default_by_some_call():
-    trees = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+    trees = (PACKAGE, ROOT / "perfbench")
     paths = [path for tree in trees for path in sorted(tree.rglob("*.py"))]
-    assert len(paths) > 20
+    assert len(paths) > 15
     calls = _calls(paths)
     overridden = []
     for module, fn, method in _functions():

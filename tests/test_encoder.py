@@ -96,7 +96,7 @@ class TestBackward:
     def test_zero_grad_in_zero_grad_out(self):
         params = init_encoder(SPEC, seed=0)
         _, cache = encoder_forward(params, np.ones((3, 5)))
-        grads = encoder_backward(cache, np.zeros((3, 4)))
+        grads = encoder_backward(cache, np.zeros((3, 4)), None)
         for g in grads:
             assert not g.any()
 
@@ -106,7 +106,7 @@ class TestBackward:
         params = init_encoder(spec, seed=0)
         x = np.random.default_rng(5).standard_normal((4, 3))
         _, cache = encoder_forward(params, x)
-        grads = encoder_backward(cache, np.ones((4, 2)))
+        grads = encoder_backward(cache, np.ones((4, 2)), None)
         np.testing.assert_allclose(grads[0], np.tile(x.sum(axis=0), (2, 1)))
         np.testing.assert_allclose(grads[1], [4.0, 4.0])
 
@@ -124,7 +124,7 @@ class TestBackward:
             return 0.5 * ((emb - target) ** 2).sum()
 
         emb, cache = encoder_forward(params, x)
-        grads = encoder_backward(cache, emb - target)
+        grads = encoder_backward(cache, emb - target, None)
         return finite_diff_check(params.arrays(), loss_fn, grads, n_coords=60, seed=1)
 
     def test_matches_finite_differences(self):
@@ -148,7 +148,7 @@ class TestBackward:
         rng = np.random.default_rng(rows)
         emb, cache = encoder_forward(params, rng.standard_normal((rows, 200)))
         grad = rng.standard_normal(emb.shape)
-        fresh = encoder_backward(cache, grad)
+        fresh = encoder_backward(cache, grad, None)
         # NaN-filled buffers that an earlier call has written over: every
         # entry must be overwritten again, not accumulated into
         out = [np.full_like(a, np.nan) for a in params.arrays()]
@@ -162,7 +162,7 @@ class TestBackward:
         params = init_encoder(SPEC, seed=0)
         _, cache = encoder_forward(params, np.ones((3, 5)))
         with pytest.raises(RuntimeError, match="stale or mismatched"):
-            encoder_backward(cache, np.zeros((2, 4)))
+            encoder_backward(cache, np.zeros((2, 4)), None)
 
 
 class TestSgd:

@@ -338,18 +338,39 @@ class TestVariantLattice:
         )
         cfg_dual = dataclasses.replace(cfg_predin, variant="dual")
         recordings, classes = load_dataset(cfg_predin)
-        r_predin = run_seed(cfg_predin, build_partition(cfg_predin, recordings, classes, 1), 1)
-        r_dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1), 1)
+        r_predin = run_seed(cfg_predin, build_partition(cfg_predin, recordings, classes, 1, False), 1)
+        r_dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1, False), 1)
         assert r_predin.report == r_dual.report
 
     def test_dual_branch_a_equals_pl_baseline(self):
         cfg_dual = tiny_config(variant="dual")
         cfg_pl = dataclasses.replace(cfg_dual, variant="pl_baseline")
         recordings, classes = load_dataset(cfg_dual)
-        dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1), 1)
-        pl = run_seed(cfg_pl, build_partition(cfg_pl, recordings, classes, 1), 1)
+        dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1, False), 1)
+        pl = run_seed(cfg_pl, build_partition(cfg_pl, recordings, classes, 1, False), 1)
         assert len(dual.scored) == len(pl.scored)
         np.testing.assert_array_equal(dual.scored.sims[:, 0], pl.scored.sims[:, 0])
+
+    def test_pl_baseline_artifacts_are_dual_branch_a(self, tmp_path):
+        # a reuse of pl_baseline as dual's branch a rests on this: both draw
+        # branch a from the same seeds, and dual trains it on the PL term alone
+        dirs = {}
+        for variant in ("pl_baseline", "dual"):
+            dirs[variant] = tmp_path / variant
+            run_experiment(tiny_config(variant=variant, seeds=(1, 2), output_dir=str(dirs[variant])))
+        for seed in (1, 2):
+            pl, dual = (np.load(dirs[v] / f"seed_{seed}" / "checkpoint.npz") for v in dirs)
+            branch_a = [k for k in pl.files if k.startswith(("b0_p", "b0_v"))]
+            assert len(branch_a) == 10  # two layers and the prototypes, and their velocities
+            assert branch_a == [k for k in dual.files if k.startswith(("b0_p", "b0_v"))]
+            for key in branch_a:
+                assert pl[key].tobytes() == dual[key].tobytes(), key
+            pl_a = []
+            for v in dirs:
+                header, *rows = (dirs[v] / f"seed_{seed}" / "loss_trace.csv").read_text().split()
+                col = header.split(",").index("pl_a")
+                pl_a.append([row.split(",")[col] for row in rows])
+            assert len(pl_a[0]) == 4 and pl_a[0] == pl_a[1]
 
 
 class TestSoftmaxBaseline:
@@ -366,7 +387,7 @@ class TestSoftmaxBaseline:
     def test_trains_and_scores(self):
         cfg = tiny_config(variant="softmax", epochs=10)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
         assert result.report["acc"] > 0.5
         # softmax scores are probabilities
         assert ((0.0 <= result.scored.s_max) & (result.scored.s_max <= 1.0)).all()
@@ -468,7 +489,7 @@ class TestCheckpoint:
         # prototype head or a two-array softmax head
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
         rel = _write_seed_artifacts(str(tmp_path), result)
         assert rel["checkpoint"] == "checkpoint.npz"
         n_branches = (
@@ -529,7 +550,7 @@ class TestBuildPartition:
         recordings, classes = load_dataset(cfg)
         tracemalloc.start()
         try:
-            part = build_partition(cfg, recordings, classes, 1)
+            part = build_partition(cfg, recordings, classes, 1, False)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -560,7 +581,7 @@ class TestRunSeed:
         monkeypatch.setattr(harness, "score_windows", checking_score)
         cfg = tiny_config(epochs=1)
         recordings, classes = load_dataset(cfg)
-        partition = build_partition(cfg, recordings, classes, 1)
+        partition = build_partition(cfg, recordings, classes, 1, False)
         train_signal = weakref.ref(partition.train_windows.signal)
         result = run_seed(cfg, partition, 1)
         assert alive_at_scoring == [False]
@@ -657,7 +678,7 @@ class TestSequentialVariant:
     def test_k_branches_scored(self):
         cfg = tiny_config(variant="sequential_k", sequential_k=3, epochs=3)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
         assert result.scored.sims.shape[1] == 3
         assert len(result.branches) == 3
 
@@ -676,9 +697,9 @@ class TestSequentialVariant:
         five = tiny_config(variant="sequential_k", sequential_k=5, epochs=2, seeds=(seed,))
         two = dataclasses.replace(five, sequential_k=2)
         recordings, classes = load_dataset(five)
-        partition = build_partition(five, recordings, classes, seed)
+        partition = build_partition(five, recordings, classes, seed, False)
         result = run_seed(five, partition, seed)
-        alone = run_seed(two, build_partition(two, recordings, classes, seed), seed)
+        alone = run_seed(two, build_partition(two, recordings, classes, seed, False), seed)
         for a, b in zip(result.branches[:2], alone.branches, strict=True):
             for x, y in zip(a.arrays(), b.arrays(), strict=True):
                 assert x.tobytes() == y.tobytes()
@@ -695,7 +716,7 @@ class TestSequentialVariant:
         for seed in (1, 2, 3):
             cfg = ExperimentConfig(variant="sequential_k", sequential_k=5, output_dir="unused")
             recordings, classes = load_dataset(cfg)
-            partition = build_partition(cfg, recordings, classes, seed)
+            partition = build_partition(cfg, recordings, classes, seed, False)
             result = run_seed(cfg, partition, seed)
             aucs[5].append(result.report["auc"])
             aucs[2].append(self._first_two_scored(cfg, partition, result, seed)[1]["auc"])
@@ -706,7 +727,7 @@ class TestSoftmaxOnDefaultDataset:
     def test_separable_data_reaches_high_acc(self):
         cfg = ExperimentConfig(variant="softmax", output_dir="unused")
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
         assert result.report["acc"] >= 0.95
 
 
@@ -715,7 +736,7 @@ class TestZeroSeparation:
         ds = dataclasses.replace(TINY_DATASET, separation=0.0)
         cfg = tiny_config(dataset=ds, variant="pl_baseline", epochs=10)
         recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1), 1)
+        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
         # 3 known classes: chance is 1/3
         assert result.report["acc"] < 0.55
 

@@ -138,7 +138,7 @@ def test_encoder_forward_and_backward(m, d, activation):
     grad = rng.standard_normal((m, d))
     want = encoder_backward_allocating(want_cache, grad)
     buffers = [np.full_like(a, np.nan) for a in params.arrays()]
-    for got in (encoder_backward(cache, grad), encoder_backward(cache, grad, out=buffers)):
+    for got in (encoder_backward(cache, grad, None), encoder_backward(cache, grad, out=buffers)):
         assert len(got) == len(want)
         for g, w in zip(got, want):
             assert same_bits(g, w)
@@ -267,7 +267,8 @@ def test_losses_compute_in_the_dtype_of_their_inputs(m, narrow):
     check(pl_loss(z, y, p, 1.0, "literal"), pl_loss(z64, y, p64, 1.0, "literal"))
     check(pl_loss(z, y, p, 1.0, "huber_sq"), pl_loss(z64, y, p64, 1.0, "huber_sq"))
     check(triplet_loss(z, y, p, 1.0), triplet_loss(z64, y, p64, 1.0))
-    dists = [proximity_probs(z, y, p, 0.5), proximity_probs(z64, y, p64, 0.5)]
+    dists = [proximity_probs(z, y, p, 0.5, own_dots=None),
+             proximity_probs(z64, y, p64, 0.5, own_dots=None)]
     check([dists[0].probs], [dists[1].probs])
     (got_incon, got_dprobs, _), (want_incon, want_dprobs, _) = (
         inconsistency_loss(d, d, 1e-12) for d in dists

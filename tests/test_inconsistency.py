@@ -74,7 +74,7 @@ def tiny_partition(seed=3, n_classes=5, n_known=3, sampling_rate_hz=400.0):
     )
     recs, classes = generate_synthetic(cfg)
     split = split_known_unknown(classes, n_known, seed=seed)
-    return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
+    return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False))
 
 
 class TestMarginDistance:
@@ -104,14 +104,14 @@ class TestProximityProbs:
     def test_all_clamped_uniform(self):
         p = protos_from(np.eye(4) * 0.01)
         z = np.zeros((3, 4))
-        dist = proximity_probs(z, [1, 2, 3], p, m1=0.5)
+        dist = proximity_probs(z, [1, 2, 3], p, m1=0.5, own_dots=None)
         np.testing.assert_allclose(dist.probs, np.full((3, 3), 1 / 3))
 
     def test_scalar_softmax_example(self):
         # N=3, unclamped logits (0.5, 0) -> (0.6225, 0.3775)
         p = protos_from([[3.0, 0.0], [1.5, 0.0], [2.0, 0.0]])
         z = np.array([[1.0, 0.0]])  # dots (3, 1.5, 2), label 1, gaps (1.5, 1.0), m1=1
-        dist = proximity_probs(z, [1], p, m1=1.0)
+        dist = proximity_probs(z, [1], p, m1=1.0, own_dots=None)
         np.testing.assert_allclose(dist.probs, [[0.62245933, 0.37754067]], atol=1e-7)
 
     def test_shape_contract(self):
@@ -119,14 +119,14 @@ class TestProximityProbs:
         p = rng.standard_normal((6, 5))
         z = rng.standard_normal((9, 5))
         labels = rng.integers(1, 7, size=9)
-        dist = proximity_probs(z, labels, p, m1=0.5)
+        dist = proximity_probs(z, labels, p, m1=0.5, own_dots=None)
         assert dist.probs.shape == (9, 5)
         np.testing.assert_allclose(dist.probs.sum(axis=1), 1.0, atol=1e-12)
 
     def test_rows_exclude_own_class(self):
         p = protos_from(np.eye(3) * 10)
         z = np.eye(3) * 10
-        dist = proximity_probs(z, [1, 2, 3], p, m1=0.1)
+        dist = proximity_probs(z, [1, 2, 3], p, m1=0.1, own_dots=None)
         # column layout skips the own class, ascending order of the rest
         np.testing.assert_array_equal(dist.cache.cols, [[1, 2], [0, 2], [0, 1]])
 
@@ -191,8 +191,8 @@ class TestInconsistencyLoss:
         z_a = np.array([[0.1, 0.0]])  # gaps 0.01 .. 0.03 < 0.5
         protos_b = protos_from([[5.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
         z_b = np.array([[1.0, 0.0]])  # gaps 4, 6, 3 > 0.5
-        dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5)
-        dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)
+        dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5, own_dots=None)
+        dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5, own_dots=None)
         assert not dist_a.cache.active.any()
         assert dist_b.cache.active.all()
         _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b, 1e-12)
@@ -208,8 +208,8 @@ class TestInconsistencyLoss:
         z_a = np.array([[1.0, 0.0]])  # gaps 0.1, 3.0, 0.3 -> only class 3 active
         protos_b = protos_from([[5.0, 0.0], [1.0, 0.0], [-1.0, 0.0], [2.0, 0.0]])
         z_b = np.array([[1.0, 0.0]])
-        dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5)
-        dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5)
+        dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5, own_dots=None)
+        dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5, own_dots=None)
         assert dist_a.cache.active.sum() == 1
         _, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b, 1e-12)
         d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)

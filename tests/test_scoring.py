@@ -178,7 +178,7 @@ class TestDecide:
 class TestScoreWindows:
     def _setup(self):
         protos = np.eye(4)[:3]
-        split = LabelSplit(known_classes=(10, 20, 30), unknown_classes=frozenset({40}), seed=0)
+        split = LabelSplit(known_classes=(10, 20, 30))
         return identity_scorer(protos), split
 
     def test_true_labels_remapped(self):
@@ -186,7 +186,7 @@ class TestScoreWindows:
         scorer, split = self._setup()
         x = np.array([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 0.0]]])
         recs = [SignalRecording(w, 1000.0, label, 3, 1) for w, label in zip(x, (20, 40))]
-        windows = split_trials(recs, 4.0, 4.0, {1}, {3}, split).test_windows
+        windows = split_trials(recs, 4.0, 4.0, {1}, {3}, split, False).test_windows
         scored = score_windows([scorer], windows)
         assert len(scored) == 2
         assert scored.true_labels.tolist() == [2, UNKNOWN_LABEL]

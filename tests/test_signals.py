@@ -32,7 +32,7 @@ from oracles import count_windows_enumeration
 
 # every class 1..9 is known and keeps its id: a split for tests that route
 # without an unknown class
-ALL_KNOWN = LabelSplit(known_classes=tuple(range(1, 10)), unknown_classes=frozenset(), seed=0)
+ALL_KNOWN = LabelSplit(known_classes=tuple(range(1, 10)))
 
 
 def make_recording(n_samples, channels=2, rate=2000.0, label=1, trial=1):
@@ -137,8 +137,8 @@ class TestWindowing:
         # each side's signal is one fresh C-contiguous copy of its recordings,
         # and every gather from it is C-contiguous
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        two = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN)
-        one_each = split_trials(recs, 200.0, 50.0, {1}, {2}, ALL_KNOWN)
+        two = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN, False)
+        one_each = split_trials(recs, 200.0, 50.0, {1}, {2}, ALL_KNOWN, False)
         assert two.train_windows.signal.shape == (2, 500 + 700)
         for windows in (two.train_windows, one_each.train_windows, one_each.test_windows):
             assert windows.signal.flags.c_contiguous and windows.signal.flags.owndata
@@ -150,7 +150,7 @@ class TestWindowing:
 
     def test_recordings_concatenate_in_order(self):
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        windows = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN).train_windows
+        windows = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN, False).train_windows
         assert len(windows) == 2 + 4
         np.testing.assert_array_equal(windows.labels, [4, 4, 5, 5, 5, 5])
         np.testing.assert_array_equal(cube(windows)[2], recs[1].samples[:, :400])
@@ -184,10 +184,9 @@ class TestStandardize:
 
     def test_constant_channel_floored(self):
         part = self._partition([np.full((1, 3), 5.0)])
-        with pytest.warns(UserWarning, match="floored"):
+        with pytest.warns(UserWarning, match=r"channels \[0\] are \(near-\)constant.*floored"):
             out = standardize(part)
         np.testing.assert_array_equal(cube(out.train_windows)[0], np.zeros((1, 3)))
-        assert out.stats.floored_channels == (0,)
         assert out.stats.std[0] == 1e-8
 
     def test_stats_from_train_only(self):
@@ -270,7 +269,7 @@ class TestGatherOracle:
     """Gathered rows and standardization against the former table that
     copied every window out on its own, bit for bit."""
 
-    SPLIT = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
+    SPLIT = LabelSplit(known_classes=(1, 2))
 
     def _recordings(self):
         rng = np.random.default_rng(11)
@@ -292,7 +291,7 @@ class TestGatherOracle:
 
     def test_rows_match_oracle_bitwise(self):
         recs = self._recordings()
-        part = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT)
+        part = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT, False)
         rng = np.random.default_rng(5)
         for got, routed in zip((part.train_windows, part.test_windows), self._sides(recs)):
             assert len({r.gesture_label for r in routed}) > 1  # a multi-recording side
@@ -311,7 +310,7 @@ class TestGatherOracle:
         # as train() gathers each batch: into the leading rows of one buffer
         # that earlier, longer gathers have already written
         recs = self._recordings()
-        got = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT).train_windows
+        got = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT, False).train_windows
         flat = self._flat(oracles.window_recordings(self._sides(recs)[0], 200.0, 50.0))
         m = len(got)
         buf = np.full((m + 3, got.input_dim), np.nan)
@@ -330,8 +329,8 @@ class TestGatherOracle:
         recs = self._recordings()
         # the test side routes nothing; a side of one too-short recording has no windows
         for got, routed in (
-            (split_trials(recs, 200.0, 50.0, {1}, set(), ALL_KNOWN).test_windows, []),
-            (split_trials(recs[1:2], 200.0, 50.0, {2}, set(), ALL_KNOWN).train_windows,
+            (split_trials(recs, 200.0, 50.0, {1}, set(), ALL_KNOWN, False).test_windows, []),
+            (split_trials(recs[1:2], 200.0, 50.0, {2}, set(), ALL_KNOWN, False).train_windows,
              recs[1:2]),
         ):
             expected = (np.empty((0, 3 * 400)) if not routed
@@ -343,7 +342,7 @@ class TestGatherOracle:
 
     def test_standardize_matches_oracle_bitwise(self):
         recs = self._recordings()
-        part = standardize(split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT))
+        part = standardize(split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT, False))
         train, test = (oracles.window_recordings(r, 200.0, 50.0) for r in self._sides(recs))
         mean, std = oracles.standardize_copies(train.x, test.x)
         assert part.stats.mean.tobytes() == mean.tobytes()
@@ -356,11 +355,11 @@ class TestLabelSplit:
     def test_biopat_proportions(self):
         split = split_known_unknown(range(1, 28), 10, seed=0)
         assert split.n_known == 10
-        assert len(split.unknown_classes) == 17
+        assert len(set(range(1, 28)) - set(split.known_classes)) == 17
 
     def test_single_unknown_boundary(self):
         split = split_known_unknown(range(5), 4, seed=3)
-        assert len(split.unknown_classes) == 1
+        assert len(set(range(5)) - set(split.known_classes)) == 1
 
     def test_deterministic(self):
         a = split_known_unknown(range(20), 8, seed=11)
@@ -375,17 +374,18 @@ class TestLabelSplit:
         with pytest.raises(ValueError):
             split_known_unknown(range(5), 5, seed=0)
 
+    @pytest.mark.parametrize("n_known", [1, 0, -1])
+    def test_n_known_below_two(self, n_known):
+        with pytest.raises(ValueError, match="need at least 2 known classes"):
+            split_known_unknown(range(5), n_known, seed=0)
+
     def test_remap_contiguous(self):
         split = split_known_unknown(range(100, 127), 10, seed=1)
         known = split.known_classes
         np.testing.assert_array_equal(split.remap(np.array(known)), range(1, 11))
-        labels = np.array([*sorted(split.unknown_classes), *known[::-1]])
+        labels = np.array([*sorted(set(range(100, 127)) - set(known)), *known[::-1]])
         want = [known.index(c) + 1 if c in known else UNKNOWN_LABEL for c in labels.tolist()]
         np.testing.assert_array_equal(split.remap(labels), want)
-
-    def test_overlap_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({2, 3}), seed=0)
 
 
 class TestSplitTrials:
@@ -401,30 +401,30 @@ class TestSplitTrials:
 
     def test_routing(self):
         # recording i holds the value i and carries trial i % 4 + 1
-        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, ALL_KNOWN)
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, ALL_KNOWN, False)
         np.testing.assert_array_equal(cube(part.train_windows)[:, 0, 0], [0, 1, 4, 5, 8, 9])
         # rows travel with their labels, in their original order
         np.testing.assert_array_equal(cube(part.test_windows)[:, 0, 0], [2.0, 6.0, 10.0])
         np.testing.assert_array_equal(part.test_windows.labels, [1, 2, 3])
 
     def test_empty_test_trials(self):
-        part = split_trials(self._recordings(), *self.W, {1, 2}, set(), ALL_KNOWN)
+        part = split_trials(self._recordings(), *self.W, {1, 2}, set(), ALL_KNOWN, False)
         assert len(part.test_windows) == 0
         assert cube(part.test_windows).shape == (0, 1, 4)
 
     def test_unlisted_trial_dropped(self):
-        part = split_trials(self._recordings(), *self.W, {1}, {2}, ALL_KNOWN)
+        part = split_trials(self._recordings(), *self.W, {1}, {2}, ALL_KNOWN, False)
         routed = len(part.train_windows) + len(part.test_windows)
         assert routed == 6  # trials 3 and 4 dropped
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3}, ALL_KNOWN)
+            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3}, ALL_KNOWN, False)
 
     def test_known_filter_on_train_side(self):
         # class 3 is unknown: kept out of train, and remapped in test
-        split = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
-        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
+        split = LabelSplit(known_classes=(1, 2))
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, split, False)
         assert set(part.train_windows.labels.tolist()) == {1, 2}
         assert part.test_windows.labels.tolist() == [1, 2, UNKNOWN_LABEL]
 
@@ -434,7 +434,7 @@ class TestSplitTrials:
                               sampling_rate_hz=500.0, data_seed=8)
         recs, classes = generate_synthetic(cfg)
         split = split_known_unknown(classes, 3, seed=2)
-        part = split_trials(recs, 200.0, 50.0, {1, 3}, {2}, split)
+        part = split_trials(recs, 200.0, 50.0, {1, 3}, {2}, split, False)
         every = oracles.window_recordings(recs, 200.0, 50.0)
         to_train = np.isin(every.trials, [1, 3]) & np.isin(every.labels, split.known_classes)
         for got, rows in ((part.train_windows, to_train), (part.test_windows, every.trials == 2)):
@@ -456,8 +456,8 @@ class TestSplitTrials:
             return original(rec, *args)
 
         monkeypatch.setattr(signals, "segment_windows", counting)
-        split = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
-        split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
+        split = LabelSplit(known_classes=(1, 2))
+        split_trials(self._recordings(), *self.W, {1, 2}, {3}, split, False)
         # class 3 in train trials and every trial-4 recording are never cut
         assert sorted(cut) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)]
 
@@ -465,24 +465,24 @@ class TestSplitTrials:
         # 4 ms is 4 samples at 1000 Hz but 8 at 2000 Hz: one side cannot hold both
         recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
         with pytest.raises(ValueError, match="different lengths"):
-            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN)
+            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN, False)
 
     def test_no_recordings_rejected(self):
         with pytest.raises(ValueError, match="no recordings"):
-            split_trials([], *self.W, {1}, {2}, ALL_KNOWN)
+            split_trials([], *self.W, {1}, {2}, ALL_KNOWN, False)
 
     def test_mixed_channel_counts_rejected(self):
         # a one-channel recording would broadcast into a wider side unnoticed
         recs = [SignalRecording(np.zeros((c, 16)), 1000.0, 1, 1, 1) for c in (2, 1)]
         with pytest.raises(ValueError, match="different channel counts"):
-            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN)
+            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN, False)
 
 
 class TestSplitTrialsRelease:
     """release=True empties the caller's list while the sides are copied,
     newest recording first, and builds the same tables as release=False."""
 
-    SPLIT = LabelSplit(known_classes=(1, 2), unknown_classes=frozenset({3}), seed=0)
+    SPLIT = LabelSplit(known_classes=(1, 2))
 
     def _recordings(self):
         cfg = SyntheticConfig(n_classes=3, channels=2, trials=4, recording_ms=700.0,
@@ -492,7 +492,7 @@ class TestSplitTrialsRelease:
     def test_same_tables_as_without_release(self):
         kept = self._recordings()
         released = self._recordings()
-        a = split_trials(kept, 200.0, 50.0, {1, 3}, {2}, self.SPLIT)
+        a = split_trials(kept, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, False)
         b = split_trials(released, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, release=True)
         assert len(kept) == 12 and released == []
         for x, y in ((a.train_windows, b.train_windows), (a.test_windows, b.test_windows)):
@@ -803,7 +803,7 @@ class TestPipelineInvariants:
 
         def build():
             split = split_known_unknown(classes, 3, seed=9)
-            return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
+            return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False))
 
         a, b = build(), build()
         assert a.label_split == b.label_split
@@ -818,10 +818,10 @@ class TestPipelineInvariants:
                               sampling_rate_hz=500.0, data_seed=3)
         recs, classes = generate_synthetic(cfg)
         split = split_known_unknown(classes, 3, seed=4)
-        part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split)
+        part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False)
         # labels arrive remapped: every unknown class's trial-3 windows carry
         # UNKNOWN_LABEL in test, and train holds only the known 1..N
         per_recording = len(segment_windows(recs[0], 200.0, 50.0))
         unknown = part.test_windows.labels == UNKNOWN_LABEL
-        assert unknown.sum() == len(split.unknown_classes) * per_recording
+        assert unknown.sum() == len(classes - set(split.known_classes)) * per_recording
         assert set(part.train_windows.labels.tolist()) == set(range(1, split.n_known + 1))
