@@ -435,7 +435,7 @@ def train(
     own, 1..N (objectives reject any other before the step). Every batch x
     is gathered into one buffer, valid only during its objective call.
     """
-    if partition.stats is None:
+    if not partition.standardized:
         raise ValueError("partition must be standardized before training")
     windows = partition.train_windows
     y = windows.labels

@@ -152,14 +152,6 @@ class LabelSplit:
 
 
 @dataclass
-class StandardizationStats:
-    """Per-channel training mean/std."""
-
-    mean: np.ndarray  # (channels,)
-    std: np.ndarray  # (channels,), floored at STD_FLOOR
-
-
-@dataclass
 class DatasetPartition:
     """Train/test windows split by trial, plus the label split that filtered
     the train side and remapped every window's label."""
@@ -167,7 +159,7 @@ class DatasetPartition:
     train_windows: WindowTable | None  # None once trained on (harness.run_seed)
     test_windows: WindowTable
     label_split: LabelSplit
-    stats: StandardizationStats | None = None
+    standardized: bool = False  # set by standardize, once both sides are scaled
 
 
 def _samples_in(key: str, ms: float, sampling_rate: float) -> int:
@@ -317,13 +309,13 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     about the test distribution leaks into the transform. Channels whose
     training std falls below STD_FLOOR are scaled by the floor and a
     warning is emitted. Each side's signal is scaled in place, which scales
-    every window cut from it, and the partition is returned with its
-    ``stats`` set. A partition that already carries stats, or whose signals
-    are read-only views of recordings, is rejected before anything is
-    written, and so are training samples whose mean or std is not finite
-    (NonFiniteStatistics, naming the channels).
+    every window cut from it, and the partition is returned marked
+    ``standardized``. The statistics are not kept. A partition already
+    standardized, or whose signals are read-only views of recordings, is
+    rejected before anything is written, and so are training samples whose
+    mean or std is not finite (NonFiniteStatistics, naming the channels).
     """
-    if partition.stats is not None:
+    if partition.standardized:
         raise ValueError("partition is already standardized")
     train = partition.train_windows
     if not len(train):
@@ -365,7 +357,7 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     for w in (train, partition.test_windows):
         w.signal -= mean[:, None]
         w.signal /= std[:, None]
-    partition.stats = StandardizationStats(mean, std)
+    partition.standardized = True
     return partition
 
 

@@ -191,7 +191,7 @@ def standardize_copies(train_x, test_x, floor: float = 1e-8):
 
     Each channel's statistics come from ``train_x[:, c, :].flatten()``
     (mean, then np.std's subtract-square-mean steps in that copy); both
-    arrays are then scaled in place. Returns (mean, std), std floored.
+    arrays are then scaled in place by the mean and the floored std.
     """
     mean = np.empty(train_x.shape[1])
     std = np.empty(train_x.shape[1])
@@ -205,7 +205,6 @@ def standardize_copies(train_x, test_x, floor: float = 1e-8):
     for x in (train_x, test_x):
         x -= mean[:, None]
         x /= std[:, None]
-    return mean, std
 
 
 def sgd_step_three_lines(arrays, grads, velocities, lr: float, momentum: float) -> None:

@@ -6,7 +6,11 @@ call in the package or the benchmark leaves each such parameter at its
 default: a default that every such call overrides is dead too, however many
 tests leave it. A call counts for the function its file binds the called
 name to, by an import, a module attribute or a definition of its own; an
-attribute call on any other object counts for every method of that name."""
+attribute call on any other object counts for every method of that name.
+Last, every field of a package dataclass is read in the package or the
+benchmark, by an attribute load of its name that is not a call's callee or
+by a getattr(obj, "<field>"): a field that only tests read is dead too. A
+read counts for every field of that name, whatever the object's type."""
 
 import ast
 from pathlib import Path
@@ -19,6 +23,9 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # the console script calls main() with no argument; tests and the benchmark pass argv
 ENTRY_POINT_PARAMETERS = {"cli.main(argv)"}
+
+# parsed from the metadata `subject` column that docs/data_format.md documents
+UNREAD_FIELDS = {"signals.SignalRecording.subject_id"}
 
 
 def _modules() -> list[tuple[str, ast.Module]]:
@@ -78,6 +85,11 @@ def _target(expr, bound: dict[str, str], own: str) -> tuple[str | None, str] | N
     if attrs and (in_package or expr.id not in bound):
         return None, name
     return module, name
+
+
+def _package_and_benchmark() -> list[Path]:
+    """Every Python file under src/predin/ and perfbench/."""
+    return [path for tree in (PACKAGE, ROOT / "perfbench") for path in sorted(tree.rglob("*.py"))]
 
 
 def _calls(paths) -> list[tuple[tuple[str | None, str] | None, ast.Call, list[ast.expr]]]:
@@ -172,8 +184,7 @@ def test_every_defaulted_parameter_is_passed_somewhere_in_the_package():
 
 
 def test_every_default_is_left_at_its_default_by_some_call():
-    trees = (PACKAGE, ROOT / "perfbench")
-    paths = [path for tree in trees for path in sorted(tree.rglob("*.py"))]
+    paths = _package_and_benchmark()
     assert len(paths) > 15
     calls = _calls(paths)
     overridden = []
@@ -188,3 +199,47 @@ def test_every_default_is_left_at_its_default_by_some_call():
         ]
     # cli.py's own __main__ block leaves argv at its default today
     assert sorted(set(overridden) - ENTRY_POINT_PARAMETERS) == []
+
+
+def _dataclass_fields() -> list[str]:
+    """module.Class.field of every field of every package dataclass."""
+    fields = []
+    for module, tree in _modules():
+        for cls in ast.walk(tree):
+            if isinstance(cls, ast.ClassDef) and any(
+                "dataclass" in _names(d) for d in cls.decorator_list
+            ):
+                fields += [
+                    f"{module}.{cls.name}.{stmt.target.id}" for stmt in cls.body
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                ]
+    return fields
+
+
+def _reads(paths) -> set[str]:
+    """Every attribute the files at paths load other than as a call's
+    callee, and every name a getattr(obj, "<name>") reads."""
+    reads = set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)]
+        callees = {id(call.func) for call in calls}
+        reads.update(
+            node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and id(node) not in callees
+        )
+        reads.update(
+            call.args[1].value for call in calls
+            if isinstance(call.func, ast.Name) and call.func.id == "getattr"
+            and len(call.args) > 1 and isinstance(call.args[1], ast.Constant)
+        )
+    return reads
+
+
+def test_every_dataclass_field_is_read_by_the_package_or_the_benchmark():
+    fields = _dataclass_fields()
+    assert len(fields) > 50
+    reads = _reads(_package_and_benchmark())
+    unread = [f for f in fields if f.rpartition(".")[2] not in reads]
+    assert sorted(unread) == sorted(UNREAD_FIELDS)
