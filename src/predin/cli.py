@@ -4,8 +4,8 @@
   predin ablation --config cfg.json [--seeds ...] [--out DIR]
   predin check-gradients [--seeds 5] [--coords 420]
 
-Failures exit nonzero and print a machine-readable error JSON to stderr; a
-run or ablation in which every seed of a variant failed counts as one.
+Failures, usage errors too, exit 1 and print a machine-readable error JSON
+to stderr; so does a run or ablation in which every seed of a variant failed.
 """
 
 from __future__ import annotations
@@ -133,12 +133,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_grad.add_argument("--seeds", type=int, default=5, help="number of random instances")
     p_grad.add_argument("--coords", type=int, default=420, help="coordinates per check")
     p_grad.set_defaults(fn=_cmd_check_gradients)
+
+    def usage_error(message):  # argparse would print the usage and exit 2
+        raise ValueError(message)
+
+    for p in (parser, p_run, p_abl, p_grad):
+        p.error = usage_error
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except Exception as e:  # surface every failure as machine-readable JSON
         print(json.dumps({"error": type(e).__name__, "message": str(e)}), file=sys.stderr)

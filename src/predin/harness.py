@@ -52,6 +52,7 @@ from .signals import (
     CsvDataset,
     DatasetPartition,
     NonFiniteStatistics,
+    SignalRecording,
     SyntheticConfig,
     check_fields,
     generate_synthetic,
@@ -213,28 +214,25 @@ def load_config(path) -> ExperimentConfig:
         return config_from_dict(json.load(f))
 
 
-def load_dataset(config: ExperimentConfig):
-    """Materialize recordings and the full class-id set from the config."""
+def load_dataset(config: ExperimentConfig) -> list[SignalRecording]:
+    """Materialize the config's recordings."""
     ds = config.dataset
     if isinstance(ds, CsvDataset):
-        recordings = load_csv(ds.data_path, ds.meta_path)
-        return recordings, {r.gesture_label for r in recordings}
+        return load_csv(ds.data_path, ds.meta_path)
     return generate_synthetic(ds)
 
 
-def build_partition(
-    config: ExperimentConfig, recordings, classes, seed: int, release: bool
-) -> DatasetPartition:
+def build_partition(config: ExperimentConfig, recordings, seed: int) -> DatasetPartition:
     """Route, window and standardize one seed's train/test tables; each
     side's routed recordings are copied once and scaled in place, and no
-    window is copied out until it is used. With ``release`` the list
-    ``recordings`` is emptied while it is copied (see ``split_trials``).
-    A train side without a window, or whose standardization statistics
-    are not finite, fails the seed with TrainingError."""
-    split = split_known_unknown(classes, config.n_known, seed)
+    window is copied out until it is used. The known classes are drawn from
+    every label in ``recordings`` before split_trials empties the list. A
+    train side without a window, or whose standardization statistics are
+    not finite, fails the seed with TrainingError."""
+    split = split_known_unknown({r.gesture_label for r in recordings}, config.n_known, seed)
     part = split_trials(
         recordings, config.window_ms, config.step_ms,
-        config.train_trials, config.test_trials, split, release=release,
+        config.train_trials, config.test_trials, split,
     )
     if not len(part.train_windows):
         raise TrainingError(
@@ -254,7 +252,6 @@ def _variant_hp(config: ExperimentConfig) -> DivHyperParams:
 def baseline_softmax_train(
     partition: DatasetPartition,
     spec: EncoderSpec,
-    n_classes: int,
     config: TrainConfig,
     encoder_seed: int,
     head_seed: int,
@@ -262,6 +259,7 @@ def baseline_softmax_train(
 ):
     """Cross-entropy training of one softmax-head branch; its rejection
     score is the maximum softmax probability. Returns (branch, trace)."""
+    n_classes = partition.label_split.n_known
     branch = init_branch(spec, n_classes, encoder_seed, head_seed, config, head="softmax")
     return branch, train([branch], softmax_objective, partition, config, shuffle_seed)
 
@@ -297,7 +295,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
 
     if variant == "softmax":
         branch, trace = baseline_softmax_train(
-            partition, spec, n_classes, tc,
+            partition, spec, tc,
             derive_seed(seed, _ENC_A), derive_seed(seed, _HEAD), shuffle_seed,
         )
         return SeedResult(branches=[branch], traces=[trace], hp=hp)
@@ -307,7 +305,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
             (derive_seed(seed, 101 + 2 * t), derive_seed(seed, 102 + 2 * t))
             for t in range(config.sequential_k)
         ]
-        branches, traces = train_sequential(partition, tc, hp, spec, n_classes, seeds, shuffle_seed)
+        branches, traces = train_sequential(partition, tc, hp, spec, seeds, shuffle_seed)
         return SeedResult(branches=branches, traces=traces, hp=hp)
 
     streams = [(_ENC_A, _PROTO_A), (_ENC_B, _PROTO_B)]
@@ -323,12 +321,11 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     return SeedResult(branches=branches, traces=[trace], hp=hp)
 
 
-def evaluate_scored(
-    scored: ScoreTable, retention: float, n_classes: int, seed: int
-) -> tuple[dict, dict]:
+def evaluate_scored(scored: ScoreTable, retention: float, seed: int) -> tuple[dict, dict]:
     """The seed's report.json row plus analysis matrices from its scored
     test set, which must hold both known and unknown windows (run_seed
     checks this before training)."""
+    n_classes = scored.sims.shape[2]
     is_known = scored.known
     ks = scored.s_max[is_known]
     us = scored.s_max[~is_known]
@@ -380,12 +377,8 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
     result = _train_variant(config, partition, seed)
     partition.train_windows = None
     score_fns = [branch_score_fn(b) for b in result.branches]
-    scored = score_windows(score_fns, partition.test_windows)
-    n_known = partition.label_split.n_known
-    report, matrices = evaluate_scored(scored, config.retention, n_known, seed)
-    result.report = report
-    result.scored = scored
-    result.matrices = matrices
+    result.scored = score_windows(score_fns, partition.test_windows)
+    result.report, result.matrices = evaluate_scored(result.scored, config.retention, seed)
     return result
 
 
@@ -420,14 +413,15 @@ def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
     return rel
 
 
-def run_experiment(config: ExperimentConfig, dataset=None) -> dict:
+def run_experiment(config: ExperimentConfig, recordings=None) -> dict:
     """Execute the configured variant across all seeds, aggregate, and
     write every artifact under the config's output_dir.
 
-    Returns the report: exactly what report.json holds. ``dataset`` is the
-    (recordings, classes) pair of ``load_dataset``; it is loaded from the
-    config when not given. Per-seed training failures are recorded without
-    aborting the run; the aggregate marks the failed seeds.
+    Returns the report: exactly what report.json holds. ``recordings``,
+    loaded from the config when not given, is left as it was: each seed's
+    build empties a shallow copy, and only a run's last seed empties a
+    list the run loaded itself. Per-seed training failures are recorded
+    without aborting the run; the aggregate marks the failed seeds.
     """
     started = time.perf_counter()
     out_dir = config.output_dir
@@ -440,7 +434,8 @@ def run_experiment(config: ExperimentConfig, dataset=None) -> dict:
     except OSError as e:
         raise OSError(f"output directory {out_dir!r} is not writable: {e}") from e
 
-    recordings, classes = load_dataset(config) if dataset is None else dataset
+    owned = recordings is None
+    recordings = load_dataset(config) if owned else recordings
     # a CSV set's trials are known only once it is read
     carried = sorted({r.trial_id for r in recordings})
     for name in ("train_trials", "test_trials"):
@@ -471,11 +466,9 @@ def run_experiment(config: ExperimentConfig, dataset=None) -> dict:
     for seed in config.seeds:
         # no seed reads the recordings after the last: unless the caller
         # passed them in, its build frees each one as soon as it is copied
-        release = dataset is None and seed == config.seeds[-1]
+        handed = recordings if owned and seed == config.seeds[-1] else list(recordings)
         try:  # no name here holds the partition: it is freed before the next seed's build
-            result = run_seed(
-                config, build_partition(config, recordings, classes, seed, release=release), seed
-            )
+            result = run_seed(config, build_partition(config, handed, seed), seed)
         except TrainingError as e:
             per_seed.append({"seed": seed, "error": str(e)})
             continue
@@ -503,21 +496,15 @@ def emit_report(report: dict, wall_clock_s: float, out_dir: str) -> None:
     files re-run bit-identically.
     """
     atomic_write_text(os.path.join(out_dir, "report.json"), report_to_json(report) + "\n")
-    lines = ["seed,auc,acc,oscr,incon,threshold,retention_achieved,n_known,n_unknown"]
+    columns = ("seed", "auc", "acc", "oscr", "incon",
+               "threshold", "retention_achieved", "n_known", "n_unknown")
+    lines = [",".join(columns)]
     for row in report["per_seed"]:
         if "error" in row:
             msg = row["error"].replace(",", ";")
             lines.append(f"{row['seed']},error:{msg},,,,,,,")
             continue
-        lines.append(
-            ",".join(
-                str(row[k]) if row[k] is not None else ""
-                for k in (
-                    "seed", "auc", "acc", "oscr", "incon",
-                    "threshold", "retention_achieved", "n_known", "n_unknown",
-                )
-            )
-        )
+        lines.append(",".join(str(row[k]) if row[k] is not None else "" for k in columns))
     agg = report["aggregate"]
     if agg.get("n_seeds"):
         lines.append(
@@ -545,7 +532,7 @@ def run_ablation(base_config: ExperimentConfig) -> dict:
     directory per variant under the base output dir. The dataset is loaded
     once and shared: no variant writes into the recordings.
     """
-    dataset = load_dataset(base_config)
+    recordings = load_dataset(base_config)
     reports: dict[str, dict] = {}
     for variant in ABLATION_VARIANTS:
         cfg = replace(
@@ -553,7 +540,7 @@ def run_ablation(base_config: ExperimentConfig) -> dict:
             variant=variant,
             output_dir=os.path.join(base_config.output_dir, variant),
         )
-        reports[variant] = run_experiment(cfg, dataset=dataset)
+        reports[variant] = run_experiment(cfg, recordings=recordings)
     lines = ["variant,auc,oscr,acc,incon"]
     for variant, report in reports.items():
         agg = report["aggregate"]

@@ -478,7 +478,6 @@ def train_sequential(
     config: TrainConfig,
     hp: DivHyperParams,
     spec: EncoderSpec,
-    n_classes: int,
     branch_seeds: list[tuple[int, int]],
     shuffle_seed: int,
 ):
@@ -494,7 +493,7 @@ def train_sequential(
     branches: list[BranchState] = []
     traces: list[list[dict[str, float]]] = []
     for enc_seed, proto_seed in branch_seeds:
-        branch = init_branch(spec, n_classes, enc_seed, proto_seed, config)
+        branch = init_branch(spec, partition.label_split.n_known, enc_seed, proto_seed, config)
         if branches:
             objective = partial(div_loss, hp=hp, frozen=branches[-1])
         else:

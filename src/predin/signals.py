@@ -230,7 +230,6 @@ def split_trials(
     train_trials,
     test_trials,
     label_split: LabelSplit,
-    release: bool,
 ) -> DatasetPartition:
     """Route recordings into train/test by trial id, then window each side.
 
@@ -243,12 +242,12 @@ def split_trials(
     in test). Every window's label is remapped through the label split:
     1..N on the train side, 1..N or UNKNOWN_LABEL on the test side.
 
-    The sides are filled from the last recording back. With ``release``,
-    the list ``recordings`` is emptied in place as they are copied: each
-    recording is popped once its samples are in its side (an unrouted one
-    at once), so it is freed then unless the caller holds it elsewhere.
-    Newest first, each freed recording lies at the top of the heap, the
-    only place the allocator hands memory back from.
+    The sides are filled from the last recording back, and the list
+    ``recordings`` is emptied in place as they are copied (a caller that
+    reads it later hands in a copy): each recording is popped once its
+    samples are in its side (an unrouted one at once), so it is freed then
+    unless held elsewhere. Newest first, each freed recording lies at the
+    top of the heap, the only place the allocator hands memory back from.
     """
     train_trials = set(train_trials)
     test_trials = set(test_trials)
@@ -263,7 +262,7 @@ def split_trials(
         else 1 if r.trial_id in test_trials else None
         for r in recordings
     ]
-    # every check comes before the first copy, so a rejected split releases nothing
+    # every check comes before the first pop, so a rejected split pops nothing
     shapes = []  # per side: (channels, window length, samples)
     for side in (0, 1):
         routed = [r for r, s in zip(recordings, route) if s == side]
@@ -280,7 +279,7 @@ def split_trials(
     ends = [n for _, _, n in shapes]  # each side is filled leftwards from here
     pieces = ([], [])  # per side, newest first: (starts, labels)
     for i in reversed(range(len(recordings))):
-        rec = recordings.pop() if release else recordings[i]
+        rec = recordings.pop()
         side = route[i]
         if side is None:
             continue
@@ -290,7 +289,7 @@ def split_trials(
         pieces[side].append((table.starts + start, table.labels))
         del table  # its signal is a view that would keep rec's samples alive
         signals[side][:, start : start + rec.n_timesteps] = rec.samples
-    del rec  # with release, the first recording is freed here
+    del rec  # the first recording is freed here
 
     def build(side) -> WindowTable:
         starts, labels = (
@@ -517,11 +516,11 @@ def _draw_worker(jobs, done, rng, two_pi_freqs, t, phases) -> None:
             done.put(trial_phase)
 
 
-def generate_synthetic(config: SyntheticConfig):
+def generate_synthetic(config: SyntheticConfig) -> list[SignalRecording]:
     """Build one recording per (class, trial), deterministic per data_seed.
 
-    Returns (recordings, class_ids) with classes labeled 1..n_classes and
-    trials labeled 1..trials.
+    Returns the recordings, classes labeled 1..n_classes and trials
+    labeled 1..trials.
 
     The recordings are made in a two-stage pipeline on two threads. Once
     the calling thread has drawn the offsets, frequencies and phases, one
@@ -597,7 +596,7 @@ def generate_synthetic(config: SyntheticConfig):
     finally:
         jobs.put(None)
         helper.join()
-    return recordings, set(range(1, config.n_classes + 1))
+    return recordings
 
 
 def _parse_field(row: dict, key: str, lineno: int, path, parse=int):
@@ -628,16 +627,21 @@ def load_csv(data_path, meta_path) -> list[SignalRecording]:
     """Read recordings from a signal CSV plus a metadata CSV.
 
     The metadata file assigns each 0-based, end-exclusive row range of the
-    signal file to one recording. Malformed rows raise ParseError naming the
-    file, line, and column; a recording SignalRecording rejects (a
-    non-finite sample or sampling rate) names its metadata line.
+    signal file to one recording. Malformed rows, and a blank row before a
+    data row, raise ParseError naming the file, line, and column; a
+    recording SignalRecording rejects (a non-finite sample or sampling
+    rate) names its metadata line.
     """
     rows: list[list[float]] = []
     n_channels: int | None = None
+    blank = None  # line of the first blank row, if any
     with open(data_path, newline="") as f:
         for lineno, row in enumerate(csv.reader(f), start=1):
             if not row:
+                blank = blank or lineno
                 continue
+            if blank:
+                raise ParseError(f"{data_path}: row {blank}: blank row before the data row {lineno}")
             if n_channels is None:
                 n_channels = len(row)
             if len(row) != n_channels:

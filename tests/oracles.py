@@ -426,11 +426,11 @@ def class_posterior(z, prototypes) -> np.ndarray:
     return e / e.sum()
 
 
-def generate_synthetic_serial(config: SyntheticConfig):
+def generate_synthetic_serial(config: SyntheticConfig) -> list[SignalRecording]:
     """The former one-thread generator: every recording's oscillation,
     noise and sum evaluated as one expression, in list order, its noise
-    smoothed row by row into a fresh array. The two-thread
-    generate_synthetic must equal it byte for byte."""
+    smoothed row by row into a fresh array; returns the recordings. The
+    two-thread generate_synthetic must equal it byte for byte."""
     rng = np.random.default_rng(config.data_seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
     offsets = _class_offsets(config, rng)
@@ -465,7 +465,7 @@ def generate_synthetic_serial(config: SyntheticConfig):
                     subject_id=1,
                 )
             )
-    return recordings, set(range(1, config.n_classes + 1))
+    return recordings
 
 
 def write_score_dump_csv(path, scored, threshold) -> None:

@@ -75,9 +75,7 @@ def _count(name, total, args, result):
 def _recordings():
     cfg = SyntheticConfig(n_classes=5, channels=2, trials=3, recording_ms=700.0,
                           sampling_rate_hz=500.0, data_seed=1)
-    recs, classes = generate_synthetic(cfg)
-    split = split_known_unknown(classes, 3, seed=2)
-    return recs, split
+    return generate_synthetic(cfg), split_known_unknown(range(1, cfg.n_classes + 1), 3, seed=2)
 
 
 @pytest.mark.parametrize(
@@ -107,7 +105,7 @@ def test_segment_windows_called_once_per_routed_recording(monkeypatch):
         return result
 
     monkeypatch.setattr(signals, "segment_windows", counting)
-    part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False)
+    part = split_trials(list(recs), 200.0, 50.0, {1, 2}, {3}, split)
     routed = [r for r in recs if r.trial_id == 3
               or (r.trial_id in (1, 2) and r.gesture_label in split.known_classes)]
     assert sorted(i for i, _ in cut) == sorted(id(r) for r in routed)
@@ -116,7 +114,7 @@ def test_segment_windows_called_once_per_routed_recording(monkeypatch):
 
 def test_score_counter_counts_every_test_window():
     recs, split = _recordings()
-    part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False))
+    part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
     spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4,
                        activation="tanh")
     fns = [branch_score_fn(init_branch(spec, 3, 1, 2, TrainConfig()))]
@@ -300,9 +298,9 @@ def test_release_holds_under_the_tracer(tmp_path):
         standardize = harness.standardize
 
         def capturing_load(*args):
-            recordings, classes = load(*args)
+            recordings = load(*args)
             recording_refs.extend(weakref.ref(r.samples) for r in recordings)
-            return recordings, classes
+            return recordings
 
         def capturing_build(*args, **kwargs):
             lists.append(args[1])
@@ -347,10 +345,10 @@ def test_generator_traced_on_the_eval_large_plan(tmp_path):
     plan = workloads.make_plan("eval_large", 5, str(tmp_path / "out"), base, tiny=True)
     config = harness.config_from_dict(plan["config"])
     with _installed_tracer() as tracer:
-        traced, classes = harness.load_dataset(config)
+        traced = harness.load_dataset(config)
     assert tracer.names == ["harness.load_dataset", "signals.generate_synthetic"]
     assert tracer.parents == [-1, 0]
-    untraced, _ = generate_synthetic(SyntheticConfig(**plan["config"]["dataset"]))
+    untraced = generate_synthetic(SyntheticConfig(**plan["config"]["dataset"]))
     assert len(traced) == len(untraced) == 30 and traced[0].n_timesteps == 6000
     for a, b in zip(traced, untraced):
         assert a.samples.tobytes() == b.samples.tobytes()

@@ -28,7 +28,7 @@ from predin.harness import (
     run_seed,
 )
 from predin.scoring import score_windows
-from predin.signals import CsvDataset, SyntheticConfig, split_known_unknown
+from predin.signals import CsvDataset, SignalRecording, SyntheticConfig, split_known_unknown
 
 from oracles import assert_checkpoint_holds
 
@@ -337,17 +337,17 @@ class TestVariantLattice:
             cfg_predin, hyperparams=dataclasses.replace(cfg_predin.hyperparams, **hp)
         )
         cfg_dual = dataclasses.replace(cfg_predin, variant="dual")
-        recordings, classes = load_dataset(cfg_predin)
-        r_predin = run_seed(cfg_predin, build_partition(cfg_predin, recordings, classes, 1, False), 1)
-        r_dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg_predin)
+        r_predin = run_seed(cfg_predin, build_partition(cfg_predin, list(recordings), 1), 1)
+        r_dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, 1), 1)
         assert r_predin.report == r_dual.report
 
     def test_dual_branch_a_equals_pl_baseline(self):
         cfg_dual = tiny_config(variant="dual")
         cfg_pl = dataclasses.replace(cfg_dual, variant="pl_baseline")
-        recordings, classes = load_dataset(cfg_dual)
-        dual = run_seed(cfg_dual, build_partition(cfg_dual, recordings, classes, 1, False), 1)
-        pl = run_seed(cfg_pl, build_partition(cfg_pl, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg_dual)
+        dual = run_seed(cfg_dual, build_partition(cfg_dual, list(recordings), 1), 1)
+        pl = run_seed(cfg_pl, build_partition(cfg_pl, recordings, 1), 1)
         assert len(dual.scored) == len(pl.scored)
         np.testing.assert_array_equal(dual.scored.sims[:, 0], pl.scored.sims[:, 0])
 
@@ -386,8 +386,8 @@ class TestSoftmaxBaseline:
 
     def test_trains_and_scores(self):
         cfg = tiny_config(variant="softmax", epochs=10)
-        recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg)
+        result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
         assert result.report["acc"] > 0.5
         # softmax scores are probabilities
         assert ((0.0 <= result.scored.s_max) & (result.scored.s_max <= 1.0)).all()
@@ -455,11 +455,12 @@ class TestRunExperiment:
         # variance; each seed that trains on its class must fail naming
         # itself, not report chance-level metrics
         cfg = tiny_config(seeds=(1, 2, 3, 4), epochs=1, output_dir=str(tmp_path))
-        recordings, classes = load_dataset(cfg)
+        recordings = load_dataset(cfg)
         scaled = next(r for r in recordings if r.trial_id == 1)
         scaled.samples *= 1e154
         with np.errstate(over="ignore", invalid="ignore"):
-            report = run_experiment(cfg, dataset=(recordings, classes))
+            report = run_experiment(cfg, recordings=recordings)
+        classes = {r.gesture_label for r in recordings}
         known = {s: split_known_unknown(classes, cfg.n_known, s).known_classes for s in cfg.seeds}
         failing = [s for s in cfg.seeds if scaled.gesture_label in known[s]]
         assert 0 < len(failing) < len(cfg.seeds)
@@ -488,8 +489,8 @@ class TestCheckpoint:
         # each branch stores two layers' weights and biases, then a one-array
         # prototype head or a two-array softmax head
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
-        recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg)
+        result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
         rel = _write_seed_artifacts(str(tmp_path), result)
         assert rel["checkpoint"] == "checkpoint.npz"
         n_branches = (
@@ -547,10 +548,10 @@ class TestBuildPartition:
     def test_peak_memory_is_the_routed_tables(self):
         cfg = tiny_config(dataset=dataclasses.replace(TINY_DATASET, channels=4, recording_ms=3000.0,
                                                       sampling_rate_hz=2000.0))
-        recordings, classes = load_dataset(cfg)
+        recordings = load_dataset(cfg)
         tracemalloc.start()
         try:
-            part = build_partition(cfg, recordings, classes, 1, False)
+            part = build_partition(cfg, recordings, 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -563,6 +564,21 @@ class TestBuildPartition:
         # copying every window out, or windowing every recording before
         # routing, would add the windows once more
         assert peak <= tables + channel_row + 256 * 1024
+
+
+    def test_class_set_is_every_label_it_is_handed(self):
+        # label 11 lies only in trial 4, which is neither train nor test; the
+        # known classes are still drawn from all four labels, read before
+        # split_trials empties the list
+        rng = np.random.default_rng(0)
+        recordings = [
+            SignalRecording(rng.standard_normal((2, 180)), 400.0, label, trial, 1)
+            for label, trial in [(c, t) for c in (2, 5, 9) for t in (1, 2, 3)] + [(11, 4)]
+        ]
+        part = build_partition(tiny_config(n_known=2), recordings, 2)
+        assert part.label_split == split_known_unknown({2, 5, 9, 11}, 2, 2)
+        assert part.label_split.known_classes == (9, 11)  # the routed labels alone give (2, 9)
+        assert recordings == []
 
 
 class TestRunSeed:
@@ -580,8 +596,8 @@ class TestRunSeed:
 
         monkeypatch.setattr(harness, "score_windows", checking_score)
         cfg = tiny_config(epochs=1)
-        recordings, classes = load_dataset(cfg)
-        partition = build_partition(cfg, recordings, classes, 1, False)
+        recordings = load_dataset(cfg)
+        partition = build_partition(cfg, recordings, 1)
         train_signal = weakref.ref(partition.train_windows.signal)
         result = run_seed(cfg, partition, 1)
         assert alive_at_scoring == [False]
@@ -603,9 +619,9 @@ class TestRecordingsReleased:
         load, standardize, train = harness.load_dataset, harness.standardize, harness.train
 
         def capturing_load(config):
-            recordings, classes = load(config)
+            recordings = load(config)
             refs.extend(weakref.ref(r.samples) for r in recordings)
-            return recordings, classes
+            return recordings
 
         def checking_standardize(*args):
             alive_at_standardize.append(sum(ref() is not None for ref in refs))
@@ -646,9 +662,9 @@ class TestRecordingsReleased:
 
     def test_caller_dataset_left_intact(self, tmp_path):
         cfg = tiny_config(seeds=(1, 2), epochs=1, output_dir=str(tmp_path))
-        recordings, classes = load_dataset(cfg)
+        recordings = load_dataset(cfg)
         before = [(id(r), r.samples.tobytes()) for r in recordings]
-        run_experiment(cfg, dataset=(recordings, classes))
+        run_experiment(cfg, recordings=recordings)
         assert [(id(r), r.samples.tobytes()) for r in recordings] == before
 
 
@@ -677,8 +693,8 @@ class TestSeedModelReleased:
 class TestSequentialVariant:
     def test_k_branches_scored(self):
         cfg = tiny_config(variant="sequential_k", sequential_k=3, epochs=3)
-        recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg)
+        result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
         assert result.scored.sims.shape[1] == 3
         assert len(result.branches) == 3
 
@@ -687,8 +703,7 @@ class TestSequentialVariant:
         """The first two branches of a sequential run, scored and evaluated alone."""
         fns = [branch_score_fn(b) for b in result.branches[:2]]
         scored = score_windows(fns, partition.test_windows)
-        n_known = partition.label_split.n_known
-        return scored, evaluate_scored(scored, cfg.retention, n_known, seed)[0]
+        return scored, evaluate_scored(scored, cfg.retention, seed)[0]
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_first_two_branches_are_the_k2_run(self, seed):
@@ -696,10 +711,10 @@ class TestSequentialVariant:
         # run's first two branches, and their scores, are the K=2 run's
         five = tiny_config(variant="sequential_k", sequential_k=5, epochs=2, seeds=(seed,))
         two = dataclasses.replace(five, sequential_k=2)
-        recordings, classes = load_dataset(five)
-        partition = build_partition(five, recordings, classes, seed, False)
+        recordings = load_dataset(five)
+        partition = build_partition(five, list(recordings), seed)
         result = run_seed(five, partition, seed)
-        alone = run_seed(two, build_partition(two, recordings, classes, seed, False), seed)
+        alone = run_seed(two, build_partition(two, recordings, seed), seed)
         for a, b in zip(result.branches[:2], alone.branches, strict=True):
             for x, y in zip(a.arrays(), b.arrays(), strict=True):
                 assert x.tobytes() == y.tobytes()
@@ -715,8 +730,8 @@ class TestSequentialVariant:
         aucs = {2: [], 5: []}
         for seed in (1, 2, 3):
             cfg = ExperimentConfig(variant="sequential_k", sequential_k=5, output_dir="unused")
-            recordings, classes = load_dataset(cfg)
-            partition = build_partition(cfg, recordings, classes, seed, False)
+            recordings = load_dataset(cfg)
+            partition = build_partition(cfg, recordings, seed)
             result = run_seed(cfg, partition, seed)
             aucs[5].append(result.report["auc"])
             aucs[2].append(self._first_two_scored(cfg, partition, result, seed)[1]["auc"])
@@ -726,8 +741,8 @@ class TestSequentialVariant:
 class TestSoftmaxOnDefaultDataset:
     def test_separable_data_reaches_high_acc(self):
         cfg = ExperimentConfig(variant="softmax", output_dir="unused")
-        recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg)
+        result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
         assert result.report["acc"] >= 0.95
 
 
@@ -735,8 +750,8 @@ class TestZeroSeparation:
     def test_downstream_accuracy_near_chance(self):
         ds = dataclasses.replace(TINY_DATASET, separation=0.0)
         cfg = tiny_config(dataset=ds, variant="pl_baseline", epochs=10)
-        recordings, classes = load_dataset(cfg)
-        result = run_seed(cfg, build_partition(cfg, recordings, classes, 1, False), 1)
+        recordings = load_dataset(cfg)
+        result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
         # 3 known classes: chance is 1/3
         assert result.report["acc"] < 0.55
 
@@ -811,6 +826,26 @@ class TestCli:
         assert captured.out == ""
         assert json.loads(captured.err) == {
             "error": "ValueError", "message": f"{flag} must be an integer >= 0, got -1"}
+
+    @pytest.mark.parametrize(
+        "argv, names",
+        [(["run"], "required: --config"),
+         (["check-gradients", "--seeds", "x"], "--seeds: invalid int value: 'x'"),
+         (["frobnicate"], "invalid choice: 'frobnicate'")],
+        ids=["missing_config", "bad_seeds", "unknown_command"],
+    )
+    def test_usage_error_is_json(self, capsys, argv, names):
+        assert cli_main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "ValueError" and names in err["message"]
+
+    def test_help_prints_usage_and_exits_zero(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli_main(["run", "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: predin run")
 
     def _diverging_config(self, tmp_path):
         # magnitudes grow by ~1e6 per step, so 40 epochs guarantees overflow

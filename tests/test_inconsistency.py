@@ -72,9 +72,8 @@ def tiny_partition(seed=3, n_classes=5, n_known=3, sampling_rate_hz=400.0):
         n_classes=n_classes, channels=2, trials=3, recording_ms=450.0,
         sampling_rate_hz=sampling_rate_hz, separation=1.5, noise_scale=0.4, data_seed=seed,
     )
-    recs, classes = generate_synthetic(cfg)
-    split = split_known_unknown(classes, n_known, seed=seed)
-    return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False))
+    split = split_known_unknown(range(1, n_classes + 1), n_known, seed=seed)
+    return standardize(split_trials(generate_synthetic(cfg), 200.0, 50.0, {1, 2}, {3}, split))
 
 
 class TestMarginDistance:
@@ -474,7 +473,7 @@ class TestTraining:
         spec = _spec_for(part)
         tc = TrainConfig(epochs=5, batch_size=64, lr=0.002)
         hp = DivHyperParams()
-        branches, traces = train_sequential(part, tc, hp, spec, 3, [(21, 22)], 11)
+        branches, traces = train_sequential(part, tc, hp, spec, [(21, 22)], 11)
         direct = init_branch(spec, 3, 21, 22, tc)
         train([direct], partial(pl_objective, hp=hp), part, tc, 11)
         for x, y in zip(branches[0].arrays(), direct.arrays()):
@@ -486,7 +485,7 @@ class TestTraining:
         spec = _spec_for(part)
         tc = TrainConfig(epochs=3, batch_size=64, lr=0.002)
         branches, traces = train_sequential(
-            part, tc, DivHyperParams(), spec, 3, [(31, 32), (33, 34), (35, 36)], 12
+            part, tc, DivHyperParams(), spec, [(31, 32), (33, 34), (35, 36)], 12
         )
         assert len(branches) == 3
         # later traces carry the inconsistency component, the first does not

@@ -186,7 +186,7 @@ class TestScoreWindows:
         scorer, split = self._setup()
         x = np.array([[[1.0, 0.0, 0.0, 0.0]], [[0.0, 0.0, 1.0, 0.0]]])
         recs = [SignalRecording(w, 1000.0, label, 3, 1) for w, label in zip(x, (20, 40))]
-        windows = split_trials(recs, 4.0, 4.0, {1}, {3}, split, False).test_windows
+        windows = split_trials(recs, 4.0, 4.0, {1}, {3}, split).test_windows
         scored = score_windows([scorer], windows)
         assert len(scored) == 2
         assert scored.true_labels.tolist() == [2, UNKNOWN_LABEL]

@@ -137,8 +137,8 @@ class TestWindowing:
         # each side's signal is one fresh C-contiguous copy of its recordings,
         # and every gather from it is C-contiguous
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        two = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN, False)
-        one_each = split_trials(recs, 200.0, 50.0, {1}, {2}, ALL_KNOWN, False)
+        two = split_trials(list(recs), 200.0, 50.0, {1, 2}, set(), ALL_KNOWN)
+        one_each = split_trials(list(recs), 200.0, 50.0, {1}, {2}, ALL_KNOWN)
         assert two.train_windows.signal.shape == (2, 500 + 700)
         for windows in (two.train_windows, one_each.train_windows, one_each.test_windows):
             assert windows.signal.flags.c_contiguous and windows.signal.flags.owndata
@@ -150,7 +150,7 @@ class TestWindowing:
 
     def test_recordings_concatenate_in_order(self):
         recs = [make_recording(500, label=4, trial=1), make_recording(700, label=5, trial=2)]
-        windows = split_trials(recs, 200.0, 50.0, {1, 2}, set(), ALL_KNOWN, False).train_windows
+        windows = split_trials(list(recs), 200.0, 50.0, {1, 2}, set(), ALL_KNOWN).train_windows
         assert len(windows) == 2 + 4
         np.testing.assert_array_equal(windows.labels, [4, 4, 5, 5, 5, 5])
         np.testing.assert_array_equal(cube(windows)[2], recs[1].samples[:, :400])
@@ -294,7 +294,7 @@ class TestGatherOracle:
 
     def test_rows_match_oracle_bitwise(self):
         recs = self._recordings()
-        part = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT, False)
+        part = split_trials(list(recs), 200.0, 50.0, {1}, {2}, self.SPLIT)
         rng = np.random.default_rng(5)
         for got, routed in zip((part.train_windows, part.test_windows), self._sides(recs)):
             assert len({r.gesture_label for r in routed}) > 1  # a multi-recording side
@@ -313,7 +313,7 @@ class TestGatherOracle:
         # as train() gathers each batch: into the leading rows of one buffer
         # that earlier, longer gathers have already written
         recs = self._recordings()
-        got = split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT, False).train_windows
+        got = split_trials(list(recs), 200.0, 50.0, {1}, {2}, self.SPLIT).train_windows
         flat = self._flat(oracles.window_recordings(self._sides(recs)[0], 200.0, 50.0))
         m = len(got)
         buf = np.full((m + 3, got.input_dim), np.nan)
@@ -332,8 +332,8 @@ class TestGatherOracle:
         recs = self._recordings()
         # the test side routes nothing; a side of one too-short recording has no windows
         for got, routed in (
-            (split_trials(recs, 200.0, 50.0, {1}, set(), ALL_KNOWN, False).test_windows, []),
-            (split_trials(recs[1:2], 200.0, 50.0, {2}, set(), ALL_KNOWN, False).train_windows,
+            (split_trials(list(recs), 200.0, 50.0, {1}, set(), ALL_KNOWN).test_windows, []),
+            (split_trials(recs[1:2], 200.0, 50.0, {2}, set(), ALL_KNOWN).train_windows,
              recs[1:2]),
         ):
             expected = (np.empty((0, 3 * 400)) if not routed
@@ -345,7 +345,7 @@ class TestGatherOracle:
 
     def test_standardize_matches_oracle_bitwise(self):
         recs = self._recordings()
-        part = standardize(split_trials(recs, 200.0, 50.0, {1}, {2}, self.SPLIT, False))
+        part = standardize(split_trials(list(recs), 200.0, 50.0, {1}, {2}, self.SPLIT))
         train, test = (oracles.window_recordings(r, 200.0, 50.0) for r in self._sides(recs))
         oracles.standardize_copies(train.x, test.x)
         assert part.standardized
@@ -403,30 +403,30 @@ class TestSplitTrials:
 
     def test_routing(self):
         # recording i holds the value i and carries trial i % 4 + 1
-        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, ALL_KNOWN, False)
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, ALL_KNOWN)
         np.testing.assert_array_equal(cube(part.train_windows)[:, 0, 0], [0, 1, 4, 5, 8, 9])
         # rows travel with their labels, in their original order
         np.testing.assert_array_equal(cube(part.test_windows)[:, 0, 0], [2.0, 6.0, 10.0])
         np.testing.assert_array_equal(part.test_windows.labels, [1, 2, 3])
 
     def test_empty_test_trials(self):
-        part = split_trials(self._recordings(), *self.W, {1, 2}, set(), ALL_KNOWN, False)
+        part = split_trials(self._recordings(), *self.W, {1, 2}, set(), ALL_KNOWN)
         assert len(part.test_windows) == 0
         assert cube(part.test_windows).shape == (0, 1, 4)
 
     def test_unlisted_trial_dropped(self):
-        part = split_trials(self._recordings(), *self.W, {1}, {2}, ALL_KNOWN, False)
+        part = split_trials(self._recordings(), *self.W, {1}, {2}, ALL_KNOWN)
         routed = len(part.train_windows) + len(part.test_windows)
         assert routed == 6  # trials 3 and 4 dropped
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3}, ALL_KNOWN, False)
+            split_trials(self._recordings(), *self.W, {1, 2}, {2, 3}, ALL_KNOWN)
 
     def test_known_filter_on_train_side(self):
         # class 3 is unknown: kept out of train, and remapped in test
         split = LabelSplit(known_classes=(1, 2))
-        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, split, False)
+        part = split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
         assert set(part.train_windows.labels.tolist()) == {1, 2}
         assert part.test_windows.labels.tolist() == [1, 2, UNKNOWN_LABEL]
 
@@ -434,9 +434,9 @@ class TestSplitTrials:
         # routing recordings equals windowing everything and masking rows
         cfg = SyntheticConfig(n_classes=5, channels=3, trials=4, recording_ms=700.0,
                               sampling_rate_hz=500.0, data_seed=8)
-        recs, classes = generate_synthetic(cfg)
-        split = split_known_unknown(classes, 3, seed=2)
-        part = split_trials(recs, 200.0, 50.0, {1, 3}, {2}, split, False)
+        recs = generate_synthetic(cfg)
+        split = split_known_unknown(range(1, cfg.n_classes + 1), 3, seed=2)
+        part = split_trials(list(recs), 200.0, 50.0, {1, 3}, {2}, split)
         every = oracles.window_recordings(recs, 200.0, 50.0)
         to_train = np.isin(every.trials, [1, 3]) & np.isin(every.labels, split.known_classes)
         for got, rows in ((part.train_windows, to_train), (part.test_windows, every.trials == 2)):
@@ -459,7 +459,7 @@ class TestSplitTrials:
 
         monkeypatch.setattr(signals, "segment_windows", counting)
         split = LabelSplit(known_classes=(1, 2))
-        split_trials(self._recordings(), *self.W, {1, 2}, {3}, split, False)
+        split_trials(self._recordings(), *self.W, {1, 2}, {3}, split)
         # class 3 in train trials and every trial-4 recording are never cut
         assert sorted(cut) == [(1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 3)]
 
@@ -467,35 +467,36 @@ class TestSplitTrials:
         # 4 ms is 4 samples at 1000 Hz but 8 at 2000 Hz: one side cannot hold both
         recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
         with pytest.raises(ValueError, match="different lengths"):
-            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN, False)
+            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN)
 
     def test_no_recordings_rejected(self):
         with pytest.raises(ValueError, match="no recordings"):
-            split_trials([], *self.W, {1}, {2}, ALL_KNOWN, False)
+            split_trials([], *self.W, {1}, {2}, ALL_KNOWN)
 
     def test_mixed_channel_counts_rejected(self):
         # a one-channel recording would broadcast into a wider side unnoticed
         recs = [SignalRecording(np.zeros((c, 16)), 1000.0, 1, 1, 1) for c in (2, 1)]
         with pytest.raises(ValueError, match="different channel counts"):
-            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN, False)
+            split_trials(recs, *self.W, {1}, set(), ALL_KNOWN)
 
 
 class TestSplitTrialsRelease:
-    """release=True empties the caller's list while the sides are copied,
-    newest recording first, and builds the same tables as release=False."""
+    """split_trials empties the list it is handed while the sides are
+    copied, newest recording first; a shallow copy handed in leaves the
+    caller's list as it was and builds the same tables."""
 
     SPLIT = LabelSplit(known_classes=(1, 2))
 
     def _recordings(self):
         cfg = SyntheticConfig(n_classes=3, channels=2, trials=4, recording_ms=700.0,
                               sampling_rate_hz=500.0, data_seed=4)
-        return generate_synthetic(cfg)[0]
+        return generate_synthetic(cfg)
 
     def test_same_tables_as_without_release(self):
         kept = self._recordings()
         released = self._recordings()
-        a = split_trials(kept, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, False)
-        b = split_trials(released, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, release=True)
+        a = split_trials(list(kept), 200.0, 50.0, {1, 3}, {2}, self.SPLIT)
+        b = split_trials(released, 200.0, 50.0, {1, 3}, {2}, self.SPLIT)
         assert len(kept) == 12 and released == []
         for x, y in ((a.train_windows, b.train_windows), (a.test_windows, b.test_windows)):
             assert x.signal.tobytes() == y.signal.tobytes()
@@ -519,7 +520,7 @@ class TestSplitTrialsRelease:
 
         monkeypatch.setattr(signals, "segment_windows", watching)
         # trial 4 is routed nowhere and class 3 of trials 1 and 3 stays out of train
-        split_trials(recs, 200.0, 50.0, {1, 3}, {2}, self.SPLIT, release=True)
+        split_trials(recs, 200.0, 50.0, {1, 3}, {2}, self.SPLIT)
         routed = [i for i in range(12) if i % 4 in (0, 2) and i < 8 or i % 4 == 1]
         assert [i for i, _ in cut] == sorted(routed, reverse=True)
         # when recording i is cut, every later one is already gone
@@ -529,23 +530,23 @@ class TestSplitTrialsRelease:
     def test_rejected_split_releases_nothing(self):
         recs = [SignalRecording(np.zeros((1, 16)), rate, 1, 1, 1) for rate in (1000.0, 2000.0)]
         with pytest.raises(ValueError, match="different lengths"):
-            split_trials(recs, 4.0, 4.0, {1}, set(), ALL_KNOWN, release=True)
+            split_trials(recs, 4.0, 4.0, {1}, set(), ALL_KNOWN)
         assert len(recs) == 2
 
 
 class TestSynthetic:
     def test_recording_count_and_determinism(self):
         cfg = SyntheticConfig(n_classes=10, channels=4, trials=3, recording_ms=300.0, data_seed=7)
-        recs_a, classes = generate_synthetic(cfg)
-        recs_b, _ = generate_synthetic(cfg)
+        recs_a = generate_synthetic(cfg)
+        recs_b = generate_synthetic(cfg)
         assert len(recs_a) == 30
-        assert classes == set(range(1, 11))
+        assert {r.gesture_label for r in recs_a} == set(range(1, 11))
         for a, b in zip(recs_a, recs_b):
             np.testing.assert_array_equal(a.samples, b.samples)
 
     def test_distinct_seed_changes_data(self):
-        a, _ = generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=1))
-        b, _ = generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=2))
+        a = generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=1))
+        b = generate_synthetic(SyntheticConfig(recording_ms=300.0, data_seed=2))
         assert not np.array_equal(a[0].samples, b[0].samples)
 
     def test_too_few_classes(self):
@@ -554,14 +555,14 @@ class TestSynthetic:
 
     def test_zero_separation_collapses_signatures(self):
         cfg = SyntheticConfig(separation=0.0, recording_ms=300.0, data_seed=5)
-        recs, _ = generate_synthetic(cfg)
+        recs = generate_synthetic(cfg)
         # with no signature, per-class means are indistinguishable from noise
         means = np.array([r.samples.mean(axis=1) for r in recs])
         assert np.abs(means).max() < 0.5
 
     def test_every_class_has_every_trial(self):
         cfg = SyntheticConfig(n_classes=4, trials=3, recording_ms=300.0, data_seed=0)
-        recs, _ = generate_synthetic(cfg)
+        recs = generate_synthetic(cfg)
         seen = {(r.gesture_label, r.trial_id) for r in recs}
         assert seen == {(c, t) for c in range(1, 5) for t in range(1, 4)}
 
@@ -598,9 +599,9 @@ class TestSyntheticPipeline:
     )
     def test_bytes_equal_serial_generator(self, overrides, seed):
         cfg = SyntheticConfig(**overrides, data_seed=seed)
-        got, classes = generate_synthetic(cfg)
-        want, want_classes = oracles.generate_synthetic_serial(cfg)
-        assert classes == want_classes and len(got) == len(want) == cfg.n_classes * cfg.trials
+        got = generate_synthetic(cfg)
+        want = oracles.generate_synthetic_serial(cfg)
+        assert len(got) == len(want) == cfg.n_classes * cfg.trials
         for a, b in zip(got, want):
             assert a.samples.shape == b.samples.shape and a.samples.dtype == b.samples.dtype
             assert a.samples.tobytes() == b.samples.tobytes()
@@ -669,7 +670,7 @@ class TestSyntheticPipeline:
         cfg = SyntheticConfig(recording_ms=30000.0, data_seed=7)
         tracemalloc.start()
         try:
-            recordings, _ = generate_synthetic(cfg)
+            recordings = generate_synthetic(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -785,6 +786,17 @@ class TestLoadCsv:
         ):
             load_csv(data, meta)
 
+    def test_blank_row_before_data_named(self, tmp_path):
+        # skipped, the blank row would shift the rows after it: range [0, 4)
+        # would take the samples 1, 3, 5 and 7
+        data, meta = self._write(tmp_path, ["1,2", "3,4", "", "5,6", "7,8"], ["0,4,1,1,1,100"])
+        with pytest.raises(ParseError, match=re.escape(f"{data}: row 3: blank row before")):
+            load_csv(data, meta)
+
+    def test_blank_rows_after_the_data_allowed(self, tmp_path):
+        data, meta = self._write(tmp_path, ["1,2", "3,4", "", ""], ["0,2,1,1,1,100"])
+        assert load_csv(data, meta)[0].samples.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+
     def test_checked_in_fixture(self):
         import pathlib
 
@@ -800,12 +812,12 @@ class TestPipelineInvariants:
     def test_split_pipeline_is_pure(self):
         cfg = SyntheticConfig(n_classes=5, channels=2, trials=3, recording_ms=400.0,
                               sampling_rate_hz=500.0, data_seed=3)
-        recs, classes = generate_synthetic(cfg)
+        recs = generate_synthetic(cfg)
         samples = [r.samples.copy() for r in recs]
 
         def build():
-            split = split_known_unknown(classes, 3, seed=9)
-            return standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False))
+            split = split_known_unknown(range(1, cfg.n_classes + 1), 3, seed=9)
+            return standardize(split_trials(list(recs), 200.0, 50.0, {1, 2}, {3}, split))
 
         a, b = build(), build()
         assert a.label_split == b.label_split
@@ -818,12 +830,12 @@ class TestPipelineInvariants:
     def test_unknown_classes_present_in_test(self):
         cfg = SyntheticConfig(n_classes=6, channels=2, trials=3, recording_ms=400.0,
                               sampling_rate_hz=500.0, data_seed=3)
-        recs, classes = generate_synthetic(cfg)
-        split = split_known_unknown(classes, 3, seed=4)
-        part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split, False)
+        recs = generate_synthetic(cfg)
+        split = split_known_unknown(range(1, cfg.n_classes + 1), 3, seed=4)
+        per_recording = len(segment_windows(recs[0], 200.0, 50.0))
+        part = split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split)
         # labels arrive remapped: every unknown class's trial-3 windows carry
         # UNKNOWN_LABEL in test, and train holds only the known 1..N
-        per_recording = len(segment_windows(recs[0], 200.0, 50.0))
         unknown = part.test_windows.labels == UNKNOWN_LABEL
-        assert unknown.sum() == len(classes - set(split.known_classes)) * per_recording
+        assert unknown.sum() == (cfg.n_classes - split.n_known) * per_recording
         assert set(part.train_windows.labels.tolist()) == set(range(1, split.n_known + 1))
