@@ -5,14 +5,18 @@ and compares the analytic gradients of each loss against central finite
 differences over a sampled subset of encoder parameters and head arrays.
 Loss values for the differencing are recomputed from scratch on perturbed
 parameters, so the numeric side never touches the backward code it is
-checking. The combined objective is checked through div_loss itself, both
-jointly ("div") and against a frozen partner ("div_frozen"), and the
-softmax baseline through softmax_objective on a linear-head branch
-("softmax"). Every case turns embedding gradients into parameter
-gradients with branch_gradients, as train() does.
+checking. Every case runs an objective with the (terms, parts) contract
+that train() consumes and turns each part into parameter gradients with
+branch_gradients, as train() does: "pl" runs pl_objective, "div" and
+"div_frozen" div_loss jointly and against a frozen partner, "softmax"
+softmax_objective on a linear-head branch. "dce", "compactness" and
+"triplet" run one loss on one prototype branch, and "incon" the
+inconsistency term alone over a branch pair.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -31,12 +35,13 @@ from .inconsistency import (
     div_loss,
     inconsistency_loss,
     own_class_dots,
+    pl_objective,
     proximity_backward,
     proximity_probs,
     softmax_objective,
     triplet_loss,
 )
-from .prototypes import compactness_loss, dce_loss, pl_loss
+from .prototypes import compactness_loss, dce_loss
 
 _SPEC = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=8, activation="relu")
 _N_CLASSES = 3
@@ -72,28 +77,6 @@ def _rebuild(arrays: list[np.ndarray]) -> BranchState:
     return BranchState(enc, arrays[_N_ENC:], head_seed=0, optimizer=init_optimizer([], 0.0, 0.0))
 
 
-def _single_branch_case(loss_kind: str, hp: DivHyperParams, x, labels):
-    """arrays -> (loss, analytic grads) of one loss on one prototype branch."""
-
-    def compute(arrays):
-        branch = _rebuild(arrays)
-        protos = branch.prototypes
-        emb, cache = encoder_forward(branch.encoder, x)
-        if loss_kind == "dce":
-            loss, dz, dp = dce_loss(emb, labels, protos)
-        elif loss_kind == "compactness":
-            loss, dz, dp = compactness_loss(emb, labels, protos, hp.compactness_form)
-        elif loss_kind == "pl":
-            loss, dz, dp = pl_loss(emb, labels, protos, hp.beta, hp.compactness_form)
-        elif loss_kind == "triplet":
-            loss, dz, dp = triplet_loss(emb, labels, protos, hp.m2)
-        else:
-            raise ValueError(loss_kind)
-        return loss, branch_gradients(cache, dz, [dp])
-
-    return compute
-
-
 def _frozen_own_dots(base_arrays, x, labels):
     """Stop-gradient reference dots z.p^y, fixed at the unperturbed point.
 
@@ -110,78 +93,71 @@ def _frozen_own_dots(base_arrays, x, labels):
     return frozen
 
 
-def _incon_case(hp: DivHyperParams, x, labels, base_arrays):
-    own_a, own_b = _frozen_own_dots(base_arrays, x, labels)
-
-    def compute(arrays):
-        half = len(arrays) // 2
-        a, b = _rebuild(arrays[:half]), _rebuild(arrays[half:])
-        emb_a, cache_a = encoder_forward(a.encoder, x)
-        emb_b, cache_b = encoder_forward(b.encoder, x)
-        dist_a = proximity_probs(emb_a, labels, a.prototypes, hp.m1, own_dots=own_a)
-        dist_b = proximity_probs(emb_b, labels, b.prototypes, hp.m1, own_dots=own_b)
-        loss, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b, hp.epsilon_log)
-        dz_a, dp_a = proximity_backward(dist_a, dprobs_a)
-        dz_b, dp_b = proximity_backward(dist_b, dprobs_b)
-        grads_a = branch_gradients(cache_a, dz_a, [dp_a])
-        return loss, grads_a + branch_gradients(cache_b, dz_b, [dp_b])
-
-    return compute
+def _single_loss_objective(x, y, branches, loss):
+    """One prototype branch under loss(embeddings, labels, prototypes)."""
+    (branch,) = branches
+    emb, cache = encoder_forward(branch.encoder, x)
+    value, dz, dp = loss(emb, y, branch.prototypes)
+    return {"total": value}, [(cache, dz, [dp])]
 
 
-def _div_loss_case(hp: DivHyperParams, x, labels, base_arrays, frozen: bool):
-    """div_loss over both branches' arrays, or over branch a's alone with
-    branch b held frozen at its base point."""
-    own = _frozen_own_dots(base_arrays, x, labels)
-    half = len(base_arrays) // 2
-    partner = _rebuild(base_arrays[half:])
-
-    def compute(arrays):
-        if frozen:
-            terms, parts = div_loss(x, labels, [_rebuild(arrays)], hp, frozen=partner, own_dots=own)
-        else:
-            branches = [_rebuild(arrays[:half]), _rebuild(arrays[half:])]
-            terms, parts = div_loss(x, labels, branches, hp, own_dots=own)
-        return terms["total"], [g for part in parts for g in branch_gradients(*part)]
-
-    return compute
+def _incon_objective(x, y, branches, hp: DivHyperParams, own_dots):
+    """The inconsistency term alone over a branch pair, into both branches."""
+    forward = [encoder_forward(b.encoder, x) for b in branches]
+    dists = [
+        proximity_probs(emb, y, b.prototypes, hp.m1, own_dots=own)
+        for (emb, _), b, own in zip(forward, branches, own_dots)
+    ]
+    incon, *dprobs = inconsistency_loss(*dists, hp.epsilon_log)
+    backward = [proximity_backward(dist, d) for dist, d in zip(dists, dprobs)]
+    return {"total": incon}, [(c, dz, [dp]) for (_, c), (dz, dp) in zip(forward, backward)]
 
 
-def _softmax_case(x, labels):
-    def compute(arrays):
-        terms, (part,) = softmax_objective(x, labels, [_rebuild(arrays)])
-        return terms["total"], branch_gradients(*part)
-
-    return compute
+def _case(loss_name: str, rng: np.random.Generator, x, labels):
+    """(arrays, n_trained, objective) of one loss: the drawn arrays of the
+    n_trained branches it differentiates, one branch after another, and
+    the objective(x, y, branches) -> (terms, parts) that train() would run."""
+    hp = DivHyperParams()
+    single = {
+        "dce": dce_loss,
+        "compactness": lambda z, y, p: compactness_loss(z, y, p, hp.compactness_form),
+        "triplet": lambda z, y, p: triplet_loss(z, y, p, hp.m2),
+    }
+    if loss_name in single:
+        objective = partial(_single_loss_objective, loss=single[loss_name])
+        return _random_branch_arrays(rng), 1, objective
+    if loss_name == "pl":
+        return _random_branch_arrays(rng), 1, partial(pl_objective, hp=hp)
+    if loss_name == "softmax":
+        return _random_softmax_arrays(rng), 1, softmax_objective
+    if loss_name not in ("incon", "div", "div_frozen"):
+        raise ValueError(f"unknown loss {loss_name!r}")
+    pair = _random_branch_arrays(rng) + _random_branch_arrays(rng)
+    own = _frozen_own_dots(pair, x, labels)
+    if loss_name == "incon":
+        return pair, 2, partial(_incon_objective, hp=hp, own_dots=own)
+    if loss_name == "div":
+        return pair, 2, partial(div_loss, hp=hp, own_dots=own)
+    half = len(pair) // 2  # branch b is held frozen at its base point
+    return pair[:half], 1, partial(div_loss, hp=hp, frozen=_rebuild(pair[half:]), own_dots=own)
 
 
 LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen", "softmax")
 
 
-def check_loss_gradients(
-    loss_name: str, instance_seed: int, n_coords: int
-) -> FiniteDiffReport:
+def check_loss_gradients(loss_name: str, instance_seed: int, n_coords: int) -> FiniteDiffReport:
     """Finite-difference check of one loss on one random instance."""
     rng = np.random.default_rng(instance_seed)
     x = rng.standard_normal((_BATCH, _SPEC.input_dim))
     labels = rng.integers(1, _N_CLASSES + 1, size=_BATCH)
-    hp = DivHyperParams()
-    if loss_name in ("dce", "compactness", "pl", "triplet"):
-        arrays = _random_branch_arrays(rng)
-        compute = _single_branch_case(loss_name, hp, x, labels)
-    elif loss_name == "incon":
-        arrays = _random_branch_arrays(rng) + _random_branch_arrays(rng)
-        compute = _incon_case(hp, x, labels, arrays)
-    elif loss_name in ("div", "div_frozen"):
-        pair = _random_branch_arrays(rng) + _random_branch_arrays(rng)
-        frozen = loss_name == "div_frozen"
-        arrays = pair[: len(pair) // 2] if frozen else pair
-        compute = _div_loss_case(hp, x, labels, pair, frozen)
-    elif loss_name == "softmax":
-        arrays = _random_softmax_arrays(rng)
-        compute = _softmax_case(x, labels)
-    else:
-        raise ValueError(f"unknown loss {loss_name!r}")
+    arrays, n_trained, objective = _case(loss_name, rng, x, labels)
+
+    def compute(flat):
+        k = len(flat) // n_trained
+        branches = [_rebuild(flat[i : i + k]) for i in range(0, len(flat), k)]
+        terms, parts = objective(x, labels, branches)
+        return terms["total"], [g for part in parts for g in branch_gradients(*part)]
+
     return finite_diff_check(
         arrays, lambda a: compute(a)[0], compute(arrays)[1], n_coords=n_coords, seed=instance_seed
     )

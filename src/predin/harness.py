@@ -227,17 +227,28 @@ def build_partition(config: ExperimentConfig, recordings, seed: int) -> DatasetP
     side's routed recordings are copied once and scaled in place, and no
     window is copied out until it is used. The known classes are drawn from
     every label in ``recordings`` before split_trials empties the list. A
-    train side without a window, or whose standardization statistics are
-    not finite, fails the seed with TrainingError."""
+    known class without a train window, a test side without both known and
+    unknown windows, or train statistics that are not finite fail the seed
+    with TrainingError before it trains."""
     split = split_known_unknown({r.gesture_label for r in recordings}, config.n_known, seed)
     part = split_trials(
         recordings, config.window_ms, config.step_ms,
         config.train_trials, config.test_trials, split,
     )
-    if not len(part.train_windows):
+    per_class = np.bincount(part.train_windows.labels, minlength=split.n_known + 1)[1:]
+    untrained = [c for c, n in zip(split.known_classes, per_class) if not n]
+    if untrained:
         raise TrainingError(
             f"seed {seed}: train trials {list(config.train_trials)} give no window "
-            f"for known classes {list(split.known_classes)}; training needs at least one"
+            f"for known classes {untrained}; training needs at least one"
+        )
+    unknown = part.test_windows.labels == UNKNOWN_LABEL
+    if unknown.all() or not unknown.any():
+        missing = "" if not len(unknown) else "known-class " if unknown.any() else "unknown-class "
+        raise TrainingError(
+            f"seed {seed}: test trials {list(config.test_trials)} give no {missing}window "
+            f"for known classes {list(split.known_classes)}; "
+            "open-set evaluation needs both known and unknown ones"
         )
     try:
         return standardize(part)
@@ -323,8 +334,8 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
 
 def evaluate_scored(scored: ScoreTable, retention: float, seed: int) -> tuple[dict, dict]:
     """The seed's report.json row plus analysis matrices from its scored
-    test set, which must hold both known and unknown windows (run_seed
-    checks this before training)."""
+    test set, which must hold both known and unknown windows
+    (build_partition checks this before the seed trains)."""
     n_classes = scored.sims.shape[2]
     is_known = scored.known
     ks = scored.s_max[is_known]
@@ -363,17 +374,9 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
 
     The partition's train side is cleared once training is done, so it is
     freed before scoring even while the caller still holds the partition.
-    A test side without both known and unknown windows fails the seed with
-    TrainingError before it trains.
+    The data checks are build_partition's: every known class has a train
+    window, and the test side holds known and unknown windows.
     """
-    unknown = partition.test_windows.labels == UNKNOWN_LABEL
-    if unknown.all() or not unknown.any():
-        missing = "" if not len(unknown) else "known-class " if unknown.any() else "unknown-class "
-        raise TrainingError(
-            f"seed {seed}: test trials {list(config.test_trials)} give no {missing}window "
-            f"for known classes {list(partition.label_split.known_classes)}; "
-            "open-set evaluation needs both known and unknown ones"
-        )
     result = _train_variant(config, partition, seed)
     partition.train_windows = None
     score_fns = [branch_score_fn(b) for b in result.branches]

@@ -83,6 +83,21 @@ def test_criterion_1_gradient_suite():
     )
 
 
+def test_criterion_1_differentiates_the_pl_objective_train_runs(monkeypatch):
+    # "pl" checks the pl_objective that pl_baseline and sequential_k's first
+    # branch train with, so halving its prototype gradient must fail the check
+    from predin import gradcheck
+
+    real = gradcheck.pl_objective
+
+    def halved(*args, **kwargs):
+        terms, [(cache, dz, [dp])] = real(*args, **kwargs)
+        return terms, [(cache, dz, [0.5 * dp])]
+
+    monkeypatch.setattr(gradcheck, "pl_objective", halved)
+    assert check_loss_gradients("pl", 1000, 420).max_rel_error > 1e-4
+
+
 def test_criterion_2_metric_oracles():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)

@@ -12,11 +12,15 @@ import pathlib
 import re
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from predin.harness import EncoderConfig, ExperimentConfig, config_from_dict, run_experiment
+from predin import harness
+from predin.harness import (
+    EncoderConfig, ExperimentConfig, config_from_dict, run_experiment, run_seed,
+)
 from predin.inconsistency import DivHyperParams, TrainConfig
 from predin.signals import CsvDataset, ParseError, SyntheticConfig, load_csv
 
@@ -412,7 +416,8 @@ def test_csv_window_lengths_differ_names_the_line(tmp_path, fast):
 
 def test_seed_without_a_train_window_fails_alone(tmp_path):
     # trial 1 holds classes 1 and 2 only, test trial 2 classes 1-4; with 2
-    # known classes, seeds 2 and 3 draw {3, 4}, which trial 1 does not carry
+    # known classes, seeds 2 and 3 draw {3, 4}, which trial 1 does not carry,
+    # and seeds 4-8 one class of each, whose prototype trial 1 could not train
     data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(240)]
     meta_rows = [[str(40 * r), str(40 * r + 40), str(label), str(trial), "1", "100"]
                  for r, (label, trial) in enumerate([(1, 1), (2, 1), (1, 2), (2, 2),
@@ -427,15 +432,15 @@ def test_seed_without_a_train_window_fails_alone(tmp_path):
         "output_dir": str(out),
     })
     report = run_experiment(cfg)
-    assert report["aggregate"]["failed_seeds"] == [2, 3]
+    assert report["aggregate"]["failed_seeds"] == [2, 3, 4, 5, 6, 7, 8]
     errors = {row["seed"]: row["error"] for row in report["per_seed"] if "error" in row}
+    untrained = {2: [3, 4], 3: [3, 4], 4: [4], 5: [4], 6: [4], 7: [3], 8: [4]}
     assert errors == {seed: f"seed {seed}: train trials [1] give no window for known classes "
-                            "[3, 4]; training needs at least one" for seed in (2, 3)}
-    assert report["aggregate"]["n_seeds"] == 6
+                            f"{classes}; training needs at least one"
+                      for seed, classes in untrained.items()}
+    assert report["aggregate"]["n_seeds"] == 1
     assert json.loads((out / "report.json").read_text()) == report
-    assert sorted(p.name for p in out.glob("seed_*")) == [
-        f"seed_{seed}" for seed in (1, 4, 5, 6, 7, 8)
-    ]
+    assert sorted(p.name for p in out.glob("seed_*")) == ["seed_1"]
 
 
 def test_seed_without_known_and_unknown_test_windows_fails_alone(tmp_path):
@@ -469,3 +474,77 @@ def test_seed_without_known_and_unknown_test_windows_fails_alone(tmp_path):
     assert report["per_seed"][0]["error"] == (
         "seed 2: test trials [3] give no window for known classes [3, 4]; "
         "open-set evaluation needs both known and unknown ones")
+
+
+# every config key, as an error message names it
+CONFIG_KEYS = sorted({f.name for cls in PATHS for f in dataclasses.fields(cls)})
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(st.data())
+def test_run_on_a_random_csv_set_fails_early_or_per_seed(data):
+    # a small CSV set of 1-3 channels at 100 Hz, at times with one recording
+    # constant, tiny, huge or at 200 Hz, and a tiny run the config rules admit
+    channels = data.draw(st.integers(1, 3))
+    # the set's layout is drawn uniformly: Hypothesis favours the fewest labels and trials
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+    n = data.draw(st.integers(4, 14))
+    recordings = zip(rng.integers(3, 41, n), rng.integers(1, 5, n), rng.integers(1, 4, n))
+    odd = data.draw(st.integers(0, n - 1))
+    odd_kind = data.draw(st.sampled_from(["plain"] * 4 + ["constant", "tiny", "huge", "fast"]))
+    scales = {"constant": 0.0, "tiny": 1e-200, "huge": 1e200}
+    data_rows, meta_rows = [], []
+    for i, (rows, label, trial) in enumerate(recordings):
+        kind = odd_kind if i == odd else "plain"
+        samples = 0.5 + scales.get(kind, 1.0) * rng.standard_normal((rows, channels))
+        meta_rows.append([str(len(data_rows)), str(len(data_rows) + rows), str(label),
+                          str(trial), "1", "200" if kind == "fast" else "100"])
+        data_rows += [[repr(v) for v in row] for row in samples.tolist()]
+    trials = data.draw(st.permutations([1, 2, 3]))
+    cut = data.draw(st.integers(1, 2))
+    raw = {
+        "window_ms": data.draw(st.sampled_from([30.0, 50.0, 100.0])),
+        "step_ms": data.draw(st.sampled_from([10.0, 50.0])),
+        "n_known": data.draw(st.integers(2, 3)),
+        "seeds": data.draw(st.lists(st.integers(0, 99), min_size=1, max_size=3, unique=True)),
+        "variant": data.draw(st.sampled_from(sorted(harness.VARIANTS))),
+        "train_trials": trials[:cut],
+        "test_trials": trials[cut : cut + data.draw(st.integers(1, 3 - cut))],
+        "encoder": {"hidden_dims": [4], "feature_dim": 3},
+        "training": {"epochs": data.draw(st.integers(1, 2)),
+                     "batch_size": data.draw(st.sampled_from([4, 256]))},
+    }
+    trained = []
+
+    def checking_run_seed(config, partition, seed):
+        # every known class trains: the train side holds each of labels 1..N
+        n_known = partition.label_split.n_known
+        assert set(partition.train_windows.labels.tolist()) == set(range(1, n_known + 1)), seed
+        trained.append(seed)
+        return run_seed(config, partition, seed)
+
+    with tempfile.TemporaryDirectory() as directory, pytest.MonkeyPatch.context() as mp:
+        data_path, meta_path = write_csv_pair(directory, data_rows, meta_rows)
+        cfg = config_from_dict({
+            **raw, "dataset": {"type": "csv", "data_path": data_path, "meta_path": meta_path},
+            "output_dir": os.path.join(directory, "out"),
+        })
+        mp.setattr(harness, "run_seed", checking_run_seed)
+        try:
+            report = run_experiment(cfg)
+        except ValueError as e:  # ParseError is one
+            assert not trained, (trained, e)
+            names_key = any(re.search(rf"\b{key}\b", str(e)) for key in CONFIG_KEYS)
+            assert names_key or re.search(r"metadata line \d+", str(e)), e
+            return
+    rows = report["per_seed"]
+    assert [row["seed"] for row in rows] == list(cfg.seeds)
+    for row in rows:
+        if "error" in row:
+            assert row["error"].startswith(f"seed {row['seed']}: "), row
+            continue
+        assert row["seed"] in trained
+        assert all(math.isfinite(row[key]) for key in
+                   ("auc", "acc", "oscr", "threshold", "retention_achieved")), row
+        assert row["incon"] is None or math.isfinite(row["incon"]), row
+    assert report["aggregate"]["failed_seeds"] == [row["seed"] for row in rows if "error" in row]

@@ -10,7 +10,7 @@ import pytest
 from predin import inconsistency
 from predin.cli import main as cli_main
 from predin.encoder import EncoderSpec, init_encoder, init_optimizer
-from predin.inconsistency import DivHyperParams, TrainConfig, branch_score_fn
+from predin.inconsistency import DivHyperParams, TrainConfig, TrainingError, branch_score_fn
 from predin.harness import (
     ABLATION_VARIANTS,
     VARIANTS,
@@ -569,15 +569,16 @@ class TestBuildPartition:
     def test_class_set_is_every_label_it_is_handed(self):
         # label 11 lies only in trial 4, which is neither train nor test; the
         # known classes are still drawn from all four labels, read before
-        # split_trials empties the list
+        # split_trials empties the list, and the seed fails naming the known
+        # class that no train trial carries
         rng = np.random.default_rng(0)
         recordings = [
             SignalRecording(rng.standard_normal((2, 180)), 400.0, label, trial, 1)
             for label, trial in [(c, t) for c in (2, 5, 9) for t in (1, 2, 3)] + [(11, 4)]
         ]
-        part = build_partition(tiny_config(n_known=2), recordings, 2)
-        assert part.label_split == split_known_unknown({2, 5, 9, 11}, 2, 2)
-        assert part.label_split.known_classes == (9, 11)  # the routed labels alone give (2, 9)
+        assert split_known_unknown({2, 5, 9, 11}, 2, 2).known_classes == (9, 11)
+        with pytest.raises(TrainingError, match=r"give no window for known classes \[11\];"):
+            build_partition(tiny_config(n_known=2), recordings, 2)  # the routed labels give (2, 9)
         assert recordings == []
 
 
