@@ -154,30 +154,6 @@ def encoder_backward(
     return grads
 
 
-@dataclass
-class OptimizerState:
-    """SGD-with-momentum state over a fixed list of parameter arrays."""
-
-    learning_rate: float
-    momentum: float
-    velocities: list[np.ndarray]
-    epoch: int = 0
-
-    def __post_init__(self):
-        if not self.learning_rate >= 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-
-
-def init_optimizer(
-    arrays: list[np.ndarray], learning_rate: float, momentum: float
-) -> OptimizerState:
-    return OptimizerState(
-        learning_rate=learning_rate,
-        momentum=momentum,
-        velocities=[np.zeros_like(a) for a in arrays],
-    )
-
-
 class NonFiniteGradientError(ValueError):
     """A gradient handed to sgd_step holds a NaN or an infinity."""
 
@@ -187,14 +163,21 @@ class NonFiniteGradientError(ValueError):
 SGD_BLOCK = 1 << 15
 
 
-def sgd_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerState) -> None:
-    """In-place update: v <- momentum*v + g; p <- p - lr*v.
+def sgd_step(
+    arrays: list[np.ndarray],
+    grads: list[np.ndarray],
+    velocities: list[np.ndarray],
+    lr: float,
+    momentum: float,
+) -> None:
+    """In-place update of each array p and its velocity v: v <- momentum*v + g;
+    p <- p - lr*v.
 
     Every gradient is validated before any array is written, so a rejected
     step leaves parameters and velocities unchanged. Non-finite gradients
     raise NonFiniteGradientError so the trainer can surface the batch.
     """
-    if len(arrays) != len(grads) or len(arrays) != len(opt.velocities):
+    if len(arrays) != len(grads) or len(arrays) != len(velocities):
         raise ValueError("arrays, grads, and velocities must align")
     with np.errstate(over="ignore", invalid="ignore"):
         for i, (a, g) in enumerate(zip(arrays, grads)):
@@ -209,15 +192,15 @@ def sgd_step(arrays: list[np.ndarray], grads: list[np.ndarray], opt: OptimizerSt
     # goes into one small buffer, and a block stays in cache for all four
     # elementwise passes, which give the same bits as whole-array passes
     row_size = [a.size // max(len(a), 1) for a in arrays]
-    buf = np.empty(max([SGD_BLOCK, *row_size]), np.result_type(*opt.velocities))
-    for a, g, v, width in zip(arrays, grads, opt.velocities, row_size):
+    buf = np.empty(max([SGD_BLOCK, *row_size]), np.result_type(*velocities))
+    for a, g, v, width in zip(arrays, grads, velocities, row_size):
         rows = max(1, SGD_BLOCK // max(width, 1))
         for i in range(0, len(a), rows):
             vb = v[i : i + rows]
-            vb *= opt.momentum
+            vb *= momentum
             vb += g[i : i + rows]
             lr_v = buf[: vb.size].reshape(vb.shape)
-            np.multiply(opt.learning_rate, vb, out=lr_v)
+            np.multiply(lr, vb, out=lr_v)
             a[i : i + rows] -= lr_v
 
 

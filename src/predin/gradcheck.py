@@ -26,7 +26,6 @@ from .encoder import (
     FiniteDiffReport,
     encoder_forward,
     finite_diff_check,
-    init_optimizer,
 )
 from .inconsistency import (
     BranchState,
@@ -74,7 +73,7 @@ def _rebuild(arrays: list[np.ndarray]) -> BranchState:
         spec=_SPEC, weights=arrays[0:_N_ENC:2], biases=arrays[1:_N_ENC:2], init_seed=0
     )
     # the checker never steps, so the branch carries no velocities
-    return BranchState(enc, arrays[_N_ENC:], head_seed=0, optimizer=init_optimizer([], 0.0, 0.0))
+    return BranchState(enc, arrays[_N_ENC:], head_seed=0, velocities=[])
 
 
 def _frozen_own_dots(base_arrays, x, labels):

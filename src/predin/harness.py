@@ -271,7 +271,7 @@ def baseline_softmax_train(
     """Cross-entropy training of one softmax-head branch; its rejection
     score is the maximum softmax probability. Returns (branch, trace)."""
     n_classes = partition.label_split.n_known
-    branch = init_branch(spec, n_classes, encoder_seed, head_seed, config, head="softmax")
+    branch = init_branch(spec, n_classes, encoder_seed, head_seed, head="softmax")
     return branch, train([branch], softmax_objective, partition, config, shuffle_seed)
 
 
@@ -325,7 +325,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
         streams = streams[:1]
         objective = partial(pl_objective, hp=hp)
     branches = [
-        init_branch(spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto), tc)
+        init_branch(spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto))
         for enc, proto in streams
     ]
     trace = train(branches, objective, partition, tc, shuffle_seed)
@@ -390,7 +390,7 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
 # ---------------------------------------------------------------------------
 
 
-def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
+def _write_seed_artifacts(seed_dir: str, result: SeedResult, training: TrainConfig) -> dict:
     os.makedirs(seed_dir, exist_ok=True)
     rel = {}
     write_score_dump(
@@ -411,7 +411,9 @@ def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
         name = f"{key}.csv"
         write_matrix_csv(os.path.join(seed_dir, name), mat)
         rel[key] = name
-    save_dual_checkpoint(os.path.join(seed_dir, "checkpoint.npz"), result.branches, result.hp)
+    save_dual_checkpoint(
+        os.path.join(seed_dir, "checkpoint.npz"), result.branches, result.hp, training
+    )
     rel["checkpoint"] = "checkpoint.npz"
     return rel
 
@@ -477,7 +479,7 @@ def run_experiment(config: ExperimentConfig, recordings=None) -> dict:
             continue
         per_seed.append(result.report)
         seed_dir = os.path.join(out_dir, f"seed_{seed}")
-        artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result)
+        artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result, config.training)
         del result  # the seed's model is freed before the next seed trains
     aggregate = aggregate_reports([row for row in per_seed if "error" not in row])
     aggregate["failed_seeds"] = [row["seed"] for row in per_seed if "error" in row]

@@ -14,8 +14,8 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
                     j* the nearest other prototype to p^y, refreshed per batch
 
 Every variant is init_branch() followed by the one loop in train(): K
-branches, each with its own optimizer and a prototype or linear softmax
-head, and a per-batch objective(x, y, branches) -> (terms, parts) that
+branches, each with its own momentum velocities and a prototype or linear
+softmax head, and a per-batch objective(x, y, branches) -> (terms, parts) that
 gives the loss terms and, per trained branch, a (forward cache, d loss /
 d embeddings, head gradients) part. The branches are coupled only through
 their embedding gradients, fixed before any parameter moves, so train()
@@ -46,11 +46,9 @@ from .encoder import (
     EncoderSpec,
     ForwardCache,
     NonFiniteGradientError,
-    OptimizerState,
     encoder_backward,
     encoder_forward,
     init_encoder,
-    init_optimizer,
     lr_schedule,
     sgd_step,
 )
@@ -95,7 +93,8 @@ class DivHyperParams:
 
 @dataclass
 class BranchState:
-    """One perspective: an encoder, its head arrays and their shared optimizer.
+    """One perspective: an encoder, its head arrays and their SGD momentum
+    velocities, one per array of arrays().
 
     The head is [prototypes (N, d)] for a prototype branch, or
     [weight (N, d), bias (N,)] for the softmax baseline's linear head.
@@ -104,7 +103,7 @@ class BranchState:
     encoder: EncoderParams
     head: list[np.ndarray]
     head_seed: int
-    optimizer: OptimizerState
+    velocities: list[np.ndarray]
 
     @property
     def prototypes(self) -> np.ndarray | None:
@@ -120,12 +119,11 @@ def init_branch(
     n_classes: int,
     encoder_seed: int,
     head_seed: int,
-    config: TrainConfig,
     head: str = "prototypes",
 ) -> BranchState:
     """A fresh branch with a "prototypes" head, or a "softmax" linear head
-    (weight ~ N(0, 2/d), zero bias), drawn from head_seed; its optimizer
-    takes config's lr and momentum."""
+    (weight ~ N(0, 2/d), zero bias), drawn from head_seed, and zero
+    velocities."""
     enc = init_encoder(spec, encoder_seed)
     d = spec.output_dim
     if head == "prototypes":
@@ -139,7 +137,7 @@ def init_branch(
         encoder=enc,
         head=arrays,
         head_seed=head_seed,
-        optimizer=init_optimizer(enc.arrays() + arrays, config.lr, config.momentum),
+        velocities=[np.zeros_like(a) for a in enc.arrays() + arrays],
     )
 
 
@@ -429,7 +427,8 @@ def train(
     objective gives the loss terms ("total" always present) and one part
     per branch (module docstring). In turn, each branch's encoder gradients
     go into the one set this call owns (the encoders share a shape) and the
-    branch takes an SGD step with its own optimizer. One {term: epoch mean}
+    branch takes an SGD step with its own velocities, at the epoch's
+    lr_schedule rate of config.lr and config.momentum. One {term: epoch mean}
     dict per epoch is returned; a non-finite loss or gradient raises
     TrainingError naming the epoch and batch. Labels are the train table's
     own, 1..N (objectives reject any other before the step). Every batch x
@@ -448,9 +447,6 @@ def train(
     batch = np.empty((min(config.batch_size, len(y)), windows.input_dim), windows.signal.dtype)
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config.lr)
-        for b in branches:
-            b.optimizer.learning_rate = lr
-            b.optimizer.epoch = epoch
         sums: dict[str, float] = {}
         perm = rng.permutation(len(y))
         for bi, start in enumerate(range(0, len(y), config.batch_size)):
@@ -463,7 +459,8 @@ def train(
                 raise TrainingError(f"non-finite loss {where} ({detail})")
             for k, (b, part) in enumerate(zip(branches, parts)):
                 try:
-                    sgd_step(arrays[k], branch_gradients(*part, out=enc_grads), b.optimizer)
+                    sgd_step(arrays[k], branch_gradients(*part, out=enc_grads),
+                             b.velocities, lr, config.momentum)
                 except NonFiniteGradientError as e:
                     raise TrainingError(f"{e} of branch {k + 1} {where}") from e
             del parts, part  # the caches go before the next batch's forward pass
@@ -493,7 +490,7 @@ def train_sequential(
     branches: list[BranchState] = []
     traces: list[list[dict[str, float]]] = []
     for enc_seed, proto_seed in branch_seeds:
-        branch = init_branch(spec, partition.label_split.n_known, enc_seed, proto_seed, config)
+        branch = init_branch(spec, partition.label_split.n_known, enc_seed, proto_seed)
         if branches:
             objective = partial(div_loss, hp=hp, frozen=branches[-1])
         else:
@@ -527,14 +524,18 @@ def write_loss_trace(path, trace: list[dict[str, float]]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) -> None:
+def save_dual_checkpoint(
+    path, branches: list[BranchState], hp: DivHyperParams, config: TrainConfig
+) -> None:
     """K branches plus hyperparameters; np.load gives every array back bitwise.
 
     Per branch k: layer dims, activation, (encoder, head) seeds, the
     parameter arrays b{k}_p* in BranchState.arrays() order, how many of
-    them form the head, the optimizer's (lr, momentum, epoch) and its
-    velocities b{k}_v*.
+    them form the head, the (lr, momentum, epoch) of the last epoch that
+    config trains (epoch 0 when it trains none) and the velocities b{k}_v*.
     """
+    last = max(config.epochs - 1, 0)
+    opt_row = np.array([lr_schedule(last, config.lr), config.momentum, last])
     payload = {
         "format": np.array(CHECKPOINT_FORMAT),
         "hp": np.array([hp.beta, hp.gamma, hp.alpha, hp.m1, hp.m2, hp.epsilon_log]),
@@ -543,17 +544,16 @@ def save_dual_checkpoint(path, branches: list[BranchState], hp: DivHyperParams) 
     }
     for k, branch in enumerate(branches):
         spec = branch.encoder.spec
-        opt = branch.optimizer
         payload[f"b{k}_layer_dims"] = np.array(spec.layer_dims, dtype=np.int64)
         payload[f"b{k}_activation"] = np.array(spec.activation)
         payload[f"b{k}_seeds"] = np.array(
             [branch.encoder.init_seed, branch.head_seed], dtype=np.int64
         )
         payload[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
-        payload[f"b{k}_opt"] = np.array([opt.learning_rate, opt.momentum, opt.epoch])
+        payload[f"b{k}_opt"] = opt_row
         for i, a in enumerate(branch.arrays()):
             payload[f"b{k}_p{i}"] = a
-        for i, v in enumerate(opt.velocities):
+        for i, v in enumerate(branch.velocities):
             payload[f"b{k}_v{i}"] = v
     with atomic_open(path, "wb") as f:
         np.savez(f, **payload)

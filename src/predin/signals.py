@@ -332,13 +332,15 @@ def standardize(partition: DatasetPartition) -> DatasetPartition:
     view = sliding_window_view(train.signal, train.window_len, axis=1)
     mean = np.empty(n_channels)
     std = np.empty(n_channels)
-    for c in range(n_channels):
-        row = view[c][train.starts].reshape(-1)  # the gather is a copy, never a view
-        mean[c] = row.mean()
-        row -= mean[c]  # np.std's own steps, done in the one copy
-        row *= row
-        std[c] = np.sqrt(row.mean())
-        del row  # freed before the next channel is gathered
+    # a sum or square that overflows gives inf or nan, which the check below reports
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c in range(n_channels):
+            row = view[c][train.starts].reshape(-1)  # the gather is a copy, never a view
+            mean[c] = row.mean()
+            row -= mean[c]  # np.std's own steps, done in the one copy
+            row *= row
+            std[c] = np.sqrt(row.mean())
+            del row  # freed before the next channel is gathered
     overflowed = np.nonzero(~(np.isfinite(mean) & np.isfinite(std)))[0]
     if overflowed.size:
         raise NonFiniteStatistics(

@@ -370,8 +370,9 @@ def train_allocating(branches, objective, partition, config, shuffle_seed):
     All branches' gradients are made first, each by
     encoder_backward_allocating plus the part's head gradients, and stay
     bound until the next step's are made; then every branch takes its
-    sgd_step_three_lines update. Sets each optimizer's learning rate and
-    epoch as train() does and returns the same {term: epoch mean} trace.
+    sgd_step_three_lines update of its velocities, at the epoch's
+    lr_schedule rate and config.momentum. Returns the same {term: epoch
+    mean} trace as train().
     """
     windows = partition.train_windows
     y = windows.labels
@@ -379,8 +380,6 @@ def train_allocating(branches, objective, partition, config, shuffle_seed):
     trace = []
     for epoch in range(config.epochs):
         lr = lr_schedule(epoch, config.lr)
-        for b in branches:
-            b.optimizer.learning_rate, b.optimizer.epoch = lr, epoch
         sums = {}
         perm = rng.permutation(len(y))
         for start in range(0, len(y), config.batch_size):
@@ -390,9 +389,7 @@ def train_allocating(branches, objective, partition, config, shuffle_seed):
                 encoder_backward_allocating(cache, dz) + head for cache, dz, head in parts
             ]
             for b, grads in zip(branches, branch_grads):
-                sgd_step_three_lines(
-                    b.arrays(), grads, b.optimizer.velocities, lr, b.optimizer.momentum
-                )
+                sgd_step_three_lines(b.arrays(), grads, b.velocities, lr, config.momentum)
             for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + len(idx) * value
         trace.append({k: s / len(y) for k, s in sums.items()})
@@ -491,10 +488,12 @@ def write_score_dump_csv(path, scored, threshold) -> None:
             writer.writerow([i, true, *map(repr, branch_smax), repr(s_max), k_star, decision])
 
 
-def assert_checkpoint_holds(path, branches, hp) -> None:
+def assert_checkpoint_holds(path, branches, hp, opt_row) -> None:
     """The checkpoint at path, read with np.load, holds exactly the
-    predin-branches-v1 entries of these branches and hyperparameters, each
-    with the dtype, shape and bytes of the array it stores."""
+    predin-branches-v1 entries of these branches and hyperparameters, with
+    opt_row, the (lr, momentum, epoch) of the last epoch trained, as every
+    branch's b{k}_opt; each entry with the dtype, shape and bytes of the
+    array it stores."""
     want = {
         "format": np.array("predin-branches-v1"),
         "hp": np.array([hp.beta, hp.gamma, hp.alpha, hp.m1, hp.m2, hp.epsilon_log]),
@@ -502,15 +501,15 @@ def assert_checkpoint_holds(path, branches, hp) -> None:
         "n_branches": np.array(len(branches), dtype=np.int64),
     }
     for k, branch in enumerate(branches):
-        spec, opt = branch.encoder.spec, branch.optimizer
+        spec = branch.encoder.spec
         dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
         want[f"b{k}_layer_dims"] = np.array(dims, dtype=np.int64)
         want[f"b{k}_activation"] = np.array(spec.activation)
         want[f"b{k}_seeds"] = np.array([branch.encoder.init_seed, branch.head_seed], dtype=np.int64)
         want[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
-        want[f"b{k}_opt"] = np.array([opt.learning_rate, opt.momentum, float(opt.epoch)])
+        want[f"b{k}_opt"] = np.array(opt_row, dtype=np.float64)
         want.update((f"b{k}_p{i}", a) for i, a in enumerate(branch.arrays()))
-        want.update((f"b{k}_v{i}", v) for i, v in enumerate(opt.velocities))
+        want.update((f"b{k}_v{i}", v) for i, v in enumerate(branch.velocities))
     with np.load(path, allow_pickle=False) as data:
         assert sorted(data.files) == sorted(want)
         for key, w in want.items():

@@ -27,11 +27,9 @@ from predin.encoder import (
     encoder_backward,
     encoder_forward,
     init_encoder,
-    init_optimizer,
     sgd_step,
 )
 from predin.inconsistency import (
-    TrainConfig,
     branch_score_fn,
     init_branch,
     nearest_other_prototype,
@@ -117,7 +115,7 @@ def test_score_counter_counts_every_test_window():
     part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
     spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4,
                        activation="tanh")
-    fns = [branch_score_fn(init_branch(spec, 3, 1, 2, TrainConfig()))]
+    fns = [branch_score_fn(init_branch(spec, 3, 1, 2))]
     args = (fns, part.test_windows)
     counted = _count("scoring.score_windows", "scoring.score_windows.windows", args,
                      score_windows(*args))
@@ -145,7 +143,8 @@ def _backward_case():
 
 def _sgd_case():
     arrays = init_encoder(_SPEC, seed=1).arrays()
-    args = (arrays, [np.ones_like(a) for a in arrays], init_optimizer(arrays, 0.1, 0.9))
+    velocities = [np.zeros_like(a) for a in arrays]
+    args = (arrays, [np.ones_like(a) for a in arrays], velocities, 0.1, 0.9)
     n_params = 12 * 16 + 16 + 16 * 8 + 8 + 8 * 4 + 4
     # read param, grad, velocity; write velocity, param: 8-byte floats
     return args, sgd_step(*args), {"encoder.sgd_step.bytes": 5 * 8 * n_params}

@@ -10,7 +10,6 @@ from predin.encoder import (
     encoder_forward,
     finite_diff_check,
     init_encoder,
-    init_optimizer,
     SGD_BLOCK,
     lr_schedule,
     sgd_step,
@@ -168,51 +167,47 @@ class TestBackward:
 class TestSgd:
     def test_zero_grad_zero_velocity_unchanged(self):
         a = np.ones((2, 2))
-        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
-        sgd_step([a], [np.zeros((2, 2))], opt)
+        sgd_step([a], [np.zeros((2, 2))], [np.zeros((2, 2))], 0.01, 0.9)
         np.testing.assert_array_equal(a, np.ones((2, 2)))
 
     def test_vanilla_step(self):
         a = np.full((2,), 1.0)
         g = np.full((2,), 3.0)
-        opt = init_optimizer([a], learning_rate=0.01, momentum=0.0)
-        sgd_step([a], [g], opt)
+        sgd_step([a], [g], [np.zeros(2)], 0.01, 0.0)
         np.testing.assert_allclose(a, 1.0 - 0.01 * 3.0)
 
     def test_two_momentum_steps(self):
         # v1 = g, v2 = 0.9 g + g; total displacement lr*(g + 1.9 g)
         a = np.zeros(1)
         g = np.array([2.0])
-        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
-        sgd_step([a], [g], opt)
-        sgd_step([a], [g], opt)
+        v = [np.zeros(1)]
+        sgd_step([a], [g], v, 0.01, 0.9)
+        sgd_step([a], [g], v, 0.01, 0.9)
         np.testing.assert_allclose(a, -(0.01 * 2.0 + 0.01 * 1.9 * 2.0))
 
     def test_lr_zero_bitwise_unchanged(self):
         rng = np.random.default_rng(8)
         a = rng.standard_normal((3, 3))
         before = a.copy()
-        opt = init_optimizer([a], learning_rate=0.0, momentum=0.9)
-        sgd_step([a], [rng.standard_normal((3, 3))], opt)
+        sgd_step([a], [rng.standard_normal((3, 3))], [np.zeros((3, 3))], 0.0, 0.9)
         assert a.tobytes() == before.tobytes()
 
     def test_non_finite_grad_rejected(self):
         a = np.ones(2)
-        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
         with pytest.raises(ValueError, match="non-finite"):
-            sgd_step([a], [np.array([np.nan, 0.0])], opt)
+            sgd_step([a], [np.array([np.nan, 0.0])], [np.zeros(2)], 0.01, 0.9)
 
     def test_non_finite_last_grad_leaves_every_array_unchanged(self):
         rng = np.random.default_rng(9)
         arrays = [rng.standard_normal((3, 2)), rng.standard_normal(4), rng.standard_normal(2)]
-        opt = init_optimizer(arrays, learning_rate=0.01, momentum=0.9)
-        sgd_step(arrays, [np.ones_like(a) for a in arrays], opt)  # non-zero velocities
-        before = [a.copy() for a in arrays + opt.velocities]
+        v = [np.zeros_like(a) for a in arrays]
+        sgd_step(arrays, [np.ones_like(a) for a in arrays], v, 0.01, 0.9)  # non-zero velocities
+        before = [a.copy() for a in arrays + v]
         grads = [np.ones_like(a) for a in arrays]
         grads[-1][1] = np.nan
         with pytest.raises(ValueError, match="non-finite gradient in array 2"):
-            sgd_step(arrays, grads, opt)
-        for x, y in zip(before, arrays + opt.velocities):
+            sgd_step(arrays, grads, v, 0.01, 0.9)
+        for x, y in zip(before, arrays + v):
             assert x.tobytes() == y.tobytes()
 
 
@@ -223,24 +218,24 @@ class TestSgd:
         arrays = [rng.standard_normal(sh) for sh in shapes]
         ref = [a.copy() for a in arrays]
         ref_v = [np.zeros_like(a) for a in arrays]
-        opt = init_optimizer(arrays, learning_rate=0.05, momentum=0.9)
+        v = [np.zeros_like(a) for a in arrays]
         for step in range(20):
             grads = [rng.standard_normal(sh) * 10.0 ** (step % 5 - 2) for sh in shapes]
-            sgd_step(arrays, grads, opt)
+            sgd_step(arrays, grads, v, 0.05, 0.9)
             sgd_step_three_lines(ref, grads, ref_v, 0.05, 0.9)
-        for got, want in zip(arrays + opt.velocities, ref + ref_v):
+        for got, want in zip(arrays + v, ref + ref_v):
             assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bad", [[np.inf, 0.0], [-np.inf, 1.0], [np.inf, -np.inf]])
     def test_inf_last_grad_leaves_every_array_unchanged(self, bad):
         rng = np.random.default_rng(11)
         arrays = [rng.standard_normal((3, 2)), rng.standard_normal(2)]
-        opt = init_optimizer(arrays, learning_rate=0.01, momentum=0.9)
-        sgd_step(arrays, [np.ones_like(a) for a in arrays], opt)
-        before = [a.copy() for a in arrays + opt.velocities]
+        v = [np.zeros_like(a) for a in arrays]
+        sgd_step(arrays, [np.ones_like(a) for a in arrays], v, 0.01, 0.9)
+        before = [a.copy() for a in arrays + v]
         with pytest.raises(ValueError, match="non-finite gradient in array 1"):
-            sgd_step(arrays, [np.ones((3, 2)), np.array(bad)], opt)
-        for x, y in zip(before, arrays + opt.velocities):
+            sgd_step(arrays, [np.ones((3, 2)), np.array(bad)], v, 0.01, 0.9)
+        for x, y in zip(before, arrays + v):
             assert x.tobytes() == y.tobytes()
 
     def test_finite_grad_whose_sum_overflows_passes(self):
@@ -248,10 +243,9 @@ class TestSgd:
         g = np.array([1.5e308, 1.5e308, -1.0])
         with np.errstate(over="ignore"):
             assert np.isinf(g.sum())  # so the step takes the entry-by-entry path
-        opt = init_optimizer([a], learning_rate=0.01, momentum=0.9)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            sgd_step([a], [g], opt)
+            sgd_step([a], [g], [np.zeros(3)], 0.01, 0.9)
         sgd_step_three_lines([ref], [g], [np.zeros(3)], 0.01, 0.9)
         assert a.tobytes() == ref.tobytes()
 

@@ -9,7 +9,7 @@ import pytest
 
 from predin import inconsistency
 from predin.cli import main as cli_main
-from predin.encoder import EncoderSpec, init_encoder, init_optimizer
+from predin.encoder import EncoderSpec, init_encoder
 from predin.inconsistency import DivHyperParams, TrainConfig, TrainingError, branch_score_fn
 from predin.harness import (
     ABLATION_VARIANTS,
@@ -378,8 +378,7 @@ class TestSoftmaxBaseline:
         spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3, activation="relu")
         enc = init_encoder(spec, seed=0)
         head = [np.zeros((5, 3)), np.zeros(5)]
-        opt = init_optimizer(enc.arrays() + head, learning_rate=0.0, momentum=0.9)
-        branch = inconsistency.BranchState(encoder=enc, head=head, head_seed=0, optimizer=opt)
+        branch = inconsistency.BranchState(encoder=enc, head=head, head_seed=0, velocities=[])
         probs = branch_score_fn(branch)(np.ones((2, 4)))
         np.testing.assert_allclose(probs, 0.2)
         np.testing.assert_allclose(probs.max(axis=1), 1 / 5)
@@ -450,16 +449,17 @@ class TestRunExperiment:
         assert "epoch 0, batch 0" in record["per_seed"][0]["error"]
         assert record["per_seed"][1]["auc"] is not None
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_recording_fails_only_the_seeds_that_train_on_it(self, tmp_path):
         # a finite trial-1 recording scaled by 1e154 overflows its channels'
         # variance; each seed that trains on its class must fail naming
-        # itself, not report chance-level metrics
+        # itself, not report chance-level metrics, and no numpy warning
+        # escapes on the way
         cfg = tiny_config(seeds=(1, 2, 3, 4), epochs=1, output_dir=str(tmp_path))
         recordings = load_dataset(cfg)
         scaled = next(r for r in recordings if r.trial_id == 1)
         scaled.samples *= 1e154
-        with np.errstate(over="ignore", invalid="ignore"):
-            report = run_experiment(cfg, recordings=recordings)
+        report = run_experiment(cfg, recordings=recordings)
         classes = {r.gesture_label for r in recordings}
         known = {s: split_known_unknown(classes, cfg.n_known, s).known_classes for s in cfg.seeds}
         failing = [s for s in cfg.seeds if scaled.gesture_label in known[s]]
@@ -491,7 +491,7 @@ class TestCheckpoint:
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
         recordings = load_dataset(cfg)
         result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
-        rel = _write_seed_artifacts(str(tmp_path), result)
+        rel = _write_seed_artifacts(str(tmp_path), result, cfg.training)
         assert rel["checkpoint"] == "checkpoint.npz"
         n_branches = (
             1 if variant in ("softmax", "pl_baseline") else 3 if variant == "sequential_k" else 2
@@ -509,7 +509,8 @@ class TestCheckpoint:
                 assert int(data[f"b{k}_n_head"]) == n_head
                 assert data[f"b{k}_opt"][2] == 1.0  # the last epoch trained
         assert len(result.branches) == n_branches
-        assert_checkpoint_holds(path, result.branches, result.hp)
+        tc = cfg.training
+        assert_checkpoint_holds(path, result.branches, result.hp, [tc.lr, tc.momentum, 1.0])
 
 
 class TestAblation:

@@ -151,8 +151,7 @@ def test_encoder_forward_and_backward(m, d, activation):
 @pytest.mark.parametrize("m", ROWS)
 def test_div_loss(m, d, frozen, gamma, alpha):
     spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=d, activation="tanh")
-    tc = TrainConfig()
-    pair = [init_branch(spec, N_CLASSES, e, p, tc) for e, p in ((1, 2), (3, 4))]
+    pair = [init_branch(spec, N_CLASSES, e, p) for e, p in ((1, 2), (3, 4))]
     rng = np.random.default_rng([m, d])
     for b in pair[0].encoder.biases + pair[1].encoder.biases:
         b += rng.standard_normal(b.shape)
@@ -184,11 +183,11 @@ def one_step(kind, dtype, x, y):
     spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=4, activation="tanh")
     tc = TrainConfig(lr=0.01)
     head = "softmax" if kind == "softmax" else "prototypes"
-    pair = [init_branch(spec, N_CLASSES, e, p, tc, head=head) for e, p in ((1, 2), (3, 4))]
+    pair = [init_branch(spec, N_CLASSES, e, p, head=head) for e, p in ((1, 2), (3, 4))]
     for b in pair:
         for arrays in (b.encoder.weights, b.encoder.biases, b.head):
             arrays[:] = [a.astype(dtype) for a in arrays]
-        b.optimizer.velocities[:] = [np.zeros_like(a) for a in b.arrays()]
+        b.velocities[:] = [np.zeros_like(a) for a in b.arrays()]
     hp = DivHyperParams()
     branches, objective = {
         "pl": ([pair[0]], partial(pl_objective, hp=hp)),
@@ -199,7 +198,7 @@ def one_step(kind, dtype, x, y):
     terms, parts = objective(x, y, branches)
     grads = [branch_gradients(*part) for part in parts]
     for b, g in zip(branches, grads):
-        sgd_step(b.arrays(), g, b.optimizer)
+        sgd_step(b.arrays(), g, b.velocities, tc.lr, tc.momentum)
     return terms, grads, branches
 
 
@@ -214,7 +213,7 @@ def test_float32_step_computes_in_float32(kind):
     terms, grads, branches = one_step(kind, np.float32, x.astype(np.float32), y)
     for key, value in terms.items():
         assert np.isfinite(value) and np.asarray(value).dtype == np.float32, key
-    trained = [a for b in branches for a in b.arrays() + b.optimizer.velocities]
+    trained = [a for b in branches for a in b.arrays() + b.velocities]
     for a in [g for branch_grads in grads for g in branch_grads] + trained:
         assert a.dtype == np.float32
         assert np.isfinite(a).all()
@@ -232,8 +231,7 @@ def test_float32_batch_promotes_to_the_float64_bits(kind):
     for g, w in zip(got_grads, want_grads, strict=True):
         assert all(same_bits(a, b) for a, b in zip(g, w, strict=True))
     for g, w in zip(got, want, strict=True):
-        for a, b in zip(g.arrays() + g.optimizer.velocities,
-                        w.arrays() + w.optimizer.velocities, strict=True):
+        for a, b in zip(g.arrays() + g.velocities, w.arrays() + w.velocities, strict=True):
             assert same_bits(a, b)
 
 

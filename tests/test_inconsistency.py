@@ -13,7 +13,6 @@ from predin.encoder import (
     encoder_forward,
     finite_diff_check,
     init_encoder,
-    init_optimizer,
     sgd_step,
 )
 from predin.harness import EncoderConfig
@@ -266,12 +265,12 @@ class TestTripletLoss:
 
 class TestInitBranch:
     def test_prototype_head_is_init_prototypes(self):
-        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2, config=TrainConfig())
+        branch = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
         assert branch.prototypes.tobytes() == init_prototypes(3, 4, 2).tobytes()
         assert branch.head_seed == 2
 
     def test_softmax_head_draw(self):
-        branch = init_branch(SPEC, 3, 1, 7, TrainConfig(lr=0.05, momentum=0.5), head="softmax")
+        branch = init_branch(SPEC, 3, 1, 7, head="softmax")
         weight, bias = branch.head
         expected = np.random.default_rng(7).normal(0.0, np.sqrt(2.0 / 4), size=(3, 4))
         assert weight.tobytes() == expected.tobytes()
@@ -279,22 +278,20 @@ class TestInitBranch:
         assert branch.prototypes is None
         for x, y in zip(branch.encoder.arrays(), init_encoder(SPEC, 1).arrays()):
             assert x.tobytes() == y.tobytes()
-        opt = branch.optimizer
-        assert (opt.learning_rate, opt.momentum) == (0.05, 0.5)
-        assert [v.shape for v in opt.velocities] == [a.shape for a in branch.arrays()]
-        assert not any(v.any() for v in opt.velocities)
+        assert [v.shape for v in branch.velocities] == [a.shape for a in branch.arrays()]
+        assert not any(v.any() for v in branch.velocities)
 
     def test_unknown_head_rejected(self):
         with pytest.raises(ValueError, match="'linear'"):
-            init_branch(SPEC, 3, 1, 2, TrainConfig(), head="linear")
+            init_branch(SPEC, 3, 1, 2, head="linear")
 
 
 class TestDivLoss:
     def _batch_and_branches(self, seed=6):
         rng = np.random.default_rng(seed)
         x, y = rng.standard_normal((8, 6)), rng.integers(1, 4, size=8)
-        a = init_branch(SPEC, 3, encoder_seed=1, head_seed=2, config=TrainConfig())
-        b = init_branch(SPEC, 3, encoder_seed=3, head_seed=4, config=TrainConfig())
+        a = init_branch(SPEC, 3, encoder_seed=1, head_seed=2)
+        b = init_branch(SPEC, 3, encoder_seed=3, head_seed=4)
         return x, y, a, b
 
     def test_weights_zero_reduces_to_two_baselines(self):
@@ -343,7 +340,7 @@ class TestDivLoss:
         elif kind == "softmax":
             enc = init_encoder(SPEC, seed=1)
             head = [np.zeros((3, 4)), np.zeros(3)]
-            linear = BranchState(enc, head, 0, init_optimizer(enc.arrays() + head, 0.01, 0.9))
+            linear = BranchState(enc, head, 0, velocities=[])
             terms, parts = softmax_objective(x, y, [linear])
         elif kind == "div_joint":
             terms, parts = div_loss(x, y, [a, b], hp)
@@ -370,9 +367,9 @@ class TestDivLoss:
         )
 
 
-def _joint_branches(part, seeds=((1, 2), (3, 4)), lr=0.01):
+def _joint_branches(part, seeds=((1, 2), (3, 4))):
     spec = _spec_for(part)
-    return [init_branch(spec, 3, enc, proto, TrainConfig(lr=lr)) for enc, proto in seeds]
+    return [init_branch(spec, 3, enc, proto) for enc, proto in seeds]
 
 
 class TestTraining:
@@ -386,7 +383,7 @@ class TestTraining:
 
     def test_identical_seeds_gamma_zero_stay_bitwise_equal(self):
         part = tiny_partition()
-        branches = _joint_branches(part, seeds=((7, 8), (7, 8)), lr=0.002)
+        branches = _joint_branches(part, seeds=((7, 8), (7, 8)))
         objective = partial(div_loss, hp=DivHyperParams(gamma=0.0, alpha=1.0))
         tc = TrainConfig(epochs=4, batch_size=32, lr=0.002)
         train(branches, objective, part, tc, 5)
@@ -395,7 +392,7 @@ class TestTraining:
 
     def test_training_decreases_pl_loss(self):
         part = tiny_partition()
-        branches = _joint_branches(part, lr=0.002)
+        branches = _joint_branches(part)
         trace = train(
             branches, partial(div_loss, hp=DivHyperParams()), part,
             TrainConfig(epochs=12, batch_size=64, lr=0.002), 0,
@@ -416,16 +413,21 @@ class TestTraining:
         part = tiny_partition()
         branches = _joint_branches(part)
         hp = DivHyperParams()
+        tc = TrainConfig(epochs=3, batch_size=16)
+        n_batches = -(-len(part.train_windows.labels) // tc.batch_size)
+        calls = []
 
         def poisoned(x, y, branches):
             terms, parts = div_loss(x, y, branches, hp)
-            if branches[0].optimizer.epoch == 1:
+            calls.append(len(y))
+            if (len(calls) - 1) // n_batches == 1:  # every batch of epoch 1
                 _, _, (dp,) = parts[1]
                 dp[0, 0] = np.nan
             return terms, parts
 
         with pytest.raises(TrainingError, match="branch 2 at epoch 1, batch 0"):
-            train(branches, poisoned, part, TrainConfig(epochs=3, batch_size=64), 0)
+            train(branches, poisoned, part, tc, 0)
+        assert len(calls) == n_batches + 1
 
     def test_unstandardized_partition_rejected(self):
         part = tiny_partition()
@@ -459,7 +461,7 @@ class TestTraining:
         labels[-1] = UNKNOWN_LABEL
         part.train_windows = dataclasses.replace(part.train_windows, labels=labels)
         spec = _spec_for(part)
-        branches = [init_branch(spec, 3, 2 * k + 1, 2 * k + 2, TrainConfig(lr=0.01), head=head)
+        branches = [init_branch(spec, 3, 2 * k + 1, 2 * k + 2, head=head)
                     for k in range(n_branches)]
         before = [a.copy() for b in branches for a in b.arrays()]
         with pytest.raises(ValueError, match=r"labels must lie in 1\.\.3"):
@@ -474,7 +476,7 @@ class TestTraining:
         tc = TrainConfig(epochs=5, batch_size=64, lr=0.002)
         hp = DivHyperParams()
         branches, traces = train_sequential(part, tc, hp, spec, [(21, 22)], 11)
-        direct = init_branch(spec, 3, 21, 22, tc)
+        direct = init_branch(spec, 3, 21, 22)
         train([direct], partial(pl_objective, hp=hp), part, tc, 11)
         for x, y in zip(branches[0].arrays(), direct.arrays()):
             assert x.tobytes() == y.tobytes()
@@ -492,15 +494,26 @@ class TestTraining:
         assert "incon" not in traces[0][0]
         assert "incon" in traces[1][0]
 
-    def test_checkpoint_roundtrip_bitwise(self, tmp_path):
+    # epochs -> the b{k}_opt row: the (lr, momentum, epoch) of the last epoch
+    # trained, or of epoch 0 when none is, with the step decay at epochs 60 and 80
+    OPT_ROWS = {
+        0: [0.002, 0.9, 0.0],
+        1: [0.002, 0.9, 0.0],
+        2: [0.002, 0.9, 1.0],
+        61: [0.002 * 0.1, 0.9, 60.0],
+        81: [0.002 * 0.01, 0.9, 80.0],
+    }
+
+    @pytest.mark.parametrize("epochs", sorted(OPT_ROWS))
+    def test_checkpoint_roundtrip_bitwise(self, tmp_path, epochs):
         part = tiny_partition()
-        branches = _joint_branches(part, lr=0.002)
+        branches = _joint_branches(part)
         hp = DivHyperParams(beta=0.5, gamma=2.0, m1=0.25)
-        tc = TrainConfig(epochs=2, batch_size=64, lr=0.002)
+        tc = TrainConfig(epochs=epochs, batch_size=64, lr=0.002)
         train(branches, partial(div_loss, hp=hp), part, tc, 0)
         path = tmp_path / "dual.npz"
-        save_dual_checkpoint(path, branches, hp)
-        assert_checkpoint_holds(path, branches, hp)
+        save_dual_checkpoint(path, branches, hp, tc)
+        assert_checkpoint_holds(path, branches, hp, self.OPT_ROWS[epochs])
 
     def test_loss_trace_rejects_a_term_without_column(self, tmp_path):
         path = tmp_path / "trace.csv"
@@ -510,7 +523,7 @@ class TestTraining:
 
     def test_loss_trace_csv(self, tmp_path):
         part = tiny_partition()
-        branches = _joint_branches(part, lr=0.002)
+        branches = _joint_branches(part)
         trace = train(
             branches, partial(div_loss, hp=DivHyperParams()), part,
             TrainConfig(epochs=3, batch_size=64, lr=0.002), 0,
@@ -539,13 +552,13 @@ class TestGradientBuffers:
 
         def setup():
             if kind == "softmax":
-                return [init_branch(spec, 3, 1, 2, tc, head="softmax")], softmax_objective
+                return [init_branch(spec, 3, 1, 2, head="softmax")], softmax_objective
             if kind == "pl":
-                return [init_branch(spec, 3, 1, 2, tc)], partial(pl_objective, hp=hp)
+                return [init_branch(spec, 3, 1, 2)], partial(pl_objective, hp=hp)
             if kind == "div_joint":
                 return _joint_branches(part), partial(div_loss, hp=hp)
-            partner = init_branch(spec, 3, 3, 4, tc)
-            return [init_branch(spec, 3, 1, 2, tc)], partial(div_loss, hp=hp, frozen=partner)
+            partner = init_branch(spec, 3, 3, 4)
+            return [init_branch(spec, 3, 1, 2)], partial(div_loss, hp=hp, frozen=partner)
 
         runs = []
         for loop in (train, train_allocating):
@@ -554,10 +567,7 @@ class TestGradientBuffers:
         (got, got_trace), (want, want_trace) = runs
         assert got_trace == want_trace
         for g, w in zip(got, want):
-            assert (g.optimizer.learning_rate, g.optimizer.epoch) == (
-                w.optimizer.learning_rate, w.optimizer.epoch)
-            for x, y in zip(g.arrays() + g.optimizer.velocities,
-                            w.arrays() + w.optimizer.velocities):
+            for x, y in zip(g.arrays() + g.velocities, w.arrays() + w.velocities):
                 assert x.tobytes() == y.tobytes()
 
     def test_train_holds_one_encoder_gradient_set(self):
@@ -572,7 +582,7 @@ class TestGradientBuffers:
         objective = partial(div_loss, hp=DivHyperParams())
 
         def joint():
-            return [init_branch(spec, 3, e, p, tc) for e, p in ((1, 2), (3, 4))]
+            return [init_branch(spec, 3, e, p) for e, p in ((1, 2), (3, 4))]
 
         train(joint(), objective, part, tc, 0)  # a first run, untraced
         tracemalloc.start()
@@ -582,7 +592,7 @@ class TestGradientBuffers:
             current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        held = sum(a.nbytes for b in branches for a in b.arrays() + b.optimizer.velocities)
+        held = sum(a.nbytes for b in branches for a in b.arrays() + b.velocities)
         grad_set = sum(a.nbytes for a in branches[0].encoder.arrays())
         assert grad_set >= 1 << 20
         # measured: one set plus 0.6 MB while training, 7 KB after it; with
@@ -601,13 +611,15 @@ class TestGradientBuffers:
         rng = np.random.default_rng(0)
         x = rng.standard_normal((252, 1600))
         y = rng.permutation(np.arange(252) % 6 + 1)
-        branches = [init_branch(spec, 6, e, p, TrainConfig()) for e, p in ((1, 2), (3, 4))]
+        branches = [init_branch(spec, 6, e, p) for e, p in ((1, 2), (3, 4))]
         grads = [np.empty_like(a) for a in branches[0].encoder.arrays()]
+        tc = TrainConfig()
 
         def step():
             _, parts = div_loss(x, y, branches, DivHyperParams())
             for b, part in zip(branches, parts):
-                sgd_step(b.arrays(), branch_gradients(*part, out=grads), b.optimizer)
+                sgd_step(b.arrays(), branch_gradients(*part, out=grads), b.velocities,
+                         tc.lr, tc.momentum)
 
         step()  # a first step, untraced
         tracemalloc.start()
@@ -624,7 +636,7 @@ class TestCheckpoint:
         part = tiny_partition()
         branches = _joint_branches(part)
         path = tmp_path / "checkpoint.npz"
-        save_dual_checkpoint(path, branches, DivHyperParams())
+        save_dual_checkpoint(path, branches, DivHyperParams(), TrainConfig())
         before = path.read_bytes()
 
         def fail_midway(f, **arrays):
@@ -634,7 +646,7 @@ class TestCheckpoint:
         monkeypatch.setattr(np, "savez", fail_midway)
         branches[0].head[0] += 1.0
         with pytest.raises(OSError, match="disk full"):
-            save_dual_checkpoint(path, branches, DivHyperParams())
+            save_dual_checkpoint(path, branches, DivHyperParams(), TrainConfig())
         assert path.read_bytes() == before
         assert os.listdir(tmp_path) == ["checkpoint.npz"]
 

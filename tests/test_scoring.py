@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from predin.encoder import EncoderSpec, init_encoder, init_optimizer
+from predin.encoder import EncoderSpec, init_encoder
 from predin.inconsistency import BranchState, branch_score_fn
 from predin.scoring import (
     SCORE_BLOCK_ROWS,
@@ -41,8 +41,8 @@ def score_fixed(*branch_sims):
 
 def prototype_scorer(encoder, protos: np.ndarray):
     """The scorer of a prototype branch with this encoder and these prototypes."""
-    opt = init_optimizer(encoder.arrays() + [protos], 0.0, 0.0)
-    return branch_score_fn(BranchState(encoder, [protos], 0, opt))
+    # a scorer never steps, so the branch carries no velocities
+    return branch_score_fn(BranchState(encoder, [protos], 0, []))
 
 
 def identity_scorer(protos: np.ndarray):

@@ -242,14 +242,16 @@ class TestStandardize:
             standardize(part)
         np.testing.assert_array_equal(cube(part.train_windows), before)
 
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_statistics_rejected_before_writing(self):
         # finite samples whose sum (channel 2) or sum of squares (channel 0)
-        # overflows; channel 1 is fine
+        # overflows; channel 1 is fine. NonFiniteStatistics is the one
+        # report: numpy warns of no overflow on the way
         train = [np.array([[1e200, 1.0], [1.0, 2.0], [1e308, 1e308]]),
                  np.array([[-1e200, 2.0], [3.0, 4.0], [1e308, 1e308]])]
         part = self._partition(train, [np.ones((3, 2))])
         signals_before = [part.train_windows.signal.copy(), part.test_windows.signal.copy()]
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+        with pytest.raises(
             NonFiniteStatistics, match=re.escape("channels [0, 2] is not finite")
         ):
             standardize(part)
