@@ -544,10 +544,12 @@ class TestGradientBuffers:
 
     @pytest.mark.parametrize("kind", ["pl", "softmax", "div_joint", "div_frozen"])
     def test_train_equals_the_allocating_loop(self, kind):
-        # 36 train windows in batches of 16: the last batch holds 4
+        # 36 train windows in batches of 16: the last batch holds 4. The rate
+        # and momentum are not the defaults, so a train that stepped at
+        # either default would not match the oracle, which reads config
         part = tiny_partition()
         spec = _spec_for(part)
-        tc = TrainConfig(epochs=3, batch_size=16, lr=0.002)
+        tc = TrainConfig(epochs=3, batch_size=16, lr=0.01, momentum=0.5)
         hp = DivHyperParams()
 
         def setup():
