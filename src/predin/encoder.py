@@ -75,7 +75,6 @@ class EncoderParams:
     spec: EncoderSpec
     weights: list[np.ndarray]
     biases: list[np.ndarray]
-    init_seed: int
 
     def arrays(self) -> list[np.ndarray]:
         """Flat parameter list [W0, b0, W1, b1, ...] in update order."""
@@ -93,7 +92,7 @@ def init_encoder(spec: EncoderSpec, seed: int) -> EncoderParams:
     for fan_in, fan_out in zip(dims[:-1], dims[1:]):
         weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
         biases.append(np.zeros(fan_out))
-    return EncoderParams(spec=spec, weights=weights, biases=biases, init_seed=seed)
+    return EncoderParams(spec=spec, weights=weights, biases=biases)
 
 
 @dataclass

@@ -1,8 +1,10 @@
 """Finite-difference verification of every analytic gradient path.
 
-Builds small random instances (3 classes, 8-dim embeddings, batch of 6)
-and compares the analytic gradients of each loss against central finite
-differences over a sampled subset of encoder parameters and head arrays.
+Builds small random instances (3 classes, 8-dim embeddings, batch of 6),
+on a relu encoder at an even instance seed and at an odd one on the tanh
+encoder that every harness run trains, and compares the analytic
+gradients of each loss against central finite differences over a sampled
+subset of encoder parameters and head arrays.
 Loss values for the differencing are recomputed from scratch on perturbed
 parameters, so the numeric side never touches the backward code it is
 checking. Every case runs an objective with the (terms, parts) contract
@@ -42,41 +44,43 @@ from .inconsistency import (
 )
 from .prototypes import compactness_loss, dce_loss
 
-_SPEC = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=8, activation="relu")
+_DIMS = (12, 16, 8)  # input, hidden and embedding widths
 _N_CLASSES = 3
 _BATCH = 6
-_N_ENC = 2 * (len(_SPEC.layer_dims) - 1)
+_N_ENC = 2 * (len(_DIMS) - 1)
+
+
+def _spec(instance_seed: int) -> EncoderSpec:
+    """The relu encoder at an even instance seed, the tanh one at an odd."""
+    activation = "tanh" if instance_seed % 2 else "relu"
+    return EncoderSpec(_DIMS[0], _DIMS[1:-1], _DIMS[-1], activation)
 
 
 def _random_branch_arrays(rng: np.random.Generator) -> list[np.ndarray]:
-    dims = _SPEC.layer_dims
     arrays = []
-    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+    for fan_in, fan_out in zip(_DIMS[:-1], _DIMS[1:]):
         arrays.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
         arrays.append(rng.standard_normal(fan_out) * 0.1)
-    arrays.append(rng.standard_normal((_N_CLASSES, _SPEC.output_dim)))
+    arrays.append(rng.standard_normal((_N_CLASSES, _DIMS[-1])))
     return arrays
 
 
 def _random_softmax_arrays(rng: np.random.Generator) -> list[np.ndarray]:
     """Encoder arrays plus a linear head: weight ~ N(0, 2/d), bias ~ 0.1 N(0, 1)."""
-    d = _SPEC.output_dim
+    d = _DIMS[-1]
     return _random_branch_arrays(rng)[:_N_ENC] + [
         rng.normal(0.0, np.sqrt(2.0 / d), size=(_N_CLASSES, d)),
         rng.standard_normal(_N_CLASSES) * 0.1,
     ]
 
 
-def _rebuild(arrays: list[np.ndarray]) -> BranchState:
+def _rebuild(spec: EncoderSpec, arrays: list[np.ndarray]) -> BranchState:
     """Branch over the encoder arrays followed by its head arrays."""
-    enc = EncoderParams(
-        spec=_SPEC, weights=arrays[0:_N_ENC:2], biases=arrays[1:_N_ENC:2], init_seed=0
-    )
-    # the checker never steps, so the branch carries no velocities
-    return BranchState(enc, arrays[_N_ENC:], head_seed=0, velocities=[])
+    enc = EncoderParams(spec=spec, weights=arrays[0:_N_ENC:2], biases=arrays[1:_N_ENC:2])
+    return BranchState(enc, arrays[_N_ENC:])
 
 
-def _frozen_own_dots(base_arrays, x, labels):
+def _frozen_own_dots(spec: EncoderSpec, base_arrays, x, labels):
     """Stop-gradient reference dots z.p^y, fixed at the unperturbed point.
 
     The margin distance treats this term as a constant under
@@ -86,7 +90,7 @@ def _frozen_own_dots(base_arrays, x, labels):
     half = len(base_arrays) // 2
     frozen = []
     for side in (base_arrays[:half], base_arrays[half:]):
-        branch = _rebuild(side)
+        branch = _rebuild(spec, side)
         emb, _ = encoder_forward(branch.encoder, x)
         frozen.append(own_class_dots(emb, labels, branch.prototypes))
     return frozen
@@ -112,7 +116,7 @@ def _incon_objective(x, y, branches, hp: DivHyperParams, own_dots):
     return {"total": incon}, [(c, dz, [dp]) for (_, c), (dz, dp) in zip(forward, backward)]
 
 
-def _case(loss_name: str, rng: np.random.Generator, x, labels):
+def _case(loss_name: str, spec: EncoderSpec, rng: np.random.Generator, x, labels):
     """(arrays, n_trained, objective) of one loss: the drawn arrays of the
     n_trained branches it differentiates, one branch after another, and
     the objective(x, y, branches) -> (terms, parts) that train() would run."""
@@ -132,28 +136,31 @@ def _case(loss_name: str, rng: np.random.Generator, x, labels):
     if loss_name not in ("incon", "div", "div_frozen"):
         raise ValueError(f"unknown loss {loss_name!r}")
     pair = _random_branch_arrays(rng) + _random_branch_arrays(rng)
-    own = _frozen_own_dots(pair, x, labels)
+    own = _frozen_own_dots(spec, pair, x, labels)
     if loss_name == "incon":
         return pair, 2, partial(_incon_objective, hp=hp, own_dots=own)
     if loss_name == "div":
         return pair, 2, partial(div_loss, hp=hp, own_dots=own)
     half = len(pair) // 2  # branch b is held frozen at its base point
-    return pair[:half], 1, partial(div_loss, hp=hp, frozen=_rebuild(pair[half:]), own_dots=own)
+    frozen = _rebuild(spec, pair[half:])
+    return pair[:half], 1, partial(div_loss, hp=hp, frozen=frozen, own_dots=own)
 
 
 LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen", "softmax")
 
 
 def check_loss_gradients(loss_name: str, instance_seed: int, n_coords: int) -> FiniteDiffReport:
-    """Finite-difference check of one loss on one random instance."""
+    """Finite-difference check of one loss on one random instance, on the
+    relu encoder at an even instance_seed and the tanh one at an odd."""
+    spec = _spec(instance_seed)
     rng = np.random.default_rng(instance_seed)
-    x = rng.standard_normal((_BATCH, _SPEC.input_dim))
+    x = rng.standard_normal((_BATCH, spec.input_dim))
     labels = rng.integers(1, _N_CLASSES + 1, size=_BATCH)
-    arrays, n_trained, objective = _case(loss_name, rng, x, labels)
+    arrays, n_trained, objective = _case(loss_name, spec, rng, x, labels)
 
     def compute(flat):
         k = len(flat) // n_trained
-        branches = [_rebuild(flat[i : i + k]) for i in range(0, len(flat), k)]
+        branches = [_rebuild(spec, flat[i : i + k]) for i in range(0, len(flat), k)]
         terms, parts = objective(x, labels, branches)
         return terms["total"], [g for part in parts for g in branch_gradients(*part)]
 

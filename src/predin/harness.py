@@ -284,7 +284,6 @@ def baseline_softmax_train(
 class SeedResult:
     branches: list[BranchState]
     traces: list[list[dict[str, float]]]  # per trained run: one {term: mean} per epoch
-    hp: DivHyperParams
     report: dict | None = None  # the seed's report.json row
     scored: ScoreTable | None = None
     matrices: dict = field(default_factory=dict)
@@ -309,7 +308,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
             partition, spec, tc,
             derive_seed(seed, _ENC_A), derive_seed(seed, _HEAD), shuffle_seed,
         )
-        return SeedResult(branches=[branch], traces=[trace], hp=hp)
+        return SeedResult(branches=[branch], traces=[trace])
 
     if variant == "sequential_k":
         seeds = [
@@ -317,7 +316,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
             for t in range(config.sequential_k)
         ]
         branches, traces = train_sequential(partition, tc, hp, spec, seeds, shuffle_seed)
-        return SeedResult(branches=branches, traces=traces, hp=hp)
+        return SeedResult(branches=branches, traces=traces)
 
     streams = [(_ENC_A, _PROTO_A), (_ENC_B, _PROTO_B)]
     objective = partial(div_loss, hp=hp)
@@ -329,7 +328,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
         for enc, proto in streams
     ]
     trace = train(branches, objective, partition, tc, shuffle_seed)
-    return SeedResult(branches=branches, traces=[trace], hp=hp)
+    return SeedResult(branches=branches, traces=[trace])
 
 
 def evaluate_scored(scored: ScoreTable, retention: float, seed: int) -> tuple[dict, dict]:
@@ -390,7 +389,7 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
 # ---------------------------------------------------------------------------
 
 
-def _write_seed_artifacts(seed_dir: str, result: SeedResult, training: TrainConfig) -> dict:
+def _write_seed_artifacts(seed_dir: str, result: SeedResult) -> dict:
     os.makedirs(seed_dir, exist_ok=True)
     rel = {}
     write_score_dump(
@@ -411,9 +410,7 @@ def _write_seed_artifacts(seed_dir: str, result: SeedResult, training: TrainConf
         name = f"{key}.csv"
         write_matrix_csv(os.path.join(seed_dir, name), mat)
         rel[key] = name
-    save_dual_checkpoint(
-        os.path.join(seed_dir, "checkpoint.npz"), result.branches, result.hp, training
-    )
+    save_dual_checkpoint(os.path.join(seed_dir, "checkpoint.npz"), result.branches)
     rel["checkpoint"] = "checkpoint.npz"
     return rel
 
@@ -479,7 +476,7 @@ def run_experiment(config: ExperimentConfig, recordings=None) -> dict:
             continue
         per_seed.append(result.report)
         seed_dir = os.path.join(out_dir, f"seed_{seed}")
-        artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result, config.training)
+        artifacts[f"seed_{seed}"] = _write_seed_artifacts(seed_dir, result)
         del result  # the seed's model is freed before the next seed trains
     aggregate = aggregate_reports([row for row in per_seed if "error" not in row])
     aggregate["failed_seeds"] = [row["seed"] for row in per_seed if "error" in row]

@@ -14,13 +14,14 @@ Loss pieces, with y the sample's class and sg() a stop-gradient:
                     j* the nearest other prototype to p^y, refreshed per batch
 
 Every variant is init_branch() followed by the one loop in train(): K
-branches, each with its own momentum velocities and a prototype or linear
-softmax head, and a per-batch objective(x, y, branches) -> (terms, parts) that
-gives the loss terms and, per trained branch, a (forward cache, d loss /
-d embeddings, head gradients) part. The branches are coupled only through
-their embedding gradients, fixed before any parameter moves, so train()
-runs each branch's encoder backward (branch_gradients) into one gradient
-set and steps that branch before the next branch's backward.
+branches, each an encoder and a prototype or linear softmax head, and a
+per-batch objective(x, y, branches) -> (terms, parts) that gives the loss
+terms and, per trained branch, a (forward cache, d loss / d embeddings,
+head gradients) part. The branches are coupled only through their
+embedding gradients, fixed before any parameter moves, so train() runs
+each branch's encoder backward (branch_gradients) into one gradient set
+and steps that branch, with the momentum velocities that train() holds
+for it, before the next branch's backward.
 
 Every loss returns freshly allocated gradients that its caller may
 overwrite; div_loss adds each weighted term into the PL gradients in
@@ -93,17 +94,15 @@ class DivHyperParams:
 
 @dataclass
 class BranchState:
-    """One perspective: an encoder, its head arrays and their SGD momentum
-    velocities, one per array of arrays().
+    """One perspective: an encoder and its head arrays.
 
     The head is [prototypes (N, d)] for a prototype branch, or
     [weight (N, d), bias (N,)] for the softmax baseline's linear head.
+    The SGD momentum velocities are train()'s, not the branch's.
     """
 
     encoder: EncoderParams
     head: list[np.ndarray]
-    head_seed: int
-    velocities: list[np.ndarray]
 
     @property
     def prototypes(self) -> np.ndarray | None:
@@ -121,9 +120,9 @@ def init_branch(
     head_seed: int,
     head: str = "prototypes",
 ) -> BranchState:
-    """A fresh branch with a "prototypes" head, or a "softmax" linear head
-    (weight ~ N(0, 2/d), zero bias), drawn from head_seed, and zero
-    velocities."""
+    """A fresh branch: an encoder drawn from encoder_seed, and a
+    "prototypes" head or a "softmax" linear head (weight ~ N(0, 2/d), zero
+    bias) drawn from head_seed."""
     enc = init_encoder(spec, encoder_seed)
     d = spec.output_dim
     if head == "prototypes":
@@ -133,12 +132,7 @@ def init_branch(
         arrays = [rng.normal(0.0, np.sqrt(2.0 / d), size=(n_classes, d)), np.zeros(n_classes)]
     else:
         raise ValueError(f"head must be 'prototypes' or 'softmax', got {head!r}")
-    return BranchState(
-        encoder=enc,
-        head=arrays,
-        head_seed=head_seed,
-        velocities=[np.zeros_like(a) for a in enc.arrays() + arrays],
-    )
+    return BranchState(encoder=enc, head=arrays)
 
 
 def branch_gradients(
@@ -427,12 +421,14 @@ def train(
     objective gives the loss terms ("total" always present) and one part
     per branch (module docstring). In turn, each branch's encoder gradients
     go into the one set this call owns (the encoders share a shape) and the
-    branch takes an SGD step with its own velocities, at the epoch's
-    lr_schedule rate of config.lr and config.momentum. One {term: epoch mean}
-    dict per epoch is returned; a non-finite loss or gradient raises
-    TrainingError naming the epoch and batch. Labels are the train table's
-    own, 1..N (objectives reject any other before the step). Every batch x
-    is gathered into one buffer, valid only during its objective call.
+    branch takes an SGD step, at the epoch's lr_schedule rate of config.lr
+    and config.momentum, with the momentum velocities this call holds for
+    it: zero when the call starts, and freed when it returns. One
+    {term: epoch mean} dict per epoch is returned; a non-finite loss or
+    gradient raises TrainingError naming the epoch and batch. Labels are
+    the train table's own, 1..N (objectives reject any other before the
+    step). Every batch x is gathered into one buffer, valid only during its
+    objective call.
     """
     if not partition.standardized:
         raise ValueError("partition must be standardized before training")
@@ -442,6 +438,7 @@ def train(
         raise ValueError("training partition is empty")
     rng = np.random.default_rng(shuffle_seed)
     arrays = [b.arrays() for b in branches]
+    velocities = [[np.zeros_like(a) for a in branch] for branch in arrays]
     enc_grads = [np.empty_like(a) for a in branches[0].encoder.arrays()]
     trace: list[dict[str, float]] = []
     batch = np.empty((min(config.batch_size, len(y)), windows.input_dim), windows.signal.dtype)
@@ -457,10 +454,9 @@ def train(
             if not np.isfinite(terms["total"]):
                 detail = ", ".join(f"{k}={v}" for k, v in terms.items())
                 raise TrainingError(f"non-finite loss {where} ({detail})")
-            for k, (b, part) in enumerate(zip(branches, parts)):
+            for k, (arr, vel, part) in enumerate(zip(arrays, velocities, parts)):
                 try:
-                    sgd_step(arrays[k], branch_gradients(*part, out=enc_grads),
-                             b.velocities, lr, config.momentum)
+                    sgd_step(arr, branch_gradients(*part, out=enc_grads), vel, lr, config.momentum)
                 except NonFiniteGradientError as e:
                     raise TrainingError(f"{e} of branch {k + 1} {where}") from e
             del parts, part  # the caches go before the next batch's forward pass
@@ -504,7 +500,7 @@ def train_sequential(
 # artifacts
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "predin-branches-v1"
+CHECKPOINT_FORMAT = "predin-branches-v2"
 
 # every term an objective reports, in loss_trace.csv column order
 LOSS_TRACE_COLUMNS = ("pl_a", "pl_b", "incon", "trip_a", "trip_b", "total")
@@ -524,37 +520,21 @@ def write_loss_trace(path, trace: list[dict[str, float]]) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-def save_dual_checkpoint(
-    path, branches: list[BranchState], hp: DivHyperParams, config: TrainConfig
-) -> None:
-    """K branches plus hyperparameters; np.load gives every array back bitwise.
+def save_dual_checkpoint(path, branches: list[BranchState]) -> None:
+    """K branches, every array bitwise as np.load gives it back.
 
-    Per branch k: layer dims, activation, (encoder, head) seeds, the
-    parameter arrays b{k}_p* in BranchState.arrays() order, how many of
-    them form the head, the (lr, momentum, epoch) of the last epoch that
-    config trains (epoch 0 when it trains none) and the velocities b{k}_v*.
+    Per branch k: its activation, how many of its arrays form the head,
+    and the arrays b{k}_p* in BranchState.arrays() order. The arrays'
+    shapes give the layer widths; the seeds, loss weights and training
+    schedule are the config's, which report.json echoes.
     """
-    last = max(config.epochs - 1, 0)
-    opt_row = np.array([lr_schedule(last, config.lr), config.momentum, last])
     payload = {
         "format": np.array(CHECKPOINT_FORMAT),
-        "hp": np.array([hp.beta, hp.gamma, hp.alpha, hp.m1, hp.m2, hp.epsilon_log]),
-        "compactness_form": np.array(hp.compactness_form),
         "n_branches": np.array(len(branches), dtype=np.int64),
     }
     for k, branch in enumerate(branches):
-        spec = branch.encoder.spec
-        payload[f"b{k}_layer_dims"] = np.array(spec.layer_dims, dtype=np.int64)
-        payload[f"b{k}_activation"] = np.array(spec.activation)
-        payload[f"b{k}_seeds"] = np.array(
-            [branch.encoder.init_seed, branch.head_seed], dtype=np.int64
-        )
+        payload[f"b{k}_activation"] = np.array(branch.encoder.spec.activation)
         payload[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
-        payload[f"b{k}_opt"] = opt_row
-        for i, a in enumerate(branch.arrays()):
-            payload[f"b{k}_p{i}"] = a
-        for i, v in enumerate(branch.velocities):
-            payload[f"b{k}_v{i}"] = v
+        payload.update((f"b{k}_p{i}", a) for i, a in enumerate(branch.arrays()))
     with atomic_open(path, "wb") as f:
         np.savez(f, **payload)
-

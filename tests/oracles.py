@@ -12,8 +12,9 @@ from types import SimpleNamespace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from predin.encoder import ForwardCache, lr_schedule
+from predin.encoder import EncoderParams, EncoderSpec, ForwardCache, lr_schedule
 from predin.inconsistency import (
+    BranchState,
     inconsistency_loss,
     nearest_other_prototype,
     proximity_backward,
@@ -370,12 +371,13 @@ def train_allocating(branches, objective, partition, config, shuffle_seed):
     All branches' gradients are made first, each by
     encoder_backward_allocating plus the part's head gradients, and stay
     bound until the next step's are made; then every branch takes its
-    sgd_step_three_lines update of its velocities, at the epoch's
-    lr_schedule rate and config.momentum. Returns the same {term: epoch
-    mean} trace as train().
+    sgd_step_three_lines update of the velocities kept here for it, zero
+    at the start, at the epoch's lr_schedule rate and config.momentum.
+    Returns the same {term: epoch mean} trace as train().
     """
     windows = partition.train_windows
     y = windows.labels
+    velocities = [[np.zeros_like(a) for a in b.arrays()] for b in branches]
     rng = np.random.default_rng(shuffle_seed)
     trace = []
     for epoch in range(config.epochs):
@@ -388,8 +390,8 @@ def train_allocating(branches, objective, partition, config, shuffle_seed):
             branch_grads = [
                 encoder_backward_allocating(cache, dz) + head for cache, dz, head in parts
             ]
-            for b, grads in zip(branches, branch_grads):
-                sgd_step_three_lines(b.arrays(), grads, b.velocities, lr, config.momentum)
+            for b, grads, v in zip(branches, branch_grads, velocities):
+                sgd_step_three_lines(b.arrays(), grads, v, lr, config.momentum)
             for key, value in terms.items():
                 sums[key] = sums.get(key, 0.0) + len(idx) * value
         trace.append({k: s / len(y) for k, s in sums.items()})
@@ -488,30 +490,44 @@ def write_score_dump_csv(path, scored, threshold) -> None:
             writer.writerow([i, true, *map(repr, branch_smax), repr(s_max), k_star, decision])
 
 
-def assert_checkpoint_holds(path, branches, hp, opt_row) -> None:
+def assert_checkpoint_holds(path, branches) -> None:
     """The checkpoint at path, read with np.load, holds exactly the
-    predin-branches-v1 entries of these branches and hyperparameters, with
-    opt_row, the (lr, momentum, epoch) of the last epoch trained, as every
-    branch's b{k}_opt; each entry with the dtype, shape and bytes of the
-    array it stores."""
+    predin-branches-v2 entries of these branches, each with the dtype,
+    shape and bytes of the array it stores."""
     want = {
-        "format": np.array("predin-branches-v1"),
-        "hp": np.array([hp.beta, hp.gamma, hp.alpha, hp.m1, hp.m2, hp.epsilon_log]),
-        "compactness_form": np.array(hp.compactness_form),
+        "format": np.array("predin-branches-v2"),
         "n_branches": np.array(len(branches), dtype=np.int64),
     }
     for k, branch in enumerate(branches):
-        spec = branch.encoder.spec
-        dims = [spec.input_dim, *spec.hidden_dims, spec.output_dim]
-        want[f"b{k}_layer_dims"] = np.array(dims, dtype=np.int64)
-        want[f"b{k}_activation"] = np.array(spec.activation)
-        want[f"b{k}_seeds"] = np.array([branch.encoder.init_seed, branch.head_seed], dtype=np.int64)
+        want[f"b{k}_activation"] = np.array(branch.encoder.spec.activation)
         want[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
-        want[f"b{k}_opt"] = np.array(opt_row, dtype=np.float64)
         want.update((f"b{k}_p{i}", a) for i, a in enumerate(branch.arrays()))
-        want.update((f"b{k}_v{i}", v) for i, v in enumerate(branch.velocities))
     with np.load(path, allow_pickle=False) as data:
         assert sorted(data.files) == sorted(want)
         for key, w in want.items():
             got = data[key]
             assert (got.dtype, got.shape, got.tobytes()) == (w.dtype, w.shape, w.tobytes()), key
+
+
+def branches_from_checkpoint(path) -> list:
+    """The branches of a predin-branches-v2 checkpoint, from the file alone.
+
+    Branch k's arrays are b{k}_p0, b{k}_p1, ... up to the first index the
+    file lacks: each layer's weight (out, in) and bias, then b{k}_n_head
+    head arrays. The layer widths are read off the weights' shapes.
+    """
+    branches = []
+    with np.load(path, allow_pickle=False) as data:
+        assert data["format"].item() == "predin-branches-v2"
+        for k in range(int(data["n_branches"])):
+            arrays = []
+            while f"b{k}_p{len(arrays)}" in data.files:
+                arrays.append(data[f"b{k}_p{len(arrays)}"])
+            n_enc = len(arrays) - int(data[f"b{k}_n_head"])
+            weights, biases = arrays[0:n_enc:2], arrays[1:n_enc:2]
+            widths = [w.shape[0] for w in weights]
+            spec = EncoderSpec(weights[0].shape[1], widths[:-1], widths[-1],
+                               data[f"b{k}_activation"].item())
+            encoder = EncoderParams(spec=spec, weights=weights, biases=biases)
+            branches.append(BranchState(encoder=encoder, head=arrays[n_enc:]))
+    return branches

@@ -98,6 +98,22 @@ def test_criterion_1_differentiates_the_pl_objective_train_runs(monkeypatch):
     assert check_loss_gradients("pl", 1000, 420).max_rel_error > 1e-4
 
 
+def test_criterion_1_differentiates_the_tanh_encoder(monkeypatch):
+    # an odd instance seed checks the tanh encoder that every harness run
+    # trains, so a wrong tanh derivative must fail every loss there
+    from predin import encoder
+
+    forward, _ = encoder.ACTIVATIONS["tanh"]
+
+    def wrong_deriv_mul(a, delta):  # delta * (1 - a) in place of delta * (1 - a*a)
+        return np.multiply(delta, 1.0 - a, out=delta)
+
+    monkeypatch.setitem(encoder.ACTIVATIONS, "tanh", (forward, wrong_deriv_mul))
+    for name in LOSS_NAMES:
+        assert check_loss_gradients(name, 1001, 420).max_rel_error > 1e-4, name
+        assert check_loss_gradients(name, 1000, 420).max_rel_error < 1e-4, name
+
+
 def test_criterion_2_metric_oracles():
     started = time.perf_counter()
     rng = np.random.default_rng(2024)

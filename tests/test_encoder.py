@@ -116,9 +116,7 @@ class TestBackward:
         target = np.random.default_rng(7).standard_normal((5, 4))
 
         def loss_fn(arrays):
-            p = EncoderParams(
-                spec=spec, weights=arrays[0::2], biases=arrays[1::2], init_seed=0,
-            )
+            p = EncoderParams(spec=spec, weights=arrays[0::2], biases=arrays[1::2])
             emb, _ = encoder_forward(p, x)
             return 0.5 * ((emb - target) ** 2).sum()
 

@@ -27,10 +27,10 @@ from predin.harness import (
     run_experiment,
     run_seed,
 )
-from predin.scoring import score_windows
+from predin.scoring import score_windows, write_score_dump
 from predin.signals import CsvDataset, SignalRecording, SyntheticConfig, split_known_unknown
 
-from oracles import assert_checkpoint_holds
+from oracles import assert_checkpoint_holds, branches_from_checkpoint
 
 
 TINY_DATASET = SyntheticConfig(
@@ -360,9 +360,9 @@ class TestVariantLattice:
             run_experiment(tiny_config(variant=variant, seeds=(1, 2), output_dir=str(dirs[variant])))
         for seed in (1, 2):
             pl, dual = (np.load(dirs[v] / f"seed_{seed}" / "checkpoint.npz") for v in dirs)
-            branch_a = [k for k in pl.files if k.startswith(("b0_p", "b0_v"))]
-            assert len(branch_a) == 10  # two layers and the prototypes, and their velocities
-            assert branch_a == [k for k in dual.files if k.startswith(("b0_p", "b0_v"))]
+            branch_a = [k for k in pl.files if k.startswith("b0_p")]
+            assert len(branch_a) == 5  # two layers' weights and biases, and the prototypes
+            assert branch_a == [k for k in dual.files if k.startswith("b0_p")]
             for key in branch_a:
                 assert pl[key].tobytes() == dual[key].tobytes(), key
             pl_a = []
@@ -378,7 +378,7 @@ class TestSoftmaxBaseline:
         spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3, activation="relu")
         enc = init_encoder(spec, seed=0)
         head = [np.zeros((5, 3)), np.zeros(5)]
-        branch = inconsistency.BranchState(encoder=enc, head=head, head_seed=0, velocities=[])
+        branch = inconsistency.BranchState(encoder=enc, head=head)
         probs = branch_score_fn(branch)(np.ones((2, 4)))
         np.testing.assert_allclose(probs, 0.2)
         np.testing.assert_allclose(probs.max(axis=1), 1 / 5)
@@ -491,7 +491,7 @@ class TestCheckpoint:
         cfg = tiny_config(variant=variant, sequential_k=3, epochs=2)
         recordings = load_dataset(cfg)
         result = run_seed(cfg, build_partition(cfg, recordings, 1), 1)
-        rel = _write_seed_artifacts(str(tmp_path), result, cfg.training)
+        rel = _write_seed_artifacts(str(tmp_path), result)
         assert rel["checkpoint"] == "checkpoint.npz"
         n_branches = (
             1 if variant in ("softmax", "pl_baseline") else 3 if variant == "sequential_k" else 2
@@ -499,18 +499,37 @@ class TestCheckpoint:
         n_head = 2 if variant == "softmax" else 1
         path = tmp_path / "checkpoint.npz"
         with np.load(path, allow_pickle=False) as data:
-            assert set(data.files) == {"format", "hp", "compactness_form", "n_branches"} | {
+            assert set(data.files) == {"format", "n_branches"} | {
                 f"b{k}_{name}"
                 for k in range(n_branches)
-                for name in ("layer_dims", "activation", "seeds", "n_head", "opt", *(
-                    f"{c}{i}" for c in "pv" for i in range(4 + n_head)))
+                for name in ("activation", "n_head", *(f"p{i}" for i in range(4 + n_head)))
             }
             for k in range(n_branches):
                 assert int(data[f"b{k}_n_head"]) == n_head
-                assert data[f"b{k}_opt"][2] == 1.0  # the last epoch trained
         assert len(result.branches) == n_branches
-        tc = cfg.training
-        assert_checkpoint_holds(path, result.branches, result.hp, [tc.lr, tc.momentum, 1.0])
+        assert_checkpoint_holds(path, result.branches)
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_scores_rebuilt_from_the_checkpoint_alone(self, tmp_path, variant):
+        # the checkpoint holds all that scoring reads: its branches, rebuilt
+        # without the package's writer, score each seed's standardized test
+        # windows (built from report.json's config echo) to scores.csv's bytes
+        out = tmp_path / "run"
+        run_experiment(tiny_config(variant=variant, sequential_k=3, seeds=(1, 2), epochs=2,
+                                   output_dir=str(out)))
+        report = json.loads((out / "report.json").read_text())
+        cfg = config_from_dict(report["config"])
+        recordings = load_dataset(cfg)
+        for row in report["per_seed"]:
+            seed_dir = out / f"seed_{row['seed']}"
+            branches = branches_from_checkpoint(seed_dir / "checkpoint.npz")
+            n_branches = {"softmax": 1, "pl_baseline": 1, "sequential_k": 3}.get(variant, 2)
+            n_head = 2 if variant == "softmax" else 1
+            assert [len(b.head) for b in branches] == [n_head] * n_branches
+            part = build_partition(cfg, list(recordings), row["seed"])
+            scored = score_windows([branch_score_fn(b) for b in branches], part.test_windows)
+            write_score_dump(tmp_path / "scores.csv", scored, row["threshold"])
+            assert (tmp_path / "scores.csv").read_bytes() == (seed_dir / "scores.csv").read_bytes()
 
 
 class TestAblation:

@@ -178,8 +178,8 @@ OBJECTIVES = ["pl", "softmax", "div_joint", "div_frozen"]
 
 def one_step(kind, dtype, x, y):
     """One training step of an objective on branches whose parameters and
-    velocities are in dtype. Returns (terms, per-branch gradients, branches
-    after their sgd_step)."""
+    zero velocities are in dtype. Returns (terms, per-branch gradients,
+    branches after their sgd_step, and their velocities)."""
     spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=4, activation="tanh")
     tc = TrainConfig(lr=0.01)
     head = "softmax" if kind == "softmax" else "prototypes"
@@ -187,7 +187,6 @@ def one_step(kind, dtype, x, y):
     for b in pair:
         for arrays in (b.encoder.weights, b.encoder.biases, b.head):
             arrays[:] = [a.astype(dtype) for a in arrays]
-        b.velocities[:] = [np.zeros_like(a) for a in b.arrays()]
     hp = DivHyperParams()
     branches, objective = {
         "pl": ([pair[0]], partial(pl_objective, hp=hp)),
@@ -197,9 +196,10 @@ def one_step(kind, dtype, x, y):
     }[kind]
     terms, parts = objective(x, y, branches)
     grads = [branch_gradients(*part) for part in parts]
-    for b, g in zip(branches, grads):
-        sgd_step(b.arrays(), g, b.velocities, tc.lr, tc.momentum)
-    return terms, grads, branches
+    velocities = [[np.zeros_like(a) for a in b.arrays()] for b in branches]
+    for b, g, v in zip(branches, grads, velocities):
+        sgd_step(b.arrays(), g, v, tc.lr, tc.momentum)
+    return terms, grads, branches, velocities
 
 
 def step_batch(m=32):
@@ -210,10 +210,10 @@ def step_batch(m=32):
 @pytest.mark.parametrize("kind", OBJECTIVES)
 def test_float32_step_computes_in_float32(kind):
     x, y = step_batch()
-    terms, grads, branches = one_step(kind, np.float32, x.astype(np.float32), y)
+    terms, grads, branches, velocities = one_step(kind, np.float32, x.astype(np.float32), y)
     for key, value in terms.items():
         assert np.isfinite(value) and np.asarray(value).dtype == np.float32, key
-    trained = [a for b in branches for a in b.arrays() + b.velocities]
+    trained = [a for b, v in zip(branches, velocities) for a in b.arrays() + v]
     for a in [g for branch_grads in grads for g in branch_grads] + trained:
         assert a.dtype == np.float32
         assert np.isfinite(a).all()
@@ -223,15 +223,15 @@ def test_float32_step_computes_in_float32(kind):
 def test_float32_batch_promotes_to_the_float64_bits(kind):
     x, y = step_batch()
     x32 = x.astype(np.float32)
-    got_terms, got_grads, got = one_step(kind, np.float64, x32, y)
-    want_terms, want_grads, want = one_step(kind, np.float64, x32.astype(np.float64), y)
+    got_terms, got_grads, got, _ = one_step(kind, np.float64, x32, y)
+    want_terms, want_grads, want, _ = one_step(kind, np.float64, x32.astype(np.float64), y)
     assert list(got_terms) == list(want_terms)
     for key in want_terms:
         assert same_bits(got_terms[key], want_terms[key]), key
     for g, w in zip(got_grads, want_grads, strict=True):
         assert all(same_bits(a, b) for a, b in zip(g, w, strict=True))
     for g, w in zip(got, want, strict=True):
-        for a, b in zip(g.arrays() + g.velocities, w.arrays() + w.velocities, strict=True):
+        for a, b in zip(g.arrays(), w.arrays(), strict=True):
             assert same_bits(a, b)
 
 

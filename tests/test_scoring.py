@@ -41,8 +41,7 @@ def score_fixed(*branch_sims):
 
 def prototype_scorer(encoder, protos: np.ndarray):
     """The scorer of a prototype branch with this encoder and these prototypes."""
-    # a scorer never steps, so the branch carries no velocities
-    return branch_score_fn(BranchState(encoder, [protos], 0, []))
+    return branch_score_fn(BranchState(encoder, [protos]))
 
 
 def identity_scorer(protos: np.ndarray):
