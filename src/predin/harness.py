@@ -284,13 +284,13 @@ def baseline_softmax_train(
 class SeedResult:
     branches: list[BranchState]
     traces: list[list[dict[str, float]]]  # per trained run: one {term: mean} per epoch
-    report: dict | None = None  # the seed's report.json row
-    scored: ScoreTable | None = None
-    matrices: dict = field(default_factory=dict)
+    report: dict  # the seed's report.json row
+    scored: ScoreTable
+    matrices: dict
 
 
-def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: int) -> SeedResult:
-    """Train the configured variant; returns the SeedResult skeleton.
+def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: int):
+    """Train the configured variant; returns (branches, traces).
 
     softmax and pl_baseline train one branch, the joint variants two;
     sequential_k trains sequential_k branches one after another.
@@ -308,15 +308,14 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
             partition, spec, tc,
             derive_seed(seed, _ENC_A), derive_seed(seed, _HEAD), shuffle_seed,
         )
-        return SeedResult(branches=[branch], traces=[trace])
+        return [branch], [trace]
 
     if variant == "sequential_k":
         seeds = [
             (derive_seed(seed, 101 + 2 * t), derive_seed(seed, 102 + 2 * t))
             for t in range(config.sequential_k)
         ]
-        branches, traces = train_sequential(partition, tc, hp, spec, seeds, shuffle_seed)
-        return SeedResult(branches=branches, traces=traces)
+        return train_sequential(partition, tc, hp, spec, seeds, shuffle_seed)
 
     streams = [(_ENC_A, _PROTO_A), (_ENC_B, _PROTO_B)]
     objective = partial(div_loss, hp=hp)
@@ -327,8 +326,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
         init_branch(spec, n_classes, derive_seed(seed, enc), derive_seed(seed, proto))
         for enc, proto in streams
     ]
-    trace = train(branches, objective, partition, tc, shuffle_seed)
-    return SeedResult(branches=branches, traces=[trace])
+    return branches, [train(branches, objective, partition, tc, shuffle_seed)]
 
 
 def evaluate_scored(scored: ScoreTable, retention: float, seed: int) -> tuple[dict, dict]:
@@ -376,12 +374,11 @@ def run_seed(config: ExperimentConfig, partition: DatasetPartition, seed: int) -
     The data checks are build_partition's: every known class has a train
     window, and the test side holds known and unknown windows.
     """
-    result = _train_variant(config, partition, seed)
+    branches, traces = _train_variant(config, partition, seed)
     partition.train_windows = None
-    score_fns = [branch_score_fn(b) for b in result.branches]
-    result.scored = score_windows(score_fns, partition.test_windows)
-    result.report, result.matrices = evaluate_scored(result.scored, config.retention, seed)
-    return result
+    scored = score_windows([branch_score_fn(b) for b in branches], partition.test_windows)
+    report, matrices = evaluate_scored(scored, config.retention, seed)
+    return SeedResult(branches, traces, report, scored, matrices)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +419,9 @@ def run_experiment(config: ExperimentConfig, recordings=None) -> dict:
     Returns the report: exactly what report.json holds. ``recordings``,
     loaded from the config when not given, is left as it was: each seed's
     build empties a shallow copy, and only a run's last seed empties a
-    list the run loaded itself. Per-seed training failures are recorded
-    without aborting the run; the aggregate marks the failed seeds.
+    list the run loaded itself. A seed's model is freed once its artifacts
+    are written. Per-seed training failures are recorded without aborting
+    the run; the aggregate marks the failed seeds.
     """
     started = time.perf_counter()
     out_dir = config.output_dir

@@ -30,9 +30,11 @@ partner's activations once its proximity rows exist, and each trained
 branch's embeddings once its terms are in, so at the peak of a joint step
 (branch b's triplet term) it holds both branches' forward caches, branch
 a's gradients, branch b's embeddings and PL-plus-inconsistency gradient,
-and the triplet term's three arrays: 2.8 MB of scratch at the default
-widths (252 rows, 1600 -> 256 -> 128), against 4.6 MB when every
-expression was a fresh array.
+and the triplet term's three arrays: 2.8 MB of scratch (tracemalloc) at
+the default widths (252 rows, 1600 -> 256 -> 128). The per-batch code
+computes in the dtype of its inputs (a float32 batch against float64
+branches gives the bits of its float64 cast); every run path feeds it
+float64.
 """
 
 from __future__ import annotations

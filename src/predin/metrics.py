@@ -52,8 +52,8 @@ def oscr(known_scores, known_correct, unknown_scores) -> float:
     and score >= t; FPR(t) is the fraction of unknown samples scoring >= t
     (Dhamija, Guenther & Boult, NeurIPS 2018). The curve is a
     right-continuous step function of FPR: it steps up at each distinct
-    unknown score u, where the height of the step to its left is the CCR
-    just above u, i.e. the count of correct known scores > u.
+    unknown score u, and the step to its left is the CCR just above u, the
+    count of correct known scores > u, found in one sort (O(n log n)).
     """
     ks = np.asarray(known_scores, dtype=np.float64)
     us = np.asarray(unknown_scores, dtype=np.float64)

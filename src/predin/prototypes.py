@@ -11,7 +11,8 @@ Every loss returns (loss, d_embeddings, d_prototypes) with freshly
 allocated gradients that the caller may overwrite. Each loss works in a
 few (M, d) arrays it allocates once and writes in place (compactness_loss
 in two, pl_loss adds its terms into DCE's gradients), with the same bits
-as one fresh array per expression.
+as one fresh array per expression. The losses compute in the dtype of
+their inputs (numpy promotes a mix); every run path feeds them float64.
 """
 
 from __future__ import annotations

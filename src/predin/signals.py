@@ -159,7 +159,7 @@ class DatasetPartition:
     train_windows: WindowTable | None  # None once trained on (harness.run_seed)
     test_windows: WindowTable
     label_split: LabelSplit
-    standardized: bool = False  # set by standardize, once both sides are scaled
+    standardized: bool = False  # set by standardize once both sides are scaled; train needs it
 
 
 def _samples_in(key: str, ms: float, sampling_rate: float) -> int:
@@ -246,8 +246,9 @@ def split_trials(
     ``recordings`` is emptied in place as they are copied (a caller that
     reads it later hands in a copy): each recording is popped once its
     samples are in its side (an unrouted one at once), so it is freed then
-    unless held elsewhere. Newest first, each freed recording lies at the
-    top of the heap, the only place the allocator hands memory back from.
+    unless held elsewhere, and a rejected split pops nothing. Newest first,
+    each freed recording lies at the top of the heap, the only place the
+    allocator hands memory back from.
     """
     train_trials = set(train_trials)
     test_trials = set(test_trials)
@@ -262,7 +263,6 @@ def split_trials(
         else 1 if r.trial_id in test_trials else None
         for r in recordings
     ]
-    # every check comes before the first pop, so a rejected split pops nothing
     shapes = []  # per side: (channels, window length, samples)
     for side in (0, 1):
         routed = [r for r, s in zip(recordings, route) if s == side]
@@ -537,8 +537,9 @@ def generate_synthetic(config: SyntheticConfig) -> list[SignalRecording]:
     step that can overflow, in the serial order, so the warnings and errors
     are those of one thread; the helper's steps stay finite for any config
     SyntheticConfig admits. The helper runs in a copy of the caller's
-    context (numpy's error state) and is joined before this returns or
-    raises.
+    context (numpy's error state), any exception it raises, a BaseException
+    too, is raised in the calling thread, and it is joined before this
+    returns or raises.
     """
     rng = np.random.default_rng(config.data_seed)
     n = _samples_in("recording_ms", config.recording_ms, config.sampling_rate_hz)
@@ -661,9 +662,7 @@ def load_csv(data_path, meta_path) -> list[SignalRecording]:
                         f"non-numeric value {cell!r}"
                     ) from None
             rows.append(parsed)
-    if not rows:
-        return []
-    data = np.asarray(rows, dtype=np.float64)
+    data = np.asarray(rows, dtype=np.float64)  # with no row, every metadata range is outside
 
     recordings: list[SignalRecording] = []
     with open(meta_path, newline="") as f:

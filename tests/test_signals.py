@@ -731,6 +731,16 @@ class TestLoadCsv:
         data, meta = self._write(tmp_path, [], [])
         assert load_csv(data, meta) == []
 
+    @pytest.mark.parametrize("row, match", [
+        ("0,5,1,1,1,1000", r"line 2: range \[0, 5\) outside the 0 data rows"),
+        ("foo,bar,1,1,1,1000", "line 2: non-integer start_row='foo'"),
+    ], ids=["range", "malformed"])
+    def test_empty_file_checks_every_metadata_row(self, tmp_path, row, match):
+        # with no data row, every range lies outside the data
+        data, meta = self._write(tmp_path, [], [row])
+        with pytest.raises(ParseError, match=match):
+            load_csv(data, meta)
+
     def test_short_row_named(self, tmp_path):
         data, meta = self._write(tmp_path, ["1,2,3", "4,5"], ["0,2,1,1,1,100"])
         with pytest.raises(ParseError, match="row 2"):
