@@ -111,7 +111,7 @@ def _incon_objective(x, y, branches, hp: DivHyperParams, own_dots):
         proximity_probs(emb, y, b.prototypes, hp.m1, own_dots=own)
         for (emb, _), b, own in zip(forward, branches, own_dots)
     ]
-    incon, *dprobs = inconsistency_loss(*dists, hp.epsilon_log)
+    incon, *dprobs = inconsistency_loss(*dists)
     backward = [proximity_backward(dist, d) for dist, d in zip(dists, dprobs)]
     return {"total": incon}, [(c, dz, [dp]) for (_, c), (dz, dp) in zip(forward, backward)]
 
@@ -123,7 +123,7 @@ def _case(loss_name: str, spec: EncoderSpec, rng: np.random.Generator, x, labels
     hp = DivHyperParams()
     single = {
         "dce": dce_loss,
-        "compactness": lambda z, y, p: compactness_loss(z, y, p, hp.compactness_form),
+        "compactness": compactness_loss,
         "triplet": lambda z, y, p: triplet_loss(z, y, p, hp.m2),
     }
     if loss_name in single:

@@ -57,7 +57,6 @@ from .encoder import (
 )
 from .io import atomic_open, atomic_write_text
 from .prototypes import (
-    COMPACTNESS_FORMS,
     check_labels,
     cross_entropy,
     init_prototypes,
@@ -87,8 +86,6 @@ class DivHyperParams:
     alpha: float = ruled(1.0, "[0, inf)")
     m1: float = ruled(0.5, "[0, inf)")
     m2: float = ruled(1.0, "[0, inf)")
-    epsilon_log: float = ruled(1e-12, "(0, inf)")
-    compactness_form: str = ruled("huber_sq", COMPACTNESS_FORMS)
 
     def __post_init__(self):
         check_fields(self)
@@ -245,15 +242,16 @@ def proximity_backward(dist: ProximityDistribution, dprobs: np.ndarray):
     return ddots @ cache.prototypes, ddots.T @ cache.embeddings
 
 
-def inconsistency_loss(
-    dist_a: ProximityDistribution,
-    dist_b: ProximityDistribution,
-    epsilon_log: float,
-):
+# inconsistency_loss clamps its log argument below at this (the argument is
+# 0 when both rows are the same one-hot row); the gradient is 0 there
+EPSILON_LOG = 1e-12
+
+
+def inconsistency_loss(dist_a: ProximityDistribution, dist_b: ProximityDistribution):
     """Cross-branch inconsistency over aligned proximity rows.
 
     Minimized (-ln 2) when the two rows are one-hot at different classes;
-    the log argument is clamped below at epsilon_log, where the gradient
+    the log argument is clamped below at EPSILON_LOG, where the gradient
     vanishes. Returns (loss, dprobs_a, dprobs_b), the gradients w.r.t. the
     two distributions; proximity_backward carries each further.
     """
@@ -264,9 +262,9 @@ def inconsistency_loss(
         raise ValueError("misaligned batches: branch rows exclude different classes")
     m = pa.shape[0]
     inner = (pa * (1.0 - pb) + pb * (1.0 - pa)).sum(axis=1)
-    arg = np.maximum(inner, epsilon_log)
+    arg = np.maximum(inner, EPSILON_LOG)
     loss = -np.log(arg).mean()
-    dinner = np.where(inner > epsilon_log, -1.0 / (m * arg), 0.0)
+    dinner = np.where(inner > EPSILON_LOG, -1.0 / (m * arg), 0.0)
     return loss, dinner[:, None] * (1.0 - 2.0 * pb), dinner[:, None] * (1.0 - 2.0 * pa)
 
 
@@ -321,7 +319,7 @@ def pl_objective(x: np.ndarray, y: np.ndarray, branches: list[BranchState], hp: 
     """PL loss alone on one prototype branch (the single-branch baseline)."""
     (branch,) = branches
     emb, cache = encoder_forward(branch.encoder, x)
-    pl, dz, dp = pl_loss(emb, y, branch.prototypes, hp.beta, hp.compactness_form)
+    pl, dz, dp = pl_loss(emb, y, branch.prototypes, hp.beta)
     return {"pl_a": pl, "total": pl}, [(cache, dz, [dp])]
 
 
@@ -368,12 +366,12 @@ def div_loss(
         if trained:  # a frozen partner's activations go once its rows exist
             forward.append((emb, cache))
     del emb, cache
-    incon, *dprobs = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
+    incon, *dprobs = inconsistency_loss(dists[0], dists[1])
     pls, trips, parts = [], [], []
     for i, branch in enumerate(branches):
         emb, cache = forward.pop(0)  # a branch's embeddings go with its terms
         protos = branch.prototypes
-        pl, dz, dp = pl_loss(emb, y, protos, hp.beta, hp.compactness_form)
+        pl, dz, dp = pl_loss(emb, y, protos, hp.beta)
         if hp.gamma != 0.0:
             dz_inc, dp_inc = proximity_backward(dists[i], dprobs[i])
             dz += np.multiply(hp.gamma, dz_inc, out=dz_inc)

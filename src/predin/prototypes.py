@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import numpy as np
 
-COMPACTNESS_FORMS = ("huber_sq", "literal")
-
 
 def init_prototypes(n_classes: int, dim: int, seed: int) -> np.ndarray:
     """Standard-normal (n_classes, dim) prototypes, row k-1 for remapped
@@ -101,19 +99,15 @@ def dce_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     return loss, dlogits @ p, dlogits.T @ z
 
 
-def compactness_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, form: str):
+def compactness_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray):
     """Smooth-L1 pull of each embedding onto its own prototype.
 
     With u = z - p^y:  0.5*||u||_2^2 when ||u||_1 < 1, else ||u||_1 - 0.5.
-    form="literal" keeps the unsquared small branch 0.5*||u||_2 instead.
 
-    Both forms step in value at ||u||_1 = 1, where the large branch gives
-    exactly 0.5 but the small branch gives 0.5*||u||_2^2 (huber_sq, as low
-    as 0.5/d) or 0.5*||u||_2 (literal). For u = (0.5, 0.5), huber_sq gives
-    0.25 just below the switch and 0.5 at and above it.
+    The value steps at ||u||_1 = 1, where the large branch gives exactly
+    0.5 but the small branch gives 0.5*||u||_2^2, as low as 0.5/d. For
+    u = (0.5, 0.5) it is 0.25 just below the switch and 0.5 at and above it.
     """
-    if form not in COMPACTNESS_FORMS:
-        raise ValueError(f"form must be one of {COMPACTNESS_FORMS}")
     z, p = embeddings, prototypes
     y0 = check_labels(labels, p.shape[0]) - 1
     m = z.shape[0]
@@ -122,31 +116,21 @@ def compactness_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, for
     l1 = work.sum(axis=1)
     small = l1 < 1.0
     sq_norm = np.multiply(u, u, out=work).sum(axis=1)
-    if form == "huber_sq":
-        small_vals = 0.5 * sq_norm
-        du = np.sign(u, out=work)
-        np.copyto(du, u, where=small[:, None])
-    else:
-        l2 = np.sqrt(sq_norm)
-        small_vals = 0.5 * l2
-        denom = np.where(l2 > 0, l2, 1.0)
-        du = np.multiply(0.5, u, out=work)
-        du /= denom[:, None]
-        du[l2 == 0] = 0.0  # subgradient 0 at u = 0
-        np.copyto(du, np.sign(u, out=u), where=~small[:, None])
-    loss = np.where(small, small_vals, l1 - 0.5).mean()
+    du = np.sign(u, out=work)
+    np.copyto(du, u, where=small[:, None])
+    loss = np.where(small, 0.5 * sq_norm, l1 - 0.5).mean()
     du /= m
     d_protos = np.zeros(p.shape, du.dtype)
     scatter_add_rows(d_protos, y0, np.negative(du, out=u))
     return loss, du, d_protos
 
 
-def pl_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, beta: float, form: str):
+def pl_loss(embeddings: np.ndarray, labels, prototypes: np.ndarray, beta: float):
     """Single-branch objective: DCE plus beta times the compactness term."""
     dce, dz, dp = dce_loss(embeddings, labels, prototypes)
     if beta == 0.0:
         return dce, dz, dp
-    com, dz_com, dp_com = compactness_loss(embeddings, labels, prototypes, form=form)
+    com, dz_com, dp_com = compactness_loss(embeddings, labels, prototypes)
     dz += np.multiply(beta, dz_com, out=dz_com)
     dp += np.multiply(beta, dp_com, out=dp_com)
     return dce + beta * com, dz, dp

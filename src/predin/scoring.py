@@ -1,9 +1,11 @@
 """Score fusion, rejection thresholding, and accept/reject decisions.
 
-Each branch scores a test sample by dot-product similarity to its
-prototypes; branch scores are averaged, the maximum fused score S_max is
-compared against a threshold calibrated to retain a target fraction of
-known samples, and everything below is rejected as unknown.
+Each branch scores a test sample with its branch_score_fn: a prototype
+branch by dot-product similarity to its prototypes, the softmax baseline's
+branch by its posterior probabilities. Branch scores are averaged, the
+maximum fused score S_max is compared against a threshold calibrated to
+retain a target fraction of known samples, and everything below is
+rejected as unknown.
 """
 
 from __future__ import annotations

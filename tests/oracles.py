@@ -268,7 +268,7 @@ def encoder_backward_allocating(cache, grad_embeddings, out=None):
     return grads[::-1]
 
 
-def compactness_loss_allocating(embeddings, labels, prototypes, form="huber_sq"):
+def compactness_loss_allocating(embeddings, labels, prototypes):
     """The former compactness term, one fresh (M, d) array per step.
     np.add.at stands in for scatter_add_rows, which equals it bit for bit."""
     z = np.asarray(embeddings, dtype=np.float64)
@@ -278,29 +278,20 @@ def compactness_loss_allocating(embeddings, labels, prototypes, form="huber_sq")
     u = z - p[y0]
     l1 = np.abs(u).sum(axis=1)
     small = l1 < 1.0
-    if form == "huber_sq":
-        small_vals = 0.5 * (u * u).sum(axis=1)
-        du_small = u
-    else:
-        l2 = np.sqrt((u * u).sum(axis=1))
-        small_vals = 0.5 * l2
-        denom = np.where(l2 > 0, l2, 1.0)
-        du_small = 0.5 * u / denom[:, None]  # subgradient 0 at u = 0
-        du_small[l2 == 0] = 0.0
-    loss = np.where(small, small_vals, l1 - 0.5).mean()
-    du = np.where(small[:, None], du_small, np.sign(u)) / m
+    loss = np.where(small, 0.5 * (u * u).sum(axis=1), l1 - 0.5).mean()
+    du = np.where(small[:, None], u, np.sign(u)) / m
     d_protos = np.zeros_like(p)
     np.add.at(d_protos, y0, -du)
     return loss, du, d_protos
 
 
-def pl_loss_allocating(embeddings, labels, prototypes, beta=1.0, form="huber_sq"):
+def pl_loss_allocating(embeddings, labels, prototypes, beta=1.0):
     """The former PL loss: DCE plus beta times compactness, summed into fresh
     arrays."""
     dce, dz_dce, dp_dce = dce_loss(embeddings, labels, prototypes)
     if beta == 0.0:
         return dce, dz_dce, dp_dce
-    com, dz_com, dp_com = compactness_loss_allocating(embeddings, labels, prototypes, form=form)
+    com, dz_com, dp_com = compactness_loss_allocating(embeddings, labels, prototypes)
     return dce + beta * com, dz_dce + beta * dz_com, dp_dce + beta * dp_com
 
 
@@ -340,11 +331,11 @@ def div_loss_allocating(x, y, branches, hp, frozen=None):
         proximity_probs(emb, y, b.prototypes, hp.m1, keep_cache=i < len(branches), own_dots=None)
         for i, (b, (emb, _)) in enumerate(zip(pair, forward))
     ]
-    incon, *dprobs = inconsistency_loss(dists[0], dists[1], hp.epsilon_log)
+    incon, *dprobs = inconsistency_loss(dists[0], dists[1])
     pls, trips, parts = [], [], []
     for i, branch in enumerate(branches):
         (emb, cache), protos = forward[i], branch.prototypes
-        pl, dz, dp = pl_loss_allocating(emb, y, protos, hp.beta, hp.compactness_form)
+        pl, dz, dp = pl_loss_allocating(emb, y, protos, hp.beta)
         if hp.gamma != 0.0:
             dz_inc, dp_inc = proximity_backward(dists[i], dprobs[i])
             dz += hp.gamma * dz_inc

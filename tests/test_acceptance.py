@@ -140,10 +140,10 @@ def test_criterion_2_metric_oracles():
 def test_criterion_3_loss_identities():
     one_hot_a = ProximityDistribution(np.array([[1.0, 0.0, 0.0]]), np.array([1]))
     one_hot_b = ProximityDistribution(np.array([[0.0, 1.0, 0.0]]), np.array([1]))
-    incon_extreme, _, _ = inconsistency_loss(one_hot_a, one_hot_b, 1e-12)
+    incon_extreme, _, _ = inconsistency_loss(one_hot_a, one_hot_b)
 
     uniform = ProximityDistribution(np.array([[0.5, 0.5]]), np.array([1]))
-    incon_uniform, _, _ = inconsistency_loss(uniform, uniform, 1e-12)
+    incon_uniform, _, _ = inconsistency_loss(uniform, uniform)
 
     protos = np.zeros((5, 3))
     dce_equal, _, _ = dce_loss(np.zeros((2, 3)), [1, 4], protos)
@@ -173,7 +173,7 @@ def test_criterion_4_clamp_semantics():
     z_b = np.array([[1.0, 0.0]])
     dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5, own_dots=None)
     dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5, own_dots=None)
-    _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b, 1e-12)
+    _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b)
     d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
     ok = (
         not dist_a.cache.active.any()

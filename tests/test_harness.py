@@ -85,7 +85,7 @@ class TestConfig:
             dataset=CsvDataset(data_path="a.csv", meta_path="b.csv"),
             window_ms=150.0, step_ms=25.0, seeds=(9, 8), variant="dual_trip",
             train_trials=(2,), test_trials=(1, 3),
-            hyperparams=DivHyperParams(0.5, 2.0, 0.25, 0.1, 2.0, 1e-9, "literal"),
+            hyperparams=DivHyperParams(0.5, 2.0, 0.25, 0.1, 2.0),
             hidden_dims=(8, 4), activation="relu", batch_size=32, lr=0.01, momentum=0.5,
             retention=0.9, sequential_k=3,
         )
@@ -255,7 +255,6 @@ class TestConfig:
             ("beta", True),
             ("gamma", [1.0]),
             ("m1", float("inf")),
-            ("epsilon_log", float("inf")),
             ("m2", None),
         ],
     )
@@ -288,13 +287,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="m1"):
             config_from_dict(json.loads('{"hyperparams": {"m1": NaN}}'))
 
-    def test_unknown_compactness_form_rejected(self):
-        # rejected when the config is built, whatever the variant
+    @pytest.mark.parametrize(
+        "key, value", [("compactness_form", "huber_sq"), ("epsilon_log", 1e-12)]
+    )
+    def test_removed_hyperparam_key_rejected(self, key, value):
+        # an old config's implementation choices, at their former defaults
         for variant in ("softmax", "predin"):
-            with pytest.raises(ValueError, match="compactness_form"):
-                config_from_dict(
-                    {"variant": variant, "hyperparams": {"compactness_form": "bogus"}}
-                )
+            with pytest.raises(ValueError) as err:
+                config_from_dict({"variant": variant, "hyperparams": {key: value}})
+            assert str(err.value) == f"unknown config keys under 'hyperparams': [{key!r}]"
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):

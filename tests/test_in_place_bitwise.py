@@ -81,20 +81,17 @@ def batch(m, d, exact, seed=0):
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("m", ROWS)
 class TestLosses:
-    @pytest.mark.parametrize("form", ["huber_sq", "literal"])
+    # The one compactness form, the smoothed L1 `huber_sq`, stays in the test ids.
+    @pytest.mark.parametrize("form", ["huber_sq"])
     def test_compactness(self, m, d, exact, form):
         z, y, p = batch(m, d, exact)
-        assert_same_results(
-            compactness_loss(z, y, p, form=form), compactness_loss_allocating(z, y, p, form=form)
-        )
+        assert_same_results(compactness_loss(z, y, p), compactness_loss_allocating(z, y, p))
 
-    @pytest.mark.parametrize("form", ["huber_sq", "literal"])
+    @pytest.mark.parametrize("form", ["huber_sq"])
     @pytest.mark.parametrize("beta", [0.0, 0.5, 1.0])
     def test_pl(self, m, d, exact, form, beta):
         z, y, p = batch(m, d, exact)
-        assert_same_results(
-            pl_loss(z, y, p, beta, form), pl_loss_allocating(z, y, p, beta, form)
-        )
+        assert_same_results(pl_loss(z, y, p, beta), pl_loss_allocating(z, y, p, beta))
 
     @pytest.mark.parametrize("m2", [0.0, 1.0])
     def test_triplet(self, m, d, exact, m2):
@@ -107,8 +104,8 @@ class TestLosses:
     def test_inputs_left_intact(self, m, d, exact):
         z, y, p = batch(m, d, exact)
         before = [a.copy() for a in (z, y, p)]
-        compactness_loss(z, y, p, form="literal")
-        pl_loss(z, y, p, 0.5, "huber_sq")
+        compactness_loss(z, y, p)
+        pl_loss(z, y, p, 0.5)
         triplet_loss(z, y, p, 1.0)
         for a, b in zip((z, y, p), before):
             assert same_bits(a, b)
@@ -262,14 +259,13 @@ def test_losses_compute_in_the_dtype_of_their_inputs(m, narrow):
                 assert g.dtype == np.float64
                 np.testing.assert_allclose(g, w, rtol=0.0, atol=1e-12 * np.abs(w).max())
 
-    check(pl_loss(z, y, p, 1.0, "literal"), pl_loss(z64, y, p64, 1.0, "literal"))
-    check(pl_loss(z, y, p, 1.0, "huber_sq"), pl_loss(z64, y, p64, 1.0, "huber_sq"))
+    check(pl_loss(z, y, p, 1.0), pl_loss(z64, y, p64, 1.0))
     check(triplet_loss(z, y, p, 1.0), triplet_loss(z64, y, p64, 1.0))
     dists = [proximity_probs(z, y, p, 0.5, own_dots=None),
              proximity_probs(z64, y, p64, 0.5, own_dots=None)]
     check([dists[0].probs], [dists[1].probs])
     (got_incon, got_dprobs, _), (want_incon, want_dprobs, _) = (
-        inconsistency_loss(d, d, 1e-12) for d in dists
+        inconsistency_loss(d, d) for d in dists
     )
     check([got_incon, got_dprobs], [want_incon, want_dprobs])
     check(proximity_backward(dists[0], got_dprobs), proximity_backward(dists[1], want_dprobs))

@@ -133,19 +133,19 @@ class TestInconsistencyLoss:
     def test_disjoint_one_hots_reach_lower_bound(self):
         a = dist_from_probs([[1.0, 0.0, 0.0]], [1])
         b = dist_from_probs([[0.0, 1.0, 0.0]], [1])
-        loss, _, _ = inconsistency_loss(a, b, 1e-12)
+        loss, _, _ = inconsistency_loss(a, b)
         assert loss == pytest.approx(-np.log(2.0), abs=1e-12)
 
     def test_uniform_rows_over_two_classes(self):
         a = dist_from_probs([[0.5, 0.5]], [1])
         b = dist_from_probs([[0.5, 0.5]], [1])
-        assert inconsistency_loss(a, b, 1e-12)[0] == pytest.approx(0.0, abs=1e-12)
+        assert inconsistency_loss(a, b)[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_one_hots_clamp(self):
         a = dist_from_probs([[1.0, 0.0]], [1])
         b = dist_from_probs([[1.0, 0.0]], [1])
-        loss, dprobs_a, dprobs_b = inconsistency_loss(a, b, epsilon_log=1e-12)
-        assert loss == pytest.approx(-np.log(1e-12), abs=1e-9)
+        loss, dprobs_a, dprobs_b = inconsistency_loss(a, b)
+        assert loss == -np.log(inconsistency.EPSILON_LOG)
         # clamped region carries no gradient
         assert not dprobs_a.any() and not dprobs_b.any()
 
@@ -155,7 +155,7 @@ class TestInconsistencyLoss:
             pa = rng.dirichlet(np.ones(4), size=3)
             pb = rng.dirichlet(np.ones(4), size=3)
             loss, _, _ = inconsistency_loss(
-                dist_from_probs(pa, [1, 1, 1]), dist_from_probs(pb, [1, 1, 1]), 1e-12
+                dist_from_probs(pa, [1, 1, 1]), dist_from_probs(pb, [1, 1, 1])
             )
             assert loss >= -np.log(2.0) - 1e-12
 
@@ -165,10 +165,10 @@ class TestInconsistencyLoss:
         pb = rng.dirichlet(np.ones(3), size=4)
         labels = [1, 2, 1, 2]
         loss_1, dprobs_a_1, dprobs_b_1 = inconsistency_loss(
-            dist_from_probs(pa, labels), dist_from_probs(pb, labels), 1e-12
+            dist_from_probs(pa, labels), dist_from_probs(pb, labels)
         )
         loss_2, dprobs_a_2, dprobs_b_2 = inconsistency_loss(
-            dist_from_probs(pb, labels), dist_from_probs(pa, labels), 1e-12
+            dist_from_probs(pb, labels), dist_from_probs(pa, labels)
         )
         assert loss_1 == loss_2
         np.testing.assert_array_equal(dprobs_a_1, dprobs_b_2)
@@ -178,10 +178,10 @@ class TestInconsistencyLoss:
         a = dist_from_probs([[0.5, 0.5]], [1])
         b = dist_from_probs([[0.5, 0.5], [0.5, 0.5]], [1, 2])
         with pytest.raises(ValueError, match="misaligned"):
-            inconsistency_loss(a, b, 1e-12)
+            inconsistency_loss(a, b)
         c = dist_from_probs([[0.5, 0.5]], [2])
         with pytest.raises(ValueError, match="misaligned"):
-            inconsistency_loss(a, c, 1e-12)
+            inconsistency_loss(a, c)
 
     def test_fully_clamped_branch_gets_zero_gradient(self):
         # branch A: all gaps < m1 -> uniform row, no gradient through its distances
@@ -193,7 +193,7 @@ class TestInconsistencyLoss:
         dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5, own_dots=None)
         assert not dist_a.cache.active.any()
         assert dist_b.cache.active.all()
-        _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b, 1e-12)
+        _, dprobs_a, _ = inconsistency_loss(dist_a, dist_b)
         d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
         # the loss still pulls on A's distribution, but the clamp blocks it
         assert dprobs_a.any()
@@ -209,7 +209,7 @@ class TestInconsistencyLoss:
         dist_a = proximity_probs(z_a, [1], protos_a, m1=0.5, own_dots=None)
         dist_b = proximity_probs(z_b, [1], protos_b, m1=0.5, own_dots=None)
         assert dist_a.cache.active.sum() == 1
-        _, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b, 1e-12)
+        _, dprobs_a, dprobs_b = inconsistency_loss(dist_a, dist_b)
         d_embeddings_a, d_prototypes_a = proximity_backward(dist_a, dprobs_a)
         d_embeddings_b, _ = proximity_backward(dist_b, dprobs_b)
         assert d_embeddings_a.any()
@@ -297,7 +297,7 @@ class TestDivLoss:
         t, parts = div_loss(x, y, [a, b], hp)
         grads = [branch_gradients(*part) for part in parts]
         emb_a, _ = encoder_forward(a.encoder, x)
-        pl_a, dz_a, dp_a = pl_loss(emb_a, y, a.prototypes, hp.beta, hp.compactness_form)
+        pl_a, dz_a, dp_a = pl_loss(emb_a, y, a.prototypes, hp.beta)
         assert t["total"] == t["pl_a"] + t["pl_b"]
         assert t["pl_a"] == pl_a
         np.testing.assert_array_equal(grads[0][-1], dp_a)

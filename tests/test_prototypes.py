@@ -118,41 +118,32 @@ class TestDceLoss:
 class TestCompactnessLoss:
     def test_zero_at_prototype(self):
         p = protos_from([[1.0, 2.0], [0.0, 0.0]])
-        loss, dz, dp = compactness_loss(np.array([[1.0, 2.0]]), [1], p, "huber_sq")
+        loss, dz, dp = compactness_loss(np.array([[1.0, 2.0]]), [1], p)
         assert loss == 0.0
         assert not dz.any() and not dp.any()
 
     def test_large_branch(self):
         p = protos_from([[0.0, 0.0], [9.9, 9.9]])
-        loss, _, _ = compactness_loss(np.array([[2.0, 0.0]]), [1], p, "huber_sq")
+        loss, _, _ = compactness_loss(np.array([[2.0, 0.0]]), [1], p)
         assert loss == pytest.approx(1.5)
 
     def test_small_branch_squared(self):
         p = protos_from([[0.0, 0.0], [9.9, 9.9]])
-        loss, _, _ = compactness_loss(np.array([[0.3, 0.4]]), [1], p, "huber_sq")
+        loss, _, _ = compactness_loss(np.array([[0.3, 0.4]]), [1], p)
         assert loss == pytest.approx(0.125)
 
-    def test_small_branch_literal(self):
-        p = protos_from([[0.0, 0.0], [9.9, 9.9]])
-        loss, _, _ = compactness_loss(np.array([[0.3, 0.4]]), [1], p, form="literal")
-        assert loss == pytest.approx(0.25)  # half the 2-norm
-
-    def test_gradients_both_forms(self):
+    def test_gradients(self):
         rng = np.random.default_rng(7)
         z = rng.standard_normal((6, 5)) * 2
         protos = rng.standard_normal((3, 5))
         labels = rng.integers(1, 4, size=6)
-        for form in ("huber_sq", "literal"):
-            def loss_fn(arrays):
-                return compactness_loss(arrays[0], labels, arrays[1], form)[0]
 
-            loss, dz, dp = compactness_loss(z, labels, protos, form)
-            report = finite_diff_check([z, protos], loss_fn, [dz, dp], n_coords=32, seed=3)
-            assert report.max_rel_error < 1e-4, form
+        def loss_fn(arrays):
+            return compactness_loss(arrays[0], labels, arrays[1])[0]
 
-    def test_unknown_form(self):
-        with pytest.raises(ValueError):
-            compactness_loss(np.zeros((1, 2)), [1], protos_from(np.zeros((2, 2))), "cubed")
+        loss, dz, dp = compactness_loss(z, labels, protos)
+        report = finite_diff_check([z, protos], loss_fn, [dz, dp], n_coords=32, seed=3)
+        assert report.max_rel_error < 1e-4
 
 
 class TestPlLoss:
@@ -165,7 +156,7 @@ class TestPlLoss:
 
     def test_beta_zero_equals_dce(self):
         z, labels, protos = self._instance()
-        full = pl_loss(z, labels, protos, 0.0, "huber_sq")
+        full = pl_loss(z, labels, protos, 0.0)
         dce = dce_loss(z, labels, protos)
         assert full[0] == dce[0]
         np.testing.assert_array_equal(full[1], dce[1])
@@ -173,23 +164,23 @@ class TestPlLoss:
 
     def test_beta_one_is_sum(self):
         z, labels, protos = self._instance()
-        total, _, _ = pl_loss(z, labels, protos, 1.0, "huber_sq")
+        total, _, _ = pl_loss(z, labels, protos, 1.0)
         dce, _, _ = dce_loss(z, labels, protos)
-        com, _, _ = compactness_loss(z, labels, protos, "huber_sq")
+        com, _, _ = compactness_loss(z, labels, protos)
         assert total == pytest.approx(dce + com, abs=1e-12)
 
     def test_gradient_is_weighted_sum(self):
         z, labels, protos = self._instance()
         beta = 0.7
-        _, dz, dp = pl_loss(z, labels, protos, beta, "huber_sq")
+        _, dz, dp = pl_loss(z, labels, protos, beta)
         _, dz_d, dp_d = dce_loss(z, labels, protos)
-        _, dz_c, dp_c = compactness_loss(z, labels, protos, "huber_sq")
+        _, dz_c, dp_c = compactness_loss(z, labels, protos)
         np.testing.assert_allclose(dz, dz_d + beta * dz_c, atol=1e-14)
         np.testing.assert_allclose(dp, dp_d + beta * dp_c, atol=1e-14)
 
     def test_monotone_in_beta(self):
         z, labels, protos = self._instance()
-        losses = [pl_loss(z, labels, protos, b, "huber_sq")[0] for b in (0.0, 0.5, 1.0, 2.0)]
+        losses = [pl_loss(z, labels, protos, b)[0] for b in (0.0, 0.5, 1.0, 2.0)]
         assert all(a <= b + 1e-12 for a, b in zip(losses, losses[1:]))
 
     def test_single_step_decreases_loss(self):
@@ -201,11 +192,11 @@ class TestPlLoss:
             u = z[0] - protos[labels[0] - 1]
             if abs(np.abs(u).sum() - 1.0) < 1e-2:
                 continue  # keep clear of the compactness kink
-            loss, dz, dp = pl_loss(z, labels, protos, 1.0, "huber_sq")
+            loss, dz, dp = pl_loss(z, labels, protos, 1.0)
             lr = 1e-4
             z2 = z - lr * dz
             protos2 = protos - lr * dp
-            loss2, _, _ = pl_loss(z2, labels, protos2, 1.0, "huber_sq")
+            loss2, _, _ = pl_loss(z2, labels, protos2, 1.0)
             assert loss2 < loss
 
 

@@ -1,15 +1,19 @@
 """The README and docs/*.md against the code they name.
 
 Every backticked dotted name whose first part is `predin`, a module of
-src/predin/ or a class defined there resolves to an attribute; every
+src/predin/, a class defined there or a config section resolves to an
+attribute, a dataclass field naming its type's attributes in turn; every
 undotted backticked call names a builtin or a function, method or class
-defined under src/predin/ or tools/; the README's Layout table has one row
-per module. These checks read text and import the package; they run
-nothing. Last, the checkpoint section's entry list is compared with the
-keys that save_dual_checkpoint writes. A failure names the file, the line
-and the name.
+defined under src/predin/ or tools/; every `predin ...` line of a fenced
+block names only options of its subcommand and parses, with and without
+its [...] groups; the README's Layout table has one row per module. These
+checks read text and import the package; they run no command. Last, the
+checkpoint section's entry list is compared with the keys that
+save_dual_checkpoint writes. A failure names the file, the line and the
+name.
 """
 
+import argparse
 import ast
 import builtins
 import dataclasses
@@ -17,14 +21,18 @@ import importlib
 import inspect
 import pkgutil
 import re
+import shlex
+import types
+import typing
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import predin
+from predin.cli import build_parser
 from predin.encoder import EncoderSpec
-from predin.harness import _SECTIONS
+from predin.harness import _SECTIONS, ExperimentConfig
 from predin.inconsistency import init_branch, save_dual_checkpoint
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,6 +55,9 @@ DEFINED = {
     if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
 }
 FILE_SUFFIXES = {"json", "csv", "npz", "txt", "py", "md"}
+SUBCOMMANDS = next(
+    a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+).choices
 
 FENCE = re.compile(r"^```.*?^```", re.M | re.S)
 SPAN = re.compile(r"`([^`]+)`")
@@ -61,33 +72,39 @@ def spans(path: Path):
         yield text.count("\n", 0, m.start()) + 1, m.group(1)
 
 
-def _has(obj, part: str) -> bool:
-    """getattr, or a dataclass field, which may have no class attribute
-    (every module of the package is imported above, so predin has each)."""
-    return hasattr(obj, part) or (
-        dataclasses.is_dataclass(obj) and part in {f.name for f in dataclasses.fields(obj)}
-    )
+def _after(obj, part: str) -> list:
+    """What obj.part may be: for a dataclass field, its type (each member of
+    a union), as a field may have no class attribute; else the attribute;
+    [] when obj has neither (every module of the package is imported
+    above, so predin has each)."""
+    if isinstance(obj, type) and dataclasses.is_dataclass(obj):
+        if part in {f.name for f in dataclasses.fields(obj)}:
+            hint = typing.get_type_hints(obj)[part]
+            union = typing.get_origin(hint) in (typing.Union, types.UnionType)
+            return list(typing.get_args(hint)) if union else [hint]
+    return [getattr(obj, part)] if hasattr(obj, part) else []
+
+
+def _resolves_from(obj, parts: list[str]) -> bool:
+    objs = [obj]
+    for part in parts:
+        objs = [after for o in objs for after in _after(o, part)]
+    return bool(objs)
 
 
 def resolves(name: str) -> bool | None:
     """Whether a dotted name resolves; None when it is not the package's."""
     first, *rest = name.split(".")
     # a config key such as encoder.hidden_dims, before the encoder module
-    if first in _SECTIONS and len(rest) == 1 and any(
-        _has(kind, rest[0]) for kind in _SECTIONS[first]
-    ):
-        return True
+    if first in _SECTIONS:
+        if _resolves_from(ExperimentConfig, [first, *rest]):
+            return True
+        if first not in MODULES:
+            return False
     obj = predin if first == "predin" else MODULES.get(first) or CLASSES.get(first)
     if obj is None:
         return None
-    for i, part in enumerate(rest):
-        if not _has(obj, part):
-            return False
-        if i + 1 < len(rest):
-            obj = getattr(obj, part, None)
-            if obj is None:  # a field without a class attribute ends the name
-                return False
-    return True
+    return _resolves_from(obj, rest)
 
 
 def unresolved_names(path: Path) -> list[str]:
@@ -105,6 +122,55 @@ def unresolved_names(path: Path) -> list[str]:
 @pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
 def test_every_name_resolves(path):
     failures = unresolved_names(path)
+    assert not failures, "\n".join(failures)
+
+
+@pytest.mark.parametrize("name, expected", [
+    ("ExperimentConfig.hyperparams.m1", True),
+    ("ExperimentConfig.encoder.hidden_dims", True),
+    ("ExperimentConfig.dataset.data_seed", True),  # through either union member
+    ("ExperimentConfig.hyperparams.epsilon_log", False),
+    ("hyperparams.compactness_form", False),
+    ("encoder.encoder_forward", True),  # the module, once no section field matches
+])
+def test_dotted_names_resolve_through_field_types(name, expected):
+    assert resolves(name) is expected
+
+
+def predin_commands(path: Path):
+    """(line, text) of every `predin ...` line inside a fenced block."""
+    text = path.read_text()
+    for m in FENCE.finditer(text):
+        first = text.count("\n", 0, m.start()) + 1
+        for i, line in enumerate(m.group().splitlines()):
+            if line.startswith("predin "):
+                yield first + i, line
+
+
+def command_failures(path: Path) -> list[str]:
+    failures = []
+    for line, command in predin_commands(path):
+        words = shlex.split(command)[1:]
+        sub = SUBCOMMANDS.get(words[0])
+        if sub is None:
+            failures.append(f"{path.name}:{line}: `{words[0]}` is no predin subcommand")
+            continue
+        options = {s for a in sub._actions for s in a.option_strings}
+        for flag in (w.strip("[]") for w in words[1:]):
+            if flag.startswith("-") and flag.split("=")[0] not in options:
+                failures.append(f"{path.name}:{line}: `{flag}` is no option of `{words[0]}`")
+        bare = re.sub(r"\s*\[[^\]]*\]", "", command)
+        for variant in (bare, command.replace("[", "").replace("]", "")):
+            try:
+                build_parser().parse_args(shlex.split(variant)[1:])
+            except ValueError as e:
+                failures.append(f"{path.name}:{line}: `{variant}` does not parse: {e}")
+    return failures
+
+
+@pytest.mark.parametrize("path", DOCS, ids=lambda p: p.name)
+def test_every_fenced_command_parses(path):
+    failures = command_failures(path)
     assert not failures, "\n".join(failures)
 
 
