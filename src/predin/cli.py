@@ -139,6 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in (parser, p_run, p_abl, p_grad):
         p.error = usage_error
+        p.allow_abbrev = False  # so that a prefix such as --see is not taken as --seeds
     return parser
 
 

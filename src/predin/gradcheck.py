@@ -1,18 +1,19 @@
 """Finite-difference verification of every analytic gradient path.
 
-Builds small random instances (3 classes, 8-dim embeddings, batch of 6),
-on a relu encoder at an even instance seed and at an odd one on the tanh
-encoder that every harness run trains, and compares the analytic
-gradients of each loss against central finite differences over a sampled
-subset of encoder parameters and head arrays.
-Loss values for the differencing are recomputed from scratch on perturbed
-parameters, so the numeric side never touches the backward code it is
-checking. Every case runs an objective with the (terms, parts) contract
-that train() consumes and turns each part into parameter gradients with
-branch_gradients, as train() does: "pl" runs pl_objective, "div" and
-"div_frozen" div_loss jointly and against a frozen partner, "softmax"
-softmax_objective on a linear-head branch. "dce", "compactness" and
-"triplet" run one loss on one prototype branch, and "incon" the
+An instance is small (3 classes, 8-dim embeddings, batch of 6): the random
+BranchStates one loss trains, on a relu encoder at an even instance seed
+and at an odd one on the tanh encoder that every harness run trains. A
+softmax head is drawn after the prototypes it replaces. The analytic
+gradients are compared against central finite differences over a sampled
+subset of encoder parameters and head arrays. Loss values for the
+differencing are recomputed from scratch, with the perturbed values written
+into the branches' arrays, so the numeric side never touches the backward
+code it is checking. Every case runs an objective with the (terms, parts)
+contract that train() consumes and turns each part into parameter
+gradients with branch_gradients, as train() does: "pl" runs pl_objective,
+"div" and "div_frozen" div_loss jointly and against a frozen partner,
+"softmax" softmax_objective on a linear-head branch. "dce", "compactness"
+and "triplet" run one loss on one prototype branch, and "incon" the
 inconsistency term alone over a branch pair.
 """
 
@@ -35,7 +36,6 @@ from .inconsistency import (
     branch_gradients,
     div_loss,
     inconsistency_loss,
-    own_class_dots,
     pl_objective,
     proximity_backward,
     proximity_probs,
@@ -47,7 +47,6 @@ from .prototypes import compactness_loss, dce_loss
 _DIMS = (12, 16, 8)  # input, hidden and embedding widths
 _N_CLASSES = 3
 _BATCH = 6
-_N_ENC = 2 * (len(_DIMS) - 1)
 
 
 def _spec(instance_seed: int) -> EncoderSpec:
@@ -56,44 +55,21 @@ def _spec(instance_seed: int) -> EncoderSpec:
     return EncoderSpec(_DIMS[0], _DIMS[1:-1], _DIMS[-1], activation)
 
 
-def _random_branch_arrays(rng: np.random.Generator) -> list[np.ndarray]:
-    arrays = []
-    for fan_in, fan_out in zip(_DIMS[:-1], _DIMS[1:]):
-        arrays.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
-        arrays.append(rng.standard_normal(fan_out) * 0.1)
-    arrays.append(rng.standard_normal((_N_CLASSES, _DIMS[-1])))
-    return arrays
-
-
-def _random_softmax_arrays(rng: np.random.Generator) -> list[np.ndarray]:
-    """Encoder arrays plus a linear head: weight ~ N(0, 2/d), bias ~ 0.1 N(0, 1)."""
-    d = _DIMS[-1]
-    return _random_branch_arrays(rng)[:_N_ENC] + [
-        rng.normal(0.0, np.sqrt(2.0 / d), size=(_N_CLASSES, d)),
-        rng.standard_normal(_N_CLASSES) * 0.1,
-    ]
-
-
-def _rebuild(spec: EncoderSpec, arrays: list[np.ndarray]) -> BranchState:
-    """Branch over the encoder arrays followed by its head arrays."""
-    enc = EncoderParams(spec=spec, weights=arrays[0:_N_ENC:2], biases=arrays[1:_N_ENC:2])
-    return BranchState(enc, arrays[_N_ENC:])
-
-
-def _frozen_own_dots(spec: EncoderSpec, base_arrays, x, labels):
-    """Stop-gradient reference dots z.p^y, fixed at the unperturbed point.
-
-    The margin distance treats this term as a constant under
-    differentiation, so the finite-difference target function must hold it
-    frozen while everything else varies.
-    """
-    half = len(base_arrays) // 2
-    frozen = []
-    for side in (base_arrays[:half], base_arrays[half:]):
-        branch = _rebuild(spec, side)
-        emb, _ = encoder_forward(branch.encoder, x)
-        frozen.append(own_class_dots(emb, labels, branch.prototypes))
-    return frozen
+def _random_branch(spec: EncoderSpec, rng, head: str = "prototypes") -> BranchState:
+    """A random branch: per layer a weight ~ N(0, 2/fan_in) and a bias ~
+    0.1 N(0, 1), then standard-normal prototypes, which a "softmax" head
+    drawn after them (weight ~ N(0, 2/d), bias ~ 0.1 N(0, 1)) replaces."""
+    dims = spec.layer_dims
+    weights, biases = [], []
+    for fan_in, fan_out in zip(dims[:-1], dims[1:]):
+        weights.append(rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_out, fan_in)))
+        biases.append(rng.standard_normal(fan_out) * 0.1)
+    d = dims[-1]
+    arrays = [rng.standard_normal((_N_CLASSES, d))]
+    if head == "softmax":
+        weight = rng.normal(0.0, np.sqrt(2.0 / d), size=(_N_CLASSES, d))
+        arrays = [weight, rng.standard_normal(_N_CLASSES) * 0.1]
+    return BranchState(EncoderParams(spec, weights, biases), arrays)
 
 
 def _single_loss_objective(x, y, branches, loss):
@@ -117,9 +93,8 @@ def _incon_objective(x, y, branches, hp: DivHyperParams, own_dots):
 
 
 def _case(loss_name: str, spec: EncoderSpec, rng: np.random.Generator, x, labels):
-    """(arrays, n_trained, objective) of one loss: the drawn arrays of the
-    n_trained branches it differentiates, one branch after another, and
-    the objective(x, y, branches) -> (terms, parts) that train() would run."""
+    """(trained, objective): the random branches one loss differentiates,
+    and the objective(x, y, branches) -> (terms, parts) train() runs on them."""
     hp = DivHyperParams()
     single = {
         "dce": dce_loss,
@@ -127,23 +102,21 @@ def _case(loss_name: str, spec: EncoderSpec, rng: np.random.Generator, x, labels
         "triplet": lambda z, y, p: triplet_loss(z, y, p, hp.m2),
     }
     if loss_name in single:
-        objective = partial(_single_loss_objective, loss=single[loss_name])
-        return _random_branch_arrays(rng), 1, objective
+        return [_random_branch(spec, rng)], partial(_single_loss_objective, loss=single[loss_name])
     if loss_name == "pl":
-        return _random_branch_arrays(rng), 1, partial(pl_objective, hp=hp)
+        return [_random_branch(spec, rng)], partial(pl_objective, hp=hp)
     if loss_name == "softmax":
-        return _random_softmax_arrays(rng), 1, softmax_objective
+        return [_random_branch(spec, rng, head="softmax")], softmax_objective
     if loss_name not in ("incon", "div", "div_frozen"):
         raise ValueError(f"unknown loss {loss_name!r}")
-    pair = _random_branch_arrays(rng) + _random_branch_arrays(rng)
-    own = _frozen_own_dots(spec, pair, x, labels)
+    pair = [_random_branch(spec, rng) for _ in range(2)]
+    # the margins' stop-gradient z.p^y references, held at the unperturbed point
+    own = [(encoder_forward(b.encoder, x)[0] * b.prototypes[labels - 1]).sum(axis=1) for b in pair]
     if loss_name == "incon":
-        return pair, 2, partial(_incon_objective, hp=hp, own_dots=own)
+        return pair, partial(_incon_objective, hp=hp, own_dots=own)
     if loss_name == "div":
-        return pair, 2, partial(div_loss, hp=hp, own_dots=own)
-    half = len(pair) // 2  # branch b is held frozen at its base point
-    frozen = _rebuild(spec, pair[half:])
-    return pair[:half], 1, partial(div_loss, hp=hp, frozen=frozen, own_dots=own)
+        return pair, partial(div_loss, hp=hp, own_dots=own)
+    return pair[:1], partial(div_loss, hp=hp, frozen=pair[1], own_dots=own)
 
 
 LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen", "softmax")
@@ -156,17 +129,16 @@ def check_loss_gradients(loss_name: str, instance_seed: int, n_coords: int) -> F
     rng = np.random.default_rng(instance_seed)
     x = rng.standard_normal((_BATCH, spec.input_dim))
     labels = rng.integers(1, _N_CLASSES + 1, size=_BATCH)
-    arrays, n_trained, objective = _case(loss_name, spec, rng, x, labels)
+    trained, objective = _case(loss_name, spec, rng, x, labels)
+    live = [a for b in trained for a in b.arrays()]
+    grads = [g for part in objective(x, labels, trained)[1] for g in branch_gradients(*part)]
 
-    def compute(flat):
-        k = len(flat) // n_trained
-        branches = [_rebuild(spec, flat[i : i + k]) for i in range(0, len(flat), k)]
-        terms, parts = objective(x, labels, branches)
-        return terms["total"], [g for part in parts for g in branch_gradients(*part)]
+    def loss(work):
+        for a, w in zip(live, work):
+            a[...] = w
+        return objective(x, labels, trained)[0]["total"]
 
-    return finite_diff_check(
-        arrays, lambda a: compute(a)[0], compute(arrays)[1], n_coords=n_coords, seed=instance_seed
-    )
+    return finite_diff_check(live, loss, grads, n_coords=n_coords, seed=instance_seed)
 
 
 def run_gradient_suite(n_seeds: int, n_coords: int):

@@ -209,9 +209,17 @@ def config_from_dict(d: dict) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """json object hook: a key given twice in one object is an error."""
+    for i, (key, _) in enumerate(pairs):
+        if any(key == earlier for earlier, _ in pairs[:i]):
+            raise ValueError(f"duplicate config key {key!r}")
+    return dict(pairs)
+
+
 def load_config(path) -> ExperimentConfig:
     with open(path) as f:
-        return config_from_dict(json.load(f))
+        return config_from_dict(json.load(f, object_pairs_hook=_unique_keys))
 
 
 def load_dataset(config: ExperimentConfig) -> list[SignalRecording]:

@@ -183,12 +183,6 @@ class ProximityDistribution:
     cache: ProximityCache | None = None
 
 
-def own_class_dots(embeddings: np.ndarray, labels, prototypes: np.ndarray) -> np.ndarray:
-    """Per-sample dot product with the own-class prototype, z_i . p^{y_i}."""
-    y0 = np.asarray(labels, dtype=np.int64) - 1
-    return (embeddings * prototypes[y0]).sum(axis=1)
-
-
 def proximity_probs(
     embeddings: np.ndarray,
     labels,

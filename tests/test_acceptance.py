@@ -83,19 +83,25 @@ def test_criterion_1_gradient_suite():
     )
 
 
-def test_criterion_1_differentiates_the_pl_objective_train_runs(monkeypatch):
-    # "pl" checks the pl_objective that pl_baseline and sequential_k's first
-    # branch train with, so halving its prototype gradient must fail the check
+@pytest.mark.parametrize(
+    "loss_name, objective",
+    [("pl", "pl_objective"), ("softmax", "softmax_objective"), ("div", "div_loss"),
+     ("div_frozen", "div_loss")],
+)
+def test_criterion_1_differentiates_every_objective_train_runs(loss_name, objective, monkeypatch):
+    # each case checks an objective that train() runs, so halving the last
+    # head gradient of every part it returns must fail the check
     from predin import gradcheck
 
-    real = gradcheck.pl_objective
+    assert check_loss_gradients(loss_name, 1000, 420).max_rel_error < 1e-4
+    real = getattr(gradcheck, objective)
 
     def halved(*args, **kwargs):
-        terms, [(cache, dz, [dp])] = real(*args, **kwargs)
-        return terms, [(cache, dz, [0.5 * dp])]
+        terms, parts = real(*args, **kwargs)
+        return terms, [(cache, dz, [*head[:-1], 0.5 * head[-1]]) for cache, dz, head in parts]
 
-    monkeypatch.setattr(gradcheck, "pl_objective", halved)
-    assert check_loss_gradients("pl", 1000, 420).max_rel_error > 1e-4
+    monkeypatch.setattr(gradcheck, objective, halved)
+    assert check_loss_gradients(loss_name, 1000, 420).max_rel_error > 1e-4
 
 
 def test_criterion_1_differentiates_the_tanh_encoder(monkeypatch):

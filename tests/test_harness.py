@@ -124,6 +124,18 @@ class TestConfig:
             config_from_dict({"dataset": {"type": "hdf5"}})
 
     @pytest.mark.parametrize(
+        "text, key",
+        [('{"seeds": [1], "seeds": [2]}', "seeds"),
+         ('{"training": {"epochs": 5, "epochs": 0}}', "epochs")],
+        ids=["top_level", "in_section"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, text, key):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=f"duplicate config key '{key}'"):
+            load_config(path)
+
+    @pytest.mark.parametrize(
         "field, value",
         [
             ("retention", 0.0),
@@ -853,8 +865,12 @@ class TestCli:
         "argv, names",
         [(["run"], "required: --config"),
          (["check-gradients", "--seeds", "x"], "--seeds: invalid int value: 'x'"),
-         (["frobnicate"], "invalid choice: 'frobnicate'")],
-        ids=["missing_config", "bad_seeds", "unknown_command"],
+         (["frobnicate"], "invalid choice: 'frobnicate'"),
+         (["run", "--config", "docs/example_config.json", "--see", "1,2"],
+          "unrecognized arguments: --see 1,2"),
+         (["check-gradients", "--c", "3"], "unrecognized arguments: --c 3")],
+        ids=["missing_config", "bad_seeds", "unknown_command", "abbreviated_run_flag",
+             "abbreviated_check_gradients_flag"],
     )
     def test_usage_error_is_json(self, capsys, argv, names):
         assert cli_main(argv) == 1
