@@ -1,12 +1,15 @@
 """Flatten-then-MLP encoder with analytic forward/backward and SGD updates.
 
-Everything is deterministic and computes in the dtype of its inputs (numpy
-promotes a mix); every run path feeds it float64 windows and parameters.
+Every hidden layer is a tanh: bounded, it keeps the embeddings of unknown
+inputs on the scale of known ones, where a relu MLP extrapolates them
+unboundedly. Everything is deterministic and computes in the dtype of its
+inputs (numpy promotes a mix); every run path feeds it float64 windows and
+parameters.
 The backward pass is written for exactness, not speed: every gradient
 produced on top of this encoder is validated against central finite
 differences (finite_diff_check, which works in float64). Each layer's bias
-sum and activation go into its product in place, and each derivative
-product into delta @ W, with the same bits as fresh arrays.
+sum and tanh go into its product in place, and each derivative product
+into delta @ W, with the same bits as fresh arrays.
 """
 
 from __future__ import annotations
@@ -16,20 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 
-def _relu(z):
-    return np.maximum(z, 0.0, out=z)
-
-
-def _relu_deriv_mul(a, delta):
-    # from the activation a = relu(z): a > 0 exactly when z > 0; subgradient 0
-    # at the kink. The mask multiplies as 1.0 or 0.0
-    return np.multiply(delta, a > 0.0, out=delta)
-
-
-def _tanh(z):
-    return np.tanh(z, out=z)
-
-
 def _tanh_deriv_mul(a, delta):
     # from the activation a = tanh(z): delta * (1 - a*a)
     deriv = np.multiply(a, a)
@@ -37,31 +26,23 @@ def _tanh_deriv_mul(a, delta):
     return np.multiply(delta, deriv, out=delta)
 
 
-# name -> (activation applied in place to z, and the product of delta with
-# the derivative, written in terms of the activation a, into delta)
-ACTIVATIONS = {"relu": (_relu, _relu_deriv_mul), "tanh": (_tanh, _tanh_deriv_mul)}
-
-
 @dataclass(frozen=True)
 class EncoderSpec:
     """Layer widths of the encoder: input -> hidden_dims... -> output_dim.
 
-    Hidden layers carry the activation; the output layer is linear so the
+    Hidden layers carry a tanh; the output layer is linear so the
     embedding space spans all of R^d.
     """
 
     input_dim: int
     hidden_dims: tuple[int, ...]
     output_dim: int
-    activation: str
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
         dims = (self.input_dim, *self.hidden_dims, self.output_dim)
         if any(d < 1 for d in dims):
             raise ValueError(f"all layer dims must be >= 1, got {dims}")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def layer_dims(self) -> tuple[int, ...]:
@@ -112,7 +93,6 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
         raise ValueError(
             f"inputs must be (M, {params.spec.input_dim}), got {inputs.shape}"
         )
-    act, _ = ACTIVATIONS[params.spec.activation]
     n_layers = len(params.weights)
     layer_inputs = []
     a = inputs
@@ -121,7 +101,7 @@ def encoder_forward(params: EncoderParams, inputs: np.ndarray):
         a = a @ w.T
         a += b
         if i < n_layers - 1:
-            act(a)
+            np.tanh(a, out=a)
     return a, ForwardCache(params=params, layer_inputs=layer_inputs)
 
 
@@ -143,13 +123,12 @@ def encoder_backward(
             f"stale or mismatched cache: grad_embeddings has shape {delta.shape}, "
             f"forward produced {expected}"
         )
-    _, deriv_mul = ACTIVATIONS[params.spec.activation]
     grads = [None] * (2 * len(params.weights)) if out is None else out
     for i in range(len(params.weights) - 1, -1, -1):
         grads[2 * i] = np.matmul(delta.T, cache.layer_inputs[i], out=grads[2 * i])
         grads[2 * i + 1] = np.sum(delta, axis=0, out=grads[2 * i + 1])
         if i > 0:
-            delta = deriv_mul(cache.layer_inputs[i], delta @ params.weights[i])
+            delta = _tanh_deriv_mul(cache.layer_inputs[i], delta @ params.weights[i])
     return grads
 
 

@@ -1,8 +1,7 @@
 """Finite-difference verification of every analytic gradient path.
 
 An instance is small (3 classes, 8-dim embeddings, batch of 6): the random
-BranchStates one loss trains, on a relu encoder at an even instance seed
-and at an odd one on the tanh encoder that every harness run trains. A
+BranchStates one loss trains, on the tanh encoder that every run trains. A
 softmax head is drawn after the prototypes it replaces. The analytic
 gradients are compared against central finite differences over a sampled
 subset of encoder parameters and head arrays. Loss values for the
@@ -45,14 +44,9 @@ from .inconsistency import (
 from .prototypes import compactness_loss, dce_loss
 
 _DIMS = (12, 16, 8)  # input, hidden and embedding widths
+_SPEC = EncoderSpec(_DIMS[0], _DIMS[1:-1], _DIMS[-1])
 _N_CLASSES = 3
 _BATCH = 6
-
-
-def _spec(instance_seed: int) -> EncoderSpec:
-    """The relu encoder at an even instance seed, the tanh one at an odd."""
-    activation = "tanh" if instance_seed % 2 else "relu"
-    return EncoderSpec(_DIMS[0], _DIMS[1:-1], _DIMS[-1], activation)
 
 
 def _random_branch(spec: EncoderSpec, rng, head: str = "prototypes") -> BranchState:
@@ -123,13 +117,11 @@ LOSS_NAMES = ("dce", "compactness", "pl", "incon", "triplet", "div", "div_frozen
 
 
 def check_loss_gradients(loss_name: str, instance_seed: int, n_coords: int) -> FiniteDiffReport:
-    """Finite-difference check of one loss on one random instance, on the
-    relu encoder at an even instance_seed and the tanh one at an odd."""
-    spec = _spec(instance_seed)
+    """Finite-difference check of one loss on one random instance."""
     rng = np.random.default_rng(instance_seed)
-    x = rng.standard_normal((_BATCH, spec.input_dim))
+    x = rng.standard_normal((_BATCH, _SPEC.input_dim))
     labels = rng.integers(1, _N_CLASSES + 1, size=_BATCH)
-    trained, objective = _case(loss_name, spec, rng, x, labels)
+    trained, objective = _case(loss_name, _SPEC, rng, x, labels)
     live = [a for b in trained for a in b.arrays()]
     grads = [g for part in objective(x, labels, trained)[1] for g in branch_gradients(*part)]
 

@@ -18,7 +18,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import __version__
-from .encoder import ACTIVATIONS, EncoderSpec
+from .encoder import EncoderSpec
 from .inconsistency import (
     BranchState,
     DivHyperParams,
@@ -120,8 +120,6 @@ class EncoderConfig:
 
     hidden_dims: tuple[int, ...] = ruled((256,), "[1, inf)")
     feature_dim: int = ruled(128, "[1, inf)")
-    # the bounded tanh keeps unknown-input feature norms comparable to known ones
-    activation: str = ruled("tanh", tuple(ACTIVATIONS))
 
     def __post_init__(self):
         check_fields(self)
@@ -304,7 +302,7 @@ def _train_variant(config: ExperimentConfig, partition: DatasetPartition, seed: 
     sequential_k trains sequential_k branches one after another.
     """
     encoder, input_dim = config.encoder, partition.train_windows.input_dim
-    spec = EncoderSpec(input_dim, encoder.hidden_dims, encoder.feature_dim, encoder.activation)
+    spec = EncoderSpec(input_dim, encoder.hidden_dims, encoder.feature_dim)
     n_classes = partition.label_split.n_known
     tc = config.training
     shuffle_seed = derive_seed(seed, _SHUFFLE)

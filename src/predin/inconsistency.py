@@ -494,7 +494,7 @@ def train_sequential(
 # artifacts
 # ---------------------------------------------------------------------------
 
-CHECKPOINT_FORMAT = "predin-branches-v2"
+CHECKPOINT_FORMAT = "predin-branches-v3"
 
 # every term an objective reports, in loss_trace.csv column order
 LOSS_TRACE_COLUMNS = ("pl_a", "pl_b", "incon", "trip_a", "trip_b", "total")
@@ -517,17 +517,16 @@ def write_loss_trace(path, trace: list[dict[str, float]]) -> None:
 def save_dual_checkpoint(path, branches: list[BranchState]) -> None:
     """K branches, every array bitwise as np.load gives it back.
 
-    Per branch k: its activation, how many of its arrays form the head,
-    and the arrays b{k}_p* in BranchState.arrays() order. The arrays'
-    shapes give the layer widths; the seeds, loss weights and training
-    schedule are the config's, which report.json echoes.
+    Per branch k: how many of its arrays form the head, and the arrays
+    b{k}_p* in BranchState.arrays() order. The arrays' shapes give the
+    layer widths; the seeds, loss weights and training schedule are the
+    config's, which report.json echoes.
     """
     payload = {
         "format": np.array(CHECKPOINT_FORMAT),
         "n_branches": np.array(len(branches), dtype=np.int64),
     }
     for k, branch in enumerate(branches):
-        payload[f"b{k}_activation"] = np.array(branch.encoder.spec.activation)
         payload[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
         payload.update((f"b{k}_p{i}", a) for i, a in enumerate(branch.arrays()))
     with atomic_open(path, "wb") as f:

@@ -604,14 +604,17 @@ def generate_synthetic(config: SyntheticConfig) -> list[SignalRecording]:
 
 def _parse_field(row: dict, key: str, lineno: int, path, parse=int):
     """parse(row[key]); ParseError naming the file, line and column when the
-    column is missing or its cell does not parse."""
+    column is missing, its cell does not parse, or an integer is outside int64."""
     try:
-        return parse(row[key])
+        value = parse(row[key])
     except (KeyError, TypeError):
         raise ParseError(f"{path}: metadata line {lineno}: missing column {key!r}") from None
     except ValueError:
         kind = "non-integer" if parse is int else "non-numeric"
         raise ParseError(f"{path}: metadata line {lineno}: {kind} {key}={row[key]!r}") from None
+    if parse is int and not -(2**63) <= value < 2**63:
+        raise ParseError(f"{path}: metadata line {lineno}: {key}={value} is outside int64")
+    return value
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -134,8 +134,8 @@ def count_windows_enumeration(length: int, window_len: int, stride: int) -> int:
     return count
 
 
-def mlp_forward_scalar(weights, biases, activation, x_row):
-    """Scalar triple-loop forward pass of one input row."""
+def mlp_forward_scalar(weights, biases, x_row):
+    """Scalar triple-loop forward pass of one input row, tanh on each hidden layer."""
     a = list(x_row)
     n_layers = len(weights)
     for li, (w, b) in enumerate(zip(weights, biases)):
@@ -145,10 +145,7 @@ def mlp_forward_scalar(weights, biases, activation, x_row):
             for i in range(w.shape[1]):
                 s += w[j][i] * a[i]
             if li < n_layers - 1:
-                if activation == "relu":
-                    s = s if s > 0 else 0.0
-                else:
-                    s = np.tanh(s)
+                s = np.tanh(s)
             out.append(s)
         a = out
     return np.array(a)
@@ -216,41 +213,17 @@ def sgd_step_three_lines(arrays, grads, velocities, lr: float, momentum: float) 
         a -= lr * v
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _relu_deriv(a):
-    # from the activation a = relu(z): a > 0 exactly when z > 0; subgradient 0 at the kink
-    return (a > 0.0).astype(np.float64)
-
-
-def _tanh(z):
-    return np.tanh(z)
-
-
-def _tanh_deriv(a):
-    # from the activation a = tanh(z)
-    return 1.0 - a * a
-
-
-# The former activations, each returning a fresh array: name -> (activation,
-# its derivative written in terms of the activation)
-ACTIVATIONS_ALLOCATING = {"relu": (_relu, _relu_deriv), "tanh": (_tanh, _tanh_deriv)}
-
-
 def encoder_forward_allocating(params, inputs):
     """The former forward: each layer's pre-activation, bias sum and
-    activation is a fresh array. Returns (embeddings, ForwardCache)."""
+    tanh is a fresh array. Returns (embeddings, ForwardCache)."""
     x = np.asarray(inputs, dtype=np.float64)
-    act, _ = ACTIVATIONS_ALLOCATING[params.spec.activation]
     n_layers = len(params.weights)
     layer_inputs = []
     a = x
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         layer_inputs.append(a)
         z = a @ w.T + b
-        a = act(z) if i < n_layers - 1 else z
+        a = np.tanh(z) if i < n_layers - 1 else z
     return a, ForwardCache(params=params, layer_inputs=layer_inputs)
 
 
@@ -258,13 +231,13 @@ def encoder_backward_allocating(cache, grad_embeddings, out=None):
     """The former backward: every call allocates fresh gradient arrays, and
     ``out`` is ignored."""
     params = cache.params
-    _, deriv = ACTIVATIONS_ALLOCATING[params.spec.activation]
     grads = []  # built last layer first, bias before weight
     delta = np.asarray(grad_embeddings, dtype=np.float64)
     for i in range(len(params.weights) - 1, -1, -1):
         grads += [delta.sum(axis=0), delta.T @ cache.layer_inputs[i]]
         if i > 0:
-            delta = (delta @ params.weights[i]) * deriv(cache.layer_inputs[i])
+            a = cache.layer_inputs[i]  # the tanh's output: its derivative is 1 - a*a
+            delta = (delta @ params.weights[i]) * (1.0 - a * a)
     return grads[::-1]
 
 
@@ -483,14 +456,13 @@ def write_score_dump_csv(path, scored, threshold) -> None:
 
 def assert_checkpoint_holds(path, branches) -> None:
     """The checkpoint at path, read with np.load, holds exactly the
-    predin-branches-v2 entries of these branches, each with the dtype,
+    predin-branches-v3 entries of these branches, each with the dtype,
     shape and bytes of the array it stores."""
     want = {
-        "format": np.array("predin-branches-v2"),
+        "format": np.array("predin-branches-v3"),
         "n_branches": np.array(len(branches), dtype=np.int64),
     }
     for k, branch in enumerate(branches):
-        want[f"b{k}_activation"] = np.array(branch.encoder.spec.activation)
         want[f"b{k}_n_head"] = np.array(len(branch.head), dtype=np.int64)
         want.update((f"b{k}_p{i}", a) for i, a in enumerate(branch.arrays()))
     with np.load(path, allow_pickle=False) as data:
@@ -501,7 +473,7 @@ def assert_checkpoint_holds(path, branches) -> None:
 
 
 def branches_from_checkpoint(path) -> list:
-    """The branches of a predin-branches-v2 checkpoint, from the file alone.
+    """The branches of a predin-branches-v3 checkpoint, from the file alone.
 
     Branch k's arrays are b{k}_p0, b{k}_p1, ... up to the first index the
     file lacks: each layer's weight (out, in) and bias, then b{k}_n_head
@@ -509,7 +481,7 @@ def branches_from_checkpoint(path) -> list:
     """
     branches = []
     with np.load(path, allow_pickle=False) as data:
-        assert data["format"].item() == "predin-branches-v2"
+        assert data["format"].item() == "predin-branches-v3"
         for k in range(int(data["n_branches"])):
             arrays = []
             while f"b{k}_p{len(arrays)}" in data.files:
@@ -517,8 +489,7 @@ def branches_from_checkpoint(path) -> list:
             n_enc = len(arrays) - int(data[f"b{k}_n_head"])
             weights, biases = arrays[0:n_enc:2], arrays[1:n_enc:2]
             widths = [w.shape[0] for w in weights]
-            spec = EncoderSpec(weights[0].shape[1], widths[:-1], widths[-1],
-                               data[f"b{k}_activation"].item())
+            spec = EncoderSpec(weights[0].shape[1], widths[:-1], widths[-1])
             encoder = EncoderParams(spec=spec, weights=weights, biases=biases)
             branches.append(BranchState(encoder=encoder, head=arrays[n_enc:]))
     return branches

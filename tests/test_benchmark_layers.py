@@ -113,8 +113,7 @@ def test_segment_windows_called_once_per_routed_recording(monkeypatch):
 def test_score_counter_counts_every_test_window():
     recs, split = _recordings()
     part = standardize(split_trials(recs, 200.0, 50.0, {1, 2}, {3}, split))
-    spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4,
-                       activation="tanh")
+    spec = EncoderSpec(input_dim=part.test_windows.input_dim, hidden_dims=(8,), output_dim=4)
     fns = [branch_score_fn(init_branch(spec, 3, 1, 2))]
     args = (fns, part.test_windows)
     counted = _count("scoring.score_windows", "scoring.score_windows.windows", args,
@@ -124,7 +123,7 @@ def test_score_counter_counts_every_test_window():
 
 # every counter below runs on one real call; each case returns the call's
 # (args, result) and the totals the shapes imply
-_SPEC = EncoderSpec(input_dim=12, hidden_dims=(16, 8), output_dim=4, activation="tanh")
+_SPEC = EncoderSpec(input_dim=12, hidden_dims=(16, 8), output_dim=4)
 _ROWS = 10
 _FORWARD_FLOP = 2 * _ROWS * (12 * 16 + 16 * 8 + 8 * 4)
 

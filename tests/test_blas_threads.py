@@ -30,7 +30,7 @@ CONFIG = {
     "variant": "predin",
     "train_trials": [1, 2],
     "test_trials": [3],
-    "encoder": {"hidden_dims": [64], "feature_dim": 16, "activation": "tanh"},
+    "encoder": {"hidden_dims": [64], "feature_dim": 16},
     "training": {"epochs": 3, "batch_size": 64},
 }
 

@@ -18,6 +18,7 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from predin import harness
+from predin.cli import main as cli_main
 from predin.harness import (
     EncoderConfig, ExperimentConfig, config_from_dict, run_experiment, run_seed,
 )
@@ -412,6 +413,29 @@ def test_csv_window_lengths_differ_names_the_line(tmp_path, fast):
             "sampling_rate_hz=200.0, but 10 on metadata line 2")
     with pytest.raises(ValueError, match=re.escape(want)):
         run_experiment(cfg)
+
+
+def test_csv_label_outside_int64_fails_the_run_naming_its_line(tmp_path, capsys):
+    # 5 classes x 2 trials, one 20-row recording each, 2 channels at 100 Hz;
+    # class 5 (metadata lines 10 and 11) is labelled 2**63, one past int64
+    label = 2**63
+    data_rows = [[str(0.1 * i), str(-0.2 * i)] for i in range(200)]
+    meta_rows = [[str(20 * r), str(20 * r + 20), str(label if r >= 8 else r // 2 + 1),
+                  str(r % 2 + 1), "1", "100"] for r in range(10)]
+    data, meta = write_csv_pair(tmp_path, data_rows, meta_rows)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({
+        "dataset": {"type": "csv", "data_path": data, "meta_path": meta},
+        "window_ms": 50.0, "step_ms": 50.0, "n_known": 2, "seeds": [1],
+        "train_trials": [1], "test_trials": [2],
+        "encoder": {"hidden_dims": [4], "feature_dim": 4}, "training": {"epochs": 1},
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert cli_main(["run", "--config", str(config)]) == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ParseError",
+        "message": f"{meta}: metadata line 10: label={label} is outside int64",
+    }
 
 
 def test_seed_without_a_train_window_fails_alone(tmp_path):

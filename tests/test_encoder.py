@@ -17,7 +17,7 @@ from predin.encoder import (
 
 from oracles import mlp_forward_scalar, sgd_step_three_lines
 
-SPEC = EncoderSpec(input_dim=5, hidden_dims=(7,), output_dim=4, activation="relu")
+SPEC = EncoderSpec(input_dim=5, hidden_dims=(7,), output_dim=4)
 
 
 class TestInit:
@@ -33,22 +33,20 @@ class TestInit:
         assert any(not np.array_equal(wa, wb) for wa, wb in zip(a.weights, b.weights))
 
     def test_shapes(self):
-        spec = EncoderSpec(input_dim=64, hidden_dims=(), output_dim=128, activation="relu")
+        spec = EncoderSpec(input_dim=64, hidden_dims=(), output_dim=128)
         params = init_encoder(spec, seed=0)
         assert params.weights[0].shape == (128, 64)
         assert params.biases[0].shape == (128,)
 
     def test_biases_zero_weights_scaled(self):
-        params = init_encoder(EncoderSpec(1000, (), 1000, "relu"), seed=0)
+        params = init_encoder(EncoderSpec(1000, (), 1000), seed=0)
         assert not params.biases[0].any()
         # He scale sqrt(2/1000)
         assert params.weights[0].std() == pytest.approx(np.sqrt(2.0 / 1000), rel=0.05)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):
-            EncoderSpec(input_dim=0, hidden_dims=(4,), output_dim=2, activation="relu")
-        with pytest.raises(ValueError):
-            EncoderSpec(input_dim=4, hidden_dims=(4,), output_dim=2, activation="swish")
+            EncoderSpec(input_dim=0, hidden_dims=(4,), output_dim=2)
 
 
 class TestForward:
@@ -60,21 +58,20 @@ class TestForward:
         np.testing.assert_array_equal(emb, np.zeros((3, 4)))
 
     def test_single_linear_layer_identity(self):
-        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=4, activation="relu")
+        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=4)
         params = init_encoder(spec, seed=0)
         params.weights[0][:] = np.eye(4)
         x = np.random.default_rng(0).standard_normal((6, 4))
         emb, _ = encoder_forward(params, x)
         np.testing.assert_array_equal(emb, x)
 
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_matches_scalar_reference(self, activation):
-        spec = EncoderSpec(input_dim=5, hidden_dims=(7, 6), output_dim=4, activation=activation)
+    def test_matches_scalar_reference(self):
+        spec = EncoderSpec(input_dim=5, hidden_dims=(7, 6), output_dim=4)
         params = init_encoder(spec, seed=9)
         x = np.random.default_rng(1).standard_normal((2, 5))
         emb, _ = encoder_forward(params, x)
         for i in range(2):
-            ref = mlp_forward_scalar(params.weights, params.biases, activation, x[i])
+            ref = mlp_forward_scalar(params.weights, params.biases, x[i])
             np.testing.assert_allclose(emb[i], ref, atol=1e-12)
 
     def test_dimension_mismatch(self):
@@ -101,7 +98,7 @@ class TestBackward:
 
     def test_single_layer_sum_loss(self):
         # loss = sum of outputs of a single linear layer: dW[j,i] = sum_m x[m,i]
-        spec = EncoderSpec(input_dim=3, hidden_dims=(), output_dim=2, activation="relu")
+        spec = EncoderSpec(input_dim=3, hidden_dims=(), output_dim=2)
         params = init_encoder(spec, seed=0)
         x = np.random.default_rng(5).standard_normal((4, 3))
         _, cache = encoder_forward(params, x)
@@ -129,18 +126,16 @@ class TestBackward:
         assert report.max_rel_error < 1e-4
 
     def test_tanh_matches_finite_differences(self):
-        # the harness default: the derivative 1 - a^2 is taken from the
-        # cached activations of both hidden layers
-        spec = EncoderSpec(input_dim=5, hidden_dims=(7, 6), output_dim=4, activation="tanh")
+        # two hidden layers: the derivative 1 - a^2 is taken from the
+        # cached activations of both
+        spec = EncoderSpec(input_dim=5, hidden_dims=(7, 6), output_dim=4)
         report = self._squared_error_check(spec)
         assert report.n_checked >= 50
         assert report.max_rel_error < 1e-4
 
     @pytest.mark.parametrize("rows", [1, 7, 252])
-    @pytest.mark.parametrize("activation", ["relu", "tanh"])
-    def test_out_buffers_get_the_allocated_bits(self, activation, rows):
-        spec = EncoderSpec(input_dim=200, hidden_dims=(64, 32), output_dim=16,
-                           activation=activation)
+    def test_out_buffers_get_the_allocated_bits(self, rows):
+        spec = EncoderSpec(input_dim=200, hidden_dims=(64, 32), output_dim=16)
         params = init_encoder(spec, seed=4)
         rng = np.random.default_rng(rows)
         emb, cache = encoder_forward(params, rng.standard_normal((rows, 200)))

@@ -86,7 +86,7 @@ class TestConfig:
             window_ms=150.0, step_ms=25.0, seeds=(9, 8), variant="dual_trip",
             train_trials=(2,), test_trials=(1, 3),
             hyperparams=DivHyperParams(0.5, 2.0, 0.25, 0.1, 2.0),
-            hidden_dims=(8, 4), activation="relu", batch_size=32, lr=0.01, momentum=0.5,
+            hidden_dims=(8, 4), batch_size=32, lr=0.01, momentum=0.5,
             retention=0.9, sequential_k=3,
         )
         default = ExperimentConfig()
@@ -97,7 +97,7 @@ class TestConfig:
                 got, want = (getattr(getattr(c, section), f.name) for c in (cfg, default))
                 assert got != want, f"{section}.{f.name}"
         echo = json.loads(json.dumps(cfg.to_dict()))
-        assert echo["encoder"] == {"hidden_dims": [8, 4], "feature_dim": 8, "activation": "relu"}
+        assert echo["encoder"] == {"hidden_dims": [8, 4], "feature_dim": 8}
         assert echo["training"] == {"epochs": 4, "batch_size": 32, "lr": 0.01, "momentum": 0.5}
         assert echo["hyperparams"] == dataclasses.asdict(cfg.hyperparams)
         assert config_from_dict(echo) == cfg
@@ -153,7 +153,7 @@ class TestConfig:
             ("momentum", float("nan")),
             ("feature_dim", 0),
             ("hidden_dims", (16, 0)),
-            ("activation", "sigmoid"),
+            ("variant", "quadruple"),
             ("seeds", (1, 1)),
             ("train_trials", ()),
             ("test_trials", ()),
@@ -179,7 +179,7 @@ class TestConfig:
             ("retention", "0.9"),
             ("variant", ["predin"]),
             ("variant", ""),
-            ("activation", ["tanh"]),
+            ("feature_dim", [8]),
             ("output_dir", None),
             ("output_dir", ""),
             ("output_dir", 3),
@@ -286,8 +286,6 @@ class TestConfig:
     def test_invalid_section_value_rejected_when_loaded(self):
         with pytest.raises(ValueError, match="momentum"):
             config_from_dict(json.loads('{"training": {"momentum": NaN}}'))
-        with pytest.raises(ValueError, match="activation"):
-            config_from_dict({"encoder": {"activation": "sigmoid"}})
 
     def test_negative_beta_rejected(self):
         with pytest.raises(ValueError, match="beta"):
@@ -300,14 +298,16 @@ class TestConfig:
             config_from_dict(json.loads('{"hyperparams": {"m1": NaN}}'))
 
     @pytest.mark.parametrize(
-        "key, value", [("compactness_form", "huber_sq"), ("epsilon_log", 1e-12)]
+        "section, key, value",
+        [("hyperparams", "compactness_form", "huber_sq"), ("hyperparams", "epsilon_log", 1e-12),
+         ("encoder", "activation", "tanh"), ("encoder", "activation", "relu")],
     )
-    def test_removed_hyperparam_key_rejected(self, key, value):
-        # an old config's implementation choices, at their former defaults
+    def test_removed_hyperparam_key_rejected(self, section, key, value):
+        # an old config's implementation choices, at their former values
         for variant in ("softmax", "predin"):
             with pytest.raises(ValueError) as err:
-                config_from_dict({"variant": variant, "hyperparams": {key: value}})
-            assert str(err.value) == f"unknown config keys under 'hyperparams': [{key!r}]"
+                config_from_dict({"variant": variant, section: {key: value}})
+            assert str(err.value) == f"unknown config keys under {section!r}: [{key!r}]"
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ValueError, match="variant"):
@@ -388,7 +388,7 @@ class TestVariantLattice:
 
 class TestSoftmaxBaseline:
     def test_untrained_zero_head_gives_uniform_smax(self):
-        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3, activation="relu")
+        spec = EncoderSpec(input_dim=4, hidden_dims=(), output_dim=3)
         enc = init_encoder(spec, seed=0)
         head = [np.zeros((5, 3)), np.zeros(5)]
         branch = inconsistency.BranchState(encoder=enc, head=head)
@@ -515,7 +515,7 @@ class TestCheckpoint:
             assert set(data.files) == {"format", "n_branches"} | {
                 f"b{k}_{name}"
                 for k in range(n_branches)
-                for name in ("activation", "n_head", *(f"p{i}" for i in range(4 + n_head)))
+                for name in ("n_head", *(f"p{i}" for i in range(4 + n_head)))
             }
             for k in range(n_branches):
                 assert int(data[f"b{k}_n_head"]) == n_head

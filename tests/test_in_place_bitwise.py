@@ -111,12 +111,11 @@ class TestLosses:
             assert same_bits(a, b)
 
 
-@pytest.mark.parametrize("activation", ["relu", "tanh"])
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("m", ROWS)
-def test_encoder_forward_and_backward(m, d, activation):
+def test_encoder_forward_and_backward(m, d):
     # two hidden layers, so the derivative product runs twice
-    spec = EncoderSpec(input_dim=12, hidden_dims=(16, 9), output_dim=d, activation=activation)
+    spec = EncoderSpec(input_dim=12, hidden_dims=(16, 9), output_dim=d)
     params = init_encoder(spec, seed=m + d)
     rng = np.random.default_rng([m, d])
     for b in params.biases:
@@ -130,8 +129,6 @@ def test_encoder_forward_and_backward(m, d, activation):
     assert len(cache.layer_inputs) == len(want_cache.layer_inputs) == 3
     for g, w in zip(cache.layer_inputs, want_cache.layer_inputs):
         assert same_bits(g, w)
-    if activation == "relu":
-        assert (cache.layer_inputs[1] == 0.0).any()  # the kink is exercised
     grad = rng.standard_normal((m, d))
     want = encoder_backward_allocating(want_cache, grad)
     buffers = [np.full_like(a, np.nan) for a in params.arrays()]
@@ -147,7 +144,7 @@ def test_encoder_forward_and_backward(m, d, activation):
 @pytest.mark.parametrize("d", DIMS)
 @pytest.mark.parametrize("m", ROWS)
 def test_div_loss(m, d, frozen, gamma, alpha):
-    spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=d, activation="tanh")
+    spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=d)
     pair = [init_branch(spec, N_CLASSES, e, p) for e, p in ((1, 2), (3, 4))]
     rng = np.random.default_rng([m, d])
     for b in pair[0].encoder.biases + pair[1].encoder.biases:
@@ -177,7 +174,7 @@ def one_step(kind, dtype, x, y):
     """One training step of an objective on branches whose parameters and
     zero velocities are in dtype. Returns (terms, per-branch gradients,
     branches after their sgd_step, and their velocities)."""
-    spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=4, activation="tanh")
+    spec = EncoderSpec(input_dim=12, hidden_dims=(16,), output_dim=4)
     tc = TrainConfig(lr=0.01)
     head = "softmax" if kind == "softmax" else "prototypes"
     pair = [init_branch(spec, N_CLASSES, e, p, head=head) for e, p in ((1, 2), (3, 4))]

@@ -53,7 +53,7 @@ from predin.signals import (
 
 from oracles import assert_checkpoint_holds, margin_distance, train_allocating
 
-SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4, activation="tanh")
+SPEC = EncoderSpec(input_dim=6, hidden_dims=(8,), output_dim=4)
 
 
 def protos_from(rows):
@@ -582,8 +582,7 @@ class TestGradientBuffers:
         # gradient set that a branch kept would count too
         part = tiny_partition(sampling_rate_hz=4000.0)
         enc = EncoderConfig()
-        spec = EncoderSpec(part.train_windows.input_dim, enc.hidden_dims, enc.feature_dim,
-                           enc.activation)
+        spec = EncoderSpec(part.train_windows.input_dim, enc.hidden_dims, enc.feature_dim)
         tc = TrainConfig(epochs=1, batch_size=16)
         objective = partial(div_loss, hp=DivHyperParams())
 
@@ -616,7 +615,7 @@ class TestGradientBuffers:
         # above the start; 4.57 MB when every loss term, activation and
         # derivative product was a fresh (M, d) array
         enc = EncoderConfig()
-        spec = EncoderSpec(1600, enc.hidden_dims, enc.feature_dim, enc.activation)
+        spec = EncoderSpec(1600, enc.hidden_dims, enc.feature_dim)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((252, 1600))
         y = rng.permutation(np.arange(252) % 6 + 1)
@@ -710,4 +709,4 @@ def test_failed_write_leaves_existing_artifact(tmp_path, monkeypatch, name):
 
 def _spec_for(partition):
     dim = partition.train_windows.input_dim
-    return EncoderSpec(input_dim=dim, hidden_dims=(16,), output_dim=8, activation="tanh")
+    return EncoderSpec(input_dim=dim, hidden_dims=(16,), output_dim=8)

@@ -214,7 +214,7 @@ def expand(entries: list[str], branches) -> set[str]:
 @pytest.mark.parametrize("heads", [("prototypes", "prototypes"), ("softmax",)],
                          ids=["two_prototype_branches", "one_softmax_branch"])
 def test_checkpoint_entries_match_the_writer(tmp_path, heads):
-    spec = EncoderSpec(12, (8,), 4, "tanh")
+    spec = EncoderSpec(12, (8,), 4)
     branches = [init_branch(spec, 3, 2 * k, 2 * k + 1, head) for k, head in enumerate(heads)]
     path = tmp_path / "checkpoint.npz"
     save_dual_checkpoint(path, branches)

@@ -47,7 +47,7 @@ def prototype_scorer(encoder, protos: np.ndarray):
 def identity_scorer(protos: np.ndarray):
     """Prototype scorer whose encoder is the identity, so sims are x . p^k."""
     dim = protos.shape[1]
-    spec = EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim, activation="relu")
+    spec = EncoderSpec(input_dim=dim, hidden_dims=(), output_dim=dim)
     enc = init_encoder(spec, seed=0)
     enc.weights[0][:] = np.eye(dim)
     return prototype_scorer(enc, protos)
@@ -259,7 +259,7 @@ class TestScoreBlocks:
                                    4 * B + 5])
     def test_blocks_equal_one_pass_bitwise(self, m):
         rng = np.random.default_rng(m)
-        spec = EncoderSpec(input_dim=24, hidden_dims=(16,), output_dim=8, activation="tanh")
+        spec = EncoderSpec(input_dim=24, hidden_dims=(16,), output_dim=8)
         fns = [prototype_scorer(init_encoder(spec, seed=s), rng.standard_normal((6, 8)))
                for s in (1, 2)]
         x = rng.standard_normal((m, 2, 12))
@@ -290,7 +290,7 @@ class TestScoreBlocks:
         # tanh, two branches, overlapping 100-sample strides) reach the BLAS
         # kernels a real run uses, which 24 -> 16 -> 8 never does
         rng = np.random.default_rng(m)
-        spec = EncoderSpec(input_dim=1600, hidden_dims=(256,), output_dim=128, activation="tanh")
+        spec = EncoderSpec(input_dim=1600, hidden_dims=(256,), output_dim=128)
         fns = [prototype_scorer(init_encoder(spec, seed=s), rng.standard_normal((6, 128)))
                for s in (1, 2)]
         ids = np.ones(m, dtype=np.int64)
@@ -312,8 +312,7 @@ class TestScoreBlocks:
         ids = np.ones(m, dtype=np.int64)
         windows = WindowTable(rng.standard_normal((c, (m - 1) * step + t)), t,
                               np.arange(m) * step, ids)
-        spec = EncoderSpec(input_dim=c * t, hidden_dims=(hidden,), output_dim=out,
-                           activation="tanh")
+        spec = EncoderSpec(input_dim=c * t, hidden_dims=(hidden,), output_dim=out)
         fns = [prototype_scorer(init_encoder(spec, seed=s), rng.standard_normal((n, out)))
                for s in (1, 2)]
         tracemalloc.start()

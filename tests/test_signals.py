@@ -782,6 +782,24 @@ class TestLoadCsv:
         with pytest.raises(ParseError, match=re.escape(f"{meta}: metadata line 2: {message}")):
             load_csv(data, meta)
 
+    @pytest.mark.parametrize("key", ["label", "trial", "subject"])
+    @pytest.mark.parametrize("value", [2**63, -(2**63) - 1])
+    def test_integer_outside_int64_names_line_and_column(self, tmp_path, key, value):
+        # windows carry their labels in int64 arrays; every integer column
+        # shares the label's bound
+        cells = {"label": 1, "trial": 1, "subject": 1, key: value}
+        row = f"1,2,{cells['label']},{cells['trial']},{cells['subject']},100"
+        data, meta = self._write(tmp_path, ["1,2", "3,4"], ["0,1,1,1,1,100", row])
+        with pytest.raises(ParseError, match=re.escape(
+                f"{meta}: metadata line 3: {key}={value} is outside int64")):
+            load_csv(data, meta)
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
+    def test_int64_bounds_admitted(self, tmp_path, value):
+        data, meta = self._write(tmp_path, ["1,2"], [f"0,1,{value},{value},{value},100"])
+        (rec,) = load_csv(data, meta)
+        assert rec.gesture_label == rec.trial_id == rec.subject_id == value
+
     @pytest.mark.parametrize("rate", ["inf", "nan", "0", "-100"])
     def test_bad_sampling_rate_names_line(self, tmp_path, rate):
         data, meta = self._write(tmp_path, ["1,2", "3,4"], ["0,1,1,1,1,100", f"1,2,1,2,1,{rate}"])
